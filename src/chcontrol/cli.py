@@ -14,7 +14,7 @@ Subcommands:
     chcontrol simulate <config>   forward solve only
     chcontrol verify <config>     run the verification oracle suite
 
-Flags ``--seed``, ``--out-dir`` and ``--threads`` override the config.
+Flags ``--seed`` and ``--out-dir`` override the config.
 Exit codes: 0 success, 2 config error, 3 solver error, 4 verification
 failure.
 """
@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .errors import ChControlError, ConfigError, SolverError
 from .fields import (
     Grid,
@@ -46,6 +45,7 @@ from .optimizer import ArmijoParams, OptimizerConfig, optimize
 from .potentials import Potential, Proliferation, potential_eval
 from .state import ControlField, InitialData, ModelParams, separation_report, solve_state
 from .verification import (
+    DEFAULT_SEED,
     duality_check,
     fd_gradient_check,
     lipschitz_check,
@@ -170,7 +170,6 @@ class ExperimentConfig:
     pipeline: str
     seed: int
     output_dir: Path
-    threads: int | None
     params: ModelParams
     init: InitialData
     cost: CostSpec
@@ -242,7 +241,7 @@ def _build_bound(v, grid, where):
     raise ConfigError(f"{where}: expected a number or a snapshot path")
 
 
-def parse_config(path, seed=None, out_dir=None, threads=None) -> ExperimentConfig:
+def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     """Parse and validate an experiment config; all module invariants are
     re-checked here so a bad file fails before any solve starts."""
     path = Path(path)
@@ -261,12 +260,10 @@ def parse_config(path, seed=None, out_dir=None, threads=None) -> ExperimentConfi
     raw["pipeline"] = pipeline
     if seed is not None:
         raw["seed"] = int(seed)
-    raw.setdefault("seed", 0)
+    raw.setdefault("seed", DEFAULT_SEED)
     if out_dir is not None:
         raw["output_dir"] = str(out_dir)
     raw.setdefault("output_dir", "out")
-    if threads is not None:
-        raw["threads"] = int(threads)
 
     model = _req(raw, "model", "config")
     alpha = _num(model, "alpha", "model")
@@ -378,7 +375,6 @@ def parse_config(path, seed=None, out_dir=None, threads=None) -> ExperimentConfi
             max_backtracks=int(ad.get("max_backtracks", 30)),
         ),
         grad_tol=float(od.get("grad_tol", 1e-5)),
-        tau_step_scale=float(od.get("tau_step_scale", 1.0)),
     )
 
     verification = raw.get("verification", {})
@@ -386,7 +382,7 @@ def parse_config(path, seed=None, out_dir=None, threads=None) -> ExperimentConfi
 
     return ExperimentConfig(
         raw=raw, pipeline=pipeline, seed=int(raw["seed"]),
-        output_dir=Path(raw["output_dir"]), threads=raw.get("threads"),
+        output_dir=Path(raw["output_dir"]),
         params=params, init=init, cost=cost, u0=u0, tau0=tau0,
         optimizer=opt_config, verification=verification,
         newton_tol=float(sd.get("newton_tol", 1e-11)),
@@ -510,7 +506,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
     params = cfg.params
     vd = cfg.verification
     checks = vd.get("checks", ["gradient", "duality", "lipschitz", "mass"])
-    seed = int(vd.get("seed", cfg.seed if cfg.seed else 20240808))
+    seed = int(vd.get("seed", cfg.seed))
     tau = float(vd.get("tau", cfg.cost.tau_star))
     ver_dir = out / "verify"
     ver_dir.mkdir(parents=True, exist_ok=True)
@@ -575,20 +571,13 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def run(config_path, pipeline=None, seed=None, out_dir=None, threads=None) -> int:
+def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
     """Execute a config. Returns the process exit code."""
     try:
-        cfg = parse_config(config_path, seed=seed, out_dir=out_dir, threads=threads)
+        cfg = parse_config(config_path, seed=seed, out_dir=out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if cfg.threads and kernels.HAVE_NUMBA:
-        try:  # best effort; the kernels are serial either way
-            import numba
-
-            numba.set_num_threads(int(cfg.threads))
-        except Exception:
-            pass
     pipeline = pipeline or cfg.pipeline
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -639,11 +628,10 @@ def main(argv=None) -> None:
         p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     pipeline = None if args.command == "run" else args.command
     sys.exit(run(args.config, pipeline=pipeline, seed=args.seed,
-                 out_dir=args.out_dir, threads=args.threads))
+                 out_dir=args.out_dir))
 
 
 if __name__ == "__main__":

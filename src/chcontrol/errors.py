@@ -76,7 +76,7 @@ class NanDetectedError(SolverError):
         super().__init__(f"non-finite values detected in {where}")
 
 
-class LineSearchFailureError(ChControlError):
+class LineSearchFailureError(SolverError):
     """No Armijo decrease within the backtracking budget. Carries the
     offending iterate (control, tau) for inspection."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,8 @@ class Grid:
 
     n: tuple
     extents: tuple
+    # 1 / h^2 per axis, the Laplacian stencil weight
+    inv_h2: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = tuple(int(v) for v in self.n)
@@ -52,6 +54,7 @@ class Grid:
             raise GridMismatchError("need at least 3 cells per axis")
         if any(v <= 0 for v in extents):
             raise GridMismatchError("extents must be positive")
+        object.__setattr__(self, "inv_h2", tuple(1.0 / h**2 for h in self.h))
 
     @classmethod
     def line(cls, n: int, length: float = 1.0) -> "Grid":
@@ -138,10 +141,9 @@ def laplacian_neumann(grid: Grid, f: np.ndarray, out=None) -> np.ndarray:
     derivative on every face)."""
     if f.shape != grid.shape:
         raise GridMismatchError(f"field shape {f.shape} does not match grid {grid.shape}")
-    h = grid.h
     if grid.dim == 1:
-        return kernels.lap1d(f, 1.0 / h[0] ** 2, out)
-    return kernels.lap2d(f, 1.0 / h[0] ** 2, 1.0 / h[1] ** 2, out)
+        return kernels.lap1d(f, grid.inv_h2[0], out)
+    return kernels.lap2d(f, *grid.inv_h2, out)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float:

@@ -1,57 +1,26 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Hot numeric kernels: Neumann Laplacian stencils and the 1D step solve.
 
 The solvers spend essentially all their time in two places: applying the
 reflecting-ghost Neumann Laplacian stencil and solving the coupled
-three-field linear system of each implicit time step. Both exist twice,
-as plain numpy/LAPACK code and as numba ``@njit`` kernels.
-
-The active backend is selected at import time from the environment
-variable ``CHCONTROL_NUMBA`` ("0", "false" or "off" pick the numpy
-fallback; anything else, or absence, picks numba when importable) and can
-be switched programmatically with :func:`set_backend`, which is what the
-benchmark in ``benchmarks/`` uses to compare the two paths. Both backends
-are direct solvers and agree to linear-solve roundoff.
+three-field linear system of each implicit time step. In 1D that system
+is block tridiagonal with 3x3 blocks; interleaved cell-major it is a band
+matrix with three sub- and three superdiagonals, solved by one direct
+call to LAPACK ``dgbsv`` on a band already in ``gbsv`` storage (see
+:func:`assemble_band`). The caller builds the constant part of the band
+once and patches only the state-dependent entries per solve.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (len(args) == 1 and callable(args[0])) else args[0]
-
-
-_env = os.environ.get("CHCONTROL_NUMBA", "1").strip().lower()
-_REQUESTED = _env not in ("0", "false", "off", "no")
-
-_backend = "numba" if (HAVE_NUMBA and _REQUESTED) else "numpy"
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Select 'numba' or 'numpy'. Intended for benchmarks and tests."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
+# sub- and superdiagonals of the interleaved 1D step matrix
+KL = KU = 3
+# gbsv storage row of the main diagonal: A[i, j] sits at ab[MAIN + i - j, j];
+# rows 0..KL-1 are the fill rows LAPACK needs for the pivoted LU
+MAIN = KL + KU
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +28,18 @@ def set_backend(name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lap1d_np(f, inv_h2, out):
+def lap1d(f, inv_h2, out=None):
+    if out is None:
+        out = np.empty_like(f)
     out[0] = (f[1] - f[0]) * inv_h2
     out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) * inv_h2
     out[-1] = (f[-2] - f[-1]) * inv_h2
     return out
 
 
-def _lap2d_np(f, inv_hx2, inv_hy2, out):
+def lap2d(f, inv_hx2, inv_hy2, out=None):
+    if out is None:
+        out = np.empty_like(f)
     out[0, :] = (f[1, :] - f[0, :]) * inv_hx2
     out[1:-1, :] = (f[:-2, :] - 2.0 * f[1:-1, :] + f[2:, :]) * inv_hx2
     out[-1, :] = (f[-2, :] - f[-1, :]) * inv_hx2
@@ -76,180 +49,61 @@ def _lap2d_np(f, inv_hx2, inv_hy2, out):
     return out
 
 
-@njit(cache=True)
-def _lap1d_jit(f, inv_h2, out):  # pragma: no cover - numba path
-    n = f.shape[0]
-    out[0] = (f[1] - f[0]) * inv_h2
-    for i in range(1, n - 1):
-        out[i] = (f[i - 1] - 2.0 * f[i] + f[i + 1]) * inv_h2
-    out[n - 1] = (f[n - 2] - f[n - 1]) * inv_h2
-    return out
-
-
-@njit(cache=True)
-def _lap2d_jit(f, inv_hx2, inv_hy2, out):  # pragma: no cover - numba path
-    nx, ny = f.shape
-    for i in range(nx):
-        im = i - 1 if i > 0 else 0
-        ip = i + 1 if i < nx - 1 else nx - 1
-        for j in range(ny):
-            jm = j - 1 if j > 0 else 0
-            jp = j + 1 if j < ny - 1 else ny - 1
-            out[i, j] = (f[im, j] - 2.0 * f[i, j] + f[ip, j]) * inv_hx2 + (
-                f[i, jm] - 2.0 * f[i, j] + f[i, jp]
-            ) * inv_hy2
-    return out
-
-
-def lap1d(f, inv_h2, out=None):
-    if out is None:
-        out = np.empty_like(f)
-    if _backend == "numba":
-        return _lap1d_jit(f, inv_h2, out)
-    return _lap1d_np(f, inv_h2, out)
-
-
-def lap2d(f, inv_hx2, inv_hy2, out=None):
-    if out is None:
-        out = np.empty_like(f)
-    if _backend == "numba":
-        return _lap2d_jit(f, inv_hx2, inv_hy2, out)
-    return _lap2d_np(f, inv_hx2, inv_hy2, out)
-
-
 # ---------------------------------------------------------------------------
 # Coupled per-step linear system, 1D: block tridiagonal with 3x3 blocks.
 #
 # Cell-major ordering (m_i, f_i, s_i); the off-diagonal coupling between
 # neighbouring cells is the same scalar (the -1/h^2 stencil weight) for all
-# three fields, so lower = upper = off * Iable and a scalar-off block-Thomas
-# sweep suffices.
+# three fields, so it lands on the third sub- and superdiagonal.
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _block_thomas_jit(diag, off, rhs):  # pragma: no cover - numba path
+def assemble_band(diag, off):
+    """``gbsv`` storage (kl = ku = 3 plus 3 fill rows) of the interleaved
+    block-tridiagonal matrix with (n, 3, 3) diagonal blocks ``diag`` and
+    scalar neighbour coupling ``off``. Fortran-ordered, so LAPACK works on
+    it without a copy."""
     n = diag.shape[0]
-    cp = np.empty((n, 3, 3))
-    dp = np.empty((n, 3))
-    x = np.empty((n, 3))
-
-    a00 = diag[0, 0, 0]
-    a01 = diag[0, 0, 1]
-    a02 = diag[0, 0, 2]
-    a10 = diag[0, 1, 0]
-    a11 = diag[0, 1, 1]
-    a12 = diag[0, 1, 2]
-    a20 = diag[0, 2, 0]
-    a21 = diag[0, 2, 1]
-    a22 = diag[0, 2, 2]
-
-    for i in range(n):
-        if i > 0:
-            a00 = diag[i, 0, 0] - off * cp[i - 1, 0, 0]
-            a01 = diag[i, 0, 1] - off * cp[i - 1, 0, 1]
-            a02 = diag[i, 0, 2] - off * cp[i - 1, 0, 2]
-            a10 = diag[i, 1, 0] - off * cp[i - 1, 1, 0]
-            a11 = diag[i, 1, 1] - off * cp[i - 1, 1, 1]
-            a12 = diag[i, 1, 2] - off * cp[i - 1, 1, 2]
-            a20 = diag[i, 2, 0] - off * cp[i - 1, 2, 0]
-            a21 = diag[i, 2, 1] - off * cp[i - 1, 2, 1]
-            a22 = diag[i, 2, 2] - off * cp[i - 1, 2, 2]
-
-        c00 = a11 * a22 - a12 * a21
-        c01 = a02 * a21 - a01 * a22
-        c02 = a01 * a12 - a02 * a11
-        c10 = a12 * a20 - a10 * a22
-        c11 = a00 * a22 - a02 * a20
-        c12 = a02 * a10 - a00 * a12
-        c20 = a10 * a21 - a11 * a20
-        c21 = a01 * a20 - a00 * a21
-        c22 = a00 * a11 - a01 * a10
-        det = a00 * c00 + a01 * c10 + a02 * c20
-        inv_det = 1.0 / det
-
-        b0 = rhs[i, 0]
-        b1 = rhs[i, 1]
-        b2 = rhs[i, 2]
-        if i > 0:
-            b0 -= off * dp[i - 1, 0]
-            b1 -= off * dp[i - 1, 1]
-            b2 -= off * dp[i - 1, 2]
-
-        dp[i, 0] = (c00 * b0 + c01 * b1 + c02 * b2) * inv_det
-        dp[i, 1] = (c10 * b0 + c11 * b1 + c12 * b2) * inv_det
-        dp[i, 2] = (c20 * b0 + c21 * b1 + c22 * b2) * inv_det
-
-        s = off * inv_det
-        cp[i, 0, 0] = c00 * s
-        cp[i, 0, 1] = c01 * s
-        cp[i, 0, 2] = c02 * s
-        cp[i, 1, 0] = c10 * s
-        cp[i, 1, 1] = c11 * s
-        cp[i, 1, 2] = c12 * s
-        cp[i, 2, 0] = c20 * s
-        cp[i, 2, 1] = c21 * s
-        cp[i, 2, 2] = c22 * s
-
-    x[n - 1, 0] = dp[n - 1, 0]
-    x[n - 1, 1] = dp[n - 1, 1]
-    x[n - 1, 2] = dp[n - 1, 2]
-    for i in range(n - 2, -1, -1):
-        x[i, 0] = dp[i, 0] - (
-            cp[i, 0, 0] * x[i + 1, 0] + cp[i, 0, 1] * x[i + 1, 1] + cp[i, 0, 2] * x[i + 1, 2]
-        )
-        x[i, 1] = dp[i, 1] - (
-            cp[i, 1, 0] * x[i + 1, 0] + cp[i, 1, 1] * x[i + 1, 1] + cp[i, 1, 2] * x[i + 1, 2]
-        )
-        x[i, 2] = dp[i, 2] - (
-            cp[i, 2, 0] * x[i + 1, 0] + cp[i, 2, 1] * x[i + 1, 1] + cp[i, 2, 2] * x[i + 1, 2]
-        )
-    return x
-
-
-def _assemble_banded(diag, off):
-    """LAPACK banded storage (l = u = 3) of the interleaved block system."""
-    n = diag.shape[0]
-    ab = np.zeros((7, 3 * n))
-    ab[3, 0::3] = diag[:, 0, 0]
-    ab[3, 1::3] = diag[:, 1, 1]
-    ab[3, 2::3] = diag[:, 2, 2]
+    ab = np.zeros((KL + MAIN + 1, 3 * n), order="F")
+    band = ab[KL:]  # the (l = u = 3) storage of scipy.linalg.solve_banded
+    band[3, 0::3] = diag[:, 0, 0]
+    band[3, 1::3] = diag[:, 1, 1]
+    band[3, 2::3] = diag[:, 2, 2]
     # superdiagonal +1: A[j-1, j]
-    ab[2, 1::3] = diag[:, 0, 1]
-    ab[2, 2::3] = diag[:, 1, 2]
+    band[2, 1::3] = diag[:, 0, 1]
+    band[2, 2::3] = diag[:, 1, 2]
     # subdiagonal -1: A[j+1, j]
-    ab[4, 0::3] = diag[:, 1, 0]
-    ab[4, 1::3] = diag[:, 2, 1]
+    band[4, 0::3] = diag[:, 1, 0]
+    band[4, 1::3] = diag[:, 2, 1]
     # +2 / -2: chemical potential <-> nutrient coupling
-    ab[1, 2::3] = diag[:, 0, 2]
-    ab[5, 0::3] = diag[:, 2, 0]
+    band[1, 2::3] = diag[:, 0, 2]
+    band[5, 0::3] = diag[:, 2, 0]
     # +3 / -3: same-field neighbour-cell stencil weight
-    ab[0, 3:] = off
-    ab[6, :-3] = off
+    band[0, 3:] = off
+    band[6, :-3] = off
     return ab
 
 
-def _block_solve_np(diag, off, rhs):
-    ab = _assemble_banded(diag, off)
-    x = solve_banded((3, 3), ab, rhs.reshape(-1))
-    return x.reshape(rhs.shape)
-
-
-def solve_block_tridiag(diag, off, rhs):
-    """Solve the cell-major block-tridiagonal system.
+def solve_block_tridiag(ab, b):
+    """Solve the interleaved block-tridiagonal system in place.
 
     Parameters
     ----------
-    diag : (n, 3, 3) array
-        Dense 3x3 diagonal blocks, one per cell.
-    off : float
-        Scalar neighbour coupling, identical for the three fields.
-    rhs : (n, 3) array
+    ab : (10, 3n) Fortran-ordered array
+        The matrix in ``gbsv`` storage, as built by :func:`assemble_band`.
+        Overwritten by its LU factors.
+    b : (3n,) contiguous array
+        Interleaved right-hand side (m_0, f_0, s_0, m_1, ...). Overwritten
+        by the solution, which is returned.
 
-    Returns
-    -------
-    (n, 3) array
+    Raises ``ValueError`` on non-finite input and ``LinAlgError`` on a
+    singular matrix, as :func:`scipy.linalg.solve_banded` does.
     """
-    if _backend == "numba":
-        return _block_thomas_jit(diag, off, rhs)
-    return _block_solve_np(diag, off, np.ascontiguousarray(rhs))
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, x, info = dgbsv(KL, KU, ab, b, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    return x

@@ -71,6 +71,8 @@ class ArmijoParams:
             raise ConfigError("optimizer.armijo.c1: must lie in (0, 1)")
         if not 0 < self.backtrack < 1:
             raise ConfigError("optimizer.armijo.backtrack: must lie in (0, 1)")
+        if self.max_backtracks < 1:
+            raise ConfigError("optimizer.armijo.max_backtracks: must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,6 @@ class OptimizerConfig:
     max_outer_iters: int = 1000
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
     grad_tol: float = 1e-5
-    # retained for config compatibility; the exact scalar time search does
-    # not need a step scale
-    tau_step_scale: float = 1.0
 
 
 @dataclass

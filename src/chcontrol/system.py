@@ -14,10 +14,13 @@ transpose of the same matrix, so a single assembly routine serves all
 three solvers.
 
 In 1D the system is block tridiagonal with 3x3 blocks and a scalar
-neighbour coupling; it is solved by the kernels module (numba block-Thomas
-or LAPACK banded, depending on the active backend). In 2D the matrix is
-assembled sparse and factorized with SuperLU; the transpose solve reuses
-the same factorization.
+neighbour coupling, a band matrix with three sub- and superdiagonals. The
+constant part (time terms and stencil) of the matrix and of its transpose
+is assembled once per solver in LAPACK ``gbsv`` band storage; each solve
+copies one of them, adds P and W in place and calls ``dgbsv`` through
+:func:`kernels.solve_block_tridiag`. In 2D the matrix is assembled sparse
+and factorized with SuperLU; the transpose solve reuses the same
+factorization.
 """
 
 from __future__ import annotations
@@ -59,26 +62,22 @@ class StepSolver:
         self.b = beta / dt
         self.c = 1.0 / dt
         if grid.dim == 1:
-            inv_h2 = 1.0 / grid.h[0] ** 2
-            self.off = -inv_h2
+            inv_h2 = grid.inv_h2[0]
             lapdiag = np.full(grid.n[0], 2.0 * inv_h2)
             lapdiag[0] = lapdiag[-1] = inv_h2
-            self.lapdiag = lapdiag
+            # the step matrix with P = W = 0; solve() adds P and W in place
+            # to a copy, so the two templates are built once per solver
+            blocks = np.zeros((grid.n[0], 3, 3))
+            blocks[:, 0, 0] = self.a + lapdiag
+            blocks[:, 0, 1] = self.c
+            blocks[:, 1, 0] = -1.0
+            blocks[:, 1, 1] = self.b + lapdiag
+            blocks[:, 2, 2] = self.c + lapdiag
+            self._band = kernels.assemble_band(blocks, -inv_h2)
+            self._band_t = kernels.assemble_band(blocks.transpose(0, 2, 1), -inv_h2)
         else:
             self.neg_lap = (-neumann_laplacian_matrix(grid)).tocsr()
             self.eye = sps.eye(grid.cell_count, format="csr")
-
-    def _diag_blocks_1d(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-        n = self.grid.n[0]
-        d = np.zeros((n, 3, 3))
-        d[:, 0, 0] = self.a + self.lapdiag + p
-        d[:, 0, 1] = self.c
-        d[:, 0, 2] = -p
-        d[:, 1, 0] = -1.0
-        d[:, 1, 1] = self.b + self.lapdiag + w
-        d[:, 2, 0] = -p
-        d[:, 2, 2] = self.c + self.lapdiag + p
-        return d
 
     def solve(self, p, w, rhs, transpose: bool = False):
         """Solve for (m, f, s) given diagonal data and a right-hand side.
@@ -97,12 +96,19 @@ class StepSolver:
         w_flat = np.ravel(w)
         r0, r1, r2 = (np.ravel(r) for r in rhs)
         if self.grid.dim == 1:
-            diag = self._diag_blocks_1d(p_flat, w_flat)
-            if transpose:
-                diag = np.ascontiguousarray(diag.transpose(0, 2, 1))
-            b = np.stack([r0, r1, r2], axis=1)
-            x = kernels.solve_block_tridiag(diag, self.off, b)
-            m, f, s = x[:, 0], x[:, 1], x[:, 2]
+            main = kernels.MAIN
+            ab = (self._band_t if transpose else self._band).copy(order="F")
+            ab[main, 0::3] += p_flat
+            ab[main, 1::3] += w_flat
+            ab[main, 2::3] += p_flat
+            # the -P couplings (0, 2) and (2, 0) are symmetric, so the
+            # transposed band holds them at the same place
+            ab[main - 2, 2::3] = -p_flat
+            ab[main + 2, 0::3] = -p_flat
+            b = np.empty(ab.shape[1])
+            b[0::3], b[1::3], b[2::3] = r0, r1, r2
+            x = kernels.solve_block_tridiag(ab, b)
+            m, f, s = x[0::3], x[1::3], x[2::3]
         else:
             n = self.grid.cell_count
             mat = sps.bmat(

@@ -176,6 +176,24 @@ def test_run_summary_round_trip(tmp_path):
     assert cfg_b.cost.weights() == cfg_a.cost.weights()
 
 
+def test_line_search_failure_exit_code(tmp_path, capsys):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = "optimize"
+    # c1 near 1 asks for an almost linear decrease, which one trial misses
+    cfg["optimizer"] = {"max_outer_iters": 60, "grad_tol": 1e-3,
+                        "armijo": {"max_backtracks": 1, "c1": 0.9999}}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
+    assert "solver error: line search failed" in capsys.readouterr().err
+
+
+def test_config_rejects_zero_backtracks(tmp_path, capsys):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = "optimize"
+    cfg["optimizer"] = {"armijo": {"max_backtracks": 0}}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert "optimizer.armijo.max_backtracks" in capsys.readouterr().err
+
+
 def test_optimize_pipeline_artifacts(tmp_path):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "optimize"
@@ -209,6 +227,25 @@ def test_verify_pipeline_small(tmp_path):
     for name in ("gradient_check", "duality_check", "lipschitz_check",
                  "mass_balance"):
         assert "PASS" in (out / "verify" / f"{name}.txt").read_text()
+
+
+def test_verify_honours_seed_zero(tmp_path):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = "verify"
+    cfg["verification"] = {
+        "checks": ["gradient"], "tau": 0.125,
+        "gradient": {"directions": 1, "deltas": [0.2, 1e-4],
+                     "slope_deltas": [0.2], "check_delta": 1e-4},
+    }
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), seed=0, out_dir=out) == 0
+    assert "seed = 0" in (out / "verify" / "gradient_check.txt").read_text()
+
+
+def test_missing_seed_defaults(tmp_path):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    del cfg["seed"]
+    assert parse_config(_write(tmp_path, cfg)).seed == ch.verification.DEFAULT_SEED
 
 
 def test_verification_failure_exit_code(tmp_path):

@@ -1,76 +1,98 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import chcontrol as ch
 from chcontrol import kernels
-from conftest import equilibrium_init, make_problem, midpoint_control
+from chcontrol.system import StepSolver
 
 
-@pytest.fixture
-def restore_backend():
-    previous = kernels.active_backend()
-    yield
-    kernels.set_backend(previous)
-
-
-def test_backend_selection(restore_backend):
-    kernels.set_backend("numpy")
-    assert kernels.active_backend() == "numpy"
-    if kernels.HAVE_NUMBA:
-        kernels.set_backend("numba")
-        assert kernels.active_backend() == "numba"
-    with pytest.raises(ValueError):
-        kernels.set_backend("cuda")
-
-
-def test_laplacian_backends_agree(restore_backend):
-    rng = np.random.default_rng(0)
-    f1 = rng.standard_normal(64)
-    f2 = rng.standard_normal((12, 9))
-    kernels.set_backend("numpy")
-    a1 = kernels.lap1d(f1, 64.0**2)
-    a2 = kernels.lap2d(f2, 144.0, 81.0)
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    kernels.set_backend("numba")
-    b1 = kernels.lap1d(f1, 64.0**2)
-    b2 = kernels.lap2d(f2, 144.0, 81.0)
-    assert np.allclose(a1, b1, rtol=0, atol=1e-9)
-    assert np.allclose(a2, b2, rtol=0, atol=1e-9)
-
-
-def test_block_solver_backends_agree(restore_backend):
-    rng = np.random.default_rng(1)
-    n = 40
+def _dominant_blocks(rng, n):
     diag = rng.standard_normal((n, 3, 3))
-    for i in range(n):  # make blocks safely dominant
-        diag[i] += np.eye(3) * 10.0
-    off = -1.7
+    diag += np.eye(3) * 10.0  # make blocks safely dominant
+    return diag
+
+
+def _block_residual(diag, off, x, rhs):
+    res = (diag @ x[:, :, None])[:, :, 0]
+    res[1:] += off * x[:-1]
+    res[:-1] += off * x[1:]
+    return res - rhs
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_band_solve_matches_solve_banded_bitwise(transpose):
+    rng = np.random.default_rng(1)
+    n, off = 40, -1.7
+    diag = _dominant_blocks(rng, n)
+    if transpose:
+        diag = diag.transpose(0, 2, 1)
     rhs = rng.standard_normal((n, 3))
-    kernels.set_backend("numpy")
-    xa = kernels.solve_block_tridiag(diag, off, rhs)
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    kernels.set_backend("numba")
-    xb = kernels.solve_block_tridiag(diag, off, rhs)
-    assert np.abs(xa - xb).max() <= 1e-10
-    # both satisfy the block-tridiagonal system
-    res = diag @ xa[:, :, None]
-    res = res[:, :, 0]
-    res[1:] += off * xa[:-1]
-    res[:-1] += off * xa[1:]
-    assert np.abs(res - rhs).max() <= 1e-10
+    ab = kernels.assemble_band(diag, off)
+    # rows below the fill rows are exactly solve_banded's (l = u = 3) storage
+    expected = solve_banded((3, 3), ab[kernels.KL:], rhs.reshape(-1))
+    x = kernels.solve_block_tridiag(ab.copy(order="F"), rhs.reshape(-1).copy())
+    assert x.tobytes() == expected.tobytes()
+    assert np.abs(_block_residual(diag, off, x.reshape(n, 3), rhs)).max() <= 1e-10
 
 
-def test_full_solve_backend_parity(restore_backend):
-    params = make_problem(n=48, nt=16)
-    init = equilibrium_init(params)
-    init.sigma0 = init.sigma0 + 0.2 * np.cos(np.pi * params.grid.axis_centers(0))
-    u = midpoint_control(params)
-    kernels.set_backend("numpy")
-    a = ch.solve_state(params, init, u)
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    kernels.set_backend("numba")
-    b = ch.solve_state(params, init, u)
-    assert np.abs(a.data - b.data).max() <= 1e-12
+def _dense_step_matrix(solver, p, w):
+    n = solver.grid.n[0]
+    inv_h2 = 1.0 / solver.grid.h[0] ** 2
+    lap = inv_h2 * (np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n - 1, 1.0), 1)
+                    - 2.0 * np.eye(n))
+    lap[0, 0] = lap[-1, -1] = -inv_h2
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return np.block([
+        [solver.a * eye - lap + np.diag(p), solver.c * eye, -np.diag(p)],
+        [-eye, solver.b * eye - lap + np.diag(w), zero],
+        [-np.diag(p), zero, solver.c * eye - lap + np.diag(p)],
+    ])
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_step_solve_matches_dense(transpose):
+    rng = np.random.default_rng(2)
+    grid = ch.Grid.line(24, 1.0)
+    solver = StepSolver(grid, 1.0 / 64, 0.1, 0.2)
+    p = rng.uniform(0.0, 2.0, 24)
+    w = rng.uniform(0.0, 3.0, 24)
+    rhs = tuple(rng.standard_normal(24) for _ in range(3))
+    mat = _dense_step_matrix(solver, p, w)
+    ref = np.linalg.solve(mat.T if transpose else mat, np.concatenate(rhs))
+    got = np.concatenate(solver.solve(p, w, rhs, transpose=transpose))
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_step_solve_leaves_templates_unchanged():
+    rng = np.random.default_rng(3)
+    grid = ch.Grid.line(32, 1.0)
+    solver = StepSolver(grid, 1.0 / 128, 0.1, 0.1)
+    p1, p2 = rng.uniform(0.0, 1.0, (2, 32))
+    w1, w2 = rng.uniform(0.0, 2.0, (2, 32))
+    rhs = tuple(rng.standard_normal(32) for _ in range(3))
+    for transpose in (False, True):
+        first = solver.solve(p1, w1, rhs, transpose=transpose)
+        solver.solve(p2, w2, rhs, transpose=transpose)
+        again = solver.solve(p1, w1, rhs, transpose=transpose)
+        for a, b in zip(first, again):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_step_solve_rejects_nonfinite_rhs():
+    grid = ch.Grid.line(16, 1.0)
+    solver = StepSolver(grid, 1.0 / 32, 0.1, 0.1)
+    p, w = grid.full(0.5), grid.full(1.0)
+    rhs = [grid.full(1.0), grid.full(0.0), grid.full(0.0)]
+    rhs[1][7] = np.nan
+    with pytest.raises(ValueError):
+        solver.solve(p, w, tuple(rhs))
+    rhs[1][7] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solver.solve(p, w, tuple(rhs), transpose=True)
+
+
+def test_band_solve_singular_raises():
+    ab = kernels.assemble_band(np.zeros((8, 3, 3)), 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        kernels.solve_block_tridiag(ab, np.ones(24))

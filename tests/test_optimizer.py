@@ -153,3 +153,5 @@ def test_armijo_param_validation():
         ch.ArmijoParams(c1=1.5)
     with pytest.raises(ch.ConfigError):
         ch.ArmijoParams(backtrack=0.0)
+    with pytest.raises(ch.ConfigError, match="max_backtracks"):
+        ch.ArmijoParams(max_backtracks=0)
