@@ -31,7 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChControlError, ConfigError, SolverError
+from .errors import (
+    ChControlError,
+    ConfigError,
+    GridMismatchError,
+    NanDetectedError,
+    ShapeMismatchError,
+    SolverError,
+)
 from .fields import (
     Grid,
     TimeGrid,
@@ -43,7 +50,15 @@ from .fields import (
 from .objective import CostSpec, Relaxation, constant_trajectory, reduced_cost
 from .optimizer import ArmijoParams, OptimizerConfig, optimize
 from .potentials import Potential, Proliferation, potential_eval
-from .state import ControlField, InitialData, ModelParams, separation_report, solve_state
+from .state import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    ControlField,
+    InitialData,
+    ModelParams,
+    separation_report,
+    solve_state,
+)
 from .verification import (
     DEFAULT_SEED,
     duality_check,
@@ -177,8 +192,9 @@ class ExperimentConfig:
     tau0: float
     optimizer: OptimizerConfig
     verification: dict
-    newton_tol: float = 1e-11
-    newton_max_iter: int = 50
+    # the solver section: newton_tol and newton_max_iter, passed as
+    # keywords to every call that runs forward solves
+    newton: dict
 
 
 def _build_potential(d: dict) -> Potential:
@@ -208,18 +224,35 @@ def _build_proliferation(d: dict) -> Proliferation:
     raise ConfigError(f"model.proliferation.kind: unknown kind {kind!r}")
 
 
+def _snapshot(path, grid, where):
+    """Read the snapshot named by config field ``where``; any failure is a
+    ConfigError naming that field."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{where}: expected a snapshot path, got {path!r}")
+    try:
+        return read_snapshot(path, grid)
+    except OSError as exc:
+        raise ConfigError(f"{where}: cannot read snapshot {path!r} "
+                          f"({exc.strerror or exc})")
+    except (ShapeMismatchError, GridMismatchError) as exc:
+        raise ConfigError(f"{where}: {exc}")
+
+
 def _build_target_traj(d, grid, tg, where):
     if d is None:
         return None
     if "constant" in d:
         return constant_trajectory(grid, tg, float(d["constant"]))
     if "manifest" in d:
-        traj = read_trajectory(d["manifest"])
-        comp = d.get("component", traj.names[0])
+        try:
+            traj = read_trajectory(d["manifest"])
+            values = traj.component(d.get("component", traj.names[0]))
+        except (OSError, ValueError, KeyError, TypeError, ChControlError) as exc:
+            raise ConfigError(f"{where}.manifest: cannot read trajectory ({exc})")
         if traj.nframes != tg.steps + 1 or traj.grid.shape != grid.shape:
             raise ConfigError(f"{where}.manifest: trajectory does not match the "
                               f"configured grids")
-        return traj.component(comp).copy()
+        return values.copy()
     raise ConfigError(f"{where}: expected 'constant' or 'manifest'")
 
 
@@ -229,7 +262,7 @@ def _build_field(d, grid, where):
     if "constant" in d:
         return grid.full(float(d["constant"]))
     if "snapshot" in d:
-        return read_snapshot(d["snapshot"], grid)
+        return _snapshot(d["snapshot"], grid, f"{where}.snapshot")
     raise ConfigError(f"{where}: expected 'constant' or 'snapshot'")
 
 
@@ -237,7 +270,7 @@ def _build_bound(v, grid, where):
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return float(v)
     if isinstance(v, str):
-        return read_snapshot(v, grid)
+        return _snapshot(v, grid, where)
     raise ConfigError(f"{where}: expected a number or a snapshot path")
 
 
@@ -300,14 +333,16 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         init = preset_initial_data(idict["preset"], grid, potential, **kwargs)
     elif "snapshots" in idict:
         snaps = idict["snapshots"]
-        init = InitialData(
-            read_snapshot(_req(snaps, "mu", "initial.snapshots"), grid),
-            read_snapshot(_req(snaps, "phi", "initial.snapshots"), grid),
-            read_snapshot(_req(snaps, "sigma", "initial.snapshots"), grid),
-        )
+        init = InitialData(*(
+            _snapshot(_req(snaps, name, "initial.snapshots"), grid,
+                      f"initial.snapshots.{name}")
+            for name in ("mu", "phi", "sigma")))
     else:
         raise ConfigError("initial: expected 'preset' or 'snapshots'")
-    init.validate(grid, potential)
+    try:
+        init.validate(grid, potential)
+    except NanDetectedError as exc:
+        raise ConfigError(f"initial: {exc}")
 
     bd = _req(raw, "bounds", "config")
     lower = _build_bound(_req(bd, "lower", "bounds"), grid, "bounds.lower")
@@ -385,8 +420,8 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         output_dir=Path(raw["output_dir"]),
         params=params, init=init, cost=cost, u0=u0, tau0=tau0,
         optimizer=opt_config, verification=verification,
-        newton_tol=float(sd.get("newton_tol", 1e-11)),
-        newton_max_iter=int(sd.get("newton_max_iter", 50)),
+        newton={"newton_tol": float(sd.get("newton_tol", NEWTON_TOL)),
+                "newton_max_iter": int(sd.get("newton_max_iter", NEWTON_MAX_ITER))},
     )
 
 
@@ -453,8 +488,7 @@ def _write_control(directory, u, tg, grid):
 
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     params, tg, grid = cfg.params, cfg.params.time_grid, cfg.params.grid
-    traj = solve_state(params, cfg.init, cfg.u0, newton_tol=cfg.newton_tol,
-                       newton_max_iter=cfg.newton_max_iter)
+    traj = solve_state(params, cfg.init, cfg.u0, **cfg.newton)
     sim_dir = out / "simulate"
     sim_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(sim_dir / "state", traj)
@@ -474,7 +508,8 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     params, tg, grid = cfg.params, cfg.params.time_grid, cfg.params.grid
-    res = optimize(params, cfg.init, cfg.cost, cfg.optimizer, cfg.u0, cfg.tau0)
+    res = optimize(params, cfg.init, cfg.cost, cfg.optimizer, cfg.u0, cfg.tau0,
+                   **cfg.newton)
     opt_dir = out / "optimize"
     opt_dir.mkdir(parents=True, exist_ok=True)
     header = _breakdown_header() + ["stat_u", "stat_tau", "time_case",
@@ -512,8 +547,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
     ver_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
 
-    state = solve_state(params, cfg.init, cfg.u0, newton_tol=cfg.newton_tol,
-                        newton_max_iter=cfg.newton_max_iter)
+    state = solve_state(params, cfg.init, cfg.u0, **cfg.newton)
     k_tau, _ = params.time_grid.nearest_node(tau)
 
     if "gradient" in checks:
@@ -524,7 +558,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
         rep = fd_gradient_check(
             params, cfg.init, cfg.cost, cfg.u0, tau,
             directions=int(gopts.get("directions", 5)), deltas=deltas,
-            slope_deltas=slope_deltas, seed=seed)
+            slope_deltas=slope_deltas, seed=seed, **cfg.newton)
         tol = float(gopts.get("tol", 1e-6))
         check_delta = float(gopts.get("check_delta", min(deltas)))
         ok = rep.passed(check_delta, tol)
@@ -548,7 +582,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
             params, cfg.init, cfg.u0, pairs=int(lopts.get("pairs", 5)),
             magnitudes=[float(m) for m in lopts.get("magnitudes",
                                                     [1e-1, 1e-2, 1e-3])],
-            seed=seed)
+            seed=seed, **cfg.newton)
         ok = rep.passed(float(lopts.get("pair_spread_tol", 10.0)),
                         float(lopts.get("magnitude_spread_tol", 3.0)))
         (ver_dir / "lipschitz_check.txt").write_text(

@@ -20,6 +20,7 @@ A trajectory manifest is a JSON index of node times and snapshot paths.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,8 +167,11 @@ def norm2(grid: Grid, f: np.ndarray) -> float:
 class Trajectory:
     """Time-indexed triple of fields with per-kind component names.
 
-    ``data`` has shape (nframes, 3, *grid.shape). Component arrays are
-    exposed as attributes named at construction, e.g. ``traj.phi[k]``.
+    ``data`` has shape (nframes, 3, *grid.shape), or (nframes, 3, ndir,
+    *grid.shape) for a stack of ndir trajectories marched together (the
+    linearized solutions along several directions). Component arrays are
+    exposed as attributes named at construction, e.g. ``traj.phi[k]``,
+    with the direction axis, if any, after the frame axis.
     """
 
     def __init__(self, grid: Grid, time_grid: TimeGrid, data: np.ndarray, names,
@@ -175,11 +179,11 @@ class Trajectory:
         names = tuple(names)
         if len(names) != 3:
             raise ShapeMismatchError("a trajectory has exactly three components")
-        expected_tail = (3,) + grid.shape
-        if data.ndim != len(expected_tail) + 1 or data.shape[1:] != expected_tail:
+        if data.ndim < 2 or data.shape[1] != 3 or grid.shape not in (
+                data.shape[2:], data.shape[3:]):
             raise ShapeMismatchError(
                 f"trajectory data shape {data.shape} does not match (frames, 3, "
-                f"{grid.shape})"
+                f"[ndir,] {grid.shape})"
             )
         if data.shape[0] > time_grid.steps + 1 or data.shape[0] < 1:
             raise ShapeMismatchError(
@@ -253,14 +257,28 @@ def write_snapshot(path, grid: Grid, values: np.ndarray) -> None:
 
 
 def read_snapshot(path, grid: Grid | None = None) -> np.ndarray:
+    """Read one snapshot. Raises ``OSError`` if the file cannot be read,
+    :class:`ShapeMismatchError` on a bad header or a payload that does not
+    hold exactly the header's number of values, and
+    :class:`GridMismatchError` if ``grid`` is given and differs."""
     with open(path, "rb") as fh:
         raw = fh.read()
     header_size = struct.calcsize(_HEADER_FMT)
+    if len(raw) < header_size:
+        raise ShapeMismatchError(f"{path}: {len(raw)} bytes, shorter than the "
+                                 f"{header_size}-byte snapshot header")
     magic, dim, n0, n1 = struct.unpack(_HEADER_FMT, raw[:header_size])
     if magic != _SNAPSHOT_MAGIC:
         raise ShapeMismatchError(f"{path}: not a field snapshot (bad magic)")
+    if dim not in (1, 2):
+        raise ShapeMismatchError(f"{path}: snapshot dimension {dim}, expected 1 or 2")
     shape = (n0,) if dim == 1 else (n0, n1)
-    values = np.frombuffer(raw[header_size:], dtype="<f8").reshape(shape).copy()
+    payload, count = len(raw) - header_size, math.prod(shape)
+    if payload != 8 * count:
+        raise ShapeMismatchError(
+            f"{path}: payload of {payload} bytes, expected {count} float64 values "
+            f"for shape {shape}")
+    values = np.frombuffer(raw, dtype="<f8", offset=header_size).reshape(shape).copy()
     if grid is not None and shape != grid.shape:
         raise GridMismatchError(
             f"{path}: snapshot shape {shape} does not match grid {grid.shape}"

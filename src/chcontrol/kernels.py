@@ -92,9 +92,10 @@ def solve_block_tridiag(ab, b):
     ab : (10, 3n) Fortran-ordered array
         The matrix in ``gbsv`` storage, as built by :func:`assemble_band`.
         Overwritten by its LU factors.
-    b : (3n,) contiguous array
-        Interleaved right-hand side (m_0, f_0, s_0, m_1, ...). Overwritten
-        by the solution, which is returned.
+    b : (3n,) or (3n, nrhs) Fortran-ordered array
+        Interleaved right-hand sides (m_0, f_0, s_0, m_1, ...), one per
+        column, all solved against one factorization. Overwritten by the
+        solution, which is returned.
 
     Raises ``ValueError`` on non-finite input and ``LinAlgError`` on a
     singular matrix, as :func:`scipy.linalg.solve_banded` does.

@@ -16,13 +16,19 @@ P'(phi_k)(sigma_{k+1} - mu_{k+1}) and the explicit smooth potential part
 S''(phi_k). Exactness of this construction is what makes the
 finite-difference consistency check clean at fixed resolution and the
 adjoint an exact transpose.
+
+Since A depends on the base state only, a stack of directions shares
+every step matrix: the sweep marches all of them together and factors
+A(phi_{k+1}) once per step, with one right-hand side per direction. A
+caller that reads only the first frames (the duality check stops at the
+treatment node) asks for that many steps and skips the rest.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NanDetectedError, ShapeMismatchError
+from .errors import NanDetectedError, ShapeMismatchError, TimeDomainError
 from .fields import Trajectory
 from .potentials import potential_split_eval, proliferation_eval
 from .state import ControlField, ModelParams
@@ -31,28 +37,40 @@ from .system import StepSolver
 LINEARIZED_NAMES = ("d_mu", "d_phi", "d_sigma")
 
 
-def solve_linearized(params: ModelParams, state: Trajectory, h) -> Trajectory:
+def solve_linearized(params: ModelParams, state: Trajectory, h,
+                     steps: int | None = None) -> Trajectory:
     """Solve the linearized system along direction h with zero initial data.
 
-    ``h`` is a ControlField or a bare (nt+1, *grid.shape) array; node k
-    perturbs the control on [t_k, t_{k+1}).
+    ``h`` is a ControlField, a bare (nt+1, *grid.shape) array, or a stack
+    (ndir, nt+1, *grid.shape) of directions; node k perturbs the control
+    on [t_k, t_{k+1}). A stack is marched together: each step matrix is
+    factorized once and solved for every direction. Only steps
+    1..``steps`` (default nt) are marched, and the returned trajectory
+    holds frames 0..steps, of shape (steps+1, 3, [ndir,] *grid.shape).
     """
     grid, tg, pot = params.grid, params.time_grid, params.potential
     nt, dt = tg.steps, tg.dt
     hv = h.values if isinstance(h, ControlField) else np.asarray(h)
-    if hv.shape != (nt + 1,) + grid.shape:
+    nodes = (nt + 1,) + grid.shape
+    if nodes not in (hv.shape, hv.shape[1:]):
         raise ShapeMismatchError(
-            f"perturbation shape {hv.shape}, expected {(nt + 1,) + grid.shape}"
+            f"perturbation shape {hv.shape}, expected {nodes} or (ndir, *{nodes})"
         )
     if state.nframes != nt + 1 or state.grid.shape != grid.shape:
         raise ShapeMismatchError("state trajectory does not match the model grids")
+    steps = nt if steps is None else int(steps)
+    if not 0 <= steps <= nt:
+        raise TimeDomainError(f"linearized steps {steps} outside 0..{nt}")
+    # node axis first, so that hv[k] holds node k of every direction
+    if hv.shape != nodes:
+        hv = np.moveaxis(hv, 0, 1)
 
     solver = StepSolver(grid, dt, params.alpha, params.beta)
     a, b, c = solver.a, solver.b, solver.c
     mu, phi, sigma = state.mu, state.phi, state.sigma
 
-    data = np.zeros((nt + 1, 3) + grid.shape)
-    for k in range(nt):
+    data = np.zeros((steps + 1, 3) + hv.shape[1:])
+    for k in range(steps):
         e0, t0, r0 = data[k]
         f_old, f_new = phi[k], phi[k + 1]
         p_frozen = proliferation_eval(params.proliferation, f_old, 0)

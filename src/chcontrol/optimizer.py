@@ -52,7 +52,14 @@ from .objective import (
     space_time_norm,
     time_derivative,
 )
-from .state import ControlField, InitialData, ModelParams, solve_state
+from .state import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    ControlField,
+    InitialData,
+    ModelParams,
+    solve_state,
+)
 
 BOUNDARY_LOW = "boundary_low"
 INTERIOR = "interior"
@@ -205,8 +212,14 @@ class _SpectralStep:
 
 def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
              config: OptimizerConfig | None = None,
-             u0: ControlField | None = None, tau0: float | None = None) -> OptResult:
-    """Minimize the reduced cost over the admissible controls and [0, T]."""
+             u0: ControlField | None = None, tau0: float | None = None, *,
+             newton_tol: float = NEWTON_TOL,
+             newton_max_iter: int = NEWTON_MAX_ITER) -> OptResult:
+    """Minimize the reduced cost over the admissible controls and [0, T].
+
+    ``newton_tol`` and ``newton_max_iter`` are passed to every forward
+    solve.
+    """
     config = config or OptimizerConfig()
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
@@ -222,7 +235,8 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
     def qt_norm(x):
         return space_time_norm(grid, tg.dt, x)
 
-    state = solve_state(params, init, u)
+    newton = {"newton_tol": newton_tol, "newton_max_iter": newton_max_iter}
+    state = solve_state(params, init, u, **newton)
     history: list[IterationRecord] = []
     u_stepper = _SpectralStep(config.armijo.s0)
     prev_index = None
@@ -280,7 +294,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
                 if gd >= 0.0:
                     break
                 u_trial = ControlField(trial_vals, u.lower, u.upper)
-                state_trial = solve_state(params, init, u_trial)
+                state_trial = solve_state(params, init, u_trial, **newton)
                 j_trial = reduced_cost(state_trial, u_trial, tau_node, cost).total
                 if j_trial <= j_node + c1 * gd:
                     accepted = True

@@ -41,6 +41,9 @@ from .potentials import Potential, Proliferation, potential_split_eval, prolifer
 from .system import StepSolver
 
 STATE_NAMES = ("mu", "phi", "sigma")
+# defaults of the config's solver.newton_tol and solver.newton_max_iter
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,8 @@ def _newton_step(solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
 
 
 def solve_state(params: ModelParams, init: InitialData, control: ControlField,
-                newton_tol: float = 1e-11, newton_max_iter: int = 50) -> Trajectory:
+                newton_tol: float = NEWTON_TOL,
+                newton_max_iter: int = NEWTON_MAX_ITER) -> Trajectory:
     """March the state system over the full time grid.
 
     Returns a trajectory whose frame 0 is a bitwise copy of the initial

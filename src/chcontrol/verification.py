@@ -36,7 +36,14 @@ from .objective import (
     time_weights,
     window_weights,
 )
-from .state import ControlField, InitialData, ModelParams, solve_state
+from .state import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    ControlField,
+    InitialData,
+    ModelParams,
+    solve_state,
+)
 
 DEFAULT_SEED = 20240808
 
@@ -95,13 +102,16 @@ class GradientCheckReport:
 def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
                       u: ControlField, tau: float, directions: int = 5,
                       deltas=(1e-2, 1e-3, 1e-4), slope_deltas=None,
-                      seed: int = DEFAULT_SEED) -> GradientCheckReport:
+                      seed: int = DEFAULT_SEED, *, newton_tol: float = NEWTON_TOL,
+                      newton_max_iter: int = NEWTON_MAX_ITER) -> GradientCheckReport:
     """Compare <grad J, h> with central differences of the reduced cost.
 
     The treatment time is snapped to its node first so both routes
     differentiate exactly the same function of the control. The log-log
     slope is fit over ``slope_deltas`` (default: all), which should stay
     above the solver floor; the small deltas serve the error tolerance.
+    ``newton_tol`` and ``newton_max_iter`` are passed to every forward
+    solve.
     """
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
@@ -110,7 +120,8 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     slope_deltas = deltas if slope_deltas is None else list(slope_deltas)
     slope_idx = [deltas.index(d) for d in slope_deltas]
 
-    state = solve_state(params, init, u)
+    newton = {"newton_tol": newton_tol, "newton_max_iter": newton_max_iter}
+    state = solve_state(params, init, u, **newton)
     adjoint = solve_adjoint(params, state, k_tau, cost)
     grad = control_gradient(adjoint, u, cost.b0)
 
@@ -124,8 +135,10 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
         for delta in deltas:
             up = ControlField(u.values + delta * h, u.lower, u.upper)
             dn = ControlField(u.values - delta * h, u.lower, u.upper)
-            j_up = reduced_cost(solve_state(params, init, up), up, tau_hat, cost).total
-            j_dn = reduced_cost(solve_state(params, init, dn), dn, tau_hat, cost).total
+            j_up = reduced_cost(solve_state(params, init, up, **newton), up, tau_hat,
+                                cost).total
+            j_dn = reduced_cost(solve_state(params, init, dn, **newton), dn, tau_hat,
+                                cost).total
             fd = (j_up - j_dn) / (2.0 * delta)
             errs.append(abs(fd - pairing) / max(abs(pairing), 1e-300))
         analytic.append(pairing)
@@ -180,12 +193,13 @@ def duality_check(params: ModelParams, state: Trajectory, k_tau: int,
 
     rng = np.random.default_rng(seed)
     shape = (tg.steps + 1,) + grid.shape
+    hs = np.stack([_random_direction(rng, shape, grid, dt) for _ in range(directions)])
+    # one sweep for all directions, up to the last frame the pairing reads
+    lin = solve_linearized(params, state, hs, steps=k_tau)
     lhs_list, rhs_list, mism = [], [], []
-    for _ in range(directions):
-        h = _random_direction(rng, shape, grid, dt)
-        lin = solve_linearized(params, state, h)
-        theta = lin.component("d_phi")[: k_tau + 1]
-        rho = lin.component("d_sigma")[: k_tau + 1]
+    for i, h in enumerate(hs):
+        theta = lin.component("d_phi")[:, i]
+        rho = lin.component("d_sigma")[:, i]
 
         lhs = space_time_inner(grid, dt, r, h[: k_tau + 1], weights=wq)
         rhs = 0.0
@@ -251,9 +265,11 @@ class LipschitzCheckReport:
 def lipschitz_check(params: ModelParams, init: InitialData,
                     base: ControlField, pairs: int = 5,
                     magnitudes=(1e-1, 1e-2, 1e-3),
-                    seed: int = DEFAULT_SEED) -> LipschitzCheckReport:
+                    seed: int = DEFAULT_SEED, *, newton_tol: float = NEWTON_TOL,
+                    newton_max_iter: int = NEWTON_MAX_ITER) -> LipschitzCheckReport:
     """Ratio of state differences to control differences for random
-    control pairs at several perturbation magnitudes."""
+    control pairs at several perturbation magnitudes. ``newton_tol`` and
+    ``newton_max_iter`` are passed to every forward solve."""
     grid, tg = params.grid, params.time_grid
     dt = tg.dt
     magnitudes = list(magnitudes)
@@ -261,6 +277,7 @@ def lipschitz_check(params: ModelParams, init: InitialData,
     shape = base.values.shape
     names = ("mu", "phi", "sigma", "combined")
     tables = {name: np.zeros((pairs, len(magnitudes))) for name in names}
+    newton = {"newton_tol": newton_tol, "newton_max_iter": newton_max_iter}
 
     for i in range(pairs):
         xi1 = _random_direction(rng, shape, grid, dt)
@@ -268,8 +285,8 @@ def lipschitz_check(params: ModelParams, init: InitialData,
         for j, mag in enumerate(magnitudes):
             u1 = ControlField(base.values + mag * xi1, base.lower, base.upper)
             u2 = ControlField(base.values + mag * xi2, base.lower, base.upper)
-            s1 = solve_state(params, init, u1)
-            s2 = solve_state(params, init, u2)
+            s1 = solve_state(params, init, u1, **newton)
+            s2 = solve_state(params, init, u2, **newton)
             du = space_time_norm(grid, dt, u1.values - u2.values)
             sup = {name: 0.0 for name in names}
             for k in range(tg.steps + 1):

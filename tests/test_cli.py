@@ -274,6 +274,45 @@ def test_initial_from_snapshots(tmp_path):
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 0
 
 
+@pytest.mark.parametrize("defect", ["missing", "bad_magic", "truncated",
+                                    "wrong_grid", "nan", "not_a_path"])
+def test_bad_snapshot_is_config_error(tmp_path, capsys, defect):
+    g = ch.Grid.line(32)
+    paths = {}
+    for name in ("mu", "phi", "sigma"):
+        p = tmp_path / f"{name}.fld"
+        ch.write_snapshot(p, g, g.full(0.1))
+        paths[name] = str(p)
+    bad = tmp_path / "phi.fld"
+    if defect == "missing":
+        bad.unlink()
+    elif defect == "bad_magic":
+        bad.write_bytes(b"NOTFLD" + bad.read_bytes()[6:])
+    elif defect == "truncated":
+        bad.write_bytes(bad.read_bytes()[:-12])
+    elif defect == "not_a_path":
+        paths["phi"] = 0  # open() would take it as a file descriptor
+    elif defect == "wrong_grid":
+        ch.write_snapshot(bad, ch.Grid.line(16), ch.Grid.line(16).full(0.1))
+    else:
+        ch.write_snapshot(bad, g, np.where(g.axis_centers() < 0.5, 0.1, np.nan))
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["initial"] = {"snapshots": paths}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    field = "initial: " if defect == "nan" else "initial.snapshots.phi: "
+    assert err.startswith("config error: " + field) and "phi" in err
+
+
+def test_newton_settings_reach_optimize(tmp_path, capsys):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = "optimize"
+    cfg["optimizer"] = {"max_outer_iters": 60, "grad_tol": 1e-3}
+    cfg["solver"] = {"newton_max_iter": 0}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
+    assert "Newton did not converge" in capsys.readouterr().err
+
+
 def test_target_from_manifest(tmp_path):
     # a time-dependent tracking target loaded from a trajectory manifest
     g = ch.Grid.line(32)
@@ -288,6 +327,19 @@ def test_target_from_manifest(tmp_path):
     parsed = parse_config(_write(tmp_path, cfg))
     assert parsed.cost.phi_q.shape == (17,) + g.shape
     assert parsed.cost.phi_q[0, 0] == -0.5 and parsed.cost.phi_q[-1, 0] == -0.2
+    # an unknown component, a truncated snapshot or a missing manifest is a
+    # config error on the field
+    cfg["cost"]["targets"]["phi_q"]["component"] = "nutrient"
+    with pytest.raises(ConfigError, match="cost.targets.phi_q.manifest"):
+        parse_config(_write(tmp_path, cfg))
+    cfg["cost"]["targets"]["phi_q"]["component"] = "phi"
+    snap = tmp_path / "target" / "phi_00003.fld"
+    snap.write_bytes(snap.read_bytes()[:-8])
+    with pytest.raises(ConfigError, match="cost.targets.phi_q.manifest"):
+        parse_config(_write(tmp_path, cfg))
+    manifest.unlink()
+    with pytest.raises(ConfigError, match="cost.targets.phi_q.manifest"):
+        parse_config(_write(tmp_path, cfg))
 
 
 def test_cli_main_entry(tmp_path, capsys):

@@ -152,6 +152,31 @@ def test_snapshot_rejects_bad_magic(tmp_path):
         ch.read_snapshot(path)
 
 
+def test_snapshot_rejects_bad_length(tmp_path):
+    g = ch.Grid.rectangle(5, 7)
+    path = tmp_path / "f.fld"
+    ch.write_snapshot(path, g, g.full(1.0))
+    raw = path.read_bytes()
+    for name, blob in (("short.fld", raw[:20]), ("cut.fld", raw[:-8]),
+                       ("long.fld", raw + b"\0" * 8)):
+        bad = tmp_path / name
+        bad.write_bytes(blob)
+        with pytest.raises(ShapeMismatchError, match=name):
+            ch.read_snapshot(bad)
+
+
+def test_trajectory_direction_axis():
+    g = ch.Grid.rectangle(4, 3)
+    tg = ch.TimeGrid(0.5, 4)
+    data = np.zeros((3, 3, 2) + g.shape)
+    traj = ch.Trajectory(g, tg, data, ("a", "b", "c"))
+    assert traj.nframes == 3
+    assert traj.b.shape == (3, 2) + g.shape
+    for shape in ((3, 3, 4), (3, 3, 2, 2) + g.shape, (3, 2) + g.shape):
+        with pytest.raises(ShapeMismatchError):
+            ch.Trajectory(g, tg, np.zeros(shape), ("a", "b", "c"))
+
+
 def test_trajectory_manifest_roundtrip(tmp_path):
     g = ch.Grid.line(12)
     tg = ch.TimeGrid(0.5, 4)

@@ -4,7 +4,7 @@ from scipy.linalg import solve_banded
 
 import chcontrol as ch
 from chcontrol import kernels
-from chcontrol.system import StepSolver
+from chcontrol.system import StepSolver, neumann_laplacian_matrix
 
 
 def _dominant_blocks(rng, n):
@@ -96,3 +96,68 @@ def test_band_solve_singular_raises():
     ab = kernels.assemble_band(np.zeros((8, 3, 3)), 0.0)
     with pytest.raises(np.linalg.LinAlgError):
         kernels.solve_block_tridiag(ab, np.ones(24))
+
+
+def _dense_step_matrix_2d(solver, p, w):
+    n = solver.grid.cell_count
+    lap = neumann_laplacian_matrix(solver.grid).toarray()
+    eye, zero = np.eye(n), np.zeros((n, n))
+    p, w = np.diag(p.ravel()), np.diag(w.ravel())
+    return np.block([
+        [solver.a * eye - lap + p, solver.c * eye, -p],
+        [-eye, solver.b * eye - lap + w, zero],
+        [-p, zero, solver.c * eye - lap + p],
+    ])
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("batch", [(), (4,)])
+def test_step_solve_2d_matches_dense(transpose, batch):
+    rng = np.random.default_rng(4)
+    grid = ch.Grid.rectangle(7, 5, 1.5, 0.8)
+    solver = StepSolver(grid, 1.0 / 32, 0.1, 0.2)
+    p = rng.uniform(0.0, 2.0, grid.shape)
+    p[0, 0] = 0.0  # a vanishing exchange rate keeps its slot in the pattern
+    w = rng.uniform(0.0, 3.0, grid.shape)
+    rhs = tuple(rng.standard_normal(batch + grid.shape) for _ in range(3))
+    mat = _dense_step_matrix_2d(solver, p, w)
+    n = grid.cell_count
+    b = np.concatenate([r.reshape(-1, n) for r in rhs], axis=1).T
+    ref = np.linalg.solve(mat.T if transpose else mat, b)
+    got = solver.solve(p, w, rhs, transpose=transpose)
+    assert all(x.shape == batch + grid.shape for x in got)
+    got = np.concatenate([x.reshape(-1, n) for x in got], axis=1).T
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("grid", [ch.Grid.line(24), ch.Grid.rectangle(6, 5)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_step_solve_batch_matches_single_bitwise(grid, transpose):
+    rng = np.random.default_rng(5)
+    solver = StepSolver(grid, 1.0 / 64, 0.1, 0.2)
+    p = rng.uniform(0.0, 2.0, grid.shape)
+    w = rng.uniform(0.0, 3.0, grid.shape)
+    rhs = tuple(rng.standard_normal((3,) + grid.shape) for _ in range(3))
+    stacked = solver.solve(p, w, rhs, transpose=transpose)
+    for i in range(3):
+        single = solver.solve(p, w, tuple(r[i] for r in rhs), transpose=transpose)
+        for a, b in zip(single, stacked):
+            assert a.tobytes() == b[i].tobytes()
+
+
+def test_step_solve_2d_leaves_template_unchanged():
+    rng = np.random.default_rng(6)
+    grid = ch.Grid.rectangle(6, 5)
+    solver = StepSolver(grid, 1.0 / 32, 0.1, 0.1)
+    template = solver._csc.data.copy()
+    p1, p2 = rng.uniform(0.0, 1.0, (2,) + grid.shape)
+    w1, w2 = rng.uniform(0.0, 2.0, (2,) + grid.shape)
+    rhs = tuple(rng.standard_normal(grid.shape) for _ in range(3))
+    for transpose in (False, True):
+        first = solver.solve(p1, w1, rhs, transpose=transpose)
+        solver.solve(p2, w2, rhs, transpose=transpose)
+        again = solver.solve(p1, w1, rhs, transpose=transpose)
+        for a, b in zip(first, again):
+            assert a.tobytes() == b.tobytes()
+    assert solver._csc.data.tobytes() == template.tobytes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.errors import ShapeMismatchError
+from chcontrol.errors import ShapeMismatchError, TimeDomainError
 from conftest import equilibrium_init, make_problem, midpoint_control
 
 
@@ -87,3 +87,42 @@ def test_shape_mismatch_raises(problem):
     params, _, _, state = problem
     with pytest.raises(ShapeMismatchError):
         ch.solve_linearized(params, state, np.zeros((2, 2)))
+    with pytest.raises(ShapeMismatchError):
+        ch.solve_linearized(params, state, np.zeros((2, 3) + _shape(params)))
+    with pytest.raises(TimeDomainError):
+        ch.solve_linearized(params, state, np.zeros(_shape(params)),
+                            steps=params.time_grid.steps + 1)
+
+
+@pytest.fixture(scope="module")
+def problem_2d():
+    grid = ch.Grid.rectangle(8, 6, 1.5, 0.8)
+    tg = ch.TimeGrid(0.25, 10)
+    params = ch.ModelParams(0.1, 0.1, ch.Potential.logarithmic(2.0),
+                            ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
+    init = equilibrium_init(params)
+    u = midpoint_control(params)
+    return params, ch.solve_state(params, init, u)
+
+
+@pytest.mark.parametrize("which", ["1d", "2d"])
+def test_truncated_sweep_is_prefix_of_full(which, problem, problem_2d):
+    params, state = (problem[0], problem[3]) if which == "1d" else problem_2d
+    h = np.random.default_rng(5).standard_normal(_shape(params))
+    full = ch.solve_linearized(params, state, h)
+    for steps in (0, 1, params.time_grid.steps // 2, params.time_grid.steps):
+        part = ch.solve_linearized(params, state, h, steps=steps)
+        assert part.nframes == steps + 1
+        assert part.data.tobytes() == full.data[: steps + 1].tobytes()
+
+
+@pytest.mark.parametrize("which", ["1d", "2d"])
+def test_direction_stack_matches_single_sweeps(which, problem, problem_2d):
+    params, state = (problem[0], problem[3]) if which == "1d" else problem_2d
+    hs = np.random.default_rng(6).standard_normal((3,) + _shape(params))
+    steps = params.time_grid.steps - 2
+    stacked = ch.solve_linearized(params, state, hs, steps=steps)
+    assert stacked.data.shape == (steps + 1, 3, 3) + params.grid.shape
+    for i, h in enumerate(hs):
+        single = ch.solve_linearized(params, state, h, steps=steps)
+        assert single.data.tobytes() == stacked.data[:, :, i].tobytes()

@@ -70,3 +70,27 @@ def test_logarithmic_2d_smoke():
     rep = ch.separation_report(traj, pot)
     assert rep.delta_sep >= 0.01
     assert ch.mass_balance_check(traj, u, params).residual <= 1e-10
+
+
+def test_duality_2d_logarithmic():
+    # the regime of the 2D oracle benchmark: singular potential, random
+    # interior start, all directions in one truncated linearized sweep
+    from chcontrol.cli import preset_initial_data
+
+    pot = ch.Potential.logarithmic(2.0)
+    grid = ch.Grid.rectangle(12, 10)
+    tg = ch.TimeGrid(0.25, 16)
+    params = ch.ModelParams(0.1, 0.1, pot, ch.Proliferation.smooth_ramp(1.0, 0.5),
+                            grid, tg)
+    init = preset_initial_data("random_interior", grid, pot, amplitude=0.3, seed=2)
+    u = ch.ControlField.constant(grid, tg, 1.0, 0.0, 2.0)
+    cost = ch.CostSpec(
+        b0=1e-3, b1=1.0, b2=0.4, b3=1.0, b4=0.2, b5=0.01, b6=1.0,
+        phi_q=ch.constant_trajectory(grid, tg, -0.5),
+        sigma_q=ch.constant_trajectory(grid, tg, 0.375),
+        phi_omega=grid.full(-0.5), tau_star=0.125,
+    )
+    state = ch.solve_state(params, init, u)
+    rep = ch.duality_check(params, state, 8, cost, directions=4)
+    assert len(rep.mismatches) == 4
+    assert rep.max_mismatch <= 1e-9

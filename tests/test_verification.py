@@ -107,3 +107,18 @@ def test_reports_render_text(problem):
     assert "lipschitz" in text and "pair 0" in text
     traj = ch.solve_state(params, init, u)
     assert "mass balance" in ch.mass_balance_check(traj, u, params).to_text()
+
+
+def test_checks_honour_newton_settings(problem):
+    # a zero Newton budget cannot take a single step from the initial data
+    params, init, u = problem
+    cost = tracking_cost(params)
+    with pytest.raises(ch.NewtonDivergenceError):
+        ch.fd_gradient_check(params, init, cost, u, 0.5, directions=1,
+                             deltas=[1e-4], newton_max_iter=0)
+    with pytest.raises(ch.NewtonDivergenceError):
+        ch.lipschitz_check(params, init, u, pairs=1, magnitudes=[1e-2],
+                           newton_max_iter=0)
+    with pytest.raises(ch.NewtonDivergenceError):
+        ch.optimize(params, init, cost, ch.OptimizerConfig(max_outer_iters=2), u,
+                    newton_max_iter=0)
