@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -68,6 +69,7 @@ from .verification import (
 )
 
 _PIPELINES = ("simulate", "optimize", "verify", "all")
+_CHECKS = ("gradient", "duality", "lipschitz", "mass")
 
 
 def _version_string() -> str:
@@ -179,6 +181,102 @@ def _num(d: dict, key: str, where: str) -> float:
     return float(v)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _opt_int(d: dict, key: str, where: str, default: int, minimum: int) -> int:
+    v = d.get(key, default)
+    if (not _is_number(v) or (isinstance(v, float) and not v.is_integer())
+            or v < minimum):
+        raise ConfigError(f"{where}.{key}: expected an integer >= {minimum}, "
+                          f"got {v!r}")
+    return int(v)
+
+
+def _opt_positive(d: dict, key: str, where: str, default: float) -> float:
+    v = d.get(key, default)
+    if not _is_number(v) or not 0 < v < math.inf:
+        raise ConfigError(f"{where}.{key}: expected a positive number, got {v!r}")
+    return float(v)
+
+
+def _opt_positive_list(d: dict, key: str, where: str, default: list) -> list:
+    v = d.get(key, default)
+    if (not isinstance(v, list) or not v
+            or not all(_is_number(x) and 0 < x < math.inf for x in v)):
+        raise ConfigError(f"{where}.{key}: expected a non-empty list of positive "
+                          f"numbers, got {v!r}")
+    return [float(x) for x in v]
+
+
+def _section(d: dict, key: str, where: str) -> dict:
+    v = d.get(key, {})
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where}.{key}: expected an object, got {v!r}")
+    return v
+
+
+def _verification_settings(vd: dict, seed: int, tau_star: float,
+                           horizon: float) -> dict:
+    """The verification section with its defaults filled in and every
+    count, tolerance and list checked."""
+    where = "verification"
+    checks = vd.get("checks", list(_CHECKS))
+    if not isinstance(checks, list) or not all(c in _CHECKS for c in checks):
+        raise ConfigError(f"{where}.checks: expected a list of {_CHECKS}, "
+                          f"got {checks!r}")
+    tau = vd.get("tau", tau_star)
+    if not _is_number(tau) or not 0 <= tau <= horizon:
+        raise ConfigError(f"{where}.tau: expected a number in [0, {horizon}], "
+                          f"got {tau!r}")
+
+    gd = _section(vd, "gradient", where)
+    gw = f"{where}.gradient"
+    deltas = _opt_positive_list(gd, "deltas", gw, [0.5, 0.2, 0.1, 1e-4])
+    # missing: the deltas >= 0.1; null: all deltas (fd_gradient_check's default)
+    slope_deltas = gd.get("slope_deltas", [d for d in deltas if d >= 0.1] or None)
+    if slope_deltas is not None:
+        slope_deltas = _opt_positive_list(gd, "slope_deltas", gw, slope_deltas)
+        if not all(d in deltas for d in slope_deltas):
+            raise ConfigError(f"{gw}.slope_deltas: {slope_deltas} must be taken "
+                              f"from deltas {deltas}")
+    check_delta = _opt_positive(gd, "check_delta", gw, min(deltas))
+    if check_delta not in deltas:
+        raise ConfigError(f"{gw}.check_delta: {check_delta} is not one of deltas "
+                          f"{deltas}")
+
+    dd = _section(vd, "duality", where)
+    ld = _section(vd, "lipschitz", where)
+    lw = f"{where}.lipschitz"
+    return {
+        "checks": checks,
+        "seed": _opt_int(vd, "seed", where, None, 0) if "seed" in vd else seed,
+        "tau": float(tau),
+        "gradient": {
+            "directions": _opt_int(gd, "directions", gw, 5, 1),
+            "deltas": deltas,
+            "slope_deltas": slope_deltas,
+            "check_delta": check_delta,
+            "tol": _opt_positive(gd, "tol", gw, 1e-6),
+        },
+        "duality": {
+            "directions": _opt_int(dd, "directions", f"{where}.duality", 10, 1),
+            "tol": _opt_positive(dd, "tol", f"{where}.duality", 1e-9),
+        },
+        "lipschitz": {
+            "pairs": _opt_int(ld, "pairs", lw, 5, 1),
+            "magnitudes": _opt_positive_list(ld, "magnitudes", lw, [1e-1, 1e-2, 1e-3]),
+            "pair_spread_tol": _opt_positive(ld, "pair_spread_tol", lw, 10.0),
+            "magnitude_spread_tol": _opt_positive(ld, "magnitude_spread_tol", lw, 3.0),
+        },
+        "mass": {
+            "tol": _opt_positive(_section(vd, "mass", where), "tol",
+                                 f"{where}.mass", 1e-10),
+        },
+    }
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict
@@ -191,6 +289,7 @@ class ExperimentConfig:
     u0: ControlField
     tau0: float
     optimizer: OptimizerConfig
+    # the verification section, defaults filled in (_verification_settings)
     verification: dict
     # the solver section: newton_tol and newton_max_iter, passed as
     # keywords to every call that runs forward solves
@@ -412,16 +511,18 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         grad_tol=float(od.get("grad_tol", 1e-5)),
     )
 
-    verification = raw.get("verification", {})
-    sd = raw.get("solver", {})
+    verification = _verification_settings(
+        _section(raw, "verification", "config"), int(raw["seed"]), tau_star, horizon)
+    sd = _section(raw, "solver", "config")
 
     return ExperimentConfig(
         raw=raw, pipeline=pipeline, seed=int(raw["seed"]),
         output_dir=Path(raw["output_dir"]),
         params=params, init=init, cost=cost, u0=u0, tau0=tau0,
         optimizer=opt_config, verification=verification,
-        newton={"newton_tol": float(sd.get("newton_tol", NEWTON_TOL)),
-                "newton_max_iter": int(sd.get("newton_max_iter", NEWTON_MAX_ITER))},
+        newton={"newton_tol": _opt_positive(sd, "newton_tol", "solver", NEWTON_TOL),
+                "newton_max_iter": _opt_int(sd, "newton_max_iter", "solver",
+                                            NEWTON_MAX_ITER, 0)},
     )
 
 
@@ -540,51 +641,43 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
 def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
     params = cfg.params
     vd = cfg.verification
-    checks = vd.get("checks", ["gradient", "duality", "lipschitz", "mass"])
-    seed = int(vd.get("seed", cfg.seed))
-    tau = float(vd.get("tau", cfg.cost.tau_star))
+    checks, seed = vd["checks"], vd["seed"]
     ver_dir = out / "verify"
     ver_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
 
     state = solve_state(params, cfg.init, cfg.u0, **cfg.newton)
-    k_tau, _ = params.time_grid.nearest_node(tau)
+    k_tau, _ = params.time_grid.nearest_node(vd["tau"])
 
     if "gradient" in checks:
-        gopts = vd.get("gradient", {})
-        deltas = [float(d) for d in gopts.get("deltas", [0.5, 0.2, 0.1, 1e-4])]
-        slope_deltas = gopts.get("slope_deltas", [d for d in deltas if d >= 0.1]
-                                 or None)
+        gopts = vd["gradient"]
         rep = fd_gradient_check(
-            params, cfg.init, cfg.cost, cfg.u0, tau,
-            directions=int(gopts.get("directions", 5)), deltas=deltas,
-            slope_deltas=slope_deltas, seed=seed, **cfg.newton)
-        tol = float(gopts.get("tol", 1e-6))
-        check_delta = float(gopts.get("check_delta", min(deltas)))
-        ok = rep.passed(check_delta, tol)
+            params, cfg.init, cfg.cost, cfg.u0, vd["tau"],
+            directions=gopts["directions"], deltas=gopts["deltas"],
+            slope_deltas=gopts["slope_deltas"], seed=seed, state=state,
+            **cfg.newton)
+        check_delta = gopts["check_delta"]
+        ok = rep.passed(check_delta, gopts["tol"])
         (ver_dir / "gradient_check.txt").write_text(
             rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
         summary["gradient"] = {"passed": ok,
                                "max_rel_error": rep.max_rel_error(check_delta)}
 
     if "duality" in checks:
-        dopts = vd.get("duality", {})
+        dopts = vd["duality"]
         rep = duality_check(params, state, k_tau, cfg.cost,
-                            directions=int(dopts.get("directions", 10)), seed=seed)
-        ok = rep.passed(float(dopts.get("tol", 1e-9)))
+                            directions=dopts["directions"], seed=seed)
+        ok = rep.passed(dopts["tol"])
         (ver_dir / "duality_check.txt").write_text(
             rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
         summary["duality"] = {"passed": ok, "max_mismatch": rep.max_mismatch}
 
     if "lipschitz" in checks:
-        lopts = vd.get("lipschitz", {})
+        lopts = vd["lipschitz"]
         rep = lipschitz_check(
-            params, cfg.init, cfg.u0, pairs=int(lopts.get("pairs", 5)),
-            magnitudes=[float(m) for m in lopts.get("magnitudes",
-                                                    [1e-1, 1e-2, 1e-3])],
-            seed=seed, **cfg.newton)
-        ok = rep.passed(float(lopts.get("pair_spread_tol", 10.0)),
-                        float(lopts.get("magnitude_spread_tol", 3.0)))
+            params, cfg.init, cfg.u0, pairs=lopts["pairs"],
+            magnitudes=lopts["magnitudes"], seed=seed, **cfg.newton)
+        ok = rep.passed(lopts["pair_spread_tol"], lopts["magnitude_spread_tol"])
         (ver_dir / "lipschitz_check.txt").write_text(
             rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
         summary["lipschitz"] = {"passed": ok,
@@ -592,9 +685,8 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
                                 "magnitude_spread": rep.spread_across_magnitudes()}
 
     if "mass" in checks:
-        mopts = vd.get("mass", {})
         rep = mass_balance_check(state, cfg.u0, params)
-        ok = rep.passed(float(mopts.get("tol", 1e-10)))
+        ok = rep.passed(vd["mass"]["tol"])
         (ver_dir / "mass_balance.txt").write_text(
             rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
         summary["mass"] = {"passed": ok, "residual": rep.residual}

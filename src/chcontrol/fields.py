@@ -43,6 +43,8 @@ class Grid:
     extents: tuple
     # 1 / h^2 per axis, the Laplacian stencil weight
     inv_h2: tuple = field(init=False, repr=False, compare=False)
+    # product of the cell widths, the midpoint-rule weight
+    cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = tuple(int(v) for v in self.n)
@@ -56,6 +58,7 @@ class Grid:
         if any(v <= 0 for v in extents):
             raise GridMismatchError("extents must be positive")
         object.__setattr__(self, "inv_h2", tuple(1.0 / h**2 for h in self.h))
+        object.__setattr__(self, "cell_volume", float(np.prod(self.h)))
 
     @classmethod
     def line(cls, n: int, length: float = 1.0) -> "Grid":
@@ -80,10 +83,6 @@ class Grid:
     @property
     def cell_count(self) -> int:
         return int(np.prod(self.n))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.h))
 
     def axis_centers(self, axis: int = 0) -> np.ndarray:
         h = self.h[axis]
@@ -137,14 +136,17 @@ def ensure_same_grid(f: np.ndarray, g: np.ndarray) -> None:
         raise GridMismatchError(f"field shapes differ: {f.shape} vs {g.shape}")
 
 
-def laplacian_neumann(grid: Grid, f: np.ndarray, out=None) -> np.ndarray:
+def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order Laplacian with reflecting ghost cells (zero normal
-    derivative on every face)."""
-    if f.shape != grid.shape:
+    derivative on every face).
+
+    ``f`` is one field or a stack of fields along leading axes, e.g. the
+    (3, *grid.shape) frame of a trajectory; each is treated alike."""
+    if f.shape[-grid.dim:] != grid.shape:
         raise GridMismatchError(f"field shape {f.shape} does not match grid {grid.shape}")
     if grid.dim == 1:
-        return kernels.lap1d(f, grid.inv_h2[0], out)
-    return kernels.lap2d(f, *grid.inv_h2, out)
+        return kernels.lap1d(f, grid.inv_h2[0])
+    return kernels.lap2d(f, *grid.inv_h2)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float:

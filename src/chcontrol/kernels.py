@@ -28,24 +28,28 @@ MAIN = KL + KU
 # ---------------------------------------------------------------------------
 
 
-def lap1d(f, inv_h2, out=None):
-    if out is None:
-        out = np.empty_like(f)
-    out[0] = (f[1] - f[0]) * inv_h2
-    out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) * inv_h2
-    out[-1] = (f[-2] - f[-1]) * inv_h2
+def lap1d(f, inv_h2):
+    """Stencil along the last axis; leading axes are a stack of fields."""
+    out = np.empty(f.shape)
+    flat, out_flat = f.reshape(-1), out.reshape(-1)
+    # the interior formula over the whole stack at once; where a field
+    # ends it mixes two fields, and the boundary entries below overwrite it
+    out_flat[1:-1] = (flat[:-2] - 2.0 * flat[1:-1] + flat[2:]) * inv_h2
+    out[..., 0] = (f[..., 1] - f[..., 0]) * inv_h2
+    out[..., -1] = (f[..., -2] - f[..., -1]) * inv_h2
     return out
 
 
-def lap2d(f, inv_hx2, inv_hy2, out=None):
-    if out is None:
-        out = np.empty_like(f)
-    out[0, :] = (f[1, :] - f[0, :]) * inv_hx2
-    out[1:-1, :] = (f[:-2, :] - 2.0 * f[1:-1, :] + f[2:, :]) * inv_hx2
-    out[-1, :] = (f[-2, :] - f[-1, :]) * inv_hx2
-    out[:, 0] += (f[:, 1] - f[:, 0]) * inv_hy2
-    out[:, 1:-1] += (f[:, :-2] - 2.0 * f[:, 1:-1] + f[:, 2:]) * inv_hy2
-    out[:, -1] += (f[:, -2] - f[:, -1]) * inv_hy2
+def lap2d(f, inv_hx2, inv_hy2):
+    """Stencil over the last two axes; leading axes are a stack of fields."""
+    out = np.empty(f.shape)
+    out[..., 0, :] = (f[..., 1, :] - f[..., 0, :]) * inv_hx2
+    out[..., 1:-1, :] = (f[..., :-2, :] - 2.0 * f[..., 1:-1, :]
+                         + f[..., 2:, :]) * inv_hx2
+    out[..., -1, :] = (f[..., -2, :] - f[..., -1, :]) * inv_hx2
+    out[..., 0] += (f[..., 1] - f[..., 0]) * inv_hy2
+    out[..., 1:-1] += (f[..., :-2] - 2.0 * f[..., 1:-1] + f[..., 2:]) * inv_hy2
+    out[..., -1] += (f[..., -2] - f[..., -1]) * inv_hy2
     return out
 
 

@@ -21,6 +21,16 @@ in the new unknowns. The implicit exchange makes the combined quantity
 
 an exact invariant of the scheme (the Laplacian stencil integrates to
 zero), which every accepted run is required to satisfy to 1e-10.
+
+One step is a damped Newton solve on the stacked frame X = (mu, phi,
+sigma), of shape (3, *grid.shape) like ``Trajectory.data[k]``. Each
+residual evaluation applies the stencil once to the whole frame, and
+each Newton iteration solves A y = R with the step matrix A of
+:mod:`chcontrol.system` and steps X - lam y (the same bits as solving
+A dX = -R, since rounding is symmetric in sign). The residual is kept
+independent of the assembled matrix: it is the stencil form of the
+equations, never A times X, so an assembly error shows up as a Newton
+failure rather than as convergence to the wrong equations.
 """
 
 from __future__ import annotations
@@ -140,58 +150,68 @@ class SeparationReport:
     argmin_frame: int
 
 
-def _newton_step(solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
-                 tol, max_iter, clamp_lo, clamp_hi):
-    """Damped Newton solve of one implicit step; returns the new frame."""
+def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
+                 clamp_lo, clamp_hi):
+    """Damped Newton solve of one implicit step.
+
+    ``x0`` is the old frame stacked as (mu, phi, sigma) along its first
+    axis, like ``Trajectory.data[k]``, and so is the returned new frame.
+    Returns (frame, residual, iterations, converged).
+    """
     a, b, c = solver.a, solver.b, solver.c
-    m, f, s = m0.copy(), f0.copy(), s0.copy()
+    grid = solver.grid
+    coef = np.array((a, b, c)).reshape((3,) + (1,) * grid.dim)
 
-    def residual(m, f, s):
-        r1 = a * (m - m0) + c * (f - f0) - laplacian_neumann(grid, m) - p_frozen * (s - m)
-        r2 = (b * (f - f0) - laplacian_neumann(grid, f)
-              + potential_split_eval(pot, f, "convex", 1) + pi_old - m)
-        r3 = c * (s - s0) - laplacian_neumann(grid, s) + p_frozen * (s - m) - u_k
-        return r1, r2, r3
+    def residual(x):
+        # the stencil form of the step equations, each row summing its
+        # terms left to right as in the module docstring; the step matrix
+        # is only ever solved with, never multiplied
+        d = x - x0
+        r = coef * d
+        r[0] += c * d[1]
+        r -= laplacian_neumann(grid, x)
+        exchange = p_frozen * (x[2] - x[0])
+        r[0] -= exchange
+        r[1] += potential_split_eval(pot, x[1], "convex", 1)
+        r[1] += pi_old
+        r[1] -= x[0]
+        r[2] += exchange
+        r[2] -= u_k
+        return r
 
-    r1, r2, r3 = residual(m, f, s)
-    res = max(np.abs(r1).max(), np.abs(r2).max(), np.abs(r3).max())
+    x = x0
+    r = residual(x)
+    res = np.abs(r).max()
     iters = 0
     converged = res < tol
-    while iters < max_iter and not converged:
-        if not (np.isfinite(res)):
+    # once converged, one more (polishing) iteration pushes the residual to
+    # the evaluation floor, which the finite-difference gradient oracles
+    # rely on; it takes a full step and keeps it only if it lowers the
+    # residual
+    while converged or iters < max_iter:
+        if not np.isfinite(res):
             raise NanDetectedError("Newton residual")
-        bpp = potential_split_eval(pot, f, "convex", 2)
-        dm, df, ds = solver.solve(p_frozen, bpp, (-r1, -r2, -r3))
+        # A y = r, so the Newton update is -y; the solve is sign-symmetric
+        y = solver.solve(p_frozen, potential_split_eval(pot, x[1], "convex", 2), r)
+        best = (res, x, r) if converged else None
         lam = 1.0
-        best = None
-        for _ in range(10):
-            mt, ft, st = m + lam * dm, f + lam * df, s + lam * ds
+        for _ in range(1 if converged else 10):
+            xt = x - y if lam == 1.0 else x - lam * y
             if clamp_lo is not None:
-                ft = np.clip(ft, clamp_lo, clamp_hi)
-            r1t, r2t, r3t = residual(mt, ft, st)
-            rest = max(np.abs(r1t).max(), np.abs(r2t).max(), np.abs(r3t).max())
+                np.clip(xt[1], clamp_lo, clamp_hi, out=xt[1])
+            rt = residual(xt)
+            rest = np.abs(rt).max()
             if best is None or rest < best[0]:
-                best = (rest, mt, ft, st, r1t, r2t, r3t)
+                best = (rest, xt, rt)
             if rest < res or rest < tol:
                 break
             lam *= 0.5
-        res, m, f, s, r1, r2, r3 = best
+        res, x, r = best
         iters += 1
+        if converged:
+            break
         converged = res < tol
-    if not converged:
-        return m, f, s, res, iters, False
-    # one polishing iteration pushes the residual to the evaluation floor,
-    # which the finite-difference gradient oracles rely on
-    bpp = potential_split_eval(pot, f, "convex", 2)
-    dm, df, ds = solver.solve(p_frozen, bpp, (-r1, -r2, -r3))
-    mt, ft, st = m + dm, f + df, s + ds
-    if clamp_lo is not None:
-        ft = np.clip(ft, clamp_lo, clamp_hi)
-    r1t, r2t, r3t = residual(mt, ft, st)
-    rest = max(np.abs(r1t).max(), np.abs(r2t).max(), np.abs(r3t).max())
-    if rest < res:
-        m, f, s, res = mt, ft, st, rest
-    return m, f, s, res, iters + 1, True
+    return x, res, iters, converged
 
 
 def solve_state(params: ModelParams, init: InitialData, control: ControlField,
@@ -230,19 +250,20 @@ def solve_state(params: ModelParams, init: InitialData, control: ControlField,
     injected = 0.0
 
     for k in range(nt):
-        m0, f0, s0 = data[k]
+        f0 = data[k, 1]
         p_frozen = proliferation_eval(params.proliferation, f0, 0)
         pi_old = potential_split_eval(pot, f0, "smooth", 1)
         u_k = control.values[k]
 
-        m, f, s, res, iters, ok = _newton_step(
-            solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
-            newton_tol, newton_max_iter, clamp_lo, clamp_hi,
+        x, res, iters, ok = _newton_step(
+            solver, pot, p_frozen, data[k], pi_old, u_k, newton_tol,
+            newton_max_iter, clamp_lo, clamp_hi,
         )
         if not ok:
             raise NewtonDivergenceError(k + 1, res, iters)
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(f)) and np.all(np.isfinite(s))):
+        if not np.isfinite(x).all():
             raise NanDetectedError(f"state frame {k + 1}")
+        m, f, s = x
         if pot.singular:
             lo, hi = pot.domain
             dist = float(min((f - lo).min(), (hi - f).min()))
@@ -250,7 +271,7 @@ def solve_state(params: ModelParams, init: InitialData, control: ControlField,
             if dist <= 2e-6 * (hi - lo):
                 raise SeparationViolationError(k + 1, dist)
 
-        data[k + 1, 0], data[k + 1, 1], data[k + 1, 2] = m, f, s
+        data[k + 1] = x
         injected += dt * integrate(grid, u_k)
         mass_k = integrate(grid, params.alpha * m + f + s)
         mass_residual[k] = abs(mass_k - mass0 - injected) / mass_scale

@@ -17,18 +17,21 @@ The constant part of the matrix (time terms and stencil) is assembled
 once per solver; each solve copies it and patches only the P and W
 entries. A solve takes right-hand sides with an optional leading
 direction axis and solves them all against one factorization, so a sweep
-along many directions factors each step matrix once.
+along many directions factors each step matrix once. The right-hand side
+may come stacked like a trajectory frame, (3, [ndir,] *grid), and the
+solution always does, in a new array.
 
 In 1D the system is block tridiagonal with 3x3 blocks and a scalar
 neighbour coupling, a band matrix with three sub- and superdiagonals,
 held (with its transpose) in LAPACK ``gbsv`` band storage and solved by
 one ``dgbsv`` call with one column per direction through
-:func:`kernels.solve_block_tridiag`. In 2D the matrix is held in CSC form
-whose pattern stores every P and W entry, even where P vanishes, and is
-factorized with SuperLU under the ``MMD_AT_PLUS_A`` column ordering,
-which at 32x32 halves the fill of the default COLAMD ordering (175k
-against 342k nonzeros in L and U) and factors faster. The transpose solve
-reuses the same factorization.
+:func:`kernels.solve_block_tridiag`; the template is copied into a band
+workspace kept by the solver, which LAPACK factors in place. In 2D the
+matrix is held in CSC form whose pattern stores every P and W entry,
+even where P vanishes, and is factorized with SuperLU under the
+``MMD_AT_PLUS_A`` column ordering, which at 32x32 halves the fill of the
+default COLAMD ordering (175k against 342k nonzeros in L and U) and
+factors faster. The transpose solve reuses the same factorization.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ class StepSolver:
             blocks[:, 2, 2] = self.c + lapdiag
             self._band = kernels.assemble_band(blocks, -inv_h2)
             self._band_t = kernels.assemble_band(blocks.transpose(0, 2, 1), -inv_h2)
+            # each solve copies a template here and LAPACK factors it in place
+            self._ab = np.empty_like(self._band, order="F")
         else:
             n = self._ncell
             neg_lap = -neumann_laplacian_matrix(grid)
@@ -129,46 +134,50 @@ class StepSolver:
             Frozen exchange rate P(phi_old).
         w : array, grid-shaped
             Implicit diagonal of the phase equation, B''(phi).
-        rhs : tuple of three arrays
+        rhs : three arrays, as a sequence or stacked along a leading axis
             Each grid-shaped, or of shape (ndir, *grid.shape) to solve
             ndir right-hand sides against one factorization.
         transpose : bool
             Solve with the transposed matrix (adjoint marching).
 
-        Returns (m, f, s), each shaped like the right-hand side.
+        Returns the solution stacked like a trajectory frame: shape
+        (3, *rhs[0].shape), components (m, f, s) along the first axis.
+        Every call returns a new array.
         """
         ncell = self._ncell
-        shape = rhs[0].shape
+        shape = (3,) + rhs[0].shape
         ndir = rhs[0].size // ncell
         p_flat = np.ravel(p)
         w_flat = np.ravel(w)
+        neg_p = -p_flat
         if self.grid.dim == 1:
             main = kernels.MAIN
-            ab = (self._band_t if transpose else self._band).copy(order="F")
+            ab = self._ab
+            np.copyto(ab, self._band_t if transpose else self._band)
             ab[main, 0::3] += p_flat
             ab[main, 1::3] += w_flat
             ab[main, 2::3] += p_flat
             # the -P couplings (0, 2) and (2, 0) are symmetric, so the
             # transposed band holds them at the same place
-            ab[main - 2, 2::3] = -p_flat
-            ab[main + 2, 0::3] = -p_flat
-            # interleaved cell-major, one Fortran column per direction
-            b = np.empty((ndir, 3 * ncell))
-            b[:, 0::3], b[:, 1::3], b[:, 2::3] = rhs
-            x = kernels.solve_block_tridiag(ab, b.T).T
-            m, f, s = x[:, 0::3], x[:, 1::3], x[:, 2::3]
-        else:
-            data = self._csc.data.copy()
-            slots = self._slots
-            data[slots[0]] += p_flat
-            data[slots[1]] += w_flat
-            data[slots[2]] += p_flat
-            data[slots[3]] = -p_flat
-            data[slots[4]] = -p_flat
-            mat = sps.csc_matrix((data, self._csc.indices, self._csc.indptr),
-                                 shape=self._csc.shape)
-            lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
-            b = np.concatenate([np.reshape(r, (ndir, ncell)) for r in rhs], axis=1)
-            x = lu.solve(b.T, trans="T" if transpose else "N").T
-            m, f, s = x[:, :ncell], x[:, ncell : 2 * ncell], x[:, 2 * ncell :]
-        return m.reshape(shape), f.reshape(shape), s.reshape(shape)
+            ab[main - 2, 2::3] = neg_p
+            ab[main + 2, 0::3] = neg_p
+            # interleaved cell-major, one Fortran column per direction;
+            # LAPACK overwrites b with the solution
+            b = np.empty((ndir, ncell, 3))
+            b[...] = np.reshape(rhs, (3, ndir, ncell)).transpose(1, 2, 0)
+            x = kernels.solve_block_tridiag(ab, b.reshape(ndir, 3 * ncell).T).T
+            return x.reshape(ndir, ncell, 3).transpose(2, 0, 1).reshape(shape)
+        data = self._csc.data.copy()
+        slots = self._slots
+        data[slots[0]] += p_flat
+        data[slots[1]] += w_flat
+        data[slots[2]] += p_flat
+        data[slots[3]] = neg_p
+        data[slots[4]] = neg_p
+        mat = sps.csc_matrix((data, self._csc.indices, self._csc.indptr),
+                             shape=self._csc.shape)
+        lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
+        # component-major (m, f, s) blocks, one row per direction
+        b = np.concatenate([np.reshape(r, (ndir, ncell)) for r in rhs], axis=1)
+        x = lu.solve(b.T, trans="T" if transpose else "N").T
+        return x.reshape(ndir, 3, ncell).transpose(1, 0, 2).reshape(shape)

@@ -103,7 +103,8 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
                       u: ControlField, tau: float, directions: int = 5,
                       deltas=(1e-2, 1e-3, 1e-4), slope_deltas=None,
                       seed: int = DEFAULT_SEED, *, newton_tol: float = NEWTON_TOL,
-                      newton_max_iter: int = NEWTON_MAX_ITER) -> GradientCheckReport:
+                      newton_max_iter: int = NEWTON_MAX_ITER,
+                      state: Trajectory | None = None) -> GradientCheckReport:
     """Compare <grad J, h> with central differences of the reduced cost.
 
     The treatment time is snapped to its node first so both routes
@@ -111,7 +112,8 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     slope is fit over ``slope_deltas`` (default: all), which should stay
     above the solver floor; the small deltas serve the error tolerance.
     ``newton_tol`` and ``newton_max_iter`` are passed to every forward
-    solve.
+    solve. ``state``, if given, is the forward solution for ``u`` under
+    those settings, and the base solve is skipped.
     """
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
@@ -121,7 +123,8 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     slope_idx = [deltas.index(d) for d in slope_deltas]
 
     newton = {"newton_tol": newton_tol, "newton_max_iter": newton_max_iter}
-    state = solve_state(params, init, u, **newton)
+    if state is None:
+        state = solve_state(params, init, u, **newton)
     adjoint = solve_adjoint(params, state, k_tau, cost)
     grad = control_gradient(adjoint, u, cost.b0)
 

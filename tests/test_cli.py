@@ -313,6 +313,31 @@ def test_newton_settings_reach_optimize(tmp_path, capsys):
     assert "Newton did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("verification.duality", "directions", 0),
+    ("verification.gradient", "directions", 0),
+    ("verification.lipschitz", "pairs", 0),
+    ("solver", "newton_max_iter", "many"),
+    ("solver", "newton_tol", "tight"),
+    ("verification.gradient", "deltas", []),
+    ("verification.gradient", "deltas", [0.2, -1e-4]),
+    ("verification.gradient", "check_delta", 0.3),
+    ("verification.lipschitz", "magnitudes", []),
+    ("verification.lipschitz", "magnitudes", [0.1, 0.0]),
+], ids=["duality-directions", "gradient-directions", "lipschitz-pairs",
+        "newton-max-iter", "newton-tol", "deltas-empty", "deltas-negative",
+        "check-delta", "magnitudes-empty", "magnitudes-zero"])
+def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = "verify"
+    node = cfg
+    for part in section.split("."):
+        node = node.setdefault(part, {})
+    node[key] = value
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: ")
+
+
 def test_target_from_manifest(tmp_path):
     # a time-dependent tracking target loaded from a trajectory manifest
     g = ch.Grid.line(32)

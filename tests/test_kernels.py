@@ -161,3 +161,50 @@ def test_step_solve_2d_leaves_template_unchanged():
         for a, b in zip(first, again):
             assert a.tobytes() == b.tobytes()
     assert solver._csc.data.tobytes() == template.tobytes()
+
+
+def _templates(solver):
+    if solver.grid.dim == 1:
+        return solver._band.tobytes() + solver._band_t.tobytes()
+    return solver._csc.data.tobytes()
+
+
+@pytest.mark.parametrize("grid", [ch.Grid.line(24), ch.Grid.rectangle(6, 5)],
+                         ids=["1d", "2d"])
+def test_step_solve_returns_independent_arrays(grid):
+    # the 1D solve factors in a workspace kept by the solver; what it
+    # returns must not alias that workspace or an earlier result
+    rng = np.random.default_rng(7)
+    solver = StepSolver(grid, 1.0 / 64, 0.1, 0.2)
+    templates = _templates(solver)
+    p1, p2 = rng.uniform(0.0, 2.0, (2,) + grid.shape)
+    w1, w2 = rng.uniform(0.0, 3.0, (2,) + grid.shape)
+    rhs1, rhs2 = rng.standard_normal((2, 3) + grid.shape)
+    for transpose in (False, True):
+        first = solver.solve(p1, w1, rhs1, transpose=transpose)
+        kept = first.copy()
+        second = solver.solve(p2, w2, rhs2, transpose=not transpose)
+        assert first.shape == second.shape == (3,) + grid.shape
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+        # a stacked right-hand side and its three fields give the same bits
+        single = solver.solve(p1, w1, tuple(rhs1), transpose=transpose)
+        assert single.tobytes() == kept.tobytes()
+    assert _templates(solver) == templates
+
+
+@pytest.mark.parametrize("grid", [ch.Grid.line(24), ch.Grid.rectangle(6, 5)],
+                         ids=["1d", "2d"])
+def test_laplacian_of_stack_matches_each_field(grid):
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((2, 3) + grid.shape)
+    lap = ch.laplacian_neumann(grid, stack)
+    mat = neumann_laplacian_matrix(grid)
+    for i in range(2):
+        for j in range(3):
+            field = stack[i, j].copy()
+            assert lap[i, j].tobytes() == ch.laplacian_neumann(grid, field).tobytes()
+            ref = (mat @ field.ravel()).reshape(grid.shape)
+            assert np.abs(lap[i, j] - ref).max() <= 1e-12 * np.abs(ref).max()
+    with pytest.raises(ch.GridMismatchError):
+        ch.laplacian_neumann(grid, stack[..., :-1])
