@@ -39,15 +39,12 @@ from .objective import (
     CostBreakdown,
     CostSpec,
     Relaxation,
+    TauProfile,
     constant_trajectory,
     control_gradient,
-    evaluate_cost,
-    evaluate_cost_relaxed,
-    lambda_term,
     reduced_cost,
     space_time_inner,
     space_time_norm,
-    time_derivative,
     time_weights,
     window_weights,
 )

@@ -135,7 +135,7 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
         return InitialData(mu, phi, mu.copy())
     if name == "random_interior":
         amplitude = float(_preset_arg(kwargs, "amplitude", name))
-        seed = int(kwargs.get("seed", 0))
+        seed = _opt_int(kwargs, "seed", "initial", 0, 0)
         rng = np.random.default_rng(seed)
         modes = 4
         phi = np.zeros(grid.shape)
@@ -185,13 +185,22 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _opt_int(d: dict, key: str, where: str, default: int, minimum: int) -> int:
+def _opt_int(d: dict, key: str, where: str, default: int,
+             minimum: int | None) -> int:
+    """An integer field; ``minimum=None`` leaves its range to a validator."""
     v = d.get(key, default)
     if (not _is_number(v) or (isinstance(v, float) and not v.is_integer())
-            or v < minimum):
-        raise ConfigError(f"{where}.{key}: expected an integer >= {minimum}, "
-                          f"got {v!r}")
+            or (minimum is not None and v < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{where}.{key}: expected an integer{bound}, got {v!r}")
     return int(v)
+
+
+def _opt_num(d: dict, key: str, where: str, default: float) -> float:
+    v = d.get(key, default)
+    if not _is_number(v):
+        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    return float(v)
 
 
 def _opt_positive(d: dict, key: str, where: str, default: float) -> float:
@@ -391,8 +400,8 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         raise ConfigError(f"pipeline: must be one of {_PIPELINES}, got {pipeline!r}")
     raw["pipeline"] = pipeline
     if seed is not None:
-        raw["seed"] = int(seed)
-    raw.setdefault("seed", DEFAULT_SEED)
+        raw["seed"] = seed
+    raw["seed"] = _opt_int(raw, "seed", "config", DEFAULT_SEED, 0)
     if out_dir is not None:
         raw["output_dir"] = str(out_dir)
     raw.setdefault("output_dir", "out")
@@ -400,12 +409,6 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     model = _req(raw, "model", "config")
     alpha = _num(model, "alpha", "model")
     beta = _num(model, "beta", "model")
-    if alpha <= 0:
-        raise ConfigError("model.alpha: must be positive (alpha and beta are "
-                          "positive relaxation constants)")
-    if beta <= 0:
-        raise ConfigError("model.beta: must be positive (alpha and beta are "
-                          "positive relaxation constants)")
     potential = _build_potential(_req(model, "potential", "model"))
     prolif = _build_proliferation(_req(model, "proliferation", "model"))
 
@@ -446,13 +449,9 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     bd = _req(raw, "bounds", "config")
     lower = _build_bound(_req(bd, "lower", "bounds"), grid, "bounds.lower")
     upper = _build_bound(_req(bd, "upper", "bounds"), grid, "bounds.upper")
-    if np.any(np.asarray(lower) > np.asarray(upper)):
-        raise ConfigError("bounds: lower must not exceed upper anywhere")
 
     cd = _req(raw, "cost", "config")
     weights = {k: _num(cd, k, "cost") for k in ("b0", "b1", "b2", "b3", "b4", "b5", "b6")}
-    if any(v < 0 for v in weights.values()):
-        raise ConfigError("cost: weights b0..b6 must be nonnegative")
     tau_star = _num(cd, "tau_star", "cost")
     targets = cd.get("targets", {})
     relaxation = None
@@ -479,7 +478,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     except ChControlError as exc:
         raise ConfigError(str(exc))
 
-    ctl = raw.get("control", {})
+    ctl = _section(raw, "control", "config")
     u0_choice = ctl.get("initial", "midpoint")
     if u0_choice == "midpoint":
         lo_arr = np.broadcast_to(np.asarray(lower, dtype=float), grid.shape)
@@ -494,29 +493,31 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         u0 = ControlField.constant(grid, tg, float(u0_choice), lower, upper)
     else:
         raise ConfigError("control.initial: expected 'midpoint' or a number")
-    tau0 = float(ctl.get("tau0", horizon / 2))
+    u0.validate(grid, tg)
+    tau0 = _opt_num(ctl, "tau0", "control", horizon / 2)
     if not 0 <= tau0 <= horizon:
         raise ConfigError(f"control.tau0: {tau0} outside [0, {horizon}]")
 
-    od = raw.get("optimizer", {})
-    ad = od.get("armijo", {})
+    od = _section(raw, "optimizer", "config")
+    ad = _section(od, "armijo", "optimizer")
+    aw = "optimizer.armijo"
     opt_config = OptimizerConfig(
-        max_outer_iters=int(od.get("max_outer_iters", 1000)),
+        max_outer_iters=_opt_int(od, "max_outer_iters", "optimizer", 1000, 0),
         armijo=ArmijoParams(
-            c1=float(ad.get("c1", 1e-4)),
-            backtrack=float(ad.get("backtrack", 0.5)),
-            s0=float(ad.get("s0", 1.0)),
-            max_backtracks=int(ad.get("max_backtracks", 30)),
+            c1=_opt_num(ad, "c1", aw, 1e-4),
+            backtrack=_opt_num(ad, "backtrack", aw, 0.5),
+            s0=_opt_num(ad, "s0", aw, 1.0),
+            max_backtracks=_opt_int(ad, "max_backtracks", aw, 30, None),
         ),
-        grad_tol=float(od.get("grad_tol", 1e-5)),
+        grad_tol=_opt_positive(od, "grad_tol", "optimizer", 1e-5),
     )
 
     verification = _verification_settings(
-        _section(raw, "verification", "config"), int(raw["seed"]), tau_star, horizon)
+        _section(raw, "verification", "config"), raw["seed"], tau_star, horizon)
     sd = _section(raw, "solver", "config")
 
     return ExperimentConfig(
-        raw=raw, pipeline=pipeline, seed=int(raw["seed"]),
+        raw=raw, pipeline=pipeline, seed=raw["seed"],
         output_dir=Path(raw["output_dir"]),
         params=params, init=init, cost=cost, u0=u0, tau0=tau0,
         optimizer=opt_config, verification=verification,

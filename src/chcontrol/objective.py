@@ -12,6 +12,11 @@ gamma/(2 eps) int_{tau-eps}^{tau} |sigma - sigma_omega|^2, where sigma is
 frozen at its initial value for negative times so the window always has
 length eps.
 
+The discrete cost has one implementation, :class:`TauProfile`: per-node
+series of the state, cached once, from which each term's value and the
+tau-derivative are read in O(1). :func:`reduced_cost` is its breakdown at
+one tau.
+
 Discretization conventions, chosen so that the analytic formulas below
 are exact derivatives of the discrete quantities:
 
@@ -20,7 +25,9 @@ are exact derivatives of the discrete quantities:
   interpolant of the node integrand;
 * fields at off-node times are interpolated linearly, and d_t phi(tau)
   is the backward difference on the interval containing tau (the slope
-  of the interpolant there);
+  of the interpolant there), so an interior node takes the left slope;
+  at tau = 0 it is the forward difference on the first interval, the
+  right derivative;
 * the control energy uses trapezoid weights over the full horizon, and
   the same weighted inner product defines the Riesz representative
   returned by :func:`control_gradient` (zero-extended nutrient adjoint
@@ -29,18 +36,13 @@ are exact derivatives of the discrete quantities:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, TimeDomainError
-from .fields import Grid, TimeGrid, Trajectory, inner, integrate, interpolate_in_time
+from .errors import ConfigError, GridMismatchError
+from .fields import Grid, TimeGrid, Trajectory
 from .state import ControlField
-
-
-class ForwardDifferenceWarning(UserWarning):
-    """time_derivative at tau = 0 fell back to a forward difference."""
 
 
 @dataclass(frozen=True)
@@ -146,21 +148,6 @@ def time_weights(n_nodes: int, dt: float) -> np.ndarray:
     return w
 
 
-def quad_upto(g: np.ndarray, tau: float, dt: float) -> float:
-    """Integral over [0, tau] of the piecewise-linear interpolant of the
-    node values g (trapezoid on full intervals, exact partial interval)."""
-    if tau < 0:
-        raise TimeDomainError(f"negative integration endpoint {tau}")
-    j = min(int(tau / dt), len(g) - 1)
-    s = tau / dt - j
-    total = 0.0
-    if j > 0:
-        total += dt * (0.5 * g[0] + g[1:j].sum() + 0.5 * g[j])
-    if s > 0 and j + 1 < len(g):
-        total += dt * s * ((1.0 - 0.5 * s) * g[j] + 0.5 * s * g[j + 1])
-    return float(total)
-
-
 def lerp_nodes(g: np.ndarray, tau: float, dt: float) -> float:
     """Piecewise-linear interpolation of scalar node values at time tau."""
     j = min(int(tau / dt), len(g) - 2)
@@ -216,26 +203,13 @@ def _node_sq_norms(grid: Grid, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cost evaluation
+# The discrete cost
 # ---------------------------------------------------------------------------
 
 
 def _tracking_sq(grid, traj_comp, target):
     diff = traj_comp if target is None else traj_comp - target
     return _node_sq_norms(grid, diff)
-
-
-def _relaxed_value(state, tau, cost):
-    relax = cost.relaxation
-    if relax is None or relax.gamma == 0.0:
-        return 0.0
-    grid, dt = state.grid, state.time_grid.dt
-    g = _node_sq_norms(grid, state.sigma - relax.sigma_omega)
-    lo = tau - relax.eps
-    value = quad_upto(g, tau, dt) - quad_upto(g, max(lo, 0.0), dt)
-    if lo < 0:
-        value += (-lo) * g[0]  # sigma frozen at sigma(0) for negative times
-    return relax.gamma / (2.0 * relax.eps) * value
 
 
 def _check_cost_shapes(state, u, cost):
@@ -251,127 +225,22 @@ def _check_cost_shapes(state, u, cost):
                                     f"{arr.shape}, expected {expected}")
 
 
-def evaluate_cost(state: Trajectory, u: ControlField, tau: float,
-                  cost: CostSpec) -> CostBreakdown:
-    """Cost of (state, u, tau); the relaxed window term is left at zero."""
-    grid, tg = state.grid, state.time_grid
-    _check_cost_shapes(state, u, cost)
-    tau = tg.clamp(tau)
-    dt = tg.dt
-    out = CostBreakdown()
-
-    if cost.b1 > 0:
-        out.tracking_q = 0.5 * cost.b1 * quad_upto(
-            _tracking_sq(grid, state.phi, cost.phi_q), tau, dt)
-    if cost.b3 > 0:
-        out.nutrient_q = 0.5 * cost.b3 * quad_upto(
-            _tracking_sq(grid, state.sigma, cost.sigma_q), tau, dt)
-    if cost.b2 > 0 or cost.b4 > 0:
-        phi_tau = interpolate_in_time(state, "phi", tau)
-        if cost.b2 > 0:
-            diff = phi_tau if cost.phi_omega is None else phi_tau - cost.phi_omega
-            out.tracking_omega = 0.5 * cost.b2 * inner(grid, diff, diff)
-        if cost.b4 > 0:
-            out.tumour_mass = 0.5 * cost.b4 * integrate(grid, 1.0 + phi_tau)
-    out.linear_time = cost.b5 * tau
-    out.quadratic_time = 0.5 * cost.b6 * (tau - cost.tau_star) ** 2
-    if cost.b0 > 0:
-        out.control_energy = 0.5 * cost.b0 * space_time_inner(
-            grid, dt, u.values, u.values)
-    return out
-
-
-def evaluate_cost_relaxed(state: Trajectory, u: ControlField, tau: float,
-                          cost: CostSpec) -> CostBreakdown:
-    """Cost including the windowed terminal-nutrient term."""
-    if cost.relaxation is None:
-        raise ConfigError("cost.relaxation: required by the relaxed functional")
-    out = evaluate_cost(state, u, tau, cost)
-    out.relaxed_term = _relaxed_value(state, state.time_grid.clamp(tau), cost)
-    return out
-
-
-def reduced_cost(state: Trajectory, u: ControlField, tau: float,
-                 cost: CostSpec) -> CostBreakdown:
-    """The functional the optimizer minimizes: relaxed when configured."""
-    if cost.relaxation is not None:
-        return evaluate_cost_relaxed(state, u, tau, cost)
-    return evaluate_cost(state, u, tau, cost)
-
-
-# ---------------------------------------------------------------------------
-# Time derivative and the reduced gradient
-# ---------------------------------------------------------------------------
-
-
-def _dphi_dt(state: Trajectory, tau: float, flag_degenerate: bool):
-    """Backward difference of phi on the interval containing tau."""
-    tg = state.time_grid
-    j_hi = int(np.searchsorted(tg.times, tau, side="left"))
-    if j_hi == 0:
-        if flag_degenerate:
-            warnings.warn(
-                "time derivative at tau = 0 uses a forward difference",
-                ForwardDifferenceWarning,
-            )
-        j_hi = 1
-    j_hi = min(j_hi, tg.steps)
-    return (state.phi[j_hi] - state.phi[j_hi - 1]) / tg.dt
-
-
-def time_derivative(state: Trajectory, tau: float, cost: CostSpec) -> float:
-    """Analytic derivative of the reduced cost with respect to tau.
-
-    Exact derivative of the discrete cost away from time nodes; at nodes
-    the backward-difference convention picks the left slope of the
-    d_t phi terms.
-    """
-    grid, tg = state.grid, state.time_grid
-    tau = tg.clamp(tau)
-    dt = tg.dt
-    value = cost.b5 + cost.b6 * (tau - cost.tau_star)
-
-    if cost.b1 > 0:
-        value += 0.5 * cost.b1 * lerp_nodes(
-            _tracking_sq(grid, state.phi, cost.phi_q), tau, dt)
-    if cost.b3 > 0:
-        value += 0.5 * cost.b3 * lerp_nodes(
-            _tracking_sq(grid, state.sigma, cost.sigma_q), tau, dt)
-    if cost.b2 > 0 or cost.b4 > 0:
-        dphi = _dphi_dt(state, tau, flag_degenerate=(tau == 0.0))
-        if cost.b2 > 0:
-            phi_tau = interpolate_in_time(state, "phi", tau)
-            diff = phi_tau if cost.phi_omega is None else phi_tau - cost.phi_omega
-            value += cost.b2 * inner(grid, diff, dphi)
-        if cost.b4 > 0:
-            value += 0.5 * cost.b4 * integrate(grid, dphi)
-    relax = cost.relaxation
-    if relax is not None and relax.gamma > 0:
-        g = _node_sq_norms(grid, state.sigma - relax.sigma_omega)
-        at_tau = lerp_nodes(g, tau, dt)
-        lo = tau - relax.eps
-        at_lo = g[0] if lo <= 0 else lerp_nodes(g, lo, dt)
-        value += relax.gamma / (2.0 * relax.eps) * (at_tau - at_lo)
-    return float(value)
-
-
-def lambda_term(state: Trajectory, tau: float, cost: CostSpec) -> float:
-    """Time derivative minus its b6 (tau - tau_star) part."""
-    tau = state.time_grid.clamp(tau)
-    return time_derivative(state, tau, cost) - cost.b6 * (tau - cost.tau_star)
-
-
 class TauProfile:
-    """Scalar view of tau -> J(u, tau) at a fixed state and control.
+    """The discrete cost tau -> J(u, tau) at a fixed state and control.
 
-    Caches the node quantities once (O(steps * cells)) so that value and
-    derivative evaluations cost O(1); the optimizer leans on this for its
-    treatment-time searches. Between nodes the derivative of the discrete
-    cost is piecewise linear in tau, so the continuous minimizer can be
-    located to roundoff with a short bisection.
+    This is the one implementation of the cost: :func:`reduced_cost`, the
+    optimizer and the oracles read every value, breakdown and tau
+    derivative from it. The node quantities are cached once
+    (O(steps * cells)), so each evaluation costs O(1). Between nodes the
+    derivative of the discrete cost is piecewise linear in tau, so the
+    continuous minimizer can be located to roundoff with a short
+    bisection. Targets or a control whose shape does not match the state
+    raise :class:`GridMismatchError`; a tau outside [0, T] raises
+    :class:`TimeDomainError`.
     """
 
     def __init__(self, state: Trajectory, u: ControlField, cost: CostSpec):
+        _check_cost_shapes(state, u, cost)
         grid, tg = state.grid, state.time_grid
         self.tg = tg
         self.dt = tg.dt
@@ -402,10 +271,10 @@ class TauProfile:
                 self.p_cur = (diff[1:] * dphi).sum(axis=axes) * vol
             if cost.b4 > 0:
                 self.mass = (1.0 + state.phi).sum(axis=axes) * vol
-        self.const = 0.0
+        self.control_energy = 0.0
         if cost.b0 > 0:
-            self.const = 0.5 * cost.b0 * space_time_inner(grid, self.dt,
-                                                          u.values, u.values)
+            self.control_energy = 0.5 * cost.b0 * space_time_inner(
+                grid, self.dt, u.values, u.values)
 
     def _cumtrapz(self, g):
         out = np.zeros(len(g))
@@ -413,12 +282,14 @@ class TauProfile:
         return out
 
     def _quad(self, g, cum, tau):
+        """Integral over [0, tau] of the piecewise-linear interpolant of
+        the node values g (exact partial last interval)."""
         j = min(int(tau / self.dt), len(g) - 1)
         s = tau / self.dt - j
         total = cum[j]
         if s > 0 and j + 1 < len(g):
             total += self.dt * s * ((1.0 - 0.5 * s) * g[j] + 0.5 * s * g[j + 1])
-        return total
+        return float(total)
 
     def _bracket(self, tau):
         """Interval index for the backward-difference convention."""
@@ -426,32 +297,50 @@ class TauProfile:
         j_hi = min(max(j_hi, 1), self.tg.steps)
         return j_hi, (tau - self.times[j_hi - 1]) / self.dt
 
-    def value(self, tau: float) -> float:
+    def breakdown(self, tau: float) -> CostBreakdown:
+        """Every term of the cost at tau."""
+        tau = float(self.tg.clamp(tau))
         c = self.cost
-        out = self.const + c.b5 * tau + 0.5 * c.b6 * (tau - c.tau_star) ** 2
+        out = CostBreakdown(linear_time=c.b5 * tau,
+                            quadratic_time=0.5 * c.b6 * (tau - c.tau_star) ** 2,
+                            control_energy=self.control_energy)
         if self.g1 is not None:
-            out += 0.5 * c.b1 * self._quad(self.g1, self.cum1, tau)
+            out.tracking_q = 0.5 * c.b1 * self._quad(self.g1, self.cum1, tau)
         if self.g3 is not None:
-            out += 0.5 * c.b3 * self._quad(self.g3, self.cum3, tau)
+            out.nutrient_q = 0.5 * c.b3 * self._quad(self.g3, self.cum3, tau)
         if c.b2 > 0:
+            # |phi(tau) - phi_omega|^2 of the linear interpolant, expanded in
+            # the node products
             j = min(int(tau / self.dt), len(self.qn) - 2)
             s = tau / self.dt - j
-            out += 0.5 * c.b2 * ((1 - s) ** 2 * self.qn[j]
-                                 + 2 * s * (1 - s) * self.qx[j]
-                                 + s**2 * self.qn[j + 1])
+            out.tracking_omega = float(0.5 * c.b2 * ((1 - s) ** 2 * self.qn[j]
+                                                     + 2 * s * (1 - s) * self.qx[j]
+                                                     + s**2 * self.qn[j + 1]))
         if c.b4 > 0:
-            out += 0.5 * c.b4 * lerp_nodes(self.mass, tau, self.dt)
+            out.tumour_mass = 0.5 * c.b4 * lerp_nodes(self.mass, tau, self.dt)
         if self.g_relax is not None:
             relax = c.relaxation
             lo = tau - relax.eps
             win = self._quad(self.g_relax, self.cum_relax, tau) \
                 - self._quad(self.g_relax, self.cum_relax, max(lo, 0.0))
             if lo < 0:
-                win += (-lo) * self.g_relax[0]
-            out += relax.gamma / (2.0 * relax.eps) * win
-        return float(out)
+                win += (-lo) * float(self.g_relax[0])  # sigma frozen at sigma(0)
+            out.relaxed_term = relax.gamma / (2.0 * relax.eps) * win
+        return out
+
+    def value(self, tau: float) -> float:
+        return self.breakdown(tau).total
 
     def derivative(self, tau: float) -> float:
+        """Derivative of the discrete cost with respect to tau.
+
+        Exact away from the time nodes. At an interior node the d_t phi
+        terms (b2, b4) take the left slope, the backward difference on
+        the interval ending there. At tau = 0 they take the right slope,
+        the forward difference on the first interval: the one-sided
+        derivative that the boundary_low condition D_tau J >= 0 tests.
+        """
+        tau = self.tg.clamp(tau)
         c = self.cost
         out = c.b5 + c.b6 * (tau - c.tau_star)
         if self.g1 is not None:
@@ -500,6 +389,12 @@ class TauProfile:
         candidates = [tau, self.times[k], max(self.times[k] - self.dt, 0.0),
                       min(self.times[k] + self.dt, horizon)]
         return min(candidates, key=self.value)
+
+
+def reduced_cost(state: Trajectory, u: ControlField, tau: float,
+                 cost: CostSpec) -> CostBreakdown:
+    """The functional the optimizer minimizes, relaxed when configured."""
+    return TauProfile(state, u, cost).breakdown(tau)
 
 
 def control_gradient(adjoint: Trajectory, u: ControlField, b0: float) -> np.ndarray:

@@ -33,7 +33,6 @@ carries the measures verified on itself.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +43,11 @@ from .fields import Trajectory
 from .objective import (
     CostBreakdown,
     CostSpec,
-    ForwardDifferenceWarning,
     TauProfile,
     control_gradient,
     reduced_cost,
     space_time_inner,
     space_time_norm,
-    time_derivative,
 )
 from .state import (
     NEWTON_MAX_ITER,
@@ -149,7 +146,7 @@ def classify_time_optimality(state: Trajectory, u: ControlField, tau: float,
     """
     tg = state.time_grid
     tau = tg.clamp(tau)
-    d = time_derivative(state, tau, cost)
+    d = TauProfile(state, u, cost).derivative(tau)
     lam = d - cost.b6 * (tau - cost.tau_star)
     case = _tau_case(tg, tau)
     if case == BOUNDARY_LOW:
@@ -248,7 +245,8 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
 
     for it in range(config.max_outer_iters + 1):
         # treatment-time block: continuous minimizer at the frozen state,
-        # sticky under ties so flat profiles keep the current time
+        # sticky under ties so flat profiles keep the current time; the
+        # same profile gives this iteration's costs and time derivative
         profile = TauProfile(state, u, cost)
         candidate = profile.minimize()
         if profile.value(candidate) < profile.value(tau_ref):
@@ -263,13 +261,10 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
         else:
             cand = np.clip(u.values - grad, u.lower, u.upper)
         stat_u = qt_norm(u.values - cand) / (1.0 + qt_norm(u.values))
-        with warnings.catch_warnings():
-            # the boundary fallback of the time derivative is expected here
-            warnings.simplefilter("ignore", ForwardDifferenceWarning)
-            d_ref = time_derivative(state, tau_ref, cost)
-        bd_ref = reduced_cost(state, u, tau_ref, cost)
-        stat_tau, case = _stat_tau(tg, tau_ref, d_ref, bd_ref.total)
-        bd_node = reduced_cost(state, u, tau_node, cost)
+        bd_ref = profile.breakdown(tau_ref)
+        stat_tau, case = _stat_tau(tg, tau_ref, profile.derivative(tau_ref),
+                                   bd_ref.total)
+        bd_node = profile.breakdown(tau_node)
 
         history.append(IterationRecord(it, tau_node, bd_node, stat_u, stat_tau,
                                        case, k_idx, snap_error))

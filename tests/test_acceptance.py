@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
+import cost_reference as ref
 from chcontrol.cli import preset_initial_data
 from chcontrol.optimizer import adj_sigma_extended
 from conftest import midpoint_control, tracking_cost
@@ -89,11 +90,12 @@ def test_a5_time_derivative_formula(baseline_problem, baseline_state):
     rng = np.random.default_rng(SEED)
     delta = 1e-3
     worst = 0.0
+    prof = ch.TauProfile(baseline_state, u, cost)
     for tau in rng.uniform(0.2 * params.time_grid.horizon,
                            0.8 * params.time_grid.horizon, 5):
-        d = ch.time_derivative(baseline_state, tau, cost)
-        fd = (ch.evaluate_cost(baseline_state, u, tau + delta, cost).total
-              - ch.evaluate_cost(baseline_state, u, tau - delta, cost).total
+        d = prof.derivative(tau)
+        fd = (ref.evaluate_cost(baseline_state, u, tau + delta, cost).total
+              - ref.evaluate_cost(baseline_state, u, tau - delta, cost).total
               ) / (2 * delta)
         worst = max(worst, abs(d - fd) / max(abs(d), 1e-300))
     _report("A5 time-derivative formula", worst <= 1e-2,
@@ -149,7 +151,8 @@ def test_a7_degenerate_optima(baseline_problem):
 
     u0 = midpoint_control(params)
     res_b = ch.optimize(params, init, ch.CostSpec(b5=1.0), config, u0, tau0=0.5)
-    d = ch.time_derivative(res_b.state, res_b.tau_opt, ch.CostSpec(b5=1.0))
+    d = ch.TauProfile(res_b.state, res_b.u_opt, ch.CostSpec(b5=1.0)).derivative(
+        res_b.tau_opt)
     ok_b = res_b.converged and res_b.tau_opt == 0.0 and d >= 0.0 \
         and res_b.time_case == "boundary_low"
 
@@ -203,7 +206,7 @@ def test_a9_relaxed_functional(baseline_problem, baseline_state):
     flat = np.zeros((tg.steps + 1, 3) + grid.shape)
     flat[:, 2] = 1.3
     synth = ch.Trajectory(grid, tg, flat, ("mu", "phi", "sigma"))
-    bd = ch.evaluate_cost_relaxed(synth, u, 0.5, cost)
+    bd = ch.reduced_cost(synth, u, 0.5, cost)
     ok_norm = abs(bd.relaxed_term - relax.gamma / 2) <= 1e-12
     _report("A9 relaxed functional", ok_grad and ok_dual and ok_norm,
             f"gradient err {err:.2e}, duality {rep_d.max_mismatch:.2e}, "

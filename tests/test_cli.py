@@ -248,6 +248,34 @@ def test_missing_seed_defaults(tmp_path):
     assert parse_config(_write(tmp_path, cfg)).seed == ch.verification.DEFAULT_SEED
 
 
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = "verify"
+    cfg["verification"] = {"checks": ["duality"], "tau": 0.125}
+    assert run(_write(tmp_path, cfg), seed=-1, out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: config.seed: ")
+    cfg["seed"] = -1
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: config.seed: ")
+    cfg["seed"] = 3
+    cfg["initial"] = {"preset": "random_interior", "amplitude": 0.1, "seed": -1}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: initial.seed: ")
+
+
+def test_non_integer_seed_is_config_error(tmp_path, capsys):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = "verify"
+    cfg["verification"] = {"checks": ["duality"], "tau": 0.125}
+    cfg["seed"] = "abc"
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: config.seed: ")
+    cfg["seed"] = 3
+    cfg["initial"] = {"preset": "random_interior", "amplitude": 0.1, "seed": "abc"}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: initial.seed: ")
+
+
 def test_verification_failure_exit_code(tmp_path):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "verify"
@@ -324,9 +352,15 @@ def test_newton_settings_reach_optimize(tmp_path, capsys):
     ("verification.gradient", "check_delta", 0.3),
     ("verification.lipschitz", "magnitudes", []),
     ("verification.lipschitz", "magnitudes", [0.1, 0.0]),
+    ("optimizer", "max_outer_iters", "many"),
+    ("optimizer", "grad_tol", "tight"),
+    ("optimizer.armijo", "c1", "small"),
+    ("optimizer.armijo", "max_backtracks", 2.5),
+    ("control", "tau0", "half"),
 ], ids=["duality-directions", "gradient-directions", "lipschitz-pairs",
         "newton-max-iter", "newton-tol", "deltas-empty", "deltas-negative",
-        "check-delta", "magnitudes-empty", "magnitudes-zero"])
+        "check-delta", "magnitudes-empty", "magnitudes-zero", "max-outer-iters",
+        "grad-tol", "armijo-c1", "max-backtracks", "tau0"])
 def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "verify"

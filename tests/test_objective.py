@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.objective import ForwardDifferenceWarning, lerp_nodes, quad_upto
+import cost_reference as ref
+from chcontrol.objective import lerp_nodes
 from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
 
 
@@ -26,20 +27,20 @@ def _flat_state(params, phi=0.0, sigma=0.0):
 def test_time_quadrature_helpers():
     dt = 0.125
     g = np.ones(9)
-    assert quad_upto(g, 1.0, dt) == pytest.approx(1.0, abs=1e-15)
-    assert quad_upto(g, 0.3, dt) == pytest.approx(0.3, abs=1e-15)
+    assert ref.quad_upto(g, 1.0, dt) == pytest.approx(1.0, abs=1e-15)
+    assert ref.quad_upto(g, 0.3, dt) == pytest.approx(0.3, abs=1e-15)
     lin = np.arange(9.0)
     assert lerp_nodes(lin, 0.5, dt) == pytest.approx(4.0)
     # derivative of the running integral is the interpolated integrand
     tau, eps = 0.43, 1e-7
-    fd = (quad_upto(lin, tau + eps, dt) - quad_upto(lin, tau - eps, dt)) / (2 * eps)
+    fd = (ref.quad_upto(lin, tau + eps, dt) - ref.quad_upto(lin, tau - eps, dt)) / (2 * eps)
     assert fd == pytest.approx(lerp_nodes(lin, tau, dt), rel=1e-6)
 
 
 def test_linear_time_term_only(problem):
     params, _, u, state = problem
     cost = ch.CostSpec(b5=1.0)
-    bd = ch.evaluate_cost(state, u, 0.3, cost)
+    bd = ch.reduced_cost(state, u, 0.3, cost)
     assert bd.total == 0.3
     assert bd.linear_time == 0.3
 
@@ -50,7 +51,7 @@ def test_perfect_tracking_zero_cost(problem):
     state = _flat_state(params, phi=-0.5, sigma=0.375)
     cost = tracking_cost(params, b0=1.0, b5=0.0, b6=1.0)
     u = ch.ControlField.constant(grid, tg, 0.0, -1.0, 1.0)
-    bd = ch.evaluate_cost(state, u, cost.tau_star, cost)
+    bd = ch.reduced_cost(state, u, cost.tau_star, cost)
     assert bd.total == 0.0
 
 
@@ -59,7 +60,7 @@ def test_tumour_mass_normalization(problem):
     params, _, u, _ = problem
     state = _flat_state(params, phi=-1.0)
     cost = ch.CostSpec(b4=2.0)
-    bd = ch.evaluate_cost(state, u, 0.5, cost)
+    bd = ch.reduced_cost(state, u, 0.5, cost)
     assert abs(bd.tumour_mass) <= 1e-15
     assert abs(bd.total) <= 1e-15
 
@@ -70,7 +71,7 @@ def test_control_energy_covers_full_horizon(problem):
     cost = ch.CostSpec(b0=2.0)
     u = ch.ControlField.constant(grid, tg, 1.0, 0.0, 2.0)
     for tau in (0.1, 0.9):
-        bd = ch.evaluate_cost(state, u, tau, cost)
+        bd = ch.reduced_cost(state, u, tau, cost)
         assert bd.control_energy == pytest.approx(1.0, rel=1e-12)
 
 
@@ -79,13 +80,13 @@ def test_cost_rejects_mismatched_targets(problem):
     other = make_problem(n=32, nt=40)
     cost = tracking_cost(other)
     with pytest.raises(ch.GridMismatchError):
-        ch.evaluate_cost(state, u, 0.5, cost)
+        ch.reduced_cost(state, u, 0.5, cost)
 
 
 def test_breakdown_total_is_sum(problem):
     params, _, u, state = problem
     cost = tracking_cost(params, b2=0.3, b4=0.1)
-    bd = ch.evaluate_cost(state, u, 0.37, cost)
+    bd = ch.reduced_cost(state, u, 0.37, cost)
     s = sum(bd.terms().values())
     assert abs(bd.total - s) <= 1e-13 * max(abs(s), 1.0)
     # every term is nonnegative apart from the mass term, which only goes
@@ -99,8 +100,8 @@ def test_relaxed_reduces_to_plain(problem):
     params, _, u, state = problem
     relax = ch.Relaxation(0.0, 0.1, params.grid.full(0.3))
     cost = tracking_cost(params, relaxation=relax)
-    plain = ch.evaluate_cost(state, u, 0.4, tracking_cost(params))
-    relaxed = ch.evaluate_cost_relaxed(state, u, 0.4, cost)
+    plain = ch.reduced_cost(state, u, 0.4, tracking_cost(params))
+    relaxed = ch.reduced_cost(state, u, 0.4, cost)
     assert relaxed.total == plain.total
     assert relaxed.relaxed_term == 0.0
 
@@ -110,7 +111,7 @@ def test_relaxed_zero_when_on_target(problem):
     state = _flat_state(params, sigma=0.3)
     relax = ch.Relaxation(0.5, 0.1, params.grid.full(0.3))
     cost = tracking_cost(params, b1=0.0, b3=0.0, relaxation=relax)
-    bd = ch.evaluate_cost_relaxed(state, u, 0.5, cost)
+    bd = ch.reduced_cost(state, u, 0.5, cost)
     assert bd.relaxed_term == 0.0
 
 
@@ -120,26 +121,27 @@ def test_relaxed_normalization_constant_residual(problem):
     state = _flat_state(params, sigma=1.3)
     relax = ch.Relaxation(0.8, 0.1, params.grid.full(0.3))
     cost = ch.CostSpec(b5=1.0, relaxation=relax)
-    bd = ch.evaluate_cost_relaxed(state, u, 0.5, cost)
+    bd = ch.reduced_cost(state, u, 0.5, cost)
     assert bd.relaxed_term == pytest.approx(0.4, abs=1e-12)
 
 
 def test_time_derivative_constant_terms(problem):
     params, _, u, state = problem
-    assert ch.time_derivative(state, 0.42, ch.CostSpec(b5=1.0)) == 1.0
+    assert ch.TauProfile(state, u, ch.CostSpec(b5=1.0)).derivative(0.42) == 1.0
     cost6 = ch.CostSpec(b6=1.0, tau_star=0.5)
-    assert ch.time_derivative(state, 0.7, cost6) == pytest.approx(0.2, abs=1e-14)
+    assert ch.TauProfile(state, u, cost6).derivative(0.7) == pytest.approx(0.2, abs=1e-14)
 
 
 def test_time_derivative_matches_fd(problem):
     params, _, u, state = problem
     cost = tracking_cost(params, b2=0.4, b4=0.2)
+    prof = ch.TauProfile(state, u, cost)
     rng = np.random.default_rng(10)
     delta = 1e-3
     for tau in rng.uniform(0.2, 0.8, 5):
-        d = ch.time_derivative(state, tau, cost)
-        fd = (ch.evaluate_cost(state, u, tau + delta, cost).total
-              - ch.evaluate_cost(state, u, tau - delta, cost).total) / (2 * delta)
+        d = prof.derivative(tau)
+        fd = (ref.evaluate_cost(state, u, tau + delta, cost).total
+              - ref.evaluate_cost(state, u, tau - delta, cost).total) / (2 * delta)
         assert abs(d - fd) <= max(1e-2 * abs(d), 1e-1 * params.time_grid.dt)
 
 
@@ -147,32 +149,46 @@ def test_time_derivative_relaxed_matches_fd(problem):
     params, _, u, state = problem
     relax = ch.Relaxation(0.6, 0.11, params.grid.full(0.3))
     cost = tracking_cost(params, relaxation=relax)
+    prof = ch.TauProfile(state, u, cost)
     delta = 1e-3
     for tau in (0.3, 0.62):
-        d = ch.time_derivative(state, tau, cost)
-        fd = (ch.evaluate_cost_relaxed(state, u, tau + delta, cost).total
-              - ch.evaluate_cost_relaxed(state, u, tau - delta, cost).total) / (2 * delta)
+        d = prof.derivative(tau)
+        fd = (ref.evaluate_cost_relaxed(state, u, tau + delta, cost).total
+              - ref.evaluate_cost_relaxed(state, u, tau - delta, cost).total) / (2 * delta)
         assert abs(d - fd) <= max(1e-2 * abs(d), 1e-1 * params.time_grid.dt)
 
 
-def test_forward_difference_flagged_at_zero(problem):
-    params, _, _, state = problem
-    cost = tracking_cost(params, b2=0.5)
-    with pytest.warns(ForwardDifferenceWarning):
-        ch.time_derivative(state, 0.0, cost)
+def test_derivative_at_zero_is_forward_slope(problem):
+    # no interval lies left of tau = 0, so the derivative there is the
+    # right slope, the one the boundary_low condition D_tau J >= 0 tests
+    params, _, u, state = problem
+    dt = params.time_grid.dt
+    cost = tracking_cost(params, b2=0.5, b4=0.2)
+    j0, j_half, j1 = (ref.evaluate_cost(state, u, t, cost).total
+                      for t in (0.0, 0.5 * dt, dt))
+    # the cost is quadratic in tau on the first interval, so this
+    # Richardson combination of two forward differences is its exact slope
+    forward = 2.0 * (j_half - j0) / (0.5 * dt) - (j1 - j0) / dt
+    d = ch.TauProfile(state, u, cost).derivative(0.0)
+    assert d == pytest.approx(forward, rel=1e-9)
+    assert d != pytest.approx((j1 - j0) / dt, rel=1e-3)  # the slope, not a chord
 
 
 def test_lambda_identity(problem):
-    params, _, _, state = problem
+    params, _, u, state = problem
     cost = tracking_cost(params, b6=1.7, tau_star=0.4)
+    prof = ch.TauProfile(state, u, cost)
     rng = np.random.default_rng(3)
     for tau in rng.uniform(0.1, 0.9, 5):
-        d = ch.time_derivative(state, tau, cost)
-        lam = ch.lambda_term(state, tau, cost)
-        assert abs(d - (lam + cost.b6 * (tau - cost.tau_star))) <= 1e-14 * max(abs(d), 1.0)
-    assert ch.lambda_term(state, 0.3, ch.CostSpec(b5=1.0)) == 1.0
-    cost0 = tracking_cost(params, b6=0.0)
-    assert ch.lambda_term(state, 0.3, cost0) == ch.time_derivative(state, 0.3, cost0)
+        rep = ch.classify_time_optimality(state, u, tau, cost, 1e-6)
+        d = rep.derivative
+        assert d == prof.derivative(tau)
+        assert abs(d - (rep.lambda_value + cost.b6 * (tau - cost.tau_star))) \
+            <= 1e-14 * max(abs(d), 1.0)
+    rep5 = ch.classify_time_optimality(state, u, 0.3, ch.CostSpec(b5=1.0), 1e-6)
+    assert rep5.lambda_value == 1.0
+    rep0 = ch.classify_time_optimality(state, u, 0.3, tracking_cost(params, b6=0.0), 1e-6)
+    assert rep0.lambda_value == rep0.derivative
 
 
 def test_control_gradient_structure(problem):
@@ -209,21 +225,38 @@ def test_control_gradient_directional_oracle(problem):
         pairing = ch.space_time_inner(grid, tg.dt, grad, h)
         up = ch.ControlField(u.values + delta * h, u.lower, u.upper)
         dn = ch.ControlField(u.values - delta * h, u.lower, u.upper)
-        fd = (ch.evaluate_cost(ch.solve_state(params, init, up), up, tau, cost).total
-              - ch.evaluate_cost(ch.solve_state(params, init, dn), dn, tau, cost).total
+        fd = (ref.evaluate_cost(ch.solve_state(params, init, up), up, tau, cost).total
+              - ref.evaluate_cost(ch.solve_state(params, init, dn), dn, tau, cost).total
               ) / (2 * delta)
         assert abs(fd - pairing) <= 1e-6 * max(abs(pairing), 1e-12)
 
 
 def test_tau_profile_matches_cost(problem):
     params, _, u, state = problem
+    tg = params.time_grid
     relax = ch.Relaxation(0.4, 0.13, params.grid.full(0.2))
     cost = tracking_cost(params, b2=0.3, b4=0.2, relaxation=relax)
-    prof = ch.objective.TauProfile(state, u, cost)
+    assert all(w > 0 for w in cost.weights())
+    prof = ch.TauProfile(state, u, cost)
     rng = np.random.default_rng(23)
-    for tau in list(rng.uniform(0.0, 1.0, 12)) + [0.0, 0.5, 1.0]:
-        ref = ch.evaluate_cost_relaxed(state, u, tau, cost).total
-        assert prof.value(tau) == pytest.approx(ref, rel=1e-12, abs=1e-13)
-        if tau > 0:
-            assert prof.derivative(tau) == pytest.approx(
-                ch.time_derivative(state, tau, cost), rel=1e-11, abs=1e-12)
+    taus = list(rng.uniform(0.0, 1.0, 12)) + [0.0, 0.5, 1.0] + list(tg.times[[1, 20, 39]])
+    for tau in taus:
+        expected = ref.evaluate_cost_relaxed(state, u, tau, cost)
+        bd = prof.breakdown(tau)
+        for name, value in expected.terms().items():
+            assert bd.terms()[name] == pytest.approx(value, rel=1e-12, abs=1e-13), name
+        assert prof.value(tau) == bd.total
+        assert bd.total == pytest.approx(expected.total, rel=1e-12, abs=1e-13)
+        assert prof.derivative(tau) == pytest.approx(
+            ref.time_derivative(state, tau, cost), rel=1e-11, abs=1e-12)
+    # roundoff past an end of [0, T] is clamped; anything more is an error
+    assert prof.value(1.0 + 1e-13) == prof.value(1.0)
+    for bad in (-1e-3, 1.0 + 1e-6):
+        for evaluate in (prof.breakdown, prof.value, prof.derivative):
+            with pytest.raises(ch.TimeDomainError):
+                evaluate(bad)
+    with pytest.raises(ch.GridMismatchError):
+        ch.TauProfile(state, u, tracking_cost(make_problem(n=32, nt=40)))
+    short = ch.ControlField.constant(params.grid, ch.TimeGrid(1.0, 20), 1.0, 0.0, 2.0)
+    with pytest.raises(ch.GridMismatchError):
+        ch.TauProfile(state, short, cost)

@@ -73,7 +73,7 @@ def test_linear_time_penalty_drives_tau_to_zero(problem):
     assert res.converged
     assert res.tau_opt == 0.0
     assert res.time_case == "boundary_low"
-    d = ch.time_derivative(res.state, 0.0, cost)
+    d = ch.TauProfile(res.state, res.u_opt, cost).derivative(0.0)
     assert d == 1.0 and d >= 0.0
 
 
