@@ -26,7 +26,6 @@ from .fields import (
     Trajectory,
     inner,
     integrate,
-    interpolate_in_time,
     laplacian_neumann,
     norm2,
     read_snapshot,

@@ -3,10 +3,12 @@
 A JSON experiment config fully determines a run: model constants,
 potential and proliferation choice, grid and time resolution, initial
 data (preset or snapshots), cost weights and targets, control bounds,
-optimizer settings and verification toggles. Physics fields have no
-defaults; only solver and optimizer tolerances may be omitted. Identical
-config and seed produce bit-identical artifacts (no timestamps are
-written).
+optimizer settings and verification toggles. The table ``_FIELDS`` gives
+every field's type, range and default in one place; physics fields have
+no defaults. A bad config raises a ConfigError whose message starts with
+the field's path, and the command exits 2 before any solve starts.
+Identical config and seed produce bit-identical artifacts (no timestamps
+are written).
 
 Subcommands:
 
@@ -22,7 +24,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import subprocess
@@ -48,7 +49,13 @@ from .fields import (
     write_snapshot,
     write_trajectory,
 )
-from .objective import CostSpec, Relaxation, constant_trajectory, reduced_cost
+from .objective import (
+    CostBreakdown,
+    CostSpec,
+    Relaxation,
+    constant_trajectory,
+    reduced_cost,
+)
 from .optimizer import ArmijoParams, OptimizerConfig, optimize
 from .potentials import Potential, Proliferation, potential_eval
 from .state import (
@@ -92,14 +99,201 @@ def _version_string() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Initial-data presets
+# The config fields
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()  # the default of a field that must be given
+_FLOAT_MAX = sys.float_info.max  # an integer literal beyond it has no float
 
-def _preset_arg(kwargs, key, preset):
-    if key not in kwargs:
-        raise ConfigError(f"initial.{key}: required by preset {preset!r}")
-    return kwargs[key]
+# Every config field: dotted path -> (kind, limit, default). Kinds:
+#   "number", "integer"  a JSON number, never a bool; an integer has no
+#                        fractional part; the limit is a minimum or None
+#   "positive"           a number in (0, inf)
+#   "choice"             one of the strings in the limit
+#   "string", "object", "number or string"
+#   "<kind> list"        a non-empty list, each entry of that kind and limit
+# A missing field takes its default, and null is accepted where the default
+# is None; parse_config fills in the defaults that depend on other fields.
+# Fields of the root object are named "config.<key>". Fields are read where
+# the code needs them, so the fields of a branch not taken (the lam of a
+# quartic potential, the arguments of another preset) are not checked. The
+# ranges that ModelParams, CostSpec.validate, Relaxation, ControlField.validate
+# and ArmijoParams check stay there; their fields get a type here.
+_FIELDS = {
+    "config.pipeline": ("choice", _PIPELINES, "simulate"),
+    "config.seed": ("integer", 0, DEFAULT_SEED),
+    "config.output_dir": ("string", None, "out"),
+    "model": ("object", None, _REQUIRED),
+    "model.alpha": ("number", None, _REQUIRED),
+    "model.beta": ("number", None, _REQUIRED),
+    "model.potential": ("object", None, _REQUIRED),
+    "model.potential.kind": ("choice", ("quartic", "logarithmic"), _REQUIRED),
+    "model.potential.lam": ("positive", None, _REQUIRED),
+    "model.proliferation": ("object", None, _REQUIRED),
+    "model.proliferation.kind": ("choice", ("constant", "smooth_ramp"), _REQUIRED),
+    "model.proliferation.p0": ("number", 0, _REQUIRED),
+    "model.proliferation.width": ("positive", None, _REQUIRED),
+    "grid": ("object", None, _REQUIRED),
+    "grid.n": ("integer list", 3, _REQUIRED),
+    "grid.extents": ("positive list", None, _REQUIRED),
+    "time": ("object", None, _REQUIRED),
+    "time.horizon": ("positive", None, _REQUIRED),
+    "time.steps": ("integer", 1, _REQUIRED),
+    "initial": ("object", None, _REQUIRED),
+    "initial.preset": ("choice", ("equilibrium", "tanh_front", "random_interior"),
+                       _REQUIRED),
+    "initial.value": ("number", None, _REQUIRED),
+    "initial.width": ("positive", None, _REQUIRED),
+    "initial.position": ("number", None, _REQUIRED),
+    "initial.amplitude": ("number", None, _REQUIRED),
+    "initial.seed": ("integer", 0, 0),
+    "initial.snapshots": ("object", None, _REQUIRED),
+    "initial.snapshots.mu": ("string", None, _REQUIRED),
+    "initial.snapshots.phi": ("string", None, _REQUIRED),
+    "initial.snapshots.sigma": ("string", None, _REQUIRED),
+    "bounds": ("object", None, _REQUIRED),
+    "bounds.lower": ("number or string", None, _REQUIRED),
+    "bounds.upper": ("number or string", None, _REQUIRED),
+    "cost": ("object", None, _REQUIRED),
+    **{f"cost.b{i}": ("number", None, _REQUIRED) for i in range(7)},
+    "cost.tau_star": ("number", None, _REQUIRED),
+    "cost.targets": ("object", None, {}),
+    "cost.targets.phi_q": ("object", None, None),
+    "cost.targets.phi_q.constant": ("number", None, _REQUIRED),
+    "cost.targets.phi_q.manifest": ("string", None, _REQUIRED),
+    "cost.targets.phi_q.component": ("string", None, None),
+    "cost.targets.sigma_q": ("object", None, None),
+    "cost.targets.sigma_q.constant": ("number", None, _REQUIRED),
+    "cost.targets.sigma_q.manifest": ("string", None, _REQUIRED),
+    "cost.targets.sigma_q.component": ("string", None, None),
+    "cost.targets.phi_omega": ("object", None, None),
+    "cost.targets.phi_omega.constant": ("number", None, _REQUIRED),
+    "cost.targets.phi_omega.snapshot": ("string", None, _REQUIRED),
+    "cost.relaxation": ("object", None, None),
+    "cost.relaxation.gamma": ("number", None, _REQUIRED),
+    "cost.relaxation.eps": ("number", None, _REQUIRED),
+    "cost.relaxation.sigma_omega": ("object", None, _REQUIRED),
+    "cost.relaxation.sigma_omega.constant": ("number", None, _REQUIRED),
+    "cost.relaxation.sigma_omega.snapshot": ("string", None, _REQUIRED),
+    "control": ("object", None, {}),
+    "control.initial": ("number or string", None, "midpoint"),
+    "control.tau0": ("number", None, None),  # None: horizon / 2
+    "optimizer": ("object", None, {}),
+    "optimizer.max_outer_iters": ("integer", 0, OptimizerConfig.max_outer_iters),
+    "optimizer.grad_tol": ("positive", None, OptimizerConfig.grad_tol),
+    "optimizer.armijo": ("object", None, {}),
+    "optimizer.armijo.c1": ("number", None, ArmijoParams.c1),
+    "optimizer.armijo.backtrack": ("number", None, ArmijoParams.backtrack),
+    "optimizer.armijo.s0": ("positive", None, ArmijoParams.s0),
+    "optimizer.armijo.max_backtracks": ("integer", None, ArmijoParams.max_backtracks),
+    "solver": ("object", None, {}),
+    "solver.newton_tol": ("positive", None, NEWTON_TOL),
+    "solver.newton_max_iter": ("integer", 0, NEWTON_MAX_ITER),
+    "verification": ("object", None, {}),
+    "verification.checks": ("choice list", _CHECKS, list(_CHECKS)),
+    "verification.seed": ("integer", 0, None),  # None: config.seed
+    "verification.tau": ("number", None, None),  # None: cost.tau_star
+    "verification.gradient": ("object", None, {}),
+    "verification.gradient.directions": ("integer", 1, 5),
+    "verification.gradient.deltas": ("positive list", None, [0.5, 0.2, 0.1, 1e-4]),
+    # missing: the deltas >= 0.1; null: all deltas (fd_gradient_check's default)
+    "verification.gradient.slope_deltas": ("positive list", None, None),
+    "verification.gradient.check_delta": ("positive", None, None),  # None: min(deltas)
+    "verification.gradient.tol": ("positive", None, 1e-6),
+    "verification.duality": ("object", None, {}),
+    "verification.duality.directions": ("integer", 1, 10),
+    "verification.duality.tol": ("positive", None, 1e-9),
+    "verification.lipschitz": ("object", None, {}),
+    "verification.lipschitz.pairs": ("integer", 1, 5),
+    "verification.lipschitz.magnitudes": ("positive list", None, [1e-1, 1e-2, 1e-3]),
+    "verification.lipschitz.pair_spread_tol": ("positive", None, 10.0),
+    "verification.lipschitz.magnitude_spread_tol": ("positive", None, 3.0),
+    "verification.mass": ("object", None, {}),
+    "verification.mass.tol": ("positive", None, 1e-10),
+}
+
+
+def _conform(value, kind, limit):
+    """``value`` converted to ``kind`` (float for numbers, int for
+    integers), or None if it is not of that kind and range."""
+    if kind.endswith(" list"):
+        if not isinstance(value, list) or not value:
+            return None
+        items = [_conform(v, kind[:-5], limit) for v in value]
+        return None if None in items else items
+    if kind == "object":
+        return value if isinstance(value, dict) else None
+    if kind in ("string", "choice"):
+        ok = isinstance(value, str) and (kind == "string" or value in limit)
+        return value if ok else None
+    if isinstance(value, str):
+        return value if kind == "number or string" else None
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    if limit is not None and not value >= limit:
+        return None
+    if kind == "integer":
+        return int(value) if isinstance(value, int) or value.is_integer() else None
+    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return None
+    if kind == "positive":
+        return float(value) if 0 < value < math.inf else None
+    return float(value)
+
+
+def _expected(kind, limit) -> str:
+    if kind.endswith(" list"):
+        return "a non-empty list, each entry " + _expected(kind[:-5], limit)
+    if kind == "choice":
+        return f"one of {limit}"
+    text = {"number": "a number", "integer": "an integer",
+            "positive": "a positive number", "string": "a string",
+            "object": "an object", "number or string": "a number or a string"}[kind]
+    return text if limit is None else f"{text} >= {limit}"
+
+
+def _read(section: dict, path: str):
+    """Config field ``path`` of ``section``, the object holding it, read by
+    its row of :data:`_FIELDS`: the value converted, or the default; a
+    ConfigError naming the field if it is required and missing, or of the
+    wrong kind or range."""
+    kind, limit, default = _FIELDS[path]
+    value = section.get(path.rpartition(".")[2], default)
+    if value is _REQUIRED:
+        raise ConfigError(f"{path}: required field is missing")
+    if value is None and default is None:
+        return None
+    conformed = _conform(value, kind, limit)
+    if conformed is None:
+        raise ConfigError(f"{path}: expected {_expected(kind, limit)}, got {value!r}")
+    return conformed
+
+
+def _field(cfg: dict, path: str):
+    """Config field ``path`` of the whole config ``cfg``, each object on
+    the way read as a field too."""
+    parent = path.rpartition(".")[0]
+    return _read(cfg if parent in ("", "config") else _field(cfg, parent), path)
+
+
+# the rows of each object field, in table order
+_CHILDREN: dict = {}
+for _path in _FIELDS:
+    _CHILDREN.setdefault(_path.rpartition(".")[0], []).append(_path)
+
+
+def _fields(section: dict, path: str) -> dict:
+    """Object field ``path`` of ``section`` with every row under it read,
+    nested like the config."""
+    node = _read(section, path)
+    return {child.rpartition(".")[2]:
+            (_fields if _FIELDS[child][0] == "object" else _read)(node, child)
+            for child in _CHILDREN[path]}
+
+
+# ---------------------------------------------------------------------------
+# Initial-data presets
+# ---------------------------------------------------------------------------
 
 
 def preset_initial_data(name: str, grid: Grid, potential: Potential,
@@ -111,32 +305,24 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
     random_interior(amplitude, seed): smooth seeded cosine-mode noise with
         max |phi0| = amplitude.
 
-    The non-equilibrium presets set mu0 = F'(phi0) and sigma0 = mu0, which
+    The arguments are the ``initial.*`` fields of :data:`_FIELDS`. The
+    non-equilibrium presets set mu0 = F'(phi0) and sigma0 = mu0, which
     keeps all fields order one and the exchange term initially balanced.
     """
+    cfg = {"initial": {**kwargs, "preset": name}}
+    name = _field(cfg, "initial.preset")
     if name == "equilibrium":
-        c = float(_preset_arg(kwargs, "value", name))
-        lo, hi = potential.domain
-        if not (lo < c < hi):
-            raise ConfigError(f"initial.value: {c} outside the potential domain "
-                              f"({lo}, {hi})")
-        mu = grid.full(potential_eval(potential, c, 1))
-        return InitialData(mu, grid.full(c), mu.copy())
-    if name == "tanh_front":
-        width = float(_preset_arg(kwargs, "width", name))
-        position = float(_preset_arg(kwargs, "position", name))
-        if width <= 0:
-            raise ConfigError("initial.width: must be positive")
+        blame, given = "initial.value", _field(cfg, "initial.value")
+        phi = grid.full(given)
+    elif name == "tanh_front":
+        blame, given = "initial.width", _field(cfg, "initial.width")
         x = grid.axis_centers(0)
-        phi = np.tanh((x - position) / width)
+        phi = np.tanh((x - _field(cfg, "initial.position")) / given)
         if grid.dim == 2:
             phi = np.repeat(phi[:, None], grid.n[1], axis=1)
-        mu = potential_eval(potential, phi, 1)
-        return InitialData(mu, phi, mu.copy())
-    if name == "random_interior":
-        amplitude = float(_preset_arg(kwargs, "amplitude", name))
-        seed = _opt_int(kwargs, "seed", "initial", 0, 0)
-        rng = np.random.default_rng(seed)
+    else:
+        blame, given = "initial.amplitude", _field(cfg, "initial.amplitude")
+        rng = np.random.default_rng(_field(cfg, "initial.seed"))
         modes = 4
         phi = np.zeros(grid.shape)
         x = grid.axis_centers(0) / grid.extents[0]
@@ -153,137 +339,18 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
                             * np.outer(np.cos(np.pi * m * x), np.cos(np.pi * l * y)))
         peak = np.abs(phi).max()
         if peak > 0:
-            phi *= amplitude / peak
-        lo, hi = potential.domain
-        if not (lo < phi.min() and phi.max() < hi):
-            raise ConfigError(f"initial.amplitude: {amplitude} leaves the potential "
-                              f"domain ({lo}, {hi})")
-        mu = potential_eval(potential, phi, 1)
-        return InitialData(mu, phi, mu.copy())
-    raise ConfigError(f"initial.preset: unknown preset {name!r}")
+            phi *= given / peak
+    lo, hi = potential.domain
+    if not (lo < phi.min() and phi.max() < hi):
+        raise ConfigError(f"{blame}: {given} puts phi0 outside the potential "
+                          f"domain ({lo}, {hi})")
+    mu = potential_eval(potential, phi, 1)
+    return InitialData(mu, phi, mu.copy())
 
 
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
-
-
-def _req(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"{where}.{key}: required field is missing")
-    return d[key]
-
-
-def _num(d: dict, key: str, where: str) -> float:
-    v = _req(d, key, where)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _opt_int(d: dict, key: str, where: str, default: int,
-             minimum: int | None) -> int:
-    """An integer field; ``minimum=None`` leaves its range to a validator."""
-    v = d.get(key, default)
-    if (not _is_number(v) or (isinstance(v, float) and not v.is_integer())
-            or (minimum is not None and v < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{where}.{key}: expected an integer{bound}, got {v!r}")
-    return int(v)
-
-
-def _opt_num(d: dict, key: str, where: str, default: float) -> float:
-    v = d.get(key, default)
-    if not _is_number(v):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _opt_positive(d: dict, key: str, where: str, default: float) -> float:
-    v = d.get(key, default)
-    if not _is_number(v) or not 0 < v < math.inf:
-        raise ConfigError(f"{where}.{key}: expected a positive number, got {v!r}")
-    return float(v)
-
-
-def _opt_positive_list(d: dict, key: str, where: str, default: list) -> list:
-    v = d.get(key, default)
-    if (not isinstance(v, list) or not v
-            or not all(_is_number(x) and 0 < x < math.inf for x in v)):
-        raise ConfigError(f"{where}.{key}: expected a non-empty list of positive "
-                          f"numbers, got {v!r}")
-    return [float(x) for x in v]
-
-
-def _section(d: dict, key: str, where: str) -> dict:
-    v = d.get(key, {})
-    if not isinstance(v, dict):
-        raise ConfigError(f"{where}.{key}: expected an object, got {v!r}")
-    return v
-
-
-def _verification_settings(vd: dict, seed: int, tau_star: float,
-                           horizon: float) -> dict:
-    """The verification section with its defaults filled in and every
-    count, tolerance and list checked."""
-    where = "verification"
-    checks = vd.get("checks", list(_CHECKS))
-    if not isinstance(checks, list) or not all(c in _CHECKS for c in checks):
-        raise ConfigError(f"{where}.checks: expected a list of {_CHECKS}, "
-                          f"got {checks!r}")
-    tau = vd.get("tau", tau_star)
-    if not _is_number(tau) or not 0 <= tau <= horizon:
-        raise ConfigError(f"{where}.tau: expected a number in [0, {horizon}], "
-                          f"got {tau!r}")
-
-    gd = _section(vd, "gradient", where)
-    gw = f"{where}.gradient"
-    deltas = _opt_positive_list(gd, "deltas", gw, [0.5, 0.2, 0.1, 1e-4])
-    # missing: the deltas >= 0.1; null: all deltas (fd_gradient_check's default)
-    slope_deltas = gd.get("slope_deltas", [d for d in deltas if d >= 0.1] or None)
-    if slope_deltas is not None:
-        slope_deltas = _opt_positive_list(gd, "slope_deltas", gw, slope_deltas)
-        if not all(d in deltas for d in slope_deltas):
-            raise ConfigError(f"{gw}.slope_deltas: {slope_deltas} must be taken "
-                              f"from deltas {deltas}")
-    check_delta = _opt_positive(gd, "check_delta", gw, min(deltas))
-    if check_delta not in deltas:
-        raise ConfigError(f"{gw}.check_delta: {check_delta} is not one of deltas "
-                          f"{deltas}")
-
-    dd = _section(vd, "duality", where)
-    ld = _section(vd, "lipschitz", where)
-    lw = f"{where}.lipschitz"
-    return {
-        "checks": checks,
-        "seed": _opt_int(vd, "seed", where, None, 0) if "seed" in vd else seed,
-        "tau": float(tau),
-        "gradient": {
-            "directions": _opt_int(gd, "directions", gw, 5, 1),
-            "deltas": deltas,
-            "slope_deltas": slope_deltas,
-            "check_delta": check_delta,
-            "tol": _opt_positive(gd, "tol", gw, 1e-6),
-        },
-        "duality": {
-            "directions": _opt_int(dd, "directions", f"{where}.duality", 10, 1),
-            "tol": _opt_positive(dd, "tol", f"{where}.duality", 1e-9),
-        },
-        "lipschitz": {
-            "pairs": _opt_int(ld, "pairs", lw, 5, 1),
-            "magnitudes": _opt_positive_list(ld, "magnitudes", lw, [1e-1, 1e-2, 1e-3]),
-            "pair_spread_tol": _opt_positive(ld, "pair_spread_tol", lw, 10.0),
-            "magnitude_spread_tol": _opt_positive(ld, "magnitude_spread_tol", lw, 3.0),
-        },
-        "mass": {
-            "tol": _opt_positive(_section(vd, "mass", where), "tol",
-                                 f"{where}.mass", 1e-10),
-        },
-    }
 
 
 @dataclass
@@ -298,146 +365,106 @@ class ExperimentConfig:
     u0: ControlField
     tau0: float
     optimizer: OptimizerConfig
-    # the verification section, defaults filled in (_verification_settings)
+    # the verification section, nested like the config, defaults filled in
     verification: dict
     # the solver section: newton_tol and newton_max_iter, passed as
     # keywords to every call that runs forward solves
     newton: dict
 
 
-def _build_potential(d: dict) -> Potential:
-    kind = _req(d, "kind", "model.potential")
-    if kind == "quartic":
-        return Potential.quartic()
-    if kind == "logarithmic":
-        lam = _num(d, "lam", "model.potential")
-        if lam <= 0:
-            raise ConfigError("model.potential.lam: must be positive")
-        return Potential.logarithmic(lam)
-    raise ConfigError(f"model.potential.kind: unknown kind {kind!r}")
-
-
-def _build_proliferation(d: dict) -> Proliferation:
-    kind = _req(d, "kind", "model.proliferation")
-    p0 = _num(d, "p0", "model.proliferation")
-    if p0 < 0:
-        raise ConfigError("model.proliferation.p0: must be nonnegative")
-    if kind == "constant":
-        return Proliferation.constant(p0)
-    if kind == "smooth_ramp":
-        width = _num(d, "width", "model.proliferation")
-        if width <= 0:
-            raise ConfigError("model.proliferation.width: must be positive")
-        return Proliferation.smooth_ramp(p0, width)
-    raise ConfigError(f"model.proliferation.kind: unknown kind {kind!r}")
-
-
-def _snapshot(path, grid, where):
-    """Read the snapshot named by config field ``where``; any failure is a
-    ConfigError naming that field."""
-    if not isinstance(path, str):
-        raise ConfigError(f"{where}: expected a snapshot path, got {path!r}")
+def _snapshot(section, path, grid):
+    """The snapshot that config field ``path`` of ``section`` names (a
+    number it holds instead is returned as it is); any failure is a
+    ConfigError naming the field."""
+    file = _read(section, path)
+    if isinstance(file, float):
+        return file
     try:
-        return read_snapshot(path, grid)
+        return read_snapshot(file, grid)
     except OSError as exc:
-        raise ConfigError(f"{where}: cannot read snapshot {path!r} "
+        raise ConfigError(f"{path}: cannot read snapshot {file!r} "
                           f"({exc.strerror or exc})")
     except (ShapeMismatchError, GridMismatchError) as exc:
-        raise ConfigError(f"{where}: {exc}")
+        raise ConfigError(f"{path}: {exc}")
 
 
-def _build_target_traj(d, grid, tg, where):
+def _array(cfg, path, grid, tg=None):
+    """The array that union field ``path`` gives: None if it is absent, a
+    constant from {"constant": c}, or a file: {"manifest": m, "component":
+    name} for a space-time target (``tg`` given), {"snapshot": s} for a
+    spatial field."""
+    d = _field(cfg, path)
     if d is None:
         return None
     if "constant" in d:
-        return constant_trajectory(grid, tg, float(d["constant"]))
-    if "manifest" in d:
-        try:
-            traj = read_trajectory(d["manifest"])
-            values = traj.component(d.get("component", traj.names[0]))
-        except (OSError, ValueError, KeyError, TypeError, ChControlError) as exc:
-            raise ConfigError(f"{where}.manifest: cannot read trajectory ({exc})")
-        if traj.nframes != tg.steps + 1 or traj.grid.shape != grid.shape:
-            raise ConfigError(f"{where}.manifest: trajectory does not match the "
-                              f"configured grids")
-        return values.copy()
-    raise ConfigError(f"{where}: expected 'constant' or 'manifest'")
-
-
-def _build_field(d, grid, where):
-    if d is None:
-        return None
-    if "constant" in d:
-        return grid.full(float(d["constant"]))
-    if "snapshot" in d:
-        return _snapshot(d["snapshot"], grid, f"{where}.snapshot")
-    raise ConfigError(f"{where}: expected 'constant' or 'snapshot'")
-
-
-def _build_bound(v, grid, where):
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    if isinstance(v, str):
-        return _snapshot(v, grid, where)
-    raise ConfigError(f"{where}: expected a number or a snapshot path")
+        c = _read(d, f"{path}.constant")
+        return grid.full(c) if tg is None else constant_trajectory(grid, tg, c)
+    key = "snapshot" if tg is None else "manifest"
+    if key not in d:
+        raise ConfigError(f"{path}: expected 'constant' or '{key}'")
+    if tg is None:
+        return _snapshot(d, f"{path}.snapshot", grid)
+    file = _read(d, f"{path}.manifest")
+    component = _read(d, f"{path}.component")
+    try:
+        traj = read_trajectory(file)
+        values = traj.component(traj.names[0] if component is None else component)
+    except (OSError, ValueError, KeyError, TypeError, ChControlError) as exc:
+        raise ConfigError(f"{path}.manifest: cannot read trajectory ({exc})")
+    if traj.nframes != tg.steps + 1 or traj.grid.shape != grid.shape:
+        raise ConfigError(f"{path}.manifest: trajectory does not match the "
+                          f"configured grids")
+    return values.copy()
 
 
 def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
-    """Parse and validate an experiment config; all module invariants are
-    re-checked here so a bad file fails before any solve starts."""
+    """Parse and validate an experiment config: every field by its row of
+    :data:`_FIELDS`, then the rules between fields, so a bad file fails
+    with a ConfigError naming the field before any solve starts."""
     path = Path(path)
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: no such config file")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})")
+    except (OSError, ValueError) as exc:  # no such file, bytes that are not text
+        raise ConfigError(f"{path}: cannot read config ({exc})")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: expected an object, got {type(raw).__name__}")
 
-    raw = copy.deepcopy(raw)
-    pipeline = raw.get("pipeline", "simulate")
-    if pipeline not in _PIPELINES:
-        raise ConfigError(f"pipeline: must be one of {_PIPELINES}, got {pipeline!r}")
-    raw["pipeline"] = pipeline
     if seed is not None:
         raw["seed"] = seed
-    raw["seed"] = _opt_int(raw, "seed", "config", DEFAULT_SEED, 0)
     if out_dir is not None:
         raw["output_dir"] = str(out_dir)
-    raw.setdefault("output_dir", "out")
+    for key in ("pipeline", "seed", "output_dir"):
+        raw[key] = _field(raw, f"config.{key}")
 
-    model = _req(raw, "model", "config")
-    alpha = _num(model, "alpha", "model")
-    beta = _num(model, "beta", "model")
-    potential = _build_potential(_req(model, "potential", "model"))
-    prolif = _build_proliferation(_req(model, "proliferation", "model"))
-
-    gd = _req(raw, "grid", "config")
-    n = _req(gd, "n", "grid")
-    extents = _req(gd, "extents", "grid")
+    if _field(raw, "model.potential.kind") == "quartic":
+        potential = Potential.quartic()
+    else:
+        potential = Potential.logarithmic(_field(raw, "model.potential.lam"))
+    p0 = _field(raw, "model.proliferation.p0")
+    if _field(raw, "model.proliferation.kind") == "constant":
+        prolif = Proliferation.constant(p0)
+    else:
+        prolif = Proliferation.smooth_ramp(p0, _field(raw, "model.proliferation.width"))
+    n, extents = _field(raw, "grid.n"), _field(raw, "grid.extents")
     try:
         grid = Grid(tuple(n), tuple(extents))
-    except ChControlError as exc:
+    except GridMismatchError as exc:
         raise ConfigError(f"grid: {exc}")
+    tg = TimeGrid(_field(raw, "time.horizon"), _field(raw, "time.steps"))
+    params = ModelParams(_field(raw, "model.alpha"), _field(raw, "model.beta"),
+                         potential, prolif, grid, tg)
 
-    td = _req(raw, "time", "config")
-    horizon = _num(td, "horizon", "time")
-    steps = int(_num(td, "steps", "time"))
-    if horizon <= 0 or steps < 1:
-        raise ConfigError("time: horizon must be positive and steps >= 1")
-    tg = TimeGrid(horizon, steps)
-
-    params = ModelParams(alpha, beta, potential, prolif, grid, tg)
-
-    idict = _req(raw, "initial", "config")
+    idict = _field(raw, "initial")
     if "preset" in idict:
-        kwargs = {k: v for k, v in idict.items() if k != "preset"}
-        init = preset_initial_data(idict["preset"], grid, potential, **kwargs)
+        init = preset_initial_data(idict["preset"], grid, potential, **{
+            k: v for k, v in idict.items() if f"initial.{k}" in _FIELDS})
     elif "snapshots" in idict:
-        snaps = idict["snapshots"]
+        snaps = _read(idict, "initial.snapshots")
         init = InitialData(*(
-            _snapshot(_req(snaps, name, "initial.snapshots"), grid,
-                      f"initial.snapshots.{name}")
+            _snapshot(snaps, f"initial.snapshots.{name}", grid)
             for name in ("mu", "phi", "sigma")))
     else:
         raise ConfigError("initial: expected 'preset' or 'snapshots'")
@@ -446,84 +473,70 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     except NanDetectedError as exc:
         raise ConfigError(f"initial: {exc}")
 
-    bd = _req(raw, "bounds", "config")
-    lower = _build_bound(_req(bd, "lower", "bounds"), grid, "bounds.lower")
-    upper = _build_bound(_req(bd, "upper", "bounds"), grid, "bounds.upper")
+    bd = _field(raw, "bounds")
+    lower, upper = (_snapshot(bd, f"bounds.{side}", grid)
+                    for side in ("lower", "upper"))
 
-    cd = _req(raw, "cost", "config")
-    weights = {k: _num(cd, k, "cost") for k in ("b0", "b1", "b2", "b3", "b4", "b5", "b6")}
-    tau_star = _num(cd, "tau_star", "cost")
-    targets = cd.get("targets", {})
-    relaxation = None
-    if cd.get("relaxation") is not None:
-        rd = cd["relaxation"]
-        relaxation = Relaxation(
-            _num(rd, "gamma", "cost.relaxation"),
-            _num(rd, "eps", "cost.relaxation"),
-            _build_field(_req(rd, "sigma_omega", "cost.relaxation"), grid,
-                         "cost.relaxation.sigma_omega"),
-        )
+    cd = _field(raw, "cost")
+    relaxation = _read(cd, "cost.relaxation")
+    if relaxation is not None:
+        relaxation = Relaxation(_read(relaxation, "cost.relaxation.gamma"),
+                                _read(relaxation, "cost.relaxation.eps"),
+                                _array(raw, "cost.relaxation.sigma_omega", grid))
     cost = CostSpec(
-        **weights,
-        phi_q=_build_target_traj(targets.get("phi_q"), grid, tg, "cost.targets.phi_q"),
-        sigma_q=_build_target_traj(targets.get("sigma_q"), grid, tg,
-                                   "cost.targets.sigma_q"),
-        phi_omega=_build_field(targets.get("phi_omega"), grid,
-                               "cost.targets.phi_omega"),
-        tau_star=tau_star,
+        **{f"b{i}": _read(cd, f"cost.b{i}") for i in range(7)},
+        phi_q=_array(raw, "cost.targets.phi_q", grid, tg),
+        sigma_q=_array(raw, "cost.targets.sigma_q", grid, tg),
+        phi_omega=_array(raw, "cost.targets.phi_omega", grid),
+        tau_star=_read(cd, "cost.tau_star"),
         relaxation=relaxation,
     )
-    try:
-        cost.validate(grid, tg)
-    except ChControlError as exc:
-        raise ConfigError(str(exc))
+    cost.validate(grid, tg)
 
-    ctl = _section(raw, "control", "config")
-    u0_choice = ctl.get("initial", "midpoint")
-    if u0_choice == "midpoint":
-        lo_arr = np.broadcast_to(np.asarray(lower, dtype=float), grid.shape)
-        hi_arr = np.broadcast_to(np.asarray(upper, dtype=float), grid.shape)
-        mid = 0.5 * (lo_arr + hi_arr)
-        if not np.all(np.isfinite(mid)):
+    start = _field(raw, "control.initial")
+    if isinstance(start, str):
+        if start != "midpoint":
+            raise ConfigError(f"control.initial: expected 'midpoint' or a number, "
+                              f"got {start!r}")
+        start = 0.5 * (np.asarray(lower) + np.asarray(upper))
+        if not np.all(np.isfinite(start)):
             raise ConfigError("control.initial: midpoint undefined for unbounded "
                               "box, give a number")
-        vals = np.broadcast_to(mid, (tg.steps + 1,) + grid.shape).copy()
-        u0 = ControlField(vals, lower, upper)
-    elif isinstance(u0_choice, (int, float)) and not isinstance(u0_choice, bool):
-        u0 = ControlField.constant(grid, tg, float(u0_choice), lower, upper)
-    else:
-        raise ConfigError("control.initial: expected 'midpoint' or a number")
+    u0 = ControlField(np.broadcast_to(start, (tg.steps + 1,) + grid.shape).copy(),
+                      lower, upper)
     u0.validate(grid, tg)
-    tau0 = _opt_num(ctl, "tau0", "control", horizon / 2)
-    if not 0 <= tau0 <= horizon:
-        raise ConfigError(f"control.tau0: {tau0} outside [0, {horizon}]")
 
-    od = _section(raw, "optimizer", "config")
-    ad = _section(od, "armijo", "optimizer")
-    aw = "optimizer.armijo"
-    opt_config = OptimizerConfig(
-        max_outer_iters=_opt_int(od, "max_outer_iters", "optimizer", 1000, 0),
-        armijo=ArmijoParams(
-            c1=_opt_num(ad, "c1", aw, 1e-4),
-            backtrack=_opt_num(ad, "backtrack", aw, 0.5),
-            s0=_opt_num(ad, "s0", aw, 1.0),
-            max_backtracks=_opt_int(ad, "max_backtracks", aw, 30, None),
-        ),
-        grad_tol=_opt_positive(od, "grad_tol", "optimizer", 1e-5),
-    )
+    opt = _fields(raw, "optimizer")
+    opt_config = OptimizerConfig(armijo=ArmijoParams(**opt.pop("armijo")), **opt)
 
-    verification = _verification_settings(
-        _section(raw, "verification", "config"), raw["seed"], tau_star, horizon)
-    sd = _section(raw, "solver", "config")
+    verification = _fields(raw, "verification")
+    gd = verification["gradient"]
+    if verification["seed"] is None:
+        verification["seed"] = raw["seed"]
+    if verification["tau"] is None:
+        verification["tau"] = cost.tau_star
+    if "slope_deltas" not in _field(raw, "verification.gradient"):
+        gd["slope_deltas"] = [d for d in gd["deltas"] if d >= 0.1] or None
+    if gd["check_delta"] is None:
+        gd["check_delta"] = min(gd["deltas"])
+    for key, taken in (("slope_deltas", gd["slope_deltas"] or []),
+                       ("check_delta", [gd["check_delta"]])):
+        if not set(taken) <= set(gd["deltas"]):
+            raise ConfigError(f"verification.gradient.{key}: {gd[key]} is not "
+                              f"taken from deltas {gd['deltas']}")
+    tau0 = _field(raw, "control.tau0")
+    tau0 = tg.horizon / 2 if tau0 is None else tau0
+    for where, tau in (("control.tau0", tau0),
+                       ("verification.tau", verification["tau"])):
+        if not 0 <= tau <= tg.horizon:
+            raise ConfigError(f"{where}: {tau} outside [0, {tg.horizon}]")
 
     return ExperimentConfig(
-        raw=raw, pipeline=pipeline, seed=raw["seed"],
+        raw=raw, pipeline=raw["pipeline"], seed=raw["seed"],
         output_dir=Path(raw["output_dir"]),
         params=params, init=init, cost=cost, u0=u0, tau0=tau0,
         optimizer=opt_config, verification=verification,
-        newton={"newton_tol": _opt_positive(sd, "newton_tol", "solver", NEWTON_TOL),
-                "newton_max_iter": _opt_int(sd, "newton_max_iter", "solver",
-                                            NEWTON_MAX_ITER, 0)},
+        newton=_fields(raw, "solver"),
     )
 
 
@@ -540,8 +553,9 @@ def _write_csv(path, header, rows):
 
 
 def _fmt(v):
+    # numpy floats subclass float, and their repr reads np.float64(...)
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -557,10 +571,7 @@ def _breakdown_row(iteration, tau, bd):
 
 
 def _breakdown_header():
-    bd_keys = sorted(["tracking_q", "tracking_omega", "nutrient_q", "tumour_mass",
-                      "linear_time", "quadratic_time", "control_energy",
-                      "relaxed_term"])
-    return ["iteration", "tau"] + bd_keys + ["total"]
+    return ["iteration", "tau"] + sorted(CostBreakdown().terms()) + ["total"]
 
 
 def _write_control(directory, u, tg, grid):
@@ -589,7 +600,7 @@ def _write_control(directory, u, tg, grid):
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
-    params, tg, grid = cfg.params, cfg.params.time_grid, cfg.params.grid
+    params = cfg.params
     traj = solve_state(params, cfg.init, cfg.u0, **cfg.newton)
     sim_dir = out / "simulate"
     sim_dir.mkdir(parents=True, exist_ok=True)
@@ -700,17 +711,12 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
 
 def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
     """Execute a config. Returns the process exit code."""
-    try:
-        cfg = parse_config(config_path, seed=seed, out_dir=out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    pipeline = pipeline or cfg.pipeline
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     results = {}
     try:
+        cfg = parse_config(config_path, seed=seed, out_dir=out_dir)
+        pipeline = pipeline or cfg.pipeline
+        out = cfg.output_dir
+        out.mkdir(parents=True, exist_ok=True)
         if pipeline in ("simulate", "all"):
             results["simulate"] = _run_simulate(cfg, out)
         if pipeline in ("optimize", "all"):
@@ -724,8 +730,7 @@ def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    echo = copy.deepcopy(cfg.raw)
-    echo["pipeline"] = pipeline
+    echo = {**cfg.raw, "pipeline": pipeline}
     summary = {"version": _version_string(), "config": echo, "results": results}
     with open(out / "run_summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)

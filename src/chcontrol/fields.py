@@ -223,25 +223,6 @@ class Trajectory:
         raise AttributeError(name)
 
 
-def interpolate_in_time(traj: Trajectory, component: str, tau: float) -> np.ndarray:
-    """Piecewise-linear interpolation of one component at time tau.
-
-    Exact (bitwise) at nodes; raises outside the trajectory's time span.
-    """
-    values = traj.component(component)
-    times = traj.times
-    t_max = times[-1]
-    if tau < 0.0 or tau > t_max * (1 + 1e-12):
-        raise TimeDomainError(f"time {tau} outside [0, {t_max}]")
-    tau = min(tau, t_max)
-    idx = int(np.searchsorted(times, tau, side="left"))
-    if idx < len(times) and times[idx] == tau:
-        return values[idx].copy()
-    k = min(max(idx - 1, 0), len(times) - 2)
-    s = (tau - times[k]) / traj.time_grid.dt
-    return (1.0 - s) * values[k] + s * values[k + 1]
-
-
 # ---------------------------------------------------------------------------
 # Snapshot and manifest I/O
 # ---------------------------------------------------------------------------

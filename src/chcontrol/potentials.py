@@ -60,12 +60,6 @@ class Potential:
             bad = r[(r <= lo) | (r >= hi)]
             raise PotentialDomainError(np.ravel(bad)[0], lo, hi)
 
-    def eval(self, r, order: int = 0):
-        return potential_eval(self, r, order)
-
-    def split_eval(self, r, part: str, order: int = 0):
-        return potential_split_eval(self, r, part, order)
-
 
 def _quartic_convex(r, order):
     if order == 0:
@@ -154,9 +148,6 @@ class Proliferation:
     def __post_init__(self):
         if self.p0 < 0:
             raise ValueError("proliferation magnitude must be nonnegative")
-
-    def eval(self, r, order: int = 0):
-        return proliferation_eval(self, r, order)
 
 
 def proliferation_eval(p: Proliferation, r, order: int = 0):

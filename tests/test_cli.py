@@ -1,4 +1,5 @@
 import copy
+import csv
 import hashlib
 import json
 
@@ -107,6 +108,22 @@ def test_config_rejects_bad_json(tmp_path):
         parse_config(path)
 
 
+def test_unknown_initial_keys_are_ignored(tmp_path):
+    # keys named like the preset function's own parameters included
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["initial"].update({"grid": 1, "potential": "x", "name": 2, "note": "y"})
+    assert np.all(parse_config(_write(tmp_path, cfg)).init.phi0 == 0.2)
+
+
+def test_config_rejects_unreadable_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"pipeline": "caf\xe9"}')
+    with pytest.raises(ConfigError, match="latin1.json: cannot read config"):
+        parse_config(path)
+    with pytest.raises(ConfigError, match="cannot read config"):
+        parse_config(tmp_path)
+
+
 def test_config_rejects_unknown_choices(tmp_path):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "train"
@@ -203,6 +220,12 @@ def test_optimize_pipeline_artifacts(tmp_path):
     hist = (out / "optimize" / "history.csv").read_text().splitlines()
     assert "stat_u" in hist[0] and "time_case" in hist[0]
     assert len(hist) > 2
+    # every cell but the time case is a plain number a CSV reader can parse
+    with open(out / "optimize" / "history.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            for key, cell in row.items():
+                if key != "time_case":
+                    float(cell)
     optimum = json.loads((out / "optimize" / "optimum.json").read_text())
     assert optimum["converged"]
     assert (out / "optimize" / "control" / "manifest.json").exists()
@@ -370,6 +393,42 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
     node[key] = value
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
     assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: ")
+
+
+@pytest.mark.parametrize("edits, field", [
+    ({"grid.n": "abc"}, "grid.n"),
+    ({"grid.n": 16}, "grid.n"),
+    ({"grid.n": [16.5]}, "grid.n"),
+    ({"grid.extents": ["a"]}, "grid.extents"),
+    ({"time.steps": 2.5}, "time.steps"),
+    ({"initial.value": "x"}, "initial.value"),
+    ({"initial": {"preset": "random_interior", "amplitude": "x"}}, "initial.amplitude"),
+    ({"initial": {"preset": "tanh_front", "width": "w", "position": 0.5}},
+     "initial.width"),
+    ({"cost.targets.phi_q": {"constant": "x"}}, "cost.targets.phi_q.constant"),
+    ({"cost.targets.phi_q": {"constant": True}}, "cost.targets.phi_q.constant"),
+    ({"model.potential": {"kind": "logarithmic", "lam": 2.0},
+      "initial": {"preset": "tanh_front", "width": 1e-3, "position": 0.5}},
+     "initial.width"),
+    ({"output_dir": 5}, "config.output_dir"),
+    ({"model": [TINY_CONFIG["model"]]}, "model"),
+    (None, "config"),
+], ids=["n-string", "n-number", "n-fraction", "extents-string", "steps-fraction",
+        "value-string", "amplitude-string", "width-string", "constant-string",
+        "constant-bool", "front-leaves-log-domain", "output-dir-number", "model-list",
+        "top-level-list"])
+def test_malformed_field_is_config_error(tmp_path, capsys, edits, field):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["output_dir"] = str(tmp_path / "out")
+    for dotted, value in (edits or {}).items():
+        *parents, key = dotted.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+    # no out_dir argument: it would replace a bad output_dir
+    assert run(_write(tmp_path, cfg if edits else [cfg])) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
 def test_target_from_manifest(tmp_path):
