@@ -716,7 +716,11 @@ def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
         cfg = parse_config(config_path, seed=seed, out_dir=out_dir)
         pipeline = pipeline or cfg.pipeline
         out = cfg.output_dir
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"config.output_dir: cannot create directory "
+                              f"{str(out)!r} ({exc.strerror or exc})")
         if pipeline in ("simulate", "all"):
             results["simulate"] = _run_simulate(cfg, out)
         if pipeline in ("optimize", "all"):

@@ -31,6 +31,19 @@ A dX = -R, since rounding is symmetric in sign). The residual is kept
 independent of the assembled matrix: it is the stencil form of the
 equations, never A times X, so an assembly error shows up as a Newton
 failure rather than as convergence to the wrong equations.
+
+In 2D the iteration is a chord iteration: it solves with the SuperLU
+factorization the solver kept, across iterations and time steps, and
+refactors A(P, B''(phi)) at the current iterate only at the iteration
+after a full step that left at least ``CHORD_CONTRACTION`` of the
+residual without reaching the tolerance. As convergence is tested on the
+stencil residual, a stale factorization changes the iteration count (the
+``newton_iters`` diagnostic counts chord iterations), not the answer; the
+refactor rule follows the reuse policy of CVODE (Hindmarsh et al., ACM
+TOMS 31(3), 2005). In 1D a step solve factors and solves in one LAPACK
+call, a kept factorization saves little and costs FD-gradient accuracy,
+so the 1D iteration stays exact Newton. The linearized and adjoint sweeps
+factor each step exactly (see :mod:`chcontrol.system`).
 """
 
 from __future__ import annotations
@@ -54,6 +67,9 @@ STATE_NAMES = ("mu", "phi", "sigma")
 # defaults of the config's solver.newton_tol and solver.newton_max_iter
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
+# a 2D Newton iteration whose full step leaves at least this share of the
+# residual (and no less than the tolerance) refactors at the next iteration
+CHORD_CONTRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -151,12 +167,19 @@ class SeparationReport:
 
 
 def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
-                 clamp_lo, clamp_hi):
+                 clamp_lo, clamp_hi, refactor):
     """Damped Newton solve of one implicit step.
 
     ``x0`` is the old frame stacked as (mu, phi, sigma) along its first
     axis, like ``Trajectory.data[k]``, and so is the returned new frame.
-    Returns (frame, residual, iterations, converged).
+    In 2D the iteration is a chord iteration: it solves against the
+    factorization the solver kept, from this step or an earlier one, and
+    factors A(P, B''(phi)) at the current iterate only at the first
+    iteration with ``refactor`` set. ``refactor`` is set after an
+    iteration whose full step did not contract the residual by
+    ``CHORD_CONTRACTION``. In 1D every iteration factors.
+    Returns (frame, residual, iterations, converged, refactor), the last
+    for the next step to start with.
     """
     a, b, c = solver.a, solver.b, solver.c
     grid = solver.grid
@@ -179,6 +202,7 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
         r[2] -= u_k
         return r
 
+    chord = grid.dim == 2
     x = x0
     r = residual(x)
     res = np.abs(r).max()
@@ -192,7 +216,11 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
         if not np.isfinite(res):
             raise NanDetectedError("Newton residual")
         # A y = r, so the Newton update is -y; the solve is sign-symmetric
-        y = solver.solve(p_frozen, potential_split_eval(pot, x[1], "convex", 2), r)
+        if refactor or not chord:
+            y = solver.solve(p_frozen, potential_split_eval(pot, x[1], "convex", 2), r)
+            refactor = False
+        else:
+            y = solver.solve(None, None, r)
         best = (res, x, r) if converged else None
         lam = 1.0
         for _ in range(1 if converged else 10):
@@ -203,6 +231,8 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
             rest = np.abs(rt).max()
             if best is None or rest < best[0]:
                 best = (rest, xt, rt)
+            if lam == 1.0 and rest >= CHORD_CONTRACTION * res and rest >= tol:
+                refactor = True
             if rest < res or rest < tol:
                 break
             lam *= 0.5
@@ -211,7 +241,7 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
         if converged:
             break
         converged = res < tol
-    return x, res, iters, converged
+    return x, res, iters, converged, refactor
 
 
 def solve_state(params: ModelParams, init: InitialData, control: ControlField,
@@ -248,6 +278,8 @@ def solve_state(params: ModelParams, init: InitialData, control: ControlField,
     mass0 = integrate(grid, params.alpha * init.mu0 + init.phi0 + init.sigma0)
     mass_scale = 1.0 + abs(mass0)
     injected = 0.0
+    # the solver is new, so the first 2D iteration factors
+    refactor = True
 
     for k in range(nt):
         f0 = data[k, 1]
@@ -255,9 +287,9 @@ def solve_state(params: ModelParams, init: InitialData, control: ControlField,
         pi_old = potential_split_eval(pot, f0, "smooth", 1)
         u_k = control.values[k]
 
-        x, res, iters, ok = _newton_step(
+        x, res, iters, ok, refactor = _newton_step(
             solver, pot, p_frozen, data[k], pi_old, u_k, newton_tol,
-            newton_max_iter, clamp_lo, clamp_hi,
+            newton_max_iter, clamp_lo, clamp_hi, refactor,
         )
         if not ok:
             raise NewtonDivergenceError(k + 1, res, iters)

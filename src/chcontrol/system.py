@@ -32,6 +32,14 @@ even where P vanishes, and is factorized with SuperLU under the
 ``MMD_AT_PLUS_A`` column ordering, which at 32x32 halves the fill of the
 default COLAMD ordering (175k against 342k nonzeros in L and U) and
 factors faster. The transpose solve reuses the same factorization.
+
+A 2D solver also keeps its last factorization, and a solve given no P
+and W solves against it. The forward march uses this for a chord Newton
+iteration that refactors only when a step stops contracting; the
+linearized and adjoint sweeps factor every step exactly, because the
+duality identity between them holds only with the exact A_k. In 1D one
+``dgbsv`` call factors and solves together in about 60 us, so nothing is
+kept and the forward march stays exact Newton.
 """
 
 from __future__ import annotations
@@ -82,6 +90,8 @@ class StepSolver:
         self.b = beta / dt
         self.c = 1.0 / dt
         self._ncell = grid.cell_count
+        # the last 2D factorization, which solve(None, None, rhs) reuses
+        self._lu = None
         if grid.dim == 1:
             inv_h2 = grid.inv_h2[0]
             lapdiag = np.full(grid.n[0], 2.0 * inv_h2)
@@ -128,12 +138,20 @@ class StepSolver:
     def solve(self, p, w, rhs, transpose: bool = False):
         """Solve for (m, f, s) given diagonal data and a right-hand side.
 
+        With ``p`` and ``w`` given, the matrix A(p, w) is factored and
+        then solved with. In 2D the factorization is kept, and
+        ``solve(None, None, rhs)`` solves against it without factoring:
+        the chord iteration of the forward march (see
+        :mod:`chcontrol.state`). A 1D solver keeps no factorization.
+
         Parameters
         ----------
-        p : array, grid-shaped
-            Frozen exchange rate P(phi_old).
-        w : array, grid-shaped
-            Implicit diagonal of the phase equation, B''(phi).
+        p : array, grid-shaped, or None
+            Frozen exchange rate P(phi_old); None to reuse the kept
+            2D factorization.
+        w : array, grid-shaped, or None
+            Implicit diagonal of the phase equation, B''(phi); None
+            together with ``p``.
         rhs : three arrays, as a sequence or stacked along a leading axis
             Each grid-shaped, or of shape (ndir, *grid.shape) to solve
             ndir right-hand sides against one factorization.
@@ -147,9 +165,13 @@ class StepSolver:
         ncell = self._ncell
         shape = (3,) + rhs[0].shape
         ndir = rhs[0].size // ncell
-        p_flat = np.ravel(p)
-        w_flat = np.ravel(w)
-        neg_p = -p_flat
+        if p is not None:
+            p_flat = np.ravel(p)
+            w_flat = np.ravel(w)
+            neg_p = -p_flat
+        elif self._lu is None:
+            raise ValueError("no kept factorization to solve against: only a "
+                             "2D solver keeps one, from its last solve with P")
         if self.grid.dim == 1:
             main = kernels.MAIN
             ab = self._ab
@@ -167,16 +189,21 @@ class StepSolver:
             b[...] = np.reshape(rhs, (3, ndir, ncell)).transpose(1, 2, 0)
             x = kernels.solve_block_tridiag(ab, b.reshape(ndir, 3 * ncell).T).T
             return x.reshape(ndir, ncell, 3).transpose(2, 0, 1).reshape(shape)
-        data = self._csc.data.copy()
-        slots = self._slots
-        data[slots[0]] += p_flat
-        data[slots[1]] += w_flat
-        data[slots[2]] += p_flat
-        data[slots[3]] = neg_p
-        data[slots[4]] = neg_p
-        mat = sps.csc_matrix((data, self._csc.indices, self._csc.indptr),
-                             shape=self._csc.shape)
-        lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
+        if p is None:
+            lu = self._lu
+        else:
+            data = self._csc.data.copy()
+            slots = self._slots
+            data[slots[0]] += p_flat
+            data[slots[1]] += w_flat
+            data[slots[2]] += p_flat
+            data[slots[3]] = neg_p
+            data[slots[4]] = neg_p
+            mat = sps.csc_matrix((data, self._csc.indices, self._csc.indptr),
+                                 shape=self._csc.shape)
+            # drop the kept factorization first, so two never coexist
+            self._lu = None
+            lu = self._lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
         # component-major (m, f, s) blocks, one row per direction
         b = np.concatenate([np.reshape(r, (ndir, ncell)) for r in rhs], axis=1)
         x = lu.solve(b.T, trans="T" if transpose else "N").T

@@ -3,6 +3,20 @@ import pytest
 import chcontrol as ch
 
 
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """A list that grows by one entry per 2D step factorization."""
+    calls = []
+    factor = ch.system.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(None)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(ch.system, "splu", counting_splu)
+    return calls
+
+
 def make_problem(n=64, nt=64, horizon=1.0, potential=None, alpha=0.1, beta=0.1,
                  p0=1.0, width=0.5):
     grid = ch.Grid.line(n, 1.0)

@@ -431,6 +431,16 @@ def test_malformed_field_is_config_error(tmp_path, capsys, edits, field):
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "below-file"])
+def test_output_dir_on_a_file_is_config_error(tmp_path, capsys, inside):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg["output_dir"] = str(taken / "out" if inside else taken)
+    assert run(_write(tmp_path, cfg)) == 2
+    assert capsys.readouterr().err.startswith("config error: config.output_dir: ")
+
+
 def test_target_from_manifest(tmp_path):
     # a time-dependent tracking target loaded from a trajectory manifest
     g = ch.Grid.line(32)

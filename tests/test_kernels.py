@@ -163,6 +163,28 @@ def test_step_solve_2d_leaves_template_unchanged():
     assert solver._csc.data.tobytes() == template.tobytes()
 
 
+def test_step_solve_2d_reuses_kept_factorization():
+    # solve(None, None, rhs) solves with the last factored matrix, in
+    # either orientation, with the bits of a fresh factor-and-solve
+    rng = np.random.default_rng(9)
+    grid = ch.Grid.rectangle(6, 5)
+    solver = StepSolver(grid, 1.0 / 32, 0.1, 0.1)
+    p1, p2 = rng.uniform(0.0, 1.0, (2,) + grid.shape)
+    w1, w2 = rng.uniform(0.0, 2.0, (2,) + grid.shape)
+    rhs = rng.standard_normal((3,) + grid.shape)
+    with pytest.raises(ValueError, match="no kept factorization"):
+        solver.solve(None, None, rhs)
+    for transpose in (False, True):
+        solver.solve(p1, w1, rhs)
+        fresh = solver.solve(p2, w2, rhs, transpose=transpose)
+        kept = solver.solve(None, None, rhs, transpose=transpose)
+        assert kept.tobytes() == fresh.tobytes()
+    line = StepSolver(ch.Grid.line(8), 1.0 / 32, 0.1, 0.1)
+    line.solve(np.ones(8), np.ones(8), np.ones((3, 8)))
+    with pytest.raises(ValueError, match="no kept factorization"):
+        line.solve(None, None, np.ones((3, 8)))
+
+
 def _templates(solver):
     if solver.grid.dim == 1:
         return solver._band.tobytes() + solver._band_t.tobytes()

@@ -6,6 +6,12 @@ sigma one at a time, and Newton solves A dX = -R. The production step
 stacks the iterate, applies the stencil once per residual and solves
 A y = R; it must reproduce the reference bit for bit, in its
 trajectories, its diagnostics and its failures.
+
+In 2D the reference takes the production's chord rule: it solves against
+the factorization kept from an earlier iteration or step, and refactors
+at the iteration after a full step that did not contract the residual by
+``CHORD_CONTRACTION``. With ``lagged=False`` it is exact Newton, the 1D
+rule, which the lagged march must match to roundoff.
 """
 
 import numpy as np
@@ -21,8 +27,18 @@ from conftest import make_problem
 
 
 def _reference_newton_step(solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
-                           tol, max_iter, clamp_lo, clamp_hi):
+                           tol, max_iter, clamp_lo, clamp_hi, lagged, refactor):
     a, b, c = solver.a, solver.b, solver.c
+    contraction = ch.state.CHORD_CONTRACTION
+
+    def newton_direction(f, r1, r2, r3):
+        nonlocal refactor
+        if lagged and not refactor:
+            return solver.solve(None, None, (-r1, -r2, -r3))
+        refactor = False
+        bpp = potential_split_eval(pot, f, "convex", 2)
+        return solver.solve(p_frozen, bpp, (-r1, -r2, -r3))
+
     m, f, s = m0.copy(), f0.copy(), s0.copy()
 
     def residual(m, f, s):
@@ -39,8 +55,7 @@ def _reference_newton_step(solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
     while iters < max_iter and not converged:
         if not (np.isfinite(res)):
             raise NanDetectedError("Newton residual")
-        bpp = potential_split_eval(pot, f, "convex", 2)
-        dm, df, ds = solver.solve(p_frozen, bpp, (-r1, -r2, -r3))
+        dm, df, ds = newton_direction(f, r1, r2, r3)
         lam = 1.0
         best = None
         for _ in range(10):
@@ -51,6 +66,8 @@ def _reference_newton_step(solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
             rest = max(np.abs(r1t).max(), np.abs(r2t).max(), np.abs(r3t).max())
             if best is None or rest < best[0]:
                 best = (rest, mt, ft, st, r1t, r2t, r3t)
+            if lam == 1.0 and rest >= contraction * res and rest >= tol:
+                refactor = True
             if rest < res or rest < tol:
                 break
             lam *= 0.5
@@ -58,23 +75,28 @@ def _reference_newton_step(solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
         iters += 1
         converged = res < tol
     if not converged:
-        return m, f, s, res, iters, False
-    bpp = potential_split_eval(pot, f, "convex", 2)
-    dm, df, ds = solver.solve(p_frozen, bpp, (-r1, -r2, -r3))
+        return m, f, s, res, iters, False, refactor
+    dm, df, ds = newton_direction(f, r1, r2, r3)
     mt, ft, st = m + dm, f + df, s + ds
     if clamp_lo is not None:
         ft = np.clip(ft, clamp_lo, clamp_hi)
     r1t, r2t, r3t = residual(mt, ft, st)
     rest = max(np.abs(r1t).max(), np.abs(r2t).max(), np.abs(r3t).max())
+    if rest >= contraction * res and rest >= tol:
+        refactor = True
     if rest < res:
         m, f, s, res = mt, ft, st, rest
-    return m, f, s, res, iters + 1, True
+    return m, f, s, res, iters + 1, True, refactor
 
 
 def reference_march(params, init, control, tol=ch.state.NEWTON_TOL,
-                    max_iter=ch.state.NEWTON_MAX_ITER):
-    """Returns (data, newton_iters, mass_residual, delta_sep)."""
+                    max_iter=ch.state.NEWTON_MAX_ITER, lagged=None):
+    """Returns (data, newton_iters, mass_residual, delta_sep). ``lagged``
+    defaults to the production rule: chord iterations in 2D only."""
     grid, tg, pot = params.grid, params.time_grid, params.potential
+    if lagged is None:
+        lagged = grid.dim == 2
+    refactor = True
     nt, dt = tg.steps, tg.dt
     solver = StepSolver(grid, dt, params.alpha, params.beta)
     clamp_lo = clamp_hi = None
@@ -95,9 +117,9 @@ def reference_march(params, init, control, tol=ch.state.NEWTON_TOL,
         p_frozen = proliferation_eval(params.proliferation, f0, 0)
         pi_old = potential_split_eval(pot, f0, "smooth", 1)
         u_k = control.values[k]
-        m, f, s, res, iters, ok = _reference_newton_step(
+        m, f, s, res, iters, ok, refactor = _reference_newton_step(
             solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid, tol, max_iter,
-            clamp_lo, clamp_hi)
+            clamp_lo, clamp_hi, lagged, refactor)
         if not ok:
             raise NewtonDivergenceError(k + 1, res, iters)
         if pot.singular:
@@ -147,7 +169,45 @@ def test_two_dimensional_bitwise(potential):
     init = preset_initial_data("random_interior", grid, potential,
                                amplitude=0.5, seed=4)
     u = ch.ControlField.constant(grid, tg, 1.0, 0.0, 2.0)
+    traj = _assert_same_march(params, init, u)
+    _assert_near_exact(traj, params, init, u)
+
+
+def _assert_near_exact(traj, params, init, control):
+    """The chord march converges to the exact-Newton march's answer."""
+    exact, *_ = reference_march(params, init, control, lagged=False)
+    scale = np.abs(exact).max()
+    assert np.abs(traj.data - exact).max() <= 1e-12 * scale
+
+
+def _refactor_problem(potential, amplitude, source, steps):
+    """16x16 cells, dt 0.05 and a strong constant source: P and B''(phi)
+    move enough that a kept factorization stops contracting."""
+    grid = ch.Grid.rectangle(16, 16, 1.0, 1.0)
+    tg = ch.TimeGrid(0.05 * steps, steps)
+    params = ch.ModelParams(0.1, 0.1, potential,
+                            ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
+    init = preset_initial_data("random_interior", grid, potential,
+                               amplitude=amplitude, seed=1)
+    return params, init, ch.ControlField.constant(grid, tg, source)
+
+
+def test_two_dimensional_refactor_path(splu_calls):
+    params, init, u = _refactor_problem(ch.Potential.quartic(), 0.5, 50.0, 4)
+    traj = ch.solve_state(params, init, u)
+    factors = len(splu_calls)
+    assert 1 < factors < traj.diagnostics.newton_iters.sum()
+    _assert_near_exact(traj, params, init, u)
     _assert_same_march(params, init, u)
+
+
+def test_two_dimensional_divergence_matches_exact():
+    params, init, u = _refactor_problem(ch.Potential.logarithmic(2.0), 0.9, 200.0, 4)
+    with pytest.raises(NewtonDivergenceError) as exact:
+        reference_march(params, init, u, lagged=False)
+    with pytest.raises(NewtonDivergenceError) as got:
+        ch.solve_state(params, init, u)
+    assert got.value.step == exact.value.step == 4
 
 
 def _damping_problem(potential):

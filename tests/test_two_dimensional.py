@@ -72,7 +72,7 @@ def test_logarithmic_2d_smoke():
     assert ch.mass_balance_check(traj, u, params).residual <= 1e-10
 
 
-def test_duality_2d_logarithmic():
+def test_duality_2d_logarithmic(splu_calls):
     # the regime of the 2D oracle benchmark: singular potential, random
     # interior start, all directions in one truncated linearized sweep
     from chcontrol.cli import preset_initial_data
@@ -91,6 +91,12 @@ def test_duality_2d_logarithmic():
         phi_omega=grid.full(-0.5), tau_star=0.125,
     )
     state = ch.solve_state(params, init, u)
-    rep = ch.duality_check(params, state, 8, cost, directions=4)
+    # the forward march reuses one factorization over many chord iterations
+    forward_factors = len(splu_calls)
+    assert 1 <= forward_factors <= state.diagnostics.newton_iters.sum() // 10
+    k_tau = 8
+    rep = ch.duality_check(params, state, k_tau, cost, directions=4)
     assert len(rep.mismatches) == 4
     assert rep.max_mismatch <= 1e-9
+    # the sweeps factor the exact A_k once per step each
+    assert len(splu_calls) - forward_factors == 2 * k_tau
