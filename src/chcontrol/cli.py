@@ -367,9 +367,6 @@ class ExperimentConfig:
     optimizer: OptimizerConfig
     # the verification section, nested like the config, defaults filled in
     verification: dict
-    # the solver section: newton_tol and newton_max_iter, passed as
-    # keywords to every call that runs forward solves
-    newton: dict
 
 
 def _snapshot(section, path, grid):
@@ -455,7 +452,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         raise ConfigError(f"grid: {exc}")
     tg = TimeGrid(_field(raw, "time.horizon"), _field(raw, "time.steps"))
     params = ModelParams(_field(raw, "model.alpha"), _field(raw, "model.beta"),
-                         potential, prolif, grid, tg)
+                         potential, prolif, grid, tg, **_fields(raw, "solver"))
 
     idict = _field(raw, "initial")
     if "preset" in idict:
@@ -536,7 +533,6 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         output_dir=Path(raw["output_dir"]),
         params=params, init=init, cost=cost, u0=u0, tau0=tau0,
         optimizer=opt_config, verification=verification,
-        newton=_fields(raw, "solver"),
     )
 
 
@@ -559,9 +555,9 @@ def _fmt(v):
     return str(v)
 
 
-def _write_diagnostics(path, traj):
-    diag = traj.diagnostics
-    rows = list(diag.rows()) if diag is not None else []
+def _write_diagnostics(path, diag, mass):
+    rows = zip(range(1, len(diag.newton_iters) + 1), diag.newton_iters.tolist(),
+               mass.residuals.tolist(), diag.delta_sep.tolist())
     _write_csv(path, ["step", "newton_iters", "mass_residual", "delta_sep"], rows)
 
 
@@ -601,11 +597,12 @@ def _write_control(directory, u, tg, grid):
 
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     params = cfg.params
-    traj = solve_state(params, cfg.init, cfg.u0, **cfg.newton)
+    traj = solve_state(params, cfg.init, cfg.u0)
+    mass = mass_balance_check(traj, cfg.u0, params)
     sim_dir = out / "simulate"
     sim_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(sim_dir / "state", traj)
-    _write_diagnostics(sim_dir / "diagnostics.csv", traj)
+    _write_diagnostics(sim_dir / "diagnostics.csv", traj.diagnostics, mass)
     bd = reduced_cost(traj, cfg.u0, cfg.cost.tau_star, cfg.cost)
     _write_csv(sim_dir / "breakdown.csv", _breakdown_header(),
                [_breakdown_row(0, cfg.cost.tau_star, bd)])
@@ -614,15 +611,13 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
         rep = separation_report(traj, params.potential)
         result["delta_sep"] = rep.delta_sep
         result["argmin_frame"] = rep.argmin_frame
-    mass = mass_balance_check(traj, cfg.u0, params)
     result["mass_residual"] = mass.residual
     return result
 
 
 def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     params, tg, grid = cfg.params, cfg.params.time_grid, cfg.params.grid
-    res = optimize(params, cfg.init, cfg.cost, cfg.optimizer, cfg.u0, cfg.tau0,
-                   **cfg.newton)
+    res = optimize(params, cfg.init, cfg.cost, cfg.optimizer, cfg.u0, cfg.tau0)
     opt_dir = out / "optimize"
     opt_dir.mkdir(parents=True, exist_ok=True)
     header = _breakdown_header() + ["stat_u", "stat_tau", "time_case",
@@ -658,7 +653,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
     ver_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
 
-    state = solve_state(params, cfg.init, cfg.u0, **cfg.newton)
+    state = solve_state(params, cfg.init, cfg.u0)
     k_tau, _ = params.time_grid.nearest_node(vd["tau"])
 
     if "gradient" in checks:
@@ -666,8 +661,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
         rep = fd_gradient_check(
             params, cfg.init, cfg.cost, cfg.u0, vd["tau"],
             directions=gopts["directions"], deltas=gopts["deltas"],
-            slope_deltas=gopts["slope_deltas"], seed=seed, state=state,
-            **cfg.newton)
+            slope_deltas=gopts["slope_deltas"], seed=seed, state=state)
         check_delta = gopts["check_delta"]
         ok = rep.passed(check_delta, gopts["tol"])
         (ver_dir / "gradient_check.txt").write_text(
@@ -688,7 +682,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
         lopts = vd["lipschitz"]
         rep = lipschitz_check(
             params, cfg.init, cfg.u0, pairs=lopts["pairs"],
-            magnitudes=lopts["magnitudes"], seed=seed, **cfg.newton)
+            magnitudes=lopts["magnitudes"], seed=seed)
         ok = rep.passed(lopts["pair_spread_tol"], lopts["magnitude_spread_tol"])
         (ver_dir / "lipschitz_check.txt").write_text(
             rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")

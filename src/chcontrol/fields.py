@@ -197,11 +197,6 @@ class Trajectory:
         self.names = names
         self.diagnostics = diagnostics
 
-    @classmethod
-    def zeros(cls, grid, time_grid, names, nframes=None):
-        nframes = time_grid.steps + 1 if nframes is None else nframes
-        return cls(grid, time_grid, np.zeros((nframes, 3) + grid.shape), names)
-
     @property
     def nframes(self) -> int:
         return self.data.shape[0]
@@ -212,9 +207,6 @@ class Trajectory:
 
     def component(self, name: str) -> np.ndarray:
         return self.data[:, self.names.index(name)]
-
-    def frame(self, k: int) -> np.ndarray:
-        return self.data[k]
 
     def __getattr__(self, name):
         names = self.__dict__.get("names", ())
@@ -269,14 +261,14 @@ def read_snapshot(path, grid: Grid | None = None) -> np.ndarray:
     return values
 
 
-def write_trajectory(directory, traj: Trajectory, prefix: str = "") -> Path:
+def write_trajectory(directory, traj: Trajectory) -> Path:
     """Write one snapshot per node per component plus a JSON manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = {name: [] for name in traj.names}
     for k in range(traj.nframes):
         for j, name in enumerate(traj.names):
-            fname = f"{prefix}{name}_{k:05d}.fld"
+            fname = f"{name}_{k:05d}.fld"
             write_snapshot(directory / fname, traj.grid, traj.data[k, j])
             entries[name].append(fname)
     manifest = {
@@ -286,7 +278,7 @@ def write_trajectory(directory, traj: Trajectory, prefix: str = "") -> Path:
         "times": [float(t) for t in traj.times],
         "components": entries,
     }
-    manifest_path = directory / f"{prefix}manifest.json"
+    manifest_path = directory / "manifest.json"
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -36,7 +36,7 @@ are exact derivatives of the discrete quantities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,21 +117,15 @@ class CostBreakdown:
 
     @property
     def total(self) -> float:
-        return (self.tracking_q + self.tracking_omega + self.nutrient_q
-                + self.tumour_mass + self.linear_time + self.quadratic_time
-                + self.control_energy + self.relaxed_term)
+        # left to right in field order; the builtin sum of floats is
+        # compensated from Python 3.12 and would round differently
+        total, *rest = self.terms().values()
+        for value in rest:
+            total += value
+        return total
 
     def terms(self) -> dict:
-        return {
-            "tracking_q": self.tracking_q,
-            "tracking_omega": self.tracking_omega,
-            "nutrient_q": self.nutrient_q,
-            "tumour_mass": self.tumour_mass,
-            "linear_time": self.linear_time,
-            "quadratic_time": self.quadratic_time,
-            "control_energy": self.control_energy,
-            "relaxed_term": self.relaxed_term,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,7 @@ from .objective import (
     space_time_inner,
     space_time_norm,
 )
-from .state import (
-    NEWTON_MAX_ITER,
-    NEWTON_TOL,
-    ControlField,
-    InitialData,
-    ModelParams,
-    solve_state,
-)
+from .state import ControlField, InitialData, ModelParams, solve_state
 
 BOUNDARY_LOW = "boundary_low"
 INTERIOR = "interior"
@@ -209,13 +202,11 @@ class _SpectralStep:
 
 def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
              config: OptimizerConfig | None = None,
-             u0: ControlField | None = None, tau0: float | None = None, *,
-             newton_tol: float = NEWTON_TOL,
-             newton_max_iter: int = NEWTON_MAX_ITER) -> OptResult:
+             u0: ControlField | None = None, tau0: float | None = None) -> OptResult:
     """Minimize the reduced cost over the admissible controls and [0, T].
 
-    ``newton_tol`` and ``newton_max_iter`` are passed to every forward
-    solve.
+    Every forward solve, trial steps included, runs under the Newton
+    settings of ``params``.
     """
     config = config or OptimizerConfig()
     grid, tg = params.grid, params.time_grid
@@ -232,8 +223,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
     def qt_norm(x):
         return space_time_norm(grid, tg.dt, x)
 
-    newton = {"newton_tol": newton_tol, "newton_max_iter": newton_max_iter}
-    state = solve_state(params, init, u, **newton)
+    state = solve_state(params, init, u)
     history: list[IterationRecord] = []
     u_stepper = _SpectralStep(config.armijo.s0)
     prev_index = None
@@ -289,7 +279,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
                 if gd >= 0.0:
                     break
                 u_trial = ControlField(trial_vals, u.lower, u.upper)
-                state_trial = solve_state(params, init, u_trial, **newton)
+                state_trial = solve_state(params, init, u_trial)
                 j_trial = reduced_cost(state_trial, u_trial, tau_node, cost).total
                 if j_trial <= j_node + c1 * gd:
                     accepted = True

@@ -20,7 +20,13 @@ in the new unknowns. The implicit exchange makes the combined quantity
     integral(alpha mu + phi + sigma) - sum_j dt integral(u_j)
 
 an exact invariant of the scheme (the Laplacian stencil integrates to
-zero), which every accepted run is required to satisfy to 1e-10.
+zero), which every accepted run is required to satisfy to 1e-10. The
+march does not measure it; :func:`chcontrol.verification.mass_balance_check`
+does, after every step.
+
+:class:`ModelParams` carries the discretization and the Newton settings,
+so ``solve_state(params, init, control)`` runs the same iteration for
+simulate, the optimizer and the oracles.
 
 One step is a damped Newton solve on the stacked frame X = (mu, phi,
 sigma), of shape (3, *grid.shape) like ``Trajectory.data[k]``. Each
@@ -59,12 +65,12 @@ from .errors import (
     SeparationViolationError,
     ShapeMismatchError,
 )
-from .fields import Grid, TimeGrid, Trajectory, integrate, laplacian_neumann
+from .fields import Grid, TimeGrid, Trajectory, laplacian_neumann
 from .potentials import Potential, Proliferation, potential_split_eval, proliferation_eval
 from .system import StepSolver
 
 STATE_NAMES = ("mu", "phi", "sigma")
-# defaults of the config's solver.newton_tol and solver.newton_max_iter
+# defaults of ModelParams.newton_tol and ModelParams.newton_max_iter
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
 # a 2D Newton iteration whose full step leaves at least this share of the
@@ -80,6 +86,10 @@ class ModelParams:
     proliferation: Proliferation
     grid: Grid
     time_grid: TimeGrid
+    # the inner Newton iteration of every forward solve: max|R| bound and
+    # iteration budget (the polish excluded)
+    newton_tol: float = NEWTON_TOL
+    newton_max_iter: int = NEWTON_MAX_ITER
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -151,13 +161,7 @@ class StepDiagnostics:
     """Per-step solver diagnostics collected during a forward run."""
 
     newton_iters: np.ndarray
-    mass_residual: np.ndarray
     delta_sep: np.ndarray
-
-    def rows(self):
-        for k in range(len(self.newton_iters)):
-            yield k + 1, int(self.newton_iters[k]), float(self.mass_residual[k]), \
-                float(self.delta_sep[k])
 
 
 @dataclass
@@ -244,15 +248,16 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
     return x, res, iters, converged, refactor
 
 
-def solve_state(params: ModelParams, init: InitialData, control: ControlField,
-                newton_tol: float = NEWTON_TOL,
-                newton_max_iter: int = NEWTON_MAX_ITER) -> Trajectory:
+def solve_state(params: ModelParams, init: InitialData,
+                control: ControlField) -> Trajectory:
     """March the state system over the full time grid.
 
-    Returns a trajectory whose frame 0 is a bitwise copy of the initial
-    data, with per-step diagnostics attached. Raises
-    :class:`NewtonDivergenceError`, :class:`SeparationViolationError` or
-    :class:`NanDetectedError` on failure.
+    Every Newton iteration runs under ``params.newton_tol`` and
+    ``params.newton_max_iter``. Returns a trajectory whose frame 0 is a
+    bitwise copy of the initial data, with per-step diagnostics attached.
+    Raises :class:`NewtonDivergenceError`,
+    :class:`SeparationViolationError` or :class:`NanDetectedError` on
+    failure.
     """
     grid, tg, pot = params.grid, params.time_grid, params.potential
     init.validate(grid, pot)
@@ -272,12 +277,7 @@ def solve_state(params: ModelParams, init: InitialData, control: ControlField,
     data[0, 2] = init.sigma0
 
     newton_iters = np.zeros(nt, dtype=int)
-    mass_residual = np.zeros(nt)
     delta_sep = np.full(nt, np.inf)
-
-    mass0 = integrate(grid, params.alpha * init.mu0 + init.phi0 + init.sigma0)
-    mass_scale = 1.0 + abs(mass0)
-    injected = 0.0
     # the solver is new, so the first 2D iteration factors
     refactor = True
 
@@ -288,28 +288,25 @@ def solve_state(params: ModelParams, init: InitialData, control: ControlField,
         u_k = control.values[k]
 
         x, res, iters, ok, refactor = _newton_step(
-            solver, pot, p_frozen, data[k], pi_old, u_k, newton_tol,
-            newton_max_iter, clamp_lo, clamp_hi, refactor,
+            solver, pot, p_frozen, data[k], pi_old, u_k, params.newton_tol,
+            params.newton_max_iter, clamp_lo, clamp_hi, refactor,
         )
         if not ok:
             raise NewtonDivergenceError(k + 1, res, iters)
         if not np.isfinite(x).all():
             raise NanDetectedError(f"state frame {k + 1}")
-        m, f, s = x
         if pot.singular:
             lo, hi = pot.domain
+            f = x[1]
             dist = float(min((f - lo).min(), (hi - f).min()))
             delta_sep[k] = dist
             if dist <= 2e-6 * (hi - lo):
                 raise SeparationViolationError(k + 1, dist)
 
         data[k + 1] = x
-        injected += dt * integrate(grid, u_k)
-        mass_k = integrate(grid, params.alpha * m + f + s)
-        mass_residual[k] = abs(mass_k - mass0 - injected) / mass_scale
         newton_iters[k] = iters
 
-    diag = StepDiagnostics(newton_iters, mass_residual, delta_sep)
+    diag = StepDiagnostics(newton_iters, delta_sep)
     return Trajectory(grid, tg, data, STATE_NAMES, diagnostics=diag)
 
 

@@ -139,7 +139,8 @@ def _assert_same_march(params, init, control):
     diag = traj.diagnostics
     assert traj.data.tobytes() == data.tobytes()
     assert np.array_equal(diag.newton_iters, iters)
-    assert diag.mass_residual.tobytes() == mass.tobytes()
+    assert ch.mass_balance_check(traj, control, params).residuals.tobytes() \
+        == mass.tobytes()
     assert diag.delta_sep.tobytes() == sep.tobytes()
     return traj
 

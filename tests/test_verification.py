@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,16 +111,41 @@ def test_reports_render_text(problem):
     assert "mass balance" in ch.mass_balance_check(traj, u, params).to_text()
 
 
+def test_mass_balance_nan_frame_fails(problem):
+    # a NaN after the first step must not be dropped by the reduction
+    params, init, u = problem
+    traj = ch.solve_state(params, init, u)
+    data = traj.data.copy()
+    data[3, 1, 5] = np.nan
+    broken = ch.Trajectory(params.grid, params.time_grid, data, traj.names)
+    rep = ch.mass_balance_check(broken, u, params)
+    assert np.isnan(rep.residual)
+    assert not rep.passed(1e-10)
+
+
+def test_duality_nan_mismatch_fails():
+    rep = ch.verification.DualityCheckReport(0, [1e-12, np.nan], [1.0, 1.0],
+                                             [1.0, np.nan], 0)
+    assert np.isnan(rep.max_mismatch)
+    assert not rep.passed(1e-9)
+
+
+def test_gradient_nan_error_fails():
+    rep = ch.verification.GradientCheckReport(
+        0.5, 20, [1e-4], [1.0, 1.0], [[1e-9], [np.nan]], [np.nan, np.nan], [1e-4], 0)
+    assert np.isnan(rep.max_rel_error(1e-4))
+    assert not rep.passed(1e-4, 1e-6)
+
+
 def test_checks_honour_newton_settings(problem):
     # a zero Newton budget cannot take a single step from the initial data
     params, init, u = problem
     cost = tracking_cost(params)
+    params = dataclasses.replace(params, newton_max_iter=0)
     with pytest.raises(ch.NewtonDivergenceError):
         ch.fd_gradient_check(params, init, cost, u, 0.5, directions=1,
-                             deltas=[1e-4], newton_max_iter=0)
+                             deltas=[1e-4])
     with pytest.raises(ch.NewtonDivergenceError):
-        ch.lipschitz_check(params, init, u, pairs=1, magnitudes=[1e-2],
-                           newton_max_iter=0)
+        ch.lipschitz_check(params, init, u, pairs=1, magnitudes=[1e-2])
     with pytest.raises(ch.NewtonDivergenceError):
-        ch.optimize(params, init, cost, ch.OptimizerConfig(max_outer_iters=2), u,
-                    newton_max_iter=0)
+        ch.optimize(params, init, cost, ch.OptimizerConfig(max_outer_iters=2), u)
