@@ -67,16 +67,10 @@ from .state import (
     separation_report,
     solve_state,
 )
-from .verification import (
-    DEFAULT_SEED,
-    duality_check,
-    fd_gradient_check,
-    lipschitz_check,
-    mass_balance_check,
-)
+from .verification import CHECKS, DEFAULT_SEED, mass_balance_check
 
 _PIPELINES = ("simulate", "optimize", "verify", "all")
-_CHECKS = ("gradient", "duality", "lipschitz", "mass")
+_CHECKS = tuple(CHECKS)
 
 
 def _version_string() -> str:
@@ -103,11 +97,10 @@ def _version_string() -> str:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()  # the default of a field that must be given
-_FLOAT_MAX = sys.float_info.max  # an integer literal beyond it has no float
 
 # Every config field: dotted path -> (kind, limit, default). Kinds:
-#   "number", "integer"  a JSON number, never a bool; an integer has no
-#                        fractional part; the limit is a minimum or None
+#   "number", "integer"  a finite JSON number, never a bool; an integer has
+#                        no fractional part; the limit is a minimum or None
 #   "positive"           a number in (0, inf)
 #   "choice"             one of the strings in the limit
 #   "string", "object", "number or string"
@@ -234,11 +227,13 @@ def _conform(value, kind, limit):
         return None
     if kind == "integer":
         return int(value) if isinstance(value, int) or value.is_integer() else None
-    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
         return None
-    if kind == "positive":
-        return float(value) if 0 < value < math.inf else None
-    return float(value)
+    if not math.isfinite(number) or (kind == "positive" and not number > 0):
+        return None
+    return number
 
 
 def _expected(kind, limit) -> str:
@@ -246,9 +241,10 @@ def _expected(kind, limit) -> str:
         return "a non-empty list, each entry " + _expected(kind[:-5], limit)
     if kind == "choice":
         return f"one of {limit}"
-    text = {"number": "a number", "integer": "an integer",
-            "positive": "a positive number", "string": "a string",
-            "object": "an object", "number or string": "a number or a string"}[kind]
+    text = {"number": "a finite number", "integer": "an integer",
+            "positive": "a finite positive number", "string": "a string",
+            "object": "an object",
+            "number or string": "a finite number or a string"}[kind]
     return text if limit is None else f"{text} >= {limit}"
 
 
@@ -369,15 +365,23 @@ class ExperimentConfig:
     verification: dict
 
 
+def _finite(path, values):
+    """``values``, or a ConfigError naming field ``path`` if any is not
+    finite."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: the file holds non-finite values")
+    return values
+
+
 def _snapshot(section, path, grid):
     """The snapshot that config field ``path`` of ``section`` names (a
-    number it holds instead is returned as it is); any failure is a
-    ConfigError naming the field."""
+    number it holds instead is returned as it is); any failure, non-finite
+    values included, is a ConfigError naming the field."""
     file = _read(section, path)
     if isinstance(file, float):
         return file
     try:
-        return read_snapshot(file, grid)
+        return _finite(path, read_snapshot(file, grid))
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read snapshot {file!r} "
                           f"({exc.strerror or exc})")
@@ -411,7 +415,7 @@ def _array(cfg, path, grid, tg=None):
     if traj.nframes != tg.steps + 1 or traj.grid.shape != grid.shape:
         raise ConfigError(f"{path}.manifest: trajectory does not match the "
                           f"configured grids")
-    return values.copy()
+    return _finite(f"{path}.manifest", values.copy())
 
 
 def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
@@ -495,10 +499,8 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         if start != "midpoint":
             raise ConfigError(f"control.initial: expected 'midpoint' or a number, "
                               f"got {start!r}")
-        start = 0.5 * (np.asarray(lower) + np.asarray(upper))
-        if not np.all(np.isfinite(start)):
-            raise ConfigError("control.initial: midpoint undefined for unbounded "
-                              "box, give a number")
+        # halved before the sum, which cannot then overflow
+        start = 0.5 * np.asarray(lower) + 0.5 * np.asarray(upper)
     u0 = ControlField(np.broadcast_to(start, (tg.steps + 1,) + grid.shape).copy(),
                       lower, upper)
     u0.validate(grid, tg)
@@ -646,56 +648,21 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
-    params = cfg.params
+    """Run the checks of ``verification.checks`` in the order of
+    :data:`~chcontrol.verification.CHECKS`, all on one base solve."""
     vd = cfg.verification
-    checks, seed = vd["checks"], vd["seed"]
     ver_dir = out / "verify"
     ver_dir.mkdir(parents=True, exist_ok=True)
+    state = solve_state(cfg.params, cfg.init, cfg.u0)
     summary = {}
-
-    state = solve_state(params, cfg.init, cfg.u0)
-    k_tau, _ = params.time_grid.nearest_node(vd["tau"])
-
-    if "gradient" in checks:
-        gopts = vd["gradient"]
-        rep = fd_gradient_check(
-            params, cfg.init, cfg.cost, cfg.u0, vd["tau"],
-            directions=gopts["directions"], deltas=gopts["deltas"],
-            slope_deltas=gopts["slope_deltas"], seed=seed, state=state)
-        check_delta = gopts["check_delta"]
-        ok = rep.passed(check_delta, gopts["tol"])
-        (ver_dir / "gradient_check.txt").write_text(
+    for name, (report_file, run_check) in CHECKS.items():
+        if name not in vd["checks"]:
+            continue
+        rep, ok, figures = run_check(cfg.params, cfg.init, cfg.cost, cfg.u0, vd["tau"],
+                                     state, vd["seed"], vd[name])
+        (ver_dir / report_file).write_text(
             rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
-        summary["gradient"] = {"passed": ok,
-                               "max_rel_error": rep.max_rel_error(check_delta)}
-
-    if "duality" in checks:
-        dopts = vd["duality"]
-        rep = duality_check(params, state, k_tau, cfg.cost,
-                            directions=dopts["directions"], seed=seed)
-        ok = rep.passed(dopts["tol"])
-        (ver_dir / "duality_check.txt").write_text(
-            rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
-        summary["duality"] = {"passed": ok, "max_mismatch": rep.max_mismatch}
-
-    if "lipschitz" in checks:
-        lopts = vd["lipschitz"]
-        rep = lipschitz_check(
-            params, cfg.init, cfg.u0, pairs=lopts["pairs"],
-            magnitudes=lopts["magnitudes"], seed=seed)
-        ok = rep.passed(lopts["pair_spread_tol"], lopts["magnitude_spread_tol"])
-        (ver_dir / "lipschitz_check.txt").write_text(
-            rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
-        summary["lipschitz"] = {"passed": ok,
-                                "pair_spread": rep.spread_across_pairs(),
-                                "magnitude_spread": rep.spread_across_magnitudes()}
-
-    if "mass" in checks:
-        rep = mass_balance_check(state, cfg.u0, params)
-        ok = rep.passed(vd["mass"]["tol"])
-        (ver_dir / "mass_balance.txt").write_text(
-            rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
-        summary["mass"] = {"passed": ok, "residual": rep.residual}
+        summary[name] = {"passed": ok, **figures}
 
     with open(ver_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)

@@ -52,9 +52,9 @@ class Relaxation:
     sigma_omega: np.ndarray
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ConfigError("cost.relaxation.gamma: must be nonnegative")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ConfigError("cost.relaxation.eps: must be positive")
 
 
@@ -80,7 +80,7 @@ class CostSpec:
 
     def validate(self, grid: Grid, time_grid: TimeGrid) -> None:
         ws = self.weights()
-        if any(w < 0 for w in ws):
+        if not all(w >= 0 for w in ws):
             raise ConfigError("cost: weights b0..b6 must be nonnegative")
         if all(w == 0 for w in ws) and self.relaxation is None:
             raise ConfigError("cost: weights b0..b6 must not all be zero")

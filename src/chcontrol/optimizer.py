@@ -141,37 +141,25 @@ def classify_time_optimality(state: Trajectory, u: ControlField, tau: float,
     tau = tg.clamp(tau)
     d = TauProfile(state, u, cost).derivative(tau)
     lam = d - cost.b6 * (tau - cost.tau_star)
-    case = _tau_case(tg, tau)
-    if case == BOUNDARY_LOW:
-        ok = d >= -tol
-    elif case == BOUNDARY_HIGH:
-        ok = d <= tol
-    else:
-        ok = abs(d) <= tol
+    viol, case = _time_violation(tg, tau, d)
     fp = None
     if cost.b6 != 0 and case == INTERIOR:
         fp = abs(tau - (cost.tau_star - lam / cost.b6))
-    return TimeOptimalityReport(case, d, lam, bool(ok), tol, fp)
+    return TimeOptimalityReport(case, d, lam, bool(viol <= tol), tol, fp)
 
 
-def _tau_case(tg, tau):
+def _time_violation(tg, tau, d):
+    """The violation of the first-order time condition by the derivative
+    ``d`` at ``tau``, and tau's case: max(-d, 0) at the lower end,
+    max(d, 0) at the upper end, |d| inside; NaN for a NaN ``d``."""
     half_dt = 0.5 * tg.dt
     if tau <= half_dt:
-        return BOUNDARY_LOW
-    if tau >= tg.horizon - half_dt:
-        return BOUNDARY_HIGH
-    return INTERIOR
-
-
-def _stat_tau(tg, tau, d, j_total):
-    case = _tau_case(tg, tau)
-    if case == BOUNDARY_LOW:
-        viol = max(0.0, -d)
-    elif case == BOUNDARY_HIGH:
-        viol = max(0.0, d)
+        case, excess = BOUNDARY_LOW, -d
+    elif tau >= tg.horizon - half_dt:
+        case, excess = BOUNDARY_HIGH, d
     else:
-        viol = abs(d)
-    return viol / (1.0 + abs(j_total)), case
+        return abs(d), INTERIOR
+    return (0.0 if excess <= 0.0 else excess), case
 
 
 class _SpectralStep:
@@ -252,8 +240,8 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
             cand = np.clip(u.values - grad, u.lower, u.upper)
         stat_u = qt_norm(u.values - cand) / (1.0 + qt_norm(u.values))
         bd_ref = profile.breakdown(tau_ref)
-        stat_tau, case = _stat_tau(tg, tau_ref, profile.derivative(tau_ref),
-                                   bd_ref.total)
+        viol, case = _time_violation(tg, tau_ref, profile.derivative(tau_ref))
+        stat_tau = viol / (1.0 + abs(bd_ref.total))
         bd_node = profile.breakdown(tau_node)
 
         history.append(IterationRecord(it, tau_node, bd_node, stat_u, stat_tau,

@@ -2,6 +2,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ TINY_CONFIG = {
     },
     "control": {"initial": "midpoint", "tau0": 0.125},
 }
+
+
+# a verification section that runs all four checks in a few seconds
+TINY_VERIFICATION = {
+    "checks": ["gradient", "duality", "lipschitz", "mass"],
+    "tau": 0.125,
+    "gradient": {"directions": 1, "deltas": [0.2, 1e-4],
+                 "slope_deltas": [0.2], "tol": 1e-6, "check_delta": 1e-4},
+    "duality": {"directions": 2, "tol": 1e-9},
+    "lipschitz": {"pairs": 2, "magnitudes": [1e-1, 1e-2]},
+    "mass": {"tol": 1e-10},
+}
+
+# an edit value that test_malformed_field_is_config_error replaces by the
+# path of a snapshot on TINY_CONFIG's grid holding one NaN
+NAN_SNAPSHOT = "<snapshot holding a NaN>"
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -231,24 +248,24 @@ def test_optimize_pipeline_artifacts(tmp_path):
     assert (out / "optimize" / "control" / "manifest.json").exists()
 
 
-def test_verify_pipeline_small(tmp_path):
+@pytest.mark.parametrize("checks, reports", [
+    (["gradient", "duality", "lipschitz", "mass"],
+     ["duality_check", "gradient_check", "lipschitz_check", "mass_balance"]),
+    # a repeated check runs once, and the table's order is kept
+    (["mass", "duality", "mass"], ["duality_check", "mass_balance"]),
+], ids=["all", "repeated"])
+def test_verify_pipeline_small(tmp_path, checks, reports):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "verify"
-    cfg["verification"] = {
-        "checks": ["gradient", "duality", "lipschitz", "mass"],
-        "tau": 0.125,
-        "gradient": {"directions": 1, "deltas": [0.2, 1e-4],
-                     "slope_deltas": [0.2], "tol": 1e-6, "check_delta": 1e-4},
-        "duality": {"directions": 2, "tol": 1e-9},
-        "lipschitz": {"pairs": 2, "magnitudes": [1e-1, 1e-2]},
-        "mass": {"tol": 1e-10},
-    }
+    cfg["verification"] = {**TINY_VERIFICATION, "checks": checks}
     out = tmp_path / "out"
     assert run(_write(tmp_path, cfg), out_dir=out) == 0
     summary = json.loads((out / "verify" / "summary.json").read_text())
+    assert set(summary) == set(checks)
     assert all(entry["passed"] for entry in summary.values())
-    for name in ("gradient_check", "duality_check", "lipschitz_check",
-                 "mass_balance"):
+    assert sorted(path.name for path in (out / "verify").iterdir()) == sorted(
+        [f"{name}.txt" for name in reports] + ["summary.json"])
+    for name in reports:
         assert "PASS" in (out / "verify" / f"{name}.txt").read_text()
 
 
@@ -351,8 +368,7 @@ def test_bad_snapshot_is_config_error(tmp_path, capsys, defect):
     cfg["initial"] = {"snapshots": paths}
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
     err = capsys.readouterr().err
-    field = "initial: " if defect == "nan" else "initial.snapshots.phi: "
-    assert err.startswith("config error: " + field) and "phi" in err
+    assert err.startswith("config error: initial.snapshots.phi: ")
 
 
 def test_newton_settings_reach_optimize(tmp_path, capsys):
@@ -413,14 +429,31 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
     ({"output_dir": 5}, "config.output_dir"),
     ({"model": [TINY_CONFIG["model"]]}, "model"),
     (None, "config"),
+    ({"cost.b1": math.nan}, "cost.b1"),
+    ({"cost.b0": math.inf}, "cost.b0"),
+    ({"cost.relaxation": {"gamma": 1.0, "eps": math.nan,
+                          "sigma_omega": {"constant": 0.5}}}, "cost.relaxation.eps"),
+    ({"cost.targets.phi_q": {"constant": math.nan}}, "cost.targets.phi_q.constant"),
+    ({"control.initial": math.nan}, "control.initial"),
+    ({"model.proliferation.p0": math.inf}, "model.proliferation.p0"),
+    ({"bounds.lower": NAN_SNAPSHOT}, "bounds.lower"),
+    ({"cost.relaxation": {"gamma": 1.0, "eps": 0.05, "sigma_omega": {}},
+      "cost.relaxation.sigma_omega.snapshot": NAN_SNAPSHOT},
+     "cost.relaxation.sigma_omega.snapshot"),
 ], ids=["n-string", "n-number", "n-fraction", "extents-string", "steps-fraction",
         "value-string", "amplitude-string", "width-string", "constant-string",
         "constant-bool", "front-leaves-log-domain", "output-dir-number", "model-list",
-        "top-level-list"])
+        "top-level-list", "b1-nan", "b0-inf", "eps-nan", "constant-nan",
+        "control-initial-nan", "p0-inf", "lower-nan-snapshot",
+        "sigma-omega-nan-snapshot"])
 def test_malformed_field_is_config_error(tmp_path, capsys, edits, field):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["output_dir"] = str(tmp_path / "out")
     for dotted, value in (edits or {}).items():
+        if value == NAN_SNAPSHOT:
+            grid, value = ch.Grid.line(32), str(tmp_path / "nan.fld")
+            ch.write_snapshot(value, grid, np.where(grid.axis_centers() < 0.5, 0.5,
+                                                    np.nan))
         *parents, key = dotted.split(".")
         node = cfg
         for part in parents:
@@ -467,6 +500,13 @@ def test_target_from_manifest(tmp_path):
         parse_config(_write(tmp_path, cfg))
     manifest.unlink()
     with pytest.raises(ConfigError, match="cost.targets.phi_q.manifest"):
+        parse_config(_write(tmp_path, cfg))
+    # so is a trajectory holding a non-finite value
+    data[3, 1, 0] = np.nan
+    nan_target = ch.Trajectory(g, tg, data, ("mu", "phi", "sigma"))
+    cfg["cost"]["targets"]["phi_q"]["manifest"] = str(
+        ch.write_trajectory(tmp_path / "nan", nan_target))
+    with pytest.raises(ConfigError, match="cost.targets.phi_q.manifest: .*non-finite"):
         parse_config(_write(tmp_path, cfg))
 
 

@@ -84,13 +84,15 @@ def _invalid(kind, limit, default):
     wrong_type = {"number": "x", "integer": "x", "positive": "x", "string": 5,
                   "choice": 5, "object": [1], "number or string": [1.0]}[entry]
     if entry == "positive":
-        out_of_range = [0.0, -1.0, math.inf, math.nan]
+        out_of_range = [0.0, -1.0]
     elif entry == "choice":
         out_of_range = ["no_such"]
     else:
         out_of_range = [] if limit is None else [limit - 1]
         if entry == "integer":
             out_of_range.append(2.5)
+    if entry in ("number", "integer", "positive", "number or string"):
+        out_of_range += [math.nan, math.inf, -math.inf]
     if entry in ("number", "positive", "number or string"):
         out_of_range.append(10**400)  # an integer literal with no float
     if list_kind:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
+from chcontrol.optimizer import _time_violation
 from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
 
 
@@ -140,6 +141,17 @@ def test_classify_time_optimality(problem):
     cost_hi = ch.CostSpec(b6=1.0, tau_star=1.0)
     rep = ch.classify_time_optimality(state, u, 1.0, cost_hi, 1e-8)
     assert rep.case == "boundary_high" and rep.satisfied
+
+
+@pytest.mark.parametrize("tau, met", [(0.0, 1e-3), (1.0, -1e-3)])
+def test_time_violation_zero_and_nan(tau, met):
+    # at either end a met condition reads +0.0, which history.csv prints as
+    # 0.0; a NaN derivative is never met, there or inside
+    tg = ch.TimeGrid(1.0, 10)
+    for d in (0.0, -0.0, met):
+        assert repr(_time_violation(tg, tau, d)[0]) == "0.0"
+    for t in (tau, 0.5):
+        assert np.isnan(_time_violation(tg, t, np.nan)[0])
 
 
 def test_optimizer_requires_initial_control(problem):

@@ -109,7 +109,7 @@ def test_lipschitz_dependence_on_control():
     rep = ch.lipschitz_check(params, init, base, pairs=5,
                              magnitudes=[1e-1, 1e-2, 1e-3])
     # constant bounded across pairs, stable as the magnitude shrinks
-    assert rep.passed(10.0)
+    assert rep.passed(10.0, 3.0)
     assert rep.spread_across_magnitudes() <= 3.0
 
 
