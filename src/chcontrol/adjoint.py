@@ -1,9 +1,10 @@
 """Backward-in-time adjoint solver.
 
 The adjoint is constructed as the exact algebraic transpose of the
-linearized update map (discretize-then-optimize): with A_k the converged
-step matrix of the forward step k-1 -> k and C_k the explicit coupling of
-step k -> k+1, the multipliers solve, marching k = k_tau .. 1,
+linearized update map (discretize-then-optimize): with A_k the step
+matrix of the forward step k-1 -> k and C_k the explicit coupling of
+step k -> k+1, both from :mod:`chcontrol.system`, the multipliers solve,
+marching k = k_tau .. 1,
 
     A_k^T L_k = S_k + C_k^T L_{k+1}       (L_{k_tau + 1} = 0)
 
@@ -32,30 +33,34 @@ import numpy as np
 from .errors import NanDetectedError, TimeDomainError
 from .fields import Trajectory
 from .objective import CostSpec, time_weights, window_weights
-from .potentials import potential_split_eval, proliferation_eval
 from .state import ModelParams
-from .system import StepSolver
+from .system import StepSolver, coupling, step_coefficients
 
 ADJOINT_NAMES = ("adj_mu", "adj_phi", "adj_sigma")
+
+
+def _terminal_phase_source(cost: CostSpec, phi_tau, q):
+    """q plus the terminal phase source b2 (phi(tau) - phi_omega) + b4/2."""
+    if cost.b2 > 0:
+        diff = phi_tau if cost.phi_omega is None else phi_tau - cost.phi_omega
+        q = q + cost.b2 * diff
+    if cost.b4 > 0:
+        q = q + 0.5 * cost.b4
+    return q
 
 
 def adjoint_terminal_data(params: ModelParams, state: Trajectory, tau_index: int,
                           cost: CostSpec):
     """Terminal frame (adj_mu, adj_phi, adj_sigma) at the snapped time."""
-    grid = params.grid
-    phi_k = state.phi[tau_index]
-    q_term = np.zeros(grid.shape)
-    if cost.b2 > 0:
-        diff = phi_k if cost.phi_omega is None else phi_k - cost.phi_omega
-        q_term = q_term + cost.b2 * diff
-    q_term = (q_term + 0.5 * cost.b4) / params.beta
-    return np.zeros(grid.shape), q_term, np.zeros(grid.shape)
+    zero = np.zeros(params.grid.shape)
+    q_term = _terminal_phase_source(cost, state.phi[tau_index], zero) / params.beta
+    return zero, q_term, np.zeros(params.grid.shape)
 
 
 def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
                   cost: CostSpec) -> Trajectory:
     """Solve the adjoint system on nodes 0..tau_index."""
-    grid, tg, pot = params.grid, params.time_grid, params.potential
+    grid, tg = params.grid, params.time_grid
     nt, dt = tg.steps, tg.dt
     if not 0 <= tau_index <= nt:
         raise TimeDomainError(f"tau index {tau_index} outside 0..{nt}")
@@ -64,60 +69,41 @@ def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
     k_tau = int(tau_index)
 
     data = np.zeros((k_tau + 1, 3) + grid.shape)
-    p_term, q_term, r_term = adjoint_terminal_data(params, state, k_tau, cost)
-    data[k_tau, 0], data[k_tau, 1], data[k_tau, 2] = p_term, q_term, r_term
+    data[k_tau] = adjoint_terminal_data(params, state, k_tau, cost)
     if k_tau == 0:
         return Trajectory(grid, tg, data, ADJOINT_NAMES)
 
     solver = StepSolver(grid, dt, params.alpha, params.beta)
-    a, b, c = solver.a, solver.b, solver.c
-    mu, phi, sigma = state.mu, state.phi, state.sigma
-
+    phi, sigma = state.phi, state.sigma
     wq = time_weights(k_tau + 1, dt)
     relax = cost.relaxation
     win = None
     if relax is not None and relax.gamma > 0:
         win = relax.gamma / relax.eps * window_weights(k_tau, dt, relax.eps)
 
-    lm = np.zeros(grid.shape)
-    lf = np.zeros(grid.shape)
-    ls = np.zeros(grid.shape)
-    riesz = time_weights(k_tau + 1, dt)[: k_tau]  # node weights 0..k_tau-1
-
     for k in range(k_tau, 0, -1):
-        rhs_m = np.zeros(grid.shape)
-        rhs_f = np.zeros(grid.shape)
-        rhs_s = np.zeros(grid.shape)
+        # A_k^T takes (P, W) of step k-1; C_k^T takes (E, S) of step k,
+        # evaluated by the previous iteration
+        p, w, ex_prev, spp_prev = step_coefficients(params, state, k - 1)
         if k < k_tau:
-            # transpose of the explicit coupling of step k -> k+1
-            w = proliferation_eval(params.proliferation, phi[k], 1) * (
-                sigma[k + 1] - mu[k + 1])
-            pi_prime = potential_split_eval(pot, phi[k], "smooth", 2)
-            rhs_m = a * lm
-            rhs_f = c * lm + w * lm + (b - pi_prime) * lf - w * ls
-            rhs_s = c * ls
+            rhs_m, rhs_f, rhs_s = coupling(solver, ex, spp, lam, transpose=True)
+        else:
+            rhs_m, rhs_f, rhs_s = np.zeros((3,) + grid.shape)
         if cost.b1 > 0:
             diff = phi[k] if cost.phi_q is None else phi[k] - cost.phi_q[k]
             rhs_f = rhs_f + cost.b1 * wq[k] * diff
         if k == k_tau:
-            if cost.b2 > 0:
-                diff = phi[k] if cost.phi_omega is None else phi[k] - cost.phi_omega
-                rhs_f = rhs_f + cost.b2 * diff
-            if cost.b4 > 0:
-                rhs_f = rhs_f + 0.5 * cost.b4
+            rhs_f = _terminal_phase_source(cost, phi[k], rhs_f)
         if cost.b3 > 0:
             diff = sigma[k] if cost.sigma_q is None else sigma[k] - cost.sigma_q[k]
             rhs_s = rhs_s + cost.b3 * wq[k] * diff
         if win is not None:
             rhs_s = rhs_s + win[k] * (sigma[k] - relax.sigma_omega)
 
-        p_frozen = proliferation_eval(params.proliferation, phi[k - 1], 0)
-        bpp = potential_split_eval(pot, phi[k], "convex", 2)
-        lm, lf, ls = solver.solve(p_frozen, bpp, (rhs_m, rhs_f, rhs_s), transpose=True)
-        if not (np.all(np.isfinite(lm)) and np.all(np.isfinite(lf)) and np.all(np.isfinite(ls))):
+        lam = solver.solve(p, w, (rhs_m, rhs_f, rhs_s), transpose=True)
+        if not np.isfinite(lam).all():
             raise NanDetectedError(f"adjoint frame {k - 1}")
-        data[k - 1, 0] = lm / riesz[k - 1]
-        data[k - 1, 1] = lf / riesz[k - 1]
-        data[k - 1, 2] = ls / riesz[k - 1]
+        data[k - 1] = lam / wq[k - 1]
+        ex, spp = ex_prev, spp_prev
 
     return Trajectory(grid, tg, data, ADJOINT_NAMES)

@@ -5,21 +5,18 @@ control, this module solves for the directional derivative
 (d_mu, d_phi, d_sigma) of (mu, phi, sigma). The scheme is not an
 independent discretization of the continuous sensitivity equations: it is
 the exact derivative of the discrete forward update map, obtained by
-differentiating each implicit step. Concretely, step k -> k+1 solves
+differentiating each implicit step. Step k -> k+1 solves
 
-    A(phi_{k+1}) y_{k+1} = C_k y_k + (0, 0, h_k)
+    A_{k+1} y_{k+1} = C_k y_k + (0, 0, h_k)
 
-where A is the converged Newton matrix of the forward step (with
-B''(phi_{k+1}) implicit) and C_k collects the explicit couplings: the
-old-frame time terms, the derivative of the frozen exchange rate
-P'(phi_k)(sigma_{k+1} - mu_{k+1}) and the explicit smooth potential part
-S''(phi_k). Exactness of this construction is what makes the
-finite-difference consistency check clean at fixed resolution and the
-adjoint an exact transpose.
+with the step matrix A_{k+1} and explicit coupling C_k of
+:mod:`chcontrol.system`, which writes out both. Exactness of this
+construction is what makes the finite-difference consistency check clean
+at fixed resolution and the adjoint an exact transpose.
 
 Since A depends on the base state only, a stack of directions shares
 every step matrix: the sweep marches all of them together and factors
-A(phi_{k+1}) once per step, with one right-hand side per direction. A
+A_{k+1} once per step, with one right-hand side per direction. A
 caller that reads only the first frames (the duality check stops at the
 treatment node) asks for that many steps and skips the rest.
 """
@@ -30,9 +27,8 @@ import numpy as np
 
 from .errors import NanDetectedError, ShapeMismatchError, TimeDomainError
 from .fields import Trajectory
-from .potentials import potential_split_eval, proliferation_eval
 from .state import ControlField, ModelParams
-from .system import StepSolver
+from .system import StepSolver, coupling, step_coefficients
 
 LINEARIZED_NAMES = ("d_mu", "d_phi", "d_sigma")
 
@@ -48,7 +44,7 @@ def solve_linearized(params: ModelParams, state: Trajectory, h,
     1..``steps`` (default nt) are marched, and the returned trajectory
     holds frames 0..steps, of shape (steps+1, 3, [ndir,] *grid.shape).
     """
-    grid, tg, pot = params.grid, params.time_grid, params.potential
+    grid, tg = params.grid, params.time_grid
     nt, dt = tg.steps, tg.dt
     hv = h.values if isinstance(h, ControlField) else np.asarray(h)
     nodes = (nt + 1,) + grid.shape
@@ -66,24 +62,13 @@ def solve_linearized(params: ModelParams, state: Trajectory, h,
         hv = np.moveaxis(hv, 0, 1)
 
     solver = StepSolver(grid, dt, params.alpha, params.beta)
-    a, b, c = solver.a, solver.b, solver.c
-    mu, phi, sigma = state.mu, state.phi, state.sigma
-
     data = np.zeros((steps + 1, 3) + hv.shape[1:])
     for k in range(steps):
-        e0, t0, r0 = data[k]
-        f_old, f_new = phi[k], phi[k + 1]
-        p_frozen = proliferation_eval(params.proliferation, f_old, 0)
-        w = proliferation_eval(params.proliferation, f_old, 1) * (sigma[k + 1] - mu[k + 1])
-        pi_prime = potential_split_eval(pot, f_old, "smooth", 2)
-        bpp = potential_split_eval(pot, f_new, "convex", 2)
-
-        rhs1 = a * e0 + c * t0 + w * t0
-        rhs2 = b * t0 - pi_prime * t0
-        rhs3 = c * r0 - w * t0 + hv[k]
-        e1, t1, r1 = solver.solve(p_frozen, bpp, (rhs1, rhs2, rhs3))
-        if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(t1)) and np.all(np.isfinite(r1))):
+        p, w, ex, spp = step_coefficients(params, state, k)
+        rm, rf, rs = coupling(solver, ex, spp, data[k])
+        x = solver.solve(p, w, (rm, rf, rs + hv[k]))
+        if not np.isfinite(x).all():
             raise NanDetectedError(f"linearized frame {k + 1}")
-        data[k + 1, 0], data[k + 1, 1], data[k + 1, 2] = e1, t1, r1
+        data[k + 1] = x
 
     return Trajectory(grid, tg, data, LINEARIZED_NAMES)

@@ -391,14 +391,18 @@ def reduced_cost(state: Trajectory, u: ControlField, tau: float,
     return TauProfile(state, u, cost).breakdown(tau)
 
 
+def adj_sigma_extended(adjoint: Trajectory, tg: TimeGrid) -> np.ndarray:
+    """Zero extension of the nutrient adjoint to the full time grid."""
+    out = np.zeros((tg.steps + 1,) + adjoint.grid.shape)
+    out[: adjoint.nframes] = adjoint.component("adj_sigma")
+    return out
+
+
 def control_gradient(adjoint: Trajectory, u: ControlField, b0: float) -> np.ndarray:
     """Riesz representative of the reduced gradient in the
     trapezoid-weighted L2(Q) product: zero-extended nutrient adjoint plus
     b0 times the control."""
-    nt = u.values.shape[0] - 1
-    grad = b0 * u.values.copy()
-    k_tau = adjoint.nframes - 1
-    if k_tau > nt:
-        raise GridMismatchError("adjoint trajectory longer than the control")
-    grad[: k_tau + 1] += adjoint.component("adj_sigma")
-    return grad
+    adj = adj_sigma_extended(adjoint, adjoint.time_grid)
+    if adj.shape != u.values.shape:
+        raise GridMismatchError(f"adjoint nodes {adj.shape}, control nodes {u.values.shape}")
+    return b0 * u.values + adj

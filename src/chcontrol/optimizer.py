@@ -44,6 +44,7 @@ from .objective import (
     CostBreakdown,
     CostSpec,
     TauProfile,
+    adj_sigma_extended,
     control_gradient,
     reduced_cost,
     space_time_inner,
@@ -120,13 +121,6 @@ def project_control(u: ControlField) -> ControlField:
     """Pointwise clamp onto the admissible box; idempotent and
     1-Lipschitz in L2(Q)."""
     return u.clipped()
-
-
-def adj_sigma_extended(adjoint: Trajectory, tg) -> np.ndarray:
-    """Zero extension of the nutrient adjoint to the full time grid."""
-    out = np.zeros((tg.steps + 1,) + adjoint.grid.shape)
-    out[: adjoint.nframes] = adjoint.component("adj_sigma")
-    return out
 
 
 def classify_time_optimality(state: Trajectory, u: ControlField, tau: float,

@@ -13,6 +13,20 @@ with a = alpha/dt, b = beta/dt, c = 1/dt, P the frozen exchange rate
 transpose of the same matrix, so a single assembly routine serves all
 three solvers.
 
+The linearized and adjoint sweeps read the derivative of the discrete
+forward step from here. At a solved trajectory, step j -> j+1 is
+
+    A_{j+1} y_{j+1} = C_j y_j + (0, 0, h_j),
+
+A_{j+1} being the matrix above at P = P(phi_j) and W = B''(phi_{j+1}), and
+
+    C_j   (m, f, s) = (a m + c f + E f,  b f - S f,  c s - E f),
+    C_j^T (m, f, s) = (a m,  c m + E m + (b - S) f - E s,  c s),
+
+with E = P'(phi_j)(sigma_{j+1} - mu_{j+1}) and S = S''(phi_j) the explicit
+smooth potential part. :func:`step_coefficients` gives (P, W, E, S) of
+step j and :func:`coupling` applies C_j or C_j^T.
+
 The constant part of the matrix (time terms and stencil) is assembled
 once per solver; each solve copies it and patches only the P and W
 entries. A solve takes right-hand sides with an optional leading
@@ -50,6 +64,7 @@ from scipy.sparse.linalg import splu
 
 from . import kernels
 from .fields import Grid
+from .potentials import potential_split_eval, proliferation_eval
 
 
 def _neumann_lap_1d(n: int, inv_h2: float) -> sps.csr_matrix:
@@ -208,3 +223,24 @@ class StepSolver:
         b = np.concatenate([np.reshape(r, (ndir, ncell)) for r in rhs], axis=1)
         x = lu.solve(b.T, trans="T" if transpose else "N").T
         return x.reshape(ndir, 3, ncell).transpose(1, 0, 2).reshape(shape)
+
+
+def step_coefficients(params, state, j: int):
+    """(P, W, E, S) of step j -> j+1 at a solved trajectory, as defined in
+    the module docstring: A_{j+1} takes (P, W) and C_j takes (E, S)."""
+    prolif, pot, phi = params.proliferation, params.potential, state.phi
+    p = proliferation_eval(prolif, phi[j], 0)
+    w = potential_split_eval(pot, phi[j + 1], "convex", 2)
+    ex = proliferation_eval(prolif, phi[j], 1) * (state.sigma[j + 1] - state.mu[j + 1])
+    spp = potential_split_eval(pot, phi[j], "smooth", 2)
+    return p, w, ex, spp
+
+
+def coupling(solver: StepSolver, ex, spp, y, transpose: bool = False):
+    """C_j y, or C_j^T y, as three fields, given E and S of step j; the
+    fields of y = (m, f, s) may carry a direction axis."""
+    a, b, c = solver.a, solver.b, solver.c
+    m, f, s = y
+    if transpose:
+        return a * m, c * m + ex * m + (b - spp) * f - ex * s, c * s
+    return a * m + c * f + ex * f, b * f - spp * f, c * s - ex * f

@@ -209,6 +209,14 @@ def test_control_gradient_structure(problem):
     assert np.all(grad_half[21:] == 0.0)
 
 
+def test_control_gradient_rejects_longer_adjoint(problem):
+    params, _, u, state = problem
+    adj = ch.solve_adjoint(params, state, 20, tracking_cost(params))
+    short = ch.ControlField(u.values[:11], u.lower, u.upper)
+    with pytest.raises(ch.GridMismatchError):
+        ch.control_gradient(adj, short, 0.0)
+
+
 def test_control_gradient_directional_oracle(problem):
     params, init, u, state = problem
     grid, tg = params.grid, params.time_grid

@@ -84,4 +84,8 @@ def test_traced_verify_sees_every_oracle(tmp_path):
     for name in ("gradient", "duality", "lipschitz", "mass"):
         assert metrics[f"verification.{name}_s"] > 0, name
     assert metrics["verification.oracle_solves"] > 0
+    # the tracer sees a transpose solve only through the keyword or the
+    # fifth positional argument of StepSolver.solve
+    assert metrics["system.transpose_solves"] == metrics["adjoint.steps"] > 0
+    assert metrics["linearized.steps"] > 0
     assert result["reconcile"] is None
