@@ -24,10 +24,8 @@ from .fields import (
     Grid,
     TimeGrid,
     Trajectory,
-    inner,
     integrate,
     laplacian_neumann,
-    norm2,
     read_snapshot,
     read_trajectory,
     write_snapshot,
@@ -56,13 +54,7 @@ from .optimizer import (
     optimize,
     project_control,
 )
-from .potentials import (
-    Potential,
-    Proliferation,
-    potential_eval,
-    potential_split_eval,
-    proliferation_eval,
-)
+from .potentials import Potential, Proliferation
 from .state import (
     ControlField,
     InitialData,

@@ -57,7 +57,7 @@ from .objective import (
     reduced_cost,
 )
 from .optimizer import ArmijoParams, OptimizerConfig, optimize
-from .potentials import Potential, Proliferation, potential_eval
+from .potentials import Potential, Proliferation
 from .state import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -336,11 +336,11 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
         peak = np.abs(phi).max()
         if peak > 0:
             phi *= given / peak
-    lo, hi = potential.domain
-    if not (lo < phi.min() and phi.max() < hi):
+    if not (np.isfinite(phi).all() and potential.distance(phi) > 0):
+        lo, hi = potential.domain
         raise ConfigError(f"{blame}: {given} puts phi0 outside the potential "
                           f"domain ({lo}, {hi})")
-    mu = potential_eval(potential, phi, 1)
+    mu = potential.dF(phi)
     return InitialData(mu, phi, mu.copy())
 
 

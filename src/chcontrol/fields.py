@@ -131,11 +131,6 @@ class TimeGrid:
         return k, abs(tau - self.times[k])
 
 
-def ensure_same_grid(f: np.ndarray, g: np.ndarray) -> None:
-    if f.shape != g.shape:
-        raise GridMismatchError(f"field shapes differ: {f.shape} vs {g.shape}")
-
-
 def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order Laplacian with reflecting ghost cells (zero normal
     derivative on every face).
@@ -154,16 +149,6 @@ def integrate(grid: Grid, f: np.ndarray) -> float:
     if f.shape != grid.shape:
         raise GridMismatchError(f"field shape {f.shape} does not match grid {grid.shape}")
     return grid.cell_volume * float(np.sum(f))
-
-
-def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
-    """L2 inner product of two fields on the same grid."""
-    ensure_same_grid(f, g)
-    return integrate(grid, f * g)
-
-
-def norm2(grid: Grid, f: np.ndarray) -> float:
-    return float(np.sqrt(max(inner(grid, f, f), 0.0)))
 
 
 class Trajectory:

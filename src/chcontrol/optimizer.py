@@ -120,7 +120,7 @@ class OptResult:
 def project_control(u: ControlField) -> ControlField:
     """Pointwise clamp onto the admissible box; idempotent and
     1-Lipschitz in L2(Q)."""
-    return u.clipped()
+    return ControlField(np.clip(u.values, u.lower, u.upper), u.lower, u.upper)
 
 
 def classify_time_optimality(state: Trajectory, u: ControlField, tau: float,

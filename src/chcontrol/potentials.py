@@ -9,9 +9,19 @@ S is a smooth perturbation (treated explicitly). Two variants:
 * logarithmic(lam): F(r) = (1-r)log(1-r) + (1+r)log(1+r) - lam r^2 on
   (-1, 1), split into the entropy part (convex) and -lam r^2.
 
+:class:`Potential` has one method per derivative the scheme evaluates:
+``dB`` (implicit in the step), ``d2B`` (the Newton matrix and the
+linearization), ``dS`` (explicit in the step), ``d2S`` (the
+linearization) and ``dF`` = B' + S' (the presets' mu0 = F'(phi0)).
+``distance`` is the one formula of the domain rule: the least distance
+of a field to the boundary of the domain of F, inf for the quartic. The
+logarithmic ``dB`` and ``d2B`` raise :class:`PotentialDomainError` on a
+value outside (-1, 1); a NaN passes, for the march to report.
+
 The proliferation function P must be nonnegative, bounded, with bounded
 derivative; the smooth ramp P0 * (1 + tanh(r / s)) / 2 satisfies this for
-any width s > 0, as does a constant.
+any width s > 0, as does a constant. :class:`Proliferation` has ``P``
+(frozen in the step) and ``dP`` (the linearization).
 """
 
 from __future__ import annotations
@@ -21,9 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PotentialDomainError
-
-_CONVEX = "convex"
-_SMOOTH = "smooth"
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class Potential:
 
     @property
     def domain(self):
-        if self.kind == "logarithmic":
+        if self.singular:
             return (-1.0, 1.0)
         return (-np.inf, np.inf)
 
@@ -51,80 +58,45 @@ class Potential:
     def singular(self) -> bool:
         return self.kind == "logarithmic"
 
-    def check_domain(self, r) -> None:
+    def distance(self, r) -> float:
+        """Least distance of the values ``r`` to the boundary of the
+        domain: positive inside, NaN if ``r`` holds a NaN."""
         if not self.singular:
-            return
-        r = np.asarray(r)
+            return np.inf
         lo, hi = self.domain
-        if np.any(r <= lo) or np.any(r >= hi):
-            bad = r[(r <= lo) | (r >= hi)]
-            raise PotentialDomainError(np.ravel(bad)[0], lo, hi)
+        r = np.asarray(r)
+        return float(min((r - lo).min(), (hi - r).min()))
 
+    def _check_domain(self, r) -> None:
+        if self.distance(r) <= 0:
+            lo, hi = self.domain
+            r = np.asarray(r)
+            raise PotentialDomainError(np.ravel(r[(r <= lo) | (r >= hi)])[0], lo, hi)
 
-def _quartic_convex(r, order):
-    if order == 0:
-        return 0.25 * r**4
-    if order == 1:
-        return r**3
-    return 3.0 * r**2
-
-
-def _quartic_smooth(r, order):
-    if order == 0:
-        return 0.25 - 0.5 * r**2
-    if order == 1:
-        return -r
-    return -1.0 + 0.0 * r
-
-
-def _log_convex(r, lam, order):
-    if order == 0:
-        return (1.0 - r) * np.log(1.0 - r) + (1.0 + r) * np.log(1.0 + r)
-    if order == 1:
+    def dB(self, r):
+        if not self.singular:
+            return r**3
+        self._check_domain(r)
         return np.log((1.0 + r) / (1.0 - r))
-    return 2.0 / (1.0 - r * r)
 
+    def d2B(self, r):
+        if not self.singular:
+            return 3.0 * r**2
+        self._check_domain(r)
+        return 2.0 / (1.0 - r * r)
 
-def _log_smooth(r, lam, order):
-    if order == 0:
-        return -lam * r**2
-    if order == 1:
-        return -2.0 * lam * r
-    return -2.0 * lam + 0.0 * r
+    def dS(self, r):
+        if not self.singular:
+            return -r
+        return -2.0 * self.lam * r
 
+    def d2S(self, r):
+        if not self.singular:
+            return -1.0 + 0.0 * r
+        return -2.0 * self.lam + 0.0 * r
 
-def potential_split_eval(pot: Potential, r, part: str, order: int = 0):
-    """Derivative of order 0..2 of the convex or smooth part of F."""
-    if part not in (_CONVEX, _SMOOTH):
-        raise ValueError(f"part must be 'convex' or 'smooth', got {part!r}")
-    if not 0 <= order <= 2:
-        raise ValueError("split derivatives are available up to order 2")
-    r = np.asarray(r, dtype=float)
-    pot.check_domain(r)
-    if pot.kind == "quartic":
-        out = _quartic_convex(r, order) if part == _CONVEX else _quartic_smooth(r, order)
-    else:
-        fn = _log_convex if part == _CONVEX else _log_smooth
-        out = fn(r, pot.lam, order)
-    return out if np.ndim(out) else float(out)
-
-
-def potential_eval(pot: Potential, r, order: int = 0):
-    """Derivative of order 0..3 of the full potential F = B + S."""
-    if not 0 <= order <= 3:
-        raise ValueError("potential derivatives are available up to order 3")
-    r = np.asarray(r, dtype=float)
-    pot.check_domain(r)
-    if order <= 2:
-        out = potential_split_eval(pot, r, _CONVEX, order) + potential_split_eval(
-            pot, r, _SMOOTH, order
-        )
-        return out
-    if pot.kind == "quartic":
-        out = 6.0 * r
-    else:
-        out = 4.0 * r / (1.0 - r * r) ** 2
-    return out if np.ndim(out) else float(out)
+    def dF(self, r):
+        return self.dB(r) + self.dS(r)
 
 
 @dataclass(frozen=True)
@@ -149,20 +121,14 @@ class Proliferation:
         if self.p0 < 0:
             raise ValueError("proliferation magnitude must be nonnegative")
 
+    # the constant kind returns a field shaped like r: the step solver
+    # ravels P
+    def P(self, r):
+        if self.kind == "constant":
+            return np.full_like(r, self.p0)
+        return 0.5 * self.p0 * (1.0 + np.tanh(r / self.width))
 
-def proliferation_eval(p: Proliferation, r, order: int = 0):
-    """P, P' or P''. The constant kind returns (p0, 0, 0)."""
-    if not 0 <= order <= 2:
-        raise ValueError("proliferation derivatives are available up to order 2")
-    r = np.asarray(r, dtype=float)
-    if p.kind == "constant":
-        out = np.full_like(r, p.p0) if order == 0 else np.zeros_like(r)
-    else:
-        z = r / p.width
-        if order == 0:
-            out = 0.5 * p.p0 * (1.0 + np.tanh(z))
-        elif order == 1:
-            out = 0.5 * p.p0 / p.width / np.cosh(z) ** 2
-        else:
-            out = -p.p0 / p.width**2 * np.tanh(z) / np.cosh(z) ** 2
-    return out if np.ndim(out) else float(out)
+    def dP(self, r):
+        if self.kind == "constant":
+            return np.zeros_like(r)
+        return 0.5 * self.p0 / self.width / np.cosh(r / self.width) ** 2

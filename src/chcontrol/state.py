@@ -66,7 +66,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .fields import Grid, TimeGrid, Trajectory, laplacian_neumann
-from .potentials import Potential, Proliferation, potential_split_eval, proliferation_eval
+from .potentials import Potential, Proliferation
 from .system import StepSolver
 
 STATE_NAMES = ("mu", "phi", "sigma")
@@ -113,14 +113,12 @@ class InitialData:
                                          f"match grid {grid.shape}")
             if not np.all(np.isfinite(arr)):
                 raise NanDetectedError(f"initial data {name}")
-        if potential.singular:
+        if potential.distance(self.phi0) <= 0:
             lo, hi = potential.domain
-            pmin, pmax = float(self.phi0.min()), float(self.phi0.max())
-            if not (lo < pmin and pmax < hi):
-                raise ConfigError(
-                    f"initial.phi0: range [{pmin:.4g}, {pmax:.4g}] must lie strictly "
-                    f"inside the potential domain ({lo}, {hi})"
-                )
+            raise ConfigError(
+                f"initial.phi0: range [{self.phi0.min():.4g}, {self.phi0.max():.4g}] "
+                f"must lie strictly inside the potential domain ({lo}, {hi})"
+            )
 
 
 @dataclass
@@ -144,10 +142,6 @@ class ControlField:
             )
         if np.any(np.asarray(self.lower) > np.asarray(self.upper)):
             raise ConfigError("bounds: lower bound exceeds upper bound somewhere")
-
-    def clipped(self) -> "ControlField":
-        return ControlField(np.clip(self.values, self.lower, self.upper),
-                            self.lower, self.upper)
 
     @classmethod
     def constant(cls, grid: Grid, time_grid: TimeGrid, value: float,
@@ -199,7 +193,7 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
         r -= laplacian_neumann(grid, x)
         exchange = p_frozen * (x[2] - x[0])
         r[0] -= exchange
-        r[1] += potential_split_eval(pot, x[1], "convex", 1)
+        r[1] += pot.dB(x[1])
         r[1] += pi_old
         r[1] -= x[0]
         r[2] += exchange
@@ -221,7 +215,7 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
             raise NanDetectedError("Newton residual")
         # A y = r, so the Newton update is -y; the solve is sign-symmetric
         if refactor or not chord:
-            y = solver.solve(p_frozen, potential_split_eval(pot, x[1], "convex", 2), r)
+            y = solver.solve(p_frozen, pot.d2B(x[1]), r)
             refactor = False
         else:
             y = solver.solve(None, None, r)
@@ -266,6 +260,7 @@ def solve_state(params: ModelParams, init: InitialData,
 
     solver = StepSolver(grid, dt, params.alpha, params.beta)
     clamp_lo = clamp_hi = None
+    margin = 0.0
     if pot.singular:
         lo, hi = pot.domain
         margin = 1e-6 * (hi - lo)
@@ -283,8 +278,8 @@ def solve_state(params: ModelParams, init: InitialData,
 
     for k in range(nt):
         f0 = data[k, 1]
-        p_frozen = proliferation_eval(params.proliferation, f0, 0)
-        pi_old = potential_split_eval(pot, f0, "smooth", 1)
+        p_frozen = params.proliferation.P(f0)
+        pi_old = pot.dS(f0)
         u_k = control.values[k]
 
         x, res, iters, ok, refactor = _newton_step(
@@ -295,13 +290,9 @@ def solve_state(params: ModelParams, init: InitialData,
             raise NewtonDivergenceError(k + 1, res, iters)
         if not np.isfinite(x).all():
             raise NanDetectedError(f"state frame {k + 1}")
-        if pot.singular:
-            lo, hi = pot.domain
-            f = x[1]
-            dist = float(min((f - lo).min(), (hi - f).min()))
-            delta_sep[k] = dist
-            if dist <= 2e-6 * (hi - lo):
-                raise SeparationViolationError(k + 1, dist)
+        delta_sep[k] = dist = pot.distance(x[1])
+        if dist <= 2 * margin:
+            raise SeparationViolationError(k + 1, dist)
 
         data[k + 1] = x
         newton_iters[k] = iters
@@ -313,11 +304,6 @@ def solve_state(params: ModelParams, init: InitialData,
 def separation_report(traj: Trajectory, potential: Potential) -> SeparationReport:
     """Minimum distance of the phase variable to the potential domain
     boundary over the whole trajectory (inf for an unbounded domain)."""
-    lo, hi = potential.domain
-    phi = traj.component("phi")
-    if not np.isfinite(lo):
-        return SeparationReport(np.inf, 0)
-    per_frame = np.minimum((phi - lo).min(axis=tuple(range(1, phi.ndim))),
-                           (hi - phi).min(axis=tuple(range(1, phi.ndim))))
+    per_frame = [potential.distance(f) for f in traj.component("phi")]
     k = int(np.argmin(per_frame))
-    return SeparationReport(float(per_frame[k]), k)
+    return SeparationReport(per_frame[k], k)

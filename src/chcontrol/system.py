@@ -64,7 +64,6 @@ from scipy.sparse.linalg import splu
 
 from . import kernels
 from .fields import Grid
-from .potentials import potential_split_eval, proliferation_eval
 
 
 def _neumann_lap_1d(n: int, inv_h2: float) -> sps.csr_matrix:
@@ -229,10 +228,10 @@ def step_coefficients(params, state, j: int):
     """(P, W, E, S) of step j -> j+1 at a solved trajectory, as defined in
     the module docstring: A_{j+1} takes (P, W) and C_j takes (E, S)."""
     prolif, pot, phi = params.proliferation, params.potential, state.phi
-    p = proliferation_eval(prolif, phi[j], 0)
-    w = potential_split_eval(pot, phi[j + 1], "convex", 2)
-    ex = proliferation_eval(prolif, phi[j], 1) * (state.sigma[j + 1] - state.mu[j + 1])
-    spp = potential_split_eval(pot, phi[j], "smooth", 2)
+    p = prolif.P(phi[j])
+    w = pot.d2B(phi[j + 1])
+    ex = prolif.dP(phi[j]) * (state.sigma[j + 1] - state.mu[j + 1])
+    spp = pot.d2S(phi[j])
     return p, w, ex, spp
 
 

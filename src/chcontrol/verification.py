@@ -104,9 +104,8 @@ class GradientCheckReport:
 
 
 def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
-                      u: ControlField, tau: float, directions: int = 5,
-                      deltas=(1e-2, 1e-3, 1e-4), slope_deltas=None,
-                      seed: int = DEFAULT_SEED, *,
+                      u: ControlField, tau: float, *, directions: int, deltas,
+                      slope_deltas=None, seed: int = DEFAULT_SEED,
                       state: Trajectory | None = None) -> GradientCheckReport:
     """Compare <grad J, h> with central differences of the reduced cost.
 
@@ -178,7 +177,7 @@ class DualityCheckReport:
 
 
 def duality_check(params: ModelParams, state: Trajectory, k_tau: int,
-                  cost: CostSpec, directions: int = 10,
+                  cost: CostSpec, *, directions: int,
                   seed: int = DEFAULT_SEED) -> DualityCheckReport:
     """Exactness of the discrete transpose: for random h, the weighted
     pairing of the nutrient adjoint with h equals the tracking terms
@@ -264,8 +263,7 @@ class LipschitzCheckReport:
 
 
 def lipschitz_check(params: ModelParams, init: InitialData,
-                    base: ControlField, pairs: int = 5,
-                    magnitudes=(1e-1, 1e-2, 1e-3),
+                    base: ControlField, *, pairs: int, magnitudes,
                     seed: int = DEFAULT_SEED) -> LipschitzCheckReport:
     """Ratio of state differences to control differences for random
     control pairs at several perturbation magnitudes."""

@@ -28,7 +28,7 @@ def make_problem(n=64, nt=64, horizon=1.0, potential=None, alpha=0.1, beta=0.1,
 
 def equilibrium_init(params, c=0.2):
     grid = params.grid
-    mu0 = grid.full(ch.potential_eval(params.potential, c, 1))
+    mu0 = grid.full(params.potential.dF(c))
     return ch.InitialData(mu0.copy(), grid.full(c), mu0.copy())
 
 

@@ -11,7 +11,7 @@ fields and the backward difference of phi. The two agree to roundoff.
 import numpy as np
 
 from chcontrol.errors import ConfigError, GridMismatchError, TimeDomainError
-from chcontrol.fields import inner, integrate
+from chcontrol.fields import integrate
 from chcontrol.objective import CostBreakdown, space_time_inner
 
 
@@ -110,7 +110,7 @@ def evaluate_cost(state, u, tau, cost):
         phi_tau = interpolate_in_time(state, "phi", tau)
         if cost.b2 > 0:
             diff = phi_tau if cost.phi_omega is None else phi_tau - cost.phi_omega
-            out.tracking_omega = 0.5 * cost.b2 * inner(grid, diff, diff)
+            out.tracking_omega = 0.5 * cost.b2 * integrate(grid, diff * diff)
         if cost.b4 > 0:
             out.tumour_mass = 0.5 * cost.b4 * integrate(grid, 1.0 + phi_tau)
     out.linear_time = cost.b5 * tau
@@ -162,7 +162,7 @@ def time_derivative(state, tau, cost):
         if cost.b2 > 0:
             phi_tau = interpolate_in_time(state, "phi", tau)
             diff = phi_tau if cost.phi_omega is None else phi_tau - cost.phi_omega
-            value += cost.b2 * inner(grid, diff, dphi)
+            value += cost.b2 * integrate(grid, diff * dphi)
         if cost.b4 > 0:
             value += 0.5 * cost.b4 * integrate(grid, dphi)
     relax = cost.relaxation

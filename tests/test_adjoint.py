@@ -69,7 +69,7 @@ def _duality_gap(params, state, k, cost, h):
         rhs += cost.b1 * ch.space_time_inner(
             grid, tg.dt, state.phi[: k + 1] - cost.phi_q[: k + 1], theta, weights=wq)
     if cost.b2:
-        rhs += cost.b2 * ch.inner(grid, state.phi[k] - cost.phi_omega, theta[k])
+        rhs += cost.b2 * ch.integrate(grid, (state.phi[k] - cost.phi_omega) * theta[k])
     if cost.b3:
         rhs += cost.b3 * ch.space_time_inner(
             grid, tg.dt, state.sigma[: k + 1] - cost.sigma_q[: k + 1], rho, weights=wq)

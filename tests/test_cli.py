@@ -68,9 +68,10 @@ def test_preset_equilibrium():
     assert np.all(init.sigma0 == 0.0)
     init = preset_initial_data("equilibrium", g, pot, value=0.5)
     assert np.all(init.mu0 == 0.5**3 - 0.5)
-    with pytest.raises(ConfigError):
-        preset_initial_data("equilibrium", g, ch.Potential.logarithmic(2.0),
-                            value=1.5)
+    for value in (1.5, 1.0):  # the domain is open
+        with pytest.raises(ConfigError, match="initial.value"):
+            preset_initial_data("equilibrium", g, ch.Potential.logarithmic(2.0),
+                                value=value)
 
 
 def test_preset_random_interior():
@@ -82,6 +83,11 @@ def test_preset_random_interior():
     # seeded determinism
     again = preset_initial_data("random_interior", g, pot, amplitude=0.1, seed=4)
     assert np.array_equal(init.phi0, again.phi0)
+    # an amplitude whose scaling overflows is a config error on any domain
+    for pot in (ch.Potential.quartic(), pot):
+        with np.errstate(over="ignore"), pytest.raises(ConfigError,
+                                                       match="initial.amplitude"):
+            preset_initial_data("random_interior", g, pot, amplitude=1e308, seed=0)
 
 
 def test_preset_tanh_front():

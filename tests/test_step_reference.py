@@ -21,7 +21,6 @@ import chcontrol as ch
 from chcontrol.cli import preset_initial_data
 from chcontrol.errors import NanDetectedError, NewtonDivergenceError
 from chcontrol.fields import integrate, laplacian_neumann
-from chcontrol.potentials import potential_split_eval, proliferation_eval
 from chcontrol.system import StepSolver
 from conftest import make_problem
 
@@ -36,7 +35,7 @@ def _reference_newton_step(solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
         if lagged and not refactor:
             return solver.solve(None, None, (-r1, -r2, -r3))
         refactor = False
-        bpp = potential_split_eval(pot, f, "convex", 2)
+        bpp = pot.d2B(f)
         return solver.solve(p_frozen, bpp, (-r1, -r2, -r3))
 
     m, f, s = m0.copy(), f0.copy(), s0.copy()
@@ -44,7 +43,7 @@ def _reference_newton_step(solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
     def residual(m, f, s):
         r1 = a * (m - m0) + c * (f - f0) - laplacian_neumann(grid, m) - p_frozen * (s - m)
         r2 = (b * (f - f0) - laplacian_neumann(grid, f)
-              + potential_split_eval(pot, f, "convex", 1) + pi_old - m)
+              + pot.dB(f) + pi_old - m)
         r3 = c * (s - s0) - laplacian_neumann(grid, s) + p_frozen * (s - m) - u_k
         return r1, r2, r3
 
@@ -114,8 +113,8 @@ def reference_march(params, init, control, tol=ch.state.NEWTON_TOL,
     injected = 0.0
     for k in range(nt):
         m0, f0, s0 = data[k]
-        p_frozen = proliferation_eval(params.proliferation, f0, 0)
-        pi_old = potential_split_eval(pot, f0, "smooth", 1)
+        p_frozen = params.proliferation.P(f0)
+        pi_old = pot.dS(f0)
         u_k = control.values[k]
         m, f, s, res, iters, ok, refactor = _reference_newton_step(
             solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid, tol, max_iter,
@@ -217,7 +216,7 @@ def _damping_problem(potential):
     params = make_problem(n=32, nt=2, potential=potential)
     grid = params.grid
     phi0 = 0.5 * np.cos(np.pi * grid.axis_centers(0))
-    mu0 = ch.potential_eval(potential, phi0, 1)
+    mu0 = potential.dF(phi0)
     init = ch.InitialData(mu0, phi0, grid.full(0.5))
     u = ch.ControlField.constant(grid, params.time_grid, 50.0)
     return params, init, u

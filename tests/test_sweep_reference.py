@@ -14,7 +14,6 @@ import pytest
 import chcontrol as ch
 from chcontrol.cli import preset_initial_data
 from chcontrol.objective import time_weights, window_weights
-from chcontrol.potentials import potential_split_eval, proliferation_eval
 from chcontrol.system import StepSolver, coupling, step_coefficients
 
 
@@ -29,10 +28,10 @@ def reference_linearized(params, state, hv):
     for k in range(nt):
         e0, t0, r0 = data[k]
         f_old, f_new = phi[k], phi[k + 1]
-        p_frozen = proliferation_eval(params.proliferation, f_old, 0)
-        w = proliferation_eval(params.proliferation, f_old, 1) * (sigma[k + 1] - mu[k + 1])
-        pi_prime = potential_split_eval(pot, f_old, "smooth", 2)
-        bpp = potential_split_eval(pot, f_new, "convex", 2)
+        p_frozen = params.proliferation.P(f_old)
+        w = params.proliferation.dP(f_old) * (sigma[k + 1] - mu[k + 1])
+        pi_prime = pot.d2S(f_old)
+        bpp = pot.d2B(f_new)
         rhs1 = a * e0 + c * t0 + w * t0
         rhs2 = b * t0 - pi_prime * t0
         rhs3 = c * r0 - w * t0 + hv[k]
@@ -67,9 +66,8 @@ def reference_adjoint(params, state, k_tau, cost):
         rhs_f = np.zeros(grid.shape)
         rhs_s = np.zeros(grid.shape)
         if k < k_tau:
-            w = proliferation_eval(params.proliferation, phi[k], 1) * (
-                sigma[k + 1] - mu[k + 1])
-            pi_prime = potential_split_eval(pot, phi[k], "smooth", 2)
+            w = params.proliferation.dP(phi[k]) * (sigma[k + 1] - mu[k + 1])
+            pi_prime = pot.d2S(phi[k])
             rhs_m = a * lm
             rhs_f = c * lm + w * lm + (b - pi_prime) * lf - w * ls
             rhs_s = c * ls
@@ -87,8 +85,8 @@ def reference_adjoint(params, state, k_tau, cost):
             rhs_s = rhs_s + cost.b3 * wq[k] * diff
         if win is not None:
             rhs_s = rhs_s + win[k] * (sigma[k] - relax.sigma_omega)
-        p_frozen = proliferation_eval(params.proliferation, phi[k - 1], 0)
-        bpp = potential_split_eval(pot, phi[k], "convex", 2)
+        p_frozen = params.proliferation.P(phi[k - 1])
+        bpp = pot.d2B(phi[k])
         lm, lf, ls = solver.solve(p_frozen, bpp, (rhs_m, rhs_f, rhs_s), transpose=True)
         data[k - 1, 0] = lm / riesz[k - 1]
         data[k - 1, 1] = lf / riesz[k - 1]

@@ -11,7 +11,7 @@ def problem_2d():
     tg = ch.TimeGrid(0.25, 12)
     params = ch.ModelParams(0.1, 0.1, ch.Potential.quartic(),
                             ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
-    mu0 = grid.full(ch.potential_eval(params.potential, 0.2, 1))
+    mu0 = grid.full(params.potential.dF(0.2))
     init = ch.InitialData(mu0.copy(), grid.full(0.2), mu0.copy())
     u = ch.ControlField.constant(grid, tg, 1.0, 0.0, 2.0)
     cost = ch.CostSpec(
@@ -62,7 +62,7 @@ def test_logarithmic_2d_smoke():
     tg = ch.TimeGrid(0.2, 10)
     params = ch.ModelParams(0.1, 0.1, pot,
                             ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
-    mu0 = grid.full(ch.potential_eval(pot, 0.2, 1))
+    mu0 = grid.full(pot.dF(0.2))
     init = ch.InitialData(mu0.copy(), grid.full(0.2),
                           mu0 + 0.3 * np.cos(np.pi * grid.axis_centers(0))[:, None])
     u = ch.ControlField.constant(grid, tg, 0.5, 0.0, 2.0)
