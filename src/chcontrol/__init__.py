@@ -52,11 +52,9 @@ from .optimizer import (
     TimeOptimalityReport,
     classify_time_optimality,
     optimize,
-    project_control,
 )
 from .potentials import Potential, Proliferation
 from .state import (
-    ControlField,
     InitialData,
     ModelParams,
     SeparationReport,

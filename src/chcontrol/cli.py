@@ -56,12 +56,11 @@ from .objective import (
     constant_trajectory,
     reduced_cost,
 )
-from .optimizer import ArmijoParams, OptimizerConfig, optimize
+from .optimizer import ArmijoParams, OptimizerConfig, check_bounds, optimize
 from .potentials import Potential, Proliferation
 from .state import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
-    ControlField,
     InitialData,
     ModelParams,
     separation_report,
@@ -110,8 +109,9 @@ _REQUIRED = object()  # the default of a field that must be given
 # Fields of the root object are named "config.<key>". Fields are read where
 # the code needs them, so the fields of a branch not taken (the lam of a
 # quartic potential, the arguments of another preset) are not checked. The
-# ranges that ModelParams, CostSpec.validate, Relaxation, ControlField.validate
-# and ArmijoParams check stay there; their fields get a type here.
+# ranges that ModelParams, CostSpec.validate, Relaxation, ArmijoParams and
+# optimizer.check_bounds (lower <= upper) check stay there; their fields get a
+# type here, and parse_config calls check_bounds.
 _FIELDS = {
     "config.pipeline": ("choice", _PIPELINES, "simulate"),
     "config.seed": ("integer", 0, DEFAULT_SEED),
@@ -335,7 +335,10 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
                             * np.outer(np.cos(np.pi * m * x), np.cos(np.pi * l * y)))
         peak = np.abs(phi).max()
         if peak > 0:
-            phi *= given / peak
+            scale = given / float(peak)  # a Python float: inf, never a warning
+            if not math.isfinite(scale):
+                raise ConfigError(f"{blame}: {given} overflows phi0")
+            phi *= scale
     if not (np.isfinite(phi).all() and potential.distance(phi) > 0):
         lo, hi = potential.domain
         raise ConfigError(f"{blame}: {given} puts phi0 outside the potential "
@@ -358,7 +361,9 @@ class ExperimentConfig:
     params: ModelParams
     init: InitialData
     cost: CostSpec
-    u0: ControlField
+    u0: np.ndarray
+    lower: float | np.ndarray  # optimize's box: floats or grid fields
+    upper: float | np.ndarray
     tau0: float
     optimizer: OptimizerConfig
     # the verification section, nested like the config, defaults filled in
@@ -477,6 +482,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     bd = _field(raw, "bounds")
     lower, upper = (_snapshot(bd, f"bounds.{side}", grid)
                     for side in ("lower", "upper"))
+    check_bounds(lower, upper)
 
     cd = _field(raw, "cost")
     relaxation = _read(cd, "cost.relaxation")
@@ -501,9 +507,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
                               f"got {start!r}")
         # halved before the sum, which cannot then overflow
         start = 0.5 * np.asarray(lower) + 0.5 * np.asarray(upper)
-    u0 = ControlField(np.broadcast_to(start, (tg.steps + 1,) + grid.shape).copy(),
-                      lower, upper)
-    u0.validate(grid, tg)
+    u0 = np.broadcast_to(start, (tg.steps + 1,) + grid.shape).copy()
 
     opt = _fields(raw, "optimizer")
     opt_config = OptimizerConfig(armijo=ArmijoParams(**opt.pop("armijo")), **opt)
@@ -533,7 +537,8 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     return ExperimentConfig(
         raw=raw, pipeline=raw["pipeline"], seed=raw["seed"],
         output_dir=Path(raw["output_dir"]),
-        params=params, init=init, cost=cost, u0=u0, tau0=tau0,
+        params=params, init=init, cost=cost, u0=u0, lower=lower, upper=upper,
+        tau0=tau0,
         optimizer=opt_config, verification=verification,
     )
 
@@ -578,7 +583,7 @@ def _write_control(directory, u, tg, grid):
     paths = []
     for k in range(tg.steps + 1):
         fname = f"u_{k:05d}.fld"
-        write_snapshot(directory / fname, grid, u.values[k])
+        write_snapshot(directory / fname, grid, u[k])
         paths.append(fname)
     manifest = {
         "format": "chcontrol-control-1",
@@ -619,7 +624,8 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     params, tg, grid = cfg.params, cfg.params.time_grid, cfg.params.grid
-    res = optimize(params, cfg.init, cfg.cost, cfg.optimizer, cfg.u0, cfg.tau0)
+    res = optimize(params, cfg.init, cfg.cost, cfg.optimizer, cfg.u0, cfg.tau0,
+                   lower=cfg.lower, upper=cfg.upper)
     opt_dir = out / "optimize"
     opt_dir.mkdir(parents=True, exist_ok=True)
     header = _breakdown_header() + ["stat_u", "stat_tau", "time_case",
@@ -677,29 +683,31 @@ def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
         cfg = parse_config(config_path, seed=seed, out_dir=out_dir)
         pipeline = pipeline or cfg.pipeline
         out = cfg.output_dir
+        # every input is read: an OSError from here on is a failed write
         try:
             out.mkdir(parents=True, exist_ok=True)
+            if pipeline in ("simulate", "all"):
+                results["simulate"] = _run_simulate(cfg, out)
+            if pipeline in ("optimize", "all"):
+                results["optimize"] = _run_optimize(cfg, out)
+            if pipeline in ("verify", "all"):
+                results["verify"] = _run_verify(cfg, out)
+            echo = {**cfg.raw, "pipeline": pipeline}
+            summary = {"version": _version_string(), "config": echo,
+                       "results": results}
+            with open(out / "run_summary.json", "w") as fh:
+                json.dump(summary, fh, indent=1, sort_keys=True)
+                fh.write("\n")
         except OSError as exc:
-            raise ConfigError(f"config.output_dir: cannot create directory "
-                              f"{str(out)!r} ({exc.strerror or exc})")
-        if pipeline in ("simulate", "all"):
-            results["simulate"] = _run_simulate(cfg, out)
-        if pipeline in ("optimize", "all"):
-            results["optimize"] = _run_optimize(cfg, out)
-        if pipeline in ("verify", "all"):
-            results["verify"] = _run_verify(cfg, out)
+            path = out if exc.filename is None else exc.filename
+            raise ConfigError(f"config.output_dir: cannot write {str(path)!r} "
+                              f"({exc.strerror or exc})")
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    echo = {**cfg.raw, "pipeline": pipeline}
-    summary = {"version": _version_string(), "config": echo, "results": results}
-    with open(out / "run_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
     if pipeline in ("verify", "all"):
         checks = results.get("verify", {})

@@ -78,7 +78,7 @@ class NanDetectedError(SolverError):
 
 class LineSearchFailureError(SolverError):
     """No Armijo decrease within the backtracking budget. Carries the
-    offending iterate (control, tau) for inspection."""
+    offending iterate (the control array and tau) for inspection."""
 
     def __init__(self, iteration, block, detail="", control=None, tau=None):
         self.iteration = iteration

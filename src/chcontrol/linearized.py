@@ -27,26 +27,26 @@ import numpy as np
 
 from .errors import NanDetectedError, ShapeMismatchError, TimeDomainError
 from .fields import Trajectory
-from .state import ControlField, ModelParams
+from .state import ModelParams
 from .system import StepSolver, coupling, step_coefficients
 
 LINEARIZED_NAMES = ("d_mu", "d_phi", "d_sigma")
 
 
-def solve_linearized(params: ModelParams, state: Trajectory, h,
+def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
                      steps: int | None = None) -> Trajectory:
     """Solve the linearized system along direction h with zero initial data.
 
-    ``h`` is a ControlField, a bare (nt+1, *grid.shape) array, or a stack
-    (ndir, nt+1, *grid.shape) of directions; node k perturbs the control
-    on [t_k, t_{k+1}). A stack is marched together: each step matrix is
+    ``h`` is one (nt+1, *grid.shape) direction or a stack (ndir, nt+1,
+    *grid.shape) of directions; node k perturbs the control on
+    [t_k, t_{k+1}). A stack is marched together: each step matrix is
     factorized once and solved for every direction. Only steps
     1..``steps`` (default nt) are marched, and the returned trajectory
     holds frames 0..steps, of shape (steps+1, 3, [ndir,] *grid.shape).
     """
     grid, tg = params.grid, params.time_grid
     nt, dt = tg.steps, tg.dt
-    hv = h.values if isinstance(h, ControlField) else np.asarray(h)
+    hv = np.asarray(h)
     nodes = (nt + 1,) + grid.shape
     if nodes not in (hv.shape, hv.shape[1:]):
         raise ShapeMismatchError(

@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .fields import Grid, TimeGrid, Trajectory
-from .state import ControlField
 
 
 @dataclass(frozen=True)
@@ -87,17 +86,26 @@ class CostSpec:
         if not 0.0 <= self.tau_star <= time_grid.horizon:
             raise ConfigError(f"cost.tau_star: {self.tau_star} outside "
                               f"[0, {time_grid.horizon}]")
-        shape_t = (time_grid.steps + 1,) + grid.shape
+        self.check_shapes(time_grid.steps + 1, grid.shape)
+
+    def check_shapes(self, nodes: int, grid_shape: tuple,
+                     control: np.ndarray | None = None) -> None:
+        """Raise :class:`GridMismatchError` for the first target, or the
+        control, whose shape does not fit ``nodes`` time nodes on a grid of
+        shape ``grid_shape``."""
+        nodes_shape = (nodes,) + grid_shape
+        relax = self.relaxation
         for name, arr, expected in (
-            ("phi_q", self.phi_q, shape_t),
-            ("sigma_q", self.sigma_q, shape_t),
-            ("phi_omega", self.phi_omega, grid.shape),
+            ("cost.phi_q", self.phi_q, nodes_shape),
+            ("cost.sigma_q", self.sigma_q, nodes_shape),
+            ("cost.phi_omega", self.phi_omega, grid_shape),
+            ("cost.relaxation.sigma_omega",
+             None if relax is None else relax.sigma_omega, grid_shape),
+            ("control", control, nodes_shape),
         ):
             if arr is not None and arr.shape != expected:
-                raise GridMismatchError(f"cost.{name}: shape {arr.shape}, "
+                raise GridMismatchError(f"{name}: shape {arr.shape}, "
                                         f"expected {expected}")
-        if self.relaxation is not None and self.relaxation.sigma_omega.shape != grid.shape:
-            raise GridMismatchError("cost.relaxation.sigma_omega: wrong shape")
 
 
 def constant_trajectory(grid: Grid, time_grid: TimeGrid, value: float) -> np.ndarray:
@@ -206,19 +214,6 @@ def _tracking_sq(grid, traj_comp, target):
     return _node_sq_norms(grid, diff)
 
 
-def _check_cost_shapes(state, u, cost):
-    shape_t = state.data.shape[:1] + state.grid.shape
-    for name, arr, expected in (
-        ("phi_q", cost.phi_q, shape_t),
-        ("sigma_q", cost.sigma_q, shape_t),
-        ("phi_omega", cost.phi_omega, state.grid.shape),
-        ("control", u.values, shape_t),
-    ):
-        if arr is not None and arr.shape != expected:
-            raise GridMismatchError(f"cost evaluation: {name} has shape "
-                                    f"{arr.shape}, expected {expected}")
-
-
 class TauProfile:
     """The discrete cost tau -> J(u, tau) at a fixed state and control.
 
@@ -233,8 +228,8 @@ class TauProfile:
     :class:`TimeDomainError`.
     """
 
-    def __init__(self, state: Trajectory, u: ControlField, cost: CostSpec):
-        _check_cost_shapes(state, u, cost)
+    def __init__(self, state: Trajectory, u: np.ndarray, cost: CostSpec):
+        cost.check_shapes(state.nframes, state.grid.shape, u)
         grid, tg = state.grid, state.time_grid
         self.tg = tg
         self.dt = tg.dt
@@ -268,7 +263,7 @@ class TauProfile:
         self.control_energy = 0.0
         if cost.b0 > 0:
             self.control_energy = 0.5 * cost.b0 * space_time_inner(
-                grid, self.dt, u.values, u.values)
+                grid, self.dt, u, u)
 
     def _cumtrapz(self, g):
         out = np.zeros(len(g))
@@ -385,7 +380,7 @@ class TauProfile:
         return min(candidates, key=self.value)
 
 
-def reduced_cost(state: Trajectory, u: ControlField, tau: float,
+def reduced_cost(state: Trajectory, u: np.ndarray, tau: float,
                  cost: CostSpec) -> CostBreakdown:
     """The functional the optimizer minimizes, relaxed when configured."""
     return TauProfile(state, u, cost).breakdown(tau)
@@ -398,11 +393,11 @@ def adj_sigma_extended(adjoint: Trajectory, tg: TimeGrid) -> np.ndarray:
     return out
 
 
-def control_gradient(adjoint: Trajectory, u: ControlField, b0: float) -> np.ndarray:
+def control_gradient(adjoint: Trajectory, u: np.ndarray, b0: float) -> np.ndarray:
     """Riesz representative of the reduced gradient in the
     trapezoid-weighted L2(Q) product: zero-extended nutrient adjoint plus
     b0 times the control."""
     adj = adj_sigma_extended(adjoint, adjoint.time_grid)
-    if adj.shape != u.values.shape:
-        raise GridMismatchError(f"adjoint nodes {adj.shape}, control nodes {u.values.shape}")
-    return b0 * u.values + adj
+    if adj.shape != u.shape:
+        raise GridMismatchError(f"adjoint nodes {adj.shape}, control nodes {u.shape}")
+    return b0 * u + adj

@@ -50,7 +50,7 @@ from .objective import (
     space_time_inner,
     space_time_norm,
 )
-from .state import ControlField, InitialData, ModelParams, solve_state
+from .state import InitialData, ModelParams, solve_state
 
 BOUNDARY_LOW = "boundary_low"
 INTERIOR = "interior"
@@ -104,7 +104,7 @@ class TimeOptimalityReport:
 
 @dataclass
 class OptResult:
-    u_opt: ControlField
+    u_opt: np.ndarray
     tau_opt: float
     history: list
     time_case: str
@@ -117,13 +117,14 @@ class OptResult:
     gradient: np.ndarray
 
 
-def project_control(u: ControlField) -> ControlField:
-    """Pointwise clamp onto the admissible box; idempotent and
-    1-Lipschitz in L2(Q)."""
-    return ControlField(np.clip(u.values, u.lower, u.upper), u.lower, u.upper)
+def check_bounds(lower, upper) -> None:
+    """The rule of the admissible box: a ConfigError naming ``bounds``
+    unless lower <= upper everywhere (scalars or grid fields)."""
+    if np.any(np.asarray(lower) > np.asarray(upper)):
+        raise ConfigError("bounds: lower bound exceeds upper bound somewhere")
 
 
-def classify_time_optimality(state: Trajectory, u: ControlField, tau: float,
+def classify_time_optimality(state: Trajectory, u: np.ndarray, tau: float,
                              cost: CostSpec, tol: float) -> TimeOptimalityReport:
     """Check which first-order time condition holds at (u, tau).
 
@@ -183,19 +184,21 @@ class _SpectralStep:
 
 
 def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
-             config: OptimizerConfig | None = None,
-             u0: ControlField | None = None, tau0: float | None = None) -> OptResult:
+             config: OptimizerConfig | None, u0: np.ndarray,
+             tau0: float | None = None, *, lower=-np.inf, upper=np.inf) -> OptResult:
     """Minimize the reduced cost over the admissible controls and [0, T].
 
-    Every forward solve, trial steps included, runs under the Newton
+    The admissible controls are the box lower <= u <= upper, each bound a
+    scalar or a grid field applied at every time node; the start ``u0``
+    (nt+1, *grid.shape) is clamped onto it first, and ``u_opt`` lies in
+    it. Every forward solve, trial steps included, runs under the Newton
     settings of ``params``.
     """
     config = config or OptimizerConfig()
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
-    if u0 is None:
-        raise ConfigError("optimizer: an initial control with bounds is required")
-    u = project_control(u0)
+    check_bounds(lower, upper)
+    u = np.clip(u0, lower, upper)
     tau0 = tg.clamp(tg.horizon / 2 if tau0 is None else tau0)
     c1 = config.armijo.c1
 
@@ -229,10 +232,10 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
         adj = solve_adjoint(params, state, k_idx, cost)
         grad = control_gradient(adj, u, cost.b0)
         if cost.b0 > 0:
-            cand = np.clip(-adj_sigma_extended(adj, tg) / cost.b0, u.lower, u.upper)
+            cand = np.clip(-adj_sigma_extended(adj, tg) / cost.b0, lower, upper)
         else:
-            cand = np.clip(u.values - grad, u.lower, u.upper)
-        stat_u = qt_norm(u.values - cand) / (1.0 + qt_norm(u.values))
+            cand = np.clip(u - grad, lower, upper)
+        stat_u = qt_norm(u - cand) / (1.0 + qt_norm(u))
         bd_ref = profile.breakdown(tau_ref)
         viol, case = _time_violation(tg, tau_ref, profile.derivative(tau_ref))
         stat_tau = viol / (1.0 + abs(bd_ref.total))
@@ -250,17 +253,15 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
 
         # control block at the snapped node
         j_node = bd_node.total
-        step_norm = qt_norm(np.clip(u.values - grad, u.lower, u.upper) - u.values)
+        step_norm = qt_norm(np.clip(u - grad, lower, upper) - u)
         if step_norm > 0:
-            s = u_stepper.propose(u.values, grad, qt_inner)
+            s = u_stepper.propose(u, grad, qt_inner)
             accepted = False
             for _ in range(config.armijo.max_backtracks):
-                trial_vals = np.clip(u.values - s * grad, u.lower, u.upper)
-                direction = trial_vals - u.values
-                gd = qt_inner(grad, direction)
+                u_trial = np.clip(u - s * grad, lower, upper)
+                gd = qt_inner(grad, u_trial - u)
                 if gd >= 0.0:
                     break
-                u_trial = ControlField(trial_vals, u.lower, u.upper)
                 state_trial = solve_state(params, init, u_trial)
                 j_trial = reduced_cost(state_trial, u_trial, tau_node, cost).total
                 if j_trial <= j_node + c1 * gd:
@@ -268,7 +269,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
                     break
                 s *= config.armijo.backtrack
             if accepted:
-                u_stepper.remember(u.values, grad, s)
+                u_stepper.remember(u, grad, s)
                 u = u_trial
                 state = state_trial
             else:

@@ -122,35 +122,6 @@ class InitialData:
 
 
 @dataclass
-class ControlField:
-    """Control values, one field per time node, with box bounds.
-
-    The dynamics read the control as piecewise constant in time: interval
-    [t_k, t_{k+1}) uses node k. The final node does not enter the dynamics
-    but still carries its trapezoid weight in the control-energy term.
-    """
-
-    values: np.ndarray
-    lower: float | np.ndarray = -np.inf
-    upper: float | np.ndarray = np.inf
-
-    def validate(self, grid: Grid, time_grid: TimeGrid) -> None:
-        expected = (time_grid.steps + 1,) + grid.shape
-        if self.values.shape != expected:
-            raise ShapeMismatchError(
-                f"control values shape {self.values.shape}, expected {expected}"
-            )
-        if np.any(np.asarray(self.lower) > np.asarray(self.upper)):
-            raise ConfigError("bounds: lower bound exceeds upper bound somewhere")
-
-    @classmethod
-    def constant(cls, grid: Grid, time_grid: TimeGrid, value: float,
-                 lower=-np.inf, upper=np.inf) -> "ControlField":
-        vals = np.full((time_grid.steps + 1,) + grid.shape, float(value))
-        return cls(vals, lower, upper)
-
-
-@dataclass
 class StepDiagnostics:
     """Per-step solver diagnostics collected during a forward run."""
 
@@ -243,20 +214,27 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
 
 
 def solve_state(params: ModelParams, init: InitialData,
-                control: ControlField) -> Trajectory:
+                control: np.ndarray) -> Trajectory:
     """March the state system over the full time grid.
 
-    Every Newton iteration runs under ``params.newton_tol`` and
+    ``control`` holds one field per time node, of shape (nt+1,
+    *grid.shape), and is read as piecewise constant in time: node k drives
+    [t_k, t_{k+1}). The last node does not enter the dynamics; it carries
+    only its trapezoid weight in the control-energy term. Every Newton
+    iteration runs under ``params.newton_tol`` and
     ``params.newton_max_iter``. Returns a trajectory whose frame 0 is a
     bitwise copy of the initial data, with per-step diagnostics attached.
-    Raises :class:`NewtonDivergenceError`,
-    :class:`SeparationViolationError` or :class:`NanDetectedError` on
-    failure.
+    Raises :class:`ShapeMismatchError` for a control of another shape, and
+    :class:`NewtonDivergenceError`, :class:`SeparationViolationError` or
+    :class:`NanDetectedError` on failure.
     """
     grid, tg, pot = params.grid, params.time_grid, params.potential
     init.validate(grid, pot)
-    control.validate(grid, tg)
     nt, dt = tg.steps, tg.dt
+    expected = (nt + 1,) + grid.shape
+    if control.shape != expected:
+        raise ShapeMismatchError(f"control values shape {control.shape}, "
+                                 f"expected {expected}")
 
     solver = StepSolver(grid, dt, params.alpha, params.beta)
     clamp_lo = clamp_hi = None
@@ -280,7 +258,7 @@ def solve_state(params: ModelParams, init: InitialData,
         f0 = data[k, 1]
         p_frozen = params.proliferation.P(f0)
         pi_old = pot.dS(f0)
-        u_k = control.values[k]
+        u_k = control[k]
 
         x, res, iters, ok, refactor = _newton_step(
             solver, pot, p_frozen, data[k], pi_old, u_k, params.newton_tol,

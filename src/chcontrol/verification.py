@@ -45,7 +45,7 @@ from .objective import (
     time_weights,
     window_weights,
 )
-from .state import ControlField, InitialData, ModelParams, solve_state
+from .state import InitialData, ModelParams, solve_state
 
 DEFAULT_SEED = 20240808
 # admissible log-log convergence slopes of the central differences
@@ -104,7 +104,7 @@ class GradientCheckReport:
 
 
 def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
-                      u: ControlField, tau: float, *, directions: int, deltas,
+                      u: np.ndarray, tau: float, *, directions: int, deltas,
                       slope_deltas=None, seed: int = DEFAULT_SEED,
                       state: Trajectory | None = None) -> GradientCheckReport:
     """Compare <grad J, h> with central differences of the reduced cost.
@@ -129,15 +129,14 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     grad = control_gradient(adjoint, u, cost.b0)
 
     rng = np.random.default_rng(seed)
-    shape = u.values.shape
     analytic, rel_errors, slopes = [], [], []
     for _ in range(directions):
-        h = _random_direction(rng, shape, grid, tg.dt)
+        h = _random_direction(rng, u.shape, grid, tg.dt)
         pairing = space_time_inner(grid, tg.dt, grad, h)
         errs = []
         for delta in deltas:
-            up = ControlField(u.values + delta * h, u.lower, u.upper)
-            dn = ControlField(u.values - delta * h, u.lower, u.upper)
+            up = u + delta * h
+            dn = u - delta * h
             j_up = reduced_cost(solve_state(params, init, up), up, tau_hat, cost).total
             j_dn = reduced_cost(solve_state(params, init, dn), dn, tau_hat, cost).total
             fd = (j_up - j_dn) / (2.0 * delta)
@@ -263,7 +262,7 @@ class LipschitzCheckReport:
 
 
 def lipschitz_check(params: ModelParams, init: InitialData,
-                    base: ControlField, *, pairs: int, magnitudes,
+                    base: np.ndarray, *, pairs: int, magnitudes,
                     seed: int = DEFAULT_SEED) -> LipschitzCheckReport:
     """Ratio of state differences to control differences for random
     control pairs at several perturbation magnitudes."""
@@ -271,20 +270,19 @@ def lipschitz_check(params: ModelParams, init: InitialData,
     dt = tg.dt
     magnitudes = list(magnitudes)
     rng = np.random.default_rng(seed)
-    shape = base.values.shape
     names = ("mu", "phi", "sigma", "combined")
     space = tuple(range(1, 1 + grid.dim))
     tables = {name: np.zeros((pairs, len(magnitudes))) for name in names}
 
     for i in range(pairs):
-        xi1 = _random_direction(rng, shape, grid, dt)
-        xi2 = _random_direction(rng, shape, grid, dt)
+        xi1 = _random_direction(rng, base.shape, grid, dt)
+        xi2 = _random_direction(rng, base.shape, grid, dt)
         for j, mag in enumerate(magnitudes):
-            u1 = ControlField(base.values + mag * xi1, base.lower, base.upper)
-            u2 = ControlField(base.values + mag * xi2, base.lower, base.upper)
+            u1 = base + mag * xi1
+            u2 = base + mag * xi2
             s1 = solve_state(params, init, u1)
             s2 = solve_state(params, init, u2)
-            du = space_time_norm(grid, dt, u1.values - u2.values)
+            du = space_time_norm(grid, dt, u1 - u2)
             dm, df, ds = s1.mu - s2.mu, s1.phi - s2.phi, s1.sigma - s2.sigma
             for name, d in zip(names, (dm, df, ds, params.alpha * dm + df + ds)):
                 # max over frames of the L2 norm in space
@@ -309,7 +307,7 @@ class MassBalanceReport:
                 f"integral(alpha mu + phi + sigma) = {self.residual:.6e}\n")
 
 
-def mass_balance_check(traj: Trajectory, u: ControlField,
+def mass_balance_check(traj: Trajectory, u: np.ndarray,
                        params: ModelParams) -> MassBalanceReport:
     """Drift of the conserved combination after each step, relative to
     its initial size."""
@@ -320,7 +318,7 @@ def mass_balance_check(traj: Trajectory, u: ControlField,
     injected = 0.0
     residuals = np.zeros(tg.steps)
     for k in range(1, tg.steps + 1):
-        injected += dt * integrate(grid, u.values[k - 1])
+        injected += dt * integrate(grid, u[k - 1])
         mass_k = integrate(grid, params.alpha * traj.mu[k] + traj.phi[k]
                            + traj.sigma[k])
         residuals[k - 1] = abs(mass_k - mass0 - injected) / scale

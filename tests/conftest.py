@@ -46,9 +46,8 @@ def tracking_cost(params, b0=1e-3, b1=1.0, b2=0.0, b3=1.0, b4=0.0, b5=0.01,
 
 
 def midpoint_control(params, lower=0.0, upper=2.0):
-    mid = 0.5 * (lower + upper)
-    return ch.ControlField.constant(params.grid, params.time_grid, mid,
-                                    lower, upper)
+    return ch.constant_trajectory(params.grid, params.time_grid,
+                                  0.5 * (lower + upper))
 
 
 @pytest.fixture(scope="session")

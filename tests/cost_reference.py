@@ -50,7 +50,7 @@ def _check_cost_shapes(state, u, cost):
         ("phi_q", cost.phi_q, shape_t),
         ("sigma_q", cost.sigma_q, shape_t),
         ("phi_omega", cost.phi_omega, state.grid.shape),
-        ("control", u.values, shape_t),
+        ("control", u, shape_t),
     ):
         if arr is not None and arr.shape != expected:
             raise GridMismatchError(f"cost evaluation: {name} has shape "
@@ -117,7 +117,7 @@ def evaluate_cost(state, u, tau, cost):
     out.quadratic_time = 0.5 * cost.b6 * (tau - cost.tau_star) ** 2
     if cost.b0 > 0:
         out.control_energy = 0.5 * cost.b0 * space_time_inner(
-            grid, dt, u.values, u.values)
+            grid, dt, u, u)
     return out
 
 

@@ -62,8 +62,7 @@ def test_a3_separation(baseline_problem):
                                 params.time_grid)
     init = preset_initial_data("random_interior", params_log.grid, pot,
                                amplitude=0.3, seed=7)
-    u = ch.ControlField.constant(params_log.grid, params_log.time_grid, 0.0,
-                                 0.0, 2.0)
+    u = ch.constant_trajectory(params_log.grid, params_log.time_grid, 0.0)
     traj = ch.solve_state(params_log, init, u)  # raises on newton divergence
     assert traj.nframes == params.time_grid.steps + 1
     rep = ch.separation_report(traj, pot)
@@ -77,8 +76,7 @@ def test_a4_mass_identity(baseline_problem, baseline_state):
     params, init, cost, u = baseline_problem
     residuals = [_assert_mass(baseline_state, u, params, "baseline")]
     rng = np.random.default_rng(SEED)
-    u_rand = ch.ControlField(
-        rng.uniform(0.0, 2.0, u.values.shape), u.lower, u.upper)
+    u_rand = rng.uniform(0.0, 2.0, u.shape)
     traj = ch.solve_state(params, init, u_rand)
     residuals.append(_assert_mass(traj, u_rand, params, "random control"))
     _report("A4 mass identity", max(residuals) <= 1e-10,
@@ -106,7 +104,7 @@ def test_a5_time_derivative_formula(baseline_problem, baseline_state):
 def baseline_optimum(baseline_problem):
     params, init, cost, u = baseline_problem
     config = ch.OptimizerConfig(max_outer_iters=500, grad_tol=1e-4)
-    return ch.optimize(params, init, cost, config, u, tau0=0.5)
+    return ch.optimize(params, init, cost, config, u, tau0=0.5, lower=0.0, upper=2.0)
 
 
 def test_a6_kkt_at_convergence(baseline_problem, baseline_optimum):
@@ -118,10 +116,9 @@ def test_a6_kkt_at_convergence(baseline_problem, baseline_optimum):
 
     k, _ = tg.nearest_node(res.tau_opt)
     adjoint = ch.solve_adjoint(params, res.state, k, cost)
-    cand = np.clip(-adj_sigma_extended(adjoint, tg) / cost.b0,
-                   res.u_opt.lower, res.u_opt.upper)
-    resid_u = ch.space_time_norm(grid, tg.dt, res.u_opt.values - cand)
-    u_norm = ch.space_time_norm(grid, tg.dt, res.u_opt.values)
+    cand = np.clip(-adj_sigma_extended(adjoint, tg) / cost.b0, 0.0, 2.0)
+    resid_u = ch.space_time_norm(grid, tg.dt, res.u_opt - cand)
+    u_norm = ch.space_time_norm(grid, tg.dt, res.u_opt)
     ok_u = resid_u <= 1e-4 * (1.0 + u_norm)
 
     j_total = ch.reduced_cost(res.state, res.u_opt, res.tau_opt, cost).total
@@ -144,20 +141,22 @@ def test_a7_degenerate_optima(baseline_problem):
     grid, tg = params.grid, params.time_grid
     config = ch.OptimizerConfig(max_outer_iters=100, grad_tol=1e-9)
 
-    u0 = ch.ControlField.constant(grid, tg, 0.5, -1.0, 2.0)
-    res = ch.optimize(params, init, ch.CostSpec(b0=1e-3), config, u0, tau0=0.5)
-    u_norm = ch.space_time_norm(grid, tg.dt, res.u_opt.values)
+    u0 = ch.constant_trajectory(grid, tg, 0.5)
+    res = ch.optimize(params, init, ch.CostSpec(b0=1e-3), config, u0, tau0=0.5,
+                      lower=-1.0, upper=2.0)
+    u_norm = ch.space_time_norm(grid, tg.dt, res.u_opt)
     ok_a = res.converged and u_norm <= 1e-8
 
     u0 = midpoint_control(params)
-    res_b = ch.optimize(params, init, ch.CostSpec(b5=1.0), config, u0, tau0=0.5)
+    res_b = ch.optimize(params, init, ch.CostSpec(b5=1.0), config, u0, tau0=0.5,
+                        lower=0.0, upper=2.0)
     d = ch.TauProfile(res_b.state, res_b.u_opt, ch.CostSpec(b5=1.0)).derivative(
         res_b.tau_opt)
     ok_b = res_b.converged and res_b.tau_opt == 0.0 and d >= 0.0 \
         and res_b.time_case == "boundary_low"
 
     res_c = ch.optimize(params, init, ch.CostSpec(b6=1.0, tau_star=0.5),
-                        config, u0, tau0=0.9)
+                        config, u0, tau0=0.9, lower=0.0, upper=2.0)
     ok_c = res_c.converged and abs(res_c.tau_opt - 0.5) <= tg.dt
     _report("A7 analytic degenerate optima", ok_a and ok_b and ok_c,
             f"b0-only |u| {u_norm:.1e}; b5-only tau {res_b.tau_opt} "
@@ -168,7 +167,7 @@ def test_a8_linearized_consistency(baseline_problem, baseline_state):
     params, init, cost, u = baseline_problem
     grid, tg = params.grid, params.time_grid
     rng = np.random.default_rng(SEED)
-    h = rng.standard_normal(u.values.shape)
+    h = rng.standard_normal(u.shape)
     # scaled so the quadratic remainder stays above the arithmetic floor of
     # the solves at the smallest eps
     h *= 10.0 / ch.space_time_norm(grid, tg.dt, h)
@@ -176,7 +175,7 @@ def test_a8_linearized_consistency(baseline_problem, baseline_state):
     eps_list = [1e-2, 1e-3, 1e-4]
     errs = []
     for eps in eps_list:
-        up = ch.ControlField(u.values + eps * h, u.lower, u.upper)
+        up = u + eps * h
         sp = ch.solve_state(params, init, up)
         diff = (sp.data - baseline_state.data) / eps - lin.data
         errs.append(float(np.sqrt(np.sum(diff**2) * grid.cell_volume * tg.dt)))

@@ -83,11 +83,14 @@ def test_preset_random_interior():
     # seeded determinism
     again = preset_initial_data("random_interior", g, pot, amplitude=0.1, seed=4)
     assert np.array_equal(init.phi0, again.phi0)
-    # an amplitude whose scaling overflows is a config error on any domain
+    # an amplitude whose scaling overflows is named as such on any domain,
+    # without a RuntimeWarning; a finite one can still leave the domain
     for pot in (ch.Potential.quartic(), pot):
-        with np.errstate(over="ignore"), pytest.raises(ConfigError,
-                                                       match="initial.amplitude"):
+        with pytest.raises(ConfigError,
+                           match=r"^initial.amplitude: 1e\+308 overflows phi0$"):
             preset_initial_data("random_interior", g, pot, amplitude=1e308, seed=0)
+    with pytest.raises(ConfigError, match="^initial.amplitude: 1.5 puts phi0 outside"):
+        preset_initial_data("random_interior", g, pot, amplitude=1.5, seed=0)
 
 
 def test_preset_tanh_front():
@@ -111,10 +114,15 @@ def test_config_rejects_nonpositive_beta(tmp_path, capsys):
     assert "model.beta" in err and "positive" in err
 
 
-def test_config_rejects_crossed_bounds(tmp_path):
+@pytest.mark.parametrize("pipeline", ["simulate", "optimize", "verify"])
+def test_config_rejects_crossed_bounds(tmp_path, capsys, pipeline):
+    # the box belongs to optimize, yet every pipeline rejects it before a solve
     cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = pipeline
     cfg["bounds"] = {"lower": 2.0, "upper": 0.0}
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("config error: bounds: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_missing_field(tmp_path):
@@ -478,6 +486,23 @@ def test_output_dir_on_a_file_is_config_error(tmp_path, capsys, inside):
     cfg["output_dir"] = str(taken / "out" if inside else taken)
     assert run(_write(tmp_path, cfg)) == 2
     assert capsys.readouterr().err.startswith("config error: config.output_dir: ")
+
+
+@pytest.mark.parametrize("pipeline", ["simulate", "optimize", "verify"])
+def test_unwritable_pipeline_dir_is_config_error(tmp_path, capsys, pipeline):
+    # a file where the pipeline's subdirectory goes: the write fails after
+    # the solve, and the run names the path instead of ending in a traceback
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = pipeline
+    cfg["optimizer"] = {"max_outer_iters": 1}
+    cfg["verification"] = {"checks": ["mass"]}
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / pipeline).write_text("")
+    assert run(_write(tmp_path, cfg), out_dir=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.output_dir: cannot write "
+                          f"{str(out / pipeline)!r} ("), err
 
 
 def test_target_from_manifest(tmp_path):

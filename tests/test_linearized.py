@@ -75,7 +75,7 @@ def test_frechet_consistency(problem):
     errs = []
     eps_list = [1e-2, 1e-3, 1e-4]
     for eps in eps_list:
-        up = ch.ControlField(u.values + eps * h, u.lower, u.upper)
+        up = u + eps * h
         sp = ch.solve_state(params, init, up)
         diff = (sp.data - state.data) / eps - lin.data
         errs.append(np.sqrt(np.sum(diff**2)))

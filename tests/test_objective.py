@@ -50,7 +50,7 @@ def test_perfect_tracking_zero_cost(problem):
     grid, tg = params.grid, params.time_grid
     state = _flat_state(params, phi=-0.5, sigma=0.375)
     cost = tracking_cost(params, b0=1.0, b5=0.0, b6=1.0)
-    u = ch.ControlField.constant(grid, tg, 0.0, -1.0, 1.0)
+    u = ch.constant_trajectory(grid, tg, 0.0)
     bd = ch.reduced_cost(state, u, cost.tau_star, cost)
     assert bd.total == 0.0
 
@@ -69,7 +69,7 @@ def test_control_energy_covers_full_horizon(problem):
     params, _, _, state = problem
     grid, tg = params.grid, params.time_grid
     cost = ch.CostSpec(b0=2.0)
-    u = ch.ControlField.constant(grid, tg, 1.0, 0.0, 2.0)
+    u = ch.constant_trajectory(grid, tg, 1.0)
     for tau in (0.1, 0.9):
         bd = ch.reduced_cost(state, u, tau, cost)
         assert bd.control_energy == pytest.approx(1.0, rel=1e-12)
@@ -81,6 +81,13 @@ def test_cost_rejects_mismatched_targets(problem):
     cost = tracking_cost(other)
     with pytest.raises(ch.GridMismatchError):
         ch.reduced_cost(state, u, 0.5, cost)
+    # one shape rule for validate and the evaluation, the window target too
+    relax = ch.Relaxation(0.4, 0.13, other.grid.full(0.2))
+    cost = tracking_cost(params, relaxation=relax)
+    for check in (lambda: cost.validate(params.grid, params.time_grid),
+                  lambda: ch.TauProfile(state, u, cost)):
+        with pytest.raises(ch.GridMismatchError, match="^cost.relaxation.sigma_omega: "):
+            check()
 
 
 def test_breakdown_total_is_sum(problem):
@@ -202,7 +209,7 @@ def test_control_gradient_structure(problem):
     # zero adjoint: gradient is b0 u
     adj0 = ch.solve_adjoint(params, state, k, ch.CostSpec(b0=1.0))
     grad0 = ch.control_gradient(adj0, u, 0.5)
-    assert np.array_equal(grad0, 0.5 * u.values)
+    assert np.array_equal(grad0, 0.5 * u)
     # truncated adjoint is zero-extended
     adj_half = ch.solve_adjoint(params, state, 20, cost)
     grad_half = ch.control_gradient(adj_half, u, 0.0)
@@ -212,7 +219,7 @@ def test_control_gradient_structure(problem):
 def test_control_gradient_rejects_longer_adjoint(problem):
     params, _, u, state = problem
     adj = ch.solve_adjoint(params, state, 20, tracking_cost(params))
-    short = ch.ControlField(u.values[:11], u.lower, u.upper)
+    short = u[:11]
     with pytest.raises(ch.GridMismatchError):
         ch.control_gradient(adj, short, 0.0)
 
@@ -228,11 +235,11 @@ def test_control_gradient_directional_oracle(problem):
     rng = np.random.default_rng(17)
     delta = 1e-4
     for _ in range(5):
-        h = rng.standard_normal(u.values.shape)
+        h = rng.standard_normal(u.shape)
         h /= ch.space_time_norm(grid, tg.dt, h)
         pairing = ch.space_time_inner(grid, tg.dt, grad, h)
-        up = ch.ControlField(u.values + delta * h, u.lower, u.upper)
-        dn = ch.ControlField(u.values - delta * h, u.lower, u.upper)
+        up = u + delta * h
+        dn = u - delta * h
         fd = (ref.evaluate_cost(ch.solve_state(params, init, up), up, tau, cost).total
               - ref.evaluate_cost(ch.solve_state(params, init, dn), dn, tau, cost).total
               ) / (2 * delta)
@@ -265,6 +272,6 @@ def test_tau_profile_matches_cost(problem):
                 evaluate(bad)
     with pytest.raises(ch.GridMismatchError):
         ch.TauProfile(state, u, tracking_cost(make_problem(n=32, nt=40)))
-    short = ch.ControlField.constant(params.grid, ch.TimeGrid(1.0, 20), 1.0, 0.0, 2.0)
+    short = ch.constant_trajectory(params.grid, ch.TimeGrid(1.0, 20), 1.0)
     with pytest.raises(ch.GridMismatchError):
         ch.TauProfile(state, short, cost)

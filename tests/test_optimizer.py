@@ -13,56 +13,48 @@ def problem():
     return params, init
 
 
-def test_project_idempotent_and_clamping(problem):
-    params, _ = problem
-    grid, tg = params.grid, params.time_grid
-    rng = np.random.default_rng(1)
-    inside = ch.ControlField(rng.uniform(0.1, 1.9, (tg.steps + 1,) + grid.shape),
-                             0.0, 2.0)
-    proj = ch.project_control(inside)
-    assert np.array_equal(proj.values, inside.values)
-    above = ch.ControlField(np.full((tg.steps + 1,) + grid.shape, 3.0), 0.0, 2.0)
-    assert np.all(ch.project_control(above).values == 2.0)
-
-
-def test_project_with_field_bounds(problem):
-    # bounds may vary in space: clamp against broadcast arrays
-    params, _ = problem
-    grid, tg = params.grid, params.time_grid
+def _field_bounds(grid):
     lower = -0.5 + 0.2 * np.cos(np.pi * grid.axis_centers(0))
-    upper = lower + 1.0
-    rng = np.random.default_rng(3)
-    u = ch.ControlField(rng.normal(0.0, 2.0, (tg.steps + 1,) + grid.shape),
-                        lower, upper)
-    proj = ch.project_control(u)
-    assert np.all(proj.values >= lower) and np.all(proj.values <= upper)
-    assert np.array_equal(ch.project_control(proj).values, proj.values)
+    return lower, lower + 1.0
 
 
-def test_projection_nonexpansive(problem):
-    params, _ = problem
+def test_optimize_stays_inside_field_bounds(problem):
+    # bounds may vary in space: the start and every step are clamped against
+    # grid fields broadcast over the time nodes
+    params, init = problem
     grid, tg = params.grid, params.time_grid
-    rng = np.random.default_rng(2)
-    shape = (tg.steps + 1,) + grid.shape
-    for _ in range(20):
-        u1 = ch.ControlField(rng.normal(1.0, 2.0, shape), 0.0, 2.0)
-        u2 = ch.ControlField(rng.normal(1.0, 2.0, shape), 0.0, 2.0)
-        d_proj = ch.space_time_norm(grid, tg.dt,
-                                    ch.project_control(u1).values
-                                    - ch.project_control(u2).values)
-        d_raw = ch.space_time_norm(grid, tg.dt, u1.values - u2.values)
-        assert d_proj <= d_raw + 1e-14
+    lower, upper = _field_bounds(grid)
+    u0 = np.random.default_rng(3).normal(0.0, 2.0, (tg.steps + 1,) + grid.shape)
+    cost = tracking_cost(params)
+    start = ch.optimize(params, init, cost, ch.OptimizerConfig(max_outer_iters=0),
+                        u0, tau0=0.5, lower=lower, upper=upper)
+    assert np.array_equal(start.u_opt, np.clip(u0, lower, upper))
+    res = ch.optimize(params, init, cost, ch.OptimizerConfig(max_outer_iters=3),
+                      u0, tau0=0.5, lower=lower, upper=upper)
+    assert res.u_opt.shape == u0.shape
+    assert np.all(res.u_opt >= lower) and np.all(res.u_opt <= upper)
+    # the tracking target asks for more nutrient than the box allows
+    assert np.any(res.u_opt == upper)
+
+
+def test_optimize_rejects_crossed_field_bounds(problem):
+    params, init = problem
+    lower, upper = _field_bounds(params.grid)
+    upper[7] = lower[7] - 1e-3
+    u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
+    with pytest.raises(ch.ConfigError, match="^bounds: "):
+        ch.optimize(params, init, tracking_cost(params), ch.OptimizerConfig(), u0,
+                    lower=lower, upper=upper)
 
 
 def test_control_energy_only_drives_u_to_zero(problem):
     params, init = problem
     cost = ch.CostSpec(b0=1e-3)
-    u0 = ch.ControlField.constant(params.grid, params.time_grid, 0.5, -1.0, 2.0)
+    u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.5)
     cfg = ch.OptimizerConfig(max_outer_iters=50, grad_tol=1e-10)
-    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.5)
+    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.5, lower=-1.0, upper=2.0)
     assert res.converged
-    assert ch.space_time_norm(params.grid, params.time_grid.dt,
-                              res.u_opt.values) <= 1e-8
+    assert ch.space_time_norm(params.grid, params.time_grid.dt, res.u_opt) <= 1e-8
 
 
 def test_linear_time_penalty_drives_tau_to_zero(problem):
@@ -70,7 +62,7 @@ def test_linear_time_penalty_drives_tau_to_zero(problem):
     cost = ch.CostSpec(b5=1.0)
     u0 = midpoint_control(params)
     cfg = ch.OptimizerConfig(max_outer_iters=50, grad_tol=1e-8)
-    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.5)
+    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.5, lower=0.0, upper=2.0)
     assert res.converged
     assert res.tau_opt == 0.0
     assert res.time_case == "boundary_low"
@@ -83,7 +75,7 @@ def test_quadratic_time_penalty_finds_target(problem):
     cost = ch.CostSpec(b6=1.0, tau_star=0.47)
     u0 = midpoint_control(params)
     cfg = ch.OptimizerConfig(max_outer_iters=50, grad_tol=1e-8)
-    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.9)
+    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.9, lower=0.0, upper=2.0)
     assert res.converged
     assert abs(res.tau_opt - 0.47) <= params.time_grid.dt
     assert res.time_case == "interior"
@@ -94,11 +86,11 @@ def test_monotone_history_and_feasibility(problem):
     cost = tracking_cost(params)
     u0 = midpoint_control(params)
     cfg = ch.OptimizerConfig(max_outer_iters=100, grad_tol=1e-4)
-    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.5)
+    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.5, lower=0.0, upper=2.0)
     assert res.converged
     totals = [r.breakdown.total for r in res.history]
     assert all(b <= a for a, b in zip(totals, totals[1:]))
-    assert np.all(res.u_opt.values >= 0.0) and np.all(res.u_opt.values <= 2.0)
+    assert np.all(res.u_opt >= 0.0) and np.all(res.u_opt <= 2.0)
     assert 0.0 <= res.tau_opt <= params.time_grid.horizon
     for rec in res.history:
         assert 0.0 <= rec.tau <= params.time_grid.horizon
@@ -110,12 +102,13 @@ def test_projection_characterization_at_convergence(problem):
     grid, tg = params.grid, params.time_grid
     cost = tracking_cost(params)
     cfg = ch.OptimizerConfig(max_outer_iters=100, grad_tol=1e-5)
-    res = ch.optimize(params, init, cost, cfg, midpoint_control(params), tau0=0.5)
+    res = ch.optimize(params, init, cost, cfg, midpoint_control(params), tau0=0.5,
+                      lower=0.0, upper=2.0)
     assert res.converged
     from chcontrol.optimizer import adj_sigma_extended
     cand = np.clip(-adj_sigma_extended(res.adjoint, tg) / cost.b0, 0.0, 2.0)
-    resid = ch.space_time_norm(grid, tg.dt, res.u_opt.values - cand)
-    u_norm = ch.space_time_norm(grid, tg.dt, res.u_opt.values)
+    resid = ch.space_time_norm(grid, tg.dt, res.u_opt - cand)
+    u_norm = ch.space_time_norm(grid, tg.dt, res.u_opt)
     assert resid <= cfg.grad_tol * (1.0 + u_norm)
 
 
@@ -152,12 +145,6 @@ def test_time_violation_zero_and_nan(tau, met):
         assert repr(_time_violation(tg, tau, d)[0]) == "0.0"
     for t in (tau, 0.5):
         assert np.isnan(_time_violation(tg, t, np.nan)[0])
-
-
-def test_optimizer_requires_initial_control(problem):
-    params, init = problem
-    with pytest.raises(ch.ConfigError):
-        ch.optimize(params, init, tracking_cost(params), ch.OptimizerConfig())
 
 
 def test_armijo_param_validation():

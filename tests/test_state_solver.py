@@ -38,7 +38,7 @@ def test_homogeneous_equilibrium_is_stationary():
     params = make_problem(n=48, nt=32)
     c = 0.3
     init = equilibrium_init(params, c)
-    u = ch.ControlField.constant(params.grid, params.time_grid, 0.0, -1.0, 1.0)
+    u = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
     traj = ch.solve_state(params, init, u)
     assert np.abs(traj.phi - c).max() <= 1e-10
     assert np.abs(traj.mu - init.mu0[0]).max() <= 1e-10
@@ -59,9 +59,7 @@ def test_mass_identity_with_random_control():
     params = make_problem(n=48, nt=48)
     init = equilibrium_init(params)
     rng = np.random.default_rng(0)
-    u = ch.ControlField(
-        rng.uniform(0, 2, (params.time_grid.steps + 1,) + params.grid.shape),
-        0.0, 2.0)
+    u = rng.uniform(0, 2, (params.time_grid.steps + 1,) + params.grid.shape)
     traj = ch.solve_state(params, init, u)
     rep = ch.mass_balance_check(traj, u, params)
     assert rep.residual <= 1e-10
@@ -75,7 +73,7 @@ def test_nutrient_decouples_to_heat_equation():
                             ch.Proliferation.constant(0.0), g, tg)
     init = equilibrium_init(params, 0.2)
     init.sigma0 = 0.5 + 0.3 * np.cos(np.pi * g.axis_centers(0))
-    u = ch.ControlField.constant(g, tg, 0.0, -1.0, 1.0)
+    u = ch.constant_trajectory(g, tg, 0.0)
     traj = ch.solve_state(params, init, u)
     m0 = ch.integrate(g, traj.sigma[0])
     norms = [np.sqrt(ch.integrate(g, traj.sigma[k] ** 2)) for k in range(traj.nframes)]
@@ -120,7 +118,7 @@ def test_separation_violation_reported():
     params = ch.ModelParams(0.1, 0.1, ch.Potential.logarithmic(8.0),
                             ch.Proliferation.constant(0.0), g, tg)
     init = ch.InitialData(g.zeros(), g.full(0.9), g.zeros())
-    u = ch.ControlField.constant(g, tg, 0.0, -1.0, 1.0)
+    u = ch.constant_trajectory(g, tg, 0.0)
     with pytest.raises(ch.SeparationViolationError):
         ch.solve_state(params, init, u)
 
@@ -160,7 +158,7 @@ def test_tanh_front_run():
     init = preset_initial_data("tanh_front", params.grid, params.potential,
                                width=0.08, position=0.5)
     assert init.phi0[0] < 0 < init.phi0[-1]
-    u = ch.ControlField.constant(params.grid, params.time_grid, 0.0, 0.0, 2.0)
+    u = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
     traj = ch.solve_state(params, init, u)
     assert np.all(np.isfinite(traj.data))
     assert np.abs(traj.phi).max() <= 1.0
@@ -174,7 +172,7 @@ def test_logarithmic_run_stays_separated():
     params = make_problem(n=48, nt=48, potential=pot)
     init = preset_initial_data("random_interior", params.grid, pot,
                                amplitude=0.3, seed=7)
-    u = ch.ControlField.constant(params.grid, params.time_grid, 0.0, 0.0, 2.0)
+    u = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
     traj = ch.solve_state(params, init, u)
     rep = ch.separation_report(traj, pot)
     assert rep.delta_sep >= 0.01
@@ -184,10 +182,6 @@ def test_logarithmic_run_stays_separated():
 def test_control_shape_validation():
     params = make_problem(n=32, nt=8)
     init = equilibrium_init(params)
-    bad = ch.ControlField(np.zeros((3,) + params.grid.shape), 0.0, 1.0)
+    bad = np.zeros((3,) + params.grid.shape)
     with pytest.raises(ch.ShapeMismatchError):
         ch.solve_state(params, init, bad)
-    with pytest.raises(ConfigError):
-        ch.ControlField.constant(params.grid, params.time_grid, 0.5,
-                                 lower=1.0, upper=0.0).validate(
-            params.grid, params.time_grid)

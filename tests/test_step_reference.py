@@ -115,7 +115,7 @@ def reference_march(params, init, control, tol=ch.state.NEWTON_TOL,
         m0, f0, s0 = data[k]
         p_frozen = params.proliferation.P(f0)
         pi_old = pot.dS(f0)
-        u_k = control.values[k]
+        u_k = control[k]
         m, f, s, res, iters, ok, refactor = _reference_newton_step(
             solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid, tol, max_iter,
             clamp_lo, clamp_hi, lagged, refactor)
@@ -154,7 +154,7 @@ def test_logarithmic_clamp_path_bitwise():
     params = make_problem(n=48, nt=48, potential=pot)
     init = preset_initial_data("random_interior", params.grid, pot,
                                amplitude=0.9, seed=3)
-    u = ch.ControlField.constant(params.grid, params.time_grid, 0.0, 0.0, 2.0)
+    u = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
     _assert_same_march(params, init, u)
 
 
@@ -168,7 +168,7 @@ def test_two_dimensional_bitwise(potential):
                             ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
     init = preset_initial_data("random_interior", grid, potential,
                                amplitude=0.5, seed=4)
-    u = ch.ControlField.constant(grid, tg, 1.0, 0.0, 2.0)
+    u = ch.constant_trajectory(grid, tg, 1.0)
     traj = _assert_same_march(params, init, u)
     _assert_near_exact(traj, params, init, u)
 
@@ -189,7 +189,7 @@ def _refactor_problem(potential, amplitude, source, steps):
                             ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
     init = preset_initial_data("random_interior", grid, potential,
                                amplitude=amplitude, seed=1)
-    return params, init, ch.ControlField.constant(grid, tg, source)
+    return params, init, ch.constant_trajectory(grid, tg, source)
 
 
 def test_two_dimensional_refactor_path(splu_calls):
@@ -218,7 +218,7 @@ def _damping_problem(potential):
     phi0 = 0.5 * np.cos(np.pi * grid.axis_centers(0))
     mu0 = potential.dF(phi0)
     init = ch.InitialData(mu0, phi0, grid.full(0.5))
-    u = ch.ControlField.constant(grid, params.time_grid, 50.0)
+    u = ch.constant_trajectory(grid, params.time_grid, 50.0)
     return params, init, u
 
 

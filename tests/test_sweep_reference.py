@@ -105,7 +105,7 @@ def _problem(dim):
     params = ch.ModelParams(0.1, 0.1, pot, ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
     init = preset_initial_data("random_interior", grid, pot, amplitude=0.3, seed=5)
     rng = np.random.default_rng(dim)
-    u = ch.ControlField(rng.uniform(0.0, 2.0, (tg.steps + 1,) + grid.shape), 0.0, 2.0)
+    u = rng.uniform(0.0, 2.0, (tg.steps + 1,) + grid.shape)
     state = ch.solve_state(params, init, u)
     cost = ch.CostSpec(
         b0=1e-3, b1=1.0, b2=0.4, b3=1.0, b4=0.2, b5=0.01, b6=1.0,

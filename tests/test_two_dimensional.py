@@ -13,7 +13,7 @@ def problem_2d():
                             ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
     mu0 = grid.full(params.potential.dF(0.2))
     init = ch.InitialData(mu0.copy(), grid.full(0.2), mu0.copy())
-    u = ch.ControlField.constant(grid, tg, 1.0, 0.0, 2.0)
+    u = ch.constant_trajectory(grid, tg, 1.0)
     cost = ch.CostSpec(
         b0=1e-3, b1=1.0, b2=0.4, b3=1.0, b4=0.2, b5=0.01, b6=1.0,
         phi_q=ch.constant_trajectory(grid, tg, -0.5),
@@ -26,7 +26,7 @@ def problem_2d():
 def test_mass_identity_2d(problem_2d):
     params, init, u, _ = problem_2d
     rng = np.random.default_rng(0)
-    u_rand = ch.ControlField(rng.uniform(0, 2, u.values.shape), 0.0, 2.0)
+    u_rand = rng.uniform(0, 2, u.shape)
     traj = ch.solve_state(params, init, u_rand)
     assert ch.mass_balance_check(traj, u_rand, params).residual <= 1e-10
 
@@ -48,11 +48,11 @@ def test_gradient_2d(problem_2d):
 def test_optimize_2d_smoke(problem_2d):
     params, init, u, cost = problem_2d
     config = ch.OptimizerConfig(max_outer_iters=40, grad_tol=1e-3)
-    res = ch.optimize(params, init, cost, config, u, tau0=0.125)
+    res = ch.optimize(params, init, cost, config, u, tau0=0.125, lower=0.0, upper=2.0)
     assert res.converged
     totals = [r.breakdown.total for r in res.history]
     assert all(b <= a for a, b in zip(totals, totals[1:]))
-    assert np.all(res.u_opt.values >= 0.0) and np.all(res.u_opt.values <= 2.0)
+    assert np.all(res.u_opt >= 0.0) and np.all(res.u_opt <= 2.0)
 
 
 def test_logarithmic_2d_smoke():
@@ -65,7 +65,7 @@ def test_logarithmic_2d_smoke():
     mu0 = grid.full(pot.dF(0.2))
     init = ch.InitialData(mu0.copy(), grid.full(0.2),
                           mu0 + 0.3 * np.cos(np.pi * grid.axis_centers(0))[:, None])
-    u = ch.ControlField.constant(grid, tg, 0.5, 0.0, 2.0)
+    u = ch.constant_trajectory(grid, tg, 0.5)
     traj = ch.solve_state(params, init, u)
     rep = ch.separation_report(traj, pot)
     assert rep.delta_sep >= 0.01
@@ -83,7 +83,7 @@ def test_duality_2d_logarithmic(splu_calls):
     params = ch.ModelParams(0.1, 0.1, pot, ch.Proliferation.smooth_ramp(1.0, 0.5),
                             grid, tg)
     init = preset_initial_data("random_interior", grid, pot, amplitude=0.3, seed=2)
-    u = ch.ControlField.constant(grid, tg, 1.0, 0.0, 2.0)
+    u = ch.constant_trajectory(grid, tg, 1.0)
     cost = ch.CostSpec(
         b0=1e-3, b1=1.0, b2=0.4, b3=1.0, b4=0.2, b5=0.01, b6=1.0,
         phi_q=ch.constant_trajectory(grid, tg, -0.5),

@@ -85,7 +85,7 @@ def test_mass_balance_unit_control(problem):
     # u == 1 injects exactly t * |Omega| of combined mass
     params, init, _ = problem
     grid, tg = params.grid, params.time_grid
-    u = ch.ControlField.constant(grid, tg, 1.0, 0.0, 2.0)
+    u = ch.constant_trajectory(grid, tg, 1.0)
     traj = ch.solve_state(params, init, u)
     rep = ch.mass_balance_check(traj, u, params)
     assert rep.residual <= 1e-10
@@ -97,7 +97,7 @@ def test_mass_balance_unit_control(problem):
 
 def test_mass_balance_equilibrium(problem):
     params, init, _ = problem
-    u = ch.ControlField.constant(params.grid, params.time_grid, 0.0, -1.0, 1.0)
+    u = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
     traj = ch.solve_state(params, init, u)
     assert ch.mass_balance_check(traj, u, params).residual <= 1e-12
 
