@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, GridMismatchError, TimeDomainError
 from .fields import Grid, TimeGrid, Trajectory
 
 
@@ -210,7 +210,8 @@ def _node_sq_norms(grid: Grid, a: np.ndarray) -> np.ndarray:
 
 
 def _tracking_sq(grid, traj_comp, target):
-    diff = traj_comp if target is None else traj_comp - target
+    # a prefix of the march meets the target at its own frames
+    diff = traj_comp if target is None else traj_comp - target[: len(traj_comp)]
     return _node_sq_norms(grid, diff)
 
 
@@ -223,18 +224,28 @@ class TauProfile:
     (O(steps * cells)), so each evaluation costs O(1). Between nodes the
     derivative of the discrete cost is piecewise linear in tau, so the
     continuous minimizer can be located to roundoff with a short
-    bisection. Targets or a control whose shape does not match the state
-    raise :class:`GridMismatchError`; a tau outside [0, T] raises
-    :class:`TimeDomainError`.
+    bisection.
+
+    ``state`` may be a prefix of the march, frames 0..n (as
+    ``solve_state(..., steps=n)`` returns it). The profile then lives on
+    [0, t_n]: targets are read at frames 0..n, node times and interval
+    brackets are the prefix's, and the control energy still weighs all of
+    u over [0, T]. A prefix that ends one frame past tau's node gives the
+    bits of the full trajectory; the extra frame covers a tau / dt that
+    rounds a few ulps above the node.
+
+    Targets or a control whose shape does not match the time grid raise
+    :class:`GridMismatchError`; a tau outside [0, T], or past the last
+    frame of a prefix, raises :class:`TimeDomainError`.
     """
 
     def __init__(self, state: Trajectory, u: np.ndarray, cost: CostSpec):
-        cost.check_shapes(state.nframes, state.grid.shape, u)
         grid, tg = state.grid, state.time_grid
+        cost.check_shapes(tg.steps + 1, grid.shape, u)
         self.tg = tg
         self.dt = tg.dt
         self.cost = cost
-        self.times = tg.times
+        self.times = state.times
         vol = grid.cell_volume
 
         self.g1 = self.g3 = self.g_relax = None
@@ -283,12 +294,20 @@ class TauProfile:
     def _bracket(self, tau):
         """Interval index for the backward-difference convention."""
         j_hi = int(np.searchsorted(self.times, tau, side="left"))
-        j_hi = min(max(j_hi, 1), self.tg.steps)
+        j_hi = min(max(j_hi, 1), len(self.times) - 1)
         return j_hi, (tau - self.times[j_hi - 1]) / self.dt
+
+    def _clamp(self, tau):
+        """``tau`` clamped onto [0, T], and checked against the last frame."""
+        tau = self.tg.clamp(tau)
+        if tau > self.times[-1]:
+            raise TimeDomainError(f"time {tau} past the last state frame, "
+                                  f"t = {self.times[-1]}")
+        return tau
 
     def breakdown(self, tau: float) -> CostBreakdown:
         """Every term of the cost at tau."""
-        tau = float(self.tg.clamp(tau))
+        tau = float(self._clamp(tau))
         c = self.cost
         out = CostBreakdown(linear_time=c.b5 * tau,
                             quadratic_time=0.5 * c.b6 * (tau - c.tau_star) ** 2,
@@ -329,7 +348,7 @@ class TauProfile:
         the forward difference on the first interval: the one-sided
         derivative that the boundary_low condition D_tau J >= 0 tests.
         """
-        tau = self.tg.clamp(tau)
+        tau = self._clamp(tau)
         c = self.cost
         out = c.b5 + c.b6 * (tau - c.tau_star)
         if self.g1 is not None:
@@ -354,12 +373,14 @@ class TauProfile:
         return np.array([self.value(t) for t in self.times])
 
     def minimize(self) -> float:
-        """Continuous minimizer of J(u, .) over [0, T] near the best node."""
+        """Continuous minimizer of J(u, .) over the profile's frames, [0, T]
+        for a full trajectory, near the best node."""
         node_j = self.node_values()
         k = int(np.argmin(node_j))
         horizon = self.tg.horizon
+        end = self.times[-1]
         lo = max(self.times[k] - self.dt, 0.0)
-        hi = min(self.times[k] + self.dt, horizon)
+        hi = min(self.times[k] + self.dt, end)
         d_lo, d_hi = self.derivative(lo), self.derivative(hi)
         if d_lo >= 0.0:
             tau = lo
@@ -376,7 +397,7 @@ class TauProfile:
                     break
             tau = 0.5 * (lo + hi)
         candidates = [tau, self.times[k], max(self.times[k] - self.dt, 0.0),
-                      min(self.times[k] + self.dt, horizon)]
+                      min(self.times[k] + self.dt, end)]
         return min(candidates, key=self.value)
 
 

@@ -50,7 +50,7 @@ from .objective import (
     space_time_inner,
     space_time_norm,
 )
-from .state import InitialData, ModelParams, solve_state
+from .state import InitialData, ModelParams, check_control_shape, solve_state
 
 BOUNDARY_LOW = "boundary_low"
 INTERIOR = "interior"
@@ -198,6 +198,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
     check_bounds(lower, upper)
+    check_control_shape(params, u0)
     u = np.clip(u0, lower, upper)
     tau0 = tg.clamp(tg.horizon / 2 if tau0 is None else tau0)
     c1 = config.armijo.c1

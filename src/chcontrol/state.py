@@ -64,6 +64,7 @@ from .errors import (
     NewtonDivergenceError,
     SeparationViolationError,
     ShapeMismatchError,
+    TimeDomainError,
 )
 from .fields import Grid, TimeGrid, Trajectory, laplacian_neumann
 from .potentials import Potential, Proliferation
@@ -213,28 +214,40 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
     return x, res, iters, converged, refactor
 
 
+def check_control_shape(params: ModelParams, control: np.ndarray) -> None:
+    """Raise :class:`ShapeMismatchError` unless ``control`` holds one grid
+    field per time node, of shape (nt+1, *grid.shape)."""
+    expected = (params.time_grid.steps + 1,) + params.grid.shape
+    if control.shape != expected:
+        raise ShapeMismatchError(f"control values shape {control.shape}, "
+                                 f"expected {expected}")
+
+
 def solve_state(params: ModelParams, init: InitialData,
-                control: np.ndarray) -> Trajectory:
-    """March the state system over the full time grid.
+                control: np.ndarray, steps: int | None = None) -> Trajectory:
+    """March the state system over the time grid.
 
     ``control`` holds one field per time node, of shape (nt+1,
     *grid.shape), and is read as piecewise constant in time: node k drives
     [t_k, t_{k+1}). The last node does not enter the dynamics; it carries
     only its trapezoid weight in the control-energy term. Every Newton
     iteration runs under ``params.newton_tol`` and
-    ``params.newton_max_iter``. Returns a trajectory whose frame 0 is a
-    bitwise copy of the initial data, with per-step diagnostics attached.
-    Raises :class:`ShapeMismatchError` for a control of another shape, and
+    ``params.newton_max_iter``. Only steps 1..``steps`` (default nt) are
+    marched: the returned trajectory holds frames 0..steps, bitwise the
+    first frames of the full march, and its diagnostics cover those steps.
+    Frame 0 is a bitwise copy of the initial data. Raises
+    :class:`ShapeMismatchError` for a control of another shape,
+    :class:`TimeDomainError` for ``steps`` outside 1..nt, and
     :class:`NewtonDivergenceError`, :class:`SeparationViolationError` or
     :class:`NanDetectedError` on failure.
     """
     grid, tg, pot = params.grid, params.time_grid, params.potential
     init.validate(grid, pot)
     nt, dt = tg.steps, tg.dt
-    expected = (nt + 1,) + grid.shape
-    if control.shape != expected:
-        raise ShapeMismatchError(f"control values shape {control.shape}, "
-                                 f"expected {expected}")
+    check_control_shape(params, control)
+    steps = nt if steps is None else int(steps)
+    if not 1 <= steps <= nt:
+        raise TimeDomainError(f"state steps {steps} outside 1..{nt}")
 
     solver = StepSolver(grid, dt, params.alpha, params.beta)
     clamp_lo = clamp_hi = None
@@ -244,17 +257,17 @@ def solve_state(params: ModelParams, init: InitialData,
         margin = 1e-6 * (hi - lo)
         clamp_lo, clamp_hi = lo + margin, hi - margin
 
-    data = np.empty((nt + 1, 3) + grid.shape)
+    data = np.empty((steps + 1, 3) + grid.shape)
     data[0, 0] = init.mu0
     data[0, 1] = init.phi0
     data[0, 2] = init.sigma0
 
-    newton_iters = np.zeros(nt, dtype=int)
-    delta_sep = np.full(nt, np.inf)
+    newton_iters = np.zeros(steps, dtype=int)
+    delta_sep = np.full(steps, np.inf)
     # the solver is new, so the first 2D iteration factors
     refactor = True
 
-    for k in range(nt):
+    for k in range(steps):
         f0 = data[k, 1]
         p_frozen = params.proliferation.P(f0)
         pi_old = pot.dS(f0)

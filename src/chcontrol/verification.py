@@ -18,6 +18,14 @@ Every forward solve a check makes runs under the Newton settings of its
 ``params``. Errors, mismatches and drifts are reduced with ``np.max``, so
 a NaN among them fails the check.
 
+The gradient check's perturbed solves march only to frame k_tau + 1, one
+past the snapped node tau_hat = t_{k_tau}: every state term of the cost
+at tau_hat reads frames 0..k_tau, and the control energy reads the
+control alone. The extra frame is needed because, on a dt that is not a
+power of two, tau_hat / dt can round a few ulps above k_tau, and the
+cost's quadrature then reads frame k_tau + 1 with a weight near 1e-16.
+With it the truncated cost has the bits of the full one.
+
 ``CHECKS``, the verify pipeline's table, gives each check's report file
 and runner in run order; adding a check is one row there plus its option
 rows in ``cli._FIELDS``.
@@ -110,15 +118,18 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     """Compare <grad J, h> with central differences of the reduced cost.
 
     The treatment time is snapped to its node first so both routes
-    differentiate exactly the same function of the control. The log-log
-    slope is fit over ``slope_deltas`` (default: all), which should stay
-    above the solver floor; the small deltas serve the error tolerance.
+    differentiate exactly the same function of the control, and each
+    perturbed control is marched to one frame past that node (see the
+    module docstring). The log-log slope is fit over ``slope_deltas``
+    (default: all), which should stay above the solver floor; the small
+    deltas serve the error tolerance.
     ``state``, if given, is the forward solution for ``u`` under
     ``params``, and the base solve is skipped.
     """
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
     tau_hat = tg.times[k_tau]
+    steps = min(k_tau + 1, tg.steps)
     deltas = list(deltas)
     slope_deltas = deltas if slope_deltas is None else list(slope_deltas)
     slope_idx = [deltas.index(d) for d in slope_deltas]
@@ -137,8 +148,10 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
         for delta in deltas:
             up = u + delta * h
             dn = u - delta * h
-            j_up = reduced_cost(solve_state(params, init, up), up, tau_hat, cost).total
-            j_dn = reduced_cost(solve_state(params, init, dn), dn, tau_hat, cost).total
+            j_up = reduced_cost(solve_state(params, init, up, steps=steps), up,
+                                tau_hat, cost).total
+            j_dn = reduced_cost(solve_state(params, init, dn, steps=steps), dn,
+                                tau_hat, cost).total
             fd = (j_up - j_dn) / (2.0 * delta)
             errs.append(abs(fd - pairing) / max(abs(pairing), 1e-300))
         analytic.append(pairing)

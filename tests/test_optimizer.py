@@ -47,6 +47,16 @@ def test_optimize_rejects_crossed_field_bounds(problem):
                     lower=lower, upper=upper)
 
 
+def test_optimize_rejects_misshapen_start():
+    # the start is checked before the clamp broadcasts it against the bounds
+    params = make_problem(n=16, nt=4)
+    u0 = np.zeros((5, 8))
+    with pytest.raises(ch.ShapeMismatchError,
+                       match=r"^control values shape \(5, 8\), expected \(5, 16\)$"):
+        ch.optimize(params, equilibrium_init(params), tracking_cost(params),
+                    ch.OptimizerConfig(), u0, lower=np.zeros(16), upper=np.ones(16))
+
+
 def test_control_energy_only_drives_u_to_zero(problem):
     params, init = problem
     cost = ch.CostSpec(b0=1e-3)

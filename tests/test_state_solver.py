@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
+from chcontrol.cli import preset_initial_data
 from chcontrol.errors import (
     ConfigError,
     NanDetectedError,
     NewtonDivergenceError,
+    TimeDomainError,
 )
 from conftest import equilibrium_init, make_problem, midpoint_control
 
@@ -185,3 +187,43 @@ def test_control_shape_validation():
     bad = np.zeros((3,) + params.grid.shape)
     with pytest.raises(ch.ShapeMismatchError):
         ch.solve_state(params, init, bad)
+
+
+def _assert_prefix_march(params, init, u, steps_list):
+    full = ch.solve_state(params, init, u)
+    for k in steps_list:
+        part = ch.solve_state(params, init, u, steps=k)
+        assert part.nframes == k + 1
+        assert part.data.tobytes() == full.data[: k + 1].tobytes(), k
+        iters = part.diagnostics.newton_iters
+        assert len(iters) == len(part.diagnostics.delta_sep) == k
+        assert np.array_equal(iters, full.diagnostics.newton_iters[:k])
+
+
+def test_prefix_march_1d():
+    params = make_problem(n=32, nt=24)
+    u = np.random.default_rng(5).uniform(0.0, 2.0, (25,) + params.grid.shape)
+    _assert_prefix_march(params, equilibrium_init(params), u, (1, 7, 23, 24))
+
+
+def test_prefix_march_2d_chord(splu_calls):
+    # a march whose chord iteration refactors at several steps, so that the
+    # prefixes end before, at and after a change of the refactor flag
+    grid = ch.Grid.rectangle(10, 8)
+    tg = ch.TimeGrid(4.0, 12)
+    pot = ch.Potential.quartic()
+    params = ch.ModelParams(0.1, 0.1, pot, ch.Proliferation.smooth_ramp(1.0, 0.5),
+                            grid, tg)
+    init = preset_initial_data("random_interior", grid, pot, amplitude=0.5, seed=2)
+    u = ch.constant_trajectory(grid, tg, 1.0)
+    ch.solve_state(params, init, u)
+    assert len(splu_calls) >= 3
+    _assert_prefix_march(params, init, u, range(1, tg.steps + 1))
+
+
+def test_prefix_march_rejects_steps_outside_grid():
+    params = make_problem(n=16, nt=4)
+    init, u = equilibrium_init(params), midpoint_control(params)
+    for steps in (0, -1, 5):
+        with pytest.raises(TimeDomainError, match="steps"):
+            ch.solve_state(params, init, u, steps=steps)

@@ -39,7 +39,7 @@ def test_traced_names_resolve(tracer):
 
 def test_solve_state_reports_newton_iterations():
     assert list(inspect.signature(ch.solve_state).parameters) == [
-        "params", "init", "control"]
+        "params", "init", "control", "steps"]
     params = make_problem(n=16, nt=4)
     traj = ch.solve_state(params, equilibrium_init(params), midpoint_control(params))
     iters = traj.diagnostics.newton_iters
@@ -88,4 +88,15 @@ def test_traced_verify_sees_every_oracle(tmp_path):
     # fifth positional argument of StepSolver.solve
     assert metrics["system.transpose_solves"] == metrics["adjoint.steps"] > 0
     assert metrics["linearized.steps"] > 0
+    # the base solve and the Lipschitz solves march every step, the FD
+    # gradient solves one frame past the snapped node
+    nt = cfg["time"]["steps"]
+    k_tau, _ = ch.TimeGrid(cfg["time"]["horizon"], nt).nearest_node(
+        TINY_VERIFICATION["tau"])
+    grad, lip = TINY_VERIFICATION["gradient"], TINY_VERIFICATION["lipschitz"]
+    fd_solves = 2 * grad["directions"] * len(grad["deltas"])
+    full_solves = 1 + 2 * lip["pairs"] * len(lip["magnitudes"])
+    assert metrics["state.solves"] == full_solves + fd_solves
+    assert metrics["state.steps"] == full_solves * nt + fd_solves * (k_tau + 1)
+    assert k_tau + 1 < nt
     assert result["reconcile"] is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
+from chcontrol.verification import _fit_slope, _random_direction
 from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
 
 
@@ -149,3 +150,72 @@ def test_checks_honour_newton_settings(problem):
         ch.lipschitz_check(params, init, u, pairs=1, magnitudes=[1e-2])
     with pytest.raises(ch.NewtonDivergenceError):
         ch.optimize(params, init, cost, ch.OptimizerConfig(max_outer_iters=2), u)
+
+
+def _fd_reference(params, init, cost, u, tau, directions, deltas, seed):
+    """fd_gradient_check's figures, rebuilt from full-length forward solves."""
+    grid, tg = params.grid, params.time_grid
+    k_tau, _ = tg.nearest_node(tau)
+    tau_hat = tg.times[k_tau]
+    adjoint = ch.solve_adjoint(params, ch.solve_state(params, init, u), k_tau, cost)
+    grad = ch.control_gradient(adjoint, u, cost.b0)
+    rng = np.random.default_rng(seed)
+    analytic, rel_errors, slopes = [], [], []
+    for _ in range(directions):
+        h = _random_direction(rng, u.shape, grid, tg.dt)
+        pairing = ch.space_time_inner(grid, tg.dt, grad, h)
+        errs = []
+        for delta in deltas:
+            up, dn = u + delta * h, u - delta * h
+            fd = (ch.reduced_cost(ch.solve_state(params, init, up), up, tau_hat,
+                                  cost).total
+                  - ch.reduced_cost(ch.solve_state(params, init, dn), dn, tau_hat,
+                                    cost).total) / (2.0 * delta)
+            errs.append(abs(fd - pairing) / max(abs(pairing), 1e-300))
+        analytic.append(pairing)
+        rel_errors.append(errs)
+        slopes.append(_fit_slope(deltas, errs))
+    return analytic, rel_errors, slopes
+
+
+def _problem_1d():
+    params = make_problem(n=24, nt=20)
+    grid, tg = params.grid, params.time_grid
+    u = np.random.default_rng(4).uniform(0.0, 2.0, (tg.steps + 1,) + grid.shape)
+    relax = ch.Relaxation(0.4, 0.13, grid.full(0.2))
+    return params, equilibrium_init(params), u, tracking_cost(
+        params, b2=0.3, b4=0.2, relaxation=relax)
+
+
+def _problem_2d():
+    grid = ch.Grid.rectangle(9, 7, 1.5, 0.8)
+    tg = ch.TimeGrid(0.25, 13)
+    params = ch.ModelParams(0.1, 0.1, ch.Potential.quartic(),
+                            ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
+    u = np.random.default_rng(4).uniform(0.0, 2.0, (tg.steps + 1,) + grid.shape)
+    cost = ch.CostSpec(
+        b0=1e-3, b1=1.0, b2=0.4, b3=1.0, b4=0.2, b5=0.01, b6=1.0,
+        phi_q=ch.constant_trajectory(grid, tg, -0.5),
+        sigma_q=ch.constant_trajectory(grid, tg, 0.375),
+        phi_omega=grid.full(-0.5), tau_star=0.125,
+    )
+    return params, equilibrium_init(params), u, cost
+
+
+@pytest.mark.parametrize("make", [_problem_1d, _problem_2d], ids=["1d", "2d"])
+def test_gradient_check_truncated_solves_match_full(make):
+    # the oracle marches each perturbed control to one frame past the node;
+    # its figures must be the bits of full-length solves. The interior node
+    # is one whose t_k / dt rounds above k (dt is not a power of two).
+    params, init, u, cost = make()
+    tg = params.time_grid
+    k_mid = next(k for k in range(1, tg.steps) if tg.times[k] / tg.dt > k)
+    deltas = [0.1, 1e-3]
+    for tau in (0.0, tg.times[k_mid], tg.horizon):
+        rep = ch.fd_gradient_check(params, init, cost, u, tau, directions=2,
+                                   deltas=deltas, seed=5)
+        analytic, rel_errors, slopes = _fd_reference(params, init, cost, u, tau, 2,
+                                                     deltas, 5)
+        assert rep.analytic == analytic, tau
+        assert rep.rel_errors == rel_errors, tau
+        assert rep.slopes == slopes, tau
