@@ -602,7 +602,9 @@ def _write_control(directory, u, tg, grid):
 # ---------------------------------------------------------------------------
 
 
-def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_simulate(cfg: ExperimentConfig, out: Path):
+    """The forward solve at the config's control and its artifacts.
+    Returns the result dict and the trajectory."""
     params = cfg.params
     traj = solve_state(params, cfg.init, cfg.u0)
     mass = mass_balance_check(traj, cfg.u0, params)
@@ -619,7 +621,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
         result["delta_sep"] = rep.delta_sep
         result["argmin_frame"] = rep.argmin_frame
     result["mass_residual"] = mass.residual
-    return result
+    return result, traj
 
 
 def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
@@ -653,13 +655,16 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _run_verify(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_verify(cfg: ExperimentConfig, out: Path, state=None) -> dict:
     """Run the checks of ``verification.checks`` in the order of
-    :data:`~chcontrol.verification.CHECKS`, all on one base solve."""
+    :data:`~chcontrol.verification.CHECKS`, all on one base solve: the
+    forward solve at the config's control, given as ``state`` or made
+    here."""
     vd = cfg.verification
     ver_dir = out / "verify"
     ver_dir.mkdir(parents=True, exist_ok=True)
-    state = solve_state(cfg.params, cfg.init, cfg.u0)
+    if state is None:
+        state = solve_state(cfg.params, cfg.init, cfg.u0)
     summary = {}
     for name, (report_file, run_check) in CHECKS.items():
         if name not in vd["checks"]:
@@ -686,12 +691,14 @@ def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
         # every input is read: an OSError from here on is a failed write
         try:
             out.mkdir(parents=True, exist_ok=True)
+            # the simulate trajectory is the verify base solve of "all"
+            base = None
             if pipeline in ("simulate", "all"):
-                results["simulate"] = _run_simulate(cfg, out)
+                results["simulate"], base = _run_simulate(cfg, out)
             if pipeline in ("optimize", "all"):
                 results["optimize"] = _run_optimize(cfg, out)
             if pipeline in ("verify", "all"):
-                results["verify"] = _run_verify(cfg, out)
+                results["verify"] = _run_verify(cfg, out, base)
             echo = {**cfg.raw, "pipeline": pipeline}
             summary = {"version": _version_string(), "config": echo,
                        "results": results}

@@ -1,20 +1,28 @@
-"""Hot numeric kernels: Neumann Laplacian stencils and the 1D step solve.
+"""Hot numeric kernels: Neumann Laplacian stencils, the 1D step solve and
+the 2D cell ordering.
 
 The solvers spend essentially all their time in two places: applying the
 reflecting-ghost Neumann Laplacian stencil and solving the coupled
-three-field linear system of each implicit time step. In 1D that system
-is block tridiagonal with 3x3 blocks; interleaved cell-major it is a band
-matrix with three sub- and three superdiagonals, solved by one direct
-call to LAPACK ``dgbsv`` on a band already in ``gbsv`` storage (see
-:func:`assemble_band`). The caller builds the constant part of the band
-once and patches only the state-dependent entries per solve.
+three-field linear system of each implicit time step. Both dimensions
+hold that system cell-major, the three unknowns of a cell adjacent. In
+1D the cells stay in their natural order, and the system is block
+tridiagonal with 3x3 blocks: a band matrix with three sub- and three
+superdiagonals, solved by one direct call to LAPACK ``dgbsv`` on a band
+already in ``gbsv`` storage (see :func:`assemble_band`). The caller
+builds the constant part of the band once and patches only the
+state-dependent entries per solve. In 2D the cells follow the
+fill-reducing ordering of :func:`cell_order`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+import scipy.sparse as sps
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv
+from scipy.sparse.linalg import splu
 
 # sub- and superdiagonals of the interleaved 1D step matrix
 KL = KU = 3
@@ -112,3 +120,35 @@ def solve_block_tridiag(ab, b):
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
     return x
+
+
+# ---------------------------------------------------------------------------
+# Coupled per-step linear system, 2D: the cell ordering of the sparse LU.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def cell_order(shape: tuple) -> np.ndarray:
+    """SuperLU's ``MMD_AT_PLUS_A`` ordering of the cells of a 2D grid.
+
+    The multiple minimum degree ordering (Liu, ACM TOMS 11, 1985) of the
+    pattern of I - Lap on the row-major flattened cells, with the
+    elimination-tree postorder SuperLU composes into it: ``order[k]`` is
+    the cell eliminated k-th. Only the pattern matters, so the grid
+    spacing does not enter. Computed once per grid shape; the array is
+    read-only because it is shared.
+    """
+    nx, ny = shape
+
+    def path(n):
+        return sps.diags([np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1])
+
+    adj = sps.kron(path(nx), sps.eye(ny)) + sps.kron(sps.eye(nx), path(ny))
+    degree = np.asarray(adj.sum(axis=1)).ravel()
+    # I - Lap at unit spacing: nonsingular, so SuperLU can factor it
+    lu = splu(sps.csc_matrix(sps.diags(1.0 + degree) - adj),
+              permc_spec="MMD_AT_PLUS_A")
+    # perm_c maps a column to its position, so the order is its inverse
+    order = np.argsort(lu.perm_c)
+    order.setflags(write=False)
+    return order

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import solve_adjoint
-from .errors import ConfigError, LineSearchFailureError
+from .errors import ConfigError, LineSearchFailureError, SolverError
 from .fields import Trajectory
 from .objective import (
     CostBreakdown,
@@ -192,7 +192,9 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
     scalar or a grid field applied at every time node; the start ``u0``
     (nt+1, *grid.shape) is clamped onto it first, and ``u_opt`` lies in
     it. Every forward solve, trial steps included, runs under the Newton
-    settings of ``params``.
+    settings of ``params``. A trial whose forward solve raises a
+    SolverError is rejected like a failed Armijo test, and the search
+    backtracks; a failing solve at the current iterate propagates.
     """
     config = config or OptimizerConfig()
     grid, tg = params.grid, params.time_grid
@@ -258,16 +260,22 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
         if step_norm > 0:
             s = u_stepper.propose(u, grad, qt_inner)
             accepted = False
+            failed, solver_error = 0, None
             for _ in range(config.armijo.max_backtracks):
                 u_trial = np.clip(u - s * grad, lower, upper)
                 gd = qt_inner(grad, u_trial - u)
                 if gd >= 0.0:
                     break
-                state_trial = solve_state(params, init, u_trial)
-                j_trial = reduced_cost(state_trial, u_trial, tau_node, cost).total
-                if j_trial <= j_node + c1 * gd:
-                    accepted = True
-                    break
+                try:
+                    state_trial = solve_state(params, init, u_trial)
+                except SolverError as exc:
+                    # the cost is +inf where the march fails: reject, shrink
+                    failed, solver_error = failed + 1, exc
+                else:
+                    j_trial = reduced_cost(state_trial, u_trial, tau_node, cost).total
+                    if j_trial <= j_node + c1 * gd:
+                        accepted = True
+                        break
                 s *= config.armijo.backtrack
             if accepted:
                 u_stepper.remember(u, grad, s)
@@ -277,11 +285,13 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
                 # restart the next search from the deepest backtracked step
                 u_stepper.trial = max(s, 1e-12)
                 if stat_u > config.grad_tol:
-                    raise LineSearchFailureError(
-                        it, "control",
-                        f"no Armijo decrease within {config.armijo.max_backtracks} "
-                        f"backtracks at stat_u={stat_u:.3e}",
-                        control=u, tau=tau_ref)
+                    detail = (f"no Armijo decrease within {config.armijo.max_backtracks} "
+                              f"backtracks at stat_u={stat_u:.3e}")
+                    if failed:
+                        detail += (f"; {failed} trial solves failed, the last with: "
+                                   f"{solver_error}")
+                    raise LineSearchFailureError(it, "control", detail,
+                                                 control=u, tau=tau_ref)
 
     # report the continuous minimizer when it improves on the node
     last = history[-1]

@@ -35,25 +35,39 @@ along many directions factors each step matrix once. The right-hand side
 may come stacked like a trajectory frame, (3, [ndir,] *grid), and the
 solution always does, in a new array.
 
-In 1D the system is block tridiagonal with 3x3 blocks and a scalar
-neighbour coupling, a band matrix with three sub- and superdiagonals,
-held (with its transpose) in LAPACK ``gbsv`` band storage and solved by
-one ``dgbsv`` call with one column per direction through
-:func:`kernels.solve_block_tridiag`; the template is copied into a band
-workspace kept by the solver, which LAPACK factors in place. In 2D the
-matrix is held in CSC form whose pattern stores every P and W entry,
-even where P vanishes, and is factorized with SuperLU under the
-``MMD_AT_PLUS_A`` column ordering, which at 32x32 halves the fill of the
-default COLAMD ordering (175k against 342k nonzeros in L and U) and
-factors faster. The transpose solve reuses the same factorization.
+Both dimensions hold the system in nodal order: cell by cell, the three
+unknowns (m, f, s) of a cell adjacent, so that the matrix is a grid of
+3x3 blocks coupled by the scalar stencil weights. In 1D the cells keep
+their natural order, and the system is block tridiagonal, a band matrix
+with three sub- and superdiagonals, held (with its transpose) in LAPACK
+``gbsv`` band storage and solved by one ``dgbsv`` call with one column
+per direction through :func:`kernels.solve_block_tridiag`; the template
+is copied into a band workspace kept by the solver, which LAPACK factors
+in place. In 2D the cells follow :func:`kernels.cell_order`, SuperLU's
+``MMD_AT_PLUS_A`` minimum-degree ordering of the scalar cell graph,
+computed once per grid shape. The matrix is held in CSC form in that
+order, its pattern storing every P and W entry even where P vanishes,
+and SuperLU factors it with the ``NATURAL`` column ordering, so no
+factorization computes an ordering, and the dense cell blocks form its
+supernodes. On a 2-vCPU machine (scipy 1.17) the factors hold 189k
+nonzeros at 32x32 and a factorization takes 5.5 ms. Ordering the
+component-major matrix by ``MMD_AT_PLUS_A`` per factorization gave 175k
+nonzeros in 9.1 ms, and the default COLAMD 342k in 13.7 ms. At 64x64
+the figures are 1.07M in 34 ms, against 1.02M in 46 ms and 2.17M in 90
+ms. The slightly larger factors make a solve with a kept factorization
+dearer: 0.24 against 0.21 ms at 32x32, 1.09 against 0.99 ms at 64x64. A
+solve gathers its right-hand side into nodal order and scatters the
+solution back, one precomputed index for both. The transpose solve
+reuses the same factorization.
 
 A 2D solver also keeps its last factorization, and a solve given no P
 and W solves against it. The forward march uses this for a chord Newton
 iteration that refactors only when a step stops contracting; the
 linearized and adjoint sweeps factor every step exactly, because the
 duality identity between them holds only with the exact A_k. In 1D one
-``dgbsv`` call factors and solves together in about 60 us, so nothing is
-kept and the forward march stays exact Newton.
+``dgbsv`` call factors and solves together in about 28 us (a whole
+``StepSolver.solve`` about 41 us), so nothing is kept and the forward
+march stays exact Newton.
 """
 
 from __future__ import annotations
@@ -124,26 +138,29 @@ class StepSolver:
             self._ab = np.empty_like(self._band, order="F")
         else:
             n = self._ncell
-            neg_lap = -neumann_laplacian_matrix(grid)
-            eye = sps.eye(n, format="csr")
-            # the step matrix with unit placeholders in the -P blocks, so
-            # that the pattern holds every P entry; zeroed below
-            mat = sps.bmat(
-                [
-                    [self.a * eye + neg_lap, self.c * eye, eye],
-                    [-eye, self.b * eye + neg_lap, None],
-                    [eye, None, self.c * eye + neg_lap],
-                ],
-                format="csc",
-            )
+            order = kernels.cell_order(grid.n)
+            # nodal order: unknown 3k + c is component c of cell order[k],
+            # at index c * n + order[k] of the component-major vector
+            self._nodal = (np.arange(3) * n + order[:, None]).ravel()
+            neg_lap = -neumann_laplacian_matrix(grid)[order][:, order]
+            # the 3x3 cell block with P = W = 0 and unit placeholders at
+            # the -P couplings, so that the pattern holds every P entry;
+            # zeroed below
+            block = np.array([[self.a, self.c, 1.0],
+                              [-1.0, self.b, 0.0],
+                              [1.0, 0.0, self.c]])
+            mat = sps.csc_matrix(sps.kron(neg_lap, sps.eye(3))
+                                 + sps.kron(sps.eye(n), block))
             mat.sort_indices()
-            i = np.arange(n)
-            # slots of P in blocks (0, 0) and (2, 2), of W in (1, 1), and of
-            # the -P couplings (0, 2) and (2, 0)
+            # row 3k + c of each grid cell, so that the slots take P and W
+            # in grid order
+            k3 = 3 * np.argsort(order)
+            # slots of P at (m, m) and (s, s), of W at (f, f), and of the
+            # -P couplings (m, s) and (s, m)
             self._slots = tuple(
                 _csc_slots(mat, rows, cols)
-                for rows, cols in ((i, i), (i + n, i + n), (i + 2 * n, i + 2 * n),
-                                   (i, i + 2 * n), (i + 2 * n, i))
+                for rows, cols in ((k3, k3), (k3 + 1, k3 + 1), (k3 + 2, k3 + 2),
+                                   (k3, k3 + 2), (k3 + 2, k3))
             )
             mat.data[self._slots[3]] = 0.0
             mat.data[self._slots[4]] = 0.0
@@ -217,10 +234,13 @@ class StepSolver:
                                  shape=self._csc.shape)
             # drop the kept factorization first, so two never coexist
             self._lu = None
-            lu = self._lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
-        # component-major (m, f, s) blocks, one row per direction
-        b = np.concatenate([np.reshape(r, (ndir, ncell)) for r in rhs], axis=1)
-        x = lu.solve(b.T, trans="T" if transpose else "N").T
+            lu = self._lu = splu(mat, permc_spec="NATURAL")
+        # component-major (m, f, s) blocks, one row per direction, gathered
+        # into nodal order for the solve and scattered back
+        nodal = self._nodal
+        b = np.reshape(rhs, (3, ndir, ncell)).transpose(1, 0, 2).reshape(ndir, -1)
+        x = np.empty((ndir, 3 * ncell))
+        x[:, nodal] = lu.solve(b[:, nodal].T, trans="T" if transpose else "N").T
         return x.reshape(ndir, 3, ncell).transpose(1, 0, 2).reshape(shape)
 
 

@@ -3,13 +3,19 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.cli import parse_config, preset_initial_data, run
-from chcontrol.errors import ConfigError
+import chcontrol.cli as cli_module
+import chcontrol.optimizer as optimizer_module
+import chcontrol.verification as verification_module
+from chcontrol.cli import _FIELDS, parse_config, preset_initial_data, run
+from chcontrol.errors import ConfigError, SolverError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_CONFIG = {
     "pipeline": "simulate",
@@ -234,6 +240,60 @@ def test_line_search_failure_exit_code(tmp_path, capsys):
     assert "solver error: line search failed" in capsys.readouterr().err
 
 
+def _failing_trial_config(**armijo):
+    """An optimize run on log-separation.json (32 cells, 64 steps) whose
+    base solve at u = 0 passes and whose first Armijo trial, at the upper
+    bound 50, does not: Newton stalls at step 23."""
+    cfg = json.loads((CONFIGS / "log-separation.json").read_text())
+    cfg["pipeline"] = "optimize"
+    cfg["grid"]["n"] = [32]
+    cfg["time"]["steps"] = 64
+    cfg["control"]["initial"] = 0.0
+    cfg["bounds"]["upper"] = 50
+    cfg["cost"]["b5"] = 0
+    cfg["cost"]["b6"] = 100
+    cfg["cost"]["targets"]["phi_q"] = {"constant": 0.9}
+    cfg["cost"]["targets"]["phi_omega"] = {"constant": 0.9}
+    cfg["optimizer"] = {"max_outer_iters": 3, "armijo": {"s0": 1e5, **armijo}}
+    return cfg
+
+
+@pytest.fixture
+def trial_failures(monkeypatch):
+    """The solver errors raised by the forward solves of ``optimize``."""
+    failures = []
+    solve = ch.solve_state
+
+    def recording_solve_state(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except SolverError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(optimizer_module, "solve_state", recording_solve_state)
+    return failures
+
+
+def test_failed_armijo_trial_backtracks(tmp_path, trial_failures):
+    # a trial whose forward solve fails is a rejected trial, not a failed run
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, _failing_trial_config()), out_dir=out) == 0
+    assert trial_failures
+    assert all(isinstance(exc, ch.NewtonDivergenceError) for exc in trial_failures)
+    optimum = json.loads((out / "optimize" / "optimum.json").read_text())
+    assert optimum["iterations"] >= 2
+
+
+def test_every_armijo_trial_failing_exits_3(tmp_path, capsys, trial_failures):
+    cfg = _failing_trial_config(max_backtracks=2, backtrack=0.99)
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
+    assert len(trial_failures) == 2
+    err = capsys.readouterr().err
+    assert "solver error: line search failed in control block" in err
+    assert "2 trial solves failed, the last with: Newton did not converge" in err
+
+
 def test_config_rejects_zero_backtracks(tmp_path, capsys):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "optimize"
@@ -242,12 +302,14 @@ def test_config_rejects_zero_backtracks(tmp_path, capsys):
     assert "optimizer.armijo.max_backtracks" in capsys.readouterr().err
 
 
-def test_optimize_pipeline_artifacts(tmp_path):
+def test_optimize_pipeline_artifacts(tmp_path, trial_failures):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "optimize"
     cfg["optimizer"] = {"max_outer_iters": 60, "grad_tol": 1e-3}
     out = tmp_path / "out"
     assert run(_write(tmp_path, cfg), out_dir=out) == 0
+    # no trial solve fails, so the rejected-trial rule never fires
+    assert trial_failures == []
     hist = (out / "optimize" / "history.csv").read_text().splitlines()
     assert "stat_u" in hist[0] and "time_case" in hist[0]
     assert len(hist) > 2
@@ -281,6 +343,33 @@ def test_verify_pipeline_small(tmp_path, checks, reports):
         [f"{name}.txt" for name in reports] + ["summary.json"])
     for name in reports:
         assert "PASS" in (out / "verify" / f"{name}.txt").read_text()
+
+
+def test_all_pipeline_shares_the_base_solve(tmp_path, monkeypatch):
+    # "all" hands the simulate trajectory to verify as its base solve
+    calls = []
+    solve = ch.solve_state
+
+    def counting_solve_state(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    for module in (cli_module, optimizer_module, verification_module):
+        monkeypatch.setattr(module, "solve_state", counting_solve_state)
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["optimizer"] = {"max_outer_iters": 2}
+    cfg["verification"] = {**TINY_VERIFICATION, "checks": ["duality", "mass"]}
+    counts = {}
+    for pipeline in ("simulate", "optimize", "verify", "all"):
+        cfg["pipeline"] = pipeline
+        before = len(calls)
+        assert run(_write(tmp_path, cfg, f"{pipeline}.json"),
+                   out_dir=tmp_path / pipeline) == 0
+        counts[pipeline] = len(calls) - before
+    assert counts["all"] == counts["simulate"] + counts["optimize"] + counts["verify"] - 1
+    for pipeline in ("simulate", "optimize", "verify"):
+        assert (_hash_tree(tmp_path / "all" / pipeline)
+                == _hash_tree(tmp_path / pipeline / pipeline)), pipeline
 
 
 def test_verify_honours_seed_zero(tmp_path):
@@ -556,6 +645,23 @@ def test_shipped_verify_suite(tmp_path):
     cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "verify-suite.json"
     out = tmp_path / "verify"
     assert run(cfg, out_dir=out) == 0
+    summary = json.loads((out / "verify" / "summary.json").read_text())
+    assert set(summary) == {"gradient", "duality", "lipschitz", "mass"}
+    assert all(entry["passed"] for entry in summary.values())
+
+
+def test_shipped_verify_2d_at_16(tmp_path):
+    # the shipped 2D oracle suite, refined down to 16x16: all four checks
+    # pass at the default gates
+    cfg = json.loads((CONFIGS / "verify-2d.json").read_text())
+    vd = cfg["verification"]
+    for path, (_, _, default) in _FIELDS.items():
+        if path.startswith("verification.") and path.endswith("tol"):
+            _, section, key = path.split(".")
+            assert vd.get(section, {}).get(key, default) == default, path
+    cfg["grid"]["n"] = [16, 16]
+    out = tmp_path / "verify"
+    assert run(_write(tmp_path, cfg), out_dir=out) == 0
     summary = json.loads((out / "verify" / "summary.json").read_text())
     assert set(summary) == {"gradient", "duality", "lipschitz", "mass"}
     assert all(entry["passed"] for entry in summary.values())

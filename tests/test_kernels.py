@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from scipy.linalg import solve_banded
+from scipy.sparse.linalg import splu
 
 import chcontrol as ch
 from chcontrol import kernels
@@ -128,6 +130,73 @@ def test_step_solve_2d_matches_dense(transpose, batch):
     assert all(x.shape == batch + grid.shape for x in got)
     got = np.concatenate([x.reshape(-1, n) for x in got], axis=1).T
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _dense_solve(mat, rhs):
+    """Solve with a component-major dense matrix for a stacked right-hand
+    side of shape (3, [ndir,] *grid)."""
+    n = mat.shape[0] // 3
+    b = rhs.reshape(3, -1, n).transpose(0, 2, 1).reshape(3 * n, -1)
+    x = np.linalg.solve(mat, b)
+    return x.reshape(3, n, -1).transpose(0, 2, 1).reshape(rhs.shape)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_step_solve_2d_nodal_order_matches_dense(transpose):
+    # the solver factors in nodal order; fresh and kept factorizations
+    # must both agree with the component-major matrix, for one and for
+    # several directions
+    rng = np.random.default_rng(10)
+    grid = ch.Grid.rectangle(16, 12, 1.5, 0.8)
+    solver = StepSolver(grid, 1.0 / 32, 0.1, 0.2)
+    p = rng.uniform(0.0, 2.0, grid.shape)
+    w = rng.uniform(0.0, 3.0, grid.shape)
+    mat = _dense_step_matrix_2d(solver, p, w)
+    if transpose:
+        mat = mat.T
+    rhs = rng.standard_normal((3,) + grid.shape)
+    got = solver.solve(p, w, rhs, transpose=transpose)
+    ref = _dense_solve(mat, rhs)
+    assert got.shape == rhs.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    for batch in ((), (3,)):
+        rhs = rng.standard_normal((3,) + batch + grid.shape)
+        got = solver.solve(None, None, rhs, transpose=transpose)
+        ref = _dense_solve(mat, rhs)
+        assert got.shape == rhs.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_cell_order_is_one_cached_permutation(monkeypatch, splu_calls):
+    # the 2D cell ordering is computed once per grid shape, and the
+    # factorization that computes it is not a step factorization
+    orderings = []
+    factor = kernels.splu
+
+    def counting_splu(*args, **kwargs):
+        orderings.append(None)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "splu", counting_splu)
+    kernels.cell_order.cache_clear()
+    grid = ch.Grid.rectangle(16, 12, 1.5, 0.8)
+    rng = np.random.default_rng(11)
+    p, w = rng.uniform(0.0, 2.0, (2,) + grid.shape)
+    for _ in range(2):
+        solver = StepSolver(grid, 1.0 / 32, 0.1, 0.2)
+        solver.solve(p, w, rng.standard_normal((3,) + grid.shape))
+    assert len(orderings) == 1
+    assert len(splu_calls) == 2
+    order = kernels.cell_order(grid.n)
+    assert len(orderings) == 1
+    assert np.array_equal(np.sort(order), np.arange(grid.cell_count))
+    assert not order.flags.writeable
+    # the minimum-degree ordering of the grid's own I - Lap: the spacing
+    # does not enter
+    lap = neumann_laplacian_matrix(grid)
+    lu = splu(sps.csc_matrix(sps.eye(grid.cell_count) - lap),
+              permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(order, np.argsort(lu.perm_c))
 
 
 @pytest.mark.parametrize("grid", [ch.Grid.line(24), ch.Grid.rectangle(6, 5)],
