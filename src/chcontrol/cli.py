@@ -4,9 +4,10 @@ A JSON experiment config fully determines a run: model constants,
 potential and proliferation choice, grid and time resolution, initial
 data (preset or snapshots), cost weights and targets, control bounds,
 optimizer settings and verification toggles. The table ``_FIELDS`` gives
-every field's type, range and default in one place; physics fields have
-no defaults. A bad config raises a ConfigError whose message starts with
-the field's path, and the command exits 2 before any solve starts.
+every field's type and default, and the range of each field that no
+model object checks; physics fields have no defaults. A bad config raises
+a ConfigError whose message starts with the field's path, and the command
+exits 2 before any solve starts.
 Identical config and seed produce bit-identical artifacts (no timestamps
 are written).
 
@@ -26,13 +27,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     ChControlError,
     ConfigError,
@@ -70,25 +71,6 @@ from .verification import CHECKS, DEFAULT_SEED, mass_balance_check
 
 _PIPELINES = ("simulate", "optimize", "verify", "all")
 _CHECKS = tuple(CHECKS)
-
-
-def _version_string() -> str:
-    try:
-        from importlib.metadata import version
-
-        base = version("chcontrol")
-    except Exception:
-        base = "0.1.0"
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).parent, capture_output=True, text=True, timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return f"{base}+g{out.stdout.strip()}"
-    except Exception:
-        pass
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +584,10 @@ def _write_control(directory, u, tg, grid):
 # ---------------------------------------------------------------------------
 
 
-def _run_simulate(cfg: ExperimentConfig, out: Path):
-    """The forward solve at the config's control and its artifacts.
-    Returns the result dict and the trajectory."""
+def _run_simulate(cfg: ExperimentConfig, out: Path, traj) -> dict:
+    """The artifacts of ``traj``, the forward solve at the config's
+    control. Returns the result dict."""
     params = cfg.params
-    traj = solve_state(params, cfg.init, cfg.u0)
     mass = mass_balance_check(traj, cfg.u0, params)
     sim_dir = out / "simulate"
     sim_dir.mkdir(parents=True, exist_ok=True)
@@ -621,7 +602,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
         result["delta_sep"] = rep.delta_sep
         result["argmin_frame"] = rep.argmin_frame
     result["mass_residual"] = mass.residual
-    return result, traj
+    return result
 
 
 def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
@@ -655,16 +636,13 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _run_verify(cfg: ExperimentConfig, out: Path, state=None) -> dict:
+def _run_verify(cfg: ExperimentConfig, out: Path, state) -> dict:
     """Run the checks of ``verification.checks`` in the order of
-    :data:`~chcontrol.verification.CHECKS`, all on one base solve: the
-    forward solve at the config's control, given as ``state`` or made
-    here."""
+    :data:`~chcontrol.verification.CHECKS`, all on one base solve:
+    ``state``, the forward solve at the config's control."""
     vd = cfg.verification
     ver_dir = out / "verify"
     ver_dir.mkdir(parents=True, exist_ok=True)
-    if state is None:
-        state = solve_state(cfg.params, cfg.init, cfg.u0)
     summary = {}
     for name, (report_file, run_check) in CHECKS.items():
         if name not in vd["checks"]:
@@ -691,16 +669,18 @@ def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
         # every input is read: an OSError from here on is a failed write
         try:
             out.mkdir(parents=True, exist_ok=True)
-            # the simulate trajectory is the verify base solve of "all"
-            base = None
+            # one forward solve at the config's control serves simulate and
+            # verify; optimize marches its own
+            if pipeline != "optimize":
+                base = solve_state(cfg.params, cfg.init, cfg.u0)
             if pipeline in ("simulate", "all"):
-                results["simulate"], base = _run_simulate(cfg, out)
+                results["simulate"] = _run_simulate(cfg, out, base)
             if pipeline in ("optimize", "all"):
                 results["optimize"] = _run_optimize(cfg, out)
             if pipeline in ("verify", "all"):
                 results["verify"] = _run_verify(cfg, out, base)
             echo = {**cfg.raw, "pipeline": pipeline}
-            summary = {"version": _version_string(), "config": echo,
+            summary = {"version": __version__, "config": echo,
                        "results": results}
             with open(out / "run_summary.json", "w") as fh:
                 json.dump(summary, fh, indent=1, sort_keys=True)

@@ -1,17 +1,17 @@
-"""Hot numeric kernels: Neumann Laplacian stencils, the 1D step solve and
-the 2D cell ordering.
+"""Hot numeric kernels: Neumann Laplacian stencils and matrix, the 1D
+band solve and the 2D cell ordering.
 
 The solvers spend essentially all their time in two places: applying the
 reflecting-ghost Neumann Laplacian stencil and solving the coupled
-three-field linear system of each implicit time step. Both dimensions
-hold that system cell-major, the three unknowns of a cell adjacent. In
-1D the cells stay in their natural order, and the system is block
-tridiagonal with 3x3 blocks: a band matrix with three sub- and three
-superdiagonals, solved by one direct call to LAPACK ``dgbsv`` on a band
-already in ``gbsv`` storage (see :func:`assemble_band`). The caller
-builds the constant part of the band once and patches only the
-state-dependent entries per solve. In 2D the cells follow the
-fill-reducing ordering of :func:`cell_order`.
+three-field linear system of each implicit time step. The stencils work
+on fields; :func:`neumann_laplacian_matrix` is the same operator as a
+sparse matrix, from which :mod:`chcontrol.system` assembles the step
+matrix in nodal order (the three unknowns of a cell adjacent) for both
+dimensions. The cells follow :func:`cell_order` in 2D, its fill-reducing
+ordering of that matrix's pattern, and their natural order in 1D, where
+the step matrix is a band with three sub- and three superdiagonals:
+:func:`solve_block_tridiag` solves it by one direct call to LAPACK
+``dgbsv`` on its ``gbsv`` storage.
 """
 
 from __future__ import annotations
@@ -62,38 +62,32 @@ def lap2d(f, inv_hx2, inv_hy2):
 
 
 # ---------------------------------------------------------------------------
-# Coupled per-step linear system, 1D: block tridiagonal with 3x3 blocks.
-#
-# Cell-major ordering (m_i, f_i, s_i); the off-diagonal coupling between
-# neighbouring cells is the same scalar (the -1/h^2 stencil weight) for all
-# three fields, so it lands on the third sub- and superdiagonal.
+# The sparse Neumann Laplacian: the stencils above as a matrix.
 # ---------------------------------------------------------------------------
 
 
-def assemble_band(diag, off):
-    """``gbsv`` storage (kl = ku = 3 plus 3 fill rows) of the interleaved
-    block-tridiagonal matrix with (n, 3, 3) diagonal blocks ``diag`` and
-    scalar neighbour coupling ``off``. Fortran-ordered, so LAPACK works on
-    it without a copy."""
-    n = diag.shape[0]
-    ab = np.zeros((KL + MAIN + 1, 3 * n), order="F")
-    band = ab[KL:]  # the (l = u = 3) storage of scipy.linalg.solve_banded
-    band[3, 0::3] = diag[:, 0, 0]
-    band[3, 1::3] = diag[:, 1, 1]
-    band[3, 2::3] = diag[:, 2, 2]
-    # superdiagonal +1: A[j-1, j]
-    band[2, 1::3] = diag[:, 0, 1]
-    band[2, 2::3] = diag[:, 1, 2]
-    # subdiagonal -1: A[j+1, j]
-    band[4, 0::3] = diag[:, 1, 0]
-    band[4, 1::3] = diag[:, 2, 1]
-    # +2 / -2: chemical potential <-> nutrient coupling
-    band[1, 2::3] = diag[:, 0, 2]
-    band[5, 0::3] = diag[:, 2, 0]
-    # +3 / -3: same-field neighbour-cell stencil weight
-    band[0, 3:] = off
-    band[6, :-3] = off
-    return ab
+def _neumann_lap_1d(n: int, inv_h2: float) -> sps.csr_matrix:
+    main = np.full(n, -2.0 * inv_h2)
+    main[0] = main[-1] = -inv_h2
+    off = np.full(n - 1, inv_h2)
+    return sps.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
+
+
+def neumann_laplacian_matrix(n: tuple, inv_h2: tuple) -> sps.csr_matrix:
+    """Sparse Neumann Laplacian on the row-major flattened cells of a grid
+    with ``n`` cells and stencil weight ``inv_h2`` = 1 / h^2 per axis."""
+    lx = _neumann_lap_1d(n[0], inv_h2[0])
+    if len(n) == 1:
+        return lx
+    ly = _neumann_lap_1d(n[1], inv_h2[1])
+    ix = sps.eye(n[0], format="csr")
+    iy = sps.eye(n[1], format="csr")
+    return (sps.kron(lx, iy) + sps.kron(ix, ly)).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# Coupled per-step linear system, 1D: the LAPACK band solve.
+# ---------------------------------------------------------------------------
 
 
 def solve_block_tridiag(ab, b):
@@ -102,8 +96,8 @@ def solve_block_tridiag(ab, b):
     Parameters
     ----------
     ab : (10, 3n) Fortran-ordered array
-        The matrix in ``gbsv`` storage, as built by :func:`assemble_band`.
-        Overwritten by its LU factors.
+        The matrix in ``gbsv`` storage: A[i, j] at ``ab[MAIN + i - j, j]``,
+        zero elsewhere. Overwritten by its LU factors.
     b : (3n,) or (3n, nrhs) Fortran-ordered array
         Interleaved right-hand sides (m_0, f_0, s_0, m_1, ...), one per
         column, all solved against one factorization. Overwritten by the
@@ -138,15 +132,9 @@ def cell_order(shape: tuple) -> np.ndarray:
     spacing does not enter. Computed once per grid shape; the array is
     read-only because it is shared.
     """
-    nx, ny = shape
-
-    def path(n):
-        return sps.diags([np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1])
-
-    adj = sps.kron(path(nx), sps.eye(ny)) + sps.kron(sps.eye(nx), path(ny))
-    degree = np.asarray(adj.sum(axis=1)).ravel()
     # I - Lap at unit spacing: nonsingular, so SuperLU can factor it
-    lu = splu(sps.csc_matrix(sps.diags(1.0 + degree) - adj),
+    lap = neumann_laplacian_matrix(shape, (1.0,) * len(shape))
+    lu = splu(sps.csc_matrix(sps.eye(lap.shape[0]) - lap),
               permc_spec="MMD_AT_PLUS_A")
     # perm_c maps a column to its position, so the order is its inverse
     order = np.argsort(lu.perm_c)

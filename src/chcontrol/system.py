@@ -10,8 +10,7 @@ linear system in the stacked unknown (m, f, s) per cell whose matrix is
 with a = alpha/dt, b = beta/dt, c = 1/dt, P the frozen exchange rate
 (diagonal), W the implicit second derivative of the convex potential part
 (diagonal), and Lap the Neumann Laplacian. The adjoint marches with the
-transpose of the same matrix, so a single assembly routine serves all
-three solvers.
+transpose of the same matrix, so one assembly serves all three solvers.
 
 The linearized and adjoint sweeps read the derivative of the discrete
 forward step from here. At a solved trajectory, step j -> j+1 is
@@ -27,38 +26,48 @@ with E = P'(phi_j)(sigma_{j+1} - mu_{j+1}) and S = S''(phi_j) the explicit
 smooth potential part. :func:`step_coefficients` gives (P, W, E, S) of
 step j and :func:`coupling` applies C_j or C_j^T.
 
-The constant part of the matrix (time terms and stencil) is assembled
-once per solver; each solve copies it and patches only the P and W
-entries. A solve takes right-hand sides with an optional leading
-direction axis and solves them all against one factorization, so a sweep
-along many directions factors each step matrix once. The right-hand side
-may come stacked like a trajectory frame, (3, [ndir,] *grid), and the
+The matrix is held in nodal order: cell by cell, the three unknowns
+(m, f, s) of a cell adjacent, so that it is a grid of 3x3 blocks coupled
+by the scalar stencil weights. Its constant part (time terms and
+stencil) is assembled for both dimensions from one template, cached per
+grid and set of coefficients, so that the many solvers of a run share
+it: kron(-Lap, I3) + kron(I, block) in CSC form, Lap being
+:func:`kernels.neumann_laplacian_matrix` with its cells in nodal order
+and block the 3x3 cell block at P = W = 0. Its pattern stores every P
+and W entry, even where P vanishes, and one slot table gives the
+positions of the P, W and -P entries: each solve patches them into a
+copy. A solve takes right-hand sides with an optional leading direction
+axis and solves them all against one factorization, so a sweep along
+many directions factors each step matrix once. The right-hand side may
+come stacked like a trajectory frame, (3, [ndir,] *grid), and the
 solution always does, in a new array.
 
-Both dimensions hold the system in nodal order: cell by cell, the three
-unknowns (m, f, s) of a cell adjacent, so that the matrix is a grid of
-3x3 blocks coupled by the scalar stencil weights. In 1D the cells keep
-their natural order, and the system is block tridiagonal, a band matrix
-with three sub- and superdiagonals, held (with its transpose) in LAPACK
-``gbsv`` band storage and solved by one ``dgbsv`` call with one column
-per direction through :func:`kernels.solve_block_tridiag`; the template
-is copied into a band workspace kept by the solver, which LAPACK factors
-in place. In 2D the cells follow :func:`kernels.cell_order`, SuperLU's
+The dimensions differ only in storage, backend and the packing of the
+right-hand side. In 1D the cells keep their natural order, and the
+matrix is a band with three sub- and superdiagonals. The template's
+entries are scattered, per solver, into LAPACK ``gbsv`` band storage of
+the matrix and of its transpose, and the slots become flat positions in
+that band: the diagonal ones are the same in both, and the two -P
+couplings of a cell swap places under transposition, both taking -P. A
+solve copies a template into a band workspace kept by the solver and
+patches it; the right-hand side is interleaved cell by cell, and one
+``dgbsv`` call with one column per direction
+(:func:`kernels.solve_block_tridiag`) factors it in place and solves. In
+2D the cells follow :func:`kernels.cell_order`, SuperLU's
 ``MMD_AT_PLUS_A`` minimum-degree ordering of the scalar cell graph,
-computed once per grid shape. The matrix is held in CSC form in that
-order, its pattern storing every P and W entry even where P vanishes,
-and SuperLU factors it with the ``NATURAL`` column ordering, so no
-factorization computes an ordering, and the dense cell blocks form its
-supernodes. On a 2-vCPU machine (scipy 1.17) the factors hold 189k
-nonzeros at 32x32 and a factorization takes 5.5 ms. Ordering the
-component-major matrix by ``MMD_AT_PLUS_A`` per factorization gave 175k
-nonzeros in 9.1 ms, and the default COLAMD 342k in 13.7 ms. At 64x64
-the figures are 1.07M in 34 ms, against 1.02M in 46 ms and 2.17M in 90
-ms. The slightly larger factors make a solve with a kept factorization
-dearer: 0.24 against 0.21 ms at 32x32, 1.09 against 0.99 ms at 64x64. A
-solve gathers its right-hand side into nodal order and scatters the
-solution back, one precomputed index for both. The transpose solve
-reuses the same factorization.
+computed once per grid shape, and SuperLU factors the patched CSC matrix
+with the ``NATURAL`` column ordering, so no factorization computes an
+ordering, and the dense cell blocks form its supernodes. On a 2-vCPU
+machine (scipy 1.17) the factors hold 189k nonzeros at 32x32 and a
+factorization takes 5.5 ms. Ordering the component-major matrix by
+``MMD_AT_PLUS_A`` per factorization gave 175k nonzeros in 9.1 ms, and
+the default COLAMD 342k in 13.7 ms. At 64x64 the figures are 1.07M in 34
+ms, against 1.02M in 46 ms and 2.17M in 90 ms. The slightly larger
+factors make a solve with a kept factorization dearer: 0.24 against 0.21
+ms at 32x32, 1.09 against 0.99 ms at 64x64. A 2D solve gathers its
+right-hand side into nodal order and scatters the solution back, one
+precomputed index for both. The transpose solve reuses the same
+factorization.
 
 A 2D solver also keeps its last factorization, and a solve given no P
 and W solves against it. The forward march uses this for a chord Newton
@@ -72,6 +81,8 @@ march stays exact Newton.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu
@@ -80,32 +91,44 @@ from . import kernels
 from .fields import Grid
 
 
-def _neumann_lap_1d(n: int, inv_h2: float) -> sps.csr_matrix:
-    main = np.full(n, -2.0 * inv_h2)
-    main[0] = main[-1] = -inv_h2
-    off = np.full(n - 1, inv_h2)
-    return sps.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
-
-
-def neumann_laplacian_matrix(grid: Grid) -> sps.csr_matrix:
-    """Sparse Neumann Laplacian on the flattened (row-major) grid."""
-    h = grid.h
-    lx = _neumann_lap_1d(grid.n[0], 1.0 / h[0] ** 2)
-    if grid.dim == 1:
-        return lx
-    ly = _neumann_lap_1d(grid.n[1], 1.0 / h[1] ** 2)
-    ix = sps.eye(grid.n[0], format="csr")
-    iy = sps.eye(grid.n[1], format="csr")
-    return (sps.kron(lx, iy) + sps.kron(ix, ly)).tocsr()
-
-
-def _csc_slots(mat: sps.csc_matrix, rows, cols) -> np.ndarray:
-    """Positions in ``mat.data`` of the stored entries (rows, cols) of a
-    CSC matrix with sorted indices."""
-    size = mat.shape[0]
-    col_of = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
-    # column-major keys are increasing along data, so a search finds them
-    return np.searchsorted(col_of * size + mat.indices, cols * size + rows)
+@lru_cache(maxsize=8)
+def _step_template(grid: Grid, a: float, b: float, c: float):
+    """The step matrix at P = W = 0 in nodal order, in CSC form with sorted
+    indices, and the positions in its data of P at (m, m) and (s, s), of W
+    at (f, f), and of the -P couplings (m, s) and (s, m), each indexed by
+    grid cell. Built once per grid and set of coefficients, because every
+    march and sweep builds its own solver and the sparse assembly costs
+    about as much as 35 1D step solves (1.4 ms at 128 cells on a 2-vCPU
+    machine); the data is read-only because it is shared."""
+    n = grid.cell_count
+    order = kernels.cell_order(grid.n) if grid.dim == 2 else np.arange(n)
+    lap = kernels.neumann_laplacian_matrix(grid.n, grid.inv_h2)
+    neg_lap = -lap[order][:, order]
+    # the 3x3 cell block with P = W = 0 and unit placeholders at the -P
+    # couplings, so that the pattern holds every P entry; zeroed below
+    block = np.array([[a, c, 1.0],
+                      [-1.0, b, 0.0],
+                      [1.0, 0.0, c]])
+    # unknown 3k + c is component c of cell order[k]
+    mat = sps.csc_matrix(sps.kron(neg_lap, sps.eye(3))
+                         + sps.kron(sps.eye(n), block))
+    mat.sort_indices()
+    size = 3 * n
+    col_of = np.repeat(np.arange(size), np.diff(mat.indptr))
+    # row 3k + c of each grid cell, so that the slots take P and W in grid
+    # order; the column-major keys increase along data, so a search finds
+    # each entry
+    k3 = 3 * np.argsort(order)
+    keys = col_of * size + mat.indices
+    slots = tuple(
+        np.searchsorted(keys, col * size + row)
+        for row, col in ((k3, k3), (k3 + 1, k3 + 1), (k3 + 2, k3 + 2),
+                         (k3, k3 + 2), (k3 + 2, k3))
+    )
+    mat.data[slots[3]] = 0.0
+    mat.data[slots[4]] = 0.0
+    mat.data.setflags(write=False)
+    return mat, slots
 
 
 class StepSolver:
@@ -120,51 +143,33 @@ class StepSolver:
         self._ncell = grid.cell_count
         # the last 2D factorization, which solve(None, None, rhs) reuses
         self._lu = None
-        if grid.dim == 1:
-            inv_h2 = grid.inv_h2[0]
-            lapdiag = np.full(grid.n[0], 2.0 * inv_h2)
-            lapdiag[0] = lapdiag[-1] = inv_h2
-            # the step matrix with P = W = 0; solve() adds P and W in place
-            # to a copy, so the two templates are built once per solver
-            blocks = np.zeros((grid.n[0], 3, 3))
-            blocks[:, 0, 0] = self.a + lapdiag
-            blocks[:, 0, 1] = self.c
-            blocks[:, 1, 0] = -1.0
-            blocks[:, 1, 1] = self.b + lapdiag
-            blocks[:, 2, 2] = self.c + lapdiag
-            self._band = kernels.assemble_band(blocks, -inv_h2)
-            self._band_t = kernels.assemble_band(blocks.transpose(0, 2, 1), -inv_h2)
-            # each solve copies a template here and LAPACK factors it in place
-            self._ab = np.empty_like(self._band, order="F")
-        else:
+        mat, slots = _step_template(grid, self.a, self.b, self.c)
+        if grid.dim == 2:
             n = self._ncell
             order = kernels.cell_order(grid.n)
-            # nodal order: unknown 3k + c is component c of cell order[k],
-            # at index c * n + order[k] of the component-major vector
+            # component c of cell order[k] is at index c * n + order[k] of
+            # the component-major vector
             self._nodal = (np.arange(3) * n + order[:, None]).ravel()
-            neg_lap = -neumann_laplacian_matrix(grid)[order][:, order]
-            # the 3x3 cell block with P = W = 0 and unit placeholders at
-            # the -P couplings, so that the pattern holds every P entry;
-            # zeroed below
-            block = np.array([[self.a, self.c, 1.0],
-                              [-1.0, self.b, 0.0],
-                              [1.0, 0.0, self.c]])
-            mat = sps.csc_matrix(sps.kron(neg_lap, sps.eye(3))
-                                 + sps.kron(sps.eye(n), block))
-            mat.sort_indices()
-            # row 3k + c of each grid cell, so that the slots take P and W
-            # in grid order
-            k3 = 3 * np.argsort(order)
-            # slots of P at (m, m) and (s, s), of W at (f, f), and of the
-            # -P couplings (m, s) and (s, m)
-            self._slots = tuple(
-                _csc_slots(mat, rows, cols)
-                for rows, cols in ((k3, k3), (k3 + 1, k3 + 1), (k3 + 2, k3 + 2),
-                                   (k3, k3 + 2), (k3 + 2, k3))
-            )
-            mat.data[self._slots[3]] = 0.0
-            mat.data[self._slots[4]] = 0.0
             self._csc = mat
+            self._slots = slots
+            return
+        # gbsv storage of the matrix and of its transpose, A[i, j] at
+        # ab[MAIN + i - j, j] and at ab_t[MAIN + j - i, i]
+        size = mat.shape[1]
+        rows, cols = mat.indices, np.repeat(np.arange(size), np.diff(mat.indptr))
+        self._band = np.zeros((kernels.KL + kernels.MAIN + 1, size), order="F")
+        self._band_t = np.zeros_like(self._band, order="F")
+        self._band[kernels.MAIN + rows - cols, cols] = mat.data
+        self._band_t[kernels.MAIN + cols - rows, rows] = mat.data
+        # each solve copies a template here and LAPACK factors it in place;
+        # solve() patches it through a flat view of the same memory
+        self._ab = np.empty_like(self._band, order="F")
+        self._ab_flat = self._ab.reshape(-1, order="F")
+        # the slots as flat positions of the band; the diagonal ones are
+        # the same in the transposed band, and the two -P couplings of a
+        # cell swap places there, both taking -P
+        flat = kernels.MAIN + rows - cols + cols * self._band.shape[0]
+        self._slots = tuple(flat[s] for s in slots)
 
     def solve(self, p, w, rhs, transpose: bool = False):
         """Solve for (m, f, s) given diagonal data and a right-hand side.
@@ -197,39 +202,32 @@ class StepSolver:
         shape = (3,) + rhs[0].shape
         ndir = rhs[0].size // ncell
         if p is not None:
+            if self.grid.dim == 1:
+                np.copyto(self._ab, self._band_t if transpose else self._band)
+                data = self._ab_flat
+            else:
+                data = self._csc.data.copy()
             p_flat = np.ravel(p)
-            w_flat = np.ravel(w)
             neg_p = -p_flat
+            slots = self._slots
+            data[slots[0]] += p_flat
+            data[slots[1]] += np.ravel(w)
+            data[slots[2]] += p_flat
+            data[slots[3]] = neg_p
+            data[slots[4]] = neg_p
         elif self._lu is None:
             raise ValueError("no kept factorization to solve against: only a "
                              "2D solver keeps one, from its last solve with P")
         if self.grid.dim == 1:
-            main = kernels.MAIN
-            ab = self._ab
-            np.copyto(ab, self._band_t if transpose else self._band)
-            ab[main, 0::3] += p_flat
-            ab[main, 1::3] += w_flat
-            ab[main, 2::3] += p_flat
-            # the -P couplings (0, 2) and (2, 0) are symmetric, so the
-            # transposed band holds them at the same place
-            ab[main - 2, 2::3] = neg_p
-            ab[main + 2, 0::3] = neg_p
             # interleaved cell-major, one Fortran column per direction;
             # LAPACK overwrites b with the solution
             b = np.empty((ndir, ncell, 3))
             b[...] = np.reshape(rhs, (3, ndir, ncell)).transpose(1, 2, 0)
-            x = kernels.solve_block_tridiag(ab, b.reshape(ndir, 3 * ncell).T).T
+            x = kernels.solve_block_tridiag(self._ab, b.reshape(ndir, 3 * ncell).T).T
             return x.reshape(ndir, ncell, 3).transpose(2, 0, 1).reshape(shape)
         if p is None:
             lu = self._lu
         else:
-            data = self._csc.data.copy()
-            slots = self._slots
-            data[slots[0]] += p_flat
-            data[slots[1]] += w_flat
-            data[slots[2]] += p_flat
-            data[slots[3]] = neg_p
-            data[slots[4]] = neg_p
             mat = sps.csc_matrix((data, self._csc.indices, self._csc.indptr),
                                  shape=self._csc.shape)
             # drop the kept factorization first, so two never coexist

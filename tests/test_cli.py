@@ -187,13 +187,19 @@ def test_solver_error_exit_code(tmp_path):
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
 
 
-def _hash_tree(root):
+def _hash_tree(root, skip=()):
     chunks = []
     for path in sorted(root.rglob("*")):
-        if path.is_file():
+        if path.is_file() and path.name not in skip:
             chunks.append(path.relative_to(root).as_posix().encode())
             chunks.append(hashlib.sha256(path.read_bytes()).digest())
     return hashlib.sha256(b"".join(chunks)).hexdigest()
+
+
+def _summary_without_output_dir(root):
+    summary = json.loads((root / "run_summary.json").read_text())
+    del summary["config"]["output_dir"]
+    return summary
 
 
 def test_simulate_artifacts_and_determinism(tmp_path):
@@ -211,6 +217,12 @@ def test_simulate_artifacts_and_determinism(tmp_path):
     out1.rename(tmp_path / "out_first")
     assert run(cfg_path) == 0
     assert _hash_tree(out1) == first
+    # nor does the output path enter, but for its echo in run_summary.json
+    out2 = tmp_path / "a longer output path"
+    assert run(cfg_path, out_dir=out2) == 0
+    skip = ("run_summary.json",)
+    assert _hash_tree(out2, skip) == _hash_tree(out1, skip)
+    assert _summary_without_output_dir(out2) == _summary_without_output_dir(out1)
     header = (out1 / "simulate" / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "step,newton_iters,mass_residual,delta_sep"
 
@@ -220,7 +232,7 @@ def test_run_summary_round_trip(tmp_path):
     out = tmp_path / "out"
     assert run(cfg_path, out_dir=out) == 0
     summary = json.loads((out / "run_summary.json").read_text())
-    assert "version" in summary
+    assert summary["version"] == ch.__version__
     echo_path = tmp_path / "echo.json"
     echo_path.write_text(json.dumps(summary["config"]))
     cfg_a = parse_config(cfg_path, out_dir=out)

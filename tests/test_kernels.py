@@ -1,18 +1,39 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
-from scipy.linalg import solve_banded
+from scipy.linalg import block_diag, solve_banded
 from scipy.sparse.linalg import splu
 
 import chcontrol as ch
 from chcontrol import kernels
-from chcontrol.system import StepSolver, neumann_laplacian_matrix
+from chcontrol.system import StepSolver
+
+
+def neumann_laplacian_matrix(grid):
+    return kernels.neumann_laplacian_matrix(grid.n, grid.inv_h2)
 
 
 def _dominant_blocks(rng, n):
     diag = rng.standard_normal((n, 3, 3))
     diag += np.eye(3) * 10.0  # make blocks safely dominant
     return diag
+
+
+def _gbsv_storage(mat):
+    """``gbsv`` storage (kl = ku = 3 plus 3 fill rows) of a dense matrix
+    whose entries outside the band are zero."""
+    ab = np.zeros((kernels.KL + kernels.MAIN + 1, mat.shape[1]), order="F")
+    i, j = np.indices(mat.shape)
+    band = np.abs(i - j) <= kernels.KL
+    ab[kernels.MAIN + i[band] - j[band], j[band]] = mat[band]
+    return ab
+
+
+def _block_tridiag(diag, off):
+    """The dense interleaved block-tridiagonal matrix with (n, 3, 3)
+    diagonal blocks ``diag`` and scalar neighbour coupling ``off``."""
+    size = 3 * diag.shape[0]
+    return block_diag(*diag) + off * (np.eye(size, k=3) + np.eye(size, k=-3))
 
 
 def _block_residual(diag, off, x, rhs):
@@ -30,7 +51,7 @@ def test_band_solve_matches_solve_banded_bitwise(transpose):
     if transpose:
         diag = diag.transpose(0, 2, 1)
     rhs = rng.standard_normal((n, 3))
-    ab = kernels.assemble_band(diag, off)
+    ab = _gbsv_storage(_block_tridiag(diag, off))
     # rows below the fill rows are exactly solve_banded's (l = u = 3) storage
     expected = solve_banded((3, 3), ab[kernels.KL:], rhs.reshape(-1))
     x = kernels.solve_block_tridiag(ab.copy(order="F"), rhs.reshape(-1).copy())
@@ -50,6 +71,19 @@ def _dense_step_matrix(solver, p, w):
         [-eye, solver.b * eye - lap + np.diag(w), zero],
         [-np.diag(p), zero, solver.c * eye - lap + np.diag(p)],
     ])
+
+
+@pytest.mark.parametrize("n", [3, 24])
+def test_band_templates_are_gbsv_storage_of_step_matrix(n):
+    # the 1D templates are the step matrix at P = W = 0 and its transpose,
+    # cell-major, in gbsv storage
+    solver = StepSolver(ch.Grid.line(n, 1.0), 1.0 / 64, 0.1, 0.2)
+    mat = _dense_step_matrix(solver, np.zeros(n), np.zeros(n))
+    cell_major = (np.arange(n)[:, None] + n * np.arange(3)).ravel()
+    # adding zero turns the -0.0 of -P into the template's 0.0
+    mat = mat[cell_major][:, cell_major] + 0.0
+    assert solver._band.tobytes() == _gbsv_storage(mat).tobytes()
+    assert solver._band_t.tobytes() == _gbsv_storage(mat.T).tobytes()
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -95,7 +129,7 @@ def test_step_solve_rejects_nonfinite_rhs():
 
 
 def test_band_solve_singular_raises():
-    ab = kernels.assemble_band(np.zeros((8, 3, 3)), 0.0)
+    ab = _gbsv_storage(np.zeros((24, 24)))
     with pytest.raises(np.linalg.LinAlgError):
         kernels.solve_block_tridiag(ab, np.ones(24))
 
@@ -230,6 +264,10 @@ def test_step_solve_2d_leaves_template_unchanged():
         for a, b in zip(first, again):
             assert a.tobytes() == b.tobytes()
     assert solver._csc.data.tobytes() == template.tobytes()
+    # solvers on one grid with one set of coefficients share the template,
+    # which is read-only
+    assert StepSolver(grid, 1.0 / 32, 0.1, 0.1)._csc is solver._csc
+    assert not solver._csc.data.flags.writeable
 
 
 def test_step_solve_2d_reuses_kept_factorization():
