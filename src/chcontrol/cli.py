@@ -3,10 +3,11 @@
 A JSON experiment config fully determines a run: model constants,
 potential and proliferation choice, grid and time resolution, initial
 data (preset or snapshots), cost weights and targets, control bounds,
-optimizer settings and verification toggles. The table ``_FIELDS`` gives
-every field's type and default, and the range of each field that no
-model object checks; physics fields have no defaults. A bad config raises
-a ConfigError whose message starts with the field's path, and the command
+optimizer settings and verification toggles. The table ``_FIELDS`` is the
+whole schema: it gives every field's type and default, and the range of
+each field that no model object checks; physics fields have no defaults,
+and a key that is no row is an unknown field. A bad config raises a
+ConfigError whose message starts with the field's path, and the command
 exits 2 before any solve starts.
 Identical config and seed produce bit-identical artifacts (no timestamps
 are written).
@@ -88,12 +89,14 @@ _REQUIRED = object()  # the default of a field that must be given
 #   "<kind> list"        a non-empty list, each entry of that kind and limit
 # A missing field takes its default, and null is accepted where the default
 # is None; parse_config fills in the defaults that depend on other fields.
-# Fields of the root object are named "config.<key>". Fields are read where
-# the code needs them, so the fields of a branch not taken (the lam of a
-# quartic potential, the arguments of another preset) are not checked. The
-# ranges that ModelParams, CostSpec.validate, Relaxation, ArmijoParams and
-# optimizer.check_bounds (lower <= upper) check stay there; their fields get a
-# type here, and parse_config calls check_bounds.
+# Fields of the root object are named "config.<key>". The table is the whole
+# schema: a key of an object field (or the root) that is no row under it is
+# "<path>.<key>: unknown field". Fields are read where the code needs them,
+# so the fields of a branch not taken (the lam of a quartic potential, the
+# arguments of another preset) are not checked. The ranges that ModelParams,
+# CostSpec.validate, Relaxation, ArmijoParams and optimizer.check_bounds
+# (lower <= upper) check stay there; their fields get a type here, and
+# parse_config calls check_bounds.
 _FIELDS = {
     "config.pipeline": ("choice", _PIPELINES, "simulate"),
     "config.seed": ("integer", 0, DEFAULT_SEED),
@@ -166,14 +169,10 @@ _FIELDS = {
     "solver.newton_max_iter": ("integer", 0, NEWTON_MAX_ITER),
     "verification": ("object", None, {}),
     "verification.checks": ("choice list", _CHECKS, list(_CHECKS)),
-    "verification.seed": ("integer", 0, None),  # None: config.seed
     "verification.tau": ("number", None, None),  # None: cost.tau_star
     "verification.gradient": ("object", None, {}),
     "verification.gradient.directions": ("integer", 1, 5),
     "verification.gradient.deltas": ("positive list", None, [0.5, 0.2, 0.1, 1e-4]),
-    # missing: the deltas >= 0.1; null: all deltas (fd_gradient_check's default)
-    "verification.gradient.slope_deltas": ("positive list", None, None),
-    "verification.gradient.check_delta": ("positive", None, None),  # None: min(deltas)
     "verification.gradient.tol": ("positive", None, 1e-6),
     "verification.duality": ("object", None, {}),
     "verification.duality.directions": ("integer", 1, 10),
@@ -244,7 +243,16 @@ def _read(section: dict, path: str):
     conformed = _conform(value, kind, limit)
     if conformed is None:
         raise ConfigError(f"{path}: expected {_expected(kind, limit)}, got {value!r}")
-    return conformed
+    return _known(conformed, path) if kind == "object" else conformed
+
+
+def _known(section: dict, path: str) -> dict:
+    """``section``, the object field ``path``, if each of its keys is a row
+    under ``path``; else a ConfigError naming the first key that is not."""
+    for key in section:
+        if key not in _KEYS[path]:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    return section
 
 
 def _field(cfg: dict, path: str):
@@ -254,19 +262,20 @@ def _field(cfg: dict, path: str):
     return _read(cfg if parent in ("", "config") else _field(cfg, parent), path)
 
 
-# the rows of each object field, in table order
-_CHILDREN: dict = {}
+# the keys of each object field, in table order; the root's are under "config"
+_KEYS: dict = {}
 for _path in _FIELDS:
-    _CHILDREN.setdefault(_path.rpartition(".")[0], []).append(_path)
+    _parent, _, _key = _path.rpartition(".")
+    _KEYS.setdefault(_parent or "config", []).append(_key)
 
 
-def _fields(section: dict, path: str) -> dict:
-    """Object field ``path`` of ``section`` with every row under it read,
-    nested like the config."""
+def _fields(section: dict, path: str):
+    """Field ``path`` of ``section``; an object field with every row under
+    it read, nested like the config."""
     node = _read(section, path)
-    return {child.rpartition(".")[2]:
-            (_fields if _FIELDS[child][0] == "object" else _read)(node, child)
-            for child in _CHILDREN[path]}
+    if _FIELDS[path][0] != "object":
+        return node
+    return {key: _fields(node, f"{path}.{key}") for key in _KEYS[path]}
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +428,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         raise ConfigError(f"{path}: cannot read config ({exc})")
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected an object, got {type(raw).__name__}")
+    _known(raw, "config")
 
     if seed is not None:
         raw["seed"] = seed
@@ -447,8 +457,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
 
     idict = _field(raw, "initial")
     if "preset" in idict:
-        init = preset_initial_data(idict["preset"], grid, potential, **{
-            k: v for k, v in idict.items() if f"initial.{k}" in _FIELDS})
+        init = preset_initial_data(idict["preset"], grid, potential, **idict)
     elif "snapshots" in idict:
         snaps = _read(idict, "initial.snapshots")
         init = InitialData(*(
@@ -495,20 +504,8 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     opt_config = OptimizerConfig(armijo=ArmijoParams(**opt.pop("armijo")), **opt)
 
     verification = _fields(raw, "verification")
-    gd = verification["gradient"]
-    if verification["seed"] is None:
-        verification["seed"] = raw["seed"]
     if verification["tau"] is None:
         verification["tau"] = cost.tau_star
-    if "slope_deltas" not in _field(raw, "verification.gradient"):
-        gd["slope_deltas"] = [d for d in gd["deltas"] if d >= 0.1] or None
-    if gd["check_delta"] is None:
-        gd["check_delta"] = min(gd["deltas"])
-    for key, taken in (("slope_deltas", gd["slope_deltas"] or []),
-                       ("check_delta", [gd["check_delta"]])):
-        if not set(taken) <= set(gd["deltas"]):
-            raise ConfigError(f"verification.gradient.{key}: {gd[key]} is not "
-                              f"taken from deltas {gd['deltas']}")
     tau0 = _field(raw, "control.tau0")
     tau0 = tg.horizon / 2 if tau0 is None else tau0
     for where, tau in (("control.tau0", tau0),
@@ -528,6 +525,12 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Artifact writers
 # ---------------------------------------------------------------------------
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_csv(path, header, rows):
@@ -574,9 +577,7 @@ def _write_control(directory, u, tg, grid):
         "times": [float(t) for t in tg.times],
         "snapshots": paths,
     }
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(directory / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +631,7 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
         "stat_tau": res.stat_tau,
         "cost_total": res.history[-1].breakdown.total,
     }
-    with open(opt_dir / "optimum.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(opt_dir / "optimum.json", summary)
     return summary
 
 
@@ -648,14 +647,12 @@ def _run_verify(cfg: ExperimentConfig, out: Path, state) -> dict:
         if name not in vd["checks"]:
             continue
         rep, ok, figures = run_check(cfg.params, cfg.init, cfg.cost, cfg.u0, vd["tau"],
-                                     state, vd["seed"], vd[name])
+                                     state, cfg.seed, vd[name])
         (ver_dir / report_file).write_text(
             rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
         summary[name] = {"passed": ok, **figures}
 
-    with open(ver_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(ver_dir / "summary.json", summary)
     return summary
 
 
@@ -682,9 +679,7 @@ def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
             echo = {**cfg.raw, "pipeline": pipeline}
             summary = {"version": __version__, "config": echo,
                        "results": results}
-            with open(out / "run_summary.json", "w") as fh:
-                json.dump(summary, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            _write_json(out / "run_summary.json", summary)
         except OSError as exc:
             path = out if exc.filename is None else exc.filename
             raise ConfigError(f"config.output_dir: cannot write {str(path)!r} "

@@ -274,8 +274,9 @@ def read_trajectory(manifest_path) -> Trajectory:
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ShapeMismatchError(f"{manifest_path}: unknown manifest format")
+    if not (isinstance(manifest, dict) and manifest.get("format") == MANIFEST_FORMAT
+            and isinstance(manifest.get("components"), dict)):
+        raise ShapeMismatchError(f"{manifest_path}: not a {MANIFEST_FORMAT} manifest")
     grid = Grid(tuple(manifest["grid"]["n"]), tuple(manifest["grid"]["extents"]))
     time_grid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["steps"])
     names = tuple(manifest["components"].keys())

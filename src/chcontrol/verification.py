@@ -24,7 +24,9 @@ at tau_hat reads frames 0..k_tau, and the control energy reads the
 control alone. The extra frame is needed because, on a dt that is not a
 power of two, tau_hat / dt can round a few ulps above k_tau, and the
 cost's quadrature then reads frame k_tau + 1 with a weight near 1e-16.
-With it the truncated cost has the bits of the full one.
+With it the truncated cost has the bits of the full one. The slope is
+fit on the deltas >= ``SLOPE_MIN_DELTA``, and the verify pipeline gates
+the error at the smallest delta.
 
 ``CHECKS``, the verify pipeline's table, gives each check's report file
 and runner in run order; adding a check is one row there plus its option
@@ -32,7 +34,7 @@ rows in ``cli._FIELDS``.
 
 Directions are drawn from seeded standard normals per cell and node and
 normalized in L2(Q), so rerunning a check with the same seed reproduces
-its report bit for bit.
+its report bit for bit; the verify pipeline passes the config's ``seed``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ from .state import InitialData, ModelParams, solve_state
 DEFAULT_SEED = 20240808
 # admissible log-log convergence slopes of the central differences
 SLOPE_RANGE = (1.7, 2.3)
+# the slope is fit on the deltas >= this, which stay above the solver floor
+SLOPE_MIN_DELTA = 0.1
 
 
 def _random_direction(rng, shape, grid, dt):
@@ -113,15 +117,15 @@ class GradientCheckReport:
 
 def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
                       u: np.ndarray, tau: float, *, directions: int, deltas,
-                      slope_deltas=None, seed: int = DEFAULT_SEED,
+                      seed: int = DEFAULT_SEED,
                       state: Trajectory | None = None) -> GradientCheckReport:
     """Compare <grad J, h> with central differences of the reduced cost.
 
     The treatment time is snapped to its node first so both routes
     differentiate exactly the same function of the control, and each
     perturbed control is marched to one frame past that node (see the
-    module docstring). The log-log slope is fit over ``slope_deltas``
-    (default: all), which should stay above the solver floor; the small
+    module docstring). The log-log slope is fit on the deltas >=
+    :data:`SLOPE_MIN_DELTA`, or on all of them when none is; the small
     deltas serve the error tolerance.
     ``state``, if given, is the forward solution for ``u`` under
     ``params``, and the base solve is skipped.
@@ -131,7 +135,7 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     tau_hat = tg.times[k_tau]
     steps = min(k_tau + 1, tg.steps)
     deltas = list(deltas)
-    slope_deltas = deltas if slope_deltas is None else list(slope_deltas)
+    slope_deltas = [d for d in deltas if d >= SLOPE_MIN_DELTA] or deltas
     slope_idx = [deltas.index(d) for d in slope_deltas]
 
     if state is None:
@@ -348,9 +352,8 @@ def mass_balance_check(traj: Trajectory, u: np.ndarray,
 
 def _run_gradient(params, init, cost, u, tau, state, seed, opts):
     rep = fd_gradient_check(params, init, cost, u, tau, directions=opts["directions"],
-                            deltas=opts["deltas"], slope_deltas=opts["slope_deltas"],
-                            seed=seed, state=state)
-    delta = opts["check_delta"]
+                            deltas=opts["deltas"], seed=seed, state=state)
+    delta = min(opts["deltas"])
     return (rep, rep.passed(delta, opts["tol"]),
             {"max_rel_error": rep.max_rel_error(delta)})
 

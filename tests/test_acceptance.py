@@ -19,7 +19,6 @@ from conftest import midpoint_control, tracking_cost
 
 SEED = 20240808
 GRAD_DELTAS = [0.5, 0.2, 0.1, 1e-4]
-SLOPE_DELTAS = [0.5, 0.2, 0.1]
 
 
 def _report(name, ok, detail):
@@ -36,8 +35,7 @@ def _assert_mass(traj, u, params, where):
 def test_a1_gradient_oracle(baseline_problem):
     params, init, cost, u = baseline_problem
     rep = ch.fd_gradient_check(params, init, cost, u, 0.5, directions=5,
-                               deltas=GRAD_DELTAS, slope_deltas=SLOPE_DELTAS,
-                               seed=SEED)
+                               deltas=GRAD_DELTAS, seed=SEED)
     err = rep.max_rel_error(1e-4)
     slopes_ok = all(1.7 <= s <= 2.3 for s in rep.slopes)
     _report("A1 gradient-oracle agreement", err <= 1e-6 and slopes_ok,
@@ -191,8 +189,7 @@ def test_a9_relaxed_functional(baseline_problem, baseline_state):
     cost = tracking_cost(params, relaxation=relax)
 
     rep_g = ch.fd_gradient_check(params, init, cost, u, 0.5, directions=5,
-                                 deltas=GRAD_DELTAS, slope_deltas=SLOPE_DELTAS,
-                                 seed=SEED)
+                                 deltas=GRAD_DELTAS, seed=SEED)
     err = rep_g.max_rel_error(1e-4)
     ok_grad = err <= 1e-6 and all(1.7 <= s <= 2.3 for s in rep_g.slopes)
 

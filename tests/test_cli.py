@@ -47,8 +47,7 @@ TINY_CONFIG = {
 TINY_VERIFICATION = {
     "checks": ["gradient", "duality", "lipschitz", "mass"],
     "tau": 0.125,
-    "gradient": {"directions": 1, "deltas": [0.2, 1e-4],
-                 "slope_deltas": [0.2], "tol": 1e-6, "check_delta": 1e-4},
+    "gradient": {"directions": 1, "deltas": [0.2, 1e-4], "tol": 1e-6},
     "duality": {"directions": 2, "tol": 1e-9},
     "lipschitz": {"pairs": 2, "magnitudes": [1e-1, 1e-2]},
     "mass": {"tol": 1e-10},
@@ -74,6 +73,8 @@ def test_preset_equilibrium():
     assert np.all(init.sigma0 == 0.0)
     init = preset_initial_data("equilibrium", g, pot, value=0.5)
     assert np.all(init.mu0 == 0.5**3 - 0.5)
+    with pytest.raises(ConfigError, match="^initial.note: unknown field$"):
+        preset_initial_data("equilibrium", g, pot, value=0.5, note="x")
     for value in (1.5, 1.0):  # the domain is open
         with pytest.raises(ConfigError, match="initial.value"):
             preset_initial_data("equilibrium", g, ch.Potential.logarithmic(2.0),
@@ -145,11 +146,38 @@ def test_config_rejects_bad_json(tmp_path):
         parse_config(path)
 
 
-def test_unknown_initial_keys_are_ignored(tmp_path):
-    # keys named like the preset function's own parameters included
+def test_unknown_initial_keys_are_config_errors(tmp_path, capsys):
+    # keys named like the preset function's own parameters included: a
+    # ConfigError naming the key, never a TypeError from the call
+    for key in ("grid", "potential", "name", "note"):
+        cfg = copy.deepcopy(TINY_CONFIG)
+        cfg["initial"][key] = 1
+        assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"config error: initial.{key}: unknown field\n"
+
+
+@pytest.mark.parametrize("section, key", [
+    ("solver", "newton_tl"), ("config", "optimiser"), ("cost", "b7"),
+    ("model", "potential.kind"), ("cost.targets.phi_q", "snapshot"),
+    ("config", "verification.seed"),
+    ("verification", "seed"), ("verification.gradient", "slope_deltas"),
+    ("verification.gradient", "check_delta"),
+], ids=["typo", "section", "weight", "dotted-row-path", "union-form", "dotted-root",
+        "verification-seed", "slope-deltas", "check-delta"])
+def test_unknown_field_is_config_error(tmp_path, capsys, section, key):
+    # a key that is no row of the table, the three removed verification
+    # settings included, exits 2 naming itself
     cfg = copy.deepcopy(TINY_CONFIG)
-    cfg["initial"].update({"grid": 1, "potential": "x", "name": 2, "note": "y"})
-    assert np.all(parse_config(_write(tmp_path, cfg)).init.phi0 == 0.2)
+    cfg["pipeline"] = "verify"
+    cfg["verification"] = copy.deepcopy(TINY_VERIFICATION)
+    node = cfg
+    if section != "config":
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+    node[key] = 1
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: {section}.{key}: unknown field\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_unreadable_file(tmp_path):
@@ -240,6 +268,17 @@ def test_run_summary_round_trip(tmp_path):
     assert cfg_b.raw == cfg_a.raw
     assert np.array_equal(cfg_b.init.phi0, cfg_a.init.phi0)
     assert cfg_b.cost.weights() == cfg_a.cost.weights()
+
+
+def test_version_has_one_source():
+    # pyproject.toml holds no version of its own: it reads chcontrol.__version__
+    tomllib = pytest.importorskip("tomllib")
+    with open(CONFIGS.parent / "pyproject.toml", "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "chcontrol.__version__"}
 
 
 def test_line_search_failure_exit_code(tmp_path, capsys):
@@ -389,8 +428,7 @@ def test_verify_honours_seed_zero(tmp_path):
     cfg["pipeline"] = "verify"
     cfg["verification"] = {
         "checks": ["gradient"], "tau": 0.125,
-        "gradient": {"directions": 1, "deltas": [0.2, 1e-4],
-                     "slope_deltas": [0.2], "check_delta": 1e-4},
+        "gradient": {"directions": 1, "deltas": [0.2, 1e-4]},
     }
     out = tmp_path / "out"
     assert run(_write(tmp_path, cfg), seed=0, out_dir=out) == 0
@@ -640,6 +678,25 @@ def test_target_from_manifest(tmp_path):
         ch.write_trajectory(tmp_path / "nan", nan_target))
     with pytest.raises(ConfigError, match="cost.targets.phi_q.manifest: .*non-finite"):
         parse_config(_write(tmp_path, cfg))
+
+
+@pytest.mark.parametrize("malformed", ["manifest-list", "components-list"])
+def test_manifest_not_an_object_is_config_error(tmp_path, capsys, malformed):
+    g, tg = ch.Grid.line(32), ch.TimeGrid(0.25, 16)
+    target = ch.Trajectory(g, tg, np.zeros((17, 3, 32)), ("mu", "phi", "sigma"))
+    manifest = ch.write_trajectory(tmp_path / "target", target)
+    if malformed == "manifest-list":
+        manifest.write_text("[1, 2]")
+    else:
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "components": ["a"]}))
+    with pytest.raises(ch.ShapeMismatchError):
+        ch.read_trajectory(manifest)
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["cost"]["targets"]["phi_q"] = {"manifest": str(manifest)}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cost.targets.phi_q.manifest: cannot read trajectory")
 
 
 def test_cli_main_entry(tmp_path, capsys):

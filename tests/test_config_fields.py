@@ -5,7 +5,9 @@ row of ``chcontrol.cli._FIELDS`` a value that ``parse_config`` reads, and
 changes one row: a value of the wrong type, a bool, null, a value out of
 the row's range, or the key removed. ``parse_config`` must return or raise
 a ``ConfigError`` whose message starts with that row's path, and must
-raise when the row was read. The snapshot case mutates the bytes of
+raise when the row was read. A second fuzz adds a key that is no row to
+every object row and to the root, which must raise a ``ConfigError``
+naming ``<path>.<key>``. The snapshot case mutates the bytes of
 ``initial.snapshots.phi``.
 """
 
@@ -30,9 +32,8 @@ FULL_SECTIONS = {
                              "max_backtracks": 4}},
     "solver": {"newton_tol": 1e-11, "newton_max_iter": 20},
     "verification": {
-        "checks": ["gradient", "mass"], "seed": 1, "tau": 0.125,
-        "gradient": {"directions": 1, "deltas": [0.2, 1e-4], "slope_deltas": [0.2],
-                     "check_delta": 1e-4, "tol": 1e-6},
+        "checks": ["gradient", "mass"], "tau": 0.125,
+        "gradient": {"directions": 1, "deltas": [0.2, 1e-4], "tol": 1e-6},
         "duality": {"directions": 2, "tol": 1e-9},
         "lipschitz": {"pairs": 2, "magnitudes": [0.1, 0.01], "pair_spread_tol": 10.0,
                       "magnitude_spread_tol": 3.0},
@@ -171,6 +172,36 @@ def test_mutated_field_is_config_error_naming_it(fuzz_setup, data):
             assert message.startswith(prefixes), message
     top_level = data.draw(st.sampled_from([[], 5, "x", None, True]), label="config")
     assert _parse(root / "top.json", top_level).startswith("config: ")
+
+
+def _object(cfg, path):
+    """The object at row ``path`` of ``cfg`` (the root for "config"), or
+    None if the variant holds none there."""
+    if path == "config":
+        return cfg
+    section, key = _locate(cfg, path)
+    node = None if section is None else section.get(key)
+    return node if isinstance(node, dict) else None
+
+
+def _is_row(path, key):
+    return (f"{path}.{key}" in _FIELDS
+            or (path == "config" and key in _FIELDS))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_unknown_key_is_config_error_naming_it(fuzz_setup, data):
+    root, variants, _ = fuzz_setup
+    objects = ["config"] + [path for path, row in _FIELDS.items() if row[0] == "object"]
+    for path in objects:
+        holders = [i for i, cfg in enumerate(variants) if _object(cfg, path) is not None]
+        assert holders, f"no variant holds {path}"
+        cfg = copy.deepcopy(variants[data.draw(st.sampled_from(holders), label=path)])
+        key = data.draw(st.text(max_size=8).filter(lambda k: not _is_row(path, k)),
+                        label=f"{path} key")
+        _object(cfg, path)[key] = 1
+        assert _parse(root / "unknown.json", cfg) == f"{path}.{key}: unknown field"
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.verification import _fit_slope, _random_direction
+from chcontrol.verification import SLOPE_MIN_DELTA, _fit_slope, _random_direction
 from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
 
 
@@ -29,8 +29,9 @@ def test_gradient_check_tracking(problem):
     params, init, u = problem
     cost = tracking_cost(params)
     rep = ch.fd_gradient_check(params, init, cost, u, 0.5, directions=2,
-                               deltas=[0.5, 0.2, 0.1, 1e-4],
-                               slope_deltas=[0.5, 0.2, 0.1])
+                               deltas=[0.5, 0.2, 0.1, 1e-4])
+    # the slope is fit on the deltas >= 0.1 alone
+    assert rep.slope_deltas == [0.5, 0.2, 0.1]
     assert rep.max_rel_error(1e-4) <= 1e-6
     assert all(1.7 <= s <= 2.3 for s in rep.slopes)
     assert rep.passed(1e-4, 1e-6)
@@ -153,7 +154,8 @@ def test_checks_honour_newton_settings(problem):
 
 
 def _fd_reference(params, init, cost, u, tau, directions, deltas, seed):
-    """fd_gradient_check's figures, rebuilt from full-length forward solves."""
+    """fd_gradient_check's figures, rebuilt from full-length forward solves
+    with the slope fit on the deltas >= SLOPE_MIN_DELTA."""
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
     tau_hat = tg.times[k_tau]
@@ -174,7 +176,8 @@ def _fd_reference(params, init, cost, u, tau, directions, deltas, seed):
             errs.append(abs(fd - pairing) / max(abs(pairing), 1e-300))
         analytic.append(pairing)
         rel_errors.append(errs)
-        slopes.append(_fit_slope(deltas, errs))
+        kept = [(d, e) for d, e in zip(deltas, errs) if d >= SLOPE_MIN_DELTA]
+        slopes.append(_fit_slope([d for d, _ in kept], [e for _, e in kept]))
     return analytic, rel_errors, slopes
 
 
@@ -206,11 +209,12 @@ def _problem_2d():
 def test_gradient_check_truncated_solves_match_full(make):
     # the oracle marches each perturbed control to one frame past the node;
     # its figures must be the bits of full-length solves. The interior node
-    # is one whose t_k / dt rounds above k (dt is not a power of two).
+    # is one whose t_k / dt rounds above k (dt is not a power of two). Two
+    # deltas >= 0.1 give a slope that is a number, which == can compare.
     params, init, u, cost = make()
     tg = params.time_grid
     k_mid = next(k for k in range(1, tg.steps) if tg.times[k] / tg.dt > k)
-    deltas = [0.1, 1e-3]
+    deltas = [0.2, 0.1, 1e-3]
     for tau in (0.0, tg.times[k_mid], tg.horizon):
         rep = ch.fd_gradient_check(params, init, cost, u, tau, directions=2,
                                    deltas=deltas, seed=5)
