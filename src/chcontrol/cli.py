@@ -4,11 +4,12 @@ A JSON experiment config fully determines a run: model constants,
 potential and proliferation choice, grid and time resolution, initial
 data (preset or snapshots), cost weights and targets, control bounds,
 optimizer settings and verification toggles. The table ``_FIELDS`` is the
-whole schema: it gives every field's type and default, and the range of
-each field that no model object checks; physics fields have no defaults,
-and a key that is no row is an unknown field. A bad config raises a
-ConfigError whose message starts with the field's path, and the command
-exits 2 before any solve starts.
+whole schema: it gives every field's type and default, and ranges each
+field whose error would not otherwise name it, the seven that Grid,
+TimeGrid, Potential and Proliferation also check for library callers
+among them. Physics fields have no defaults, and a key that is no row is
+an unknown field. A bad config raises a ConfigError whose message starts
+with the field's path, and the command exits 2 before any solve starts.
 Identical config and seed produce bit-identical artifacts (no timestamps
 are written).
 
@@ -48,6 +49,7 @@ from .fields import (
     TimeGrid,
     read_snapshot,
     read_trajectory,
+    write_json,
     write_snapshot,
     write_trajectory,
 )
@@ -355,7 +357,7 @@ class ExperimentConfig:
     u0: np.ndarray
     lower: float | np.ndarray  # optimize's box: floats or grid fields
     upper: float | np.ndarray
-    tau0: float
+    tau0: float | None  # None: optimize's default
     optimizer: OptimizerConfig
     # the verification section, nested like the config, defaults filled in
     verification: dict
@@ -408,7 +410,7 @@ def _array(cfg, path, grid, tg=None):
         values = traj.component(traj.names[0] if component is None else component)
     except (OSError, ValueError, KeyError, TypeError, ChControlError) as exc:
         raise ConfigError(f"{path}.manifest: cannot read trajectory ({exc})")
-    if traj.nframes != tg.steps + 1 or traj.grid.shape != grid.shape:
+    if traj.grid != grid or traj.time_grid != tg or traj.nframes != tg.steps + 1:
         raise ConfigError(f"{path}.manifest: trajectory does not match the "
                           f"configured grids")
     return _finite(f"{path}.manifest", values.copy())
@@ -507,10 +509,9 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     if verification["tau"] is None:
         verification["tau"] = cost.tau_star
     tau0 = _field(raw, "control.tau0")
-    tau0 = tg.horizon / 2 if tau0 is None else tau0
     for where, tau in (("control.tau0", tau0),
                        ("verification.tau", verification["tau"])):
-        if not 0 <= tau <= tg.horizon:
+        if tau is not None and not 0 <= tau <= tg.horizon:
             raise ConfigError(f"{where}: {tau} outside [0, {tg.horizon}]")
 
     return ExperimentConfig(
@@ -525,12 +526,6 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Artifact writers
 # ---------------------------------------------------------------------------
-
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_csv(path, header, rows):
@@ -577,7 +572,7 @@ def _write_control(directory, u, tg, grid):
         "times": [float(t) for t in tg.times],
         "snapshots": paths,
     }
-    _write_json(directory / "manifest.json", manifest)
+    write_json(directory / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +626,7 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
         "stat_tau": res.stat_tau,
         "cost_total": res.history[-1].breakdown.total,
     }
-    _write_json(opt_dir / "optimum.json", summary)
+    write_json(opt_dir / "optimum.json", summary)
     return summary
 
 
@@ -652,7 +647,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path, state) -> dict:
             rep.to_text() + f"result: {'PASS' if ok else 'FAIL'}\n")
         summary[name] = {"passed": ok, **figures}
 
-    _write_json(ver_dir / "summary.json", summary)
+    write_json(ver_dir / "summary.json", summary)
     return summary
 
 
@@ -679,7 +674,7 @@ def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
             echo = {**cfg.raw, "pipeline": pipeline}
             summary = {"version": __version__, "config": echo,
                        "results": results}
-            _write_json(out / "run_summary.json", summary)
+            write_json(out / "run_summary.json", summary)
         except OSError as exc:
             path = out if exc.filename is None else exc.filename
             raise ConfigError(f"config.output_dir: cannot write {str(path)!r} "

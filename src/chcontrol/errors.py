@@ -80,12 +80,11 @@ class LineSearchFailureError(SolverError):
     """No Armijo decrease within the backtracking budget. Carries the
     offending iterate (the control array and tau) for inspection."""
 
-    def __init__(self, iteration, block, detail="", control=None, tau=None):
+    def __init__(self, iteration, detail="", control=None, tau=None):
         self.iteration = iteration
-        self.block = block
         self.control = control
         self.tau = tau
         super().__init__(
-            f"line search failed in {block} block at outer iteration "
+            f"line search failed in control block at outer iteration "
             f"{iteration}{': ' + detail if detail else ''}"
         )

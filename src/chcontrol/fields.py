@@ -246,6 +246,14 @@ def read_snapshot(path, grid: Grid | None = None) -> np.ndarray:
     return values
 
 
+def write_json(path, obj) -> Path:
+    """Write ``obj`` to ``path`` as JSON: sorted keys, indent 1, final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def write_trajectory(directory, traj: Trajectory) -> Path:
     """Write one snapshot per node per component plus a JSON manifest."""
     directory = Path(directory)
@@ -263,11 +271,7 @@ def write_trajectory(directory, traj: Trajectory) -> Path:
         "times": [float(t) for t in traj.times],
         "components": entries,
     }
-    manifest_path = directory / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return manifest_path
+    return write_json(directory / "manifest.json", manifest)
 
 
 def read_trajectory(manifest_path) -> Trajectory:

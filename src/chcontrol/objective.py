@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError, TimeDomainError
 from .fields import Grid, TimeGrid, Trajectory
+from .state import check_control_shape
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,9 @@ class CostSpec:
                               f"[0, {time_grid.horizon}]")
         self.check_shapes(time_grid.steps + 1, grid.shape)
 
-    def check_shapes(self, nodes: int, grid_shape: tuple,
-                     control: np.ndarray | None = None) -> None:
-        """Raise :class:`GridMismatchError` for the first target, or the
-        control, whose shape does not fit ``nodes`` time nodes on a grid of
-        shape ``grid_shape``."""
+    def check_shapes(self, nodes: int, grid_shape: tuple) -> None:
+        """Raise :class:`GridMismatchError` for the first target whose shape
+        does not fit ``nodes`` time nodes on a grid of shape ``grid_shape``."""
         nodes_shape = (nodes,) + grid_shape
         relax = self.relaxation
         for name, arr, expected in (
@@ -101,7 +100,6 @@ class CostSpec:
             ("cost.phi_omega", self.phi_omega, grid_shape),
             ("cost.relaxation.sigma_omega",
              None if relax is None else relax.sigma_omega, grid_shape),
-            ("control", control, nodes_shape),
         ):
             if arr is not None and arr.shape != expected:
                 raise GridMismatchError(f"{name}: shape {arr.shape}, "
@@ -234,14 +232,15 @@ class TauProfile:
     bits of the full trajectory; the extra frame covers a tau / dt that
     rounds a few ulps above the node.
 
-    Targets or a control whose shape does not match the time grid raise
-    :class:`GridMismatchError`; a tau outside [0, T], or past the last
+    Misshapen targets raise :class:`GridMismatchError`, a misshapen control
+    :class:`ShapeMismatchError`; a tau outside [0, T], or past the last
     frame of a prefix, raises :class:`TimeDomainError`.
     """
 
     def __init__(self, state: Trajectory, u: np.ndarray, cost: CostSpec):
         grid, tg = state.grid, state.time_grid
-        cost.check_shapes(tg.steps + 1, grid.shape, u)
+        cost.check_shapes(tg.steps + 1, grid.shape)
+        check_control_shape(grid, tg, u)
         self.tg = tg
         self.dt = tg.dt
         self.cost = cost

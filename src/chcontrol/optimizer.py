@@ -12,10 +12,14 @@ of the first-order condition converges to tight tolerances; the reported
 treatment time is the continuous minimizer, where the analytic time
 derivative satisfies its own first-order condition.
 
-Trial step sizes for the control use a spectral (Barzilai-Borwein)
-estimate from the previous accepted step, safeguarded by monotone Armijo
-backtracking; a fixed unit trial step cannot reach the KKT tolerances
-here because the control Hessian spans scales from b0 to order one.
+The control's trial step is the spectral rule of Barzilai and Borwein,
+<dx, dx> / <dx, dg> over the last accepted step dx and its gradient
+change dg, doubled (up to 1e12) where that curvature is not positive and
+``armijo.s0`` before the first step; monotone Armijo backtracking
+safeguards it. A fixed unit trial step cannot reach the KKT tolerances
+here because the control Hessian spans scales from b0 to order one. A
+search without decrease raises unless stat_u is already below
+``grad_tol``; the next search then starts from its deepest step.
 
 Stationarity measures (both relative):
 
@@ -28,12 +32,15 @@ Stationarity measures (both relative):
 
 Convergence requires both measures below ``grad_tol`` and the snapped
 node stable across two consecutive iterations; the returned iterate
-carries the measures verified on itself.
+carries the measures verified on itself. The history has one row per
+outer iteration, at the snapped node, and one more that repeats the last
+iteration at the continuous minimizer when it costs no more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -109,7 +116,7 @@ class OptResult:
     history: list
     time_case: str
     converged: bool
-    iterations: int
+    iterations: int  # outer iterations: history[-1].iteration + 1
     stat_u: float
     stat_tau: float
     state: Trajectory
@@ -157,32 +164,6 @@ def _time_violation(tg, tau, d):
     return (0.0 if excess <= 0.0 else excess), case
 
 
-class _SpectralStep:
-    """Barzilai-Borwein trial step with growth fallback."""
-
-    def __init__(self, s0):
-        self.trial = s0
-        self.prev_x = None
-        self.prev_g = None
-
-    def propose(self, x, g, inner_fn):
-        if self.prev_x is not None:
-            dx = x - self.prev_x
-            dg = g - self.prev_g
-            num = inner_fn(dx, dx)
-            den = inner_fn(dx, dg)
-            if den > 0 and num > 0:
-                self.trial = num / den
-            else:
-                self.trial = min(self.trial * 2.0, 1e12)
-        return self.trial
-
-    def remember(self, x, g, accepted_step):
-        self.prev_x = x.copy()
-        self.prev_g = g.copy()
-        self.trial = min(max(accepted_step, 1e-12), 1e12)
-
-
 def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
              config: OptimizerConfig | None, u0: np.ndarray,
              tau0: float | None = None, *, lower=-np.inf, upper=np.inf) -> OptResult:
@@ -191,35 +172,28 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
     The admissible controls are the box lower <= u <= upper, each bound a
     scalar or a grid field applied at every time node; the start ``u0``
     (nt+1, *grid.shape) is clamped onto it first, and ``u_opt`` lies in
-    it. Every forward solve, trial steps included, runs under the Newton
-    settings of ``params``. A trial whose forward solve raises a
-    SolverError is rejected like a failed Armijo test, and the search
-    backtracks; a failing solve at the current iterate propagates.
+    it. The time search starts from ``tau0``, by default T / 2. Every
+    forward solve, trial steps included, runs under the Newton settings of
+    ``params``. A trial whose forward solve raises a SolverError is
+    rejected like a failed Armijo test, and the search backtracks; a
+    failing solve at the current iterate propagates.
     """
     config = config or OptimizerConfig()
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
     check_bounds(lower, upper)
-    check_control_shape(params, u0)
+    check_control_shape(grid, tg, u0)
     u = np.clip(u0, lower, upper)
-    tau0 = tg.clamp(tg.horizon / 2 if tau0 is None else tau0)
-    c1 = config.armijo.c1
-
-    def qt_inner(x, y):
-        return space_time_inner(grid, tg.dt, x, y)
-
-    def qt_norm(x):
-        return space_time_norm(grid, tg.dt, x)
+    tau_ref = tg.clamp(tg.horizon / 2 if tau0 is None else tau0)
+    qt_inner = partial(space_time_inner, grid, tg.dt)
+    qt_norm = partial(space_time_norm, grid, tg.dt)
 
     state = solve_state(params, init, u)
     history: list[IterationRecord] = []
-    u_stepper = _SpectralStep(config.armijo.s0)
+    trial = config.armijo.s0  # the control block's first trial step
+    prev = None  # the last accepted (u, grad); neither is written in place
     prev_index = None
-    tau_ref = tau0
     converged = False
-    adj = None
-    grad = None
-    bd_ref = None
 
     for it in range(config.max_outer_iters + 1):
         # treatment-time block: continuous minimizer at the frozen state,
@@ -258,9 +232,14 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
         j_node = bd_node.total
         step_norm = qt_norm(np.clip(u - grad, lower, upper) - u)
         if step_norm > 0:
-            s = u_stepper.propose(u, grad, qt_inner)
-            accepted = False
-            failed, solver_error = 0, None
+            if prev is not None:
+                # spectral (Barzilai-Borwein) trial; grow the last one where
+                # the curvature along the last step is not positive
+                dx, dg = u - prev[0], grad - prev[1]
+                num, den = qt_inner(dx, dx), qt_inner(dx, dg)
+                trial = num / den if den > 0 and num > 0 else min(trial * 2.0, 1e12)
+            s = trial
+            accepted, failed, solver_error = False, 0, None
             for _ in range(config.armijo.max_backtracks):
                 u_trial = np.clip(u - s * grad, lower, upper)
                 gd = qt_inner(grad, u_trial - u)
@@ -273,38 +252,32 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
                     failed, solver_error = failed + 1, exc
                 else:
                     j_trial = reduced_cost(state_trial, u_trial, tau_node, cost).total
-                    if j_trial <= j_node + c1 * gd:
+                    if j_trial <= j_node + config.armijo.c1 * gd:
                         accepted = True
                         break
                 s *= config.armijo.backtrack
             if accepted:
-                u_stepper.remember(u, grad, s)
-                u = u_trial
-                state = state_trial
+                prev = (u, grad)
+                trial = min(max(s, 1e-12), 1e12)
+                u, state = u_trial, state_trial
             else:
                 # restart the next search from the deepest backtracked step
-                u_stepper.trial = max(s, 1e-12)
+                trial = max(s, 1e-12)
                 if stat_u > config.grad_tol:
                     detail = (f"no Armijo decrease within {config.armijo.max_backtracks} "
                               f"backtracks at stat_u={stat_u:.3e}")
                     if failed:
                         detail += (f"; {failed} trial solves failed, the last with: "
                                    f"{solver_error}")
-                    raise LineSearchFailureError(it, "control", detail,
-                                                 control=u, tau=tau_ref)
+                    raise LineSearchFailureError(it, detail, control=u, tau=tau_ref)
 
     # report the continuous minimizer when it improves on the node
     last = history[-1]
-    tau_opt = last.tau
-    if bd_ref is not None and bd_ref.total <= last.breakdown.total:
-        tau_opt = tau_ref
-        history.append(IterationRecord(last.iteration, tau_opt, bd_ref,
-                                       last.stat_u, last.stat_tau,
-                                       last.time_case, last.tau_index,
-                                       last.snap_error))
-        last = history[-1]
+    if bd_ref.total <= last.breakdown.total:
+        last = replace(last, tau=tau_ref, breakdown=bd_ref)
+        history.append(last)
     return OptResult(
-        u_opt=u, tau_opt=tau_opt, history=history, time_case=last.time_case,
-        converged=converged, iterations=len(history), stat_u=last.stat_u,
+        u_opt=u, tau_opt=last.tau, history=history, time_case=last.time_case,
+        converged=converged, iterations=last.iteration + 1, stat_u=last.stat_u,
         stat_tau=last.stat_tau, state=state, adjoint=adj, gradient=grad,
     )

@@ -214,10 +214,10 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
     return x, res, iters, converged, refactor
 
 
-def check_control_shape(params: ModelParams, control: np.ndarray) -> None:
+def check_control_shape(grid: Grid, time_grid: TimeGrid, control: np.ndarray) -> None:
     """Raise :class:`ShapeMismatchError` unless ``control`` holds one grid
     field per time node, of shape (nt+1, *grid.shape)."""
-    expected = (params.time_grid.steps + 1,) + params.grid.shape
+    expected = (time_grid.steps + 1,) + grid.shape
     if control.shape != expected:
         raise ShapeMismatchError(f"control values shape {control.shape}, "
                                  f"expected {expected}")
@@ -244,7 +244,7 @@ def solve_state(params: ModelParams, init: InitialData,
     grid, tg, pot = params.grid, params.time_grid, params.potential
     init.validate(grid, pot)
     nt, dt = tg.steps, tg.dt
-    check_control_shape(params, control)
+    check_control_shape(grid, tg, control)
     steps = nt if steps is None else int(steps)
     if not 1 <= steps <= nt:
         raise TimeDomainError(f"state steps {steps} outside 1..{nt}")

@@ -373,6 +373,10 @@ def test_optimize_pipeline_artifacts(tmp_path, trial_failures):
     optimum = json.loads((out / "optimize" / "optimum.json").read_text())
     assert optimum["converged"]
     assert (out / "optimize" / "control" / "manifest.json").exists()
+    # the last row re-reports the last iteration at the continuous tau, and
+    # iterations counts outer iterations, not rows
+    last, again = [int(row.split(",")[0]) for row in hist[-2:]]
+    assert last == again and optimum["iterations"] == last + 1 == len(hist) - 2
 
 
 @pytest.mark.parametrize("checks, reports", [
@@ -680,6 +684,27 @@ def test_target_from_manifest(tmp_path):
         parse_config(_write(tmp_path, cfg))
 
 
+@pytest.mark.parametrize("grids", ["horizon", "box"])
+def test_target_on_other_grids_is_config_error(tmp_path, capsys, grids):
+    # a target recorded on another horizon or box is not the configured one,
+    # even with the same frame count and cell shape
+    cfg = json.loads((CONFIGS / "log-separation.json").read_text())
+    cfg["grid"]["n"] = [16]
+    cfg["time"]["steps"] = 16
+    g, tg = ch.Grid((16,), (1.0,)), ch.TimeGrid(1.0, 16)
+    if grids == "horizon":
+        tg = ch.TimeGrid(100.0, 16)
+    else:
+        g = ch.Grid((16,), (5.0,))
+    target = ch.Trajectory(g, tg, np.zeros((17, 3, 16)), ("mu", "phi", "sigma"))
+    manifest = ch.write_trajectory(tmp_path / "target", target)
+    cfg["cost"]["targets"]["phi_q"] = {"manifest": str(manifest)}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "config error: cost.targets.phi_q.manifest: trajectory does not match "
+        "the configured grids\n")
+
+
 @pytest.mark.parametrize("malformed", ["manifest-list", "components-list"])
 def test_manifest_not_an_object_is_config_error(tmp_path, capsys, malformed):
     g, tg = ch.Grid.line(32), ch.TimeGrid(0.25, 16)
@@ -717,6 +742,24 @@ def test_shipped_verify_suite(tmp_path):
     summary = json.loads((out / "verify" / "summary.json").read_text())
     assert set(summary) == {"gradient", "duality", "lipschitz", "mass"}
     assert all(entry["passed"] for entry in summary.values())
+
+
+@pytest.mark.parametrize("edit", ["quadratic", "tau-node-0"])
+def test_gradient_check_exact_differences_pass(tmp_path, edit):
+    # a cost quadratic in u (no tracking terms), or a check at node 0, has
+    # central differences exact to roundoff: the slope fit on them is
+    # noise, and the check passes on its errors
+    cfg = json.loads((CONFIGS / "verify-suite.json").read_text())
+    cfg["grid"]["n"] = [16]
+    cfg["time"]["steps"] = 16
+    if edit == "quadratic":
+        cfg["cost"]["b1"] = cfg["cost"]["b3"] = 0
+    else:
+        cfg["verification"]["tau"] = 0
+    out = tmp_path / "verify"
+    assert run(_write(tmp_path, cfg), out_dir=out) == 0
+    summary = json.loads((out / "verify" / "summary.json").read_text())
+    assert summary["gradient"]["passed"]
 
 
 def test_shipped_verify_2d_at_16(tmp_path):

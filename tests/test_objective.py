@@ -272,8 +272,10 @@ def test_tau_profile_matches_cost(problem):
                 evaluate(bad)
     with pytest.raises(ch.GridMismatchError):
         ch.TauProfile(state, u, tracking_cost(make_problem(n=32, nt=40)))
+    # the control has the one shape rule of state.check_control_shape
     short = ch.constant_trajectory(params.grid, ch.TimeGrid(1.0, 20), 1.0)
-    with pytest.raises(ch.GridMismatchError):
+    with pytest.raises(ch.ShapeMismatchError,
+                       match=r"^control values shape \(21, 48\), expected \(41, 48\)$"):
         ch.TauProfile(state, short, cost)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
+import chcontrol.optimizer as optimizer_module
 from chcontrol.optimizer import _time_violation
 from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
 
@@ -55,6 +56,33 @@ def test_optimize_rejects_misshapen_start():
                        match=r"^control values shape \(5, 8\), expected \(5, 16\)$"):
         ch.optimize(params, equilibrium_init(params), tracking_cost(params),
                     ch.OptimizerConfig(), u0, lower=np.zeros(16), upper=np.ones(16))
+
+
+def test_zero_projected_step_leaves_the_control(monkeypatch):
+    # the control enters the cost through b0 alone, so at u0 = lower = 0 the
+    # gradient is 0 and the projected step is zero; the time block's
+    # bisection leaves stat_tau at roundoff, above the tiny grad_tol, so the
+    # loop keeps coming back to the control block without one trial solve
+    params = make_problem(n=16, nt=16)
+    init = equilibrium_init(params)
+    u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
+    solves = []
+
+    def counting_solve_state(*args, **kwargs):
+        solves.append(args)
+        return ch.solve_state(*args, **kwargs)
+
+    cost = ch.CostSpec(b0=1e-3, b6=1.0, tau_star=0.3)
+    cfg = ch.OptimizerConfig(max_outer_iters=3, grad_tol=1e-300)
+    monkeypatch.setattr(optimizer_module, "solve_state", counting_solve_state)
+    res = ch.optimize(params, init, cost, cfg, u0, lower=0.0, upper=1.0)
+    assert len(solves) == 1
+    assert not res.converged and res.iterations == 4
+    assert np.array_equal(res.u_opt, u0) and np.array_equal(res.gradient, 0 * u0)
+    assert res.stat_u == 0.0 and 0.0 < res.stat_tau <= 1e-15
+    # the continuous tau is reported in a fifth row of the last iteration
+    assert [rec.iteration for rec in res.history] == [0, 1, 2, 3, 3]
+    assert res.tau_opt == res.history[-1].tau == pytest.approx(0.3, abs=1e-15)
 
 
 def test_control_energy_only_drives_u_to_zero(problem):

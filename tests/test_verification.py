@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.verification import SLOPE_MIN_DELTA, _fit_slope, _random_direction
+from chcontrol.verification import (
+    SLOPE_FLOOR,
+    SLOPE_MIN_DELTA,
+    _fit_slope,
+    _random_direction,
+)
 from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
 
 
@@ -137,6 +142,27 @@ def test_gradient_nan_error_fails():
         0.5, 20, [1e-4], [1.0, 1.0], [[1e-9], [np.nan]], [np.nan, np.nan], [1e-4], 0)
     assert np.isnan(rep.max_rel_error(1e-4))
     assert not rep.passed(1e-4, 1e-6)
+
+
+def _slope_report(slope_delta_error, slope):
+    """A report of one direction whose errors at the slope deltas are all
+    ``slope_delta_error``, with ``slope`` fit on them."""
+    e = slope_delta_error
+    return ch.verification.GradientCheckReport(
+        0.5, 20, [0.5, 0.2, 0.1, 1e-4], [1.0], [[e, e, e, 1e-11]], [slope],
+        [0.5, 0.2, 0.1], 0)
+
+
+def test_gradient_slope_not_gated_at_exact_differences():
+    # central differences exact to the floor leave a slope of noise; the
+    # direction already matches the gradient far inside the gate
+    assert SLOPE_FLOOR == 1e-10
+    assert _slope_report(SLOPE_FLOOR, -1.0).passed(1e-4, 1e-6)
+    assert _slope_report(3e-14, -1.0).passed(1e-4, 1e-6)
+    # above the floor the slope is gated as before, and NaN is above it
+    assert not _slope_report(1e-9, 0.0).passed(1e-4, 1e-6)
+    assert not _slope_report(np.nan, 0.0).passed(1e-4, 1e-6)
+    assert _slope_report(1e-9, 2.0).passed(1e-4, 1e-6)
 
 
 def test_checks_honour_newton_settings(problem):
