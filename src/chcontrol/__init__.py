@@ -57,8 +57,6 @@ from .potentials import Potential, Proliferation
 from .state import (
     InitialData,
     ModelParams,
-    SeparationReport,
-    separation_report,
     solve_state,
 )
 from .verification import (

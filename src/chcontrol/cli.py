@@ -20,8 +20,8 @@ Subcommands:
     chcontrol verify <config>     run the verification oracle suite
 
 Flags ``--seed`` and ``--out-dir`` override the config.
-Exit codes: 0 success, 2 config error, 3 solver error, 4 verification
-failure.
+Exit codes: 0 success, 2 config error, 3 solver error or out of memory,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from .errors import (
 from .fields import (
     Grid,
     TimeGrid,
+    Trajectory,
     read_snapshot,
     read_trajectory,
     write_json,
-    write_snapshot,
     write_trajectory,
 )
 from .objective import (
@@ -67,7 +67,6 @@ from .state import (
     NEWTON_TOL,
     InitialData,
     ModelParams,
-    separation_report,
     solve_state,
 )
 from .verification import CHECKS, DEFAULT_SEED, mass_balance_check
@@ -557,24 +556,6 @@ def _breakdown_header():
     return ["iteration", "tau"] + sorted(CostBreakdown().terms()) + ["total"]
 
 
-def _write_control(directory, u, tg, grid):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for k in range(tg.steps + 1):
-        fname = f"u_{k:05d}.fld"
-        write_snapshot(directory / fname, grid, u[k])
-        paths.append(fname)
-    manifest = {
-        "format": "chcontrol-control-1",
-        "grid": {"n": list(grid.n), "extents": list(grid.extents)},
-        "time": {"horizon": tg.horizon, "steps": tg.steps},
-        "times": [float(t) for t in tg.times],
-        "snapshots": paths,
-    }
-    write_json(directory / "manifest.json", manifest)
-
-
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
@@ -594,9 +575,11 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, traj) -> dict:
                [_breakdown_row(0, cfg.cost.tau_star, bd)])
     result = {"cost_total": bd.total, "tau": cfg.cost.tau_star}
     if params.potential.singular:
-        rep = separation_report(traj, params.potential)
-        result["delta_sep"] = rep.delta_sep
-        result["argmin_frame"] = rep.argmin_frame
+        # frame 0 and the distance the march stored for each kept frame
+        per_frame = [params.potential.distance(traj.phi[0]),
+                     *traj.diagnostics.delta_sep.tolist()]
+        result["argmin_frame"] = k = int(np.argmin(per_frame))
+        result["delta_sep"] = per_frame[k]
     result["mass_residual"] = mass.residual
     return result
 
@@ -615,7 +598,8 @@ def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
                     + [rec.stat_u, rec.stat_tau, rec.time_case, rec.tau_index,
                        rec.snap_error])
     _write_csv(opt_dir / "history.csv", header, rows)
-    _write_control(opt_dir / "control", res.u_opt, tg, grid)
+    write_trajectory(opt_dir / "control",
+                     Trajectory(grid, tg, res.u_opt[:, None], ("u",)))
     write_trajectory(opt_dir / "state", res.state)
     summary = {
         "tau_opt": res.tau_opt,
@@ -681,6 +665,10 @@ def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
                               f"({exc.strerror or exc})")
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("out of memory: grid.n and time.steps set the size of every field "
+              "and trajectory", file=sys.stderr)
         return 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,15 +6,17 @@ ghost value equals the adjacent interior value, which makes the discrete
 Laplacian symmetric and exactly conservative (its integral vanishes to
 roundoff). Fields are plain float64 numpy arrays of shape ``grid.shape``.
 
-Time is a uniform grid on [0, T]. A :class:`Trajectory` stores one triple
-of fields per node; the same container is used for the state (mu, phi,
-sigma), for sensitivities (d_mu, d_phi, d_sigma) and for adjoint
-multipliers (adj_mu, adj_phi, adj_sigma), with component names bound at
-construction.
+Time is a uniform grid on [0, T]. A :class:`Trajectory` stores the same
+named components, one field each, per node; the same container is used
+for the state (mu, phi, sigma), for sensitivities (d_mu, d_phi, d_sigma),
+for adjoint multipliers (adj_mu, adj_phi, adj_sigma) and for the control
+(u), with component names bound at construction.
 
 Snapshots use a fixed 32-byte header (magic ``CHFLD1``, dimension, cells
 per axis) followed by little-endian float64 values in row-major order.
-A trajectory manifest is a JSON index of node times and snapshot paths.
+A trajectory manifest is a JSON index of the grids, the node times and
+each component's snapshot paths; the state and the optimal control are
+both written in this one format.
 """
 
 from __future__ import annotations
@@ -57,7 +59,14 @@ class Grid:
             raise GridMismatchError("need at least 3 cells per axis")
         if any(v <= 0 for v in extents):
             raise GridMismatchError("extents must be positive")
-        object.__setattr__(self, "inv_h2", tuple(1.0 / h**2 for h in self.h))
+        try:
+            inv_h2 = tuple(1.0 / h**2 for h in self.h)
+        except (OverflowError, ZeroDivisionError):  # h**2 overflows or underflows to 0
+            inv_h2 = (math.nan,)
+        if not all(math.isfinite(w) and w > 0 for w in inv_h2):
+            raise GridMismatchError(f"cell widths {self.h} give a stencil weight 1/h^2 "
+                                    f"that is not a finite positive number")
+        object.__setattr__(self, "inv_h2", inv_h2)
         object.__setattr__(self, "cell_volume", float(np.prod(self.h)))
 
     @classmethod
@@ -152,25 +161,26 @@ def integrate(grid: Grid, f: np.ndarray) -> float:
 
 
 class Trajectory:
-    """Time-indexed triple of fields with per-kind component names.
+    """Time-indexed fields with per-kind component names.
 
-    ``data`` has shape (nframes, 3, *grid.shape), or (nframes, 3, ndir,
-    *grid.shape) for a stack of ndir trajectories marched together (the
-    linearized solutions along several directions). Component arrays are
-    exposed as attributes named at construction, e.g. ``traj.phi[k]``,
-    with the direction axis, if any, after the frame axis.
+    ``data`` has shape (nframes, ncomp, *grid.shape), or (nframes, ncomp,
+    ndir, *grid.shape) for a stack of ndir trajectories marched together
+    (the linearized solutions along several directions), with one
+    component name per entry of the second axis, at least one. Component
+    arrays are exposed as attributes named at construction, e.g.
+    ``traj.phi[k]``, with the direction axis, if any, after the frame axis.
     """
 
     def __init__(self, grid: Grid, time_grid: TimeGrid, data: np.ndarray, names,
                  diagnostics=None):
         names = tuple(names)
-        if len(names) != 3:
-            raise ShapeMismatchError("a trajectory has exactly three components")
-        if data.ndim < 2 or data.shape[1] != 3 or grid.shape not in (
+        if not names:
+            raise ShapeMismatchError("a trajectory has at least one component")
+        if data.ndim < 2 or data.shape[1] != len(names) or grid.shape not in (
                 data.shape[2:], data.shape[3:]):
             raise ShapeMismatchError(
-                f"trajectory data shape {data.shape} does not match (frames, 3, "
-                f"[ndir,] {grid.shape})"
+                f"trajectory data shape {data.shape} does not match (frames, "
+                f"{len(names)}, [ndir,] {grid.shape})"
             )
         if data.shape[0] > time_grid.steps + 1 or data.shape[0] < 1:
             raise ShapeMismatchError(
@@ -285,7 +295,7 @@ def read_trajectory(manifest_path) -> Trajectory:
     time_grid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["steps"])
     names = tuple(manifest["components"].keys())
     nframes = len(manifest["times"])
-    data = np.empty((nframes, 3) + grid.shape)
+    data = np.empty((nframes, len(names)) + grid.shape)
     for j, name in enumerate(names):
         paths = manifest["components"][name]
         if len(paths) != nframes:

@@ -13,9 +13,9 @@ frozen at its initial value for negative times so the window always has
 length eps.
 
 The discrete cost has one implementation, :class:`TauProfile`: per-node
-series of the state, cached once, from which each term's value and the
-tau-derivative are read in O(1). :func:`reduced_cost` is its breakdown at
-one tau.
+series of the full state march, cached once, from which each term's value
+and the tau-derivative are read in O(1). :func:`reduced_cost` is its
+breakdown at one tau.
 
 Discretization conventions, chosen so that the analytic formulas below
 are exact derivatives of the discrete quantities:
@@ -208,9 +208,7 @@ def _node_sq_norms(grid: Grid, a: np.ndarray) -> np.ndarray:
 
 
 def _tracking_sq(grid, traj_comp, target):
-    # a prefix of the march meets the target at its own frames
-    diff = traj_comp if target is None else traj_comp - target[: len(traj_comp)]
-    return _node_sq_norms(grid, diff)
+    return _node_sq_norms(grid, traj_comp if target is None else traj_comp - target)
 
 
 class TauProfile:
@@ -224,27 +222,21 @@ class TauProfile:
     continuous minimizer can be located to roundoff with a short
     bisection.
 
-    ``state`` may be a prefix of the march, frames 0..n (as
-    ``solve_state(..., steps=n)`` returns it). The profile then lives on
-    [0, t_n]: targets are read at frames 0..n, node times and interval
-    brackets are the prefix's, and the control energy still weighs all of
-    u over [0, T]. A prefix that ends one frame past tau's node gives the
-    bits of the full trajectory; the extra frame covers a tau / dt that
-    rounds a few ulps above the node.
-
     Misshapen targets raise :class:`GridMismatchError`, a misshapen control
-    :class:`ShapeMismatchError`; a tau outside [0, T], or past the last
-    frame of a prefix, raises :class:`TimeDomainError`.
+    :class:`ShapeMismatchError`; a state that is not the full march, or a
+    tau outside [0, T], raises :class:`TimeDomainError`.
     """
 
     def __init__(self, state: Trajectory, u: np.ndarray, cost: CostSpec):
         grid, tg = state.grid, state.time_grid
+        if state.nframes != tg.steps + 1:
+            raise TimeDomainError("the cost needs the full forward trajectory")
         cost.check_shapes(tg.steps + 1, grid.shape)
         check_control_shape(grid, tg, u)
         self.tg = tg
         self.dt = tg.dt
         self.cost = cost
-        self.times = state.times
+        self.times = tg.times
         vol = grid.cell_volume
 
         self.g1 = self.g3 = self.g_relax = None
@@ -296,17 +288,9 @@ class TauProfile:
         j_hi = min(max(j_hi, 1), len(self.times) - 1)
         return j_hi, (tau - self.times[j_hi - 1]) / self.dt
 
-    def _clamp(self, tau):
-        """``tau`` clamped onto [0, T], and checked against the last frame."""
-        tau = self.tg.clamp(tau)
-        if tau > self.times[-1]:
-            raise TimeDomainError(f"time {tau} past the last state frame, "
-                                  f"t = {self.times[-1]}")
-        return tau
-
     def breakdown(self, tau: float) -> CostBreakdown:
         """Every term of the cost at tau."""
-        tau = float(self._clamp(tau))
+        tau = float(self.tg.clamp(tau))
         c = self.cost
         out = CostBreakdown(linear_time=c.b5 * tau,
                             quadratic_time=0.5 * c.b6 * (tau - c.tau_star) ** 2,
@@ -347,7 +331,7 @@ class TauProfile:
         the forward difference on the first interval: the one-sided
         derivative that the boundary_low condition D_tau J >= 0 tests.
         """
-        tau = self._clamp(tau)
+        tau = self.tg.clamp(tau)
         c = self.cost
         out = c.b5 + c.b6 * (tau - c.tau_star)
         if self.g1 is not None:
@@ -372,14 +356,12 @@ class TauProfile:
         return np.array([self.value(t) for t in self.times])
 
     def minimize(self) -> float:
-        """Continuous minimizer of J(u, .) over the profile's frames, [0, T]
-        for a full trajectory, near the best node."""
+        """Continuous minimizer of J(u, .) over [0, T], near the best node."""
         node_j = self.node_values()
         k = int(np.argmin(node_j))
         horizon = self.tg.horizon
-        end = self.times[-1]
         lo = max(self.times[k] - self.dt, 0.0)
-        hi = min(self.times[k] + self.dt, end)
+        hi = min(self.times[k] + self.dt, horizon)
         d_lo, d_hi = self.derivative(lo), self.derivative(hi)
         if d_lo >= 0.0:
             tau = lo
@@ -396,7 +378,7 @@ class TauProfile:
                     break
             tau = 0.5 * (lo + hi)
         candidates = [tau, self.times[k], max(self.times[k] - self.dt, 0.0),
-                      min(self.times[k] + self.dt, end)]
+                      min(self.times[k] + self.dt, horizon)]
         return min(candidates, key=self.value)
 
 

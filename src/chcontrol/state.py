@@ -124,16 +124,12 @@ class InitialData:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step solver diagnostics collected during a forward run."""
+    """Per-step solver diagnostics collected during a forward run: entry
+    k - 1 belongs to step k, and ``delta_sep`` holds the
+    ``Potential.distance`` of the frame the step keeps."""
 
     newton_iters: np.ndarray
     delta_sep: np.ndarray
-
-
-@dataclass
-class SeparationReport:
-    delta_sep: float
-    argmin_frame: int
 
 
 def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
@@ -290,11 +286,3 @@ def solve_state(params: ModelParams, init: InitialData,
 
     diag = StepDiagnostics(newton_iters, delta_sep)
     return Trajectory(grid, tg, data, STATE_NAMES, diagnostics=diag)
-
-
-def separation_report(traj: Trajectory, potential: Potential) -> SeparationReport:
-    """Minimum distance of the phase variable to the potential domain
-    boundary over the whole trajectory (inf for an unbounded domain)."""
-    per_frame = [potential.distance(f) for f in traj.component("phi")]
-    k = int(np.argmin(per_frame))
-    return SeparationReport(per_frame[k], k)

@@ -4,7 +4,7 @@ Each check re-derives a quantity along a route independent of the one it
 validates and reports the observed mismatch:
 
 * gradient check: adjoint-based reduced gradient against central finite
-  differences of the reduced cost through fresh forward solves;
+  differences of the cost through fresh forward solves;
 * duality check: the weighted pairing of the nutrient adjoint with a
   perturbation against the tracking terms evaluated on the linearized
   solution for the same perturbation;
@@ -18,15 +18,17 @@ Every forward solve a check makes runs under the Newton settings of its
 ``params``. Errors, mismatches and drifts are reduced with ``np.max``, so
 a NaN among them fails the check.
 
-The gradient check's perturbed solves march only to frame k_tau + 1, one
-past the snapped node tau_hat = t_{k_tau}: every state term of the cost
-at tau_hat reads frames 0..k_tau, and the control energy reads the
-control alone. The extra frame is needed because, on a dt that is not a
-power of two, tau_hat / dt can round a few ulps above k_tau, and the
-cost's quadrature then reads frame k_tau + 1 with a weight near 1e-16.
-With it the truncated cost has the bits of the full one. The slope is
-fit on the deltas >= ``SLOPE_MIN_DELTA``, and the verify pipeline gates
-the error at the smallest delta.
+The gradient check forms J(u + delta h) - J(u - delta h) at the snapped
+node t_{k_tau} in polarized form, never as a difference of two totals,
+whose rounding sets a floor under the error of a direction nearly
+orthogonal to the gradient. A tracking term b/2 |a - q|^2 contributes
+b <(a+ + a-)/2 - q, a+ - a->, the pairing that ``_tracking_pairing`` also
+evaluates for the duality check, with the state and the linearized
+solution; the control energy contributes b0/2 <u+ - u-, u+ + u->, and
+the b5 and b6 terms cancel. As the pairing reads frames 0..k_tau, the
+perturbed solves march to frame max(k_tau, 1). The slope is fit on the
+deltas >= ``SLOPE_MIN_DELTA``, and the verify pipeline gates the error at
+the smallest delta.
 
 ``CHECKS``, the verify pipeline's table, gives each check's report file
 and runner in run order; adding a check is one row there plus its option
@@ -49,7 +51,6 @@ from .linearized import solve_linearized
 from .objective import (
     CostSpec,
     control_gradient,
-    reduced_cost,
     space_time_inner,
     space_time_norm,
     time_weights,
@@ -120,25 +121,67 @@ class GradientCheckReport:
         return "\n".join(lines) + "\n"
 
 
+def _tracking_pairing(grid, dt, cost: CostSpec, k_tau, phi, sigma, dphi, dsigma):
+    """The tracking terms of the cost at tau = t_{k_tau}, varied: the
+    residuals of (``phi``, ``sigma``) against the targets paired with
+    (``dphi``, ``dsigma``), with the cost's weights. Those are the
+    trapezoid weights on nodes 0..k_tau for b1 and b3, the node k_tau for
+    b2 and b4, and the relaxed window; frames past k_tau are not read."""
+    n = k_tau + 1
+    wq = time_weights(n, dt)
+    out = 0.0
+    if cost.b1 > 0:
+        res = phi[:n] - (0.0 if cost.phi_q is None else cost.phi_q[:n])
+        out += cost.b1 * space_time_inner(grid, dt, res, dphi[:n], weights=wq)
+    if cost.b2 > 0:
+        res = phi[k_tau] - (0.0 if cost.phi_omega is None else cost.phi_omega)
+        out += cost.b2 * integrate(grid, res * dphi[k_tau])
+    if cost.b3 > 0:
+        res = sigma[:n] - (0.0 if cost.sigma_q is None else cost.sigma_q[:n])
+        out += cost.b3 * space_time_inner(grid, dt, res, dsigma[:n], weights=wq)
+    if cost.b4 > 0:
+        out += 0.5 * cost.b4 * integrate(grid, dphi[k_tau])
+    relax = cost.relaxation
+    if relax is not None and relax.gamma > 0:
+        win = relax.gamma / relax.eps * window_weights(k_tau, dt, relax.eps)
+        out += space_time_inner(grid, dt, sigma[:n] - relax.sigma_omega,
+                                dsigma[:n], weights=win)
+    return out
+
+
+def _cost_difference(params: ModelParams, cost: CostSpec, k_tau: int,
+                    u_up: np.ndarray, u_dn: np.ndarray,
+                    s_up: Trajectory, s_dn: Trajectory) -> float:
+    """J(u_up, t_{k_tau}) - J(u_dn, t_{k_tau}) in polarized form (see the
+    module docstring), ``s_up`` and ``s_dn`` being the forward solutions
+    for the two controls up to frame k_tau at least."""
+    grid, dt = params.grid, params.time_grid.dt
+    out = _tracking_pairing(grid, dt, cost, k_tau, 0.5 * (s_up.phi + s_dn.phi),
+                            0.5 * (s_up.sigma + s_dn.sigma),
+                            s_up.phi - s_dn.phi, s_up.sigma - s_dn.sigma)
+    if cost.b0 > 0:
+        out += 0.5 * cost.b0 * space_time_inner(grid, dt, u_up - u_dn, u_up + u_dn)
+    return out
+
+
 def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
                       u: np.ndarray, tau: float, *, directions: int, deltas,
                       seed: int = DEFAULT_SEED,
                       state: Trajectory | None = None) -> GradientCheckReport:
-    """Compare <grad J, h> with central differences of the reduced cost.
+    """Compare <grad J, h> with central differences of the cost.
 
     The treatment time is snapped to its node first so both routes
-    differentiate exactly the same function of the control, and each
-    perturbed control is marched to one frame past that node (see the
-    module docstring). The log-log slope is fit on the deltas >=
-    :data:`SLOPE_MIN_DELTA`, or on all of them when none is; the small
-    deltas serve the error tolerance.
+    differentiate exactly the same function of the control, and the
+    difference of the two costs is formed in polarized form from solves
+    that march to frame max(k_tau, 1) (see the module docstring). The
+    log-log slope is fit on the deltas >= :data:`SLOPE_MIN_DELTA`, or on
+    all of them when none is; the small deltas serve the error tolerance.
     ``state``, if given, is the forward solution for ``u`` under
     ``params``, and the base solve is skipped.
     """
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
-    tau_hat = tg.times[k_tau]
-    steps = min(k_tau + 1, tg.steps)
+    steps = max(k_tau, 1)
     deltas = list(deltas)
     slope_deltas = [d for d in deltas if d >= SLOPE_MIN_DELTA] or deltas
     slope_idx = [deltas.index(d) for d in slope_deltas]
@@ -157,17 +200,16 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
         for delta in deltas:
             up = u + delta * h
             dn = u - delta * h
-            j_up = reduced_cost(solve_state(params, init, up, steps=steps), up,
-                                tau_hat, cost).total
-            j_dn = reduced_cost(solve_state(params, init, dn, steps=steps), dn,
-                                tau_hat, cost).total
-            fd = (j_up - j_dn) / (2.0 * delta)
+            diff = _cost_difference(params, cost, k_tau, up, dn,
+                                   solve_state(params, init, up, steps=steps),
+                                   solve_state(params, init, dn, steps=steps))
+            fd = diff / (2.0 * delta)
             errs.append(abs(fd - pairing) / max(abs(pairing), 1e-300))
         analytic.append(pairing)
         rel_errors.append(errs)
         slopes.append(_fit_slope([deltas[i] for i in slope_idx],
                                  [errs[i] for i in slope_idx]))
-    return GradientCheckReport(tau_hat, k_tau, deltas, analytic, rel_errors,
+    return GradientCheckReport(tg.times[k_tau], k_tau, deltas, analytic, rel_errors,
                                slopes, slope_deltas, seed)
 
 
@@ -208,10 +250,6 @@ def duality_check(params: ModelParams, state: Trajectory, k_tau: int,
     adjoint = solve_adjoint(params, state, k_tau, cost)
     r = adjoint.component("adj_sigma")
     wq = time_weights(k_tau + 1, dt)
-    relax = cost.relaxation
-    win = None
-    if relax is not None and relax.gamma > 0:
-        win = relax.gamma / relax.eps * window_weights(k_tau, dt, relax.eps)
 
     rng = np.random.default_rng(seed)
     shape = (tg.steps + 1,) + grid.shape
@@ -224,23 +262,8 @@ def duality_check(params: ModelParams, state: Trajectory, k_tau: int,
         rho = lin.component("d_sigma")[:, i]
 
         lhs = space_time_inner(grid, dt, r, h[: k_tau + 1], weights=wq)
-        rhs = 0.0
-        if cost.b1 > 0:
-            dphi = state.phi[: k_tau + 1] - (
-                0.0 if cost.phi_q is None else cost.phi_q[: k_tau + 1])
-            rhs += cost.b1 * space_time_inner(grid, dt, dphi, theta, weights=wq)
-        if cost.b2 > 0:
-            dom = state.phi[k_tau] - (0.0 if cost.phi_omega is None else cost.phi_omega)
-            rhs += cost.b2 * integrate(grid, dom * theta[k_tau])
-        if cost.b3 > 0:
-            dsig = state.sigma[: k_tau + 1] - (
-                0.0 if cost.sigma_q is None else cost.sigma_q[: k_tau + 1])
-            rhs += cost.b3 * space_time_inner(grid, dt, dsig, rho, weights=wq)
-        if cost.b4 > 0:
-            rhs += 0.5 * cost.b4 * integrate(grid, theta[k_tau])
-        if win is not None:
-            rhs += space_time_inner(grid, dt, state.sigma[: k_tau + 1]
-                                    - relax.sigma_omega, rho, weights=win)
+        rhs = _tracking_pairing(grid, dt, cost, k_tau, state.phi, state.sigma,
+                                theta, rho)
         scale = max(abs(lhs), abs(rhs), 1e-14)
         lhs_list.append(lhs)
         rhs_list.append(rhs)

@@ -255,6 +255,27 @@ def test_simulate_artifacts_and_determinism(tmp_path):
     assert header == "step,newton_iters,mass_residual,delta_sep"
 
 
+@pytest.mark.parametrize("control, frame", [(0.0, "first"), (2.0, "last")])
+def test_simulate_reports_separation_from_the_march(tmp_path, control, frame):
+    # delta_sep and argmin_frame are the minimum of the per-frame distance to
+    # the domain boundary and its frame, frame 0 included
+    cfg = json.loads((CONFIGS / "log-separation.json").read_text())
+    cfg["grid"]["n"] = [32]
+    cfg["time"]["steps"] = 64
+    cfg["control"]["initial"] = control
+    cfg_path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run(cfg_path, out_dir=out) == 0
+    result = json.loads((out / "run_summary.json").read_text())["results"]["simulate"]
+    parsed = parse_config(cfg_path)
+    state = ch.read_trajectory(out / "simulate" / "state" / "manifest.json")
+    per_frame = [parsed.params.potential.distance(phi) for phi in state.phi]
+    k = int(np.argmin(per_frame))
+    assert k == {"first": 0, "last": 64}[frame]
+    assert result["argmin_frame"] == k
+    assert result["delta_sep"] == per_frame[k]
+
+
 def test_run_summary_round_trip(tmp_path):
     cfg_path = _write(tmp_path, TINY_CONFIG)
     out = tmp_path / "out"
@@ -353,7 +374,15 @@ def test_config_rejects_zero_backtracks(tmp_path, capsys):
     assert "optimizer.armijo.max_backtracks" in capsys.readouterr().err
 
 
-def test_optimize_pipeline_artifacts(tmp_path, trial_failures):
+def test_optimize_pipeline_artifacts(tmp_path, trial_failures, monkeypatch):
+    results = []
+
+    def keeping_optimize(*args, **kwargs):
+        results.append(optimize(*args, **kwargs))
+        return results[-1]
+
+    optimize = cli_module.optimize
+    monkeypatch.setattr(cli_module, "optimize", keeping_optimize)
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "optimize"
     cfg["optimizer"] = {"max_outer_iters": 60, "grad_tol": 1e-3}
@@ -372,7 +401,18 @@ def test_optimize_pipeline_artifacts(tmp_path, trial_failures):
                     float(cell)
     optimum = json.loads((out / "optimize" / "optimum.json").read_text())
     assert optimum["converged"]
-    assert (out / "optimize" / "control" / "manifest.json").exists()
+    # the control is the one-component trajectory u, holding u_opt
+    control = ch.read_trajectory(out / "optimize" / "control" / "manifest.json")
+    assert control.names == ("u",)
+    assert control.u.tobytes() == results[0].u_opt.tobytes()
+    assert sorted(p.name for p in (out / "optimize" / "control").iterdir()) == (
+        ["manifest.json"] + [f"u_{k:05d}.fld" for k in range(control.nframes)])
+    # the artifacts do not depend on the output path, but for its echo
+    out2 = tmp_path / "a longer output path"
+    assert run(_write(tmp_path, cfg), out_dir=out2) == 0
+    skip = ("run_summary.json",)
+    assert _hash_tree(out2, skip) == _hash_tree(out, skip)
+    assert _summary_without_output_dir(out2) == _summary_without_output_dir(out)
     # the last row re-reports the last iteration at the continuous tau, and
     # iterations counts outer iterations, not rows
     last, again = [int(row.split(",")[0]) for row in hist[-2:]]
@@ -722,6 +762,36 @@ def test_manifest_not_an_object_is_config_error(tmp_path, capsys, malformed):
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
     assert capsys.readouterr().err.startswith(
         "config error: cost.targets.phi_q.manifest: cannot read trajectory")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_parse(path):
+    cfg = parse_config(path)
+    assert cfg.pipeline == json.loads(path.read_text())["pipeline"]
+
+
+@pytest.mark.parametrize("extent", [1e160, 1e-160])
+def test_extent_beyond_the_stencil_weight_is_config_error(tmp_path, capsys, extent):
+    # 1/h^2 overflows (or h^2 underflows to zero): exit 2 on the grid, no
+    # traceback
+    cfg = json.loads((CONFIGS / "log-separation.json").read_text())
+    cfg["grid"]["extents"] = [extent]
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid: ") and "1/h^2" in err, err
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # an allocation that fails ends in exit 3 with a message naming the
+    # fields that size it, not in a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_module, "preset_initial_data", exhausted)
+    assert run(_write(tmp_path, TINY_CONFIG), out_dir=tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "grid.n" in err and "time.steps" in err
+    assert "Traceback" not in err
 
 
 def test_cli_main_entry(tmp_path, capsys):

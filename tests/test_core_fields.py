@@ -163,6 +163,12 @@ def test_trajectory_direction_axis():
     for shape in ((3, 3, 4), (3, 3, 2, 2) + g.shape, (3, 2) + g.shape):
         with pytest.raises(ShapeMismatchError):
             ch.Trajectory(g, tg, np.zeros(shape), ("a", "b", "c"))
+    # the component axis holds one entry per name, at least one
+    assert ch.Trajectory(g, tg, np.zeros((3, 1) + g.shape), ("u",)).u.shape == (
+        (3,) + g.shape)
+    for names in ((), ("a", "b")):
+        with pytest.raises(ShapeMismatchError):
+            ch.Trajectory(g, tg, np.zeros((3, 3) + g.shape), names)
 
 
 def test_trajectory_manifest_roundtrip(tmp_path):

@@ -279,36 +279,14 @@ def test_tau_profile_matches_cost(problem):
         ch.TauProfile(state, short, cost)
 
 
-def test_prefix_cost_matches_full_trajectory():
-    # dt = 1/300 is not a power of two, so t_k / dt rounds a few ulps above k
-    # at some nodes, where the cost's quadrature reads frame k + 1
-    params = make_problem(n=16, nt=300)
-    grid, tg = params.grid, params.time_grid
-    u = np.random.default_rng(11).uniform(0.0, 2.0, (tg.steps + 1,) + grid.shape)
-    full = ch.solve_state(params, equilibrium_init(params), u)
-    relax = ch.Relaxation(0.4, 0.13, grid.full(0.2))
-    cost = tracking_cost(params, b2=0.3, b4=0.2, relaxation=relax)
-    assert all(w > 0 for w in cost.weights())
-    assert any(t / tg.dt > k for k, t in enumerate(tg.times))
-    for k in range(tg.steps):
-        prefix = ch.Trajectory(grid, tg, full.data[: k + 2], full.names)
-        tau = tg.times[k]
-        assert (ch.reduced_cost(prefix, u, tau, cost).terms()
-                == ch.reduced_cost(full, u, tau, cost).terms()), k
-
-
-def test_prefix_cost_stops_at_its_last_frame(problem):
+def test_profile_rejects_a_partial_trajectory(problem):
+    # the cost reads the full march, as the adjoint does
     params, _, u, state = problem
-    tg = params.time_grid
-    relax = ch.Relaxation(0.4, 0.13, params.grid.full(0.2))
-    cost = tracking_cost(params, b2=0.3, b4=0.2, relaxation=relax)
-    prefix = ch.Trajectory(params.grid, tg, state.data[:11], state.names)
-    prof = ch.TauProfile(prefix, u, cost)
-    end = tg.times[10]
-    mid = 0.5 * (tg.times[8] + tg.times[9])
-    assert prof.breakdown(mid) == ch.TauProfile(state, u, cost).breakdown(mid)
-    assert 0.0 <= prof.minimize() <= end
-    for bad in (end + 1e-9, tg.times[11], tg.horizon):
-        for evaluate in (prof.breakdown, prof.value, prof.derivative):
-            with pytest.raises(ch.TimeDomainError, match="last state frame"):
-                evaluate(bad)
+    cost = tracking_cost(params, b2=0.3, b4=0.2)
+    for frames in (1, 11, state.nframes - 1):
+        part = ch.Trajectory(params.grid, params.time_grid, state.data[:frames],
+                             state.names)
+        with pytest.raises(ch.TimeDomainError, match="full forward trajectory"):
+            ch.TauProfile(part, u, cost)
+        with pytest.raises(ch.TimeDomainError, match="full forward trajectory"):
+            ch.reduced_cost(part, u, 0.0, cost)

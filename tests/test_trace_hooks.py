@@ -89,7 +89,7 @@ def test_traced_verify_sees_every_oracle(tmp_path):
     assert metrics["system.transpose_solves"] == metrics["adjoint.steps"] > 0
     assert metrics["linearized.steps"] > 0
     # the base solve and the Lipschitz solves march every step, the FD
-    # gradient solves one frame past the snapped node
+    # gradient solves to the snapped node
     nt = cfg["time"]["steps"]
     k_tau, _ = ch.TimeGrid(cfg["time"]["horizon"], nt).nearest_node(
         TINY_VERIFICATION["tau"])
@@ -97,6 +97,6 @@ def test_traced_verify_sees_every_oracle(tmp_path):
     fd_solves = 2 * grad["directions"] * len(grad["deltas"])
     full_solves = 1 + 2 * lip["pairs"] * len(lip["magnitudes"])
     assert metrics["state.solves"] == full_solves + fd_solves
-    assert metrics["state.steps"] == full_solves * nt + fd_solves * (k_tau + 1)
-    assert k_tau + 1 < nt
+    assert metrics["state.steps"] == full_solves * nt + fd_solves * max(k_tau, 1)
+    assert 1 < k_tau < nt
     assert result["reconcile"] is None

@@ -1,16 +1,21 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chcontrol as ch
+from chcontrol.cli import parse_config
 from chcontrol.verification import (
     SLOPE_FLOOR,
     SLOPE_MIN_DELTA,
     _fit_slope,
     _random_direction,
+    _cost_difference,
 )
 from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +189,6 @@ def _fd_reference(params, init, cost, u, tau, directions, deltas, seed):
     with the slope fit on the deltas >= SLOPE_MIN_DELTA."""
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
-    tau_hat = tg.times[k_tau]
     adjoint = ch.solve_adjoint(params, ch.solve_state(params, init, u), k_tau, cost)
     grad = ch.control_gradient(adjoint, u, cost.b0)
     rng = np.random.default_rng(seed)
@@ -195,10 +199,9 @@ def _fd_reference(params, init, cost, u, tau, directions, deltas, seed):
         errs = []
         for delta in deltas:
             up, dn = u + delta * h, u - delta * h
-            fd = (ch.reduced_cost(ch.solve_state(params, init, up), up, tau_hat,
-                                  cost).total
-                  - ch.reduced_cost(ch.solve_state(params, init, dn), dn, tau_hat,
-                                    cost).total) / (2.0 * delta)
+            fd = _cost_difference(params, cost, k_tau, up, dn,
+                                 ch.solve_state(params, init, up),
+                                 ch.solve_state(params, init, dn)) / (2.0 * delta)
             errs.append(abs(fd - pairing) / max(abs(pairing), 1e-300))
         analytic.append(pairing)
         rel_errors.append(errs)
@@ -227,15 +230,16 @@ def _problem_2d():
         phi_q=ch.constant_trajectory(grid, tg, -0.5),
         sigma_q=ch.constant_trajectory(grid, tg, 0.375),
         phi_omega=grid.full(-0.5), tau_star=0.125,
+        relaxation=ch.Relaxation(0.4, 0.05, grid.full(0.2)),
     )
     return params, equilibrium_init(params), u, cost
 
 
 @pytest.mark.parametrize("make", [_problem_1d, _problem_2d], ids=["1d", "2d"])
 def test_gradient_check_truncated_solves_match_full(make):
-    # the oracle marches each perturbed control to one frame past the node;
-    # its figures must be the bits of full-length solves. The interior node
-    # is one whose t_k / dt rounds above k (dt is not a power of two). Two
+    # the oracle marches each perturbed control to frame max(k_tau, 1); its
+    # figures must be the bits of full-length solves. The interior node is
+    # one whose t_k / dt rounds above k (dt is not a power of two). Two
     # deltas >= 0.1 give a slope that is a number, which == can compare.
     params, init, u, cost = make()
     tg = params.time_grid
@@ -249,3 +253,41 @@ def test_gradient_check_truncated_solves_match_full(make):
         assert rep.analytic == analytic, tau
         assert rep.rel_errors == rel_errors, tau
         assert rep.slopes == slopes, tau
+
+
+@pytest.mark.parametrize("make", [_problem_1d, _problem_2d], ids=["1d", "2d"])
+def test_polarized_difference_matches_cost_values(make):
+    # the oracle's J(u+) - J(u-) is the difference of the cost's own values
+    # at every node, with every weight and the relaxed term on; the values
+    # themselves round by a few ulps of the totals, which bounds the match
+    # where the difference is small
+    params, init, u, cost = make()
+    assert all(w > 0 for w in cost.weights()) and cost.relaxation.gamma > 0
+    grid, tg = params.grid, params.time_grid
+    h = _random_direction(np.random.default_rng(8), u.shape, grid, tg.dt)
+    up, dn = u + 0.5 * h, u - 0.5 * h
+    s_up, s_dn = ch.solve_state(params, init, up), ch.solve_state(params, init, dn)
+    prof_up, prof_dn = ch.TauProfile(s_up, up, cost), ch.TauProfile(s_dn, dn, cost)
+    eps = np.finfo(float).eps
+    for k, tau in enumerate(tg.times):
+        j_up, j_dn = prof_up.value(tau), prof_dn.value(tau)
+        got = _cost_difference(params, cost, k, up, dn, s_up, s_dn)
+        tol = 1e-12 * abs(j_up - j_dn) + 4 * eps * (abs(j_up) + abs(j_dn))
+        assert abs(got - (j_up - j_dn)) <= tol, k
+        assert got != 0.0, k
+
+
+def test_gradient_check_at_seed_116():
+    # the shipped verify suite's gradient oracle at a seed whose direction 1
+    # is nearly orthogonal to the gradient (pairing -4.2e-8): a difference of
+    # two cost totals put its error at 1.1e-6, above the gate
+    cfg = parse_config(CONFIGS / "verify-suite.json", seed=116)
+    opts = cfg.verification["gradient"]
+    rep = ch.fd_gradient_check(cfg.params, cfg.init, cfg.cost, cfg.u0,
+                               cfg.verification["tau"],
+                               directions=opts["directions"], deltas=opts["deltas"],
+                               seed=cfg.seed)
+    delta = min(opts["deltas"])
+    assert abs(rep.analytic[1]) < 1e-7
+    assert rep.max_rel_error(delta) < 1e-7
+    assert rep.passed(delta, opts["tol"])
