@@ -46,8 +46,6 @@ from .objective import (
     window_weights,
 )
 from .optimizer import (
-    ArmijoParams,
-    OptimizerConfig,
     OptResult,
     TimeOptimalityReport,
     classify_time_optimality,

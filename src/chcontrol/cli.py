@@ -3,13 +3,14 @@
 A JSON experiment config fully determines a run: model constants,
 potential and proliferation choice, grid and time resolution, initial
 data (preset or snapshots), cost weights and targets, control bounds,
-optimizer settings and verification toggles. The table ``_FIELDS`` is the
-whole schema: it gives every field's type and default, and ranges each
-field whose error would not otherwise name it, the seven that Grid,
-TimeGrid, Potential and Proliferation also check for library callers
-among them. Physics fields have no defaults, and a key that is no row is
-an unknown field. A bad config raises a ConfigError whose message starts
-with the field's path, and the command exits 2 before any solve starts.
+the optimizer's iteration cap and tolerance, Newton settings and
+verification toggles. The table ``_FIELDS`` is the whole schema: it
+gives every field's type and default, and ranges each field whose error
+would not otherwise name it, the seven that Grid, TimeGrid, Potential
+and Proliferation also check for library callers among them. Physics
+fields have no defaults, and a key that is no row is an unknown field. A
+bad config raises a ConfigError whose message starts with the field's
+path, and the command exits 2 before any solve starts.
 Identical config and seed produce bit-identical artifacts (no timestamps
 are written).
 
@@ -40,7 +41,6 @@ from .errors import (
     ChControlError,
     ConfigError,
     GridMismatchError,
-    NanDetectedError,
     ShapeMismatchError,
     SolverError,
 )
@@ -60,7 +60,7 @@ from .objective import (
     constant_trajectory,
     reduced_cost,
 )
-from .optimizer import ArmijoParams, OptimizerConfig, check_bounds, optimize
+from .optimizer import GRAD_TOL, MAX_OUTER_ITERS, check_bounds, optimize
 from .potentials import Potential, Proliferation
 from .state import (
     NEWTON_MAX_ITER,
@@ -95,9 +95,10 @@ _REQUIRED = object()  # the default of a field that must be given
 # "<path>.<key>: unknown field". Fields are read where the code needs them,
 # so the fields of a branch not taken (the lam of a quartic potential, the
 # arguments of another preset) are not checked. The ranges that ModelParams,
-# CostSpec.validate, Relaxation, ArmijoParams and optimizer.check_bounds
-# (lower <= upper) check stay there; their fields get a type here, and
-# parse_config calls check_bounds.
+# CostSpec.validate, Relaxation and optimizer.check_bounds (lower <= upper)
+# check stay there; their fields get a type here, and parse_config calls
+# check_bounds. The solver and optimizer sections reach ModelParams and
+# optimize as keyword arguments, so their rows are those keywords.
 _FIELDS = {
     "config.pipeline": ("choice", _PIPELINES, "simulate"),
     "config.seed": ("integer", 0, DEFAULT_SEED),
@@ -158,13 +159,8 @@ _FIELDS = {
     "control.initial": ("number or string", None, "midpoint"),
     "control.tau0": ("number", None, None),  # None: horizon / 2
     "optimizer": ("object", None, {}),
-    "optimizer.max_outer_iters": ("integer", 0, OptimizerConfig.max_outer_iters),
-    "optimizer.grad_tol": ("positive", None, OptimizerConfig.grad_tol),
-    "optimizer.armijo": ("object", None, {}),
-    "optimizer.armijo.c1": ("number", None, ArmijoParams.c1),
-    "optimizer.armijo.backtrack": ("number", None, ArmijoParams.backtrack),
-    "optimizer.armijo.s0": ("positive", None, ArmijoParams.s0),
-    "optimizer.armijo.max_backtracks": ("integer", None, ArmijoParams.max_backtracks),
+    "optimizer.max_outer_iters": ("integer", 0, MAX_OUTER_ITERS),
+    "optimizer.grad_tol": ("positive", None, GRAD_TOL),
     "solver": ("object", None, {}),
     "solver.newton_tol": ("positive", None, NEWTON_TOL),
     "solver.newton_max_iter": ("integer", 0, NEWTON_MAX_ITER),
@@ -181,8 +177,6 @@ _FIELDS = {
     "verification.lipschitz": ("object", None, {}),
     "verification.lipschitz.pairs": ("integer", 1, 5),
     "verification.lipschitz.magnitudes": ("positive list", None, [1e-1, 1e-2, 1e-3]),
-    "verification.lipschitz.pair_spread_tol": ("positive", None, 10.0),
-    "verification.lipschitz.magnitude_spread_tol": ("positive", None, 3.0),
     "verification.mass": ("object", None, {}),
     "verification.mass.tol": ("positive", None, 1e-10),
 }
@@ -335,7 +329,10 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
         lo, hi = potential.domain
         raise ConfigError(f"{blame}: {given} puts phi0 outside the potential "
                           f"domain ({lo}, {hi})")
-    mu = potential.dF(phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = potential.dF(phi)
+    if not np.isfinite(mu).all():
+        raise ConfigError(f"{blame}: {given} overflows mu0 = F'(phi0)")
     return InitialData(mu, phi, mu.copy())
 
 
@@ -357,7 +354,7 @@ class ExperimentConfig:
     lower: float | np.ndarray  # optimize's box: floats or grid fields
     upper: float | np.ndarray
     tau0: float | None  # None: optimize's default
-    optimizer: OptimizerConfig
+    optimizer: dict  # the optimizer section: optimize's keyword arguments
     # the verification section, nested like the config, defaults filled in
     verification: dict
 
@@ -466,10 +463,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
             for name in ("mu", "phi", "sigma")))
     else:
         raise ConfigError("initial: expected 'preset' or 'snapshots'")
-    try:
-        init.validate(grid, potential)
-    except NanDetectedError as exc:
-        raise ConfigError(f"initial: {exc}")
+    init.validate(grid, potential)
 
     bd = _field(raw, "bounds")
     lower, upper = (_snapshot(bd, f"bounds.{side}", grid)
@@ -501,9 +495,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         start = 0.5 * np.asarray(lower) + 0.5 * np.asarray(upper)
     u0 = np.broadcast_to(start, (tg.steps + 1,) + grid.shape).copy()
 
-    opt = _fields(raw, "optimizer")
-    opt_config = OptimizerConfig(armijo=ArmijoParams(**opt.pop("armijo")), **opt)
-
+    optimizer = _fields(raw, "optimizer")
     verification = _fields(raw, "verification")
     if verification["tau"] is None:
         verification["tau"] = cost.tau_star
@@ -518,7 +510,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         output_dir=Path(raw["output_dir"]),
         params=params, init=init, cost=cost, u0=u0, lower=lower, upper=upper,
         tau0=tau0,
-        optimizer=opt_config, verification=verification,
+        optimizer=optimizer, verification=verification,
     )
 
 
@@ -586,8 +578,8 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, traj) -> dict:
 
 def _run_optimize(cfg: ExperimentConfig, out: Path) -> dict:
     params, tg, grid = cfg.params, cfg.params.time_grid, cfg.params.grid
-    res = optimize(params, cfg.init, cfg.cost, cfg.optimizer, cfg.u0, cfg.tau0,
-                   lower=cfg.lower, upper=cfg.upper)
+    res = optimize(params, cfg.init, cfg.cost, cfg.u0, cfg.tau0,
+                   lower=cfg.lower, upper=cfg.upper, **cfg.optimizer)
     opt_dir = out / "optimize"
     opt_dir.mkdir(parents=True, exist_ok=True)
     header = _breakdown_header() + ["stat_u", "stat_tau", "time_case",

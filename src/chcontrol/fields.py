@@ -104,28 +104,25 @@ class Grid:
         return np.full(self.shape, float(value))
 
 
+@dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid t_k = k dt on [0, T] with dt = T / nt."""
 
-    def __init__(self, horizon: float, steps: int):
-        if steps < 1:
+    horizon: float
+    steps: int
+    dt: float = field(init=False, repr=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.steps < 1:
             raise TimeDomainError("need at least one time step")
-        if horizon <= 0:
+        if self.horizon <= 0:
             raise TimeDomainError("time horizon must be positive")
-        self.horizon = float(horizon)
-        self.steps = int(steps)
-        self.dt = self.horizon / self.steps
-        self.times = np.linspace(0.0, self.horizon, self.steps + 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TimeGrid)
-            and other.horizon == self.horizon
-            and other.steps == self.steps
-        )
-
-    def __repr__(self):
-        return f"TimeGrid(horizon={self.horizon}, steps={self.steps})"
+        horizon, steps = float(self.horizon), int(self.steps)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "dt", horizon / steps)
+        object.__setattr__(self, "times", np.linspace(0.0, horizon, steps + 1))
 
     def clamp(self, tau: float) -> float:
         if tau < -1e-12 or tau > self.horizon * (1 + 1e-12):

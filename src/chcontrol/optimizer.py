@@ -15,7 +15,7 @@ derivative satisfies its own first-order condition.
 The control's trial step is the spectral rule of Barzilai and Borwein,
 <dx, dx> / <dx, dg> over the last accepted step dx and its gradient
 change dg, doubled (up to 1e12) where that curvature is not positive and
-``armijo.s0`` before the first step; monotone Armijo backtracking
+``ARMIJO_S0`` before the first step; monotone Armijo backtracking
 safeguards it. A fixed unit trial step cannot reach the KKT tolerances
 here because the control Hessian spans scales from b0 to order one. A
 search without decrease raises unless stat_u is already below
@@ -39,7 +39,7 @@ iteration at the continuous minimizer when it costs no more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -64,27 +64,15 @@ INTERIOR = "interior"
 BOUNDARY_HIGH = "boundary_high"
 
 
-@dataclass(frozen=True)
-class ArmijoParams:
-    c1: float = 1e-4
-    backtrack: float = 0.5
-    s0: float = 1.0
-    max_backtracks: int = 30
-
-    def __post_init__(self):
-        if not 0 < self.c1 < 1:
-            raise ConfigError("optimizer.armijo.c1: must lie in (0, 1)")
-        if not 0 < self.backtrack < 1:
-            raise ConfigError("optimizer.armijo.backtrack: must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ConfigError("optimizer.armijo.max_backtracks: must be at least 1")
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_outer_iters: int = 1000
-    armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    grad_tol: float = 1e-5
+# the line search: sufficient-decrease constant, backtracking factor, the
+# first trial step and the backtracks per search (Nocedal and Wright, ch. 3)
+ARMIJO_C1 = 1e-4
+ARMIJO_BACKTRACK = 0.5
+ARMIJO_S0 = 1.0
+ARMIJO_MAX_BACKTRACKS = 30
+# the defaults of optimize's two settings
+MAX_OUTER_ITERS = 1000
+GRAD_TOL = 1e-5
 
 
 @dataclass
@@ -164,21 +152,23 @@ def _time_violation(tg, tau, d):
     return (0.0 if excess <= 0.0 else excess), case
 
 
-def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
-             config: OptimizerConfig | None, u0: np.ndarray,
-             tau0: float | None = None, *, lower=-np.inf, upper=np.inf) -> OptResult:
+def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndarray,
+             tau0: float | None = None, *, lower=-np.inf, upper=np.inf,
+             max_outer_iters: int = MAX_OUTER_ITERS,
+             grad_tol: float = GRAD_TOL) -> OptResult:
     """Minimize the reduced cost over the admissible controls and [0, T].
 
     The admissible controls are the box lower <= u <= upper, each bound a
     scalar or a grid field applied at every time node; the start ``u0``
     (nt+1, *grid.shape) is clamped onto it first, and ``u_opt`` lies in
-    it. The time search starts from ``tau0``, by default T / 2. Every
+    it. The time search starts from ``tau0``, by default T / 2. At most
+    ``max_outer_iters`` outer iterations run, and both stationarity
+    measures must fall below ``grad_tol`` (see the module docstring). Every
     forward solve, trial steps included, runs under the Newton settings of
     ``params``. A trial whose forward solve raises a SolverError is
     rejected like a failed Armijo test, and the search backtracks; a
     failing solve at the current iterate propagates.
     """
-    config = config or OptimizerConfig()
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
     check_bounds(lower, upper)
@@ -190,12 +180,12 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
 
     state = solve_state(params, init, u)
     history: list[IterationRecord] = []
-    trial = config.armijo.s0  # the control block's first trial step
+    trial = ARMIJO_S0  # the control block's first trial step
     prev = None  # the last accepted (u, grad); neither is written in place
     prev_index = None
     converged = False
 
-    for it in range(config.max_outer_iters + 1):
+    for it in range(max_outer_iters + 1):
         # treatment-time block: continuous minimizer at the frozen state,
         # sticky under ties so flat profiles keep the current time; the
         # same profile gives this iteration's costs and time derivative
@@ -222,10 +212,10 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
                                        case, k_idx, snap_error))
         snap_stable = prev_index is None or k_idx == prev_index
         prev_index = k_idx
-        if stat_u <= config.grad_tol and stat_tau <= config.grad_tol and snap_stable:
+        if stat_u <= grad_tol and stat_tau <= grad_tol and snap_stable:
             converged = True
             break
-        if it == config.max_outer_iters:
+        if it == max_outer_iters:
             break
 
         # control block at the snapped node
@@ -240,7 +230,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
                 trial = num / den if den > 0 and num > 0 else min(trial * 2.0, 1e12)
             s = trial
             accepted, failed, solver_error = False, 0, None
-            for _ in range(config.armijo.max_backtracks):
+            for _ in range(ARMIJO_MAX_BACKTRACKS):
                 u_trial = np.clip(u - s * grad, lower, upper)
                 gd = qt_inner(grad, u_trial - u)
                 if gd >= 0.0:
@@ -252,10 +242,10 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
                     failed, solver_error = failed + 1, exc
                 else:
                     j_trial = reduced_cost(state_trial, u_trial, tau_node, cost).total
-                    if j_trial <= j_node + config.armijo.c1 * gd:
+                    if j_trial <= j_node + ARMIJO_C1 * gd:
                         accepted = True
                         break
-                s *= config.armijo.backtrack
+                s *= ARMIJO_BACKTRACK
             if accepted:
                 prev = (u, grad)
                 trial = min(max(s, 1e-12), 1e12)
@@ -263,8 +253,8 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec,
             else:
                 # restart the next search from the deepest backtracked step
                 trial = max(s, 1e-12)
-                if stat_u > config.grad_tol:
-                    detail = (f"no Armijo decrease within {config.armijo.max_backtracks} "
+                if stat_u > grad_tol:
+                    detail = (f"no Armijo decrease within {ARMIJO_MAX_BACKTRACKS} "
                               f"backtracks at stat_u={stat_u:.3e}")
                     if failed:
                         detail += (f"; {failed} trial solves failed, the last with: "

@@ -9,7 +9,8 @@ validates and reports the observed mismatch:
   perturbation against the tracking terms evaluated on the linearized
   solution for the same perturbation;
 * Lipschitz check: stability of the control-to-state map under random
-  control pair perturbations across magnitudes;
+  control pair perturbations across magnitudes, gated by the spreads
+  ``PAIR_SPREAD_TOL`` and ``MAGNITUDE_SPREAD_TOL``;
 * mass balance: the exactly conserved combination
   integral(alpha mu + phi + sigma) minus the injected control mass, per
   step (the series ``diagnostics.csv`` reports) and at its worst.
@@ -66,6 +67,10 @@ SLOPE_MIN_DELTA = 0.1
 # a direction whose errors at those deltas are all <= this has exact central
 # differences there (a cost quadratic along it), and its slope is not gated
 SLOPE_FLOOR = 1e-10
+# the Lipschitz gate: the largest admissible spread of the combined ratio
+# across control pairs, and across magnitudes for any one pair
+PAIR_SPREAD_TOL = 10.0
+MAGNITUDE_SPREAD_TOL = 3.0
 
 
 def _random_direction(rng, shape, grid, dt):
@@ -286,11 +291,11 @@ class LipschitzCheckReport:
         table = self.ratios["combined"]
         return float(table.max() / max(table.min(), 1e-300))
 
-    def passed(self, pair_spread_tol: float, magnitude_spread_tol: float) -> bool:
+    def passed(self) -> bool:
         """Bounded constant across pairs and no divergence as the
         perturbation magnitude shrinks."""
-        return (self.spread_across_pairs() <= pair_spread_tol
-                and self.spread_across_magnitudes() <= magnitude_spread_tol)
+        return (self.spread_across_pairs() <= PAIR_SPREAD_TOL
+                and self.spread_across_magnitudes() <= MAGNITUDE_SPREAD_TOL)
 
     def to_text(self) -> str:
         lines = ["lipschitz check: state differences / control difference",
@@ -396,9 +401,8 @@ def _run_duality(params, init, cost, u, tau, state, seed, opts):
 def _run_lipschitz(params, init, cost, u, tau, state, seed, opts):
     rep = lipschitz_check(params, init, u, pairs=opts["pairs"],
                           magnitudes=opts["magnitudes"], seed=seed)
-    ok = rep.passed(opts["pair_spread_tol"], opts["magnitude_spread_tol"])
-    return rep, ok, {"pair_spread": rep.spread_across_pairs(),
-                     "magnitude_spread": rep.spread_across_magnitudes()}
+    return rep, rep.passed(), {"pair_spread": rep.spread_across_pairs(),
+                               "magnitude_spread": rep.spread_across_magnitudes()}
 
 
 def _run_mass(params, init, cost, u, tau, state, seed, opts):

@@ -102,8 +102,8 @@ def test_a5_time_derivative_formula(baseline_problem, baseline_state):
 @pytest.fixture(scope="module")
 def baseline_optimum(baseline_problem):
     params, init, cost, u = baseline_problem
-    config = ch.OptimizerConfig(max_outer_iters=500, grad_tol=1e-4)
-    return ch.optimize(params, init, cost, config, u, tau0=0.5, lower=0.0, upper=2.0)
+    return ch.optimize(params, init, cost, u, tau0=0.5, lower=0.0, upper=2.0,
+                       max_outer_iters=500, grad_tol=1e-4)
 
 
 def test_a6_kkt_at_convergence(baseline_problem, baseline_optimum):
@@ -138,24 +138,24 @@ def test_a6_kkt_at_convergence(baseline_problem, baseline_optimum):
 def test_a7_degenerate_optima(baseline_problem):
     params, init, _, _ = baseline_problem
     grid, tg = params.grid, params.time_grid
-    config = ch.OptimizerConfig(max_outer_iters=100, grad_tol=1e-9)
+    settings = {"max_outer_iters": 100, "grad_tol": 1e-9}
 
     u0 = ch.constant_trajectory(grid, tg, 0.5)
-    res = ch.optimize(params, init, ch.CostSpec(b0=1e-3), config, u0, tau0=0.5,
-                      lower=-1.0, upper=2.0)
+    res = ch.optimize(params, init, ch.CostSpec(b0=1e-3), u0, tau0=0.5,
+                      lower=-1.0, upper=2.0, **settings)
     u_norm = ch.space_time_norm(grid, tg.dt, res.u_opt)
     ok_a = res.converged and u_norm <= 1e-8
 
     u0 = midpoint_control(params)
-    res_b = ch.optimize(params, init, ch.CostSpec(b5=1.0), config, u0, tau0=0.5,
-                        lower=0.0, upper=2.0)
+    res_b = ch.optimize(params, init, ch.CostSpec(b5=1.0), u0, tau0=0.5,
+                        lower=0.0, upper=2.0, **settings)
     d = ch.TauProfile(res_b.state, res_b.u_opt, ch.CostSpec(b5=1.0)).derivative(
         res_b.tau_opt)
     ok_b = res_b.converged and res_b.tau_opt == 0.0 and d >= 0.0 \
         and res_b.time_case == "boundary_low"
 
     res_c = ch.optimize(params, init, ch.CostSpec(b6=1.0, tau_star=0.5),
-                        config, u0, tau0=0.9, lower=0.0, upper=2.0)
+                        u0, tau0=0.9, lower=0.0, upper=2.0, **settings)
     ok_c = res_c.converged and abs(res_c.tau_opt - 0.5) <= tg.dt
     _report("A7 analytic degenerate optima", ok_a and ok_b and ok_c,
             f"b0-only |u| {u_norm:.1e}; b5-only tau {res_b.tau_opt} "

@@ -73,6 +73,10 @@ def test_preset_equilibrium():
     assert np.all(init.sigma0 == 0.0)
     init = preset_initial_data("equilibrium", g, pot, value=0.5)
     assert np.all(init.mu0 == 0.5**3 - 0.5)
+    # a finite phi0 whose F'(phi0) overflows is named, without a RuntimeWarning
+    with pytest.raises(ConfigError,
+                       match=r"^initial.value: 1e\+200 overflows mu0 = F'\(phi0\)$"):
+        preset_initial_data("equilibrium", g, pot, value=1e200)
     with pytest.raises(ConfigError, match="^initial.note: unknown field$"):
         preset_initial_data("equilibrium", g, pot, value=0.5, note="x")
     for value in (1.5, 1.0):  # the domain is open
@@ -98,6 +102,10 @@ def test_preset_random_interior():
             preset_initial_data("random_interior", g, pot, amplitude=1e308, seed=0)
     with pytest.raises(ConfigError, match="^initial.amplitude: 1.5 puts phi0 outside"):
         preset_initial_data("random_interior", g, pot, amplitude=1.5, seed=0)
+    with pytest.raises(ConfigError,
+                       match=r"^initial.amplitude: 1e\+150 overflows mu0 = F'\(phi0\)$"):
+        preset_initial_data("random_interior", g, ch.Potential.quartic(),
+                            amplitude=1e150, seed=0)
 
 
 def test_preset_tanh_front():
@@ -105,6 +113,11 @@ def test_preset_tanh_front():
     init = preset_initial_data("tanh_front", g, ch.Potential.quartic(),
                                width=0.1, position=0.5)
     assert init.phi0[0] < -0.9 and init.phi0[-1] > 0.9
+    # in 2D the front runs along the first axis: every column is the 1D profile
+    plane = preset_initial_data("tanh_front", ch.Grid.rectangle(64, 5),
+                                ch.Potential.quartic(), width=0.1, position=0.5)
+    assert plane.phi0.shape == (64, 5)
+    assert all(np.array_equal(plane.phi0[:, j], init.phi0) for j in range(5))
     with pytest.raises(ConfigError):
         preset_initial_data("tanh_front", g, ch.Potential.quartic(),
                             width=-1.0, position=0.5)
@@ -161,12 +174,15 @@ def test_unknown_initial_keys_are_config_errors(tmp_path, capsys):
     ("model", "potential.kind"), ("cost.targets.phi_q", "snapshot"),
     ("config", "verification.seed"),
     ("verification", "seed"), ("verification.gradient", "slope_deltas"),
-    ("verification.gradient", "check_delta"),
+    ("verification.gradient", "check_delta"), ("optimizer", "armijo"),
+    ("verification.lipschitz", "pair_spread_tol"),
+    ("verification.lipschitz", "magnitude_spread_tol"),
 ], ids=["typo", "section", "weight", "dotted-row-path", "union-form", "dotted-root",
-        "verification-seed", "slope-deltas", "check-delta"])
+        "verification-seed", "slope-deltas", "check-delta", "armijo",
+        "pair-spread-tol", "magnitude-spread-tol"])
 def test_unknown_field_is_config_error(tmp_path, capsys, section, key):
-    # a key that is no row of the table, the three removed verification
-    # settings included, exits 2 naming itself
+    # a key that is no row of the table, the removed verification and
+    # line-search settings included, exits 2 naming itself
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "verify"
     cfg["verification"] = copy.deepcopy(TINY_VERIFICATION)
@@ -302,20 +318,25 @@ def test_version_has_one_source():
         "attr": "chcontrol.__version__"}
 
 
-def test_line_search_failure_exit_code(tmp_path, capsys):
+def test_line_search_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "optimize"
+    cfg["optimizer"] = {"max_outer_iters": 60, "grad_tol": 1e-3}
     # c1 near 1 asks for an almost linear decrease, which one trial misses
-    cfg["optimizer"] = {"max_outer_iters": 60, "grad_tol": 1e-3,
-                        "armijo": {"max_backtracks": 1, "c1": 0.9999}}
+    monkeypatch.setattr(optimizer_module, "ARMIJO_C1", 0.9999)
+    monkeypatch.setattr(optimizer_module, "ARMIJO_MAX_BACKTRACKS", 1)
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
     assert "solver error: line search failed" in capsys.readouterr().err
 
 
-def _failing_trial_config(**armijo):
+def _failing_trial_config(monkeypatch, **constants):
     """An optimize run on log-separation.json (32 cells, 64 steps) whose
-    base solve at u = 0 passes and whose first Armijo trial, at the upper
-    bound 50, does not: Newton stalls at step 23."""
+    base solve at u = 0 passes and whose first Armijo trial, a step of 1e5
+    to the upper bound 50, does not: Newton stalls at step 23. The
+    line-search constants of ``optimizer`` named in ``constants`` take the
+    values given for the test."""
+    for name, value in {"ARMIJO_S0": 1e5, **constants}.items():
+        monkeypatch.setattr(optimizer_module, name, value)
     cfg = json.loads((CONFIGS / "log-separation.json").read_text())
     cfg["pipeline"] = "optimize"
     cfg["grid"]["n"] = [32]
@@ -326,7 +347,7 @@ def _failing_trial_config(**armijo):
     cfg["cost"]["b6"] = 100
     cfg["cost"]["targets"]["phi_q"] = {"constant": 0.9}
     cfg["cost"]["targets"]["phi_omega"] = {"constant": 0.9}
-    cfg["optimizer"] = {"max_outer_iters": 3, "armijo": {"s0": 1e5, **armijo}}
+    cfg["optimizer"] = {"max_outer_iters": 3}
     return cfg
 
 
@@ -347,31 +368,26 @@ def trial_failures(monkeypatch):
     return failures
 
 
-def test_failed_armijo_trial_backtracks(tmp_path, trial_failures):
+def test_failed_armijo_trial_backtracks(tmp_path, trial_failures, monkeypatch):
     # a trial whose forward solve fails is a rejected trial, not a failed run
     out = tmp_path / "out"
-    assert run(_write(tmp_path, _failing_trial_config()), out_dir=out) == 0
+    cfg = _failing_trial_config(monkeypatch)
+    assert run(_write(tmp_path, cfg), out_dir=out) == 0
     assert trial_failures
     assert all(isinstance(exc, ch.NewtonDivergenceError) for exc in trial_failures)
     optimum = json.loads((out / "optimize" / "optimum.json").read_text())
     assert optimum["iterations"] >= 2
 
 
-def test_every_armijo_trial_failing_exits_3(tmp_path, capsys, trial_failures):
-    cfg = _failing_trial_config(max_backtracks=2, backtrack=0.99)
+def test_every_armijo_trial_failing_exits_3(tmp_path, capsys, trial_failures,
+                                            monkeypatch):
+    cfg = _failing_trial_config(monkeypatch, ARMIJO_MAX_BACKTRACKS=2,
+                                ARMIJO_BACKTRACK=0.99)
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
     assert len(trial_failures) == 2
     err = capsys.readouterr().err
     assert "solver error: line search failed in control block" in err
     assert "2 trial solves failed, the last with: Newton did not converge" in err
-
-
-def test_config_rejects_zero_backtracks(tmp_path, capsys):
-    cfg = copy.deepcopy(TINY_CONFIG)
-    cfg["pipeline"] = "optimize"
-    cfg["optimizer"] = {"armijo": {"max_backtracks": 0}}
-    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
-    assert "optimizer.armijo.max_backtracks" in capsys.readouterr().err
 
 
 def test_optimize_pipeline_artifacts(tmp_path, trial_failures, monkeypatch):
@@ -590,13 +606,11 @@ def test_newton_settings_reach_optimize(tmp_path, capsys):
     ("verification.lipschitz", "magnitudes", [0.1, 0.0]),
     ("optimizer", "max_outer_iters", "many"),
     ("optimizer", "grad_tol", "tight"),
-    ("optimizer.armijo", "c1", "small"),
-    ("optimizer.armijo", "max_backtracks", 2.5),
     ("control", "tau0", "half"),
 ], ids=["duality-directions", "gradient-directions", "lipschitz-pairs",
         "newton-max-iter", "newton-tol", "deltas-empty", "deltas-negative",
         "check-delta", "magnitudes-empty", "magnitudes-zero", "max-outer-iters",
-        "grad-tol", "armijo-c1", "max-backtracks", "tau0"])
+        "grad-tol", "tau0"])
 def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "verify"
@@ -637,12 +651,21 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
     ({"cost.relaxation": {"gamma": 1.0, "eps": 0.05, "sigma_omega": {}},
       "cost.relaxation.sigma_omega.snapshot": NAN_SNAPSHOT},
      "cost.relaxation.sigma_omega.snapshot"),
+    ({"control.tau0": 2.0}, "control.tau0"),
+    ({"verification": {"tau": -0.1}}, "verification.tau"),
+    ({"control.initial": "lower"}, "control.initial"),
+    ({f"cost.b{i}": 0.0 for i in range(7)}, "cost"),
+    ({"cost.relaxation": {"gamma": -1.0, "eps": 0.05,
+                          "sigma_omega": {"constant": 0.5}}}, "cost.relaxation.gamma"),
+    ({"cost.relaxation": {"gamma": 1.0, "eps": 0.0,
+                          "sigma_omega": {"constant": 0.5}}}, "cost.relaxation.eps"),
 ], ids=["n-string", "n-number", "n-fraction", "extents-string", "steps-fraction",
         "value-string", "amplitude-string", "width-string", "constant-string",
         "constant-bool", "front-leaves-log-domain", "output-dir-number", "model-list",
         "top-level-list", "b1-nan", "b0-inf", "eps-nan", "constant-nan",
         "control-initial-nan", "p0-inf", "lower-nan-snapshot",
-        "sigma-omega-nan-snapshot"])
+        "sigma-omega-nan-snapshot", "tau0-outside", "verification-tau-outside",
+        "control-initial-word", "weights-all-zero", "gamma-negative", "eps-zero"])
 def test_malformed_field_is_config_error(tmp_path, capsys, edits, field):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["output_dir"] = str(tmp_path / "out")

@@ -27,16 +27,13 @@ from test_cli import TINY_CONFIG
 
 FULL_SECTIONS = {
     "control": {"initial": "midpoint", "tau0": 0.125},
-    "optimizer": {"max_outer_iters": 3, "grad_tol": 1e-3,
-                  "armijo": {"c1": 1e-4, "backtrack": 0.5, "s0": 1.0,
-                             "max_backtracks": 4}},
+    "optimizer": {"max_outer_iters": 3, "grad_tol": 1e-3},
     "solver": {"newton_tol": 1e-11, "newton_max_iter": 20},
     "verification": {
         "checks": ["gradient", "mass"], "tau": 0.125,
         "gradient": {"directions": 1, "deltas": [0.2, 1e-4], "tol": 1e-6},
         "duality": {"directions": 2, "tol": 1e-9},
-        "lipschitz": {"pairs": 2, "magnitudes": [0.1, 0.01], "pair_spread_tol": 10.0,
-                      "magnitude_spread_tol": 3.0},
+        "lipschitz": {"pairs": 2, "magnitudes": [0.1, 0.01]},
         "mass": {"tol": 1e-10},
     },
 }
@@ -228,7 +225,5 @@ def test_mutated_snapshot_bytes_are_config_error(snapshot_setup, cut, splice, ke
     with open(cfg["initial"]["snapshots"]["phi"], "wb") as fh:
         fh.write(good[:cut] + splice + tail)
     message = _parse(root / "config.json", cfg)
-    # non-finite values are reported once all three fields are read
-    assert message is None or message.startswith(("initial.snapshots.phi: ", "initial: ")), \
-        message
+    assert message is None or message.startswith("initial.snapshots.phi: "), message
 

@@ -139,6 +139,16 @@ def test_time_derivative_constant_terms(problem):
     assert ch.TauProfile(state, u, cost6).derivative(0.7) == pytest.approx(0.2, abs=1e-14)
 
 
+def test_minimize_returns_either_end(problem):
+    # a quadratic time cost centred on an end is minimized there: the
+    # derivative does not change sign inside the bracket of the best node
+    _, _, u, state = problem
+    horizon = state.time_grid.horizon
+    for tau_star in (0.0, horizon):
+        cost = ch.CostSpec(b6=1.0, tau_star=tau_star)
+        assert ch.TauProfile(state, u, cost).minimize() == tau_star
+
+
 def test_time_derivative_matches_fd(problem):
     params, _, u, state = problem
     cost = tracking_cost(params, b2=0.4, b4=0.2)

@@ -27,11 +27,11 @@ def test_optimize_stays_inside_field_bounds(problem):
     lower, upper = _field_bounds(grid)
     u0 = np.random.default_rng(3).normal(0.0, 2.0, (tg.steps + 1,) + grid.shape)
     cost = tracking_cost(params)
-    start = ch.optimize(params, init, cost, ch.OptimizerConfig(max_outer_iters=0),
-                        u0, tau0=0.5, lower=lower, upper=upper)
+    start = ch.optimize(params, init, cost, u0, tau0=0.5, lower=lower, upper=upper,
+                        max_outer_iters=0)
     assert np.array_equal(start.u_opt, np.clip(u0, lower, upper))
-    res = ch.optimize(params, init, cost, ch.OptimizerConfig(max_outer_iters=3),
-                      u0, tau0=0.5, lower=lower, upper=upper)
+    res = ch.optimize(params, init, cost, u0, tau0=0.5, lower=lower, upper=upper,
+                      max_outer_iters=3)
     assert res.u_opt.shape == u0.shape
     assert np.all(res.u_opt >= lower) and np.all(res.u_opt <= upper)
     # the tracking target asks for more nutrient than the box allows
@@ -44,8 +44,7 @@ def test_optimize_rejects_crossed_field_bounds(problem):
     upper[7] = lower[7] - 1e-3
     u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
     with pytest.raises(ch.ConfigError, match="^bounds: "):
-        ch.optimize(params, init, tracking_cost(params), ch.OptimizerConfig(), u0,
-                    lower=lower, upper=upper)
+        ch.optimize(params, init, tracking_cost(params), u0, lower=lower, upper=upper)
 
 
 def test_optimize_rejects_misshapen_start():
@@ -54,8 +53,8 @@ def test_optimize_rejects_misshapen_start():
     u0 = np.zeros((5, 8))
     with pytest.raises(ch.ShapeMismatchError,
                        match=r"^control values shape \(5, 8\), expected \(5, 16\)$"):
-        ch.optimize(params, equilibrium_init(params), tracking_cost(params),
-                    ch.OptimizerConfig(), u0, lower=np.zeros(16), upper=np.ones(16))
+        ch.optimize(params, equilibrium_init(params), tracking_cost(params), u0,
+                    lower=np.zeros(16), upper=np.ones(16))
 
 
 def test_zero_projected_step_leaves_the_control(monkeypatch):
@@ -73,9 +72,9 @@ def test_zero_projected_step_leaves_the_control(monkeypatch):
         return ch.solve_state(*args, **kwargs)
 
     cost = ch.CostSpec(b0=1e-3, b6=1.0, tau_star=0.3)
-    cfg = ch.OptimizerConfig(max_outer_iters=3, grad_tol=1e-300)
     monkeypatch.setattr(optimizer_module, "solve_state", counting_solve_state)
-    res = ch.optimize(params, init, cost, cfg, u0, lower=0.0, upper=1.0)
+    res = ch.optimize(params, init, cost, u0, lower=0.0, upper=1.0,
+                      max_outer_iters=3, grad_tol=1e-300)
     assert len(solves) == 1
     assert not res.converged and res.iterations == 4
     assert np.array_equal(res.u_opt, u0) and np.array_equal(res.gradient, 0 * u0)
@@ -89,8 +88,8 @@ def test_control_energy_only_drives_u_to_zero(problem):
     params, init = problem
     cost = ch.CostSpec(b0=1e-3)
     u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.5)
-    cfg = ch.OptimizerConfig(max_outer_iters=50, grad_tol=1e-10)
-    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.5, lower=-1.0, upper=2.0)
+    res = ch.optimize(params, init, cost, u0, tau0=0.5, lower=-1.0, upper=2.0,
+                      max_outer_iters=50, grad_tol=1e-10)
     assert res.converged
     assert ch.space_time_norm(params.grid, params.time_grid.dt, res.u_opt) <= 1e-8
 
@@ -99,8 +98,8 @@ def test_linear_time_penalty_drives_tau_to_zero(problem):
     params, init = problem
     cost = ch.CostSpec(b5=1.0)
     u0 = midpoint_control(params)
-    cfg = ch.OptimizerConfig(max_outer_iters=50, grad_tol=1e-8)
-    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.5, lower=0.0, upper=2.0)
+    res = ch.optimize(params, init, cost, u0, tau0=0.5, lower=0.0, upper=2.0,
+                      max_outer_iters=50, grad_tol=1e-8)
     assert res.converged
     assert res.tau_opt == 0.0
     assert res.time_case == "boundary_low"
@@ -112,8 +111,8 @@ def test_quadratic_time_penalty_finds_target(problem):
     params, init = problem
     cost = ch.CostSpec(b6=1.0, tau_star=0.47)
     u0 = midpoint_control(params)
-    cfg = ch.OptimizerConfig(max_outer_iters=50, grad_tol=1e-8)
-    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.9, lower=0.0, upper=2.0)
+    res = ch.optimize(params, init, cost, u0, tau0=0.9, lower=0.0, upper=2.0,
+                      max_outer_iters=50, grad_tol=1e-8)
     assert res.converged
     assert abs(res.tau_opt - 0.47) <= params.time_grid.dt
     assert res.time_case == "interior"
@@ -123,8 +122,8 @@ def test_monotone_history_and_feasibility(problem):
     params, init = problem
     cost = tracking_cost(params)
     u0 = midpoint_control(params)
-    cfg = ch.OptimizerConfig(max_outer_iters=100, grad_tol=1e-4)
-    res = ch.optimize(params, init, cost, cfg, u0, tau0=0.5, lower=0.0, upper=2.0)
+    res = ch.optimize(params, init, cost, u0, tau0=0.5, lower=0.0, upper=2.0,
+                      max_outer_iters=100, grad_tol=1e-4)
     assert res.converged
     totals = [r.breakdown.total for r in res.history]
     assert all(b <= a for a, b in zip(totals, totals[1:]))
@@ -139,15 +138,15 @@ def test_projection_characterization_at_convergence(problem):
     params, init = problem
     grid, tg = params.grid, params.time_grid
     cost = tracking_cost(params)
-    cfg = ch.OptimizerConfig(max_outer_iters=100, grad_tol=1e-5)
-    res = ch.optimize(params, init, cost, cfg, midpoint_control(params), tau0=0.5,
-                      lower=0.0, upper=2.0)
+    grad_tol = 1e-5
+    res = ch.optimize(params, init, cost, midpoint_control(params), tau0=0.5,
+                      lower=0.0, upper=2.0, max_outer_iters=100, grad_tol=grad_tol)
     assert res.converged
     from chcontrol.optimizer import adj_sigma_extended
     cand = np.clip(-adj_sigma_extended(res.adjoint, tg) / cost.b0, 0.0, 2.0)
     resid = ch.space_time_norm(grid, tg.dt, res.u_opt - cand)
     u_norm = ch.space_time_norm(grid, tg.dt, res.u_opt)
-    assert resid <= cfg.grad_tol * (1.0 + u_norm)
+    assert resid <= grad_tol * (1.0 + u_norm)
 
 
 def test_classify_time_optimality(problem):
@@ -183,12 +182,3 @@ def test_time_violation_zero_and_nan(tau, met):
         assert repr(_time_violation(tg, tau, d)[0]) == "0.0"
     for t in (tau, 0.5):
         assert np.isnan(_time_violation(tg, t, np.nan)[0])
-
-
-def test_armijo_param_validation():
-    with pytest.raises(ch.ConfigError):
-        ch.ArmijoParams(c1=1.5)
-    with pytest.raises(ch.ConfigError):
-        ch.ArmijoParams(backtrack=0.0)
-    with pytest.raises(ch.ConfigError, match="max_backtracks"):
-        ch.ArmijoParams(max_backtracks=0)

@@ -47,8 +47,8 @@ def test_gradient_2d(problem_2d):
 
 def test_optimize_2d_smoke(problem_2d):
     params, init, u, cost = problem_2d
-    config = ch.OptimizerConfig(max_outer_iters=40, grad_tol=1e-3)
-    res = ch.optimize(params, init, cost, config, u, tau0=0.125, lower=0.0, upper=2.0)
+    res = ch.optimize(params, init, cost, u, tau0=0.125, lower=0.0, upper=2.0,
+                      max_outer_iters=40, grad_tol=1e-3)
     assert res.converged
     totals = [r.breakdown.total for r in res.history]
     assert all(b <= a for a, b in zip(totals, totals[1:]))
