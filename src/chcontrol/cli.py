@@ -88,6 +88,7 @@ _REQUIRED = object()  # the default of a field that must be given
 #   "choice"             one of the strings in the limit
 #   "string", "object", "number or string"
 #   "<kind> list"        a non-empty list, each entry of that kind and limit
+#   "<kind> set"         a "<kind> list" whose entries all differ
 # A missing field takes its default, and null is accepted where the default
 # is None; parse_config fills in the defaults that depend on other fields.
 # Fields of the root object are named "config.<key>". The table is the whole
@@ -169,14 +170,14 @@ _FIELDS = {
     "verification.tau": ("number", None, None),  # None: cost.tau_star
     "verification.gradient": ("object", None, {}),
     "verification.gradient.directions": ("integer", 1, 5),
-    "verification.gradient.deltas": ("positive list", None, [0.5, 0.2, 0.1, 1e-4]),
+    "verification.gradient.deltas": ("positive set", None, [0.5, 0.2, 0.1, 1e-4]),
     "verification.gradient.tol": ("positive", None, 1e-6),
     "verification.duality": ("object", None, {}),
     "verification.duality.directions": ("integer", 1, 10),
     "verification.duality.tol": ("positive", None, 1e-9),
     "verification.lipschitz": ("object", None, {}),
     "verification.lipschitz.pairs": ("integer", 1, 5),
-    "verification.lipschitz.magnitudes": ("positive list", None, [1e-1, 1e-2, 1e-3]),
+    "verification.lipschitz.magnitudes": ("positive set", None, [1e-1, 1e-2, 1e-3]),
     "verification.mass": ("object", None, {}),
     "verification.mass.tol": ("positive", None, 1e-10),
 }
@@ -185,11 +186,13 @@ _FIELDS = {
 def _conform(value, kind, limit):
     """``value`` converted to ``kind`` (float for numbers, int for
     integers), or None if it is not of that kind and range."""
-    if kind.endswith(" list"):
+    if kind.endswith((" list", " set")):
         if not isinstance(value, list) or not value:
             return None
-        items = [_conform(v, kind[:-5], limit) for v in value]
-        return None if None in items else items
+        items = [_conform(v, kind.rpartition(" ")[0], limit) for v in value]
+        if None in items or (kind.endswith(" set") and len(set(items)) < len(items)):
+            return None
+        return items
     if kind == "object":
         return value if isinstance(value, dict) else None
     if kind in ("string", "choice"):
@@ -213,8 +216,10 @@ def _conform(value, kind, limit):
 
 
 def _expected(kind, limit) -> str:
-    if kind.endswith(" list"):
-        return "a non-empty list, each entry " + _expected(kind[:-5], limit)
+    if kind.endswith((" list", " set")):
+        distinct = " of distinct entries" if kind.endswith(" set") else ""
+        return (f"a non-empty list{distinct}, each entry "
+                + _expected(kind.rpartition(" ")[0], limit))
     if kind == "choice":
         return f"one of {limit}"
     text = {"number": "a finite number", "integer": "an integer",

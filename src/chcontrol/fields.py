@@ -162,7 +162,8 @@ class Trajectory:
 
     ``data`` has shape (nframes, ncomp, *grid.shape), or (nframes, ncomp,
     ndir, *grid.shape) for a stack of ndir trajectories marched together
-    (the linearized solutions along several directions), with one
+    (the linearized solutions along several directions, or the states of
+    an ensemble of controls), with one
     component name per entry of the second axis, at least one. Component
     arrays are exposed as attributes named at construction, e.g.
     ``traj.phi[k]``, with the direction axis, if any, after the frame axis.

@@ -38,14 +38,23 @@ MAIN = KL + KU
 
 def lap1d(f, inv_h2):
     """Stencil along the last axis; leading axes are a stack of fields."""
-    out = np.empty(f.shape)
-    flat, out_flat = f.reshape(-1), out.reshape(-1)
-    # the interior formula over the whole stack at once; where a field
-    # ends it mixes two fields, and the boundary entries below overwrite it
-    out_flat[1:-1] = (flat[:-2] - 2.0 * flat[1:-1] + flat[2:]) * inv_h2
-    out[..., 0] = (f[..., 1] - f[..., 0]) * inv_h2
-    out[..., -1] = (f[..., -2] - f[..., -1]) * inv_h2
-    return out
+    n = f.shape[-1]
+    flat = f.reshape(-1)
+    out = np.empty(flat.shape)
+    # (f[i-1] - 2 f[i] + f[i+1]) / h^2 over the whole stack at once, each
+    # operation in place in the output; where a field ends it mixes two
+    # fields, and the boundary entries below, every n-th entry of the flat
+    # stack and the one before it, overwrite it
+    mid = out[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=mid)
+    np.subtract(flat[:-2], mid, out=mid)
+    mid += flat[2:]
+    mid *= inv_h2
+    for ends, inner, edge in ((out[::n], flat[1::n], flat[::n]),
+                              (out[n - 1::n], flat[n - 2::n], flat[n - 1::n])):
+        np.subtract(inner, edge, out=ends)
+        ends *= inv_h2
+    return out.reshape(f.shape)
 
 
 def lap2d(f, inv_hx2, inv_hy2):
@@ -95,9 +104,12 @@ def solve_block_tridiag(ab, b):
 
     Parameters
     ----------
-    ab : (10, 3n) Fortran-ordered array
+    ab : (KL + MAIN + 1, 3n) Fortran-ordered array
         The matrix in ``gbsv`` storage: A[i, j] at ``ab[MAIN + i - j, j]``,
-        zero elsewhere. Overwritten by its LU factors.
+        zero elsewhere. Overwritten by its LU factors. The n cells may be
+        those of K uncoupled blocks side by side (K members of n / K cells
+        each): the zero couplings between them keep the band at kl = ku =
+        3, and the pivot search never leaves a block.
     b : (3n,) or (3n, nrhs) Fortran-ordered array
         Interleaved right-hand sides (m_0, f_0, s_0, m_1, ...), one per
         column, all solved against one factorization. Overwritten by the
@@ -108,7 +120,9 @@ def solve_block_tridiag(ab, b):
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, x, info = dgbsv(KL, KU, ab, b, overwrite_ab=1, overwrite_b=1)
+    # overwrite_ab and overwrite_b passed by position, which the f2py
+    # wrapper parses faster than keywords
+    _, _, x, info = dgbsv(KL, KU, ab, b, 1, 1)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

@@ -52,7 +52,13 @@ couplings of a cell swap places under transposition, both taking -P. A
 solve copies a template into a band workspace kept by the solver and
 patches it; the right-hand side is interleaved cell by cell, and one
 ``dgbsv`` call with one column per direction
-(:func:`kernels.solve_block_tridiag`) factors it in place and solves. In
+(:func:`kernels.solve_block_tridiag`) factors it in place and solves. A
+1D solve may also take K members, each with a matrix of its own (P and W
+of shape (K, n), the right-hand side (3, K, n)): the K bands sit side by
+side in one workspace, each member's slots shifted by its block, and one
+``dgbsv`` call factors the block-diagonal band, whose zero couplings keep
+kl = ku = 3 and every pivot inside its block. This is how the forward
+march advances an ensemble (see :mod:`chcontrol.state`). In
 2D the cells follow :func:`kernels.cell_order`, SuperLU's
 ``MMD_AT_PLUS_A`` minimum-degree ordering of the scalar cell graph,
 computed once per grid shape, and SuperLU factors the patched CSC matrix
@@ -74,9 +80,8 @@ and W solves against it. The forward march uses this for a chord Newton
 iteration that refactors only when a step stops contracting; the
 linearized and adjoint sweeps factor every step exactly, because the
 duality identity between them holds only with the exact A_k. In 1D one
-``dgbsv`` call factors and solves together in about 28 us (a whole
-``StepSolver.solve`` about 41 us), so nothing is kept and the forward
-march stays exact Newton.
+``dgbsv`` call factors and solves together, so nothing is kept and the
+forward march stays exact Newton.
 """
 
 from __future__ import annotations
@@ -161,15 +166,37 @@ class StepSolver:
         self._band_t = np.zeros_like(self._band, order="F")
         self._band[kernels.MAIN + rows - cols, cols] = mat.data
         self._band_t[kernels.MAIN + cols - rows, rows] = mat.data
-        # each solve copies a template here and LAPACK factors it in place;
-        # solve() patches it through a flat view of the same memory
-        self._ab = np.empty_like(self._band, order="F")
-        self._ab_flat = self._ab.reshape(-1, order="F")
         # the slots as flat positions of the band; the diagonal ones are
         # the same in the transposed band, and the two -P couplings of a
         # cell swap places there, both taking -P
         flat = kernels.MAIN + rows - cols + cols * self._band.shape[0]
         self._slots = tuple(flat[s] for s in slots)
+        # the templates cell by cell, each cell's three band columns in a row
+        self._cells = (self._band.T.reshape(grid.cell_count, -1),
+                       self._band_t.T.reshape(grid.cell_count, -1))
+        self._grow(1)
+
+    def _grow(self, members: int) -> None:
+        """Make the band workspace hold ``members`` matrices side by side.
+        Each solve copies a template into it, once per member, patches it
+        at the slots of each member and has LAPACK factor it in place. The
+        workspace only grows; a solve for fewer members uses its first
+        columns, and its views are kept per member count."""
+        rows, size = self._band.shape
+        self._ab = np.empty((rows, size * members), order="F")
+        flat = self._ab.reshape(-1, order="F")
+        offsets = np.arange(members)[:, None] * (rows * size)
+        slots = [(s + offsets).ravel() for s in self._slots]
+        # the template's entries at the P and W slots, to which a solve
+        # adds P and W
+        diagonal = [np.tile(self._band.reshape(-1, order="F")[s], members)
+                    for s in self._slots[:3]]
+        self._views = {}
+        for k in range(1, members + 1):
+            ab = self._ab[:, :size * k]
+            cut = k * self._ncell
+            self._views[k] = (ab, ab.T.reshape(k, self._ncell, -1), flat,
+                              [s[:cut] for s in slots], [d[:cut] for d in diagonal])
 
     def solve(self, p, w, rhs, transpose: bool = False):
         """Solve for (m, f, s) given diagonal data and a right-hand side.
@@ -182,15 +209,18 @@ class StepSolver:
 
         Parameters
         ----------
-        p : array, grid-shaped, or None
+        p : array, grid-shaped or (K, *grid.shape), or None
             Frozen exchange rate P(phi_old); None to reuse the kept
-            2D factorization.
-        w : array, grid-shaped, or None
+            2D factorization. With a leading member axis (1D, or K = 1 in
+            2D) each of the K members has a matrix of its own, and one
+            call factors and solves them all.
+        w : array, shaped like ``p``, or None
             Implicit diagonal of the phase equation, B''(phi); None
             together with ``p``.
         rhs : three arrays, as a sequence or stacked along a leading axis
             Each grid-shaped, or of shape (ndir, *grid.shape) to solve
-            ndir right-hand sides against one factorization.
+            ndir right-hand sides against one factorization, or, with
+            members, of shape (K, *grid.shape), one per member.
         transpose : bool
             Solve with the transposed matrix (adjoint marching).
 
@@ -201,12 +231,15 @@ class StepSolver:
         ncell = self._ncell
         shape = (3,) + rhs[0].shape
         ndir = rhs[0].size // ncell
-        if p is not None:
-            if self.grid.dim == 1:
-                np.copyto(self._ab, self._band_t if transpose else self._band)
-                data = self._ab_flat
-            else:
-                data = self._csc.data.copy()
+        if p is None and self._lu is None:
+            raise ValueError("no kept factorization to solve against: only a "
+                             "2D solver keeps one, from its last solve with P")
+        if self.grid.dim == 1:
+            return self._solve_band(p, w, rhs, transpose, ndir, shape)
+        if p is None:
+            lu = self._lu
+        else:
+            data = self._csc.data.copy()
             p_flat = np.ravel(p)
             neg_p = -p_flat
             slots = self._slots
@@ -215,19 +248,6 @@ class StepSolver:
             data[slots[2]] += p_flat
             data[slots[3]] = neg_p
             data[slots[4]] = neg_p
-        elif self._lu is None:
-            raise ValueError("no kept factorization to solve against: only a "
-                             "2D solver keeps one, from its last solve with P")
-        if self.grid.dim == 1:
-            # interleaved cell-major, one Fortran column per direction;
-            # LAPACK overwrites b with the solution
-            b = np.empty((ndir, ncell, 3))
-            b[...] = np.reshape(rhs, (3, ndir, ncell)).transpose(1, 2, 0)
-            x = kernels.solve_block_tridiag(self._ab, b.reshape(ndir, 3 * ncell).T).T
-            return x.reshape(ndir, ncell, 3).transpose(2, 0, 1).reshape(shape)
-        if p is None:
-            lu = self._lu
-        else:
             mat = sps.csc_matrix((data, self._csc.indices, self._csc.indptr),
                                  shape=self._csc.shape)
             # drop the kept factorization first, so two never coexist
@@ -240,6 +260,30 @@ class StepSolver:
         x = np.empty((ndir, 3 * ncell))
         x[:, nodal] = lu.solve(b[:, nodal].T, trans="T" if transpose else "N").T
         return x.reshape(ndir, 3, ncell).transpose(1, 0, 2).reshape(shape)
+
+    def _solve_band(self, p, w, rhs, transpose, ndir, shape):
+        """The 1D solve: the bands of the members' matrices side by side
+        along the columns of one ``gbsv`` array (zero couplings between
+        them, so kl = ku = 3 still hold) and one ``dgbsv`` call."""
+        members = len(p) if p.ndim == 2 else 1
+        if members not in self._views:
+            self._grow(members)
+        ab, cells, data, (s0, s1, s2, s3, s4), (d0, d1, d2) = self._views[members]
+        np.copyto(cells, self._cells[transpose])
+        p_flat = p.reshape(-1)
+        neg_p = -p_flat
+        data[s0] = d0 + p_flat
+        data[s1] = d1 + w.reshape(-1)
+        data[s2] = d2 + p_flat
+        data[s3] = neg_p
+        data[s4] = neg_p
+        # interleaved cell-major, members one after another, one Fortran
+        # column per direction; LAPACK overwrites b with the solution
+        cols = ndir // members
+        k = len(p_flat)
+        b = np.asarray(rhs).reshape(3, cols, k).transpose(1, 2, 0).copy()
+        x = kernels.solve_block_tridiag(ab, b.reshape(cols, -1).T).T
+        return x.reshape(cols, -1, 3).transpose(2, 0, 1).reshape(shape)
 
 
 def step_coefficients(params, state, j: int):

@@ -31,6 +31,20 @@ perturbed solves march to frame max(k_tau, 1). The slope is fit on the
 deltas >= ``SLOPE_MIN_DELTA``, and the verify pipeline gates the error at
 the smallest delta.
 
+The gradient and Lipschitz checks march their perturbed controls as
+member-stacked ensembles (see :mod:`chcontrol.state`), which keep each
+solve's bits. Their controls come in pairs: u + delta h and u - delta h
+for each direction h and delta, in that order, and base + m xi1 and
+base + m xi2 for each random pair and magnitude m. An ensemble holds at
+most as many whole pairs as fit ``ENSEMBLE_BYTES`` of trajectories and
+controls, and may take the pairs of more than one direction or random
+pair. It is reduced to its scalars, the polarized cost difference or the
+sup-norm ratios of each pair, and dropped before the next one is
+marched. At the shipped 128 cells and 256 steps the gradient check
+marches 3 ensembles of 8 controls to node 128, and the Lipschitz check 5
+ensembles of at most 4 controls to the end. In 2D an ensemble is one
+pair.
+
 ``CHECKS``, the verify pipeline's table, gives each check's report file
 and runner in run order; adding a check is one row there plus its option
 rows in ``cli._FIELDS``.
@@ -71,6 +85,10 @@ SLOPE_FLOOR = 1e-10
 # across control pairs, and across magnitudes for any one pair
 PAIR_SPREAD_TOL = 10.0
 MAGNITUDE_SPREAD_TOL = 3.0
+# the bytes of perturbed trajectories and controls that the FD gradient and
+# Lipschitz oracles hold at once: they march their controls in ensembles of
+# as many control pairs as fit, one member-stacked solve_state call each
+ENSEMBLE_BYTES = 6 << 20
 
 
 def _random_direction(rng, shape, grid, dt):
@@ -169,6 +187,38 @@ def _cost_difference(params: ModelParams, cost: CostSpec, k_tau: int,
     return out
 
 
+def _march_pairs(params: ModelParams, init: InitialData, steps: int, count: int,
+                 fill, reduce) -> None:
+    """March ``count`` control pairs to frame ``steps`` in member-stacked
+    ensembles and reduce each pair to its figures as its ensemble ends.
+
+    ``fill(i, a, b)`` writes the two controls of pair i, in order, into
+    the arrays ``a`` and ``b``; ``reduce(i, a, b, s_a, s_b)`` gets them back
+    with their trajectories. The pairs go, in order, into the fewest
+    ensembles of near-equal size that each hold at most as many pairs as
+    fit :data:`ENSEMBLE_BYTES` of trajectories and controls, and at least
+    one. An ensemble is dropped before the next one is marched. In 2D it
+    holds one pair: 2D members march one after another, so a larger
+    ensemble would only hold more memory.
+    """
+    grid, tg = params.grid, params.time_grid
+    member = ((steps + 1) * 3 + tg.steps + 1) * grid.cell_count * 8
+    per_group = 1 if grid.dim == 2 else max(1, ENSEMBLE_BYTES // (2 * member))
+    groups = -(-count // per_group)
+    for g in range(groups):
+        group = range(g * count // groups, (g + 1) * count // groups)
+        controls = np.empty((2 * len(group), tg.steps + 1) + grid.shape)
+        for j, i in enumerate(group):
+            fill(i, controls[2 * j], controls[2 * j + 1])
+        traj = solve_state(params, init, controls, steps=steps)
+        for j, i in enumerate(group):
+            reduce(i, controls[2 * j], controls[2 * j + 1],
+                   *(Trajectory(grid, tg, traj.data[:, :, m], traj.names)
+                     for m in (2 * j, 2 * j + 1)))
+        # no view of the ensemble outlives it
+        del controls, traj
+
+
 def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
                       u: np.ndarray, tau: float, *, directions: int, deltas,
                       seed: int = DEFAULT_SEED,
@@ -193,27 +243,34 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
 
     if state is None:
         state = solve_state(params, init, u)
-    adjoint = solve_adjoint(params, state, k_tau, cost)
-    grad = control_gradient(adjoint, u, cost.b0)
+    grad = control_gradient(solve_adjoint(params, state, k_tau, cost), u, cost.b0)
 
+    # pair d * len(deltas) + j is u +- deltas[j] h_d, the directions drawn
+    # in order as the ensembles first need them
     rng = np.random.default_rng(seed)
-    analytic, rel_errors, slopes = [], [], []
-    for _ in range(directions):
-        h = _random_direction(rng, u.shape, grid, tg.dt)
-        pairing = space_time_inner(grid, tg.dt, grad, h)
-        errs = []
-        for delta in deltas:
-            up = u + delta * h
-            dn = u - delta * h
-            diff = _cost_difference(params, cost, k_tau, up, dn,
-                                   solve_state(params, init, up, steps=steps),
-                                   solve_state(params, init, dn, steps=steps))
-            fd = diff / (2.0 * delta)
-            errs.append(abs(fd - pairing) / max(abs(pairing), 1e-300))
-        analytic.append(pairing)
-        rel_errors.append(errs)
-        slopes.append(_fit_slope([deltas[i] for i in slope_idx],
-                                 [errs[i] for i in slope_idx]))
+    analytic = []
+    rel_errors = [[None] * len(deltas) for _ in range(directions)]
+    h = None
+
+    def fill(i, up, dn):
+        nonlocal h
+        d, j = divmod(i, len(deltas))
+        if d == len(analytic):
+            h = _random_direction(rng, u.shape, grid, tg.dt)
+            analytic.append(space_time_inner(grid, tg.dt, grad, h))
+        np.multiply(h, deltas[j], out=up)
+        np.subtract(u, up, out=dn)
+        np.add(u, up, out=up)
+
+    def reduce(i, up, dn, s_up, s_dn):
+        d, j = divmod(i, len(deltas))
+        fd = _cost_difference(params, cost, k_tau, up, dn, s_up, s_dn) / (2.0 * deltas[j])
+        pairing = analytic[d]
+        rel_errors[d][j] = abs(fd - pairing) / max(abs(pairing), 1e-300)
+
+    _march_pairs(params, init, steps, directions * len(deltas), fill, reduce)
+    slopes = [_fit_slope([deltas[i] for i in slope_idx], [errs[i] for i in slope_idx])
+              for errs in rel_errors]
     return GradientCheckReport(tg.times[k_tau], k_tau, deltas, analytic, rel_errors,
                                slopes, slope_deltas, seed)
 
@@ -323,21 +380,38 @@ def lipschitz_check(params: ModelParams, init: InitialData,
     names = ("mu", "phi", "sigma", "combined")
     space = tuple(range(1, 1 + grid.dim))
     tables = {name: np.zeros((pairs, len(magnitudes))) for name in names}
+    # pair i * len(magnitudes) + j is base + magnitudes[j] (xi1_i, xi2_i),
+    # the directions drawn in order as the ensembles first need them
+    drawn = {}
 
-    for i in range(pairs):
-        xi1 = _random_direction(rng, base.shape, grid, dt)
-        xi2 = _random_direction(rng, base.shape, grid, dt)
-        for j, mag in enumerate(magnitudes):
-            u1 = base + mag * xi1
-            u2 = base + mag * xi2
-            s1 = solve_state(params, init, u1)
-            s2 = solve_state(params, init, u2)
-            du = space_time_norm(grid, dt, u1 - u2)
-            dm, df, ds = s1.mu - s2.mu, s1.phi - s2.phi, s1.sigma - s2.sigma
-            for name, d in zip(names, (dm, df, ds, params.alpha * dm + df + ds)):
-                # max over frames of the L2 norm in space
-                sup = np.sqrt(grid.cell_volume * (d * d).sum(axis=space)).max()
-                tables[name][i, j] = sup / du if du > 0 else 0.0
+    def fill(i, u1, u2):
+        p, j = divmod(i, len(magnitudes))
+        if p not in drawn:
+            drawn.clear()
+            drawn[p] = [_random_direction(rng, base.shape, grid, dt) for _ in range(2)]
+        for out, xi in zip((u1, u2), drawn[p]):
+            np.multiply(xi, magnitudes[j], out=out)
+            np.add(base, out, out=out)
+
+    def ratio(name, p, j, d, du):
+        # max over frames of the L2 norm in space
+        sup = np.sqrt(grid.cell_volume * (d * d).sum(axis=space)).max()
+        tables[name][p, j] = sup / du if du > 0 else 0.0
+
+    def reduce(i, u1, u2, s1, s2):
+        p, j = divmod(i, len(magnitudes))
+        du = space_time_norm(grid, dt, u1 - u2)
+        # one difference at a time, alpha dm + df + ds summed as it goes
+        for name in names[:3]:
+            d = getattr(s1, name) - getattr(s2, name)
+            ratio(name, p, j, d, du)
+            if name == "mu":
+                combined = params.alpha * d
+            else:
+                combined += d
+        ratio("combined", p, j, combined, du)
+
+    _march_pairs(params, init, tg.steps, pairs * len(magnitudes), fill, reduce)
     return LipschitzCheckReport(magnitudes, tables, seed)
 
 

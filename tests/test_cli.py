@@ -604,12 +604,15 @@ def test_newton_settings_reach_optimize(tmp_path, capsys):
     ("verification.gradient", "check_delta", 0.3),
     ("verification.lipschitz", "magnitudes", []),
     ("verification.lipschitz", "magnitudes", [0.1, 0.0]),
+    ("verification.gradient", "deltas", [0.5, 0.5, 1e-4]),
+    ("verification.lipschitz", "magnitudes", [1e-2, 0.1, 1e-2]),
     ("optimizer", "max_outer_iters", "many"),
     ("optimizer", "grad_tol", "tight"),
     ("control", "tau0", "half"),
 ], ids=["duality-directions", "gradient-directions", "lipschitz-pairs",
         "newton-max-iter", "newton-tol", "deltas-empty", "deltas-negative",
-        "check-delta", "magnitudes-empty", "magnitudes-zero", "max-outer-iters",
+        "check-delta", "magnitudes-empty", "magnitudes-zero", "deltas-repeated",
+        "magnitudes-repeated", "max-outer-iters",
         "grad-tol", "tau0"])
 def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value):
     cfg = copy.deepcopy(TINY_CONFIG)

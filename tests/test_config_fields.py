@@ -77,8 +77,8 @@ def _variants(root):
 
 def _invalid(kind, limit, default):
     """Values the row must reject."""
-    list_kind = kind.endswith(" list")
-    entry = kind[:-5] if list_kind else kind
+    list_kind = kind.endswith((" list", " set"))
+    entry = kind.rpartition(" ")[0] if list_kind else kind
     wrong_type = {"number": "x", "integer": "x", "positive": "x", "string": 5,
                   "choice": 5, "object": [1], "number or string": [1.0]}[entry]
     if entry == "positive":
@@ -95,6 +95,10 @@ def _invalid(kind, limit, default):
         out_of_range.append(10**400)  # an integer literal with no float
     if list_kind:
         values = ["x", [True], []] + [[v] for v in out_of_range]
+        if kind.endswith(" set"):
+            # a repeated entry, each valid on its own
+            valid = {"positive": 1.0}[entry]
+            values.append([valid, valid])
     else:
         values = [wrong_type, True] + out_of_range
     return values + ([] if default is None else [None])

@@ -249,6 +249,24 @@ def test_step_solve_batch_matches_single_bitwise(grid, transpose):
             assert a.tobytes() == b[i].tobytes()
 
 
+def test_member_solve_matches_single_solves_bitwise():
+    # K members, each with its own P and W, in one band solve: member i
+    # gets the bits of a solve of its own; the workspace grows to 3 members
+    # and then serves 2 and 1 from its first columns
+    rng = np.random.default_rng(10)
+    grid = ch.Grid.line(24)
+    solver = StepSolver(grid, 1.0 / 64, 0.1, 0.2)
+    p = rng.uniform(0.0, 2.0, (3, 24))
+    w = rng.uniform(0.0, 3.0, (3, 24))
+    rhs = rng.standard_normal((3, 3, 24))
+    for members in (3, 2, 1):
+        got = solver.solve(p[:members], w[:members], rhs[:, :members])
+        assert got.shape == (3, members, 24)
+        for i in range(members):
+            single = solver.solve(p[i], w[i], rhs[:, i])
+            assert got[:, i].tobytes() == single.tobytes(), (members, i)
+
+
 def test_step_solve_2d_leaves_template_unchanged():
     rng = np.random.default_rng(6)
     grid = ch.Grid.rectangle(6, 5)

@@ -1,0 +1,136 @@
+"""A march of K controls stacked along a member axis against K marches of
+one control each: every member must keep the bits of its own march, its
+frames and its diagnostics, and a failing member must fail the stack as it
+fails alone."""
+
+import numpy as np
+import pytest
+
+import chcontrol as ch
+from chcontrol.cli import preset_initial_data
+from conftest import equilibrium_init, make_problem
+
+
+def _solo(params, init, controls, steps=None):
+    return [ch.solve_state(params, init, u, steps=steps) for u in controls]
+
+
+def _assert_members_match(params, init, controls, steps=None, dims=1):
+    stacked = ch.solve_state(params, init, controls, steps=steps)
+    solo = _solo(params, init, controls, steps)
+    assert stacked.data.shape == ((solo[0].nframes, 3, len(controls))
+                                  + params.grid.shape)
+    for i, traj in enumerate(solo):
+        assert stacked.data[:, :, i].tobytes() == traj.data.tobytes(), i
+    iters = np.array([traj.diagnostics.newton_iters for traj in solo])
+    # one band solve per stacked 1D iteration, so as many as the member that
+    # iterated longest; 2D members march one after another
+    expected = iters.max(axis=0) if dims == 1 else iters.sum(axis=0)
+    assert np.array_equal(stacked.diagnostics.newton_iters, expected)
+    seps = np.array([traj.diagnostics.delta_sep for traj in solo])
+    assert np.array_equal(stacked.diagnostics.delta_sep, seps.min(axis=0))
+    return solo
+
+
+def test_quartic_members_match_solo_marches():
+    params = make_problem(n=32, nt=12)
+    shape = (params.time_grid.steps + 1,) + params.grid.shape
+    controls = np.random.default_rng(11).uniform(0.0, 2.0, (4,) + shape)
+    init = equilibrium_init(params)
+    _assert_members_match(params, init, controls)
+    _assert_members_match(params, init, controls[:3], steps=7)
+
+
+def _log_problem():
+    """A logarithmic cosine start at dt 0.125: a strong source makes the
+    Newton trials overshoot the domain, so that the clamp holds them and
+    the line search backtracks."""
+    pot = ch.Potential.logarithmic(2.0)
+    params = make_problem(n=32, nt=4, horizon=0.5, potential=pot)
+    grid = params.grid
+    phi0 = 0.5 * np.cos(np.pi * grid.axis_centers(0))
+    init = ch.InitialData(pot.dF(phi0), phi0, grid.full(0.5))
+    return params, init
+
+
+def _sources(params, values):
+    return np.stack([ch.constant_trajectory(params.grid, params.time_grid, v)
+                     for v in values])
+
+
+def test_logarithmic_members_with_clamp_and_backtracking(monkeypatch):
+    params, init = _log_problem()
+    lo, hi = params.potential.domain
+    margin = 1e-6 * (hi - lo)
+    stencil = ch.state.laplacian_neumann
+    seen = []
+
+    def recording_stencil(grid, f):
+        # a trial the clamp held has phi exactly at a clamp bound
+        seen.append((f.shape[1], bool(np.isin(f[1], (lo + margin, hi - margin)).any())))
+        return stencil(grid, f)
+
+    controls = _sources(params, (20.0, 5.0, 12.0))
+    monkeypatch.setattr(ch.state, "laplacian_neumann", recording_stencil)
+    solo = _solo(params, init, controls[:1])
+    monkeypatch.undo()
+    steps, iters = params.time_grid.steps, solo[0].diagnostics.newton_iters.sum()
+    # one stencil call per residual: more than one per step and iteration
+    # means a backtracked trial
+    assert len(seen) > steps + iters
+    assert any(clamped for _, clamped in seen)
+    _assert_members_match(params, init, controls)
+
+
+def test_two_dimensional_members_with_different_refactor_points(splu_calls):
+    grid = ch.Grid.rectangle(16, 16, 1.0, 1.0)
+    pot = ch.Potential.quartic()
+    tg = ch.TimeGrid(0.2, 4)
+    params = ch.ModelParams(0.1, 0.1, pot, ch.Proliferation.smooth_ramp(1.0, 0.5),
+                            grid, tg)
+    init = preset_initial_data("random_interior", grid, pot, amplitude=0.5, seed=1)
+    controls = _sources(params, (50.0, 0.0, 20.0))
+    factors = []
+    for u in controls:
+        before = len(splu_calls)
+        ch.solve_state(params, init, u)
+        factors.append(len(splu_calls) - before)
+    # the chord iterations refactor at different points
+    assert len(set(factors)) > 1
+    _assert_members_match(params, init, controls, dims=2)
+
+
+def test_diverging_member_fails_at_earliest_step():
+    params, init = _log_problem()
+    # alone, the 35 source fails at step 4 and the 50 source at step 3
+    controls = _sources(params, (5.0, 35.0, 50.0))
+    errors = []
+    for u in controls[1:]:
+        with pytest.raises(ch.NewtonDivergenceError) as err:
+            ch.solve_state(params, init, u)
+        errors.append(err.value)
+    assert [e.step for e in errors] == [4, 3]
+    with pytest.raises(ch.NewtonDivergenceError) as got:
+        ch.solve_state(params, init, controls)
+    assert got.value.step == 3
+    assert got.value.residual == errors[1].residual
+    assert got.value.iterations == errors[1].iterations
+
+
+def test_misshapen_member_stack_is_shape_mismatch(monkeypatch):
+    params = make_problem(n=16, nt=4)
+    init = equilibrium_init(params)
+    nodes, cells = params.time_grid.steps + 1, params.grid.shape[0]
+    checked = []
+    check = ch.state.check_control_shape
+
+    def recording_check(*args):
+        checked.append(args[-1])
+        return check(*args)
+
+    monkeypatch.setattr(ch.state, "check_control_shape", recording_check)
+    for shape in ((2, nodes - 1, cells), (2, nodes, cells + 1), (0, nodes, cells)):
+        with pytest.raises(ch.ShapeMismatchError, match=r"expected \(K >= 1, "):
+            ch.solve_state(params, init, np.ones(shape))
+    # a stack is told apart from one control by its leading member axis
+    assert checked == [True] * 3

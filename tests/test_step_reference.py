@@ -231,13 +231,13 @@ def test_damping_path_bitwise(monkeypatch):
         calls.append(f.shape)
         return stencil(grid, f)
 
-    # one stencil call per residual evaluation: one per step to start, one
-    # per Newton trial; more trials than Newton iterations means the line
-    # search backtracked
+    # one stencil call per residual evaluation, on the stacked frame of the
+    # march's one member: one per step to start, one per Newton trial; more
+    # trials than Newton iterations means the line search backtracked
     monkeypatch.setattr(ch.state, "laplacian_neumann", counting_stencil)
     traj = ch.solve_state(params, init, u)
     monkeypatch.undo()
-    assert set(calls) == {(3,) + params.grid.shape}
+    assert set(calls) == {(3, 1) + params.grid.shape}
     steps, iters = params.time_grid.steps, traj.diagnostics.newton_iters.sum()
     assert len(calls) > steps + iters
     _assert_same_march(params, init, u)

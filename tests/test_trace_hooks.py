@@ -88,15 +88,24 @@ def test_traced_verify_sees_every_oracle(tmp_path):
     # fifth positional argument of StepSolver.solve
     assert metrics["system.transpose_solves"] == metrics["adjoint.steps"] > 0
     assert metrics["linearized.steps"] > 0
-    # the base solve and the Lipschitz solves march every step, the FD
-    # gradient solves to the snapped node
+    # the base solve and the Lipschitz ensembles march every step, the FD
+    # gradient ensembles to the snapped node; at this size each oracle's
+    # perturbed controls fit one member-stacked ensemble, so each makes one
+    # solve_state call
     nt = cfg["time"]["steps"]
     k_tau, _ = ch.TimeGrid(cfg["time"]["horizon"], nt).nearest_node(
         TINY_VERIFICATION["tau"])
     grad, lip = TINY_VERIFICATION["gradient"], TINY_VERIFICATION["lipschitz"]
-    fd_solves = 2 * grad["directions"] * len(grad["deltas"])
-    full_solves = 1 + 2 * lip["pairs"] * len(lip["magnitudes"])
-    assert metrics["state.solves"] == full_solves + fd_solves
-    assert metrics["state.steps"] == full_solves * nt + fd_solves * max(k_tau, 1)
+    cells = cfg["grid"]["n"][0]
+
+    def ensemble_bytes(pairs, steps):
+        return 2 * pairs * ((steps + 1) * 3 + nt + 1) * cells * 8
+
+    assert ensemble_bytes(grad["directions"] * len(grad["deltas"]), k_tau) \
+        <= ch.verification.ENSEMBLE_BYTES
+    assert ensemble_bytes(lip["pairs"] * len(lip["magnitudes"]), nt) \
+        <= ch.verification.ENSEMBLE_BYTES
+    assert metrics["state.solves"] == 3
+    assert metrics["state.steps"] == 2 * nt + max(k_tau, 1)
     assert 1 < k_tau < nt
     assert result["reconcile"] is None
