@@ -115,11 +115,11 @@ def solve_block_tridiag(ab, b):
         column, all solved against one factorization. Overwritten by the
         solution, which is returned.
 
-    Raises ``ValueError`` on non-finite input and ``LinAlgError`` on a
-    singular matrix, as :func:`scipy.linalg.solve_banded` does.
+    Raises ``LinAlgError`` on a singular matrix, as
+    :func:`scipy.linalg.solve_banded` does. As in the 2D solve, the input
+    is not scanned for non-finite values: they give non-finite entries in
+    the solution, which the callers check.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
     # overwrite_ab and overwrite_b passed by position, which the f2py
     # wrapper parses faster than keywords
     _, _, x, info = dgbsv(KL, KU, ab, b, 1, 1)

@@ -46,9 +46,13 @@ so does every frame of the returned trajectory. The members do not
 couple, and each keeps its own damping, line search, polish, clamp and
 convergence test, so that each member's frames and iteration counts are
 bitwise those of its march alone; a march of one control is the
-ensemble of one member. In 1D a stacked Newton iteration makes one
-``StepSolver.solve`` call for the members still iterating, which factors
-their block-diagonal band with one ``dgbsv``: the per-iteration Python
+ensemble of one member. The iteration's arrays hold only the members
+still iterating: a member that leaves (after its polish, or unconverged
+at the iteration budget) is written back to its place in the stack, and
+the others go on in compacted arrays. Each stacked iteration checks
+their residuals for non-finite values once, naming the step, and in 1D
+makes one ``StepSolver.solve`` call for them, which factors their
+block-diagonal band with one ``dgbsv``: the per-iteration Python
 and numpy overhead, larger than the LAPACK time of one member at 128
 cells, is paid once per ensemble instead of once per member, the pattern
 of batched small solves (Dongarra et al., Procedia CS 108, 2017). In 2D
@@ -153,18 +157,25 @@ class StepDiagnostics:
     delta_sep: np.ndarray
 
 
-def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
-                 clamp_lo, clamp_hi, refactor):
-    """Damped Newton solve of one implicit step for K members at once.
+def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
+                 refactor, step):
+    """Damped Newton solve of implicit step ``step`` for K members at once.
 
     ``x0`` is the old frame of each member, stacked as (mu, phi, sigma)
     along the first axis and the members along the second, (3, K,
-    *grid.shape), and so is the returned new frame; ``p_frozen``,
-    ``pi_old`` and ``u_k`` are (K, *grid.shape). The members do not
-    couple: each runs its own iteration, with its own damping, line
-    search, polish and convergence test, as if it were marched alone, and
-    leaves when its iteration ends. Each stacked iteration solves for the
-    members still in it with one ``solver.solve`` call.
+    *grid.shape), and so is the returned new frame; ``p`` (P(phi_old)),
+    ``pi`` (S'(phi_old)) and ``u`` (the control) are (K, *grid.shape). The
+    members do not couple: each runs its own iteration, with its own
+    damping, line search, polish and convergence test, as if it were
+    marched alone. The arrays of the iteration hold only the members still
+    iterating. A member leaves after its polish, or unconverged after
+    ``max_iter`` iterations; its iterate, residual and convergence flag are
+    then written back by stack position, and the arrays of the others are
+    compacted. When every member leaves at once, as one member always does,
+    the iterate itself is the new frame. Each stacked iteration solves for
+    the members still in it with one ``solver.solve`` call, after one
+    check that their residuals are finite (:class:`NanDetectedError`
+    naming ``step`` if not).
     In 2D the iteration is a chord iteration of one member (K = 1): it
     solves against the factorization the solver kept, from this step or an
     earlier one, and factors A(P, B''(phi)) at the current iterate only at
@@ -183,13 +194,12 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
     # the component axis and the grid axes: max|R| is taken per member
     axes = (0,) + tuple(range(2, 2 + grid.dim))
 
-    def residual(x, m, old=x0, p=p_frozen, pi=pi_old, u=u_k):
+    def residual(x, old, p, pi, u):
         # the stencil form of the step equations at the iterate x of the
-        # members m (None for all), each row summing its terms left to
+        # members with old frame old, each row summing its terms left to
         # right as in the module docstring; the step matrix is only ever
-        # solved with, never multiplied
-        if m is not None:
-            old, p, pi, u = old[:, m], p[m], pi[m], u[m]
+        # solved with, never multiplied. Returns R and its max|R| per
+        # member, as a list of floats
         d = x - old
         r = coef * d
         r[0] += c * d[1]
@@ -201,101 +211,80 @@ def _newton_step(solver, pot, p_frozen, x0, pi_old, u_k, tol, max_iter,
         r[1] -= x[0]
         r[2] += exchange
         r[2] -= u
-        return r
+        return r, np.abs(r).max(axis=axes).tolist()
 
     chord = grid.dim == 2
-    x = x0
-    r = residual(x, None)
-    # max|R| of each member, as a list of floats
-    res = np.abs(r).max(axis=axes).tolist()
-    converged = [v < tol for v in res]
-    # once converged, a member makes one more (polishing) iteration, which
-    # pushes its residual to the evaluation floor that the finite-difference
-    # gradient oracles rely on; it takes a full step and keeps it only if it
-    # lowers the residual. A member leaves after its polish, or unconverged
-    # after max_iter iterations, so every member still in has made as many
-    # iterations as there were solves. The per-member flags and residuals
-    # are Python lists: with few members, list work costs less than numpy
-    # calls on arrays of a few entries.
-    live = [conv or max_iter > 0 for conv in converged]
+    x = old = x0
+    r, res = residual(x, old, p, pi, u)
+    # the stack position of each member still iterating, and whether it had
+    # converged at the start of the last iteration, which was then its
+    # polish. The per-member flags and residuals are Python lists: with few
+    # members, list work costs less than numpy calls on arrays of a few
+    # entries
+    pos = list(range(len(res)))
+    conv = [False] * len(res)
+    frame = None
     solves = 0
-    while (n_live := live.count(True)):
-        if n_live == len(live):
-            idx = range(n_live)
-            m, xs, rs, res_s, conv_s = None, x, r, res, converged
-        else:
-            idx = [i for i, on in enumerate(live) if on]
-            m = np.array(idx)
-            xs, rs = x[:, m], r[:, m]
-            res_s, conv_s = [res[i] for i in idx], [converged[i] for i in idx]
-        if not all(map(math.isfinite, res_s)):
-            raise NanDetectedError("Newton residual")
+    while True:
+        # once converged, a member makes one more (polishing) iteration,
+        # which pushes its residual to the evaluation floor that the
+        # finite-difference gradient oracles rely on; so every member still
+        # in has made as many iterations as there were solves
+        stay = [not was and (v < tol or solves < max_iter)
+                for was, v in zip(conv, res)]
+        conv = [v < tol for v in res]
+        if not all(stay):
+            if frame is None:
+                if not any(stay):
+                    return x, res, solves, conv, refactor
+                frame, res_k, conv_k = np.empty_like(x), list(res), list(conv)
+            frame[:, pos] = x
+            for q, v, ok in zip(pos, res, conv):
+                res_k[q], conv_k[q] = v, ok
+            if not any(stay):
+                return frame, res_k, solves, conv_k, refactor
+            keep = [j for j, on in enumerate(stay) if on]
+            x, r, old = x[:, keep], r[:, keep], old[:, keep]
+            p, pi, u = p[keep], pi[keep], u[keep]
+            pos, res, conv = ([seq[j] for j in keep] for seq in (pos, res, conv))
+        if not all(map(math.isfinite, res)):
+            raise NanDetectedError(f"Newton residual at step {step}")
         # A y = r, so the Newton update is -y; the solve is sign-symmetric
         if refactor or not chord:
-            y = solver.solve(p_frozen if m is None else p_frozen[m],
-                             pot.d2B(xs[1]), rs)
+            y = solver.solve(p, pot.d2B(x[1]), r)
             refactor = False
         else:
-            y = solver.solve(None, None, rs)
+            y = solver.solve(None, None, r)
         solves += 1
-        # the line search of each member halves lam from 1 until a trial
-        # lowers its residual, for at most 10 trials (1 in the polish), and
-        # keeps its best trial, or its iterate if the polish did not lower
-        # it; s lists the positions in xs of the members still searching
-        # (None: all of them)
-        best_x, best_r, best_res, owned = xs, rs, list(res_s), False
-        s, lam = None, 1.0
-        for trial in range(10):
-            if s is None:
-                xt = xs - y if lam == 1.0 else xs - lam * y
-            else:
-                xt = xs[:, s] - lam * y[:, s]
+        # the full step for every member; a polishing member keeps it only
+        # if it lowers its residual
+        xt = x - y
+        if clamp_lo is not None:
+            np.clip(xt[1], clamp_lo, clamp_hi, out=xt[1])
+        rt, rest = residual(xt, old, p, pi, u)
+        if chord and rest[0] >= CHORD_CONTRACTION * res[0] and rest[0] >= tol:
+            refactor = True
+        back = [j for j, ok in enumerate(conv) if ok and not rest[j] < res[j]]
+        if back:
+            xt[:, back], rt[:, back] = x[:, back], r[:, back]
+            for j in back:
+                rest[j] = res[j]
+        # a member whose full step did not lower its residual (nor reach the
+        # tolerance) halves lam for at most 9 more trials and keeps its best
+        going = [j for j, v in enumerate(rest)
+                 if not (v < res[j] or v < tol or conv[j])]
+        lam = 1.0
+        while going and lam > 2.0 ** -9:
+            lam *= 0.5
+            xs = x[:, going] - lam * y[:, going]
             if clamp_lo is not None:
-                np.clip(xt[1], clamp_lo, clamp_hi, out=xt[1])
-            rt = residual(xt, m if s is None else (s if m is None else m[s]))
-            rest = np.abs(rt).max(axis=axes).tolist()
-            if chord and trial == 0 and (rest[0] >= CHORD_CONTRACTION * res_s[0]
-                                         and rest[0] >= tol):
-                refactor = True
-            if s is None and all(map(float.__lt__, rest, res_s)):
-                # the usual case: every member lowered its residual at
-                # lam = 1, so each takes its trial and stops
-                best_x, best_r, best_res = xt, rt, rest
-                break
-            pos = range(len(rest)) if s is None else s
-            take, going = [], []
-            for j, (q, v) in enumerate(zip(pos, rest)):
-                if v < best_res[q] or (trial == 0 and not conv_s[q]):
-                    take.append(j)
-                if not (v < res_s[q] or v < tol or conv_s[q]):
-                    going.append(q)
-            if s is None and len(take) == len(rest):
-                best_x, best_r, best_res, owned = xt, rt, rest, True
-            elif take:
-                if not owned:
-                    best_x, best_r, owned = best_x.copy(), best_r.copy(), True
-                at = [pos[j] for j in take]
-                best_x[:, at], best_r[:, at] = xt[:, take], rt[:, take]
-                for q, j in zip(at, take):
-                    best_res[q] = rest[j]
-            if not going:
-                break
-            s, lam = going, lam * 0.5
-        if m is None:
-            x, r, res = best_x, best_r, best_res
-        else:
-            x, r = x.copy(), r.copy()
-            x[:, m], r[:, m] = best_x, best_r
-            for i, v in zip(idx, best_res):
-                res[i] = v
-        for i in idx:
-            if converged[i]:
-                live[i] = False
-            elif res[i] < tol:
-                converged[i] = True
-            elif solves >= max_iter:
-                live[i] = False
-    return x, res, solves, converged, refactor
+                np.clip(xs[1], clamp_lo, clamp_hi, out=xs[1])
+            rs, ress = residual(xs, old[:, going], p[going], pi[going], u[going])
+            for i, (j, v) in enumerate(zip(going, ress)):
+                if v < rest[j]:
+                    xt[:, j], rt[:, j], rest[j] = xs[:, i], rs[:, i], v
+            going = [j for j, v in zip(going, ress) if not (v < res[j] or v < tol)]
+        x, r, res = xt, rt, rest
 
 
 def check_control_shape(grid: Grid, time_grid: TimeGrid, control: np.ndarray,
@@ -393,11 +382,10 @@ def _march(params: ModelParams, frames: np.ndarray, control: np.ndarray,
         x, res, solves, ok, refactor = _newton_step(
             solver, pot, params.proliferation.P(f0), x0, pot.dS(f0), control[:, k],
             params.newton_tol, params.newton_max_iter, clamp_lo, clamp_hi, refactor,
+            k + 1,
         )
         if not all(ok):
             raise NewtonDivergenceError(k + 1, res[ok.index(False)], params.newton_max_iter)
-        if not np.isfinite(x).all():
-            raise NanDetectedError(f"state frame {k + 1}")
         dist = pot.distance(x[1])
         if dist <= 2 * margin:
             raise SeparationViolationError(k + 1, dist)

@@ -226,7 +226,11 @@ class StepSolver:
 
         Returns the solution stacked like a trajectory frame: shape
         (3, *rhs[0].shape), components (m, f, s) along the first axis.
-        Every call returns a new array.
+        Every call returns a new array. The data is not scanned for
+        non-finite values, in either dimension: a non-finite right-hand
+        side gives non-finite entries in the solution, and the callers
+        (the forward march on its residual, the sweeps on each frame)
+        raise :class:`~chcontrol.errors.NanDetectedError`.
         """
         ncell = self._ncell
         shape = (3,) + rhs[0].shape

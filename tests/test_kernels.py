@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 import chcontrol as ch
 from chcontrol import kernels
 from chcontrol.system import StepSolver
+from conftest import equilibrium_init, midpoint_control, tracking_cost
 
 
 def neumann_laplacian_matrix(grid):
@@ -115,17 +116,30 @@ def test_step_solve_leaves_templates_unchanged():
             assert a.tobytes() == b.tobytes()
 
 
-def test_step_solve_rejects_nonfinite_rhs():
-    grid = ch.Grid.line(16, 1.0)
+@pytest.mark.parametrize("dims", [1, 2])
+def test_nonfinite_step_data_is_reported_by_the_sweeps(dims):
+    # the step solve does not scan its data: a non-finite right-hand side
+    # gives non-finite entries in the solution, in both dimensions
+    grid = ch.Grid.line(16, 1.0) if dims == 1 else ch.Grid.rectangle(5, 4, 1.0, 0.8)
     solver = StepSolver(grid, 1.0 / 32, 0.1, 0.1)
     p, w = grid.full(0.5), grid.full(1.0)
-    rhs = [grid.full(1.0), grid.full(0.0), grid.full(0.0)]
-    rhs[1][7] = np.nan
-    with pytest.raises(ValueError):
-        solver.solve(p, w, tuple(rhs))
-    rhs[1][7] = np.inf
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        solver.solve(p, w, tuple(rhs), transpose=True)
+    for bad, transpose in ((np.nan, False), (np.inf, True)):
+        rhs = [grid.full(1.0), grid.full(0.0), grid.full(0.0)]
+        rhs[1].flat[7] = bad
+        assert not np.isfinite(solver.solve(p, w, tuple(rhs), transpose=transpose)).all()
+    # and the sweeps that read it name the frame of that solve
+    tg = ch.TimeGrid(0.25, 6)
+    params = ch.ModelParams(0.1, 0.1, ch.Potential.quartic(),
+                            ch.Proliferation.smooth_ramp(1.0, 0.5), grid, tg)
+    state = ch.solve_state(params, equilibrium_init(params), midpoint_control(params))
+    h = np.zeros((tg.steps + 1,) + grid.shape)
+    h[1].flat[1] = np.nan
+    with pytest.raises(ch.NanDetectedError, match="linearized frame 2"):
+        ch.solve_linearized(params, state, h)
+    cost = tracking_cost(params)
+    cost.phi_q[3].flat[1] = np.nan
+    with pytest.raises(ch.NanDetectedError, match="adjoint frame 2"):
+        ch.solve_adjoint(params, state, tg.steps, cost)
 
 
 def test_band_solve_singular_raises():

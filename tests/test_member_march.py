@@ -3,6 +3,8 @@ one control each: every member must keep the bits of its own march, its
 frames and its diagnostics, and a failing member must fail the stack as it
 fails alone."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,8 @@ def test_quartic_members_match_solo_marches():
     shape = (params.time_grid.steps + 1,) + params.grid.shape
     controls = np.random.default_rng(11).uniform(0.0, 2.0, (4,) + shape)
     init = equilibrium_init(params)
+    # every member makes as many iterations at each step as the others, so
+    # they all leave the stacked iteration together
     _assert_members_match(params, init, controls)
     _assert_members_match(params, init, controls[:3], steps=7)
 
@@ -79,7 +83,13 @@ def test_logarithmic_members_with_clamp_and_backtracking(monkeypatch):
     # means a backtracked trial
     assert len(seen) > steps + iters
     assert any(clamped for _, clamped in seen)
-    _assert_members_match(params, init, controls)
+    solo = _assert_members_match(params, init, controls)
+    # the members leave the stacked iteration at different solves, so that
+    # the members still iterating are compacted; in reverse order the
+    # slowest member sits last
+    iters = np.array([traj.diagnostics.newton_iters for traj in solo])
+    assert (iters.min(axis=0) < iters.max(axis=0)).any()
+    _assert_members_match(params, init, controls[::-1])
 
 
 def test_two_dimensional_members_with_different_refactor_points(splu_calls):
@@ -115,6 +125,47 @@ def test_diverging_member_fails_at_earliest_step():
     assert got.value.step == 3
     assert got.value.residual == errors[1].residual
     assert got.value.iterations == errors[1].iterations
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_members_under_the_smallest_newton_budgets(max_iter):
+    # from the equilibrium, source 0 starts each step converged and only
+    # polishes, 1e-6 converges in one iteration, 1e-3 and 1 in more; so
+    # members leave at different solves, and a member whose budget ends
+    # unconverged fails the stack as it fails alone
+    params = dataclasses.replace(make_problem(n=16, nt=4), newton_max_iter=max_iter)
+    init = equilibrium_init(params)
+    passing, failing = {0: ((0.0, 0.0), (0.0, 1.0, 1e-6)),
+                        1: ((0.0, 1e-6, 0.0), (1e-6, 0.0, 1e-3))}[max_iter]
+    _assert_members_match(params, init, _sources(params, passing))
+    controls = _sources(params, failing)
+    # the first failing member in stack order: 1 under budget 0, 1e-3 under 1
+    with pytest.raises(ch.NewtonDivergenceError) as alone:
+        ch.solve_state(params, init, controls[max_iter + 1])
+    with pytest.raises(ch.NewtonDivergenceError) as got:
+        ch.solve_state(params, init, controls)
+    for err in (alone.value, got.value):
+        assert (err.step, err.iterations) == (1, max_iter)
+    assert got.value.residual == alone.value.residual
+
+
+def test_nonfinite_control_fails_at_its_step():
+    # node 2 drives step 3, whose first residual is then not finite
+    params = make_problem(n=16, nt=4)
+    init = equilibrium_init(params)
+    controls = _sources(params, (1.0, 2.0, 3.0))
+    controls[1, 2, 2] = np.nan
+    for u in (controls[1], controls):
+        with pytest.raises(ch.NanDetectedError, match="Newton residual at step 3"):
+            ch.solve_state(params, init, u)
+    grid = ch.Grid.rectangle(6, 5, 1.0, 1.0)
+    params = ch.ModelParams(0.1, 0.1, ch.Potential.quartic(),
+                            ch.Proliferation.smooth_ramp(1.0, 0.5), grid,
+                            ch.TimeGrid(0.2, 4))
+    u = _sources(params, (1.0,))[0]
+    u[2].flat[2] = np.nan
+    with pytest.raises(ch.NanDetectedError, match="Newton residual at step 3"):
+        ch.solve_state(params, equilibrium_init(params), u)
 
 
 def test_misshapen_member_stack_is_shape_mismatch(monkeypatch):
