@@ -99,3 +99,48 @@ def test_duality_2d_logarithmic(splu_calls):
     assert rep.max_mismatch <= 1e-9
     # the sweeps factor the exact A_k once per step each
     assert len(splu_calls) - forward_factors == 2 * k_tau
+
+
+def _lift(field_1d, ny):
+    """A field constant along the second axis, from its 1D profile."""
+    return np.repeat(field_1d[..., None], ny, axis=-1)
+
+
+@pytest.mark.parametrize("potential", [ch.Potential.quartic(),
+                                       ch.Potential.logarithmic(2.0)],
+                         ids=["quartic", "logarithmic"])
+def test_y_constant_problem_reduces_to_1d(potential):
+    # on 64x5 cells, data constant along y makes every frame of the state,
+    # linearized and adjoint trajectories the lift of the 1D one: the 2D
+    # step solve, stencil and oracle arithmetic reduce exactly to 1D's
+    from chcontrol.cli import preset_initial_data
+
+    tg = ch.TimeGrid(0.25, 16)
+    pro = ch.Proliferation.smooth_ramp(1.0, 0.5)
+    line = ch.Grid.line(64, 1.0)
+    rect = ch.Grid.rectangle(64, 5, 1.0, 0.37)
+    ny = rect.n[1]
+    rng = np.random.default_rng(3)
+    init = preset_initial_data("random_interior", line, potential,
+                               amplitude=0.5, seed=5)
+    u = rng.uniform(0.0, 2.0, (tg.steps + 1,) + line.shape)
+    h = rng.standard_normal((2, tg.steps + 1) + line.shape)
+    phi_q = rng.uniform(-0.5, 0.5, (tg.steps + 1,) + line.shape)
+    k_tau = 12
+    runs = []
+    for grid, lift in ((line, lambda f: f), (rect, lambda f: _lift(f, ny))):
+        params = ch.ModelParams(0.1, 0.1, potential, pro, grid, tg)
+        lifted = ch.InitialData(lift(init.mu0), lift(init.phi0), lift(init.sigma0))
+        state = ch.solve_state(params, lifted, lift(u))
+        lin = ch.solve_linearized(params, state, lift(h))
+        cost = ch.CostSpec(
+            b0=1e-3, b1=1.0, b2=0.4, b3=1.0, b4=0.2, b5=0.01, b6=1.0,
+            phi_q=lift(phi_q), sigma_q=ch.constant_trajectory(grid, tg, 0.375),
+            phi_omega=grid.full(-0.5), tau_star=tg.times[k_tau],
+        )
+        adj = ch.solve_adjoint(params, state, k_tau, cost)
+        runs.append([traj.data for traj in (state, lin, adj)])
+    for name, one, two in zip(("state", "linearized", "adjoint"), *runs):
+        expected = _lift(one, ny)
+        err = np.abs(two - expected).max() / np.abs(expected).max()
+        assert err <= 1e-12, (name, err)
