@@ -18,6 +18,7 @@ from .errors import (
     SeparationViolationError,
     ShapeMismatchError,
     SolverError,
+    StepSolveError,
     TimeDomainError,
 )
 from .fields import (

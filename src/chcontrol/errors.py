@@ -50,9 +50,25 @@ class NewtonDivergenceError(SolverError):
         self.step = step
         self.residual = residual
         self.iterations = iterations
+        # with no iteration made, the budget is the cause, not dt
+        hint = " (dt too large?)" if iterations else ""
         super().__init__(
             f"Newton did not converge at step {step}: residual {residual:.3e} "
-            f"after {iterations} iterations (dt too large?)"
+            f"after {iterations} iterations{hint}"
+        )
+
+
+class StepSolveError(SolverError):
+    """The iterative 2D step solve did not reach its normwise backward error
+    bound within its iteration budget."""
+
+    def __init__(self, backward_error, iterations, bound):
+        self.backward_error = backward_error
+        self.iterations = iterations
+        super().__init__(
+            f"GMRES step solve stopped at normwise backward error "
+            f"{backward_error:.3e} after {iterations} iterations, above its "
+            f"bound {bound:.0e}"
         )
 
 

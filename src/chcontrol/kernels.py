@@ -1,28 +1,24 @@
-"""Hot numeric kernels: Neumann Laplacian stencils and matrix, the 1D
-band solve and the 2D cell ordering.
+"""Hot numeric kernels: Neumann Laplacian stencils and matrix, and the 1D
+band solve.
 
 The solvers spend essentially all their time in two places: applying the
 reflecting-ghost Neumann Laplacian stencil and solving the coupled
 three-field linear system of each implicit time step. The stencils work
 on fields; :func:`neumann_laplacian_matrix` is the same operator as a
-sparse matrix, from which :mod:`chcontrol.system` assembles the step
-matrix in nodal order (the three unknowns of a cell adjacent) for both
-dimensions. The cells follow :func:`cell_order` in 2D, its fill-reducing
-ordering of that matrix's pattern, and their natural order in 1D, where
-the step matrix is a band with three sub- and three superdiagonals:
-:func:`solve_block_tridiag` solves it by one direct call to LAPACK
-``dgbsv`` on its ``gbsv`` storage.
+sparse matrix, from which :mod:`chcontrol.system` assembles the 1D step
+matrix cell by cell (the three unknowns of a cell adjacent), a band with
+three sub- and three superdiagonals: :func:`solve_block_tridiag` solves
+it by one direct call to LAPACK ``dgbsv`` on its ``gbsv`` storage. The 2D
+step solve needs no matrix: it works in the DCT basis of the grid and
+applies the step matrix by :func:`lap2d` (see :mod:`chcontrol.system`).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sps
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv
-from scipy.sparse.linalg import splu
 
 # sub- and superdiagonals of the interleaved 1D step matrix
 KL = KU = 3
@@ -128,29 +124,3 @@ def solve_block_tridiag(ab, b):
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
     return x
-
-
-# ---------------------------------------------------------------------------
-# Coupled per-step linear system, 2D: the cell ordering of the sparse LU.
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def cell_order(shape: tuple) -> np.ndarray:
-    """SuperLU's ``MMD_AT_PLUS_A`` ordering of the cells of a 2D grid.
-
-    The multiple minimum degree ordering (Liu, ACM TOMS 11, 1985) of the
-    pattern of I - Lap on the row-major flattened cells, with the
-    elimination-tree postorder SuperLU composes into it: ``order[k]`` is
-    the cell eliminated k-th. Only the pattern matters, so the grid
-    spacing does not enter. Computed once per grid shape; the array is
-    read-only because it is shared.
-    """
-    # I - Lap at unit spacing: nonsingular, so SuperLU can factor it
-    lap = neumann_laplacian_matrix(shape, (1.0,) * len(shape))
-    lu = splu(sps.csc_matrix(sps.eye(lap.shape[0]) - lap),
-              permc_spec="MMD_AT_PLUS_A")
-    # perm_c maps a column to its position, so the order is its inverse
-    order = np.argsort(lu.perm_c)
-    order.setflags(write=False)
-    return order

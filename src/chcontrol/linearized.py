@@ -15,8 +15,8 @@ construction is what makes the finite-difference consistency check clean
 at fixed resolution and the adjoint an exact transpose.
 
 Since A depends on the base state only, a stack of directions shares
-every step matrix: the sweep marches all of them together and factors
-A_{k+1} once per step, with one right-hand side per direction. A
+every step matrix: the sweep marches all of them together and solves
+with A_{k+1} once per step, with one right-hand side per direction. A
 caller that reads only the first frames (the duality check stops at the
 treatment node) asks for that many steps and skips the rest.
 """
@@ -39,8 +39,8 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
 
     ``h`` is one (nt+1, *grid.shape) direction or a stack (ndir, nt+1,
     *grid.shape) of directions; node k perturbs the control on
-    [t_k, t_{k+1}). A stack is marched together: each step matrix is
-    factorized once and solved for every direction. Only steps
+    [t_k, t_{k+1}). A stack is marched together: one step solve per
+    step serves every direction. Only steps
     1..``steps`` (default nt) are marched, and the returned trajectory
     holds frames 0..steps, of shape (steps+1, 3, [ndir,] *grid.shape).
     """

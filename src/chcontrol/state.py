@@ -58,18 +58,21 @@ cells, is paid once per ensemble instead of once per member, the pattern
 of batched small solves (Dongarra et al., Procedia CS 108, 2017). In 2D
 the members march one after another, each with its own solver.
 
-In 2D the iteration is a chord iteration: it solves with the SuperLU
-factorization the solver kept, across iterations and time steps, and
-refactors A(P, B''(phi)) at the current iterate only at the iteration
-after a full step that left at least ``CHORD_CONTRACTION`` of the
-residual without reaching the tolerance. As convergence is tested on the
-stencil residual, a stale factorization changes the iteration count (the
-``newton_iters`` diagnostic counts chord iterations), not the answer; the
-refactor rule follows the reuse policy of CVODE (Hindmarsh et al., ACM
-TOMS 31(3), 2005). In 1D a step solve factors and solves in one LAPACK
-call, a kept factorization saves little and costs FD-gradient accuracy,
-so the 1D iteration stays exact Newton. The linearized and adjoint sweeps
-factor each step exactly (see :mod:`chcontrol.system`).
+In 2D the iteration is a mean-coefficient Newton iteration: it solves
+with the step matrix at the grid means of P and B''(phi), which the DCT
+diagonalises (see :mod:`chcontrol.system`), so nothing is factored. The
+iteration after a full step that left at least ``CHORD_CONTRACTION`` of
+the residual without reaching the tolerance solves with the exact matrix
+at the per-cell values instead, by preconditioned GMRES: exact Newton
+where the means stop being a good enough model, as where B'' varies by
+orders of magnitude near the logarithmic potential's walls. Convergence
+is tested on the stencil residual, so the approximate matrix changes the
+iteration count (``newton_iters``), not the answer; this is the chord and
+inexact Newton argument of Kelley, "Iterative Methods for Linear and
+Nonlinear Equations" (SIAM, 1995), ch. 5. In 1D a step solve factors and
+solves in one LAPACK call, so the 1D iteration stays exact Newton. The
+linearized and adjoint sweeps solve each step exactly (see
+:mod:`chcontrol.system`).
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ STATE_NAMES = ("mu", "phi", "sigma")
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
 # a 2D Newton iteration whose full step leaves at least this share of the
-# residual (and no less than the tolerance) refactors at the next iteration
+# residual (and no less than the tolerance) is followed by one that solves
+# with the exact step matrix instead of the mean-coefficient one
 CHORD_CONTRACTION = 0.3
 
 
@@ -158,7 +162,7 @@ class StepDiagnostics:
 
 
 def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
-                 refactor, step):
+                 step):
     """Damped Newton solve of implicit step ``step`` for K members at once.
 
     ``x0`` is the old frame of each member, stacked as (mu, phi, sigma)
@@ -176,17 +180,14 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
     the members still in it with one ``solver.solve`` call, after one
     check that their residuals are finite (:class:`NanDetectedError`
     naming ``step`` if not).
-    In 2D the iteration is a chord iteration of one member (K = 1): it
-    solves against the factorization the solver kept, from this step or an
-    earlier one, and factors A(P, B''(phi)) at the current iterate only at
-    the first iteration with ``refactor`` set. ``refactor`` is set after an
-    iteration whose full step did not contract the residual by
-    ``CHORD_CONTRACTION``. In 1D every iteration factors.
-    Returns (frame, residual, solves, converged, refactor): lists of the
-    residual max|R| and of whether it converged, per member; the stacked
-    iterations (polish included), each one ``solver.solve`` call; and
-    ``refactor`` for the next step to start with. A member that did not
-    converge made ``max_iter`` iterations.
+    In 2D (one member, K = 1) an iteration solves with the step matrix at
+    the grid means of P and B''(phi), except after an iteration whose full
+    step did not contract the residual by ``CHORD_CONTRACTION``: that one
+    solves with their per-cell values. In 1D every iteration does.
+    Returns (frame, residual, solves, converged): lists of the residual
+    max|R| and of whether it converged, per member, and the stacked
+    iterations (polish included), each one ``solver.solve`` call. A member
+    that did not converge made ``max_iter`` iterations.
     """
     a, b, c = solver.a, solver.b, solver.c
     grid = solver.grid
@@ -213,7 +214,11 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
         r[2] -= u
         return r, np.abs(r).max(axis=axes).tolist()
 
-    chord = grid.dim == 2
+    # 2D solves with the grid means of P and B''(phi), unless the last full
+    # step missed CHORD_CONTRACTION; 1D always with their per-cell values
+    means = grid.dim == 2
+    exact = not means
+    grid_axes = tuple(range(-grid.dim, 0))
     x = old = x0
     r, res = residual(x, old, p, pi, u)
     # the stack position of each member still iterating, and whether it had
@@ -236,13 +241,13 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
         if not all(stay):
             if frame is None:
                 if not any(stay):
-                    return x, res, solves, conv, refactor
+                    return x, res, solves, conv
                 frame, res_k, conv_k = np.empty_like(x), list(res), list(conv)
             frame[:, pos] = x
             for q, v, ok in zip(pos, res, conv):
                 res_k[q], conv_k[q] = v, ok
             if not any(stay):
-                return frame, res_k, solves, conv_k, refactor
+                return frame, res_k, solves, conv_k
             keep = [j for j, on in enumerate(stay) if on]
             x, r, old = x[:, keep], r[:, keep], old[:, keep]
             p, pi, u = p[keep], pi[keep], u[keep]
@@ -250,11 +255,12 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
         if not all(map(math.isfinite, res)):
             raise NanDetectedError(f"Newton residual at step {step}")
         # A y = r, so the Newton update is -y; the solve is sign-symmetric
-        if refactor or not chord:
-            y = solver.solve(p, pot.d2B(x[1]), r)
-            refactor = False
+        w = pot.d2B(x[1])
+        if exact:
+            y = solver.solve(p, w, r)
         else:
-            y = solver.solve(None, None, r)
+            y = solver.solve(p.mean(axis=grid_axes, keepdims=True),
+                             w.mean(axis=grid_axes, keepdims=True), r)
         solves += 1
         # the full step for every member; a polishing member keeps it only
         # if it lowers its residual
@@ -262,8 +268,8 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
         if clamp_lo is not None:
             np.clip(xt[1], clamp_lo, clamp_hi, out=xt[1])
         rt, rest = residual(xt, old, p, pi, u)
-        if chord and rest[0] >= CHORD_CONTRACTION * res[0] and rest[0] >= tol:
-            refactor = True
+        if means:
+            exact = rest[0] >= CHORD_CONTRACTION * res[0] and rest[0] >= tol
         back = [j for j, ok in enumerate(conv) if ok and not rest[j] < res[j]]
         if back:
             xt[:, back], rt[:, back] = x[:, back], r[:, back]
@@ -326,8 +332,9 @@ def solve_state(params: ModelParams, init: InitialData,
 
     Raises :class:`ShapeMismatchError` for a control of another shape,
     :class:`TimeDomainError` for ``steps`` outside 1..nt, and
-    :class:`NewtonDivergenceError`, :class:`SeparationViolationError` or
-    :class:`NanDetectedError` on failure.
+    :class:`NewtonDivergenceError`, :class:`SeparationViolationError`,
+    :class:`NanDetectedError` or, from a 2D exact step,
+    :class:`StepSolveError` on failure.
     """
     grid, tg, pot = params.grid, params.time_grid, params.potential
     init.validate(grid, pot)
@@ -370,8 +377,6 @@ def _march(params: ModelParams, frames: np.ndarray, control: np.ndarray,
         lo, hi = pot.domain
         margin = 1e-6 * (hi - lo)
         clamp_lo, clamp_hi = lo + margin, hi - margin
-    # the solver is new, so the first 2D iteration factors
-    refactor = True
 
     for k in range(len(newton_iters)):
         # a lane of a 2D march is a strided view of the member stack; the
@@ -379,10 +384,9 @@ def _march(params: ModelParams, frames: np.ndarray, control: np.ndarray,
         # array layout of a march of its own
         x0 = np.ascontiguousarray(frames[k])
         f0 = x0[1]
-        x, res, solves, ok, refactor = _newton_step(
+        x, res, solves, ok = _newton_step(
             solver, pot, params.proliferation.P(f0), x0, pot.dS(f0), control[:, k],
-            params.newton_tol, params.newton_max_iter, clamp_lo, clamp_hi, refactor,
-            k + 1,
+            params.newton_tol, params.newton_max_iter, clamp_lo, clamp_hi, k + 1,
         )
         if not all(ok):
             raise NewtonDivergenceError(k + 1, res[ok.index(False)], params.newton_max_iter)

@@ -26,62 +26,84 @@ with E = P'(phi_j)(sigma_{j+1} - mu_{j+1}) and S = S''(phi_j) the explicit
 smooth potential part. :func:`step_coefficients` gives (P, W, E, S) of
 step j and :func:`coupling` applies C_j or C_j^T.
 
-The matrix is held in nodal order: cell by cell, the three unknowns
-(m, f, s) of a cell adjacent, so that it is a grid of 3x3 blocks coupled
-by the scalar stencil weights. Its constant part (time terms and
-stencil) is assembled for both dimensions from one template, cached per
-grid and set of coefficients, so that the many solvers of a run share
-it: kron(-Lap, I3) + kron(I, block) in CSC form, Lap being
-:func:`kernels.neumann_laplacian_matrix` with its cells in nodal order
-and block the 3x3 cell block at P = W = 0. Its pattern stores every P
-and W entry, even where P vanishes, and one slot table gives the
-positions of the P, W and -P entries: each solve patches them into a
-copy. A solve takes right-hand sides with an optional leading direction
-axis and solves them all against one factorization, so a sweep along
-many directions factors each step matrix once. The right-hand side may
-come stacked like a trajectory frame, (3, [ndir,] *grid), and the
-solution always does, in a new array.
+The dimensions differ only in how they solve. In 1D the matrix is held
+cell by cell, the three unknowns (m, f, s) of a cell adjacent, so that it
+is a band with three sub- and superdiagonals. Its constant part (time
+terms and stencil) is assembled once per grid and set of coefficients, so
+that the many solvers of a run share it, and scattered, per solver, into
+LAPACK ``gbsv`` band storage of the matrix and of its transpose. The
+positions of the P, W and -P entries become flat positions in that band:
+the diagonal ones are the same in both, and the two -P couplings of a
+cell swap places under transposition, both taking -P. A solve copies a
+template into a band workspace kept by the solver and patches it; the
+right-hand side is interleaved cell by cell, and one ``dgbsv`` call with
+one column per direction (:func:`kernels.solve_block_tridiag`) factors it
+in place and solves, so a sweep along many directions factors each step
+matrix once. A 1D solve may also take K members, each with a matrix of
+its own (P and W of shape (K, n), the right-hand side (3, K, n)): the K
+bands sit side by side in one workspace, each member's slots shifted by
+its block, and one ``dgbsv`` call factors the block-diagonal band, whose
+zero couplings keep kl = ku = 3 and every pivot inside its block. This is
+how the forward march advances an ensemble (see :mod:`chcontrol.state`).
 
-The dimensions differ only in storage, backend and the packing of the
-right-hand side. In 1D the cells keep their natural order, and the
-matrix is a band with three sub- and superdiagonals. The template's
-entries are scattered, per solver, into LAPACK ``gbsv`` band storage of
-the matrix and of its transpose, and the slots become flat positions in
-that band: the diagonal ones are the same in both, and the two -P
-couplings of a cell swap places under transposition, both taking -P. A
-solve copies a template into a band workspace kept by the solver and
-patches it; the right-hand side is interleaved cell by cell, and one
-``dgbsv`` call with one column per direction
-(:func:`kernels.solve_block_tridiag`) factors it in place and solves. A
-1D solve may also take K members, each with a matrix of its own (P and W
-of shape (K, n), the right-hand side (3, K, n)): the K bands sit side by
-side in one workspace, each member's slots shifted by its block, and one
-``dgbsv`` call factors the block-diagonal band, whose zero couplings keep
-kl = ku = 3 and every pivot inside its block. This is how the forward
-march advances an ensemble (see :mod:`chcontrol.state`). In
-2D the cells follow :func:`kernels.cell_order`, SuperLU's
-``MMD_AT_PLUS_A`` minimum-degree ordering of the scalar cell graph,
-computed once per grid shape, and SuperLU factors the patched CSC matrix
-with the ``NATURAL`` column ordering, so no factorization computes an
-ordering, and the dense cell blocks form its supernodes. On a 2-vCPU
-machine (scipy 1.17) the factors hold 189k nonzeros at 32x32 and a
-factorization takes 5.5 ms. Ordering the component-major matrix by
-``MMD_AT_PLUS_A`` per factorization gave 175k nonzeros in 9.1 ms, and
-the default COLAMD 342k in 13.7 ms. At 64x64 the figures are 1.07M in 34
-ms, against 1.02M in 46 ms and 2.17M in 90 ms. The slightly larger
-factors make a solve with a kept factorization dearer: 0.24 against 0.21
-ms at 32x32, 1.09 against 0.99 ms at 64x64. A 2D solve gathers its
-right-hand side into nodal order and scatters the solution back, one
-precomputed index for both. The transpose solve reuses the same
-factorization.
+In 2D nothing is factored. On the uniform cell-centred grid the
+orthonormal type-II DCT of each axis diagonalises the Neumann Laplacian
+(Strang, SIAM Review 41, 1999): row k of the DCT-II matrix, cos(pi k (i +
+1/2) / n) scaled to unit length, is an eigenvector of the axis's
+Laplacian with eigenvalue -(4/h^2) sin^2(pi k / 2n), so mode (k, l) of
+the grid has the eigenvalue lam = (4/h_x^2) sin^2(pi k / 2n_x) +
+(4/h_y^2) sin^2(pi l / 2n_y) of -Lap. With P and W constant, passed as
+one grid mean per member (shape (K, 1, 1)), A is a 3x3 block per mode,
 
-A 2D solver also keeps its last factorization, and a solve given no P
-and W solves against it. The forward march uses this for a chord Newton
-iteration that refactors only when a step stops contracting; the
-linearized and adjoint sweeps factor every step exactly, because the
-duality identity between them holds only with the exact A_k. In 1D one
-``dgbsv`` call factors and solves together, so nothing is kept and the
-forward march stays exact Newton.
+    [ A    c    -P ]      A = a + lam + P
+    [ -1   B     0 ]      B = b + lam + W
+    [ -P   0     C ]      C = c + lam + P,
+
+and a solve is one transform of the right-hand side, the elimination
+
+    m = (r1 - c r2/B + P r3/C) / (A + c/B - P^2/C),
+    f = (r2 + m)/B,   s = (r3 + P m)/C
+
+per mode (the transpose takes m = (r1 + r2/B + P r3/C) / (A + c/B -
+P^2/C) and f = (r2 - c m)/B), and one inverse transform. The transforms
+are products with the per-axis DCT matrices, cached per grid: at these
+sizes they cost less than the 70-90 ms import of ``scipy.fft`` would add
+to every run's start.
+
+With per-cell P and W, the DCT solve at their grid means
+right-preconditions a restarted GMRES on the exact A, applied matrix-free
+by the stencil (Newton-Krylov with a physics-based preconditioner; Knoll
+& Keyes, J. Comput. Phys. 193, 2004). The right-hand sides of one call
+iterate together, but each keeps its own Krylov space and stopping test
+and leaves the arrays once it stops, so that a batch keeps the bits of
+its single solves. A column stops at a normwise backward error of at most
+ETA (Rigal & Gaches, J. ACM 14, 1967),
+
+    ||b - A y||_2 <= ETA (||A||_inf ||y||_2 + ||b||_2),
+
+with ||A||_inf the exact largest absolute row sum of the matrix solved,
+tested on the residual recomputed by the stencil whenever the GMRES
+estimate of its norm meets the bound. ETA = 1e-16 keeps the sweeps as
+close to a direct solve as rounding lets the stencil residual show. The
+duality identity between the linearized and adjoint sweeps holds only to
+the accuracy of their solves: a relative tolerance of 1e-12 left
+``verify-2d`` seed 11's duality mismatch at 1.36e-10, 7x under its 1e-9
+gate, and 1e-13 and 1e-14 stalled at 128^2 and 64^2. At ETA the
+mismatch of ``verify-2d.json`` seeds 1-12 reads 8.5e-15 to 1.3e-13, and
+of its duality check refined to 64^2 and 128^2 4.8e-14 and 3.3e-13, at
+least 3000x under the gate (a direct sparse LU solve read 2.7e-16 to
+5.5e-15); a sweep solve takes about five GMRES iterations there. Where W
+varies by orders of magnitude the mean operator preconditions poorly,
+and GMRES takes tens of iterations: up to 65, with W from 8.0e2 to
+1.6e4, in the exact Newton march of ``tests/test_step_reference.py``
+that diverges at step 4 on 16^2, where the median solve takes 3. A
+column still above the bound after CYCLES cycles of RESTART iterations
+raises :class:`~chcontrol.errors.StepSolveError`.
+
+The forward march solves with the mean-coefficient operator, and with the
+exact matrix only after an iteration that failed to contract (see
+:mod:`chcontrol.state`); the linearized and adjoint sweeps solve with the
+exact A_k, because the duality identity between them holds only for it.
 """
 
 from __future__ import annotations
@@ -90,40 +112,42 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.sparse.linalg import splu
 
 from . import kernels
+from .errors import StepSolveError
 from .fields import Grid
+
+# the normwise backward error at which the 2D GMRES stops
+ETA = 1e-16
+# Krylov vectors per GMRES cycle, and cycles per solve
+RESTART = 20
+CYCLES = 5
 
 
 @lru_cache(maxsize=8)
-def _step_template(grid: Grid, a: float, b: float, c: float):
-    """The step matrix at P = W = 0 in nodal order, in CSC form with sorted
-    indices, and the positions in its data of P at (m, m) and (s, s), of W
-    at (f, f), and of the -P couplings (m, s) and (s, m), each indexed by
-    grid cell. Built once per grid and set of coefficients, because every
-    march and sweep builds its own solver and the sparse assembly costs
-    about as much as 35 1D step solves (1.4 ms at 128 cells on a 2-vCPU
-    machine); the data is read-only because it is shared."""
+def _band_template(grid: Grid, a: float, b: float, c: float):
+    """The 1D step matrix at P = W = 0, its cells in natural order and the
+    three unknowns of a cell adjacent, in CSC form with sorted indices, and
+    the positions in its data of P at (m, m) and (s, s), of W at (f, f),
+    and of the -P couplings (m, s) and (s, m), each indexed by cell. Built
+    once per grid and set of coefficients, because every march and sweep
+    builds its own solver and the sparse assembly costs about as much as 35
+    step solves (1.4 ms at 128 cells on a 2-vCPU machine); the data is
+    read-only because it is shared."""
     n = grid.cell_count
-    order = kernels.cell_order(grid.n) if grid.dim == 2 else np.arange(n)
     lap = kernels.neumann_laplacian_matrix(grid.n, grid.inv_h2)
-    neg_lap = -lap[order][:, order]
     # the 3x3 cell block with P = W = 0 and unit placeholders at the -P
     # couplings, so that the pattern holds every P entry; zeroed below
     block = np.array([[a, c, 1.0],
                       [-1.0, b, 0.0],
                       [1.0, 0.0, c]])
-    # unknown 3k + c is component c of cell order[k]
-    mat = sps.csc_matrix(sps.kron(neg_lap, sps.eye(3))
-                         + sps.kron(sps.eye(n), block))
+    # unknown 3k + c is component c of cell k
+    mat = sps.csc_matrix(sps.kron(-lap, sps.eye(3)) + sps.kron(sps.eye(n), block))
     mat.sort_indices()
     size = 3 * n
     col_of = np.repeat(np.arange(size), np.diff(mat.indptr))
-    # row 3k + c of each grid cell, so that the slots take P and W in grid
-    # order; the column-major keys increase along data, so a search finds
-    # each entry
-    k3 = 3 * np.argsort(order)
+    # the column-major keys increase along data, so a search finds each entry
+    k3 = 3 * np.arange(n)
     keys = col_of * size + mat.indices
     slots = tuple(
         np.searchsorted(keys, col * size + row)
@@ -136,6 +160,42 @@ def _step_template(grid: Grid, a: float, b: float, c: float):
     return mat, slots
 
 
+@lru_cache(maxsize=8)
+def _dct_basis(grid: Grid):
+    """The orthonormal DCT-II matrix of each axis of a 2D grid, whose rows
+    are the eigenvectors of that axis's Neumann Laplacian, and, per cell,
+    the eigenvalues (4/h_x^2) sin^2(pi k/2n_x) + (4/h_y^2) sin^2(pi l/2n_y)
+    of -Lap for mode (k, l) and the diagonal of -Lap. Built once per grid;
+    the arrays are read-only because they are shared."""
+    mats, eigs, diags = [], [], []
+    for n, inv_h2 in zip(grid.n, grid.inv_h2):
+        k = np.arange(n)
+        mat = np.sqrt(2.0 / n) * np.cos(np.pi / n * np.outer(k, k + 0.5))
+        mat[0] = np.sqrt(1.0 / n)
+        mats.append(mat)
+        eigs.append(4.0 * inv_h2 * np.sin(0.5 * np.pi / n * k) ** 2)
+        diag = np.full(n, 2.0 * inv_h2)
+        diag[0] = diag[-1] = inv_h2
+        diags.append(diag)
+    cx, cy = mats
+    basis = (cx, cx.T.copy(), cy.T.copy(), cy,
+             eigs[0][:, None] + eigs[1], diags[0][:, None] + diags[1])
+    for arr in basis:
+        arr.setflags(write=False)
+    return basis
+
+
+def _dot(u, v):
+    """Per-column inner products of two (ncol, 3, *grid) stacks, each
+    column summed on its own, so that a column's bits do not depend on the
+    others."""
+    return (u * v).reshape(len(u), -1).sum(axis=1)
+
+
+def _norm2(y):
+    return np.sqrt(_dot(y, y))
+
+
 class StepSolver:
     """Assembles and solves the coupled implicit-step systems on one grid."""
 
@@ -146,18 +206,10 @@ class StepSolver:
         self.b = beta / dt
         self.c = 1.0 / dt
         self._ncell = grid.cell_count
-        # the last 2D factorization, which solve(None, None, rhs) reuses
-        self._lu = None
-        mat, slots = _step_template(grid, self.a, self.b, self.c)
         if grid.dim == 2:
-            n = self._ncell
-            order = kernels.cell_order(grid.n)
-            # component c of cell order[k] is at index c * n + order[k] of
-            # the component-major vector
-            self._nodal = (np.arange(3) * n + order[:, None]).ravel()
-            self._csc = mat
-            self._slots = slots
+            self._basis = _dct_basis(grid)
             return
+        mat, slots = _band_template(grid, self.a, self.b, self.c)
         # gbsv storage of the matrix and of its transpose, A[i, j] at
         # ab[MAIN + i - j, j] and at ab_t[MAIN + j - i, i]
         size = mat.shape[1]
@@ -199,71 +251,185 @@ class StepSolver:
                               [s[:cut] for s in slots], [d[:cut] for d in diagonal])
 
     def solve(self, p, w, rhs, transpose: bool = False):
-        """Solve for (m, f, s) given diagonal data and a right-hand side.
-
-        With ``p`` and ``w`` given, the matrix A(p, w) is factored and
-        then solved with. In 2D the factorization is kept, and
-        ``solve(None, None, rhs)`` solves against it without factoring:
-        the chord iteration of the forward march (see
-        :mod:`chcontrol.state`). A 1D solver keeps no factorization.
+        """Solve A(p, w) (m, f, s) = rhs, or its transpose.
 
         Parameters
         ----------
-        p : array, grid-shaped or (K, *grid.shape), or None
-            Frozen exchange rate P(phi_old); None to reuse the kept
-            2D factorization. With a leading member axis (1D, or K = 1 in
-            2D) each of the K members has a matrix of its own, and one
-            call factors and solves them all.
-        w : array, shaped like ``p``, or None
-            Implicit diagonal of the phase equation, B''(phi); None
-            together with ``p``.
+        p : array, grid-shaped or (K, *grid.shape)
+            Frozen exchange rate P(phi_old). With a leading member axis
+            each of the K members has a matrix of its own, and one call
+            solves them all. In 2D ``p`` may also hold one value per
+            member, its grid mean, of shape (K, 1, 1) or (1, 1): the
+            matrix is then A at that constant P and W, which the DCT
+            diagonalises.
+        w : array, shaped like ``p``
+            Implicit diagonal of the phase equation, B''(phi).
         rhs : three arrays, as a sequence or stacked along a leading axis
             Each grid-shaped, or of shape (ndir, *grid.shape) to solve
-            ndir right-hand sides against one factorization, or, with
-            members, of shape (K, *grid.shape), one per member.
+            ndir right-hand sides against one matrix, or, with members,
+            of shape (K, *grid.shape), one per member.
         transpose : bool
             Solve with the transposed matrix (adjoint marching).
 
         Returns the solution stacked like a trajectory frame: shape
         (3, *rhs[0].shape), components (m, f, s) along the first axis.
         Every call returns a new array. The data is not scanned for
-        non-finite values, in either dimension: a non-finite right-hand
-        side gives non-finite entries in the solution, and the callers
-        (the forward march on its residual, the sweeps on each frame)
-        raise :class:`~chcontrol.errors.NanDetectedError`.
+        non-finite values: a non-finite P, W or right-hand side gives
+        non-finite entries in the solution, without a numpy warning, and
+        the callers (the forward march on its residual, the sweeps on each
+        frame) raise :class:`~chcontrol.errors.NanDetectedError`. A 2D
+        solve with per-cell P and W that misses its backward error bound
+        raises :class:`~chcontrol.errors.StepSolveError`.
         """
-        ncell = self._ncell
         shape = (3,) + rhs[0].shape
-        ndir = rhs[0].size // ncell
-        if p is None and self._lu is None:
-            raise ValueError("no kept factorization to solve against: only a "
-                             "2D solver keeps one, from its last solve with P")
+        ndir = rhs[0].size // self._ncell
         if self.grid.dim == 1:
             return self._solve_band(p, w, rhs, transpose, ndir, shape)
-        if p is None:
-            lu = self._lu
+        # one column per direction or member, its three components together
+        b = np.reshape(rhs, (3, ndir) + self.grid.shape).transpose(1, 0, 2, 3)
+        with np.errstate(all="ignore"):
+            if np.shape(p)[-2:] == (1, 1):
+                x = self._dct_solve(p, w, b, transpose)
+            else:
+                x = self._gmres(p, w, b, transpose)
+        return x.transpose(1, 0, 2, 3).reshape(shape)
+
+    def _dct_solve(self, p, w, b, transpose):
+        """Solve with A at constant P and W (one value per column, shape
+        (ncol, 1, 1) or (1, 1)) for the columns of b, (ncol, 3, *grid): in
+        the DCT basis a 3x3 system per mode, eliminated in closed form."""
+        cx, cxt, cyt, cy, lam, _ = self._basis
+        r = cx @ b @ cyt
+        r1, r2, r3 = r[:, 0], r[:, 1], r[:, 2]
+        inv_b = 1.0 / (self.b + lam + w)
+        inv_c = 1.0 / (self.c + lam + p)
+        den = self.a + lam + p + self.c * inv_b - p * p * inv_c
+        if transpose:
+            m = (r1 + r2 * inv_b + p * r3 * inv_c) / den
+            f = (r2 - self.c * m) * inv_b
         else:
-            data = self._csc.data.copy()
-            p_flat = np.ravel(p)
-            neg_p = -p_flat
-            slots = self._slots
-            data[slots[0]] += p_flat
-            data[slots[1]] += np.ravel(w)
-            data[slots[2]] += p_flat
-            data[slots[3]] = neg_p
-            data[slots[4]] = neg_p
-            mat = sps.csc_matrix((data, self._csc.indices, self._csc.indptr),
-                                 shape=self._csc.shape)
-            # drop the kept factorization first, so two never coexist
-            self._lu = None
-            lu = self._lu = splu(mat, permc_spec="NATURAL")
-        # component-major (m, f, s) blocks, one row per direction, gathered
-        # into nodal order for the solve and scattered back
-        nodal = self._nodal
-        b = np.reshape(rhs, (3, ndir, ncell)).transpose(1, 0, 2).reshape(ndir, -1)
-        x = np.empty((ndir, 3 * ncell))
-        x[:, nodal] = lu.solve(b[:, nodal].T, trans="T" if transpose else "N").T
-        return x.reshape(ndir, 3, ncell).transpose(1, 0, 2).reshape(shape)
+            m = (r1 - self.c * r2 * inv_b + p * r3 * inv_c) / den
+            f = (r2 + m) * inv_b
+        r[:, 2] = (r3 + p * m) * inv_c
+        r[:, 0] = m
+        r[:, 1] = f
+        return cxt @ r @ cy
+
+    def _apply(self, p, w, y, transpose):
+        """A y, or A^T y, by the stencil, for the columns of y."""
+        a, b, c = self.a, self.b, self.c
+        inv_h2 = self.grid.inv_h2
+        lap = kernels.lap2d(y, *inv_h2)
+        m, f, s = y[:, 0], y[:, 1], y[:, 2]
+        out = np.empty(y.shape)
+        exchange = p * (s - m)
+        if transpose:
+            out[:, 0] = a * m - f - lap[:, 0] - exchange
+            out[:, 1] = c * m + b * f - lap[:, 1] + w * f
+        else:
+            out[:, 0] = a * m + c * f - lap[:, 0] - exchange
+            out[:, 1] = b * f - lap[:, 1] + w * f - m
+        out[:, 2] = c * s - lap[:, 2] + exchange
+        return out
+
+    def _norm(self, p, w, transpose):
+        """||A||_inf, the largest absolute row sum, per member or at once."""
+        d = self._basis[5]
+        near = (1.0, self.c) if transpose else (self.c, 1.0)
+        ap = np.abs(p)
+        rows = (np.abs(self.a + d + p) + ap + (d + near[0]),
+                np.abs(self.b + d + w) + (d + near[1]),
+                np.abs(self.c + d + p) + ap + d)
+        return np.maximum.reduce([row.max(axis=(-2, -1)) for row in rows])
+
+    def _gmres(self, p, w, b, transpose):
+        """Solve with per-cell P and W by restarted GMRES on the stencil,
+        right-preconditioned by the DCT solve at the grid means of P and W.
+
+        Each column of b, (ncol, 3, *grid), keeps its own Krylov space and
+        stops on its own at a normwise backward error of at most ETA,
+        ||b - A y||_2 <= ETA (||A||_inf ||y||_2 + ||b||_2), tested on the
+        residual recomputed by the stencil once the GMRES estimate of its
+        norm meets the bound; a column that stops leaves the arrays of the
+        others, so that each column's bits do not depend on the rest of the
+        batch. A column with non-finite data is returned as NaN; a column
+        still above the bound after CYCLES cycles of RESTART iterations
+        raises :class:`StepSolveError`."""
+        ncol = len(b)
+        norm_a = np.broadcast_to(self._norm(p, w, transpose), (ncol,))
+        norm_b = _norm2(b)
+        x = np.zeros(b.shape)
+        finite = np.isfinite(norm_a) & np.isfinite(norm_b)
+        x[~finite] = np.nan
+        # a zero right-hand side has the solution 0
+        cols = np.flatnonzero(finite & (norm_b > 0))
+        if not len(cols):
+            return x
+        # per column: the right-hand side, ||A||, ||b||, P, W and their means
+        p, w = (np.broadcast_to(f, b[:, 0].shape) for f in (p, w))
+        coef = [f[cols] for f in (b, norm_a, norm_b, p, w)]
+        coef += [f.mean(axis=(-2, -1), keepdims=True) for f in coef[3:]]
+        y, r = x[cols], coef[0]
+        for _ in range(CYCLES):
+            beta = _norm2(r)
+            basis = [r / beta[:, None, None, None]]
+            precond = []
+            g = np.zeros((len(cols), RESTART + 1))
+            g[:, 0] = beta
+            h = np.zeros((len(cols), RESTART + 1, RESTART))
+            rot = np.zeros((len(cols), 2, RESTART))
+            for j in range(RESTART):
+                bc, scale, nb, pc, wc, pm, wm = coef
+                z = self._dct_solve(pm, wm, basis[j], transpose)
+                precond.append(z)
+                v = self._apply(pc, wc, z, transpose)
+                # modified Gram-Schmidt against the basis so far
+                for i, q in enumerate(basis):
+                    h[:, i, j] = _dot(v, q)
+                    v -= h[:, i, j, None, None, None] * q
+                h[:, j + 1, j] = _norm2(v)
+                basis.append(v / h[:, j + 1, j, None, None, None])
+                # the earlier Givens rotations, then the one that zeroes
+                # h[j + 1, j], applied to column j and to g
+                for i in range(j):
+                    cs, sn = rot[:, 0, i], rot[:, 1, i]
+                    h[:, i, j], h[:, i + 1, j] = (cs * h[:, i, j] + sn * h[:, i + 1, j],
+                                                  cs * h[:, i + 1, j] - sn * h[:, i, j])
+                rho = np.hypot(h[:, j, j], h[:, j + 1, j])
+                rot[:, 0, j] = cs = h[:, j, j] / rho
+                rot[:, 1, j] = sn = h[:, j + 1, j] / rho
+                h[:, j, j] = rho
+                g[:, j + 1] = -sn * g[:, j]
+                g[:, j] *= cs
+                # the iterate y + Z t, with t from the triangle H t = g
+                t = np.zeros((len(cols), j + 1))
+                for i in range(j, -1, -1):
+                    t[:, i] = (g[:, i] - (h[:, i, i + 1:j + 1] * t[:, i + 1:]).sum(axis=1)
+                               ) / h[:, i, i]
+                yj = y.copy()
+                for i, zi in enumerate(precond):
+                    yj += t[:, i, None, None, None] * zi
+                # |g[j + 1]| is the residual norm in exact arithmetic, so
+                # only a column whose estimate meets the bound can pass; the
+                # residual is recomputed when one can, and for the restart
+                scaled = scale * _norm2(yj) + nb
+                done = np.abs(g[:, j + 1]) <= ETA * scaled
+                if done.any() or j == RESTART - 1:
+                    r = bc - self._apply(pc, wc, yj, transpose)
+                    err = _norm2(r) / scaled
+                    done &= err <= ETA
+                if done.any():
+                    x[cols[done]] = yj[done]
+                    keep = ~done
+                    if not keep.any():
+                        return x
+                    cols, y, yj, r, err, g, h, rot = (
+                        f[keep] for f in (cols, y, yj, r, err, g, h, rot))
+                    coef = [f[keep] for f in coef]
+                    basis = [f[keep] for f in basis]
+                    precond = [f[keep] for f in precond]
+            y = yj
+        raise StepSolveError(float(err.max()), CYCLES * RESTART, ETA)
 
     def _solve_band(self, p, w, rhs, transpose, ndir, shape):
         """The 1D solve: the bands of the members' matrices side by side

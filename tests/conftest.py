@@ -1,19 +1,23 @@
+import numpy as np
 import pytest
 
 import chcontrol as ch
 
 
 @pytest.fixture
-def splu_calls(monkeypatch):
-    """A list that grows by one entry per 2D step factorization."""
+def cell_solves(monkeypatch):
+    """A list that grows by one entry per 2D step solve given per-cell P and
+    W (an exact step matrix) rather than their grid means; the entry is the
+    solve's ``transpose`` flag."""
     calls = []
-    factor = ch.system.splu
+    solve = ch.system.StepSolver.solve
 
-    def counting_splu(*args, **kwargs):
-        calls.append(None)
-        return factor(*args, **kwargs)
+    def counting_solve(self, p, w, rhs, transpose=False):
+        if self.grid.dim == 2 and np.shape(p)[-2:] != (1, 1):
+            calls.append(transpose)
+        return solve(self, p, w, rhs, transpose)
 
-    monkeypatch.setattr(ch.system, "splu", counting_splu)
+    monkeypatch.setattr(ch.system.StepSolver, "solve", counting_solve)
     return calls
 
 

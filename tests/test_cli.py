@@ -231,6 +231,32 @@ def test_solver_error_exit_code(tmp_path):
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
 
 
+def test_newton_divergence_message_names_the_budget(tmp_path, capsys):
+    # with no iteration allowed the message gives the budget, not a dt hint
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["initial"] = {"preset": "tanh_front", "width": 0.05, "position": 0.5}
+    for budget, hint in ((0, ""), (1, " (dt too large?)")):
+        cfg["solver"] = {"newton_max_iter": budget}
+        assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("solver error: Newton did not converge at step 1")
+        assert err.endswith(f"after {budget} iterations{hint}")
+
+
+def test_step_solve_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a 2D sweep whose GMRES cannot meet its backward error bound (0 here)
+    # exits 3 and names the backward error it reached
+    monkeypatch.setattr(ch.system, "ETA", 0.0)
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = "verify"
+    cfg["grid"] = {"n": [8, 6], "extents": [1.0, 0.8]}
+    cfg["verification"] = {**TINY_VERIFICATION, "checks": ["duality"]}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "GMRES step solve stopped at normwise backward error" in err
+    assert "above its bound 0e+00" in err
+
+
 def _hash_tree(root, skip=()):
     chunks = []
     for path in sorted(root.rglob("*")):

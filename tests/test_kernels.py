@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
-import scipy.sparse as sps
 from scipy.linalg import block_diag, solve_banded
-from scipy.sparse.linalg import splu
 
 import chcontrol as ch
 from chcontrol import kernels
@@ -127,6 +125,16 @@ def test_nonfinite_step_data_is_reported_by_the_sweeps(dims):
         rhs = [grid.full(1.0), grid.full(0.0), grid.full(0.0)]
         rhs[1].flat[7] = bad
         assert not np.isfinite(solver.solve(p, w, tuple(rhs), transpose=transpose)).all()
+    # so does a non-finite P, per cell or, in 2D, as a grid mean
+    bad = p.copy()
+    bad.flat[3] = np.nan
+    rhs = (grid.full(1.0), grid.full(0.0), grid.full(0.0))
+    coefficients = [(bad, w)]
+    if dims == 2:
+        coefficients.append((bad.mean(keepdims=True), w.mean(keepdims=True)))
+    for pc, wc in coefficients:
+        for transpose in (False, True):
+            assert not np.isfinite(solver.solve(pc, wc, rhs, transpose=transpose)).all()
     # and the sweeps that read it name the frame of that solve
     tg = ch.TimeGrid(0.25, 6)
     params = ch.ModelParams(0.1, 0.1, ch.Potential.quartic(),
@@ -140,6 +148,14 @@ def test_nonfinite_step_data_is_reported_by_the_sweeps(dims):
     cost.phi_q[3].flat[1] = np.nan
     with pytest.raises(ch.NanDetectedError, match="adjoint frame 2"):
         ch.solve_adjoint(params, state, tg.steps, cost)
+    # a state trajectory with a NaN phase at node 4: the linearized sweep
+    # first meets it in W of step 3 -> 4, the adjoint sweep, marching
+    # backward, in P of step 4 -> 5
+    state.data[4, 1].flat[1] = np.nan
+    with pytest.raises(ch.NanDetectedError, match="linearized frame 4"):
+        ch.solve_linearized(params, state, np.zeros_like(h))
+    with pytest.raises(ch.NanDetectedError, match="adjoint frame 4"):
+        ch.solve_adjoint(params, state, tg.steps, tracking_cost(params))
 
 
 def test_band_solve_singular_raises():
@@ -171,9 +187,14 @@ def test_step_solve_2d_matches_dense(transpose, batch):
     w = rng.uniform(0.0, 3.0, grid.shape)
     rhs = tuple(rng.standard_normal(batch + grid.shape) for _ in range(3))
     mat = _dense_step_matrix_2d(solver, p, w)
+    if transpose:
+        mat = mat.T
+    # the GMRES stopping test scales by the exact ||A||_inf of the matrix solved
+    norm = np.abs(mat).sum(axis=1).max()
+    assert abs(solver._norm(p, w, transpose) - norm) <= 1e-14 * norm
     n = grid.cell_count
     b = np.concatenate([r.reshape(-1, n) for r in rhs], axis=1).T
-    ref = np.linalg.solve(mat.T if transpose else mat, b)
+    ref = np.linalg.solve(mat, b)
     got = solver.solve(p, w, rhs, transpose=transpose)
     assert all(x.shape == batch + grid.shape for x in got)
     got = np.concatenate([x.reshape(-1, n) for x in got], axis=1).T
@@ -190,61 +211,31 @@ def _dense_solve(mat, rhs):
 
 
 @pytest.mark.parametrize("transpose", [False, True])
-def test_step_solve_2d_nodal_order_matches_dense(transpose):
-    # the solver factors in nodal order; fresh and kept factorizations
-    # must both agree with the component-major matrix, for one and for
-    # several directions
+def test_step_solve_2d_grid_means_match_dense(transpose):
+    # P and W given as one value per member, their grid means, solve the
+    # step matrix at those constants, for one and for several directions
+    # and for members, each member the bits of its own solve
     rng = np.random.default_rng(10)
     grid = ch.Grid.rectangle(16, 12, 1.5, 0.8)
     solver = StepSolver(grid, 1.0 / 32, 0.1, 0.2)
-    p = rng.uniform(0.0, 2.0, grid.shape)
-    w = rng.uniform(0.0, 3.0, grid.shape)
-    mat = _dense_step_matrix_2d(solver, p, w)
+    p, w = rng.uniform(0.0, 2.0, (2, 1, 1)), rng.uniform(0.0, 3.0, (2, 1, 1))
+    mats = [_dense_step_matrix_2d(solver, grid.full(p[i, 0, 0]), grid.full(w[i, 0, 0]))
+            for i in range(2)]
     if transpose:
-        mat = mat.T
-    rhs = rng.standard_normal((3,) + grid.shape)
-    got = solver.solve(p, w, rhs, transpose=transpose)
-    ref = _dense_solve(mat, rhs)
-    assert got.shape == rhs.shape
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        mats = [mat.T for mat in mats]
     for batch in ((), (3,)):
         rhs = rng.standard_normal((3,) + batch + grid.shape)
-        got = solver.solve(None, None, rhs, transpose=transpose)
-        ref = _dense_solve(mat, rhs)
+        got = solver.solve(p[0], w[0], rhs, transpose=transpose)
+        ref = _dense_solve(mats[0], rhs)
         assert got.shape == rhs.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_cell_order_is_one_cached_permutation(monkeypatch, splu_calls):
-    # the 2D cell ordering is computed once per grid shape, and the
-    # factorization that computes it is not a step factorization
-    orderings = []
-    factor = kernels.splu
-
-    def counting_splu(*args, **kwargs):
-        orderings.append(None)
-        return factor(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "splu", counting_splu)
-    kernels.cell_order.cache_clear()
-    grid = ch.Grid.rectangle(16, 12, 1.5, 0.8)
-    rng = np.random.default_rng(11)
-    p, w = rng.uniform(0.0, 2.0, (2,) + grid.shape)
-    for _ in range(2):
-        solver = StepSolver(grid, 1.0 / 32, 0.1, 0.2)
-        solver.solve(p, w, rng.standard_normal((3,) + grid.shape))
-    assert len(orderings) == 1
-    assert len(splu_calls) == 2
-    order = kernels.cell_order(grid.n)
-    assert len(orderings) == 1
-    assert np.array_equal(np.sort(order), np.arange(grid.cell_count))
-    assert not order.flags.writeable
-    # the minimum-degree ordering of the grid's own I - Lap: the spacing
-    # does not enter
-    lap = neumann_laplacian_matrix(grid)
-    lu = splu(sps.csc_matrix(sps.eye(grid.cell_count) - lap),
-              permc_spec="MMD_AT_PLUS_A")
-    assert np.array_equal(order, np.argsort(lu.perm_c))
+    rhs = rng.standard_normal((3, 2) + grid.shape)
+    got = solver.solve(p, w, rhs, transpose=transpose)
+    for i in range(2):
+        single = solver.solve(p[i:i + 1], w[i:i + 1], rhs[:, i:i + 1], transpose=transpose)
+        assert got[:, i:i + 1].tobytes() == single.tobytes()
+        ref = _dense_solve(mats[i], rhs[:, i])
+        assert np.abs(got[:, i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("grid", [ch.Grid.line(24), ch.Grid.rectangle(6, 5)],
@@ -261,6 +252,29 @@ def test_step_solve_batch_matches_single_bitwise(grid, transpose):
         single = solver.solve(p, w, tuple(r[i] for r in rhs), transpose=transpose)
         for a, b in zip(single, stacked):
             assert a.tobytes() == b[i].tobytes()
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_step_solve_2d_columns_stop_on_their_own(transpose):
+    # a zero, a smooth and a rough right-hand side under a strongly varying
+    # W: each column of one solve keeps the bits of its own solve
+    rng = np.random.default_rng(12)
+    grid = ch.Grid.rectangle(12, 10, 1.0, 0.8)
+    solver = StepSolver(grid, 1.0 / 32, 0.1, 0.1)
+    p = rng.uniform(0.0, 2.0, grid.shape)
+    w = np.exp(rng.uniform(0.0, 8.0, grid.shape))
+    x = grid.axis_centers(0)[:, None] + grid.axis_centers(1)
+    rhs = np.zeros((3, 3) + grid.shape)
+    rhs[:, 1] = np.cos(np.pi * x)
+    rhs[:, 2] = rng.standard_normal((3,) + grid.shape)
+    stacked = solver.solve(p, w, rhs, transpose=transpose)
+    assert not stacked[:, 0].any()
+    for i in range(3):
+        single = solver.solve(p, w, rhs[:, i], transpose=transpose)
+        assert stacked[:, i].tobytes() == single.tobytes()
+    mat = _dense_step_matrix_2d(solver, p, w)
+    ref = _dense_solve(mat.T if transpose else mat, rhs)
+    assert np.abs(stacked - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_member_solve_matches_single_solves_bitwise():
@@ -285,7 +299,7 @@ def test_step_solve_2d_leaves_template_unchanged():
     rng = np.random.default_rng(6)
     grid = ch.Grid.rectangle(6, 5)
     solver = StepSolver(grid, 1.0 / 32, 0.1, 0.1)
-    template = solver._csc.data.copy()
+    template = _templates(solver)
     p1, p2 = rng.uniform(0.0, 1.0, (2,) + grid.shape)
     w1, w2 = rng.uniform(0.0, 2.0, (2,) + grid.shape)
     rhs = tuple(rng.standard_normal(grid.shape) for _ in range(3))
@@ -295,39 +309,17 @@ def test_step_solve_2d_leaves_template_unchanged():
         again = solver.solve(p1, w1, rhs, transpose=transpose)
         for a, b in zip(first, again):
             assert a.tobytes() == b.tobytes()
-    assert solver._csc.data.tobytes() == template.tobytes()
-    # solvers on one grid with one set of coefficients share the template,
-    # which is read-only
-    assert StepSolver(grid, 1.0 / 32, 0.1, 0.1)._csc is solver._csc
-    assert not solver._csc.data.flags.writeable
-
-
-def test_step_solve_2d_reuses_kept_factorization():
-    # solve(None, None, rhs) solves with the last factored matrix, in
-    # either orientation, with the bits of a fresh factor-and-solve
-    rng = np.random.default_rng(9)
-    grid = ch.Grid.rectangle(6, 5)
-    solver = StepSolver(grid, 1.0 / 32, 0.1, 0.1)
-    p1, p2 = rng.uniform(0.0, 1.0, (2,) + grid.shape)
-    w1, w2 = rng.uniform(0.0, 2.0, (2,) + grid.shape)
-    rhs = rng.standard_normal((3,) + grid.shape)
-    with pytest.raises(ValueError, match="no kept factorization"):
-        solver.solve(None, None, rhs)
-    for transpose in (False, True):
-        solver.solve(p1, w1, rhs)
-        fresh = solver.solve(p2, w2, rhs, transpose=transpose)
-        kept = solver.solve(None, None, rhs, transpose=transpose)
-        assert kept.tobytes() == fresh.tobytes()
-    line = StepSolver(ch.Grid.line(8), 1.0 / 32, 0.1, 0.1)
-    line.solve(np.ones(8), np.ones(8), np.ones((3, 8)))
-    with pytest.raises(ValueError, match="no kept factorization"):
-        line.solve(None, None, np.ones((3, 8)))
+    assert _templates(solver) == template
+    # solvers on one grid share the DCT basis, which is read-only
+    other = StepSolver(grid, 1.0 / 16, 0.2, 0.1)
+    assert all(a is b for a, b in zip(other._basis, solver._basis))
+    assert not any(arr.flags.writeable for arr in solver._basis)
 
 
 def _templates(solver):
     if solver.grid.dim == 1:
         return solver._band.tobytes() + solver._band_t.tobytes()
-    return solver._csc.data.tobytes()
+    return b"".join(arr.tobytes() for arr in solver._basis)
 
 
 @pytest.mark.parametrize("grid", [ch.Grid.line(24), ch.Grid.rectangle(6, 5)],

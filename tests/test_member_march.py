@@ -92,21 +92,21 @@ def test_logarithmic_members_with_clamp_and_backtracking(monkeypatch):
     _assert_members_match(params, init, controls[::-1])
 
 
-def test_two_dimensional_members_with_different_refactor_points(splu_calls):
+def test_two_dimensional_members_with_different_exact_steps(cell_solves):
     grid = ch.Grid.rectangle(16, 16, 1.0, 1.0)
-    pot = ch.Potential.quartic()
+    pot = ch.Potential.logarithmic(2.0)
     tg = ch.TimeGrid(0.2, 4)
     params = ch.ModelParams(0.1, 0.1, pot, ch.Proliferation.smooth_ramp(1.0, 0.5),
                             grid, tg)
     init = preset_initial_data("random_interior", grid, pot, amplitude=0.5, seed=1)
-    controls = _sources(params, (50.0, 0.0, 20.0))
-    factors = []
+    controls = _sources(params, (100.0, 0.0, 50.0))
+    exact = []
     for u in controls:
-        before = len(splu_calls)
+        before = len(cell_solves)
         ch.solve_state(params, init, u)
-        factors.append(len(splu_calls) - before)
-    # the chord iterations refactor at different points
-    assert len(set(factors)) > 1
+        exact.append(len(cell_solves) - before)
+    # the members take the exact step matrix at different iterations
+    assert len(set(exact)) > 1
     _assert_members_match(params, init, controls, dims=2)
 
 

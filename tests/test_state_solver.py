@@ -188,18 +188,18 @@ def test_prefix_march_1d():
     _assert_prefix_march(params, equilibrium_init(params), u, (1, 7, 23, 24))
 
 
-def test_prefix_march_2d_chord(splu_calls):
-    # a march whose chord iteration refactors at several steps, so that the
-    # prefixes end before, at and after a change of the refactor flag
-    grid = ch.Grid.rectangle(10, 8)
-    tg = ch.TimeGrid(4.0, 12)
-    pot = ch.Potential.quartic()
+def test_prefix_march_2d_chord(cell_solves):
+    # a march whose CHORD_CONTRACTION rule sends iterations of its last step
+    # to the exact step matrix, so that the prefixes end before and at it
+    grid = ch.Grid.rectangle(16, 16)
+    tg = ch.TimeGrid(0.2, 4)
+    pot = ch.Potential.logarithmic(2.0)
     params = ch.ModelParams(0.1, 0.1, pot, ch.Proliferation.smooth_ramp(1.0, 0.5),
                             grid, tg)
-    init = preset_initial_data("random_interior", grid, pot, amplitude=0.5, seed=2)
-    u = ch.constant_trajectory(grid, tg, 1.0)
+    init = preset_initial_data("random_interior", grid, pot, amplitude=0.5, seed=1)
+    u = ch.constant_trajectory(grid, tg, 100.0)
     ch.solve_state(params, init, u)
-    assert len(splu_calls) >= 3
+    assert len(cell_solves) >= 3
     _assert_prefix_march(params, init, u, range(1, tg.steps + 1))
 
 
