@@ -1,22 +1,20 @@
-"""Hot numeric kernels: Neumann Laplacian stencils and matrix, and the 1D
-band solve.
+"""Hot numeric kernels: Neumann Laplacian stencils and the 1D band solve.
 
 The solvers spend essentially all their time in two places: applying the
 reflecting-ghost Neumann Laplacian stencil and solving the coupled
 three-field linear system of each implicit time step. The stencils work
-on fields; :func:`neumann_laplacian_matrix` is the same operator as a
-sparse matrix, from which :mod:`chcontrol.system` assembles the 1D step
-matrix cell by cell (the three unknowns of a cell adjacent), a band with
-three sub- and three superdiagonals: :func:`solve_block_tridiag` solves
-it by one direct call to LAPACK ``dgbsv`` on its ``gbsv`` storage. The 2D
-step solve needs no matrix: it works in the DCT basis of the grid and
-applies the step matrix by :func:`lap2d` (see :mod:`chcontrol.system`).
+on fields. :mod:`chcontrol.system` assembles the 1D step matrix cell by
+cell (the three unknowns of a cell adjacent), a band with three sub- and
+three superdiagonals, directly in ``gbsv`` storage:
+:func:`solve_block_tridiag` solves it by one direct call to LAPACK
+``dgbsv``. The 2D step solve needs no matrix: it works in the DCT basis
+of the grid and applies the step matrix by :func:`lap2d` (see
+:mod:`chcontrol.system`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sps
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv
 
@@ -64,30 +62,6 @@ def lap2d(f, inv_hx2, inv_hy2):
     out[..., 1:-1] += (f[..., :-2] - 2.0 * f[..., 1:-1] + f[..., 2:]) * inv_hy2
     out[..., -1] += (f[..., -2] - f[..., -1]) * inv_hy2
     return out
-
-
-# ---------------------------------------------------------------------------
-# The sparse Neumann Laplacian: the stencils above as a matrix.
-# ---------------------------------------------------------------------------
-
-
-def _neumann_lap_1d(n: int, inv_h2: float) -> sps.csr_matrix:
-    main = np.full(n, -2.0 * inv_h2)
-    main[0] = main[-1] = -inv_h2
-    off = np.full(n - 1, inv_h2)
-    return sps.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
-
-
-def neumann_laplacian_matrix(n: tuple, inv_h2: tuple) -> sps.csr_matrix:
-    """Sparse Neumann Laplacian on the row-major flattened cells of a grid
-    with ``n`` cells and stencil weight ``inv_h2`` = 1 / h^2 per axis."""
-    lx = _neumann_lap_1d(n[0], inv_h2[0])
-    if len(n) == 1:
-        return lx
-    ly = _neumann_lap_1d(n[1], inv_h2[1])
-    ix = sps.eye(n[0], format="csr")
-    iy = sps.eye(n[1], format="csr")
-    return (sps.kron(lx, iy) + sps.kron(ix, ly)).tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -131,4 +131,7 @@ class Proliferation:
     def dP(self, r):
         if self.kind == "constant":
             return np.zeros_like(r)
-        return 0.5 * self.p0 / self.width / np.cosh(r / self.width) ** 2
+        # on a narrow ramp cosh overflows to inf away from r = 0, where dP
+        # is 0 indeed
+        with np.errstate(over="ignore"):
+            return 0.5 * self.p0 / self.width / np.cosh(r / self.width) ** 2

@@ -50,20 +50,22 @@ ensemble of one member. The iteration's arrays hold only the members
 still iterating: a member that leaves (after its polish, or unconverged
 at the iteration budget) is written back to its place in the stack, and
 the others go on in compacted arrays. Each stacked iteration checks
-their residuals for non-finite values once, naming the step, and in 1D
-makes one ``StepSolver.solve`` call for them, which factors their
-block-diagonal band with one ``dgbsv``: the per-iteration Python
-and numpy overhead, larger than the LAPACK time of one member at 128
-cells, is paid once per ensemble instead of once per member, the pattern
-of batched small solves (Dongarra et al., Procedia CS 108, 2017). In 2D
-the members march one after another, each with its own solver.
+their residuals for non-finite values once, naming the step, and makes
+one ``StepSolver.solve`` call for them, in either dimension: in 1D it
+factors their block-diagonal band with one ``dgbsv``, in 2D it solves
+the members at their grid means together in the DCT basis and the
+others by GMRES. The per-iteration Python and numpy overhead, larger
+than the LAPACK time of one member at 128 cells, is paid once per
+ensemble instead of once per member, the pattern of batched small
+solves (Dongarra et al., Procedia CS 108, 2017).
 
 In 2D the iteration is a mean-coefficient Newton iteration: it solves
 with the step matrix at the grid means of P and B''(phi), which the DCT
-diagonalises (see :mod:`chcontrol.system`), so nothing is factored. The
-iteration after a full step that left at least ``CHORD_CONTRACTION`` of
-the residual without reaching the tolerance solves with the exact matrix
-at the per-cell values instead, by preconditioned GMRES: exact Newton
+diagonalises (see :mod:`chcontrol.system`), so nothing is factored. A
+member's iteration after a full step of its own that left at least
+``CHORD_CONTRACTION`` of its residual without reaching the tolerance
+solves with the exact matrix at its per-cell values instead, by
+preconditioned GMRES, each member choosing on its own: exact Newton
 where the means stop being a good enough model, as where B'' varies by
 orders of magnitude near the logarithmic potential's walls. Convergence
 is tested on the stencil residual, so the approximate matrix changes the
@@ -153,7 +155,7 @@ class StepDiagnostics:
     k - 1 belongs to step k. ``newton_iters`` counts the
     ``StepSolver.solve`` calls of the step, one per Newton iteration,
     polish included; in a march of several members that is one call per
-    stacked iteration in 1D, and the sum over the members in 2D.
+    stacked iteration, as many as the member that iterated longest made.
     ``delta_sep`` holds the ``Potential.distance`` of the frame the step
     keeps, the least over the members."""
 
@@ -180,10 +182,11 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
     the members still in it with one ``solver.solve`` call, after one
     check that their residuals are finite (:class:`NanDetectedError`
     naming ``step`` if not).
-    In 2D (one member, K = 1) an iteration solves with the step matrix at
-    the grid means of P and B''(phi), except after an iteration whose full
-    step did not contract the residual by ``CHORD_CONTRACTION``: that one
-    solves with their per-cell values. In 1D every iteration does.
+    In 2D a member's iteration solves with the step matrix at the grid
+    means of its P and B''(phi), except after an iteration whose full step
+    did not contract its residual by ``CHORD_CONTRACTION``: that one solves
+    with their per-cell values. The call passes the choice per member. In
+    1D every iteration solves with the per-cell values.
     Returns (frame, residual, solves, converged): lists of the residual
     max|R| and of whether it converged, per member, and the stacked
     iterations (polish included), each one ``solver.solve`` call. A member
@@ -214,20 +217,19 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
         r[2] -= u
         return r, np.abs(r).max(axis=axes).tolist()
 
-    # 2D solves with the grid means of P and B''(phi), unless the last full
-    # step missed CHORD_CONTRACTION; 1D always with their per-cell values
-    means = grid.dim == 2
-    exact = not means
-    grid_axes = tuple(range(-grid.dim, 0))
     x = old = x0
     r, res = residual(x, old, p, pi, u)
-    # the stack position of each member still iterating, and whether it had
+    # the stack position of each member still iterating, whether it had
     # converged at the start of the last iteration, which was then its
-    # polish. The per-member flags and residuals are Python lists: with few
+    # polish, and whether it solves at the grid means of P and B''(phi):
+    # in 2D unless its last full step missed CHORD_CONTRACTION, in 1D never.
+    # The per-member flags and residuals are Python lists: with few
     # members, list work costs less than numpy calls on arrays of a few
     # entries
+    chord = grid.dim == 2
     pos = list(range(len(res)))
     conv = [False] * len(res)
+    means = [chord] * len(res)
     frame = None
     solves = 0
     while True:
@@ -251,16 +253,12 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
             keep = [j for j, on in enumerate(stay) if on]
             x, r, old = x[:, keep], r[:, keep], old[:, keep]
             p, pi, u = p[keep], pi[keep], u[keep]
-            pos, res, conv = ([seq[j] for j in keep] for seq in (pos, res, conv))
+            pos, res, conv, means = ([seq[j] for j in keep]
+                                     for seq in (pos, res, conv, means))
         if not all(map(math.isfinite, res)):
             raise NanDetectedError(f"Newton residual at step {step}")
         # A y = r, so the Newton update is -y; the solve is sign-symmetric
-        w = pot.d2B(x[1])
-        if exact:
-            y = solver.solve(p, w, r)
-        else:
-            y = solver.solve(p.mean(axis=grid_axes, keepdims=True),
-                             w.mean(axis=grid_axes, keepdims=True), r)
+        y = solver.solve(p, pot.d2B(x[1]), r, means=means)
         solves += 1
         # the full step for every member; a polishing member keeps it only
         # if it lowers its residual
@@ -268,8 +266,9 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
         if clamp_lo is not None:
             np.clip(xt[1], clamp_lo, clamp_hi, out=xt[1])
         rt, rest = residual(xt, old, p, pi, u)
-        if means:
-            exact = rest[0] >= CHORD_CONTRACTION * res[0] and rest[0] >= tol
+        if chord:
+            means = [not (v >= CHORD_CONTRACTION * v0 and v >= tol)
+                     for v, v0 in zip(rest, res)]
         back = [j for j, ok in enumerate(conv) if ok and not rest[j] < res[j]]
         if back:
             xt[:, back], rt[:, back] = x[:, back], r[:, back]
@@ -323,12 +322,10 @@ def solve_state(params: ModelParams, init: InitialData,
     ``control`` may also be a stack of K controls along a leading member
     axis, (K, nt+1, *grid.shape), all marched from ``init``. The
     trajectory then has data (steps+1, 3, K, *grid.shape), and member i is
-    bitwise the trajectory of ``control[i]`` marched alone. In 1D the
-    members march together, one stacked Newton iteration and one band
-    solve per step and iteration for all of them; in 2D they march one
-    after another, each with its own solver. A failing member fails the
-    whole march: in 1D at the earliest failing step, in 2D at the first
-    failing member.
+    bitwise the trajectory of ``control[i]`` marched alone. The members
+    march together, one stacked Newton iteration and one step solve per
+    step and iteration for all of them. A failing member fails the whole
+    march at the earliest failing step.
 
     Raises :class:`ShapeMismatchError` for a control of another shape,
     :class:`TimeDomainError` for ``steps`` outside 1..nt, and
@@ -346,31 +343,13 @@ def solve_state(params: ModelParams, init: InitialData,
         raise TimeDomainError(f"state steps {steps} outside 1..{nt}")
 
     members = control if stacked else control[None]
-    count = len(members)
-    data = np.empty((steps + 1, 3, count) + grid.shape)
+    data = np.empty((steps + 1, 3, len(members)) + grid.shape)
     data[0, 0] = init.mu0
     data[0, 1] = init.phi0
     data[0, 2] = init.sigma0
     newton_iters = np.zeros(steps, dtype=int)
-    delta_sep = np.full(steps, np.inf)
-    # 1D marches all members as one lane; 2D marches each as a lane of its own
-    lanes = [slice(None)] if grid.dim == 1 else [slice(i, i + 1) for i in range(count)]
-    for lane in lanes:
-        _march(params, data[:, :, lane], members[lane], newton_iters, delta_sep)
-
-    diag = StepDiagnostics(newton_iters, delta_sep)
-    return Trajectory(grid, tg, data if stacked else data[:, :, 0], STATE_NAMES,
-                      diagnostics=diag)
-
-
-def _march(params: ModelParams, frames: np.ndarray, control: np.ndarray,
-           newton_iters: np.ndarray, delta_sep: np.ndarray) -> None:
-    """March the members of ``frames`` (steps+1, 3, K, *grid.shape), whose
-    frame 0 is set, through steps 1..steps under ``control`` (K, nt+1,
-    *grid.shape) with one solver, adding each step's solve calls to
-    ``newton_iters`` and lowering ``delta_sep`` to its least distance."""
-    grid, pot = params.grid, params.potential
-    solver = StepSolver(grid, params.time_grid.dt, params.alpha, params.beta)
+    delta_sep = np.empty(steps)
+    solver = StepSolver(grid, tg.dt, params.alpha, params.beta)
     clamp_lo = clamp_hi = None
     margin = 0.0
     if pot.singular:
@@ -378,14 +357,10 @@ def _march(params: ModelParams, frames: np.ndarray, control: np.ndarray,
         margin = 1e-6 * (hi - lo)
         clamp_lo, clamp_hi = lo + margin, hi - margin
 
-    for k in range(len(newton_iters)):
-        # a lane of a 2D march is a strided view of the member stack; the
-        # step works on a contiguous copy, so that every member sees the
-        # array layout of a march of its own
-        x0 = np.ascontiguousarray(frames[k])
-        f0 = x0[1]
+    for k in range(steps):
+        f0 = data[k, 1]
         x, res, solves, ok = _newton_step(
-            solver, pot, params.proliferation.P(f0), x0, pot.dS(f0), control[:, k],
+            solver, pot, params.proliferation.P(f0), data[k], pot.dS(f0), members[:, k],
             params.newton_tol, params.newton_max_iter, clamp_lo, clamp_hi, k + 1,
         )
         if not all(ok):
@@ -393,7 +368,10 @@ def _march(params: ModelParams, frames: np.ndarray, control: np.ndarray,
         dist = pot.distance(x[1])
         if dist <= 2 * margin:
             raise SeparationViolationError(k + 1, dist)
+        data[k + 1] = x
+        newton_iters[k] = solves
+        delta_sep[k] = dist
 
-        frames[k + 1] = x
-        newton_iters[k] += solves
-        delta_sep[k] = min(delta_sep[k], dist)
+    diag = StepDiagnostics(newton_iters, delta_sep)
+    return Trajectory(grid, tg, data if stacked else data[:, :, 0], STATE_NAMES,
+                      diagnostics=diag)

@@ -29,12 +29,12 @@ step j and :func:`coupling` applies C_j or C_j^T.
 The dimensions differ only in how they solve. In 1D the matrix is held
 cell by cell, the three unknowns (m, f, s) of a cell adjacent, so that it
 is a band with three sub- and superdiagonals. Its constant part (time
-terms and stencil) is assembled once per grid and set of coefficients, so
-that the many solvers of a run share it, and scattered, per solver, into
-LAPACK ``gbsv`` band storage of the matrix and of its transpose. The
-positions of the P, W and -P entries become flat positions in that band:
-the diagonal ones are the same in both, and the two -P couplings of a
-cell swap places under transposition, both taking -P. A solve copies a
+terms and stencil) is assembled once per grid and set of coefficients,
+directly in LAPACK ``gbsv`` band storage of the matrix and of its
+transpose, so that the many solvers of a run share it, together with the
+flat positions of the P, W and -P entries in that band: the diagonal ones
+are the same in both, and the two -P couplings of a cell swap places
+under transposition, both taking -P. A solve copies a
 template into a band workspace kept by the solver and patches it; the
 right-hand side is interleaved cell by cell, and one ``dgbsv`` call with
 one column per direction (:func:`kernels.solve_block_tridiag`) factors it
@@ -52,8 +52,8 @@ orthonormal type-II DCT of each axis diagonalises the Neumann Laplacian
 1/2) / n) scaled to unit length, is an eigenvector of the axis's
 Laplacian with eigenvalue -(4/h^2) sin^2(pi k / 2n), so mode (k, l) of
 the grid has the eigenvalue lam = (4/h_x^2) sin^2(pi k / 2n_x) +
-(4/h_y^2) sin^2(pi l / 2n_y) of -Lap. With P and W constant, passed as
-one grid mean per member (shape (K, 1, 1)), A is a 3x3 block per mode,
+(4/h_y^2) sin^2(pi l / 2n_y) of -Lap. With P and W constant, at the
+grid means of a member's P and W, A is a 3x3 block per mode,
 
     [ A    c    -P ]      A = a + lam + P
     [ -1   B     0 ]      B = b + lam + W
@@ -100,8 +100,10 @@ that diverges at step 4 on 16^2, where the median solve takes 3. A
 column still above the bound after CYCLES cycles of RESTART iterations
 raises :class:`~chcontrol.errors.StepSolveError`.
 
-The forward march solves with the mean-coefficient operator, and with the
-exact matrix only after an iteration that failed to contract (see
+``StepSolver.solve`` takes a flag per member that selects the DCT solve
+at the grid means of its P and W; the members without it solve by GMRES
+at their per-cell values, in the same call. The forward march flags a
+member unless its last iteration failed to contract (see
 :mod:`chcontrol.state`); the linearized and adjoint sweeps solve with the
 exact A_k, because the duality identity between them holds only for it.
 """
@@ -111,7 +113,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sps
 
 from . import kernels
 from .errors import StepSolveError
@@ -127,37 +128,43 @@ CYCLES = 5
 @lru_cache(maxsize=8)
 def _band_template(grid: Grid, a: float, b: float, c: float):
     """The 1D step matrix at P = W = 0, its cells in natural order and the
-    three unknowns of a cell adjacent, in CSC form with sorted indices, and
-    the positions in its data of P at (m, m) and (s, s), of W at (f, f),
-    and of the -P couplings (m, s) and (s, m), each indexed by cell. Built
-    once per grid and set of coefficients, because every march and sweep
-    builds its own solver and the sparse assembly costs about as much as 35
-    step solves (1.4 ms at 128 cells on a 2-vCPU machine); the data is
-    read-only because it is shared."""
+    three unknowns of a cell adjacent, in ``gbsv`` storage, A[i, j] at
+    band[MAIN + i - j, j], and so its transpose, at band_t[MAIN + j - i,
+    i]; and the flat (Fortran-order) positions in the band of P at (m, m)
+    and (s, s), of W at (f, f), and of the -P couplings (m, s) and (s, m),
+    each indexed by cell. The diagonal slots are the same in the transposed
+    band, and the two -P couplings of a cell swap places there, both taking
+    -P. Built once per grid and set of coefficients, because every march
+    and sweep builds its own solver; the arrays are read-only because they
+    are shared."""
     n = grid.cell_count
-    lap = kernels.neumann_laplacian_matrix(grid.n, grid.inv_h2)
-    # the 3x3 cell block with P = W = 0 and unit placeholders at the -P
-    # couplings, so that the pattern holds every P entry; zeroed below
-    block = np.array([[a, c, 1.0],
-                      [-1.0, b, 0.0],
-                      [1.0, 0.0, c]])
-    # unknown 3k + c is component c of cell k
-    mat = sps.csc_matrix(sps.kron(-lap, sps.eye(3)) + sps.kron(sps.eye(n), block))
-    mat.sort_indices()
-    size = 3 * n
-    col_of = np.repeat(np.arange(size), np.diff(mat.indptr))
-    # the column-major keys increase along data, so a search finds each entry
+    inv_h2 = grid.inv_h2[0]
+    # -Lap on each component: 2/h^2 on the diagonal (1/h^2 at the walls)
+    # and -1/h^2 to the same component of each neighbour cell
+    lap = np.full(n, 2.0 * inv_h2)
+    lap[0] = lap[-1] = inv_h2
     k3 = 3 * np.arange(n)
-    keys = col_of * size + mat.indices
-    slots = tuple(
-        np.searchsorted(keys, col * size + row)
-        for row, col in ((k3, k3), (k3 + 1, k3 + 1), (k3 + 2, k3 + 2),
-                         (k3, k3 + 2), (k3 + 2, k3))
-    )
-    mat.data[slots[3]] = 0.0
-    mat.data[slots[4]] = 0.0
-    mat.data.setflags(write=False)
-    return mat, slots
+    # the nonzero entries of the 3x3 cell block at P = W = 0: row, column
+    # and value
+    entries = [(0, 0, a + lap), (0, 1, c), (1, 0, -1.0), (1, 1, b + lap),
+               (2, 2, c + lap)]
+    rows = [k3 + i for i, _, _ in entries]
+    cols = [k3 + j for _, j, _ in entries]
+    vals = [np.broadcast_to(v, n) for _, _, v in entries]
+    for comp in range(3):
+        rows += [k3[:-1] + comp, k3[1:] + comp]
+        cols += [k3[1:] + comp, k3[:-1] + comp]
+        vals += [np.full(n - 1, -inv_h2)] * 2
+    rows, cols, vals = (np.concatenate(f) for f in (rows, cols, vals))
+    band = np.zeros((kernels.KL + kernels.MAIN + 1, 3 * n), order="F")
+    band_t = np.zeros_like(band, order="F")
+    band[kernels.MAIN + rows - cols, cols] = vals
+    band_t[kernels.MAIN + cols - rows, rows] = vals
+    slots = tuple(kernels.MAIN + i - j + (k3 + j) * band.shape[0]
+                  for i, j in ((0, 0), (1, 1), (2, 2), (0, 2), (2, 0)))
+    for arr in (band, band_t, *slots):
+        arr.setflags(write=False)
+    return band, band_t, slots
 
 
 @lru_cache(maxsize=8)
@@ -196,6 +203,12 @@ def _norm2(y):
     return np.sqrt(_dot(y, y))
 
 
+def _grid_means(*fields):
+    """The grid mean of each member of each field, kept as (K, 1, 1) or
+    (1, 1)."""
+    return [f.mean(axis=(-2, -1), keepdims=True) for f in fields]
+
+
 class StepSolver:
     """Assembles and solves the coupled implicit-step systems on one grid."""
 
@@ -209,20 +222,8 @@ class StepSolver:
         if grid.dim == 2:
             self._basis = _dct_basis(grid)
             return
-        mat, slots = _band_template(grid, self.a, self.b, self.c)
-        # gbsv storage of the matrix and of its transpose, A[i, j] at
-        # ab[MAIN + i - j, j] and at ab_t[MAIN + j - i, i]
-        size = mat.shape[1]
-        rows, cols = mat.indices, np.repeat(np.arange(size), np.diff(mat.indptr))
-        self._band = np.zeros((kernels.KL + kernels.MAIN + 1, size), order="F")
-        self._band_t = np.zeros_like(self._band, order="F")
-        self._band[kernels.MAIN + rows - cols, cols] = mat.data
-        self._band_t[kernels.MAIN + cols - rows, rows] = mat.data
-        # the slots as flat positions of the band; the diagonal ones are
-        # the same in the transposed band, and the two -P couplings of a
-        # cell swap places there, both taking -P
-        flat = kernels.MAIN + rows - cols + cols * self._band.shape[0]
-        self._slots = tuple(flat[s] for s in slots)
+        self._band, self._band_t, self._slots = _band_template(
+            grid, self.a, self.b, self.c)
         # the templates cell by cell, each cell's three band columns in a row
         self._cells = (self._band.T.reshape(grid.cell_count, -1),
                        self._band_t.T.reshape(grid.cell_count, -1))
@@ -250,7 +251,7 @@ class StepSolver:
             self._views[k] = (ab, ab.T.reshape(k, self._ncell, -1), flat,
                               [s[:cut] for s in slots], [d[:cut] for d in diagonal])
 
-    def solve(self, p, w, rhs, transpose: bool = False):
+    def solve(self, p, w, rhs, transpose: bool = False, means=False):
         """Solve A(p, w) (m, f, s) = rhs, or its transpose.
 
         Parameters
@@ -258,10 +259,7 @@ class StepSolver:
         p : array, grid-shaped or (K, *grid.shape)
             Frozen exchange rate P(phi_old). With a leading member axis
             each of the K members has a matrix of its own, and one call
-            solves them all. In 2D ``p`` may also hold one value per
-            member, its grid mean, of shape (K, 1, 1) or (1, 1): the
-            matrix is then A at that constant P and W, which the DCT
-            diagonalises.
+            solves them all.
         w : array, shaped like ``p``
             Implicit diagonal of the phase equation, B''(phi).
         rhs : three arrays, as a sequence or stacked along a leading axis
@@ -270,6 +268,12 @@ class StepSolver:
             of shape (K, *grid.shape), one per member.
         transpose : bool
             Solve with the transposed matrix (adjoint marching).
+        means : bool, or a sequence of K bools
+            2D only: solve with A at the grid means of P and W, which the
+            DCT diagonalises, rather than at their per-cell values, for
+            every right-hand side or, per member, for the flagged ones. A
+            call that mixes the two takes member-stacked ``p`` and ``w``.
+            A 1D solve is always at the per-cell values.
 
         Returns the solution stacked like a trajectory frame: shape
         (3, *rhs[0].shape), components (m, f, s) along the first axis.
@@ -278,7 +282,7 @@ class StepSolver:
         non-finite entries in the solution, without a numpy warning, and
         the callers (the forward march on its residual, the sweeps on each
         frame) raise :class:`~chcontrol.errors.NanDetectedError`. A 2D
-        solve with per-cell P and W that misses its backward error bound
+        solve at per-cell P and W that misses its backward error bound
         raises :class:`~chcontrol.errors.StepSolveError`.
         """
         shape = (3,) + rhs[0].shape
@@ -287,12 +291,21 @@ class StepSolver:
             return self._solve_band(p, w, rhs, transpose, ndir, shape)
         # one column per direction or member, its three components together
         b = np.reshape(rhs, (3, ndir) + self.grid.shape).transpose(1, 0, 2, 3)
+        flags = np.broadcast_to(means, (ndir,))
         with np.errstate(all="ignore"):
-            if np.shape(p)[-2:] == (1, 1):
-                x = self._dct_solve(p, w, b, transpose)
-            else:
+            if flags.all():
+                x = self._mean_solve(p, w, b, transpose)
+            elif not flags.any():
                 x = self._gmres(p, w, b, transpose)
+            else:
+                x = np.empty(b.shape)
+                for sel, run in ((flags, self._mean_solve), (~flags, self._gmres)):
+                    x[sel] = run(p[sel], w[sel], b[sel], transpose)
         return x.transpose(1, 0, 2, 3).reshape(shape)
+
+    def _mean_solve(self, p, w, b, transpose):
+        """Solve with A at the grid means of P and W, per member or at once."""
+        return self._dct_solve(*_grid_means(p, w), b, transpose)
 
     def _dct_solve(self, p, w, b, transpose):
         """Solve with A at constant P and W (one value per column, shape
@@ -368,7 +381,7 @@ class StepSolver:
         # per column: the right-hand side, ||A||, ||b||, P, W and their means
         p, w = (np.broadcast_to(f, b[:, 0].shape) for f in (p, w))
         coef = [f[cols] for f in (b, norm_a, norm_b, p, w)]
-        coef += [f.mean(axis=(-2, -1), keepdims=True) for f in coef[3:]]
+        coef += _grid_means(*coef[3:])
         y, r = x[cols], coef[0]
         for _ in range(CYCLES):
             beta = _norm2(r)

@@ -42,8 +42,9 @@ pair. It is reduced to its scalars, the polarized cost difference or the
 sup-norm ratios of each pair, and dropped before the next one is
 marched. At the shipped 128 cells and 256 steps the gradient check
 marches 3 ensembles of 8 controls to node 128, and the Lipschitz check 5
-ensembles of at most 4 controls to the end. In 2D an ensemble is one
-pair.
+ensembles of at most 4 controls to the end; at 32^2 cells and 32 steps
+they march 3 ensembles of 8 controls to node 16 and 5 of at most 4
+controls.
 
 ``CHECKS``, the verify pipeline's table, gives each check's report file
 and runner in run order; adding a check is one row there plus its option
@@ -197,13 +198,12 @@ def _march_pairs(params: ModelParams, init: InitialData, steps: int, count: int,
     with their trajectories. The pairs go, in order, into the fewest
     ensembles of near-equal size that each hold at most as many pairs as
     fit :data:`ENSEMBLE_BYTES` of trajectories and controls, and at least
-    one. An ensemble is dropped before the next one is marched. In 2D it
-    holds one pair: 2D members march one after another, so a larger
-    ensemble would only hold more memory.
+    one, in either dimension. An ensemble is dropped before the next one is
+    marched.
     """
     grid, tg = params.grid, params.time_grid
     member = ((steps + 1) * 3 + tg.steps + 1) * grid.cell_count * 8
-    per_group = 1 if grid.dim == 2 else max(1, ENSEMBLE_BYTES // (2 * member))
+    per_group = max(1, ENSEMBLE_BYTES // (2 * member))
     groups = -(-count // per_group)
     for g in range(groups):
         group = range(g * count // groups, (g + 1) * count // groups)

@@ -6,16 +6,16 @@ import chcontrol as ch
 
 @pytest.fixture
 def cell_solves(monkeypatch):
-    """A list that grows by one entry per 2D step solve given per-cell P and
-    W (an exact step matrix) rather than their grid means; the entry is the
-    solve's ``transpose`` flag."""
+    """A list that grows by one entry per 2D step solve that solves some
+    right-hand side at per-cell P and W (an exact step matrix) rather than
+    at their grid means; the entry is the solve's ``transpose`` flag."""
     calls = []
     solve = ch.system.StepSolver.solve
 
-    def counting_solve(self, p, w, rhs, transpose=False):
-        if self.grid.dim == 2 and np.shape(p)[-2:] != (1, 1):
+    def counting_solve(self, p, w, rhs, transpose=False, means=False):
+        if self.grid.dim == 2 and not np.all(means):
             calls.append(transpose)
-        return solve(self, p, w, rhs, transpose)
+        return solve(self, p, w, rhs, transpose, means)
 
     monkeypatch.setattr(ch.system.StepSolver, "solve", counting_solve)
     return calls

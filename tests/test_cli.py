@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -882,6 +883,18 @@ def test_gradient_check_exact_differences_pass(tmp_path, edit):
     assert run(_write(tmp_path, cfg), out_dir=out) == 0
     summary = json.loads((out / "verify" / "summary.json").read_text())
     assert summary["gradient"]["passed"]
+
+
+def test_narrow_ramp_verifies_without_warnings(tmp_path):
+    # at proliferation width 1e-300, cosh in dP overflows to inf wherever
+    # phi is not 0, where the derivative is 0 indeed: no warning escapes
+    cfg = json.loads((CONFIGS / "verify-suite.json").read_text())
+    cfg["model"]["proliferation"]["width"] = 1e-300
+    cfg["grid"]["n"] = [16]
+    cfg["time"]["steps"] = 16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(_write(tmp_path, cfg), out_dir=tmp_path / "verify") == 0
 
 
 def test_shipped_verify_2d_at_16(tmp_path):

@@ -9,7 +9,17 @@ from conftest import equilibrium_init, midpoint_control, tracking_cost
 
 
 def neumann_laplacian_matrix(grid):
-    return kernels.neumann_laplacian_matrix(grid.n, grid.inv_h2)
+    """The dense Neumann Laplacian on the row-major flattened cells: the
+    stencils' reference."""
+    axes = []
+    for n, inv_h2 in zip(grid.n, grid.inv_h2):
+        lap = inv_h2 * (np.eye(n, k=-1) + np.eye(n, k=1) - 2.0 * np.eye(n))
+        lap[0, 0] = lap[-1, -1] = -inv_h2
+        axes.append(lap)
+    if grid.dim == 1:
+        return axes[0]
+    lx, ly = axes
+    return np.kron(lx, np.eye(grid.n[1])) + np.kron(np.eye(grid.n[0]), ly)
 
 
 def _dominant_blocks(rng, n):
@@ -125,16 +135,14 @@ def test_nonfinite_step_data_is_reported_by_the_sweeps(dims):
         rhs = [grid.full(1.0), grid.full(0.0), grid.full(0.0)]
         rhs[1].flat[7] = bad
         assert not np.isfinite(solver.solve(p, w, tuple(rhs), transpose=transpose)).all()
-    # so does a non-finite P, per cell or, in 2D, as a grid mean
+    # so does a non-finite P, per cell or, in 2D, in its grid mean
     bad = p.copy()
     bad.flat[3] = np.nan
     rhs = (grid.full(1.0), grid.full(0.0), grid.full(0.0))
-    coefficients = [(bad, w)]
-    if dims == 2:
-        coefficients.append((bad.mean(keepdims=True), w.mean(keepdims=True)))
-    for pc, wc in coefficients:
+    for means in ((False, True) if dims == 2 else (False,)):
         for transpose in (False, True):
-            assert not np.isfinite(solver.solve(pc, wc, rhs, transpose=transpose)).all()
+            got = solver.solve(bad, w, rhs, transpose=transpose, means=means)
+            assert not np.isfinite(got).all()
     # and the sweeps that read it name the frame of that solve
     tg = ch.TimeGrid(0.25, 6)
     params = ch.ModelParams(0.1, 0.1, ch.Potential.quartic(),
@@ -166,7 +174,7 @@ def test_band_solve_singular_raises():
 
 def _dense_step_matrix_2d(solver, p, w):
     n = solver.grid.cell_count
-    lap = neumann_laplacian_matrix(solver.grid).toarray()
+    lap = neumann_laplacian_matrix(solver.grid)
     eye, zero = np.eye(n), np.zeros((n, n))
     p, w = np.diag(p.ravel()), np.diag(w.ravel())
     return np.block([
@@ -212,30 +220,36 @@ def _dense_solve(mat, rhs):
 
 @pytest.mark.parametrize("transpose", [False, True])
 def test_step_solve_2d_grid_means_match_dense(transpose):
-    # P and W given as one value per member, their grid means, solve the
-    # step matrix at those constants, for one and for several directions
-    # and for members, each member the bits of its own solve
+    # flagged, a solve takes the step matrix at the grid means of P and W,
+    # for one and for several directions; per member, one call may solve
+    # some members at their means and the others at their per-cell values,
+    # each member the bits of its own solve
     rng = np.random.default_rng(10)
     grid = ch.Grid.rectangle(16, 12, 1.5, 0.8)
     solver = StepSolver(grid, 1.0 / 32, 0.1, 0.2)
-    p, w = rng.uniform(0.0, 2.0, (2, 1, 1)), rng.uniform(0.0, 3.0, (2, 1, 1))
-    mats = [_dense_step_matrix_2d(solver, grid.full(p[i, 0, 0]), grid.full(w[i, 0, 0]))
-            for i in range(2)]
-    if transpose:
-        mats = [mat.T for mat in mats]
+    p = rng.uniform(0.0, 2.0, (2,) + grid.shape)
+    w = rng.uniform(0.0, 3.0, (2,) + grid.shape)
+
+    def dense(i, means):
+        pc, wc = (grid.full(f[i].mean()) if means else f[i] for f in (p, w))
+        mat = _dense_step_matrix_2d(solver, pc, wc)
+        return mat.T if transpose else mat
+
     for batch in ((), (3,)):
         rhs = rng.standard_normal((3,) + batch + grid.shape)
-        got = solver.solve(p[0], w[0], rhs, transpose=transpose)
-        ref = _dense_solve(mats[0], rhs)
+        got = solver.solve(p[0], w[0], rhs, transpose=transpose, means=True)
+        ref = _dense_solve(dense(0, True), rhs)
         assert got.shape == rhs.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     rhs = rng.standard_normal((3, 2) + grid.shape)
-    got = solver.solve(p, w, rhs, transpose=transpose)
-    for i in range(2):
-        single = solver.solve(p[i:i + 1], w[i:i + 1], rhs[:, i:i + 1], transpose=transpose)
-        assert got[:, i:i + 1].tobytes() == single.tobytes()
-        ref = _dense_solve(mats[i], rhs[:, i])
-        assert np.abs(got[:, i] - ref).max() <= 1e-12 * np.abs(ref).max()
+    for means in ([True, True], [False, True]):
+        got = solver.solve(p, w, rhs, transpose=transpose, means=means)
+        for i, flag in enumerate(means):
+            single = solver.solve(p[i:i + 1], w[i:i + 1], rhs[:, i:i + 1],
+                                  transpose=transpose, means=flag)
+            assert got[:, i:i + 1].tobytes() == single.tobytes(), (means, i)
+            ref = _dense_solve(dense(i, flag), rhs[:, i])
+            assert np.abs(got[:, i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("grid", [ch.Grid.line(24), ch.Grid.rectangle(6, 5)],

@@ -33,11 +33,8 @@ def _reference_newton_step(solver, pot, p_frozen, m0, f0, s0, pi_old, u_k, grid,
     missed = False
 
     def newton_direction(f, r1, r2, r3):
-        bpp = pot.d2B(f)
-        if exact or missed:
-            return solver.solve(p_frozen, bpp, (-r1, -r2, -r3))
-        return solver.solve(p_frozen.mean(keepdims=True), bpp.mean(keepdims=True),
-                            (-r1, -r2, -r3))
+        return solver.solve(p_frozen, pot.d2B(f), (-r1, -r2, -r3),
+                            means=not (exact or missed))
 
     m, f, s = m0.copy(), f0.copy(), s0.copy()
 

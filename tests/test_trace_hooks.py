@@ -63,14 +63,13 @@ print(json.dumps({"code": code, "metrics": metrics,
 """
 
 
-def test_traced_verify_sees_every_oracle(tmp_path):
-    # install() rebinds module attributes and cannot be undone, so the
-    # traced run gets a process of its own
-    cfg = copy.deepcopy(TINY_CONFIG)
-    cfg["pipeline"] = "verify"
-    cfg["verification"] = TINY_VERIFICATION
+def _traced_verify(tmp_path, cfg):
+    """Run the verify pipeline on ``cfg`` under the tracer and return the
+    exit code, the metrics and the reconcile message. install() rebinds
+    module attributes and cannot be undone, so the traced run gets a
+    process of its own."""
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps({**cfg, "pipeline": "verify"}))
     paths = [str(Path(ch.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
@@ -78,7 +77,13 @@ def test_traced_verify_sees_every_oracle(tmp_path):
          str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_verify_sees_every_oracle(tmp_path):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["verification"] = TINY_VERIFICATION
+    result = _traced_verify(tmp_path, cfg)
     assert result["code"] == 0
     metrics = result["metrics"]
     for name in ("gradient", "duality", "lipschitz", "mass"):
@@ -108,4 +113,21 @@ def test_traced_verify_sees_every_oracle(tmp_path):
     assert metrics["state.solves"] == 3
     assert metrics["state.steps"] == 2 * nt + max(k_tau, 1)
     assert 1 < k_tau < nt
+    assert result["reconcile"] is None
+
+
+def test_traced_2d_verify_stacks_and_reconciles(tmp_path):
+    # the 2D FD gradient and Lipschitz oracles march their pairs in
+    # member-stacked ensembles, with one step solve per stacked iteration
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["grid"] = {"n": [8, 8], "extents": [1.0, 1.0]}
+    cfg["time"]["steps"] = 8
+    cfg["verification"] = {**TINY_VERIFICATION, "checks": ["gradient", "lipschitz"]}
+    result = _traced_verify(tmp_path, cfg)
+    assert result["code"] == 0
+    metrics = result["metrics"]
+    grad, lip = TINY_VERIFICATION["gradient"], TINY_VERIFICATION["lipschitz"]
+    pairs = grad["directions"] * len(grad["deltas"]) + lip["pairs"] * len(lip["magnitudes"])
+    # the base solve and one ensemble per oracle
+    assert metrics["state.solves"] < pairs
     assert result["reconcile"] is None

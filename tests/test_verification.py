@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.cli import parse_config
+from chcontrol.cli import parse_config, preset_initial_data
 from chcontrol.verification import (
     SLOPE_FLOOR,
     SLOPE_MIN_DELTA,
@@ -291,3 +291,60 @@ def test_gradient_check_at_seed_116():
     assert abs(rep.analytic[1]) < 1e-7
     assert rep.max_rel_error(delta) < 1e-7
     assert rep.passed(delta, opts["tol"])
+
+
+def _problem_2d_logarithmic():
+    """A logarithmic random start on 12x10 cells under a strong source: at
+    the Lipschitz check's magnitude 10, the members of an ensemble leave
+    the mean-coefficient step at different iterations."""
+    grid = ch.Grid.rectangle(12, 10, 1.0, 0.8)
+    tg = ch.TimeGrid(0.2, 4)
+    pot = ch.Potential.logarithmic(2.0)
+    params = ch.ModelParams(0.1, 0.1, pot, ch.Proliferation.smooth_ramp(1.0, 0.5),
+                            grid, tg)
+    init = preset_initial_data("random_interior", grid, pot, amplitude=0.5, seed=1)
+    cost = ch.CostSpec(
+        b0=1e-3, b1=1.0, b2=0.0, b3=1.0, b4=0.0, b5=0.01, b6=1.0,
+        phi_q=ch.constant_trajectory(grid, tg, -0.5),
+        sigma_q=ch.constant_trajectory(grid, tg, 0.375),
+        phi_omega=grid.full(-0.5), tau_star=0.1,
+    )
+    return params, init, ch.constant_trajectory(grid, tg, 100.0), cost
+
+
+@pytest.mark.parametrize("make", [_problem_1d, _problem_2d_logarithmic], ids=["1d", "2d"])
+def test_oracle_reports_do_not_depend_on_grouping(make, monkeypatch):
+    # the FD gradient and Lipschitz reports are the same bits whether the
+    # pairs march in the default ensembles or one pair per ensemble
+    params, init, u, cost = make()
+    sizes, flags = [], []
+    solve_state, solve = ch.verification.solve_state, ch.system.StepSolver.solve
+
+    def recording_solve_state(params, init, control, steps=None):
+        sizes.append(len(control) if control.ndim > params.grid.dim + 1 else 1)
+        return solve_state(params, init, control, steps)
+
+    def recording_solve(self, p, w, rhs, transpose=False, means=False):
+        flags.append(len(set(np.atleast_1d(means))))
+        return solve(self, p, w, rhs, transpose, means)
+
+    monkeypatch.setattr(ch.verification, "solve_state", recording_solve_state)
+    monkeypatch.setattr(ch.system.StepSolver, "solve", recording_solve)
+
+    def reports():
+        grad = ch.fd_gradient_check(params, init, cost, u, 0.1, directions=2,
+                                    deltas=[0.2, 0.1, 1e-3], seed=5)
+        lip = ch.lipschitz_check(params, init, u, pairs=2, magnitudes=[10.0, 1e-2],
+                                 seed=5)
+        return ((grad.analytic, grad.rel_errors, grad.slopes),
+                {name: table.tobytes() for name, table in lip.ratios.items()})
+
+    grouped = reports()
+    # the base state solve has one member, each ensemble an even number
+    assert max(sizes) > 2
+    # in 2D, some stacked iteration solves members both ways in one call
+    assert (max(flags) > 1) == (params.grid.dim == 2)
+    sizes.clear()
+    monkeypatch.setattr(ch.verification, "ENSEMBLE_BYTES", 1)
+    assert reports() == grouped
+    assert set(sizes) == {1, 2}
