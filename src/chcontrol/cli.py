@@ -28,6 +28,8 @@ Exit codes: 0 success, 2 config error, 3 solver error or out of memory,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -303,27 +305,23 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
         phi = grid.full(given)
     elif name == "tanh_front":
         blame, given = "initial.width", _field(cfg, "initial.width")
-        x = grid.axis_centers(0)
-        phi = np.tanh((x - _field(cfg, "initial.position")) / given)
-        if grid.dim == 2:
-            phi = np.repeat(phi[:, None], grid.n[1], axis=1)
+        # the profile along the first axis, the same on every line across it
+        x = grid.axis_centers(0).reshape(grid.n[:1] + (1,) * (grid.dim - 1))
+        phi = np.broadcast_to(np.tanh((x - _field(cfg, "initial.position")) / given),
+                              grid.shape).copy()
     else:
         blame, given = "initial.amplitude", _field(cfg, "initial.amplitude")
         rng = np.random.default_rng(_field(cfg, "initial.seed"))
         modes = 4
         phi = np.zeros(grid.shape)
-        x = grid.axis_centers(0) / grid.extents[0]
-        if grid.dim == 1:
-            for m in range(1, modes + 1):
-                phi += rng.standard_normal() / m**2 * np.cos(np.pi * m * x)
-        else:
-            y = grid.axis_centers(1) / grid.extents[1]
-            for m in range(modes + 1):
-                for l in range(modes + 1):
-                    if m == l == 0:
-                        continue
-                    phi += (rng.standard_normal() / (m**2 + l**2)
-                            * np.outer(np.cos(np.pi * m * x), np.cos(np.pi * l * y)))
+        axes = [grid.axis_centers(i) / grid.extents[i] for i in range(grid.dim)]
+        # the product of axis cosines of each mode but the constant one,
+        # weighted by one standard normal draw over its squared wavenumber
+        for ms in itertools.product(range(modes + 1), repeat=grid.dim):
+            if any(ms):
+                cosines = [np.cos(np.pi * m * x) for m, x in zip(ms, axes)]
+                phi += (rng.standard_normal() / sum(m**2 for m in ms)
+                        * functools.reduce(np.multiply.outer, cosines))
         peak = np.abs(phi).max()
         if peak > 0:
             scale = given / float(peak)  # a Python float: inf, never a warning

@@ -4,7 +4,8 @@ Space is a cell-centered tensor grid on an interval (1D) or rectangle (2D)
 with homogeneous Neumann faces realised by reflecting ghost cells: the
 ghost value equals the adjacent interior value, which makes the discrete
 Laplacian symmetric and exactly conservative (its integral vanishes to
-roundoff). Fields are plain float64 numpy arrays of shape ``grid.shape``.
+roundoff). One stencil, :func:`chcontrol.kernels.lap`, serves every
+dimension. Fields are plain float64 numpy arrays of shape ``grid.shape``.
 
 Time is a uniform grid on [0, T]. A :class:`Trajectory` stores the same
 named components, one field each, per node; the same container is used
@@ -142,12 +143,12 @@ def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     derivative on every face).
 
     ``f`` is one field or a stack of fields along leading axes, e.g. the
-    (3, *grid.shape) frame of a trajectory; each is treated alike."""
+    (3, *grid.shape) frame of a trajectory; each is treated alike. Each
+    grid axis contributes (f[i-1] - 2 f[i] + f[i+1]) / h^2 along it, and
+    (f[1] - f[0]) / h^2 and (f[n-2] - f[n-1]) / h^2 at its two walls."""
     if f.shape[-grid.dim:] != grid.shape:
         raise GridMismatchError(f"field shape {f.shape} does not match grid {grid.shape}")
-    if grid.dim == 1:
-        return kernels.lap1d(f, grid.inv_h2[0])
-    return kernels.lap2d(f, *grid.inv_h2)
+    return kernels.lap(f, grid.inv_h2)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float:
@@ -240,7 +241,7 @@ def read_snapshot(path, grid: Grid | None = None) -> np.ndarray:
         raise ShapeMismatchError(f"{path}: not a field snapshot (bad magic)")
     if dim not in (1, 2):
         raise ShapeMismatchError(f"{path}: snapshot dimension {dim}, expected 1 or 2")
-    shape = (n0,) if dim == 1 else (n0, n1)
+    shape = (n0, n1)[:dim]
     payload, count = len(raw) - header_size, math.prod(shape)
     if payload != 8 * count:
         raise ShapeMismatchError(

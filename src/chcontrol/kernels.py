@@ -1,14 +1,16 @@
-"""Hot numeric kernels: Neumann Laplacian stencils and the 1D band solve.
+"""Hot numeric kernels: the Neumann Laplacian stencil and the 1D band solve.
 
 The solvers spend essentially all their time in two places: applying the
 reflecting-ghost Neumann Laplacian stencil and solving the coupled
-three-field linear system of each implicit time step. The stencils work
-on fields. :mod:`chcontrol.system` assembles the 1D step matrix cell by
+three-field linear system of each implicit time step. The stencil,
+:func:`lap`, works on stacks of fields on a grid of any dimension: one
+in-place pass along the last axis, then one added term per leading grid
+axis. :mod:`chcontrol.system` assembles the 1D step matrix cell by
 cell (the three unknowns of a cell adjacent), a band with three sub- and
 three superdiagonals, directly in ``gbsv`` storage:
 :func:`solve_block_tridiag` solves it by one direct call to LAPACK
 ``dgbsv``. The 2D step solve needs no matrix: it works in the DCT basis
-of the grid and applies the step matrix by :func:`lap2d` (see
+of the grid and applies the step matrix by :func:`lap` (see
 :mod:`chcontrol.system`).
 """
 
@@ -26,41 +28,36 @@ MAIN = KL + KU
 
 
 # ---------------------------------------------------------------------------
-# Neumann Laplacian stencils (ghost value = adjacent interior value)
+# Neumann Laplacian stencil (ghost value = adjacent interior value)
 # ---------------------------------------------------------------------------
 
 
-def lap1d(f, inv_h2):
-    """Stencil along the last axis; leading axes are a stack of fields."""
-    n = f.shape[-1]
+def lap(f, inv_h2):
+    """Stencil over the last ``len(inv_h2)`` axes, ``inv_h2`` holding 1/h^2
+    per grid axis; leading axes are a stack of fields."""
+    n, w = f.shape[-1], inv_h2[-1]
     flat = f.reshape(-1)
     out = np.empty(flat.shape)
-    # (f[i-1] - 2 f[i] + f[i+1]) / h^2 over the whole stack at once, each
-    # operation in place in the output; where a field ends it mixes two
-    # fields, and the boundary entries below, every n-th entry of the flat
-    # stack and the one before it, overwrite it
+    # (f[i-1] - 2 f[i] + f[i+1]) / h^2 along the last axis over the whole
+    # stack at once, each operation in place in the output; where a row
+    # ends it mixes two rows, and the boundary entries below, every n-th
+    # entry of the flat stack and the one before it, overwrite it
     mid = out[1:-1]
     np.multiply(flat[1:-1], 2.0, out=mid)
     np.subtract(flat[:-2], mid, out=mid)
     mid += flat[2:]
-    mid *= inv_h2
+    mid *= w
     for ends, inner, edge in ((out[::n], flat[1::n], flat[::n]),
                               (out[n - 1::n], flat[n - 2::n], flat[n - 1::n])):
         np.subtract(inner, edge, out=ends)
-        ends *= inv_h2
-    return out.reshape(f.shape)
-
-
-def lap2d(f, inv_hx2, inv_hy2):
-    """Stencil over the last two axes; leading axes are a stack of fields."""
-    out = np.empty(f.shape)
-    out[..., 0, :] = (f[..., 1, :] - f[..., 0, :]) * inv_hx2
-    out[..., 1:-1, :] = (f[..., :-2, :] - 2.0 * f[..., 1:-1, :]
-                         + f[..., 2:, :]) * inv_hx2
-    out[..., -1, :] = (f[..., -2, :] - f[..., -1, :]) * inv_hx2
-    out[..., 0] += (f[..., 1] - f[..., 0]) * inv_hy2
-    out[..., 1:-1] += (f[..., :-2] - 2.0 * f[..., 1:-1] + f[..., 2:]) * inv_hy2
-    out[..., -1] += (f[..., -2] - f[..., -1]) * inv_hy2
+        ends *= w
+    out = out.reshape(f.shape)
+    # each leading grid axis adds its term, formed as along the last axis
+    for axis, w in enumerate(inv_h2[:-1], start=-len(inv_h2)):
+        g, acc = f.swapaxes(axis, 0), out.swapaxes(axis, 0)
+        acc[0] += (g[1] - g[0]) * w
+        acc[1:-1] += (g[:-2] - 2.0 * g[1:-1] + g[2:]) * w
+        acc[-1] += (g[-2] - g[-1]) * w
     return out
 
 

@@ -26,6 +26,7 @@ any width s > 0, as does a constant. :class:`Proliferation` has ``P``
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,12 +127,17 @@ class Proliferation:
     def P(self, r):
         if self.kind == "constant":
             return np.full_like(r, self.p0)
-        return 0.5 * self.p0 * (1.0 + np.tanh(r / self.width))
+        # on a subnormal width r / width overflows to +-inf, where tanh is
+        # +-1 indeed
+        with np.errstate(over="ignore"):
+            return 0.5 * self.p0 * (1.0 + np.tanh(r / self.width))
 
     def dP(self, r):
         if self.kind == "constant":
             return np.zeros_like(r)
         # on a narrow ramp cosh overflows to inf away from r = 0, where dP
-        # is 0 indeed
+        # is 0 indeed; a subnormal width overflows 0.5 p0 / width as well,
+        # and the largest float in its place keeps that 0 rather than inf / inf
+        scale = min(0.5 * self.p0 / self.width, sys.float_info.max)
         with np.errstate(over="ignore"):
-            return 0.5 * self.p0 / self.width / np.cosh(r / self.width) ** 2
+            return scale / np.cosh(r / self.width) ** 2

@@ -125,6 +125,13 @@ RESTART = 20
 CYCLES = 5
 
 
+def _lap_diagonals(grid: Grid):
+    """Per axis, the diagonal of -Lap along it: 2/h^2, and 1/h^2 at the
+    walls."""
+    return [np.concatenate(([inv_h2], np.full(n - 2, 2.0 * inv_h2), [inv_h2]))
+            for n, inv_h2 in zip(grid.n, grid.inv_h2)]
+
+
 @lru_cache(maxsize=8)
 def _band_template(grid: Grid, a: float, b: float, c: float):
     """The 1D step matrix at P = W = 0, its cells in natural order and the
@@ -139,10 +146,9 @@ def _band_template(grid: Grid, a: float, b: float, c: float):
     are shared."""
     n = grid.cell_count
     inv_h2 = grid.inv_h2[0]
-    # -Lap on each component: 2/h^2 on the diagonal (1/h^2 at the walls)
-    # and -1/h^2 to the same component of each neighbour cell
-    lap = np.full(n, 2.0 * inv_h2)
-    lap[0] = lap[-1] = inv_h2
+    # -Lap on each component: its diagonal, and -1/h^2 to the same
+    # component of each neighbour cell
+    (lap,) = _lap_diagonals(grid)
     k3 = 3 * np.arange(n)
     # the nonzero entries of the 3x3 cell block at P = W = 0: row, column
     # and value
@@ -174,16 +180,14 @@ def _dct_basis(grid: Grid):
     the eigenvalues (4/h_x^2) sin^2(pi k/2n_x) + (4/h_y^2) sin^2(pi l/2n_y)
     of -Lap for mode (k, l) and the diagonal of -Lap. Built once per grid;
     the arrays are read-only because they are shared."""
-    mats, eigs, diags = [], [], []
+    mats, eigs = [], []
     for n, inv_h2 in zip(grid.n, grid.inv_h2):
         k = np.arange(n)
         mat = np.sqrt(2.0 / n) * np.cos(np.pi / n * np.outer(k, k + 0.5))
         mat[0] = np.sqrt(1.0 / n)
         mats.append(mat)
         eigs.append(4.0 * inv_h2 * np.sin(0.5 * np.pi / n * k) ** 2)
-        diag = np.full(n, 2.0 * inv_h2)
-        diag[0] = diag[-1] = inv_h2
-        diags.append(diag)
+    diags = _lap_diagonals(grid)
     cx, cy = mats
     basis = (cx, cx.T.copy(), cy.T.copy(), cy,
              eigs[0][:, None] + eigs[1], diags[0][:, None] + diags[1])
@@ -329,10 +333,10 @@ class StepSolver:
         return cxt @ r @ cy
 
     def _apply(self, p, w, y, transpose):
-        """A y, or A^T y, by the stencil, for the columns of y."""
+        """A y, or A^T y, for the columns of y, with Lap applied by
+        :func:`kernels.lap`, the stencil of the forward residual."""
         a, b, c = self.a, self.b, self.c
-        inv_h2 = self.grid.inv_h2
-        lap = kernels.lap2d(y, *inv_h2)
+        lap = kernels.lap(y, self.grid.inv_h2)
         m, f, s = y[:, 0], y[:, 1], y[:, 2]
         out = np.empty(y.shape)
         exchange = p * (s - m)

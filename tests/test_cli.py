@@ -86,7 +86,34 @@ def test_preset_equilibrium():
                                 value=value)
 
 
+def _random_interior_reference(grid, amplitude, seed):
+    """``random_interior`` written out per dimension: the bits the preset
+    keeps."""
+    rng = np.random.default_rng(seed)
+    phi = np.zeros(grid.shape)
+    x = grid.axis_centers(0) / grid.extents[0]
+    if grid.dim == 1:
+        for m in range(1, 5):
+            phi += rng.standard_normal() / m**2 * np.cos(np.pi * m * x)
+    else:
+        y = grid.axis_centers(1) / grid.extents[1]
+        for m in range(5):
+            for l in range(5):
+                if m == l == 0:
+                    continue
+                phi += (rng.standard_normal() / (m**2 + l**2)
+                        * np.outer(np.cos(np.pi * m * x), np.cos(np.pi * l * y)))
+    phi *= amplitude / float(np.abs(phi).max())
+    return phi
+
+
 def test_preset_random_interior():
+    pot = ch.Potential.quartic()
+    for g in (ch.Grid.line(128), ch.Grid.line(17, 2.0), ch.Grid((24, 9), (1.0, 0.3))):
+        for seed in (0, 1, 4, 11):
+            init = preset_initial_data("random_interior", g, pot, amplitude=0.3, seed=seed)
+            ref = _random_interior_reference(g, 0.3, seed)
+            assert init.phi0.tobytes() == ref.tobytes()
     g = ch.Grid.line(64)
     pot = ch.Potential.logarithmic(2.0)
     init = preset_initial_data("random_interior", g, pot, amplitude=0.1, seed=4)
@@ -119,6 +146,17 @@ def test_preset_tanh_front():
                                 ch.Potential.quartic(), width=0.1, position=0.5)
     assert plane.phi0.shape == (64, 5)
     assert all(np.array_equal(plane.phi0[:, j], init.phi0) for j in range(5))
+    # bit for bit the profile tanh((x - position) / width), repeated across
+    # the second axis
+    for g in (ch.Grid.line(17, 2.0), ch.Grid((24, 9), (1.0, 0.3))):
+        x = g.axis_centers(0)
+        for width, position in ((0.1, 0.5), (0.05, 0.3), (0.3, 0.0)):
+            ref = np.tanh((x - position) / width)
+            if g.dim == 2:
+                ref = np.repeat(ref[:, None], g.n[1], axis=1)
+            front = preset_initial_data("tanh_front", g, ch.Potential.quartic(),
+                                        width=width, position=position)
+            assert front.phi0.tobytes() == ref.tobytes()
     with pytest.raises(ConfigError):
         preset_initial_data("tanh_front", g, ch.Potential.quartic(),
                             width=-1.0, position=0.5)
@@ -885,11 +923,14 @@ def test_gradient_check_exact_differences_pass(tmp_path, edit):
     assert summary["gradient"]["passed"]
 
 
-def test_narrow_ramp_verifies_without_warnings(tmp_path):
+@pytest.mark.parametrize("width", [1e-300, 1e-310])
+def test_narrow_ramp_verifies_without_warnings(tmp_path, width):
     # at proliferation width 1e-300, cosh in dP overflows to inf wherever
-    # phi is not 0, where the derivative is 0 indeed: no warning escapes
+    # phi is not 0, where the derivative is 0 indeed: no warning escapes;
+    # at the subnormal 1e-310, r / width in P and 0.5 p0 / width in dP
+    # overflow as well
     cfg = json.loads((CONFIGS / "verify-suite.json").read_text())
-    cfg["model"]["proliferation"]["width"] = 1e-300
+    cfg["model"]["proliferation"]["width"] = width
     cfg["grid"]["n"] = [16]
     cfg["time"]["steps"] = 16
     with warnings.catch_warnings():

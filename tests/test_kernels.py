@@ -22,6 +22,37 @@ def neumann_laplacian_matrix(grid):
     return np.kron(lx, np.eye(grid.n[1])) + np.kron(np.eye(grid.n[0]), ly)
 
 
+def _lap1d_reference(f, inv_h2):
+    """The 1D stencil written for one axis, in place over the flat stack:
+    the bits the stencil keeps."""
+    n = f.shape[-1]
+    flat = f.reshape(-1)
+    out = np.empty(flat.shape)
+    mid = out[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=mid)
+    np.subtract(flat[:-2], mid, out=mid)
+    mid += flat[2:]
+    mid *= inv_h2
+    for ends, inner, edge in ((out[::n], flat[1::n], flat[::n]),
+                              (out[n - 1::n], flat[n - 2::n], flat[n - 1::n])):
+        np.subtract(inner, edge, out=ends)
+        ends *= inv_h2
+    return out.reshape(f.shape)
+
+
+def _lap2d_reference(f, inv_hx2, inv_hy2):
+    """The 2D stencil written for two axes: the bits the stencil keeps."""
+    out = np.empty(f.shape)
+    out[..., 0, :] = (f[..., 1, :] - f[..., 0, :]) * inv_hx2
+    out[..., 1:-1, :] = (f[..., :-2, :] - 2.0 * f[..., 1:-1, :]
+                         + f[..., 2:, :]) * inv_hx2
+    out[..., -1, :] = (f[..., -2, :] - f[..., -1, :]) * inv_hx2
+    out[..., 0] += (f[..., 1] - f[..., 0]) * inv_hy2
+    out[..., 1:-1] += (f[..., :-2] - 2.0 * f[..., 1:-1] + f[..., 2:]) * inv_hy2
+    out[..., -1] += (f[..., -2] - f[..., -1]) * inv_hy2
+    return out
+
+
 def _dominant_blocks(rng, n):
     diag = rng.standard_normal((n, 3, 3))
     diag += np.eye(3) * 10.0  # make blocks safely dominant
@@ -375,3 +406,18 @@ def test_laplacian_of_stack_matches_each_field(grid):
             assert np.abs(lap[i, j] - ref).max() <= 1e-12 * np.abs(ref).max()
     with pytest.raises(ch.GridMismatchError):
         ch.laplacian_neumann(grid, stack[..., :-1])
+
+
+@pytest.mark.parametrize("grid, stack", [
+    (ch.Grid.line(3), (3, 4)), (ch.Grid.line(128), (3, 1)), (ch.Grid.line(128), (3, 8)),
+    (ch.Grid((12, 7), (1.0, 0.3)), (5, 3)), (ch.Grid((32, 32), (1.0, 0.7)), (2, 3)),
+], ids=["1d-3", "1d-128", "1d-128x8", "2d-12x7", "2d-32x32"])
+def test_laplacian_keeps_per_dimension_stencil_bits(grid, stack):
+    # one stencil serves every dimension; it forms each axis's term as the
+    # per-dimension stencils did, bit for bit (hx != hy in 2D)
+    f = np.random.default_rng(11).standard_normal(stack + grid.shape)
+    if grid.dim == 1:
+        ref = _lap1d_reference(f, *grid.inv_h2)
+    else:
+        ref = _lap2d_reference(f, *grid.inv_h2)
+    assert ch.laplacian_neumann(grid, f).tobytes() == ref.tobytes()
