@@ -27,7 +27,6 @@ Exit codes: 0 success, 2 config error, 3 solver error or out of memory,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -678,6 +677,7 @@ def run(config_path, pipeline=None, seed=None, out_dir=None) -> int:
 
 
 def main(argv=None) -> None:
+    import argparse  # only here: run() and the package skip its import
     parser = argparse.ArgumentParser(
         prog="chcontrol",
         description="Optimal treatment-time control of a viscous Cahn-Hilliard "

@@ -9,16 +9,31 @@ axis. :mod:`chcontrol.system` assembles the 1D step matrix cell by
 cell (the three unknowns of a cell adjacent), a band with three sub- and
 three superdiagonals, directly in ``gbsv`` storage:
 :func:`solve_block_tridiag` solves it by one direct call to LAPACK
-``dgbsv``. The 2D step solve needs no matrix: it works in the DCT basis
-of the grid and applies the step matrix by :func:`lap` (see
-:mod:`chcontrol.system`).
+``dgbsv``, loaded as a file from SciPy's ``scipy/linalg/_flapack`` (in
+every SciPy >= 1.10; the public import where it is not found, as in an
+editable install): importing ``scipy.linalg`` would load every lazy numpy
+submodule and add about 0.3 s and 18 MB to each start-up. The 2D step
+solve needs no matrix: it works in the DCT basis of the grid and applies
+the step matrix by :func:`lap` (see :mod:`chcontrol.system`).
 """
 
 from __future__ import annotations
 
+import os
+from importlib import machinery, util
+
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv
+
+_spec = machinery.PathFinder.find_spec(
+    "scipy.linalg._flapack", [os.path.join(scipy.__path__[0], "linalg")])
+if _spec is None:  # no such file, as in an editable SciPy install
+    from scipy.linalg.lapack import dgbsv
+else:
+    _flapack = util.module_from_spec(_spec)
+    _spec.loader.exec_module(_flapack)
+    dgbsv = _flapack.dgbsv
 
 # sub- and superdiagonals of the interleaved 1D step matrix
 KL = KU = 3

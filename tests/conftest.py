@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,3 +90,15 @@ def baseline_problem():
 def baseline_state(baseline_problem):
     params, init, cost, u = baseline_problem
     return ch.solve_state(params, init, u)
+
+
+def run_fresh(code, *args, timeout=300):
+    """Run ``python -c code *args`` in a fresh process that imports this
+    checkout's package, check that it exits 0 and return the JSON object
+    its last line of output prints."""
+    paths = [str(Path(ch.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])

@@ -15,6 +15,7 @@ import chcontrol.optimizer as optimizer_module
 import chcontrol.verification as verification_module
 from chcontrol.cli import _FIELDS, parse_config, preset_initial_data, run
 from chcontrol.errors import ConfigError, SolverError
+from conftest import run_fresh
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -953,3 +954,28 @@ def test_shipped_verify_2d_at_16(tmp_path):
     summary = json.loads((out / "verify" / "summary.json").read_text())
     assert set(summary) == {"gradient", "duality", "lipschitz", "mass"}
     assert all(entry["passed"] for entry in summary.values())
+
+
+# argv: the two config paths, the output directory
+_STARTUP_RUN = """
+import json, sys
+from chcontrol import cli
+codes = [cli.run(path, out_dir=f"{sys.argv[3]}/{i}")
+         for i, path in enumerate(sys.argv[1:3])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_run_leaves_heavy_modules_unimported(tmp_path):
+    # dgbsv is loaded without the scipy.linalg package, whose __init__
+    # loads every lazy numpy submodule, and argparse only by main(): a
+    # fresh process that runs a 1D and a 2D pipeline imports none of them
+    one = {**TINY_CONFIG, "pipeline": "all", "verification": TINY_VERIFICATION}
+    two = {**TINY_CONFIG, "grid": {"n": [6, 5], "extents": [1.0, 0.8]}}
+    result = run_fresh(_STARTUP_RUN, _write(tmp_path, one, "one.json"),
+                       _write(tmp_path, two, "two.json"), tmp_path / "out")
+    assert result["codes"] == [0, 0]
+    heavy = {"scipy.linalg", "scipy.linalg.lapack", "numpy.f2py", "numpy.testing",
+             "numpy.ma", "argparse"}
+    assert heavy.isdisjoint(result["modules"])
+    assert "chcontrol.kernels" in result["modules"]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, solve_banded
+from scipy.linalg import block_diag, lapack, solve_banded
 
 import chcontrol as ch
 from chcontrol import kernels
-from chcontrol.system import StepSolver
-from conftest import equilibrium_init, midpoint_control, tracking_cost
+from chcontrol.system import StepSolver, _band_template
+from conftest import equilibrium_init, midpoint_control, run_fresh, tracking_cost
 
 
 def neumann_laplacian_matrix(grid):
@@ -201,6 +201,64 @@ def test_band_solve_singular_raises():
     ab = _gbsv_storage(np.zeros((24, 24)))
     with pytest.raises(np.linalg.LinAlgError):
         kernels.solve_block_tridiag(ab, np.ones(24))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("nrhs", [1, 4])
+def test_loaded_dgbsv_solves_like_scipy_bitwise(transpose, members, nrhs):
+    # kernels loads dgbsv from SciPy's compiled LAPACK module as a file;
+    # on the step bands, members side by side, it gives the bits of the
+    # public scipy.linalg.lapack.dgbsv: factors, pivots and solution
+    rng = np.random.default_rng(7)
+    n = 24
+    band, band_t, slots = _band_template(ch.Grid.line(n, 1.0), 6.4, 3.2, 64.0)
+    ab = np.asfortranarray(np.hstack([band_t if transpose else band] * members))
+    flat = ab.reshape(-1, order="F")
+    for m in range(members):
+        p, w = rng.uniform(0.0, 2.0, (2, n))
+        offset = m * band.size
+        for slot, add in zip(slots, (p, w, p, -p, -p)):
+            flat[slot + offset] += add
+    rhs = np.asfortranarray(rng.standard_normal((3 * n * members, nrhs)))
+    ref = lapack.dgbsv(kernels.KL, kernels.KU, ab.copy(order="F"),
+                       rhs.copy(order="F"))
+    got = kernels.dgbsv(kernels.KL, kernels.KU, ab.copy(order="F"),
+                        rhs.copy(order="F"))
+    for a, b in zip(got, ref):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert ref[3] == 0
+    x = kernels.solve_block_tridiag(ab.copy(order="F"), rhs.copy(order="F"))
+    assert x.tobytes() == ref[2].tobytes()
+
+
+# find_spec returns None for the first lookup of SciPy's LAPACK module,
+# kernels', and finds it as usual for the public import that kernels then
+# falls back to, so that importing kernels imports scipy.linalg.lapack
+_FALLBACK_RUN = """
+import json, sys
+from importlib import machinery
+find_spec, missed = machinery.PathFinder.find_spec, []
+def find_spec_once(name, path=None, target=None):
+    if name == "scipy.linalg._flapack" and not missed:
+        missed.append(name)
+        return None
+    return find_spec(name, path, target)
+machinery.PathFinder.find_spec = find_spec_once
+import numpy as np
+from chcontrol import kernels
+public = "scipy.linalg.lapack" in sys.modules
+ab = np.zeros((kernels.KL + kernels.MAIN + 1, 6), order="F")
+ab[kernels.MAIN] = 2.0
+x = kernels.solve_block_tridiag(ab, np.ones(6))
+print(json.dumps({"missed": missed, "public": public, "x": x.tolist()}))
+"""
+
+
+def test_dgbsv_falls_back_to_public_import():
+    result = run_fresh(_FALLBACK_RUN)
+    assert result == {"missed": ["scipy.linalg._flapack"], "public": True,
+                      "x": [0.5] * 6}
 
 
 def _dense_step_matrix_2d(solver, p, w):

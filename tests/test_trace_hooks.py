@@ -8,15 +8,12 @@ import importlib
 import importlib.util
 import inspect
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import chcontrol as ch
-from conftest import equilibrium_init, make_problem, midpoint_control
+from conftest import equilibrium_init, make_problem, midpoint_control, run_fresh
 from test_cli import TINY_CONFIG, TINY_VERIFICATION
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -70,14 +67,7 @@ def _traced_verify(tmp_path, cfg):
     process of its own."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**cfg, "pipeline": "verify"}))
-    paths = [str(Path(ch.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_RUN, str(_TRACER), str(cfg_path),
-         str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return run_fresh(_TRACED_RUN, _TRACER, cfg_path, tmp_path / "out")
 
 
 def test_traced_verify_sees_every_oracle(tmp_path):
