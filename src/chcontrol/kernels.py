@@ -9,31 +9,25 @@ axis. :mod:`chcontrol.system` assembles the 1D step matrix cell by
 cell (the three unknowns of a cell adjacent), a band with three sub- and
 three superdiagonals, directly in ``gbsv`` storage:
 :func:`solve_block_tridiag` solves it by one direct call to LAPACK
-``dgbsv``, loaded as a file from SciPy's ``scipy/linalg/_flapack`` (in
-every SciPy >= 1.10; the public import where it is not found, as in an
-editable install): importing ``scipy.linalg`` would load every lazy numpy
-submodule and add about 0.3 s and 18 MB to each start-up. The 2D step
-solve needs no matrix: it works in the DCT basis of the grid and applies
-the step matrix by :func:`lap` (see :mod:`chcontrol.system`).
+``dgbsv``. :func:`load_dgbsv` loads that routine at the first 1D solve,
+as a file from SciPy's ``scipy/linalg/_flapack`` (in every SciPy >= 1.10;
+the public import where it is not found, as in an editable install):
+importing ``scipy.linalg`` would load every lazy numpy submodule and add
+about 0.3 s and 18 MB to each start-up. The 2D step solve needs no
+matrix: it works in the DCT basis of the grid and applies the step matrix
+by :func:`lap` (see :mod:`chcontrol.system`), so a 2D run imports no SciPy
+module at all.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import sys
 from importlib import machinery, util
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
-
-_spec = machinery.PathFinder.find_spec(
-    "scipy.linalg._flapack", [os.path.join(scipy.__path__[0], "linalg")])
-if _spec is None:  # no such file, as in an editable SciPy install
-    from scipy.linalg.lapack import dgbsv
-else:
-    _flapack = util.module_from_spec(_spec)
-    _spec.loader.exec_module(_flapack)
-    dgbsv = _flapack.dgbsv
 
 # sub- and superdiagonals of the interleaved 1D step matrix
 KL = KU = 3
@@ -81,6 +75,32 @@ def lap(f, inv_h2):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def load_dgbsv():
+    """LAPACK ``dgbsv`` from SciPy's compiled module, loaded on the first call.
+
+    ``import scipy`` is light and on Windows sets up the DLL paths; the
+    module file is then run without the ``scipy.linalg`` package.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    spec = machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:  # no such file, as in an editable SciPy install
+        from scipy.linalg.lapack import dgbsv
+        return dgbsv
+    registered = name in sys.modules
+    flapack = util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    if not registered:
+        # the extension loader registered the module without binding it
+        # on scipy.linalg; without the entry, a later import of
+        # scipy.linalg loads and binds it, with the same routines
+        sys.modules.pop(name, None)
+    return flapack.dgbsv
+
+
 def solve_block_tridiag(ab, b):
     """Solve the interleaved block-tridiagonal system in place.
 
@@ -104,7 +124,7 @@ def solve_block_tridiag(ab, b):
     """
     # overwrite_ab and overwrite_b passed by position, which the f2py
     # wrapper parses faster than keywords
-    _, _, x, info = dgbsv(KL, KU, ab, b, 1, 1)
+    _, _, x, info = load_dgbsv()(KL, KU, ab, b, 1, 1)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

@@ -979,3 +979,45 @@ def test_run_leaves_heavy_modules_unimported(tmp_path):
              "numpy.ma", "argparse"}
     assert heavy.isdisjoint(result["modules"])
     assert "chcontrol.kernels" in result["modules"]
+
+
+def _scipy_modules(modules):
+    return [m for m in modules
+            if m == "scipy" or m.startswith("scipy.") or m.endswith("_flapack")]
+
+
+# argv: the config path, the output directory
+_RUN_ONE = """
+import json, sys
+from chcontrol import cli
+code = cli.run(sys.argv[1], out_dir=sys.argv[2])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_two_dimensional_run_imports_no_scipy(tmp_path):
+    # the 2D step solve works in the DCT basis and dgbsv loads at the
+    # first 1D solve: a fresh process that simulates, optimizes and
+    # verifies on a 2D grid imports no SciPy module
+    cfg = {**TINY_CONFIG, "pipeline": "all", "verification": TINY_VERIFICATION,
+           "grid": {"n": [6, 5], "extents": [1.0, 0.8]},
+           "optimizer": {"max_outer_iters": 2}}
+    result = run_fresh(_RUN_ONE, _write(tmp_path, cfg), tmp_path / "out")
+    assert result["code"] == 0
+    assert _scipy_modules(result["modules"]) == []
+    assert "chcontrol.kernels" in result["modules"]
+
+
+# argv: the config path
+_PARSE_ONE = """
+import json, sys
+from chcontrol import cli
+cli.parse_config(sys.argv[1])
+print(json.dumps({"modules": sorted(sys.modules)}))
+"""
+
+
+def test_parse_config_imports_no_scipy(tmp_path):
+    # a process's set-up, up to a parsed 1D config, loads no SciPy module
+    result = run_fresh(_PARSE_ONE, _write(tmp_path, TINY_CONFIG))
+    assert _scipy_modules(result["modules"]) == []

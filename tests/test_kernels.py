@@ -207,9 +207,10 @@ def test_band_solve_singular_raises():
 @pytest.mark.parametrize("members", [1, 3])
 @pytest.mark.parametrize("nrhs", [1, 4])
 def test_loaded_dgbsv_solves_like_scipy_bitwise(transpose, members, nrhs):
-    # kernels loads dgbsv from SciPy's compiled LAPACK module as a file;
-    # on the step bands, members side by side, it gives the bits of the
-    # public scipy.linalg.lapack.dgbsv: factors, pivots and solution
+    # kernels loads dgbsv from SciPy's compiled LAPACK module as a file
+    # at the first 1D solve; on the step bands, members side by side, it
+    # gives the bits of the public scipy.linalg.lapack.dgbsv: factors,
+    # pivots and solution
     rng = np.random.default_rng(7)
     n = 24
     band, band_t, slots = _band_template(ch.Grid.line(n, 1.0), 6.4, 3.2, 64.0)
@@ -223,8 +224,8 @@ def test_loaded_dgbsv_solves_like_scipy_bitwise(transpose, members, nrhs):
     rhs = np.asfortranarray(rng.standard_normal((3 * n * members, nrhs)))
     ref = lapack.dgbsv(kernels.KL, kernels.KU, ab.copy(order="F"),
                        rhs.copy(order="F"))
-    got = kernels.dgbsv(kernels.KL, kernels.KU, ab.copy(order="F"),
-                        rhs.copy(order="F"))
+    got = kernels.load_dgbsv()(kernels.KL, kernels.KU, ab.copy(order="F"),
+                               rhs.copy(order="F"))
     for a, b in zip(got, ref):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     assert ref[3] == 0
@@ -234,7 +235,7 @@ def test_loaded_dgbsv_solves_like_scipy_bitwise(transpose, members, nrhs):
 
 # find_spec returns None for the first lookup of SciPy's LAPACK module,
 # kernels', and finds it as usual for the public import that kernels then
-# falls back to, so that importing kernels imports scipy.linalg.lapack
+# falls back to, so that the first 1D solve imports scipy.linalg.lapack
 _FALLBACK_RUN = """
 import json, sys
 from importlib import machinery
@@ -247,10 +248,10 @@ def find_spec_once(name, path=None, target=None):
 machinery.PathFinder.find_spec = find_spec_once
 import numpy as np
 from chcontrol import kernels
-public = "scipy.linalg.lapack" in sys.modules
 ab = np.zeros((kernels.KL + kernels.MAIN + 1, 6), order="F")
 ab[kernels.MAIN] = 2.0
 x = kernels.solve_block_tridiag(ab, np.ones(6))
+public = "scipy.linalg.lapack" in sys.modules
 print(json.dumps({"missed": missed, "public": public, "x": x.tolist()}))
 """
 
@@ -259,6 +260,37 @@ def test_dgbsv_falls_back_to_public_import():
     result = run_fresh(_FALLBACK_RUN)
     assert result == {"missed": ["scipy.linalg._flapack"], "public": True,
                       "x": [0.5] * 6}
+
+
+# argv: "before" or "after", when scipy.linalg is imported relative to the
+# first 1D solve, which loads dgbsv; either way _flapack ends up bound on
+# the package as its sys.modules entry, and the public dgbsv solves the
+# step band with the loaded routine's bits
+_SCIPY_AROUND_SOLVE_RUN = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+import chcontrol as ch
+from chcontrol import kernels
+from chcontrol.system import _band_template
+band = np.asfortranarray(_band_template(ch.Grid.line(24, 1.0), 6.4, 3.2, 64.0)[0])
+rhs = np.random.default_rng(7).standard_normal(band.shape[1])
+x = kernels.solve_block_tridiag(band.copy(order="F"), rhs.copy())
+import scipy.linalg
+flapack = getattr(scipy.linalg, "_flapack", None)
+_, _, ref, info = scipy.linalg.lapack.dgbsv(kernels.KL, kernels.KU, band, rhs)
+print(json.dumps({
+    "bound": flapack is not None and flapack is sys.modules.get("scipy.linalg._flapack"),
+    "same": flapack is not None and flapack.dgbsv is kernels.load_dgbsv(),
+    "info": int(info), "bits": ref.tobytes() == x.tobytes()}))
+"""
+
+
+@pytest.mark.parametrize("scipy_linalg", ["before", "after"])
+def test_scipy_linalg_binds_flapack_around_a_solve(scipy_linalg):
+    result = run_fresh(_SCIPY_AROUND_SOLVE_RUN, scipy_linalg)
+    assert result == {"bound": True, "same": True, "info": 0, "bits": True}
 
 
 def _dense_step_matrix_2d(solver, p, w):
