@@ -9,21 +9,28 @@ axis. :mod:`chcontrol.system` assembles the 1D step matrix cell by
 cell (the three unknowns of a cell adjacent), a band with three sub- and
 three superdiagonals, directly in ``gbsv`` storage:
 :func:`solve_block_tridiag` solves it by one direct call to LAPACK
-``dgbsv``. :func:`load_dgbsv` loads that routine at the first 1D solve,
-as a file from SciPy's ``scipy/linalg/_flapack`` (in every SciPy >= 1.10;
-the public import where it is not found, as in an editable install):
-importing ``scipy.linalg`` would load every lazy numpy submodule and add
-about 0.3 s and 18 MB to each start-up. The 2D step solve needs no
-matrix: it works in the DCT basis of the grid and applies the step matrix
-by :func:`lap` (see :mod:`chcontrol.system`), so a 2D run imports no SciPy
+``dgbsv``, that of the OpenBLAS numpy already has loaded
+(:func:`numpy_dgbsv`). A 1D run thus loads no second BLAS library (about
+3.6 MB of peak memory, and a worker thread that spun for about 0.13 s of
+CPU after loading) and imports no SciPy module. Where numpy's library
+does not export the routine (numpy 1.x, a system or MKL BLAS, Windows),
+:func:`load_dgbsv` loads SciPy's at the first 1D solve, as a file from
+SciPy's ``scipy/linalg/_flapack`` (in every SciPy >= 1.10; the public
+import where it is not found, as in an editable install): importing
+``scipy.linalg`` would load every lazy numpy submodule and add about
+0.3 s and 18 MB to each start-up. The 2D step solve needs no matrix: it
+works in the DCT basis of the grid and applies the step matrix by
+:func:`lap` (see :mod:`chcontrol.system`), so a 2D run imports no SciPy
 module at all.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import sys
+import weakref
 from importlib import machinery, util
 
 import numpy as np
@@ -101,30 +108,114 @@ def load_dgbsv():
     return flapack.dgbsv
 
 
+@functools.cache
+def numpy_dgbsv():
+    """LAPACK ``dgbsv`` of the OpenBLAS numpy is linked with, or None.
+
+    numpy's OpenBLAS wheels (numpy >= 2) export it as the ILP64 routine
+    ``scipy_dgbsv_64_``: every integer argument an int64, all passed by
+    reference. ``dlsym`` on the handle of numpy's core extension also
+    searches the libraries that extension links, so the lookup loads
+    nothing new. None where the symbol is missing.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        routine = ctypes.CDLL(_multiarray_umath.__file__).scipy_dgbsv_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    # no argtypes: every argument is a ready pointer (see _bind), which
+    # ctypes passes as it is, where a converter per argument would add
+    # about 1 us to each call
+    routine.restype = None
+    return routine
+
+
+def _pointer(arr):
+    """A ready ctypes pointer argument to the data of ``arr``; it does not
+    keep ``arr`` alive."""
+    return ctypes.byref(ctypes.c_char.from_address(arr.ctypes.data))
+
+
+def _check_layout(ab, b):
+    """Raise ``ValueError`` unless ``dgbsv`` can work on ``ab`` and ``b`` in
+    place: ctypes checks no layout."""
+    for name, arr, dims in (("ab", ab, (2,)), ("b", b, (1, 2))):
+        flags = arr.flags
+        if (arr.dtype != np.float64 or arr.ndim not in dims
+                or not (flags.f_contiguous and flags.writeable)):
+            raise ValueError(f"{name} must be a writeable Fortran-ordered "
+                             f"float64 array of {' or '.join(map(str, dims))} "
+                             f"dimensions")
+    if ab.shape[0] < KL + MAIN + 1:
+        raise ValueError(f"ab has {ab.shape[0]} rows; gbsv storage needs "
+                         f"{KL + MAIN + 1}")
+    if b.shape[0] != ab.shape[1]:
+        raise ValueError(f"b has {b.shape[0]} rows for {ab.shape[1]} unknowns")
+
+
+# numpy dgbsv arguments per band array, by id(ab): (b, ipiv, info, args)
+# for the right-hand side b last solved with it. An entry keeps b and ipiv
+# alive, which the pointers in args do not, and is dropped when its band
+# array is freed, before that id can name another array.
+_bound = {}
+
+
+def _bind(ab, b):
+    """Check and bind the arguments of a solve of ``ab`` against ``b``:
+    N, KL, KU, NRHS, AB, LDAB, IPIV, B, LDB, INFO as ready pointers."""
+    _check_layout(ab, b)
+    rows, size = ab.shape
+    ipiv, info = np.empty(size, np.int64), ctypes.c_int64()
+    n, kl, ku, nrhs, ldab = (ctypes.byref(ctypes.c_int64(v)) for v in (
+        size, KL, KU, b.shape[1] if b.ndim == 2 else 1, rows))
+    # LDB is N: b is Fortran-ordered with N rows
+    args = (n, kl, ku, nrhs, _pointer(ab), ldab, _pointer(ipiv), _pointer(b),
+            n, ctypes.byref(info))
+    key = id(ab)
+    if key not in _bound:
+        weakref.finalize(ab, _bound.pop, key, None)
+    _bound[key] = entry = (b, ipiv, info, args)
+    return entry
+
+
 def solve_block_tridiag(ab, b):
     """Solve the interleaved block-tridiagonal system in place.
 
     Parameters
     ----------
-    ab : (KL + MAIN + 1, 3n) Fortran-ordered array
+    ab : (KL + MAIN + 1, 3n) Fortran-ordered float64 array
         The matrix in ``gbsv`` storage: A[i, j] at ``ab[MAIN + i - j, j]``,
         zero elsewhere. Overwritten by its LU factors. The n cells may be
         those of K uncoupled blocks side by side (K members of n / K cells
         each): the zero couplings between them keep the band at kl = ku =
         3, and the pivot search never leaves a block.
-    b : (3n,) or (3n, nrhs) Fortran-ordered array
+    b : (3n,) or (3n, nrhs) Fortran-ordered float64 array
         Interleaved right-hand sides (m_0, f_0, s_0, m_1, ...), one per
         column, all solved against one factorization. Overwritten by the
         solution, which is returned.
 
-    Raises ``LinAlgError`` on a singular matrix, as
+    The routine is numpy's (:func:`numpy_dgbsv`) and SciPy's where numpy's
+    library lacks it; the two give the same bits. Raises ``ValueError``
+    where either array is not writeable, Fortran-ordered float64, or its
+    rows do not fit, and ``LinAlgError`` on a singular matrix, as
     :func:`scipy.linalg.solve_banded` does. As in the 2D solve, the input
     is not scanned for non-finite values: they give non-finite entries in
     the solution, which the callers check.
     """
-    # overwrite_ab and overwrite_b passed by position, which the f2py
-    # wrapper parses faster than keywords
-    _, _, x, info = load_dgbsv()(KL, KU, ab, b, 1, 1)
+    dgbsv = numpy_dgbsv()
+    if dgbsv is None:
+        _check_layout(ab, b)
+        # overwrite_ab and overwrite_b passed by position, which the f2py
+        # wrapper parses faster than keywords
+        _, _, x, info = load_dgbsv()(KL, KU, ab, b, 1, 1)
+    else:
+        # a band workspace solved again with the same right-hand-side
+        # array, as the step solver's, reuses its arguments
+        entry = _bound.get(id(ab))
+        if entry is None or entry[0] is not b:
+            entry = _bind(ab, b)
+        dgbsv(*entry[3])
+        x, info = b, entry[2].value
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

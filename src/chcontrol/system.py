@@ -34,12 +34,13 @@ directly in LAPACK ``gbsv`` band storage of the matrix and of its
 transpose, so that the many solvers of a run share it, together with the
 flat positions of the P, W and -P entries in that band: the diagonal ones
 are the same in both, and the two -P couplings of a cell swap places
-under transposition, both taking -P. A solve copies a
-template into a band workspace kept by the solver and patches it; the
-right-hand side is interleaved cell by cell, and one ``dgbsv`` call with
-one column per direction (:func:`kernels.solve_block_tridiag`) factors it
-in place and solves, so a sweep along many directions factors each step
-matrix once. A 1D solve may also take K members, each with a matrix of
+under transposition, both taking -P. A solve copies a template into a
+band workspace kept by the solver and patches it; the right-hand side
+is interleaved cell by cell into a buffer kept alike
+(:mod:`chcontrol.kernels` binds the LAPACK arguments once per pair), and
+one ``dgbsv`` call with one column per direction
+(:func:`kernels.solve_block_tridiag`) factors it in place and solves, so
+a sweep along many directions factors each step matrix once. A 1D solve may also take K members, each with a matrix of
 its own (P and W of shape (K, n), the right-hand side (3, K, n)): the K
 bands sit side by side in one workspace, each member's slots shifted by
 its block, and one ``dgbsv`` call factors the block-diagonal band, whose
@@ -248,7 +249,9 @@ class StepSolver:
         # adds P and W
         diagonal = [np.tile(self._band.reshape(-1, order="F")[s], members)
                     for s in self._slots[:3]]
-        self._views = {}
+        # the right-hand sides are interleaved into a buffer kept per
+        # member and column count, so that kernels keeps dgbsv's arguments
+        self._views, self._rhs = {}, {}
         for k in range(1, members + 1):
             ab = self._ab[:, :size * k]
             cut = k * self._ncell
@@ -468,9 +471,13 @@ class StepSolver:
         # column per direction; LAPACK overwrites b with the solution
         cols = ndir // members
         k = len(p_flat)
-        b = np.asarray(rhs).reshape(3, cols, k).transpose(1, 2, 0).copy()
-        x = kernels.solve_block_tridiag(ab, b.reshape(cols, -1).T).T
-        return x.reshape(cols, -1, 3).transpose(2, 0, 1).reshape(shape)
+        if (members, cols) not in self._rhs:
+            buf = np.empty((cols, k, 3))
+            self._rhs[members, cols] = buf, buf.reshape(cols, -1).T
+        buf, b = self._rhs[members, cols]
+        np.copyto(buf, np.asarray(rhs).reshape(3, cols, k).transpose(1, 2, 0))
+        kernels.solve_block_tridiag(ab, b)
+        return buf.copy().transpose(2, 0, 1).reshape(shape)
 
 
 def step_coefficients(params, state, j: int):

@@ -1008,6 +1008,35 @@ def test_two_dimensional_run_imports_no_scipy(tmp_path):
     assert "chcontrol.kernels" in result["modules"]
 
 
+# argv: the config path, the output directory; the threads of the
+# process, where /proc/self/task lists them, before and after the run
+_RUN_ONE_THREADS = """
+import json, os, sys
+from chcontrol import cli
+def threads():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+before = threads()
+code = cli.run(sys.argv[1], out_dir=sys.argv[2])
+print(json.dumps({"code": code, "modules": sorted(sys.modules),
+                  "threads": [before, threads()]}))
+"""
+
+
+def test_one_dimensional_run_imports_no_scipy(tmp_path):
+    # the 1D band solve calls the dgbsv of numpy's own OpenBLAS: a fresh
+    # process that simulates, optimizes and verifies on a 1D grid imports
+    # no SciPy module, and so loads no second OpenBLAS, which would start
+    # a worker thread of its own at the first solve
+    cfg = {**TINY_CONFIG, "pipeline": "all", "verification": TINY_VERIFICATION,
+           "optimizer": {"max_outer_iters": 2}}
+    result = run_fresh(_RUN_ONE_THREADS, _write(tmp_path, cfg), tmp_path / "out")
+    assert result["code"] == 0
+    assert _scipy_modules(result["modules"]) == []
+    before, after = result["threads"]
+    if before is not None:
+        assert after == before
+
+
 # argv: the config path
 _PARSE_ONE = """
 import json, sys

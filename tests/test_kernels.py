@@ -1,3 +1,6 @@
+import ctypes
+import gc
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, lapack, solve_banded
@@ -203,14 +206,30 @@ def test_band_solve_singular_raises():
         kernels.solve_block_tridiag(ab, np.ones(24))
 
 
+def _numpy_dgbsv(ab, b):
+    """numpy's dgbsv on ``ab`` and the (n, nrhs) ``b``, called through ctypes
+    with arguments of its own, in place: (ab, ipiv, b, info) like the f2py
+    wrapper's result."""
+    n, nrhs = b.shape
+    ints = [ctypes.c_int64(v) for v in (n, kernels.KL, kernels.KU, nrhs,
+                                        ab.shape[0], n, 0)]
+    ipiv = np.empty(n, np.int64)
+    n, kl, ku, nrhs, ldab, ldb, info = map(ctypes.byref, ints)
+    data = [arr.ctypes.data_as(ctypes.c_void_p) for arr in (ab, ipiv, b)]
+    kernels.numpy_dgbsv()(n, kl, ku, nrhs, data[0], ldab, data[1], data[2],
+                          ldb, info)
+    return ab, ipiv, b, ints[-1].value
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("members", [1, 3])
 @pytest.mark.parametrize("nrhs", [1, 4])
 def test_loaded_dgbsv_solves_like_scipy_bitwise(transpose, members, nrhs):
-    # kernels loads dgbsv from SciPy's compiled LAPACK module as a file
-    # at the first 1D solve; on the step bands, members side by side, it
-    # gives the bits of the public scipy.linalg.lapack.dgbsv: factors,
-    # pivots and solution
+    # kernels calls the dgbsv of numpy's own OpenBLAS and, where that
+    # library lacks it, loads SciPy's compiled LAPACK module as a file at
+    # the first 1D solve; on the step bands, members side by side, both
+    # give the bits of the public scipy.linalg.lapack.dgbsv: factors,
+    # pivots (int64 and int32, by value) and solution
     rng = np.random.default_rng(7)
     n = 24
     band, band_t, slots = _band_template(ch.Grid.line(n, 1.0), 6.4, 3.2, 64.0)
@@ -229,19 +248,95 @@ def test_loaded_dgbsv_solves_like_scipy_bitwise(transpose, members, nrhs):
     for a, b in zip(got, ref):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     assert ref[3] == 0
+    if kernels.numpy_dgbsv() is not None:
+        own = _numpy_dgbsv(ab.copy(order="F"), rhs.copy(order="F"))
+        assert own[0].tobytes() == ref[0].tobytes()
+        assert own[1].dtype == np.int64 and ref[1].dtype == np.int32
+        # LAPACK's pivots count from 1, the f2py wrapper's from 0
+        assert (own[1] - 1).tolist() == ref[1].tolist()
+        assert own[2].tobytes() == ref[2].tobytes()
+        assert own[3] == 0
     x = kernels.solve_block_tridiag(ab.copy(order="F"), rhs.copy(order="F"))
     assert x.tobytes() == ref[2].tobytes()
 
 
-# find_spec returns None for the first lookup of SciPy's LAPACK module,
-# kernels', and finds it as usual for the public import that kernels then
-# falls back to, so that the first 1D solve imports scipy.linalg.lapack
+@pytest.mark.parametrize("routine", ["numpy", "scipy"])
+def test_band_solve_checks_layout(routine, monkeypatch):
+    # dgbsv reads its arrays through raw pointers: a layout it would
+    # misread is refused before the call, on either routine, also for a
+    # band already solved with a well-laid-out right-hand side
+    if routine == "scipy":
+        monkeypatch.setattr(kernels, "numpy_dgbsv", lambda: None)
+    assert (kernels.numpy_dgbsv() is None) == (routine == "scipy")
+    n = 24
+    ab = _gbsv_storage(_block_tridiag(_dominant_blocks(np.random.default_rng(9),
+                                                       n // 3), -1.7))
+    rhs = np.random.default_rng(9).standard_normal((n, 3))
+    ref = solve_banded((3, 3), ab[kernels.KL:], rhs)
+    x = kernels.solve_block_tridiag(ab.copy(order="F"), np.asfortranarray(rhs))
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    band = ab.copy(order="F")
+    kernels.solve_block_tridiag(band, np.asfortranarray(rhs))
+    readonly = np.asfortranarray(rhs)
+    readonly.flags.writeable = False
+    bad_b = {
+        "C-ordered": np.ascontiguousarray(rhs),
+        "float32": np.asfortranarray(rhs, dtype=np.float32),
+        "rows": np.ones(n - 3),
+        "read-only": readonly,
+        "3-dimensional": np.ones((n, 1, 1), order="F"),
+    }
+    for name, b in bad_b.items():
+        kept = b.tobytes()
+        with pytest.raises(ValueError, match="^b "):
+            kernels.solve_block_tridiag(band, b)
+        assert b.tobytes() == kept, name
+    bad_ab = {
+        "rows": ab[1:].copy(order="F"),
+        "C-ordered": np.ascontiguousarray(ab),
+        "float32": ab.astype(np.float32, order="F"),
+        "1-dimensional": ab[kernels.MAIN].copy(),
+    }
+    for name, a in bad_ab.items():
+        with pytest.raises(ValueError, match="^ab "):
+            kernels.solve_block_tridiag(a, np.ones(n))
+
+
+def test_band_arguments_live_as_long_as_the_band():
+    # numpy's dgbsv keeps the arguments of a band array, by id, only while
+    # that array lives: its id may name another array once it is freed
+    if kernels.numpy_dgbsv() is None:
+        pytest.skip("numpy's BLAS library exports no dgbsv")
+    ab = _gbsv_storage(np.eye(24) * 2.0)
+    b = np.ones(24)
+    key = id(ab)
+    assert kernels.solve_block_tridiag(ab, b).tolist() == [0.5] * 24
+    assert kernels._bound[key][0] is b
+    del ab
+    gc.collect()
+    assert key not in kernels._bound
+
+
+# argv: "public" or "file". The first lookup of numpy's dgbsv, kernels',
+# finds no symbol, as in a numpy whose BLAS library lacks it, so that
+# kernels takes SciPy's. With "public", find_spec also returns None for
+# the first lookup of SciPy's LAPACK module, kernels', and finds it as
+# usual for the public import that kernels then falls back to, so that the
+# first 1D solve imports scipy.linalg.lapack; with "file", kernels loads
+# the module as a file
 _FALLBACK_RUN = """
-import json, sys
+import ctypes, json, sys
 from importlib import machinery
+getattr_, hidden = ctypes.CDLL.__getattr__, []
+def hide_numpy_dgbsv(lib, name):
+    if name == "scipy_dgbsv_64_":
+        hidden.append(name)
+        raise AttributeError(name)
+    return getattr_(lib, name)
+ctypes.CDLL.__getattr__ = hide_numpy_dgbsv
 find_spec, missed = machinery.PathFinder.find_spec, []
 def find_spec_once(name, path=None, target=None):
-    if name == "scipy.linalg._flapack" and not missed:
+    if name == "scipy.linalg._flapack" and not missed and sys.argv[1] == "public":
         missed.append(name)
         return None
     return find_spec(name, path, target)
@@ -251,15 +346,23 @@ from chcontrol import kernels
 ab = np.zeros((kernels.KL + kernels.MAIN + 1, 6), order="F")
 ab[kernels.MAIN] = 2.0
 x = kernels.solve_block_tridiag(ab, np.ones(6))
-public = "scipy.linalg.lapack" in sys.modules
-print(json.dumps({"missed": missed, "public": public, "x": x.tolist()}))
+print(json.dumps({
+    "hidden": hidden, "numpy": kernels.numpy_dgbsv() is not None,
+    "loaded": kernels.load_dgbsv.cache_info().currsize, "missed": missed,
+    "public": "scipy.linalg.lapack" in sys.modules, "x": x.tolist()}))
 """
+_FALLBACK = {"hidden": ["scipy_dgbsv_64_"], "numpy": False, "loaded": 1}
 
 
 def test_dgbsv_falls_back_to_public_import():
-    result = run_fresh(_FALLBACK_RUN)
-    assert result == {"missed": ["scipy.linalg._flapack"], "public": True,
-                      "x": [0.5] * 6}
+    result = run_fresh(_FALLBACK_RUN, "public")
+    assert result == {**_FALLBACK, "missed": ["scipy.linalg._flapack"],
+                      "public": True, "x": [0.5] * 6}
+
+
+def test_dgbsv_falls_back_to_scipy_file():
+    result = run_fresh(_FALLBACK_RUN, "file")
+    assert result == {**_FALLBACK, "missed": [], "public": False, "x": [0.5] * 6}
 
 
 # argv: "before" or "after", when scipy.linalg is imported relative to the
