@@ -115,10 +115,11 @@ class TimeGrid:
     times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise TimeDomainError("need at least one time step")
-        if self.horizon <= 0:
-            raise TimeDomainError("time horizon must be positive")
+        if not (math.isfinite(self.steps) and self.steps == int(self.steps)
+                and self.steps >= 1):
+            raise TimeDomainError("need a whole number of time steps, at least one")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise TimeDomainError("time horizon must be finite and positive")
         horizon, steps = float(self.horizon), int(self.steps)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "steps", steps)

@@ -26,6 +26,7 @@ any width s > 0, as does a constant. :class:`Proliferation` has ``P``
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -45,8 +46,8 @@ class Potential:
 
     @classmethod
     def logarithmic(cls, lam: float = 2.0) -> "Potential":
-        if lam <= 0:
-            raise ValueError("logarithmic potential needs lam > 0")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError("logarithmic potential needs a finite lam > 0")
         return cls("logarithmic", float(lam))
 
     @property
@@ -114,13 +115,13 @@ class Proliferation:
 
     @classmethod
     def smooth_ramp(cls, p0: float, width: float = 0.5) -> "Proliferation":
-        if width <= 0:
-            raise ValueError("ramp width must be positive")
+        if not (math.isfinite(width) and width > 0):
+            raise ValueError("ramp width must be finite and positive")
         return cls("smooth_ramp", float(p0), float(width))
 
     def __post_init__(self):
-        if self.p0 < 0:
-            raise ValueError("proliferation magnitude must be nonnegative")
+        if not (math.isfinite(self.p0) and self.p0 >= 0):
+            raise ValueError("proliferation magnitude must be finite and nonnegative")
 
     # the constant kind returns a field shaped like r: the step solver
     # ravels P

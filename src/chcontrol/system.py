@@ -31,21 +31,24 @@ cell by cell, the three unknowns (m, f, s) of a cell adjacent, so that it
 is a band with three sub- and superdiagonals. Its constant part (time
 terms and stencil) is assembled once per grid and set of coefficients,
 directly in LAPACK ``gbsv`` band storage of the matrix and of its
-transpose, so that the many solvers of a run share it, together with the
-flat positions of the P, W and -P entries in that band: the diagonal ones
-are the same in both, and the two -P couplings of a cell swap places
-under transposition, both taking -P. A solve copies a template into a
-band workspace kept by the solver and patches it; the right-hand side
-is interleaved cell by cell into a buffer kept alike
+transpose, so that the many solvers of a run share it. A solve copies a
+template into a band workspace kept by the solver and patches it by band
+rows: in that storage each entry of the 3x3 cell block is one band row
+at every third column, so P and W are added to three rows and -P is
+written to two, the same two in the transposed band, where the
+couplings (m, s) and (s, m) swap places. The right-hand side is
+interleaved cell by cell into a buffer kept alike
 (:mod:`chcontrol.kernels` binds the LAPACK arguments once per pair), and
 one ``dgbsv`` call with one column per direction
 (:func:`kernels.solve_block_tridiag`) factors it in place and solves, so
-a sweep along many directions factors each step matrix once. A 1D solve may also take K members, each with a matrix of
-its own (P and W of shape (K, n), the right-hand side (3, K, n)): the K
-bands sit side by side in one workspace, each member's slots shifted by
-its block, and one ``dgbsv`` call factors the block-diagonal band, whose
-zero couplings keep kl = ku = 3 and every pivot inside its block. This is
-how the forward march advances an ensemble (see :mod:`chcontrol.state`).
+a sweep along many directions factors each step matrix once. A 1D solve
+may also take K members, each with a matrix of its own (P and W of shape
+(K, n), the right-hand side (3, K, n)): the K bands sit side by side in
+one workspace, so that the same band rows run on through the columns of
+every member, and one ``dgbsv`` call factors the block-diagonal band,
+whose zero couplings keep kl = ku = 3 and every pivot inside its block.
+This is how the forward march advances an ensemble (see
+:mod:`chcontrol.state`).
 
 In 2D nothing is factored. On the uniform cell-centred grid the
 orthonormal type-II DCT of each axis diagonalises the Neumann Laplacian
@@ -138,40 +141,27 @@ def _band_template(grid: Grid, a: float, b: float, c: float):
     """The 1D step matrix at P = W = 0, its cells in natural order and the
     three unknowns of a cell adjacent, in ``gbsv`` storage, A[i, j] at
     band[MAIN + i - j, j], and so its transpose, at band_t[MAIN + j - i,
-    i]; and the flat (Fortran-order) positions in the band of P at (m, m)
-    and (s, s), of W at (f, f), and of the -P couplings (m, s) and (s, m),
-    each indexed by cell. The diagonal slots are the same in the transposed
-    band, and the two -P couplings of a cell swap places there, both taking
-    -P. Built once per grid and set of coefficients, because every march
-    and sweep builds its own solver; the arrays are read-only because they
-    are shared."""
-    n = grid.cell_count
-    inv_h2 = grid.inv_h2[0]
-    # -Lap on each component: its diagonal, and -1/h^2 to the same
-    # component of each neighbour cell
+    i]. Entry (i, j) of every cell block lies on one band row at every
+    third column, and the couplings of each unknown to the same unknown of
+    the neighbour cells on the rows MAIN - 3 and MAIN + 3. Built once per grid and set of
+    coefficients, because every march and sweep builds its own solver; the
+    arrays are read-only because they are shared."""
+    main = kernels.MAIN
     (lap,) = _lap_diagonals(grid)
-    k3 = 3 * np.arange(n)
+    band = np.zeros((kernels.KL + main + 1, 3 * grid.cell_count), order="F")
+    band_t = np.zeros_like(band, order="F")
     # the nonzero entries of the 3x3 cell block at P = W = 0: row, column
     # and value
-    entries = [(0, 0, a + lap), (0, 1, c), (1, 0, -1.0), (1, 1, b + lap),
-               (2, 2, c + lap)]
-    rows = [k3 + i for i, _, _ in entries]
-    cols = [k3 + j for _, j, _ in entries]
-    vals = [np.broadcast_to(v, n) for _, _, v in entries]
-    for comp in range(3):
-        rows += [k3[:-1] + comp, k3[1:] + comp]
-        cols += [k3[1:] + comp, k3[:-1] + comp]
-        vals += [np.full(n - 1, -inv_h2)] * 2
-    rows, cols, vals = (np.concatenate(f) for f in (rows, cols, vals))
-    band = np.zeros((kernels.KL + kernels.MAIN + 1, 3 * n), order="F")
-    band_t = np.zeros_like(band, order="F")
-    band[kernels.MAIN + rows - cols, cols] = vals
-    band_t[kernels.MAIN + cols - rows, rows] = vals
-    slots = tuple(kernels.MAIN + i - j + (k3 + j) * band.shape[0]
-                  for i, j in ((0, 0), (1, 1), (2, 2), (0, 2), (2, 0)))
-    for arr in (band, band_t, *slots):
+    for i, j, v in ((0, 0, a + lap), (0, 1, c), (1, 0, -1.0), (1, 1, b + lap),
+                    (2, 2, c + lap)):
+        band[main + i - j, j::3] = v
+        band_t[main + j - i, i::3] = v
+    # -Lap couples each unknown to the same one of each neighbour cell by
+    # -1/h^2, symmetrically
+    for arr in (band, band_t):
+        arr[main - 3, 3:] = arr[main + 3, :-3] = -grid.inv_h2[0]
         arr.setflags(write=False)
-    return band, band_t, slots
+    return band, band_t
 
 
 @lru_cache(maxsize=8)
@@ -227,8 +217,7 @@ class StepSolver:
         if grid.dim == 2:
             self._basis = _dct_basis(grid)
             return
-        self._band, self._band_t, self._slots = _band_template(
-            grid, self.a, self.b, self.c)
+        self._band, self._band_t = _band_template(grid, self.a, self.b, self.c)
         # the templates cell by cell, each cell's three band columns in a row
         self._cells = (self._band.T.reshape(grid.cell_count, -1),
                        self._band_t.T.reshape(grid.cell_count, -1))
@@ -236,27 +225,18 @@ class StepSolver:
 
     def _grow(self, members: int) -> None:
         """Make the band workspace hold ``members`` matrices side by side.
-        Each solve copies a template into it, once per member, patches it
-        at the slots of each member and has LAPACK factor it in place. The
-        workspace only grows; a solve for fewer members uses its first
-        columns, and its views are kept per member count."""
+        Each solve copies a template into it, once per member, adds P and
+        W to the band rows of the entries they hold and has LAPACK factor
+        it in place. The workspace only grows; a solve for fewer members
+        uses its first columns, and its views are kept per member count."""
         rows, size = self._band.shape
         self._ab = np.empty((rows, size * members), order="F")
-        flat = self._ab.reshape(-1, order="F")
-        offsets = np.arange(members)[:, None] * (rows * size)
-        slots = [(s + offsets).ravel() for s in self._slots]
-        # the template's entries at the P and W slots, to which a solve
-        # adds P and W
-        diagonal = [np.tile(self._band.reshape(-1, order="F")[s], members)
-                    for s in self._slots[:3]]
         # the right-hand sides are interleaved into a buffer kept per
         # member and column count, so that kernels keeps dgbsv's arguments
         self._views, self._rhs = {}, {}
         for k in range(1, members + 1):
             ab = self._ab[:, :size * k]
-            cut = k * self._ncell
-            self._views[k] = (ab, ab.T.reshape(k, self._ncell, -1), flat,
-                              [s[:cut] for s in slots], [d[:cut] for d in diagonal])
+            self._views[k] = ab, ab.T.reshape(k, self._ncell, -1)
 
     def solve(self, p, w, rhs, transpose: bool = False, means=False):
         """Solve A(p, w) (m, f, s) = rhs, or its transpose.
@@ -458,19 +438,21 @@ class StepSolver:
         members = len(p) if p.ndim == 2 else 1
         if members not in self._views:
             self._grow(members)
-        ab, cells, data, (s0, s1, s2, s3, s4), (d0, d1, d2) = self._views[members]
+        ab, cells = self._views[members]
         np.copyto(cells, self._cells[transpose])
-        p_flat = p.reshape(-1)
-        neg_p = -p_flat
-        data[s0] = d0 + p_flat
-        data[s1] = d1 + w.reshape(-1)
-        data[s2] = d2 + p_flat
-        data[s3] = neg_p
-        data[s4] = neg_p
+        # P at (m, m) and (s, s), W at (f, f) and -P at (m, s) and (s, m) of
+        # each cell: one band row each, at every third column, in the same
+        # place in the transposed band, where the two -P swap places
+        p = p.reshape(-1)
+        main = kernels.MAIN
+        ab[main, 0::3] += p
+        ab[main, 1::3] += w.reshape(-1)
+        ab[main, 2::3] += p
+        ab[main - 2, 2::3] = ab[main + 2, 0::3] = -p
         # interleaved cell-major, members one after another, one Fortran
         # column per direction; LAPACK overwrites b with the solution
         cols = ndir // members
-        k = len(p_flat)
+        k = len(p)
         if (members, cols) not in self._rhs:
             buf = np.empty((cols, k, 3))
             self._rhs[members, cols] = buf, buf.reshape(cols, -1).T

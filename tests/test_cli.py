@@ -967,9 +967,10 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 
 
 def test_run_leaves_heavy_modules_unimported(tmp_path):
-    # dgbsv is loaded without the scipy.linalg package, whose __init__
-    # loads every lazy numpy submodule, and argparse only by main(): a
-    # fresh process that runs a 1D and a 2D pipeline imports none of them
+    # the 1D solve calls numpy's own dgbsv rather than importing the
+    # scipy.linalg package, whose __init__ loads every lazy numpy
+    # submodule, and argparse is imported only by main(): a fresh process
+    # that runs a 1D and a 2D pipeline imports none of them
     one = {**TINY_CONFIG, "pipeline": "all", "verification": TINY_VERIFICATION}
     two = {**TINY_CONFIG, "grid": {"n": [6, 5], "extents": [1.0, 0.8]}}
     result = run_fresh(_STARTUP_RUN, _write(tmp_path, one, "one.json"),

@@ -76,6 +76,24 @@ def test_time_grid():
         tg.clamp(2.5)
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: ch.TimeGrid(np.nan, 4), TimeDomainError),
+    (lambda: ch.TimeGrid(np.inf, 4), TimeDomainError),
+    (lambda: ch.TimeGrid(1.0, 2.5), TimeDomainError),
+    (lambda: ch.TimeGrid(1.0, np.inf), TimeDomainError),
+    (lambda: ch.Potential.logarithmic(np.nan), ValueError),
+    (lambda: ch.Proliferation.constant(np.nan), ValueError),
+    (lambda: ch.Proliferation.smooth_ramp(np.inf), ValueError),
+    (lambda: ch.Proliferation.smooth_ramp(1.0, np.nan), ValueError),
+], ids=["horizon-nan", "horizon-inf", "steps-fraction", "steps-inf", "lam-nan",
+        "p0-nan", "p0-inf", "width-nan"])
+def test_library_inputs_must_be_finite(make, error):
+    # the config parser rejects these first; a library caller gets the
+    # class's own error rather than a NaN time step or rate
+    with pytest.raises(error):
+        make()
+
+
 def _linear_trajectory(g, tg, field):
     data = np.zeros((tg.steps + 1, 3) + g.shape)
     for k, t in enumerate(tg.times):

@@ -7,7 +7,7 @@ from scipy.linalg import block_diag, lapack, solve_banded
 
 import chcontrol as ch
 from chcontrol import kernels
-from chcontrol.system import StepSolver, _band_template
+from chcontrol.system import StepSolver
 from conftest import equilibrium_init, midpoint_control, run_fresh, tracking_cost
 
 
@@ -116,17 +116,42 @@ def _dense_step_matrix(solver, p, w):
     ])
 
 
+def _step_band(solver, p, w, transpose):
+    """``gbsv`` storage of the 1D step matrices of the members' (K, n) P
+    and W, or of their transposes, cell-major, side by side."""
+    n = solver.grid.n[0]
+    cell_major = (np.arange(n)[:, None] + n * np.arange(3)).ravel()
+    # adding zero turns the -0.0 of -P off its diagonal into the band's 0.0
+    mats = [_dense_step_matrix(solver, pk, wk)[cell_major][:, cell_major] + 0.0
+            for pk, wk in zip(p, w)]
+    return _gbsv_storage(block_diag(*[m.T if transpose else m for m in mats]))
+
+
 @pytest.mark.parametrize("n", [3, 24])
-def test_band_templates_are_gbsv_storage_of_step_matrix(n):
+def test_band_templates_are_gbsv_storage_of_step_matrix(n, monkeypatch):
     # the 1D templates are the step matrix at P = W = 0 and its transpose,
     # cell-major, in gbsv storage
     solver = StepSolver(ch.Grid.line(n, 1.0), 1.0 / 64, 0.1, 0.2)
-    mat = _dense_step_matrix(solver, np.zeros(n), np.zeros(n))
-    cell_major = (np.arange(n)[:, None] + n * np.arange(3)).ravel()
-    # adding zero turns the -0.0 of -P into the template's 0.0
-    mat = mat[cell_major][:, cell_major] + 0.0
-    assert solver._band.tobytes() == _gbsv_storage(mat).tobytes()
-    assert solver._band_t.tobytes() == _gbsv_storage(mat.T).tobytes()
+    zero = np.zeros((1, n))
+    assert solver._band.tobytes() == _step_band(solver, zero, zero, False).tobytes()
+    assert solver._band_t.tobytes() == _step_band(solver, zero, zero, True).tobytes()
+    # and the band a solve hands to dgbsv, at nonzero P and W, is that of
+    # each member's matrix, side by side
+    bands, solve = [], kernels.solve_block_tridiag
+
+    def capture(ab, b):
+        bands.append(ab.copy(order="F"))
+        return solve(ab, b)
+
+    monkeypatch.setattr(kernels, "solve_block_tridiag", capture)
+    rng = np.random.default_rng(n)
+    for members in (1, 3):
+        p = rng.uniform(0.5, 2.0, (members, n))
+        w = rng.uniform(0.5, 3.0, (members, n))
+        rhs = rng.standard_normal((3, members, n))
+        for transpose in (False, True):
+            solver.solve(p, w, rhs, transpose=transpose)
+            assert bands.pop().tobytes() == _step_band(solver, p, w, transpose).tobytes()
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -226,20 +251,15 @@ def _numpy_dgbsv(ab, b):
 @pytest.mark.parametrize("nrhs", [1, 4])
 def test_loaded_dgbsv_solves_like_scipy_bitwise(transpose, members, nrhs):
     # kernels calls the dgbsv of numpy's own OpenBLAS and, where that
-    # library lacks it, loads SciPy's compiled LAPACK module as a file at
-    # the first 1D solve; on the step bands, members side by side, both
-    # give the bits of the public scipy.linalg.lapack.dgbsv: factors,
-    # pivots (int64 and int32, by value) and solution
+    # library lacks it, imports SciPy's at the first 1D solve; on the step
+    # bands, members side by side, numpy's gives the bits of the public
+    # scipy.linalg.lapack.dgbsv: factors, pivots (int64 and int32, by
+    # value) and solution
     rng = np.random.default_rng(7)
     n = 24
-    band, band_t, slots = _band_template(ch.Grid.line(n, 1.0), 6.4, 3.2, 64.0)
-    ab = np.asfortranarray(np.hstack([band_t if transpose else band] * members))
-    flat = ab.reshape(-1, order="F")
-    for m in range(members):
-        p, w = rng.uniform(0.0, 2.0, (2, n))
-        offset = m * band.size
-        for slot, add in zip(slots, (p, w, p, -p, -p)):
-            flat[slot + offset] += add
+    solver = StepSolver(ch.Grid.line(n, 1.0), 1.0 / 64, 0.1, 0.05)
+    p, w = rng.uniform(0.0, 2.0, (2, members, n))
+    ab = _step_band(solver, p, w, transpose)
     rhs = np.asfortranarray(rng.standard_normal((3 * n * members, nrhs)))
     ref = lapack.dgbsv(kernels.KL, kernels.KU, ab.copy(order="F"),
                        rhs.copy(order="F"))
@@ -317,16 +337,10 @@ def test_band_arguments_live_as_long_as_the_band():
     assert key not in kernels._bound
 
 
-# argv: "public" or "file". The first lookup of numpy's dgbsv, kernels',
-# finds no symbol, as in a numpy whose BLAS library lacks it, so that
-# kernels takes SciPy's. With "public", find_spec also returns None for
-# the first lookup of SciPy's LAPACK module, kernels', and finds it as
-# usual for the public import that kernels then falls back to, so that the
-# first 1D solve imports scipy.linalg.lapack; with "file", kernels loads
-# the module as a file
+# The lookup of numpy's dgbsv finds no symbol, as in a numpy whose BLAS
+# library lacks it, so that the first 1D solve imports SciPy's
 _FALLBACK_RUN = """
 import ctypes, json, sys
-from importlib import machinery
 getattr_, hidden = ctypes.CDLL.__getattr__, []
 def hide_numpy_dgbsv(lib, name):
     if name == "scipy_dgbsv_64_":
@@ -334,13 +348,6 @@ def hide_numpy_dgbsv(lib, name):
         raise AttributeError(name)
     return getattr_(lib, name)
 ctypes.CDLL.__getattr__ = hide_numpy_dgbsv
-find_spec, missed = machinery.PathFinder.find_spec, []
-def find_spec_once(name, path=None, target=None):
-    if name == "scipy.linalg._flapack" and not missed and sys.argv[1] == "public":
-        missed.append(name)
-        return None
-    return find_spec(name, path, target)
-machinery.PathFinder.find_spec = find_spec_once
 import numpy as np
 from chcontrol import kernels
 ab = np.zeros((kernels.KL + kernels.MAIN + 1, 6), order="F")
@@ -348,52 +355,15 @@ ab[kernels.MAIN] = 2.0
 x = kernels.solve_block_tridiag(ab, np.ones(6))
 print(json.dumps({
     "hidden": hidden, "numpy": kernels.numpy_dgbsv() is not None,
-    "loaded": kernels.load_dgbsv.cache_info().currsize, "missed": missed,
+    "loaded": kernels.load_dgbsv.cache_info().currsize,
     "public": "scipy.linalg.lapack" in sys.modules, "x": x.tolist()}))
 """
-_FALLBACK = {"hidden": ["scipy_dgbsv_64_"], "numpy": False, "loaded": 1}
 
 
 def test_dgbsv_falls_back_to_public_import():
-    result = run_fresh(_FALLBACK_RUN, "public")
-    assert result == {**_FALLBACK, "missed": ["scipy.linalg._flapack"],
+    result = run_fresh(_FALLBACK_RUN)
+    assert result == {"hidden": ["scipy_dgbsv_64_"], "numpy": False, "loaded": 1,
                       "public": True, "x": [0.5] * 6}
-
-
-def test_dgbsv_falls_back_to_scipy_file():
-    result = run_fresh(_FALLBACK_RUN, "file")
-    assert result == {**_FALLBACK, "missed": [], "public": False, "x": [0.5] * 6}
-
-
-# argv: "before" or "after", when scipy.linalg is imported relative to the
-# first 1D solve, which loads dgbsv; either way _flapack ends up bound on
-# the package as its sys.modules entry, and the public dgbsv solves the
-# step band with the loaded routine's bits
-_SCIPY_AROUND_SOLVE_RUN = """
-import json, sys
-import numpy as np
-if sys.argv[1] == "before":
-    import scipy.linalg
-import chcontrol as ch
-from chcontrol import kernels
-from chcontrol.system import _band_template
-band = np.asfortranarray(_band_template(ch.Grid.line(24, 1.0), 6.4, 3.2, 64.0)[0])
-rhs = np.random.default_rng(7).standard_normal(band.shape[1])
-x = kernels.solve_block_tridiag(band.copy(order="F"), rhs.copy())
-import scipy.linalg
-flapack = getattr(scipy.linalg, "_flapack", None)
-_, _, ref, info = scipy.linalg.lapack.dgbsv(kernels.KL, kernels.KU, band, rhs)
-print(json.dumps({
-    "bound": flapack is not None and flapack is sys.modules.get("scipy.linalg._flapack"),
-    "same": flapack is not None and flapack.dgbsv is kernels.load_dgbsv(),
-    "info": int(info), "bits": ref.tobytes() == x.tobytes()}))
-"""
-
-
-@pytest.mark.parametrize("scipy_linalg", ["before", "after"])
-def test_scipy_linalg_binds_flapack_around_a_solve(scipy_linalg):
-    result = run_fresh(_SCIPY_AROUND_SOLVE_RUN, scipy_linalg)
-    assert result == {"bound": True, "same": True, "info": 0, "bits": True}
 
 
 def _dense_step_matrix_2d(solver, p, w):
