@@ -59,13 +59,15 @@ def adjoint_terminal_data(params: ModelParams, state: Trajectory, tau_index: int
 
 def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
                   cost: CostSpec) -> Trajectory:
-    """Solve the adjoint system on nodes 0..tau_index."""
+    """Solve the adjoint system on nodes 0..tau_index. It reads the
+    forward frames 0..tau_index, so ``state`` may stop there."""
     grid, tg = params.grid, params.time_grid
     nt, dt = tg.steps, tg.dt
     if not 0 <= tau_index <= nt:
         raise TimeDomainError(f"tau index {tau_index} outside 0..{nt}")
-    if state.nframes != nt + 1:
-        raise TimeDomainError("adjoint needs the full forward trajectory")
+    if state.nframes <= tau_index:
+        raise TimeDomainError(f"adjoint at node {tau_index} needs forward frames "
+                              f"0..{tau_index}, got {state.nframes}")
     k_tau = int(tau_index)
 
     data = np.zeros((k_tau + 1, 3) + grid.shape)

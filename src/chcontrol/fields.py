@@ -50,6 +50,8 @@ class Grid:
     cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) and v == int(v) for v in self.n):
+            raise GridMismatchError(f"cell counts {tuple(self.n)} must be whole numbers")
         n = tuple(int(v) for v in self.n)
         extents = tuple(float(v) for v in self.extents)
         object.__setattr__(self, "n", n)

@@ -13,9 +13,12 @@ frozen at its initial value for negative times so the window always has
 length eps.
 
 The discrete cost has one implementation, :class:`TauProfile`: per-node
-series of the full state march, cached once, from which each term's value
+series of the state march, cached once, from which each term's value
 and the tau-derivative are read in O(1). :func:`reduced_cost` is its
-breakdown at one tau.
+breakdown at one tau. A cost that cannot fall past tau_star
+(:meth:`CostSpec.monotone_tail`) may also be read from the first frames
+of the march alone, which is how the optimizer's trial marches stop
+early (see :class:`TauProfile`).
 
 Discretization conventions, chosen so that the analytic formulas below
 are exact derivatives of the discrete quantities:
@@ -77,6 +80,15 @@ class CostSpec:
 
     def weights(self):
         return (self.b0, self.b1, self.b2, self.b3, self.b4, self.b5, self.b6)
+
+    def monotone_tail(self) -> bool:
+        """Whether J(u, .) cannot fall past tau_star (anywhere, if b6 = 0):
+        the weights are nonnegative, so b1 and b3 integrate nonnegative
+        misfits and b5 and b6 grow with tau there, and no terminal (b2,
+        b4) or relaxed term is active."""
+        relax = self.relaxation
+        return (all(w >= 0 for w in self.weights()) and self.b2 == 0
+                and self.b4 == 0 and (relax is None or relax.gamma == 0))
 
     def validate(self, grid: Grid, time_grid: TimeGrid) -> None:
         ws = self.weights()
@@ -206,6 +218,11 @@ def _node_sq_norms(grid: Grid, a: np.ndarray) -> np.ndarray:
 # The discrete cost
 # ---------------------------------------------------------------------------
 
+# the share of the tail bound that a partial profile's node minimum must
+# stay below; each term of the cost is a few roundings of nonnegative
+# numbers, so the bound and the values it bounds differ by far less
+TAIL_SLACK = 1e-12
+
 
 def _tracking_sq(grid, traj_comp, target):
     return _node_sq_norms(grid, traj_comp if target is None else traj_comp - target)
@@ -222,29 +239,44 @@ class TauProfile:
     continuous minimizer can be located to roundoff with a short
     bisection.
 
+    A cost with :meth:`CostSpec.monotone_tail` may also be read from a
+    partial march, frames 0..W (W >= 1) of the full one. Such a profile
+    answers every tau with tau / dt < W, bitwise as the full profile
+    would: there each formula reads frames 0..W only. Its nodes are
+    0..W-1, and :meth:`minimize` returns None unless the full profile's
+    first node minimizer provably lies among nodes 0..W-2 (see there).
+
     Misshapen targets raise :class:`GridMismatchError`, a misshapen control
-    :class:`ShapeMismatchError`; a state that is not the full march, or a
-    tau outside [0, T], raises :class:`TimeDomainError`.
+    :class:`ShapeMismatchError`; a state that is not the full march (for
+    the other costs), or a tau outside [0, T] or past a partial march,
+    raises :class:`TimeDomainError`.
     """
 
     def __init__(self, state: Trajectory, u: np.ndarray, cost: CostSpec):
         grid, tg = state.grid, state.time_grid
-        if state.nframes != tg.steps + 1:
+        frames = state.nframes
+        self.partial = frames != tg.steps + 1
+        if self.partial and not cost.monotone_tail():
             raise TimeDomainError("the cost needs the full forward trajectory")
+        if frames < 2:
+            raise TimeDomainError("the cost needs two forward frames or more")
         cost.check_shapes(tg.steps + 1, grid.shape)
         check_control_shape(grid, tg, u)
         self.tg = tg
         self.dt = tg.dt
         self.cost = cost
-        self.times = tg.times
+        # the nodes whose values this profile knows
+        self.times = tg.times[:frames - 1] if self.partial else tg.times
         vol = grid.cell_volume
 
         self.g1 = self.g3 = self.g_relax = None
         if cost.b1 > 0:
-            self.g1 = _tracking_sq(grid, state.phi, cost.phi_q)
+            target = None if cost.phi_q is None else cost.phi_q[:frames]
+            self.g1 = _tracking_sq(grid, state.phi, target)
             self.cum1 = self._cumtrapz(self.g1)
         if cost.b3 > 0:
-            self.g3 = _tracking_sq(grid, state.sigma, cost.sigma_q)
+            target = None if cost.sigma_q is None else cost.sigma_q[:frames]
+            self.g3 = _tracking_sq(grid, state.sigma, target)
             self.cum3 = self._cumtrapz(self.g3)
         relax = cost.relaxation
         if relax is not None and relax.gamma > 0:
@@ -288,9 +320,16 @@ class TauProfile:
         j_hi = min(max(j_hi, 1), len(self.times) - 1)
         return j_hi, (tau - self.times[j_hi - 1]) / self.dt
 
+    def _clamp(self, tau):
+        tau = self.tg.clamp(tau)
+        if self.partial and tau / self.dt >= len(self.times):
+            raise TimeDomainError(f"time {tau} past the first {len(self.times) + 1} "
+                                  f"frames of the march")
+        return tau
+
     def breakdown(self, tau: float) -> CostBreakdown:
         """Every term of the cost at tau."""
-        tau = float(self.tg.clamp(tau))
+        tau = float(self._clamp(tau))
         c = self.cost
         out = CostBreakdown(linear_time=c.b5 * tau,
                             quadratic_time=0.5 * c.b6 * (tau - c.tau_star) ** 2,
@@ -331,7 +370,7 @@ class TauProfile:
         the forward difference on the first interval: the one-sided
         derivative that the boundary_low condition D_tau J >= 0 tests.
         """
-        tau = self.tg.clamp(tau)
+        tau = self._clamp(tau)
         c = self.cost
         out = c.b5 + c.b6 * (tau - c.tau_star)
         if self.g1 is not None:
@@ -355,10 +394,40 @@ class TauProfile:
     def node_values(self) -> np.ndarray:
         return np.array([self.value(t) for t in self.times])
 
-    def minimize(self) -> float:
-        """Continuous minimizer of J(u, .) over [0, T], near the best node."""
+    def _tail_bound(self) -> float:
+        """A lower bound on J(u, t_j) at every node j >= W past a partial
+        march of frames 0..W: the running terms as far as t_{W-1}, which
+        every such node's integrals reach, and the time terms at t_W.
+        Past tau_star every term grows with tau
+        (:meth:`CostSpec.monotone_tail`), and before it the quadratic term
+        is bounded by 0."""
+        w = len(self.times)
+        c = self.cost
+        t_w = self.tg.times[w]
+        past = max(t_w - c.tau_star, 0.0)
+        bound = CostBreakdown(linear_time=c.b5 * t_w,
+                              quadratic_time=0.5 * c.b6 * past**2,
+                              control_energy=self.control_energy)
+        if self.g1 is not None:
+            bound.tracking_q = 0.5 * c.b1 * float(self.cum1[w - 1])
+        if self.g3 is not None:
+            bound.nutrient_q = 0.5 * c.b3 * float(self.cum3[w - 1])
+        return bound.total
+
+    def minimize(self) -> float | None:
+        """Continuous minimizer of J(u, .) over [0, T], near the best node.
+
+        A partial profile finds the same minimizer from its own nodes when
+        their first minimizer k is at most W-2 and J(t_k) lies below
+        :meth:`_tail_bound` by ``TAIL_SLACK`` of it: the full profile's
+        first node minimizer is then k as well, and the search reads
+        [t_{k-1}, t_{k+1}] only. Otherwise it returns None.
+        """
         node_j = self.node_values()
         k = int(np.argmin(node_j))
+        if self.partial and not (k < len(node_j) - 1 and node_j[k]
+                                 < (1.0 - TAIL_SLACK) * self._tail_bound()):
+            return None
         horizon = self.tg.horizon
         lo = max(self.times[k] - self.dt, 0.0)
         hi = min(self.times[k] + self.dt, horizon)

@@ -35,6 +35,24 @@ node stable across two consecutive iterations; the returned iterate
 carries the measures verified on itself. The history has one row per
 outer iteration, at the snapped node, and one more that repeats the last
 iteration at the continuous minimizer when it costs no more.
+
+Trial marches stop at a window. When the cost cannot fall past tau_star
+(:meth:`CostSpec.monotone_tail`: b2 = b4 = 0, no active relaxed term),
+each Armijo trial marches only frames 0..W, W = min(nt, max(node of
+tau_star if b6 > 0, node of the current tau) + 2), since its cost is read
+at the snapped node alone. The next treatment-time block reads the
+accepted windowed state only where :meth:`TauProfile.minimize` certifies
+that the full profile's first node minimizer lies at node W-2 or below,
+by a lower bound on the cost at every node past the window; otherwise it
+marches that control to the horizon first. The two margin nodes keep the
+time search's bracket [t_{k-1}, t_{k+1}] and the adjoint's frames inside
+the window. Every decision, and so every reported bit, is the one a full
+march would give. The initial march and, once, the final iterate's run
+to the horizon (for ``OptResult.state``) are full. One corner case
+differs: a trial whose march would fail only past t_W is no longer
+rejected, since its cost never reads those frames; should it be
+accepted and end the run, the final march raises the SolverError
+naming the step.
 """
 
 from __future__ import annotations
@@ -152,6 +170,18 @@ def _time_violation(tg, tau, d):
     return (0.0 if excess <= 0.0 else excess), case
 
 
+def _march_window(cost: CostSpec, tg, tau: float) -> int:
+    """The last frame W that a trial march needs at treatment time ``tau``
+    (see the module docstring): nt unless the cost has a monotone tail
+    with a term that grows in tau."""
+    if not (cost.monotone_tail() and (cost.b1 or cost.b3 or cost.b5 or cost.b6)):
+        return tg.steps
+    node = tg.nearest_node(tau)[0]
+    if cost.b6 > 0:
+        node = max(node, tg.nearest_node(cost.tau_star)[0])
+    return min(tg.steps, node + 2)
+
+
 def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndarray,
              tau0: float | None = None, *, lower=-np.inf, upper=np.inf,
              max_outer_iters: int = MAX_OUTER_ITERS,
@@ -167,7 +197,9 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     forward solve, trial steps included, runs under the Newton settings of
     ``params``. A trial whose forward solve raises a SolverError is
     rejected like a failed Armijo test, and the search backtracks; a
-    failing solve at the current iterate propagates.
+    failing solve at the current iterate propagates. Trials march only
+    to a window where the cost allows (see the module docstring), and a
+    failure past it surfaces in the final march of the iterate, if ever.
     """
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
@@ -191,6 +223,11 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
         # same profile gives this iteration's costs and time derivative
         profile = TauProfile(state, u, cost)
         candidate = profile.minimize()
+        if candidate is None:
+            # the window cannot certify the time minimizer: march it all
+            state = solve_state(params, init, u)
+            profile = TauProfile(state, u, cost)
+            candidate = profile.minimize()
         if profile.value(candidate) < profile.value(tau_ref):
             tau_ref = candidate
         k_idx, snap_error = tg.nearest_node(tau_ref)
@@ -229,6 +266,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
                 num, den = qt_inner(dx, dx), qt_inner(dx, dg)
                 trial = num / den if den > 0 and num > 0 else min(trial * 2.0, 1e12)
             s = trial
+            steps = _march_window(cost, tg, tau_ref)
             accepted, failed, solver_error = False, 0, None
             for _ in range(ARMIJO_MAX_BACKTRACKS):
                 u_trial = np.clip(u - s * grad, lower, upper)
@@ -236,7 +274,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
                 if gd >= 0.0:
                     break
                 try:
-                    state_trial = solve_state(params, init, u_trial)
+                    state_trial = solve_state(params, init, u_trial, steps=steps)
                 except SolverError as exc:
                     # the cost is +inf where the march fails: reject, shrink
                     failed, solver_error = failed + 1, exc
@@ -261,6 +299,9 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
                                    f"{solver_error}")
                     raise LineSearchFailureError(it, detail, control=u, tau=tau_ref)
 
+    if state.nframes < tg.steps + 1:
+        # the result carries the iterate's whole march
+        state = solve_state(params, init, u)
     # report the continuous minimizer when it improves on the node
     last = history[-1]
     if bd_ref.total <= last.breakdown.total:

@@ -21,6 +21,17 @@ def test_grid_invariants():
         ch.Grid((8, 8, 8), (1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("n", [24.9, float("nan"), float("inf"), (16, 8.5)])
+def test_grid_rejects_a_cell_count_that_is_not_whole(n):
+    # a fractional count is not rounded down, a NaN one is not Python's error
+    with pytest.raises(GridMismatchError, match="must be whole numbers"):
+        if isinstance(n, tuple):
+            ch.Grid.rectangle(*n)
+        else:
+            ch.Grid.line(n, 1.0)
+    assert ch.Grid.line(24.0, 1.0).n == (24,)
+
+
 def test_laplacian_of_constant_is_zero():
     g = ch.Grid.line(32)
     out = ch.laplacian_neumann(g, g.full(3.7))

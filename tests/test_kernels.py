@@ -261,12 +261,10 @@ def test_loaded_dgbsv_solves_like_scipy_bitwise(transpose, members, nrhs):
     p, w = rng.uniform(0.0, 2.0, (2, members, n))
     ab = _step_band(solver, p, w, transpose)
     rhs = np.asfortranarray(rng.standard_normal((3 * n * members, nrhs)))
+    # the SciPy fallback is the public routine itself
+    assert kernels.load_dgbsv() is lapack.dgbsv
     ref = lapack.dgbsv(kernels.KL, kernels.KU, ab.copy(order="F"),
                        rhs.copy(order="F"))
-    got = kernels.load_dgbsv()(kernels.KL, kernels.KU, ab.copy(order="F"),
-                               rhs.copy(order="F"))
-    for a, b in zip(got, ref):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     assert ref[3] == 0
     if kernels.numpy_dgbsv() is not None:
         own = _numpy_dgbsv(ab.copy(order="F"), rhs.copy(order="F"))
