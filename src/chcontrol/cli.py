@@ -164,8 +164,8 @@ _FIELDS = {
     "optimizer.max_outer_iters": ("integer", 0, MAX_OUTER_ITERS),
     "optimizer.grad_tol": ("positive", None, GRAD_TOL),
     "solver": ("object", None, {}),
-    "solver.newton_tol": ("positive", None, NEWTON_TOL),
-    "solver.newton_max_iter": ("integer", 0, NEWTON_MAX_ITER),
+    "solver.newton_tol": ("number", None, NEWTON_TOL),
+    "solver.newton_max_iter": ("integer", None, NEWTON_MAX_ITER),
     "verification": ("object", None, {}),
     "verification.checks": ("choice list", _CHECKS, list(_CHECKS)),
     "verification.tau": ("number", None, None),  # None: cost.tau_star

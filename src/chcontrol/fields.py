@@ -129,7 +129,9 @@ class TimeGrid:
         object.__setattr__(self, "times", np.linspace(0.0, horizon, steps + 1))
 
     def clamp(self, tau: float) -> float:
-        if tau < -1e-12 or tau > self.horizon * (1 + 1e-12):
+        """``tau`` moved onto [0, T] from roundoff past either end; a time
+        further out, or not finite, raises :class:`TimeDomainError`."""
+        if not -1e-12 <= tau <= self.horizon * (1 + 1e-12):
             raise TimeDomainError(f"time {tau} outside [0, {self.horizon}]")
         return min(max(tau, 0.0), self.horizon)
 

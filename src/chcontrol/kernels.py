@@ -10,7 +10,9 @@ cell (the three unknowns of a cell adjacent), a band with three sub- and
 three superdiagonals, directly in ``gbsv`` storage:
 :func:`solve_block_tridiag` solves it by one direct call to LAPACK
 ``dgbsv``, that of the OpenBLAS numpy already has loaded
-(:func:`numpy_dgbsv`). A 1D run thus loads no second BLAS library (about
+(:func:`numpy_dgbsv`), with its arguments bound by :func:`bind` once per
+band workspace and right-hand-side array of a step solver, which keeps
+the binding. A 1D run thus loads no second BLAS library (about
 3.6 MB of peak memory, and a worker thread that spun for about 0.13 s of
 CPU after loading) and imports no SciPy module. Where numpy's library
 does not export the routine (numpy 1.x, a system or MKL BLAS, Windows),
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import weakref
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -100,7 +101,7 @@ def numpy_dgbsv():
         routine = ctypes.CDLL(_multiarray_umath.__file__).scipy_dgbsv_64_
     except (ImportError, OSError, AttributeError):
         return None
-    # no argtypes: every argument is a ready pointer (see _bind), which
+    # no argtypes: every argument is a ready pointer (see bind), which
     # ctypes passes as it is, where a converter per argument would add
     # about 1 us to each call
     routine.restype = None
@@ -113,9 +114,17 @@ def _pointer(arr):
     return ctypes.byref(ctypes.c_char.from_address(arr.ctypes.data))
 
 
-def _check_layout(ab, b):
-    """Raise ``ValueError`` unless ``dgbsv`` can work on ``ab`` and ``b`` in
-    place: ctypes checks no layout."""
+def bind(ab, b):
+    """Check and bind the arguments of a ``dgbsv`` solve of ``ab`` against
+    ``b``, for :func:`solve_block_tridiag` to call on them again and again.
+
+    Raises ``ValueError`` unless ``dgbsv`` can work on both in place, which
+    ctypes does not check: writeable Fortran-ordered float64 arrays whose
+    rows fit. Returns (ipiv, info, args): the pivots, the ``c_int64`` LAPACK
+    sets to its status, and N, KL, KU, NRHS, AB, LDAB, IPIV, B, LDB, INFO as
+    ready pointers. The binding keeps ``ipiv`` and ``info`` alive but not
+    ``ab`` or ``b``, which the caller keeps while it solves with it.
+    """
     for name, arr, dims in (("ab", ab, (2,)), ("b", b, (1, 2))):
         flags = arr.flags
         if (arr.dtype != np.float64 or arr.ndim not in dims
@@ -123,39 +132,20 @@ def _check_layout(ab, b):
             raise ValueError(f"{name} must be a writeable Fortran-ordered "
                              f"float64 array of {' or '.join(map(str, dims))} "
                              f"dimensions")
-    if ab.shape[0] < KL + MAIN + 1:
-        raise ValueError(f"ab has {ab.shape[0]} rows; gbsv storage needs "
-                         f"{KL + MAIN + 1}")
-    if b.shape[0] != ab.shape[1]:
-        raise ValueError(f"b has {b.shape[0]} rows for {ab.shape[1]} unknowns")
-
-
-# numpy dgbsv arguments per band array, by id(ab): (b, ipiv, info, args)
-# for the right-hand side b last solved with it. An entry keeps b and ipiv
-# alive, which the pointers in args do not, and is dropped when its band
-# array is freed, before that id can name another array.
-_bound = {}
-
-
-def _bind(ab, b):
-    """Check and bind the arguments of a solve of ``ab`` against ``b``:
-    N, KL, KU, NRHS, AB, LDAB, IPIV, B, LDB, INFO as ready pointers."""
-    _check_layout(ab, b)
     rows, size = ab.shape
+    if rows < KL + MAIN + 1:
+        raise ValueError(f"ab has {rows} rows; gbsv storage needs {KL + MAIN + 1}")
+    if b.shape[0] != size:
+        raise ValueError(f"b has {b.shape[0]} rows for {size} unknowns")
     ipiv, info = np.empty(size, np.int64), ctypes.c_int64()
     n, kl, ku, nrhs, ldab = (ctypes.byref(ctypes.c_int64(v)) for v in (
         size, KL, KU, b.shape[1] if b.ndim == 2 else 1, rows))
     # LDB is N: b is Fortran-ordered with N rows
-    args = (n, kl, ku, nrhs, _pointer(ab), ldab, _pointer(ipiv), _pointer(b),
-            n, ctypes.byref(info))
-    key = id(ab)
-    if key not in _bound:
-        weakref.finalize(ab, _bound.pop, key, None)
-    _bound[key] = entry = (b, ipiv, info, args)
-    return entry
+    return ipiv, info, (n, kl, ku, nrhs, _pointer(ab), ldab, _pointer(ipiv),
+                        _pointer(b), n, ctypes.byref(info))
 
 
-def solve_block_tridiag(ab, b):
+def solve_block_tridiag(ab, b, bound=None):
     """Solve the interleaved block-tridiagonal system in place.
 
     Parameters
@@ -170,31 +160,32 @@ def solve_block_tridiag(ab, b):
         Interleaved right-hand sides (m_0, f_0, s_0, m_1, ...), one per
         column, all solved against one factorization. Overwritten by the
         solution, which is returned.
+    bound : the result of ``bind(ab, b)``, or None
+        The checked arguments of a solve of these two arrays, which a
+        caller solving them again and again keeps: binding adds 10-15 us
+        to a solve, about a quarter of a 128-cell step solve. None binds
+        them for this call.
 
     The routine is numpy's (:func:`numpy_dgbsv`), and where numpy's
     library lacks it SciPy's public ``scipy.linalg.lapack.dgbsv``
     (:func:`load_dgbsv`), whose import at the first call costs about 0.3 s
     and 18 MB; the two give the same bits. Raises ``ValueError``
     where either array is not writeable, Fortran-ordered float64, or its
-    rows do not fit, and ``LinAlgError`` on a singular matrix, as
+    rows do not fit (checked by :func:`bind`), and ``LinAlgError`` on a singular matrix, as
     :func:`scipy.linalg.solve_banded` does. As in the 2D solve, the input
     is not scanned for non-finite values: they give non-finite entries in
     the solution, which the callers check.
     """
+    if bound is None:
+        bound = bind(ab, b)
     dgbsv = numpy_dgbsv()
     if dgbsv is None:
-        _check_layout(ab, b)
         # overwrite_ab and overwrite_b passed by position, which the f2py
         # wrapper parses faster than keywords
         _, _, x, info = load_dgbsv()(KL, KU, ab, b, 1, 1)
     else:
-        # a band workspace solved again with the same right-hand-side
-        # array, as the step solver's, reuses its arguments
-        entry = _bound.get(id(ab))
-        if entry is None or entry[0] is not b:
-            entry = _bind(ab, b)
-        dgbsv(*entry[3])
-        x, info = b, entry[2].value
+        dgbsv(*bound[2])
+        x, info = b, bound[1].value
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

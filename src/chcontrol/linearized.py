@@ -43,6 +43,8 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
     step serves every direction. Only steps
     1..``steps`` (default nt) are marched, and the returned trajectory
     holds frames 0..steps, of shape (steps+1, 3, [ndir,] *grid.shape).
+    The sweep reads the forward frames 0..steps, so ``state`` may stop
+    there; with fewer frames it raises :class:`TimeDomainError`.
     """
     grid, tg = params.grid, params.time_grid
     nt, dt = tg.steps, tg.dt
@@ -52,11 +54,14 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
         raise ShapeMismatchError(
             f"perturbation shape {hv.shape}, expected {nodes} or (ndir, *{nodes})"
         )
-    if state.nframes != nt + 1 or state.grid.shape != grid.shape:
-        raise ShapeMismatchError("state trajectory does not match the model grids")
+    if state.grid.shape != grid.shape:
+        raise ShapeMismatchError("state trajectory does not match the model grid")
     steps = nt if steps is None else int(steps)
     if not 0 <= steps <= nt:
         raise TimeDomainError(f"linearized steps {steps} outside 0..{nt}")
+    if state.nframes <= steps:
+        raise TimeDomainError(f"linearized steps 1..{steps} need forward frames "
+                              f"0..{steps}, got {state.nframes}")
     # node axis first, so that hv[k] holds node k of every direction
     if hv.shape != nodes:
         hv = np.moveaxis(hv, 0, 1)

@@ -48,8 +48,11 @@ convergence test, so that each member's frames and iteration counts are
 bitwise those of its march alone; a march of one control is the
 ensemble of one member. The iteration's arrays hold only the members
 still iterating: a member that leaves (after its polish, or unconverged
-at the iteration budget) is written back to its place in the stack, and
-the others go on in compacted arrays. Each stacked iteration checks
+at the iteration budget) is written to its place in the trajectory's
+next frame, and the others go on in compacted arrays. Members leave
+unconverged only when the budget ends, all at once, and the step then
+raises :class:`NewtonDivergenceError` for the first of them in stack
+order. Each stacked iteration checks
 their residuals for non-finite values once, naming the step, and makes
 one ``StepSolver.solve`` call for them, in either dimension: in 1D it
 factors their block-diagonal band with one ``dgbsv``, in 2D it solves
@@ -80,6 +83,7 @@ linearized and adjoint sweeps solve each step exactly (see
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +130,11 @@ class ModelParams:
         if not self.beta > 0:
             raise ConfigError("model.beta: must be positive (alpha and beta are "
                               "positive relaxation constants)")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ConfigError("solver.newton_tol: must be a finite positive number")
+        if not (isinstance(self.newton_max_iter, numbers.Integral)
+                and self.newton_max_iter >= 0):
+            raise ConfigError("solver.newton_max_iter: must be an integer >= 0")
 
 
 @dataclass
@@ -163,23 +172,23 @@ class StepDiagnostics:
     delta_sep: np.ndarray
 
 
-def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
-                 step):
+def _newton_step(solver, params, old, u, out, step, clamp):
     """Damped Newton solve of implicit step ``step`` for K members at once.
 
-    ``x0`` is the old frame of each member, stacked as (mu, phi, sigma)
+    ``old`` is the old frame of each member, stacked as (mu, phi, sigma)
     along the first axis and the members along the second, (3, K,
-    *grid.shape), and so is the returned new frame; ``p`` (P(phi_old)),
-    ``pi`` (S'(phi_old)) and ``u`` (the control) are (K, *grid.shape). The
-    members do not couple: each runs its own iteration, with its own
-    damping, line search, polish and convergence test, as if it were
-    marched alone. The arrays of the iteration hold only the members still
-    iterating. A member leaves after its polish, or unconverged after
-    ``max_iter`` iterations; its iterate, residual and convergence flag are
-    then written back by stack position, and the arrays of the others are
-    compacted. When every member leaves at once, as one member always does,
-    the iterate itself is the new frame. Each stacked iteration solves for
-    the members still in it with one ``solver.solve`` call, after one
+    *grid.shape), and ``out``, shaped alike, receives the new frames;
+    ``u`` (the control) is (K, *grid.shape). P(phi_old) and S'(phi_old),
+    the tolerance ``params.newton_tol`` and the budget
+    ``params.newton_max_iter`` come from ``params``, and with ``clamp``, a
+    pair (lo, hi), every trial phi is clipped to [lo, hi]. The members do
+    not couple: each runs its own iteration, with its own damping, line
+    search, polish and convergence test, as if it were marched alone. The
+    arrays of the iteration hold only the members still iterating. A
+    member leaves after its polish, or unconverged after ``max_iter``
+    iterations; its iterate is then written to its place in ``out``, and
+    the arrays of the others are compacted. Each stacked iteration solves
+    for the members still in it with one ``solver.solve`` call, after one
     check that their residuals are finite (:class:`NanDetectedError`
     naming ``step`` if not).
     In 2D a member's iteration solves with the step matrix at the grid
@@ -187,13 +196,14 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
     did not contract its residual by ``CHORD_CONTRACTION``: that one solves
     with their per-cell values. The call passes the choice per member. In
     1D every iteration solves with the per-cell values.
-    Returns (frame, residual, solves, converged): lists of the residual
-    max|R| and of whether it converged, per member, and the stacked
-    iterations (polish included), each one ``solver.solve`` call. A member
-    that did not converge made ``max_iter`` iterations.
+    Returns the stacked iterations (polish included), each one
+    ``solver.solve`` call. Unconverged members leave only when the budget
+    ends, all at once; then :class:`NewtonDivergenceError` names the
+    residual of the first of them in stack order.
     """
     a, b, c = solver.a, solver.b, solver.c
-    grid = solver.grid
+    grid, pot = solver.grid, params.potential
+    tol, max_iter = params.newton_tol, params.newton_max_iter
     coef = np.array((a, b, c)).reshape((3, 1) + (1,) * grid.dim)
     # the component axis and the grid axes: max|R| is taken per member
     axes = (0,) + tuple(range(2, 2 + grid.dim))
@@ -217,7 +227,8 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
         r[2] -= u
         return r, np.abs(r).max(axis=axes).tolist()
 
-    x = old = x0
+    x = old
+    p, pi = params.proliferation.P(old[1]), pot.dS(old[1])
     r, res = residual(x, old, p, pi, u)
     # the stack position of each member still iterating, whether it had
     # converged at the start of the last iteration, which was then its
@@ -230,7 +241,6 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
     pos = list(range(len(res)))
     conv = [False] * len(res)
     means = [chord] * len(res)
-    frame = None
     solves = 0
     while True:
         # once converged, a member makes one more (polishing) iteration,
@@ -241,15 +251,13 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
                 for was, v in zip(conv, res)]
         conv = [v < tol for v in res]
         if not all(stay):
-            if frame is None:
-                if not any(stay):
-                    return x, res, solves, conv
-                frame, res_k, conv_k = np.empty_like(x), list(res), list(conv)
-            frame[:, pos] = x
-            for q, v, ok in zip(pos, res, conv):
-                res_k[q], conv_k[q] = v, ok
+            # the members that stay are written again when they leave
+            out[:, pos] = x
+            for v, ok, on in zip(res, conv, stay):
+                if not (ok or on):
+                    raise NewtonDivergenceError(step, v, max_iter)
             if not any(stay):
-                return frame, res_k, solves, conv_k
+                return solves
             keep = [j for j, on in enumerate(stay) if on]
             x, r, old = x[:, keep], r[:, keep], old[:, keep]
             p, pi, u = p[keep], pi[keep], u[keep]
@@ -263,8 +271,8 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
         # the full step for every member; a polishing member keeps it only
         # if it lowers its residual
         xt = x - y
-        if clamp_lo is not None:
-            np.clip(xt[1], clamp_lo, clamp_hi, out=xt[1])
+        if clamp:
+            np.clip(xt[1], *clamp, out=xt[1])
         rt, rest = residual(xt, old, p, pi, u)
         if chord:
             means = [not (v >= CHORD_CONTRACTION * v0 and v >= tol)
@@ -282,8 +290,8 @@ def _newton_step(solver, pot, p, x0, pi, u, tol, max_iter, clamp_lo, clamp_hi,
         while going and lam > 2.0 ** -9:
             lam *= 0.5
             xs = x[:, going] - lam * y[:, going]
-            if clamp_lo is not None:
-                np.clip(xs[1], clamp_lo, clamp_hi, out=xs[1])
+            if clamp:
+                np.clip(xs[1], *clamp, out=xs[1])
             rs, ress = residual(xs, old[:, going], p[going], pi[going], u[going])
             for i, (j, v) in enumerate(zip(going, ress)):
                 if v < rest[j]:
@@ -350,27 +358,18 @@ def solve_state(params: ModelParams, init: InitialData,
     newton_iters = np.zeros(steps, dtype=int)
     delta_sep = np.empty(steps)
     solver = StepSolver(grid, tg.dt, params.alpha, params.beta)
-    clamp_lo = clamp_hi = None
-    margin = 0.0
+    clamp, margin = None, 0.0
     if pot.singular:
         lo, hi = pot.domain
         margin = 1e-6 * (hi - lo)
-        clamp_lo, clamp_hi = lo + margin, hi - margin
+        clamp = lo + margin, hi - margin
 
     for k in range(steps):
-        f0 = data[k, 1]
-        x, res, solves, ok = _newton_step(
-            solver, pot, params.proliferation.P(f0), data[k], pot.dS(f0), members[:, k],
-            params.newton_tol, params.newton_max_iter, clamp_lo, clamp_hi, k + 1,
-        )
-        if not all(ok):
-            raise NewtonDivergenceError(k + 1, res[ok.index(False)], params.newton_max_iter)
-        dist = pot.distance(x[1])
+        newton_iters[k] = _newton_step(solver, params, data[k], members[:, k],
+                                       data[k + 1], k + 1, clamp)
+        delta_sep[k] = dist = pot.distance(data[k + 1, 1])
         if dist <= 2 * margin:
             raise SeparationViolationError(k + 1, dist)
-        data[k + 1] = x
-        newton_iters[k] = solves
-        delta_sep[k] = dist
 
     diag = StepDiagnostics(newton_iters, delta_sep)
     return Trajectory(grid, tg, data if stacked else data[:, :, 0], STATE_NAMES,

@@ -37,9 +37,11 @@ rows: in that storage each entry of the 3x3 cell block is one band row
 at every third column, so P and W are added to three rows and -P is
 written to two, the same two in the transposed band, where the
 couplings (m, s) and (s, m) swap places. The right-hand side is
-interleaved cell by cell into a buffer kept alike
-(:mod:`chcontrol.kernels` binds the LAPACK arguments once per pair), and
-one ``dgbsv`` call with one column per direction
+interleaved cell by cell into a buffer kept alike, per member and
+right-hand-side count, and the solver keeps the LAPACK arguments of each
+such pair of arrays, bound once by :func:`kernels.bind`; the workspace
+only grows, and when it does, the pairs bound to the old one are
+dropped. One ``dgbsv`` call with one column per direction
 (:func:`kernels.solve_block_tridiag`) factors it in place and solves, so
 a sweep along many directions factors each step matrix once. A 1D solve
 may also take K members, each with a matrix of its own (P and W of shape
@@ -221,22 +223,12 @@ class StepSolver:
         # the templates cell by cell, each cell's three band columns in a row
         self._cells = (self._band.T.reshape(grid.cell_count, -1),
                        self._band_t.T.reshape(grid.cell_count, -1))
-        self._grow(1)
-
-    def _grow(self, members: int) -> None:
-        """Make the band workspace hold ``members`` matrices side by side.
-        Each solve copies a template into it, once per member, adds P and
-        W to the band rows of the entries they hold and has LAPACK factor
-        it in place. The workspace only grows; a solve for fewer members
-        uses its first columns, and its views are kept per member count."""
-        rows, size = self._band.shape
-        self._ab = np.empty((rows, size * members), order="F")
-        # the right-hand sides are interleaved into a buffer kept per
-        # member and column count, so that kernels keeps dgbsv's arguments
-        self._views, self._rhs = {}, {}
-        for k in range(1, members + 1):
-            ab = self._ab[:, :size * k]
-            self._views[k] = ab, ab.T.reshape(k, self._ncell, -1)
+        # the band workspace, the members' bands side by side, and per
+        # member and right-hand-side count the arrays of a solve: its first
+        # columns as a gbsv array and cell by cell, the right-hand-side
+        # buffer and its Fortran view, and their LAPACK binding
+        self._ab = np.empty((len(self._band), 0), order="F")
+        self._arrays = {}
 
     def solve(self, p, w, rhs, transpose: bool = False, means=False):
         """Solve A(p, w) (m, f, s) = rhs, or its transpose.
@@ -436,9 +428,23 @@ class StepSolver:
         along the columns of one ``gbsv`` array (zero couplings between
         them, so kl = ku = 3 still hold) and one ``dgbsv`` call."""
         members = len(p) if p.ndim == 2 else 1
-        if members not in self._views:
-            self._grow(members)
-        ab, cells = self._views[members]
+        cols = ndir // members
+        if (members, cols) not in self._arrays:
+            # the workspace grows to the most members solved so far; the
+            # arrays bound to the old one go with it
+            rows, size = self._band.shape
+            if self._ab.shape[1] < size * members:
+                self._ab = np.empty((rows, size * members), order="F")
+                self._arrays.clear()
+            ab = self._ab[:, :size * members]
+            # interleaved cell-major, members one after another, one
+            # Fortran column per direction; LAPACK overwrites b with the
+            # solution
+            buf = np.empty((cols, members * self._ncell, 3))
+            b = buf.reshape(cols, -1).T
+            self._arrays[members, cols] = (ab, ab.T.reshape(members, self._ncell, -1),
+                                           buf, b, kernels.bind(ab, b))
+        ab, cells, buf, b, bound = self._arrays[members, cols]
         np.copyto(cells, self._cells[transpose])
         # P at (m, m) and (s, s), W at (f, f) and -P at (m, s) and (s, m) of
         # each cell: one band row each, at every third column, in the same
@@ -449,16 +455,8 @@ class StepSolver:
         ab[main, 1::3] += w.reshape(-1)
         ab[main, 2::3] += p
         ab[main - 2, 2::3] = ab[main + 2, 0::3] = -p
-        # interleaved cell-major, members one after another, one Fortran
-        # column per direction; LAPACK overwrites b with the solution
-        cols = ndir // members
-        k = len(p)
-        if (members, cols) not in self._rhs:
-            buf = np.empty((cols, k, 3))
-            self._rhs[members, cols] = buf, buf.reshape(cols, -1).T
-        buf, b = self._rhs[members, cols]
-        np.copyto(buf, np.asarray(rhs).reshape(3, cols, k).transpose(1, 2, 0))
-        kernels.solve_block_tridiag(ab, b)
+        np.copyto(buf, np.asarray(rhs).reshape(3, cols, len(p)).transpose(1, 2, 0))
+        kernels.solve_block_tridiag(ab, b, bound)
         return buf.copy().transpose(2, 0, 1).reshape(shape)
 
 

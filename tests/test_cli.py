@@ -728,13 +728,19 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
                           "sigma_omega": {"constant": 0.5}}}, "cost.relaxation.gamma"),
     ({"cost.relaxation": {"gamma": 1.0, "eps": 0.0,
                           "sigma_omega": {"constant": 0.5}}}, "cost.relaxation.eps"),
+    ({"solver": {"newton_tol": 0.0}}, "solver.newton_tol"),
+    ({"solver": {"newton_tol": -1e-11}}, "solver.newton_tol"),
+    ({"solver": {"newton_max_iter": -1}}, "solver.newton_max_iter"),
+    ({"solver": {"newton_max_iter": 2.5}}, "solver.newton_max_iter"),
 ], ids=["n-string", "n-number", "n-fraction", "extents-string", "steps-fraction",
         "value-string", "amplitude-string", "width-string", "constant-string",
         "constant-bool", "front-leaves-log-domain", "output-dir-number", "model-list",
         "top-level-list", "b1-nan", "b0-inf", "eps-nan", "constant-nan",
         "control-initial-nan", "p0-inf", "lower-nan-snapshot",
         "sigma-omega-nan-snapshot", "tau0-outside", "verification-tau-outside",
-        "control-initial-word", "weights-all-zero", "gamma-negative", "eps-zero"])
+        "control-initial-word", "weights-all-zero", "gamma-negative", "eps-zero",
+        "newton-tol-zero", "newton-tol-negative", "newton-max-iter-negative",
+        "newton-max-iter-fraction"])
 def test_malformed_field_is_config_error(tmp_path, capsys, edits, field):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["output_dir"] = str(tmp_path / "out")

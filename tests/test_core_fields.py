@@ -83,8 +83,10 @@ def test_time_grid():
     assert tg.nearest_node(0.26) == (1, pytest.approx(0.01))
     with pytest.raises(TimeDomainError):
         ch.TimeGrid(1.0, 0)
-    with pytest.raises(TimeDomainError):
-        tg.clamp(2.5)
+    for tau in (2.5, np.nan, np.inf, -np.inf):
+        for call in (tg.clamp, tg.nearest_node):
+            with pytest.raises(TimeDomainError, match=r"^time \S+ outside \[0, 2.0\]$"):
+                call(tau)
 
 
 @pytest.mark.parametrize("make, error", [

@@ -1,5 +1,4 @@
 import ctypes
-import gc
 
 import numpy as np
 import pytest
@@ -139,9 +138,9 @@ def test_band_templates_are_gbsv_storage_of_step_matrix(n, monkeypatch):
     # each member's matrix, side by side
     bands, solve = [], kernels.solve_block_tridiag
 
-    def capture(ab, b):
+    def capture(ab, b, bound=None):
         bands.append(ab.copy(order="F"))
-        return solve(ab, b)
+        return solve(ab, b, bound)
 
     monkeypatch.setattr(kernels, "solve_block_tridiag", capture)
     rng = np.random.default_rng(n)
@@ -320,21 +319,6 @@ def test_band_solve_checks_layout(routine, monkeypatch):
             kernels.solve_block_tridiag(a, np.ones(n))
 
 
-def test_band_arguments_live_as_long_as_the_band():
-    # numpy's dgbsv keeps the arguments of a band array, by id, only while
-    # that array lives: its id may name another array once it is freed
-    if kernels.numpy_dgbsv() is None:
-        pytest.skip("numpy's BLAS library exports no dgbsv")
-    ab = _gbsv_storage(np.eye(24) * 2.0)
-    b = np.ones(24)
-    key = id(ab)
-    assert kernels.solve_block_tridiag(ab, b).tolist() == [0.5] * 24
-    assert kernels._bound[key][0] is b
-    del ab
-    gc.collect()
-    assert key not in kernels._bound
-
-
 # The lookup of numpy's dgbsv finds no symbol, as in a numpy whose BLAS
 # library lacks it, so that the first 1D solve imports SciPy's
 _FALLBACK_RUN = """
@@ -499,6 +483,30 @@ def test_member_solve_matches_single_solves_bitwise():
         for i in range(members):
             single = solver.solve(p[i], w[i], rhs[:, i])
             assert got[:, i].tobytes() == single.tobytes(), (members, i)
+
+
+def test_reused_step_solver_solves_like_a_fresh_one_bitwise():
+    # one solver's band workspace grows from 1 to 3 members and then
+    # serves 1 member with one and with four right-hand sides; every solve
+    # gives the bits of a fresh solver's, and the arrays the solver keeps
+    # all lie in its current workspace, those bound to the one it
+    # outgrew dropped
+    rng = np.random.default_rng(11)
+    grid = ch.Grid.line(24)
+    solver = StepSolver(grid, 1.0 / 64, 0.1, 0.2)
+    for members, ndir in ((1, 1), (3, 1), (1, 1), (1, 4)):
+        p = rng.uniform(0.0, 2.0, (members, 24))
+        w = rng.uniform(0.0, 3.0, (members, 24))
+        if members == 1:
+            p, w = p[0], w[0]
+        rhs = rng.standard_normal((3, max(members, ndir), 24))
+        for transpose in (False, True):
+            got = solver.solve(p, w, rhs, transpose=transpose)
+            fresh = StepSolver(grid, 1.0 / 64, 0.1, 0.2).solve(p, w, rhs,
+                                                                transpose=transpose)
+            assert got.tobytes() == fresh.tobytes(), (members, ndir, transpose)
+        assert all(ab.base is solver._ab for ab, *_ in solver._arrays.values())
+    assert solver._ab.shape[1] == 3 * 3 * 24
 
 
 def test_step_solve_2d_leaves_template_unchanged():

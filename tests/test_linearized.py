@@ -116,6 +116,22 @@ def test_truncated_sweep_is_prefix_of_full(which, problem, problem_2d):
         assert part.data.tobytes() == full.data[: steps + 1].tobytes()
 
 
+def test_sweep_reads_only_the_forward_frames_it_needs(problem):
+    # a state marched to step m serves every sweep of at most m steps,
+    # bitwise as the full state does, and a longer sweep is refused
+    params, init, u, state = problem
+    m = params.time_grid.steps // 2
+    prefix = ch.solve_state(params, init, u, steps=m)
+    h = np.random.default_rng(7).standard_normal(_shape(params))
+    full = ch.solve_linearized(params, state, h)
+    for steps in (0, 1, m):
+        part = ch.solve_linearized(params, prefix, h, steps=steps)
+        assert part.data.tobytes() == full.data[: steps + 1].tobytes()
+    for steps in (m + 1, None):
+        with pytest.raises(TimeDomainError, match="needs? forward frames"):
+            ch.solve_linearized(params, prefix, h, steps=steps)
+
+
 @pytest.mark.parametrize("which", ["1d", "2d"])
 def test_direction_stack_matches_single_sweeps(which, problem, problem_2d):
     params, state = (problem[0], problem[3]) if which == "1d" else problem_2d

@@ -276,7 +276,7 @@ def test_tau_profile_matches_cost(problem):
             ref.time_derivative(state, tau, cost), rel=1e-11, abs=1e-12)
     # roundoff past an end of [0, T] is clamped; anything more is an error
     assert prof.value(1.0 + 1e-13) == prof.value(1.0)
-    for bad in (-1e-3, 1.0 + 1e-6):
+    for bad in (-1e-3, 1.0 + 1e-6, np.nan):
         for evaluate in (prof.breakdown, prof.value, prof.derivative):
             with pytest.raises(ch.TimeDomainError):
                 evaluate(bad)

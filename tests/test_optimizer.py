@@ -47,6 +47,14 @@ def test_optimize_rejects_crossed_field_bounds(problem):
         ch.optimize(params, init, tracking_cost(params), u0, lower=lower, upper=upper)
 
 
+def test_optimize_rejects_a_start_time_that_is_not_finite(problem):
+    params, init = problem
+    u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
+    with pytest.raises(ch.TimeDomainError, match="^time nan outside"):
+        ch.optimize(params, init, tracking_cost(params), u0, tau0=np.nan,
+                    lower=0.0, upper=1.0)
+
+
 def test_optimize_rejects_misshapen_start():
     # the start is checked before the clamp broadcasts it against the bounds
     params = make_problem(n=16, nt=4)

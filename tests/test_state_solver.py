@@ -25,6 +25,17 @@ def test_params_reject_nonpositive_constants():
         ch.ModelParams(0.1, -1.0, pot, pro, g, tg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("newton_tol", 0.0), ("newton_tol", -1e-11), ("newton_tol", np.nan),
+    ("newton_tol", np.inf), ("newton_max_iter", -1), ("newton_max_iter", 2.5),
+    ("newton_max_iter", 20.0),
+])
+def test_params_reject_bad_newton_settings(field, value):
+    params = make_problem(n=16, nt=4)
+    with pytest.raises(ConfigError, match=f"^solver.{field}: "):
+        dataclasses.replace(params, **{field: value})
+
+
 def test_initial_data_validation():
     g = ch.Grid.line(16)
     pot = ch.Potential.logarithmic(2.0)

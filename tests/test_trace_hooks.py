@@ -104,6 +104,8 @@ def test_traced_verify_sees_every_oracle(tmp_path):
     assert metrics["state.steps"] == 2 * nt + max(k_tau, 1)
     assert 1 < k_tau < nt
     assert result["reconcile"] is None
+    # every 1D step solve makes exactly one band solve
+    assert metrics["kernels.block_solves"] == metrics["system.solves"] > 0
 
 
 def test_traced_2d_verify_stacks_and_reconciles(tmp_path):
