@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NanDetectedError, TimeDomainError
 from .fields import Trajectory
 from .objective import CostSpec, time_weights, window_weights
-from .state import ModelParams
+from .state import ModelParams, check_state_grids
 from .system import StepSolver, coupling, step_coefficients
 
 ADJOINT_NAMES = ("adj_mu", "adj_phi", "adj_sigma")
@@ -60,9 +60,12 @@ def adjoint_terminal_data(params: ModelParams, state: Trajectory, tau_index: int
 def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
                   cost: CostSpec) -> Trajectory:
     """Solve the adjoint system on nodes 0..tau_index. It reads the
-    forward frames 0..tau_index, so ``state`` may stop there."""
+    forward frames 0..tau_index, so ``state`` may stop there; a state on
+    another grid or time grid than ``params`` raises
+    :class:`GridMismatchError`."""
     grid, tg = params.grid, params.time_grid
     nt, dt = tg.steps, tg.dt
+    check_state_grids(params, state, "adjoint")
     if not 0 <= tau_index <= nt:
         raise TimeDomainError(f"tau index {tau_index} outside 0..{nt}")
     if state.nframes <= tau_index:

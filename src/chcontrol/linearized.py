@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NanDetectedError, ShapeMismatchError, TimeDomainError
 from .fields import Trajectory
-from .state import ModelParams
+from .state import ModelParams, check_state_grids
 from .system import StepSolver, coupling, step_coefficients
 
 LINEARIZED_NAMES = ("d_mu", "d_phi", "d_sigma")
@@ -44,7 +44,9 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
     1..``steps`` (default nt) are marched, and the returned trajectory
     holds frames 0..steps, of shape (steps+1, 3, [ndir,] *grid.shape).
     The sweep reads the forward frames 0..steps, so ``state`` may stop
-    there; with fewer frames it raises :class:`TimeDomainError`.
+    there; with fewer frames it raises :class:`TimeDomainError`, and for a
+    state on another grid or time grid than ``params``
+    :class:`GridMismatchError`.
     """
     grid, tg = params.grid, params.time_grid
     nt, dt = tg.steps, tg.dt
@@ -54,8 +56,7 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
         raise ShapeMismatchError(
             f"perturbation shape {hv.shape}, expected {nodes} or (ndir, *{nodes})"
         )
-    if state.grid.shape != grid.shape:
-        raise ShapeMismatchError("state trajectory does not match the model grid")
+    check_state_grids(params, state, "linearized")
     steps = nt if steps is None else int(steps)
     if not 0 <= steps <= nt:
         raise TimeDomainError(f"linearized steps {steps} outside 0..{nt}")

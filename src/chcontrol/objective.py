@@ -199,9 +199,7 @@ def space_time_inner(grid: Grid, dt: float, a: np.ndarray, b: np.ndarray,
         raise GridMismatchError(f"space-time shapes differ: {a.shape} vs {b.shape}")
     if weights is None:
         weights = time_weights(a.shape[0], dt)
-    axes = tuple(range(1, a.ndim))
-    node_inner = (a * b).sum(axis=axes) * grid.cell_volume
-    return float(np.dot(weights, node_inner))
+    return float(np.dot(weights, _node_inner(grid, a, b)))
 
 
 def space_time_norm(grid: Grid, dt: float, a: np.ndarray,
@@ -209,9 +207,11 @@ def space_time_norm(grid: Grid, dt: float, a: np.ndarray,
     return float(np.sqrt(max(space_time_inner(grid, dt, a, a, weights), 0.0)))
 
 
-def _node_sq_norms(grid: Grid, a: np.ndarray) -> np.ndarray:
-    axes = tuple(range(1, a.ndim))
-    return (a * a).sum(axis=axes) * grid.cell_volume
+def _node_inner(grid: Grid, a: np.ndarray, b) -> np.ndarray:
+    """The L2(Omega) pairing of a and b at each time node (the first
+    axis): the midpoint sum over the grid axes times the cell volume."""
+    ab = a * b
+    return ab.sum(axis=tuple(range(1, ab.ndim))) * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,6 @@ def _node_sq_norms(grid: Grid, a: np.ndarray) -> np.ndarray:
 TAIL_SLACK = 1e-12
 
 
-def _tracking_sq(grid, traj_comp, target):
-    return _node_sq_norms(grid, traj_comp if target is None else traj_comp - target)
-
-
 class TauProfile:
     """The discrete cost tau -> J(u, tau) at a fixed state and control.
 
@@ -238,6 +234,13 @@ class TauProfile:
     derivative of the discrete cost is piecewise linear in tau, so the
     continuous minimizer can be located to roundoff with a short
     bisection.
+
+    The two running terms, b1/2 int_0^tau |phi - phi_q|^2 and b3/2
+    int_0^tau |sigma - sigma_q|^2, are one rule and live in one table,
+    ``running``: per active term its :class:`CostBreakdown` field, b/2,
+    the node series of the squared misfit and its cumulative trapezoid
+    integral. :meth:`breakdown`, :meth:`derivative` and
+    :meth:`_tail_bound` each read the table in one loop.
 
     A cost with :meth:`CostSpec.monotone_tail` may also be read from a
     partial march, frames 0..W (W >= 1) of the full one. Such a profile
@@ -267,33 +270,31 @@ class TauProfile:
         self.cost = cost
         # the nodes whose values this profile knows
         self.times = tg.times[:frames - 1] if self.partial else tg.times
-        vol = grid.cell_volume
 
-        self.g1 = self.g3 = self.g_relax = None
-        if cost.b1 > 0:
-            target = None if cost.phi_q is None else cost.phi_q[:frames]
-            self.g1 = _tracking_sq(grid, state.phi, target)
-            self.cum1 = self._cumtrapz(self.g1)
-        if cost.b3 > 0:
-            target = None if cost.sigma_q is None else cost.sigma_q[:frames]
-            self.g3 = _tracking_sq(grid, state.sigma, target)
-            self.cum3 = self._cumtrapz(self.g3)
+        # the running terms b/2 int_0^tau |f - f_q|^2 (see the class docstring)
+        self.running = []
+        for name, b, f, target in (("tracking_q", cost.b1, state.phi, cost.phi_q),
+                                   ("nutrient_q", cost.b3, state.sigma, cost.sigma_q)):
+            if b > 0:
+                diff = f if target is None else f - target[:frames]
+                g = _node_inner(grid, diff, diff)
+                self.running.append((name, 0.5 * b, g, self._cumtrapz(g)))
+        self.g_relax = None
         relax = cost.relaxation
         if relax is not None and relax.gamma > 0:
-            self.g_relax = _node_sq_norms(grid, state.sigma - relax.sigma_omega)
+            diff = state.sigma - relax.sigma_omega
+            self.g_relax = _node_inner(grid, diff, diff)
             self.cum_relax = self._cumtrapz(self.g_relax)
 
-        if cost.b2 > 0 or cost.b4 > 0:
+        if cost.b2 > 0:
             diff = state.phi if cost.phi_omega is None else state.phi - cost.phi_omega
-            axes = tuple(range(1, diff.ndim))
-            if cost.b2 > 0:
-                self.qn = (diff * diff).sum(axis=axes) * vol
-                self.qx = (diff[:-1] * diff[1:]).sum(axis=axes) * vol
-                dphi = np.diff(state.phi, axis=0) / self.dt
-                self.p_prev = (diff[:-1] * dphi).sum(axis=axes) * vol
-                self.p_cur = (diff[1:] * dphi).sum(axis=axes) * vol
-            if cost.b4 > 0:
-                self.mass = (1.0 + state.phi).sum(axis=axes) * vol
+            self.qn = _node_inner(grid, diff, diff)
+            self.qx = _node_inner(grid, diff[:-1], diff[1:])
+            dphi = np.diff(state.phi, axis=0) / self.dt
+            self.p_prev = _node_inner(grid, diff[:-1], dphi)
+            self.p_cur = _node_inner(grid, diff[1:], dphi)
+        if cost.b4 > 0:
+            self.mass = _node_inner(grid, 1.0 + state.phi, 1.0)
         self.control_energy = 0.0
         if cost.b0 > 0:
             self.control_energy = 0.5 * cost.b0 * space_time_inner(
@@ -334,10 +335,8 @@ class TauProfile:
         out = CostBreakdown(linear_time=c.b5 * tau,
                             quadratic_time=0.5 * c.b6 * (tau - c.tau_star) ** 2,
                             control_energy=self.control_energy)
-        if self.g1 is not None:
-            out.tracking_q = 0.5 * c.b1 * self._quad(self.g1, self.cum1, tau)
-        if self.g3 is not None:
-            out.nutrient_q = 0.5 * c.b3 * self._quad(self.g3, self.cum3, tau)
+        for name, half, g, cum in self.running:
+            setattr(out, name, half * self._quad(g, cum, tau))
         if c.b2 > 0:
             # |phi(tau) - phi_omega|^2 of the linear interpolant, expanded in
             # the node products
@@ -373,10 +372,8 @@ class TauProfile:
         tau = self._clamp(tau)
         c = self.cost
         out = c.b5 + c.b6 * (tau - c.tau_star)
-        if self.g1 is not None:
-            out += 0.5 * c.b1 * lerp_nodes(self.g1, tau, self.dt)
-        if self.g3 is not None:
-            out += 0.5 * c.b3 * lerp_nodes(self.g3, tau, self.dt)
+        for _, half, g, _ in self.running:
+            out += half * lerp_nodes(g, tau, self.dt)
         if c.b2 > 0 or c.b4 > 0:
             j_hi, s = self._bracket(tau)
             if c.b2 > 0:
@@ -408,10 +405,8 @@ class TauProfile:
         bound = CostBreakdown(linear_time=c.b5 * t_w,
                               quadratic_time=0.5 * c.b6 * past**2,
                               control_energy=self.control_energy)
-        if self.g1 is not None:
-            bound.tracking_q = 0.5 * c.b1 * float(self.cum1[w - 1])
-        if self.g3 is not None:
-            bound.nutrient_q = 0.5 * c.b3 * float(self.cum3[w - 1])
+        for name, half, _, cum in self.running:
+            setattr(bound, name, half * float(cum[w - 1]))
         return bound.total
 
     def minimize(self) -> float | None:

@@ -90,6 +90,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    GridMismatchError,
     NanDetectedError,
     NewtonDivergenceError,
     SeparationViolationError,
@@ -124,12 +125,10 @@ class ModelParams:
     newton_max_iter: int = NEWTON_MAX_ITER
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigError("model.alpha: must be positive (alpha and beta are "
-                              "positive relaxation constants)")
-        if not self.beta > 0:
-            raise ConfigError("model.beta: must be positive (alpha and beta are "
-                              "positive relaxation constants)")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"model.{name}: must be a finite positive number "
+                                  f"(alpha and beta are positive relaxation constants)")
         if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ConfigError("solver.newton_tol: must be a finite positive number")
         if not (isinstance(self.newton_max_iter, numbers.Integral)
@@ -311,6 +310,15 @@ def check_control_shape(grid: Grid, time_grid: TimeGrid, control: np.ndarray,
         want = f"(K >= 1, {str(expected)[1:]}" if members else str(expected)
         raise ShapeMismatchError(f"control values shape {control.shape}, "
                                  f"expected {want}")
+
+
+def check_state_grids(params: ModelParams, state: Trajectory, sweep: str) -> None:
+    """Raise :class:`GridMismatchError` unless ``state`` lies on the grid
+    and the time grid of ``params``, whose h and dt the ``sweep`` marches
+    its frames with."""
+    if state.grid != params.grid or state.time_grid != params.time_grid:
+        raise GridMismatchError(f"{sweep}: state on {state.grid}, {state.time_grid}; "
+                                f"model on {params.grid}, {params.time_grid}")
 
 
 def solve_state(params: ModelParams, init: InitialData,

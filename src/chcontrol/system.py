@@ -106,12 +106,15 @@ that diverges at step 4 on 16^2, where the median solve takes 3. A
 column still above the bound after CYCLES cycles of RESTART iterations
 raises :class:`~chcontrol.errors.StepSolveError`.
 
-``StepSolver.solve`` takes a flag per member that selects the DCT solve
-at the grid means of its P and W; the members without it solve by GMRES
-at their per-cell values, in the same call. The forward march flags a
-member unless its last iteration failed to contract (see
-:mod:`chcontrol.state`); the linearized and adjoint sweeps solve with the
-exact A_k, because the duality identity between them holds only for it.
+A 2D ``StepSolver.solve`` has one rule per column (a direction or a
+member): it holds P and W and their grid means at one value per column,
+solves the columns flagged by ``means`` by the DCT solve at their means
+and the others by GMRES at their per-cell values, in the same call, each
+column with the bits of its own solve. The forward march flags a member
+unless its last iteration failed to contract (see
+:mod:`chcontrol.state`); the linearized and adjoint sweeps flag none and
+solve with the exact A_k, because the duality identity between them
+holds only for it.
 """
 
 from __future__ import annotations
@@ -200,12 +203,6 @@ def _norm2(y):
     return np.sqrt(_dot(y, y))
 
 
-def _grid_means(*fields):
-    """The grid mean of each member of each field, kept as (K, 1, 1) or
-    (1, 1)."""
-    return [f.mean(axis=(-2, -1), keepdims=True) for f in fields]
-
-
 class StepSolver:
     """Assembles and solves the coupled implicit-step systems on one grid."""
 
@@ -268,28 +265,26 @@ class StepSolver:
         ndir = rhs[0].size // self._ncell
         if self.grid.dim == 1:
             return self._solve_band(p, w, rhs, transpose, ndir, shape)
-        # one column per direction or member, its three components together
+        # one column per direction or member, its three components together,
+        # and P and W with their grid means at one value per column
         b = np.reshape(rhs, (3, ndir) + self.grid.shape).transpose(1, 0, 2, 3)
+        p, w = (np.broadcast_to(f, b[:, 0].shape) for f in (p, w))
+        pm, wm = (f.mean(axis=(-2, -1), keepdims=True) for f in (p, w))
         flags = np.broadcast_to(means, (ndir,))
+        x = np.empty(b.shape)
         with np.errstate(all="ignore"):
-            if flags.all():
-                x = self._mean_solve(p, w, b, transpose)
-            elif not flags.any():
-                x = self._gmres(p, w, b, transpose)
-            else:
-                x = np.empty(b.shape)
-                for sel, run in ((flags, self._mean_solve), (~flags, self._gmres)):
-                    x[sel] = run(p[sel], w[sel], b[sel], transpose)
+            if flags.any():
+                x[flags] = self._dct_solve(pm[flags], wm[flags], b[flags], transpose)
+            rest = ~flags
+            if rest.any():
+                x[rest] = self._gmres(p[rest], w[rest], pm[rest], wm[rest], b[rest],
+                                      transpose)
         return x.transpose(1, 0, 2, 3).reshape(shape)
-
-    def _mean_solve(self, p, w, b, transpose):
-        """Solve with A at the grid means of P and W, per member or at once."""
-        return self._dct_solve(*_grid_means(p, w), b, transpose)
 
     def _dct_solve(self, p, w, b, transpose):
         """Solve with A at constant P and W (one value per column, shape
-        (ncol, 1, 1) or (1, 1)) for the columns of b, (ncol, 3, *grid): in
-        the DCT basis a 3x3 system per mode, eliminated in closed form."""
+        (ncol, 1, 1)) for the columns of b, (ncol, 3, *grid): in the DCT
+        basis a 3x3 system per mode, eliminated in closed form."""
         cx, cxt, cyt, cy, lam, _ = self._basis
         r = cx @ b @ cyt
         r1, r2, r3 = r[:, 0], r[:, 1], r[:, 2]
@@ -325,7 +320,7 @@ class StepSolver:
         return out
 
     def _norm(self, p, w, transpose):
-        """||A||_inf, the largest absolute row sum, per member or at once."""
+        """||A||_inf, the largest absolute row sum, per column or at once."""
         d = self._basis[5]
         near = (1.0, self.c) if transpose else (self.c, 1.0)
         ap = np.abs(p)
@@ -334,21 +329,21 @@ class StepSolver:
                 np.abs(self.c + d + p) + ap + d)
         return np.maximum.reduce([row.max(axis=(-2, -1)) for row in rows])
 
-    def _gmres(self, p, w, b, transpose):
+    def _gmres(self, p, w, pm, wm, b, transpose):
         """Solve with per-cell P and W by restarted GMRES on the stencil,
-        right-preconditioned by the DCT solve at the grid means of P and W.
+        right-preconditioned by the DCT solve at their grid means pm and wm.
 
-        Each column of b, (ncol, 3, *grid), keeps its own Krylov space and
-        stops on its own at a normwise backward error of at most ETA,
-        ||b - A y||_2 <= ETA (||A||_inf ||y||_2 + ||b||_2), tested on the
-        residual recomputed by the stencil once the GMRES estimate of its
-        norm meets the bound; a column that stops leaves the arrays of the
-        others, so that each column's bits do not depend on the rest of the
-        batch. A column with non-finite data is returned as NaN; a column
-        still above the bound after CYCLES cycles of RESTART iterations
-        raises :class:`StepSolveError`."""
-        ncol = len(b)
-        norm_a = np.broadcast_to(self._norm(p, w, transpose), (ncol,))
+        P and W hold one field per column of b, (ncol, *grid), pm and wm
+        one value, (ncol, 1, 1). Each column of b, (ncol, 3, *grid), keeps
+        its own Krylov space and stops on its own at a normwise backward
+        error of at most ETA, ||b - A y||_2 <= ETA (||A||_inf ||y||_2 +
+        ||b||_2), tested on the residual recomputed by the stencil once the
+        GMRES estimate of its norm meets the bound; a column that stops
+        leaves the arrays of the others, so that each column's bits do not
+        depend on the rest of the batch. A column with non-finite data is
+        returned as NaN; a column still above the bound after CYCLES cycles
+        of RESTART iterations raises :class:`StepSolveError`."""
+        norm_a = self._norm(p, w, transpose)
         norm_b = _norm2(b)
         x = np.zeros(b.shape)
         finite = np.isfinite(norm_a) & np.isfinite(norm_b)
@@ -358,9 +353,7 @@ class StepSolver:
         if not len(cols):
             return x
         # per column: the right-hand side, ||A||, ||b||, P, W and their means
-        p, w = (np.broadcast_to(f, b[:, 0].shape) for f in (p, w))
-        coef = [f[cols] for f in (b, norm_a, norm_b, p, w)]
-        coef += _grid_means(*coef[3:])
+        coef = [f[cols] for f in (b, norm_a, norm_b, p, w, pm, wm)]
         y, r = x[cols], coef[0]
         for _ in range(CYCLES):
             beta = _norm2(r)

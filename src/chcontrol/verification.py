@@ -62,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import solve_adjoint
+from .errors import TimeDomainError
 from .fields import Trajectory, integrate
 from .linearized import solve_linearized
 from .objective import (
@@ -417,7 +418,7 @@ def lipschitz_check(params: ModelParams, init: InitialData,
 
 @dataclass
 class MassBalanceReport:
-    residuals: np.ndarray           # per step: frames 1..nt
+    residuals: np.ndarray           # per step: frames 1..nframes-1
 
     @property
     def residual(self) -> float:
@@ -433,15 +434,18 @@ class MassBalanceReport:
 
 def mass_balance_check(traj: Trajectory, u: np.ndarray,
                        params: ModelParams) -> MassBalanceReport:
-    """Drift of the conserved combination after each step, relative to
-    its initial size."""
-    grid, tg = params.grid, params.time_grid
-    dt = tg.dt
+    """Drift of the conserved combination after each step of ``traj``,
+    relative to its initial size: steps 1..nframes-1, so a march that
+    stopped early reports the steps it made. Fewer than two frames raise
+    :class:`TimeDomainError`."""
+    grid, dt = params.grid, params.time_grid.dt
+    if traj.nframes < 2:
+        raise TimeDomainError("the mass balance needs two forward frames or more")
     mass0 = integrate(grid, params.alpha * traj.mu[0] + traj.phi[0] + traj.sigma[0])
     scale = 1.0 + abs(mass0)
     injected = 0.0
-    residuals = np.zeros(tg.steps)
-    for k in range(1, tg.steps + 1):
+    residuals = np.zeros(traj.nframes - 1)
+    for k in range(1, traj.nframes):
         injected += dt * integrate(grid, u[k - 1])
         mass_k = integrate(grid, params.alpha * traj.mu[k] + traj.phi[k]
                            + traj.sigma[k])

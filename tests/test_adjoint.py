@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import chcontrol as ch
 from chcontrol.adjoint import adjoint_terminal_data
-from chcontrol.errors import TimeDomainError
+from chcontrol.errors import GridMismatchError, TimeDomainError
 from chcontrol.objective import time_weights
 from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
 
@@ -118,6 +120,18 @@ def test_invalid_tau_index(problem):
         ch.solve_adjoint(params, state, params.time_grid.steps + 1, cost)
     with pytest.raises(TimeDomainError):
         ch.solve_adjoint(params, state, -1, cost)
+
+
+@pytest.mark.parametrize("other", [
+    lambda p: dataclasses.replace(p, grid=ch.Grid.line(p.grid.n[0], 2.0)),
+    lambda p: dataclasses.replace(p, time_grid=ch.TimeGrid(2.0, p.time_grid.steps)),
+], ids=["extents", "horizon"])
+def test_state_of_another_problem_is_refused(problem, other):
+    # the same shapes on another grid or time grid: the sweep would march
+    # the state's frames with the wrong h or dt
+    params, _, _, state = problem
+    with pytest.raises(GridMismatchError, match="^adjoint: "):
+        ch.solve_adjoint(other(params), state, 4, tracking_cost(params))
 
 
 def test_relaxed_window_source(problem):

@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 import chcontrol as ch
 from chcontrol.errors import GridMismatchError, ShapeMismatchError, TimeDomainError
+from chcontrol.fields import _HEADER_FMT
 from cost_reference import interpolate_in_time
 
 
@@ -213,3 +217,52 @@ def test_trajectory_manifest_roundtrip(tmp_path):
     assert back.names == traj.names
     assert back.grid == traj.grid
     assert np.array_equal(back.data, traj.data)
+
+
+_G, _TG = ch.Grid.line(4), ch.TimeGrid(1.0, 2)
+
+
+def _header_of_dimension(path, dim):
+    path.write_bytes(struct.pack(_HEADER_FMT, b"CHFLD1", dim, 4, 4) + bytes(128))
+    return path
+
+
+def _ragged_manifest(directory):
+    traj = ch.Trajectory(_G, _TG, np.zeros((3, 1) + _G.shape), ("u",))
+    manifest = ch.write_trajectory(directory, traj)
+    index = json.loads(manifest.read_text())
+    index["components"]["u"].pop()
+    manifest.write_text(json.dumps(index))
+    return manifest
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tmp: ch.Grid((4,), (0.0,)), GridMismatchError, "extents must be positive"),
+    (lambda tmp: ch.Grid.rectangle(4, 4, 1.0, -1.0), GridMismatchError,
+     "extents must be positive"),
+    (lambda tmp: ch.integrate(_G, np.zeros(5)), GridMismatchError,
+     "does not match grid"),
+    (lambda tmp: ch.Trajectory(_G, _TG, np.zeros((4, 1) + _G.shape), ("u",)),
+     ShapeMismatchError, "4 frames incompatible with 2 steps"),
+    (lambda tmp: ch.Trajectory(_G, _TG, np.zeros((3, 1) + _G.shape), ("u",)).v,
+     AttributeError, "v"),
+    (lambda tmp: ch.write_snapshot(tmp / "f.fld", _G, np.zeros(5)), GridMismatchError,
+     "snapshot values do not match"),
+    (lambda tmp: ch.read_snapshot(_header_of_dimension(tmp / "f.fld", 0)),
+     ShapeMismatchError, "snapshot dimension 0"),
+    (lambda tmp: ch.read_snapshot(_header_of_dimension(tmp / "f.fld", 3)),
+     ShapeMismatchError, "snapshot dimension 3"),
+    (lambda tmp: ch.read_trajectory(_ragged_manifest(tmp / "traj")),
+     ShapeMismatchError, "ragged component u"),
+    (lambda tmp: ch.space_time_inner(_G, 0.5, np.zeros((3, 4)), np.zeros((2, 4))),
+     GridMismatchError, "space-time shapes differ"),
+    (lambda tmp: ch.InitialData(np.zeros(5), _G.zeros(), _G.zeros()).validate(
+        _G, ch.Potential.quartic()), ShapeMismatchError, "initial.mu0: shape"),
+], ids=["grid-zero-extent", "grid-negative-extent", "integrate-shape",
+        "trajectory-frames", "trajectory-attribute", "write-snapshot-shape",
+        "snapshot-dim-0", "snapshot-dim-3", "manifest-ragged", "space-time-shape",
+        "initial-shape"])
+def test_library_guards_raise_their_errors(call, error, match, tmp_path):
+    # the guards of library calls that no pipeline reaches with bad input
+    with pytest.raises(error, match=match):
+        call(tmp_path)

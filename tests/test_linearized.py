@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.errors import ShapeMismatchError, TimeDomainError
+from chcontrol.errors import GridMismatchError, ShapeMismatchError, TimeDomainError
 from conftest import equilibrium_init, make_problem, midpoint_control
 
 
@@ -92,6 +94,18 @@ def test_shape_mismatch_raises(problem):
     with pytest.raises(TimeDomainError):
         ch.solve_linearized(params, state, np.zeros(_shape(params)),
                             steps=params.time_grid.steps + 1)
+
+
+@pytest.mark.parametrize("other", [
+    lambda p: dataclasses.replace(p, grid=ch.Grid.line(p.grid.n[0], 2.0)),
+    lambda p: dataclasses.replace(p, time_grid=ch.TimeGrid(2.0, p.time_grid.steps)),
+], ids=["extents", "horizon"])
+def test_state_of_another_problem_is_refused(problem, other):
+    # the same shapes on another grid or time grid: the sweep would march
+    # the state's frames with the wrong h or dt
+    params, _, _, state = problem
+    with pytest.raises(GridMismatchError, match="^linearized: "):
+        ch.solve_linearized(other(params), state, np.zeros(_shape(params)))
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,12 @@ def test_params_reject_nonpositive_constants():
         ch.ModelParams(0.0, 0.1, pot, pro, g, tg)
     with pytest.raises(ConfigError):
         ch.ModelParams(0.1, -1.0, pot, pro, g, tg)
+    # nor non-finite ones, each named by its config field
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ConfigError, match="^model.alpha: "):
+            ch.ModelParams(value, 0.1, pot, pro, g, tg)
+        with pytest.raises(ConfigError, match="^model.beta: "):
+            ch.ModelParams(0.1, value, pot, pro, g, tg)
 
 
 @pytest.mark.parametrize("field, value", [

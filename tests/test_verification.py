@@ -135,6 +135,21 @@ def test_mass_balance_nan_frame_fails(problem):
     assert not rep.passed(1e-10)
 
 
+def test_mass_balance_reads_the_frames_it_is_given(problem):
+    # a march stopped at step m reports steps 1..m, bitwise the first
+    # entries of the full march's series; one frame has no step to report
+    params, init, u = problem
+    full = ch.mass_balance_check(ch.solve_state(params, init, u), u, params)
+    m = params.time_grid.steps // 2
+    part = ch.mass_balance_check(ch.solve_state(params, init, u, steps=m), u, params)
+    assert len(part.residuals) == m
+    assert part.residuals.tobytes() == full.residuals[:m].tobytes()
+    traj = ch.solve_state(params, init, u, steps=1)
+    first = ch.Trajectory(params.grid, params.time_grid, traj.data[:1], traj.names)
+    with pytest.raises(ch.errors.TimeDomainError, match="two forward frames"):
+        ch.mass_balance_check(first, u, params)
+
+
 def test_duality_nan_mismatch_fails():
     rep = ch.verification.DualityCheckReport(0, [1e-12, np.nan], [1.0, 1.0],
                                              [1.0, np.nan], 0)
