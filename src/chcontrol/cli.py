@@ -296,6 +296,8 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
     The arguments are the ``initial.*`` fields of :data:`_FIELDS`. The
     non-equilibrium presets set mu0 = F'(phi0) and sigma0 = mu0, which
     keeps all fields order one and the exchange term initially balanced.
+    A phi0 outside the window of ``potential`` (see
+    :meth:`Potential.check_start`) is a ConfigError naming the preset's field.
     """
     cfg = {"initial": {**kwargs, "preset": name}}
     name = _field(cfg, "initial.preset")
@@ -327,10 +329,7 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
             if not math.isfinite(scale):
                 raise ConfigError(f"{blame}: {given} overflows phi0")
             phi *= scale
-    if not (np.isfinite(phi).all() and potential.distance(phi) > 0):
-        lo, hi = potential.domain
-        raise ConfigError(f"{blame}: {given} puts phi0 outside the potential "
-                          f"domain ({lo}, {hi})")
+    potential.check_start(phi, f"{blame}: {given}")
     with np.errstate(over="ignore", invalid="ignore"):
         mu = potential.dF(phi)
     if not np.isfinite(mu).all():
@@ -463,9 +462,9 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         init = InitialData(*(
             _snapshot(snaps, f"initial.snapshots.{name}", grid)
             for name in ("mu", "phi", "sigma")))
+        potential.check_start(init.phi0, "initial.snapshots.phi: the snapshot")
     else:
         raise ConfigError("initial: expected 'preset' or 'snapshots'")
-    init.validate(grid, potential)
 
     bd = _field(raw, "bounds")
     lower, upper = (_snapshot(bd, f"bounds.{side}", grid)

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NanDetectedError, ShapeMismatchError, TimeDomainError
+from .errors import NanDetectedError, TimeDomainError
 from .fields import Trajectory
-from .state import ModelParams, check_state_grids
+from .state import ModelParams, check_control_shape, check_state_grids
 from .system import StepSolver, coupling, step_coefficients
 
 LINEARIZED_NAMES = ("d_mu", "d_phi", "d_sigma")
@@ -38,11 +38,12 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
     """Solve the linearized system along direction h with zero initial data.
 
     ``h`` is one (nt+1, *grid.shape) direction or a stack (ndir, nt+1,
-    *grid.shape) of directions; node k perturbs the control on
-    [t_k, t_{k+1}). A stack is marched together: one step solve per
-    step serves every direction. Only steps
-    1..``steps`` (default nt) are marched, and the returned trajectory
-    holds frames 0..steps, of shape (steps+1, 3, [ndir,] *grid.shape).
+    *grid.shape) of directions, checked as ``solve_state`` checks its
+    controls; node k perturbs the control on [t_k, t_{k+1}). A stack is
+    marched together: one step solve per step serves every direction. Only
+    steps 1..``steps`` (default nt) are marched, and the returned
+    trajectory holds frames 0..steps, of shape (steps+1, 3, [ndir,]
+    *grid.shape).
     The sweep reads the forward frames 0..steps, so ``state`` may stop
     there; with fewer frames it raises :class:`TimeDomainError`, and for a
     state on another grid or time grid than ``params``
@@ -51,11 +52,8 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
     grid, tg = params.grid, params.time_grid
     nt, dt = tg.steps, tg.dt
     hv = np.asarray(h)
-    nodes = (nt + 1,) + grid.shape
-    if nodes not in (hv.shape, hv.shape[1:]):
-        raise ShapeMismatchError(
-            f"perturbation shape {hv.shape}, expected {nodes} or (ndir, *{nodes})"
-        )
+    stacked = hv.ndim == grid.dim + 2
+    check_control_shape(grid, tg, hv, members=stacked)
     check_state_grids(params, state, "linearized")
     steps = nt if steps is None else int(steps)
     if not 0 <= steps <= nt:
@@ -64,7 +62,7 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
         raise TimeDomainError(f"linearized steps 1..{steps} need forward frames "
                               f"0..{steps}, got {state.nframes}")
     # node axis first, so that hv[k] holds node k of every direction
-    if hv.shape != nodes:
+    if stacked:
         hv = np.moveaxis(hv, 0, 1)
 
     solver = StepSolver(grid, dt, params.alpha, params.beta)

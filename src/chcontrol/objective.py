@@ -55,10 +55,10 @@ class Relaxation:
     sigma_omega: np.ndarray
 
     def __post_init__(self):
-        if not self.gamma >= 0:
-            raise ConfigError("cost.relaxation.gamma: must be nonnegative")
-        if not self.eps > 0:
-            raise ConfigError("cost.relaxation.eps: must be positive")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ConfigError("cost.relaxation.gamma: must be finite and nonnegative")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError("cost.relaxation.eps: must be finite and positive")
 
 
 @dataclass
@@ -92,8 +92,8 @@ class CostSpec:
 
     def validate(self, grid: Grid, time_grid: TimeGrid) -> None:
         ws = self.weights()
-        if not all(w >= 0 for w in ws):
-            raise ConfigError("cost: weights b0..b6 must be nonnegative")
+        if not all(np.isfinite(w) and w >= 0 for w in ws):
+            raise ConfigError("cost: weights b0..b6 must be finite and nonnegative")
         if all(w == 0 for w in ws) and self.relaxation is None:
             raise ConfigError("cost: weights b0..b6 must not all be zero")
         if not 0.0 <= self.tau_star <= time_grid.horizon:
@@ -202,9 +202,8 @@ def space_time_inner(grid: Grid, dt: float, a: np.ndarray, b: np.ndarray,
     return float(np.dot(weights, _node_inner(grid, a, b)))
 
 
-def space_time_norm(grid: Grid, dt: float, a: np.ndarray,
-                    weights: np.ndarray | None = None) -> float:
-    return float(np.sqrt(max(space_time_inner(grid, dt, a, a, weights), 0.0)))
+def space_time_norm(grid: Grid, dt: float, a: np.ndarray) -> float:
+    return float(np.sqrt(max(space_time_inner(grid, dt, a, a), 0.0)))
 
 
 def _node_inner(grid: Grid, a: np.ndarray, b) -> np.ndarray:

@@ -132,9 +132,11 @@ class OptResult:
 
 def check_bounds(lower, upper) -> None:
     """The rule of the admissible box: a ConfigError naming ``bounds``
-    unless lower <= upper everywhere (scalars or grid fields)."""
-    if np.any(np.asarray(lower) > np.asarray(upper)):
-        raise ConfigError("bounds: lower bound exceeds upper bound somewhere")
+    unless lower <= upper everywhere (scalars or grid fields), which no NaN
+    bound satisfies; infinite bounds leave the box open."""
+    if not np.all(np.asarray(lower) <= np.asarray(upper)):
+        raise ConfigError("bounds: lower bound exceeds upper bound, or a bound "
+                          "is NaN, somewhere")
 
 
 def classify_time_optimality(state: Trajectory, u: np.ndarray, tau: float,

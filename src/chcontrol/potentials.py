@@ -18,6 +18,11 @@ of a field to the boundary of the domain of F, inf for the quartic. The
 logarithmic ``dB`` and ``d2B`` raise :class:`PotentialDomainError` on a
 value outside (-1, 1); a NaN passes, for the march to report.
 
+The march holds phi in the window of the domain: the domain less
+``margin``, 1e-6 of its width, at each end (all of R for the quartic).
+``clip`` clips every Newton trial into it, and ``check_start`` refuses a
+start outside it, which the march could not hold.
+
 The proliferation function P must be nonnegative, bounded, with bounded
 derivative; the smooth ramp P0 * (1 + tanh(r / s)) / 2 satisfies this for
 any width s > 0, as does a constant. :class:`Proliferation` has ``P``
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PotentialDomainError
+from .errors import ConfigError, PotentialDomainError
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,35 @@ class Potential:
         lo, hi = self.domain
         r = np.asarray(r)
         return float(min((r - lo).min(), (hi - r).min()))
+
+    @property
+    def margin(self) -> float:
+        """1e-6 of the domain's width, 0 for the quartic."""
+        lo, hi = self.domain
+        return 1e-6 * (hi - lo) if self.singular else 0.0
+
+    @property
+    def window(self):
+        """The closed interval the march holds phi in: the domain less the
+        margin at each end."""
+        lo, hi = self.domain
+        return lo + self.margin, hi - self.margin
+
+    def clip(self, r) -> None:
+        """Clip the array ``r`` into the window in place; a no-op for the
+        quartic."""
+        if self.singular:
+            np.clip(r, *self.window, out=r)
+
+    def check_start(self, phi, blame: str) -> None:
+        """Raise :class:`ConfigError`, its message headed by ``blame`` (the
+        field that gave ``phi`` and its value), unless every value of the
+        start ``phi`` lies in the window: the march could not hold it."""
+        lo, hi = self.window
+        if not (np.all(lo <= phi) and np.all(phi <= hi)):
+            raise ConfigError(f"{blame} puts phi0 outside [{lo}, {hi}], the window of "
+                              f"the potential: it spans [{np.min(phi):.7g}, "
+                              f"{np.max(phi):.7g}]")
 
     def _check_domain(self, r) -> None:
         if self.distance(r) <= 0:

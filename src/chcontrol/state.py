@@ -43,7 +43,7 @@ leading member axis, (K, nt+1, *grid.shape), from one initial state, as
 the verification oracles do with their perturbed controls. The iterate
 then carries the members along its second axis, (3, K, *grid.shape), and
 so does every frame of the returned trajectory. The members do not
-couple, and each keeps its own damping, line search, polish, clamp and
+couple, and each keeps its own damping, line search, polish, clip and
 convergence test, so that each member's frames and iteration counts are
 bitwise those of its march alone; a march of one control is the
 ensemble of one member. The iteration's arrays hold only the members
@@ -149,12 +149,7 @@ class InitialData:
                                          f"match grid {grid.shape}")
             if not np.all(np.isfinite(arr)):
                 raise NanDetectedError(f"initial data {name}")
-        if potential.distance(self.phi0) <= 0:
-            lo, hi = potential.domain
-            raise ConfigError(
-                f"initial.phi0: range [{self.phi0.min():.4g}, {self.phi0.max():.4g}] "
-                f"must lie strictly inside the potential domain ({lo}, {hi})"
-            )
+        potential.check_start(self.phi0, "initial.phi0: the start")
 
 
 @dataclass
@@ -171,7 +166,7 @@ class StepDiagnostics:
     delta_sep: np.ndarray
 
 
-def _newton_step(solver, params, old, u, out, step, clamp):
+def _newton_step(solver, params, old, u, out, step):
     """Damped Newton solve of implicit step ``step`` for K members at once.
 
     ``old`` is the old frame of each member, stacked as (mu, phi, sigma)
@@ -179,8 +174,8 @@ def _newton_step(solver, params, old, u, out, step, clamp):
     *grid.shape), and ``out``, shaped alike, receives the new frames;
     ``u`` (the control) is (K, *grid.shape). P(phi_old) and S'(phi_old),
     the tolerance ``params.newton_tol`` and the budget
-    ``params.newton_max_iter`` come from ``params``, and with ``clamp``, a
-    pair (lo, hi), every trial phi is clipped to [lo, hi]. The members do
+    ``params.newton_max_iter`` come from ``params``, and every trial phi is
+    clipped into the window of ``params.potential``. The members do
     not couple: each runs its own iteration, with its own damping, line
     search, polish and convergence test, as if it were marched alone. The
     arrays of the iteration hold only the members still iterating. A
@@ -270,8 +265,7 @@ def _newton_step(solver, params, old, u, out, step, clamp):
         # the full step for every member; a polishing member keeps it only
         # if it lowers its residual
         xt = x - y
-        if clamp:
-            np.clip(xt[1], *clamp, out=xt[1])
+        pot.clip(xt[1])
         rt, rest = residual(xt, old, p, pi, u)
         if chord:
             means = [not (v >= CHORD_CONTRACTION * v0 and v >= tol)
@@ -289,8 +283,7 @@ def _newton_step(solver, params, old, u, out, step, clamp):
         while going and lam > 2.0 ** -9:
             lam *= 0.5
             xs = x[:, going] - lam * y[:, going]
-            if clamp:
-                np.clip(xs[1], *clamp, out=xs[1])
+            pot.clip(xs[1])
             rs, ress = residual(xs, old[:, going], p[going], pi[going], u[going])
             for i, (j, v) in enumerate(zip(going, ress)):
                 if v < rest[j]:
@@ -344,7 +337,9 @@ def solve_state(params: ModelParams, init: InitialData,
     march at the earliest failing step.
 
     Raises :class:`ShapeMismatchError` for a control of another shape,
-    :class:`TimeDomainError` for ``steps`` outside 1..nt, and
+    :class:`ConfigError` for an initial phi outside the window of
+    ``params.potential``, :class:`TimeDomainError` for ``steps`` outside
+    1..nt, and
     :class:`NewtonDivergenceError`, :class:`SeparationViolationError`,
     :class:`NanDetectedError` or, from a 2D exact step,
     :class:`StepSolveError` on failure.
@@ -366,17 +361,11 @@ def solve_state(params: ModelParams, init: InitialData,
     newton_iters = np.zeros(steps, dtype=int)
     delta_sep = np.empty(steps)
     solver = StepSolver(grid, tg.dt, params.alpha, params.beta)
-    clamp, margin = None, 0.0
-    if pot.singular:
-        lo, hi = pot.domain
-        margin = 1e-6 * (hi - lo)
-        clamp = lo + margin, hi - margin
-
     for k in range(steps):
         newton_iters[k] = _newton_step(solver, params, data[k], members[:, k],
-                                       data[k + 1], k + 1, clamp)
+                                       data[k + 1], k + 1)
         delta_sep[k] = dist = pot.distance(data[k + 1, 1])
-        if dist <= 2 * margin:
+        if dist <= 2 * pot.margin:
             raise SeparationViolationError(k + 1, dist)
 
     diag = StepDiagnostics(newton_iters, delta_sep)

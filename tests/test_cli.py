@@ -81,8 +81,9 @@ def test_preset_equilibrium():
         preset_initial_data("equilibrium", g, pot, value=1e200)
     with pytest.raises(ConfigError, match="^initial.note: unknown field$"):
         preset_initial_data("equilibrium", g, pot, value=0.5, note="x")
-    for value in (1.5, 1.0):  # the domain is open
-        with pytest.raises(ConfigError, match="initial.value"):
+    # the domain is open, and its window ends 2e-6 inside it
+    for value in (1.5, 1.0, 1.0 - 1e-6):
+        with pytest.raises(ConfigError, match="^initial.value: "):
             preset_initial_data("equilibrium", g, ch.Potential.logarithmic(2.0),
                                 value=value)
 
@@ -161,6 +162,15 @@ def test_preset_tanh_front():
     with pytest.raises(ConfigError):
         preset_initial_data("tanh_front", g, ch.Potential.quartic(),
                             width=-1.0, position=0.5)
+    # on [0, 8] with 128 cells, a front at 4 narrower than 0.6 leaves the
+    # window [-1 + 2e-6, 1 - 2e-6] the logarithmic march holds phi in
+    line, log = ch.Grid.line(128, 8.0), ch.Potential.logarithmic(2.0)
+    for width in (0.5, 0.55):
+        with pytest.raises(ConfigError, match=f"^initial.width: {width} puts phi0 "
+                                              r"outside \[-0.999998, 0.999998\]"):
+            preset_initial_data("tanh_front", line, log, width=width, position=4.0)
+    front = preset_initial_data("tanh_front", line, log, width=0.6, position=4.0)
+    assert log.distance(front.phi0) > log.margin
     with pytest.raises(ConfigError):
         preset_initial_data("no_such", g, ch.Potential.quartic())
 
@@ -622,7 +632,8 @@ def test_initial_from_snapshots(tmp_path):
 
 
 @pytest.mark.parametrize("defect", ["missing", "bad_magic", "truncated",
-                                    "wrong_grid", "nan", "not_a_path"])
+                                    "wrong_grid", "nan", "not_a_path",
+                                    "near_wall", "on_wall"])
 def test_bad_snapshot_is_config_error(tmp_path, capsys, defect):
     g = ch.Grid.line(32)
     paths = {}
@@ -641,9 +652,15 @@ def test_bad_snapshot_is_config_error(tmp_path, capsys, defect):
         paths["phi"] = 0  # open() would take it as a file descriptor
     elif defect == "wrong_grid":
         ch.write_snapshot(bad, ch.Grid.line(16), ch.Grid.line(16).full(0.1))
-    else:
+    elif defect == "nan":
         ch.write_snapshot(bad, g, np.where(g.axis_centers() < 0.5, 0.1, np.nan))
+    else:
+        # inside (-1, 1), or on its end, but outside the window the march
+        # clips phi into: a start it could not hold
+        wall = 1.0 - 1e-6 if defect == "near_wall" else 1.0
+        ch.write_snapshot(bad, g, np.where(g.axis_centers() < 0.5, 0.1, wall))
     cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["model"]["potential"] = {"kind": "logarithmic", "lam": 2.0}
     cfg["initial"] = {"snapshots": paths}
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
     err = capsys.readouterr().err
@@ -965,10 +982,11 @@ def test_shipped_verify_2d_at_16(tmp_path):
 # argv: the two config paths, the output directory
 _STARTUP_RUN = """
 import json, sys
-from chcontrol import cli
+from chcontrol import cli, kernels
 codes = [cli.run(path, out_dir=f"{sys.argv[3]}/{i}")
          for i, path in enumerate(sys.argv[1:3])]
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules),
+                  "numpy_dgbsv": kernels.numpy_dgbsv() is not None}))
 """
 
 
@@ -976,7 +994,9 @@ def test_run_leaves_heavy_modules_unimported(tmp_path):
     # the 1D solve calls numpy's own dgbsv rather than importing the
     # scipy.linalg package, whose __init__ loads every lazy numpy
     # submodule, and argparse is imported only by main(): a fresh process
-    # that runs a 1D and a 2D pipeline imports none of them
+    # that runs a 1D and a 2D pipeline imports none of them. Where numpy
+    # exports no dgbsv, the first 1D solve imports SciPy's, and they come
+    # with it
     one = {**TINY_CONFIG, "pipeline": "all", "verification": TINY_VERIFICATION}
     two = {**TINY_CONFIG, "grid": {"n": [6, 5], "extents": [1.0, 0.8]}}
     result = run_fresh(_STARTUP_RUN, _write(tmp_path, one, "one.json"),
@@ -984,7 +1004,10 @@ def test_run_leaves_heavy_modules_unimported(tmp_path):
     assert result["codes"] == [0, 0]
     heavy = {"scipy.linalg", "scipy.linalg.lapack", "numpy.f2py", "numpy.testing",
              "numpy.ma", "argparse"}
-    assert heavy.isdisjoint(result["modules"])
+    if result["numpy_dgbsv"]:
+        assert heavy.isdisjoint(result["modules"])
+    else:
+        assert "scipy.linalg.lapack" in result["modules"]
     assert "chcontrol.kernels" in result["modules"]
 
 
@@ -1019,13 +1042,14 @@ def test_two_dimensional_run_imports_no_scipy(tmp_path):
 # process, where /proc/self/task lists them, before and after the run
 _RUN_ONE_THREADS = """
 import json, os, sys
-from chcontrol import cli
+from chcontrol import cli, kernels
 def threads():
     return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 before = threads()
 code = cli.run(sys.argv[1], out_dir=sys.argv[2])
 print(json.dumps({"code": code, "modules": sorted(sys.modules),
-                  "threads": [before, threads()]}))
+                  "threads": [before, threads()],
+                  "numpy_dgbsv": kernels.numpy_dgbsv() is not None}))
 """
 
 
@@ -1033,11 +1057,15 @@ def test_one_dimensional_run_imports_no_scipy(tmp_path):
     # the 1D band solve calls the dgbsv of numpy's own OpenBLAS: a fresh
     # process that simulates, optimizes and verifies on a 1D grid imports
     # no SciPy module, and so loads no second OpenBLAS, which would start
-    # a worker thread of its own at the first solve
+    # a worker thread of its own at the first solve. Where numpy exports no
+    # dgbsv, the first solve imports SciPy's
     cfg = {**TINY_CONFIG, "pipeline": "all", "verification": TINY_VERIFICATION,
            "optimizer": {"max_outer_iters": 2}}
     result = run_fresh(_RUN_ONE_THREADS, _write(tmp_path, cfg), tmp_path / "out")
     assert result["code"] == 0
+    if not result["numpy_dgbsv"]:
+        assert "scipy.linalg.lapack" in result["modules"]
+        return
     assert _scipy_modules(result["modules"]) == []
     before, after = result["threads"]
     if before is not None:

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.errors import GridMismatchError, ShapeMismatchError, TimeDomainError
+from chcontrol.errors import (
+    ConfigError,
+    GridMismatchError,
+    ShapeMismatchError,
+    TimeDomainError,
+)
 from chcontrol.fields import _HEADER_FMT
 from cost_reference import interpolate_in_time
 
@@ -258,10 +263,17 @@ def _ragged_manifest(directory):
      GridMismatchError, "space-time shapes differ"),
     (lambda tmp: ch.InitialData(np.zeros(5), _G.zeros(), _G.zeros()).validate(
         _G, ch.Potential.quartic()), ShapeMismatchError, "initial.mu0: shape"),
+    (lambda tmp: ch.CostSpec(b1=np.inf).validate(_G, _TG), ConfigError, "^cost: "),
+    (lambda tmp: ch.CostSpec(b0=np.inf).validate(_G, _TG), ConfigError, "^cost: "),
+    (lambda tmp: ch.Relaxation(np.inf, 0.1, _G.zeros()), ConfigError,
+     "^cost.relaxation.gamma: "),
+    (lambda tmp: ch.Relaxation(0.5, np.inf, _G.zeros()), ConfigError,
+     "^cost.relaxation.eps: "),
 ], ids=["grid-zero-extent", "grid-negative-extent", "integrate-shape",
         "trajectory-frames", "trajectory-attribute", "write-snapshot-shape",
         "snapshot-dim-0", "snapshot-dim-3", "manifest-ragged", "space-time-shape",
-        "initial-shape"])
+        "initial-shape", "cost-weight-inf", "cost-b0-inf", "relaxation-gamma-inf",
+        "relaxation-eps-inf"])
 def test_library_guards_raise_their_errors(call, error, match, tmp_path):
     # the guards of library calls that no pipeline reaches with bad input
     with pytest.raises(error, match=match):

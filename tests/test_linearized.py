@@ -91,6 +91,9 @@ def test_shape_mismatch_raises(problem):
         ch.solve_linearized(params, state, np.zeros((2, 2)))
     with pytest.raises(ShapeMismatchError):
         ch.solve_linearized(params, state, np.zeros((2, 3) + _shape(params)))
+    # an empty stack, as solve_state refuses it
+    with pytest.raises(ShapeMismatchError, match=r"expected \(K >= 1, "):
+        ch.solve_linearized(params, state, np.zeros((0,) + _shape(params)))
     with pytest.raises(TimeDomainError):
         ch.solve_linearized(params, state, np.zeros(_shape(params)),
                             steps=params.time_grid.steps + 1)

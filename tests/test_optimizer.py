@@ -45,6 +45,12 @@ def test_optimize_rejects_crossed_field_bounds(problem):
     u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
     with pytest.raises(ch.ConfigError, match="^bounds: "):
         ch.optimize(params, init, tracking_cost(params), u0, lower=lower, upper=upper)
+    # a NaN bound admits no control
+    field = lower + 1.0
+    field[3] = np.nan
+    for low, up in ((np.nan, 1.0), (lower, field)):
+        with pytest.raises(ch.ConfigError, match="^bounds: "):
+            ch.optimize(params, init, tracking_cost(params), u0, lower=low, upper=up)
 
 
 def test_optimize_rejects_a_start_time_that_is_not_finite(problem):

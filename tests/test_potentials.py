@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.errors import PotentialDomainError
+from chcontrol.errors import ConfigError, PotentialDomainError
 
 QUARTIC = ch.Potential.quartic()
 LOG = ch.Potential.logarithmic(2.0)
@@ -118,6 +118,24 @@ def test_distance_matches_separation_formula():
     assert LOG.distance(np.array([-1.5, 0.5])) == -0.5
     assert np.isnan(LOG.distance(np.array([0.1, np.nan])))
     assert QUARTIC.distance(phi) == np.inf
+
+
+def test_window_clip_and_start_check():
+    # the march holds phi in the domain less 1e-6 of its width at each end;
+    # the quartic's window is all of R
+    assert LOG.margin == 1e-6 * 2.0 and QUARTIC.margin == 0.0
+    lo, hi = -1.0 + LOG.margin, 1.0 - LOG.margin
+    r = np.array([-1.5, -0.9999995, 0.3, 0.9999999, np.nan])
+    LOG.clip(r)
+    assert r[:4].tolist() == [lo, lo, 0.3, hi] and np.isnan(r[4])
+    q = np.array([-5.0, 5.0, np.inf])
+    QUARTIC.clip(q)
+    assert q.tolist() == [-5.0, 5.0, np.inf]
+    LOG.check_start(np.array([lo, hi]), "f: 1")
+    QUARTIC.check_start(np.array([-5.0, 5.0]), "f: 1")
+    for bad in ([0.0, 1.0 - 1e-6], [-1.0, 0.0], [0.0, np.nan]):
+        with pytest.raises(ConfigError, match=r"^f: 1 puts phi0 outside "):
+            LOG.check_start(np.array(bad), "f: 1")
 
 
 def test_constructor_value_errors():

@@ -48,6 +48,11 @@ def test_initial_data_validation():
     bad = ch.InitialData(g.zeros(), g.full(1.2), g.zeros())
     with pytest.raises(ConfigError):
         bad.validate(g, pot)
+    # inside (-1, 1) but within the clip margin of the wall: the march could
+    # not hold it, so it is refused before step 1
+    near = ch.InitialData(g.zeros(), g.full(1.0 - 1e-6), g.zeros())
+    with pytest.raises(ConfigError, match=r"^initial.phi0: the start puts phi0 outside"):
+        near.validate(g, pot)
     nan = ch.InitialData(g.full(np.nan), g.zeros(), g.zeros())
     with pytest.raises(NanDetectedError):
         nan.validate(g, ch.Potential.quartic())
