@@ -7,10 +7,14 @@ the optimizer's iteration cap and tolerance, Newton settings and
 verification toggles. The table ``_FIELDS`` is the whole schema: it
 gives every field's type and default, and ranges each field whose error
 would not otherwise name it, the seven that Grid, TimeGrid, Potential
-and Proliferation also check for library callers among them. Physics
-fields have no defaults, and a key that is no row is an unknown field. A
-bad config raises a ConfigError whose message starts with the field's
-path, and the command exits 2 before any solve starts.
+and Proliferation also check for library callers among them. The other
+ranges live on the objects that library callers reach too: ModelParams
+(the model constants and ``solver.*``), optimizer.check_settings
+(``optimizer.max_outer_iters`` and ``optimizer.grad_tol``), CostSpec,
+Relaxation and optimizer.check_bounds, and each error names its field.
+Physics fields have no defaults, and a key that is no row is an unknown
+field. A bad config raises a ConfigError whose message starts with the
+field's path, and the command exits 2 before any solve starts.
 Identical config and seed produce bit-identical artifacts (no timestamps
 are written).
 
@@ -61,7 +65,7 @@ from .objective import (
     constant_trajectory,
     reduced_cost,
 )
-from .optimizer import GRAD_TOL, MAX_OUTER_ITERS, check_bounds, optimize
+from .optimizer import GRAD_TOL, MAX_OUTER_ITERS, check_bounds, check_settings, optimize
 from .potentials import Potential, Proliferation
 from .state import (
     NEWTON_MAX_ITER,
@@ -97,10 +101,11 @@ _REQUIRED = object()  # the default of a field that must be given
 # "<path>.<key>: unknown field". Fields are read where the code needs them,
 # so the fields of a branch not taken (the lam of a quartic potential, the
 # arguments of another preset) are not checked. The ranges that ModelParams,
-# CostSpec.validate, Relaxation and optimizer.check_bounds (lower <= upper)
-# check stay there; their fields get a type here, and parse_config calls
-# check_bounds. The solver and optimizer sections reach ModelParams and
-# optimize as keyword arguments, so their rows are those keywords.
+# CostSpec.validate, Relaxation, optimizer.check_bounds (lower <= upper) and
+# optimizer.check_settings check stay there; their fields get a type here,
+# and parse_config calls check_bounds and check_settings. The solver and
+# optimizer sections reach ModelParams and optimize as keyword arguments, so
+# their rows are those keywords.
 _FIELDS = {
     "config.pipeline": ("choice", _PIPELINES, "simulate"),
     "config.seed": ("integer", 0, DEFAULT_SEED),
@@ -161,8 +166,8 @@ _FIELDS = {
     "control.initial": ("number or string", None, "midpoint"),
     "control.tau0": ("number", None, None),  # None: horizon / 2
     "optimizer": ("object", None, {}),
-    "optimizer.max_outer_iters": ("integer", 0, MAX_OUTER_ITERS),
-    "optimizer.grad_tol": ("positive", None, GRAD_TOL),
+    "optimizer.max_outer_iters": ("integer", None, MAX_OUTER_ITERS),
+    "optimizer.grad_tol": ("number", None, GRAD_TOL),
     "solver": ("object", None, {}),
     "solver.newton_tol": ("number", None, NEWTON_TOL),
     "solver.newton_max_iter": ("integer", None, NEWTON_MAX_ITER),
@@ -497,6 +502,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     u0 = np.broadcast_to(start, (tg.steps + 1,) + grid.shape).copy()
 
     optimizer = _fields(raw, "optimizer")
+    check_settings(**optimizer)
     verification = _fields(raw, "verification")
     if verification["tau"] is None:
         verification["tau"] = cost.tau_star

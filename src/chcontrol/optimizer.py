@@ -57,6 +57,8 @@ naming the step.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -139,6 +141,16 @@ def check_bounds(lower, upper) -> None:
                           "is NaN, somewhere")
 
 
+def check_settings(max_outer_iters, grad_tol) -> None:
+    """The rules of :func:`optimize`'s two settings: a ConfigError naming
+    ``optimizer.max_outer_iters`` unless it is an integer >= 0, or
+    ``optimizer.grad_tol`` unless it is a finite positive number."""
+    if not (isinstance(max_outer_iters, numbers.Integral) and max_outer_iters >= 0):
+        raise ConfigError("optimizer.max_outer_iters: must be an integer >= 0")
+    if not (math.isfinite(grad_tol) and grad_tol > 0):
+        raise ConfigError("optimizer.grad_tol: must be a finite positive number")
+
+
 def classify_time_optimality(state: Trajectory, u: np.ndarray, tau: float,
                              cost: CostSpec, tol: float) -> TimeOptimalityReport:
     """Check which first-order time condition holds at (u, tau).
@@ -195,7 +207,8 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     (nt+1, *grid.shape) is clamped onto it first, and ``u_opt`` lies in
     it. The time search starts from ``tau0``, by default T / 2. At most
     ``max_outer_iters`` outer iterations run, and both stationarity
-    measures must fall below ``grad_tol`` (see the module docstring). Every
+    measures must fall below ``grad_tol`` (see the module docstring;
+    :func:`check_settings` holds their ranges). Every
     forward solve, trial steps included, runs under the Newton settings of
     ``params``. A trial whose forward solve raises a SolverError is
     rejected like a failed Armijo test, and the search backtracks; a
@@ -206,6 +219,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
     check_bounds(lower, upper)
+    check_settings(max_outer_iters, grad_tol)
     check_control_shape(grid, tg, u0)
     u = np.clip(u0, lower, upper)
     tau_ref = tg.clamp(tg.horizon / 2 if tau0 is None else tau0)

@@ -33,18 +33,19 @@ the smallest delta.
 
 The gradient and Lipschitz checks march their perturbed controls as
 member-stacked ensembles (see :mod:`chcontrol.state`), which keep each
-solve's bits. Their controls come in pairs: u + delta h and u - delta h
-for each direction h and delta, in that order, and base + m xi1 and
-base + m xi2 for each random pair and magnitude m. An ensemble holds at
-most as many whole pairs as fit ``ENSEMBLE_BYTES`` of trajectories and
+solve's bits. Their controls come in pairs, which a generator yields in
+order: u + delta h and u - delta h for each direction h and delta, and
+base + m xi1 and base + m xi2 for each random pair and magnitude m, the
+directions drawn as the pairs first need them. An ensemble holds at most
+as many whole pairs as fit ``ENSEMBLE_BYTES`` of trajectories and
 controls, and may take the pairs of more than one direction or random
-pair. It is reduced to its scalars, the polarized cost difference or the
-sup-norm ratios of each pair, and dropped before the next one is
-marched. At the shipped 128 cells and 256 steps the gradient check
-marches 3 ensembles of 8 controls to node 128, and the Lipschitz check 5
-ensembles of at most 4 controls to the end; at 32^2 cells and 32 steps
-they march 3 ensembles of 8 controls to node 16 and 5 of at most 4
-controls.
+pair. Each pair is reduced to its figures, the polarized cost difference
+or the four sup-norm ratios, and only those outlive the ensemble, which
+is dropped before the next one is marched. At the shipped 128 cells and
+256 steps the gradient check marches 3 ensembles of 8 controls to node
+128, and the Lipschitz check 5 ensembles of at most 4 controls to the
+end; at 32^2 cells and 32 steps they march 3 ensembles of 8 controls to
+node 16 and 5 of at most 4 controls.
 
 ``CHECKS``, the verify pipeline's table, gives each check's report file
 and runner in run order; adding a check is one row there plus its option
@@ -58,6 +59,7 @@ its report bit for bit; the verify pipeline passes the config's ``seed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,7 +75,8 @@ from .objective import (
     time_weights,
     window_weights,
 )
-from .state import InitialData, ModelParams, solve_state
+from .state import (InitialData, ModelParams, check_control_shape, check_state_grids,
+                    solve_state)
 
 DEFAULT_SEED = 20240808
 # admissible log-log convergence slopes of the central differences
@@ -97,6 +100,11 @@ def _random_direction(rng, shape, grid, dt):
     h = rng.standard_normal(shape)
     nrm = space_time_norm(grid, dt, h)
     return h / nrm
+
+
+def _sup_l2(grid, d):
+    """The largest L2 norm in space of the frames of ``d``."""
+    return np.sqrt(grid.cell_volume * (d * d).sum(axis=tuple(range(1, d.ndim)))).max()
 
 
 def _fit_slope(xs, ys):
@@ -190,34 +198,36 @@ def _cost_difference(params: ModelParams, cost: CostSpec, k_tau: int,
 
 
 def _march_pairs(params: ModelParams, init: InitialData, steps: int, count: int,
-                 fill, reduce) -> None:
-    """March ``count`` control pairs to frame ``steps`` in member-stacked
-    ensembles and reduce each pair to its figures as its ensemble ends.
+                 pairs, reduce) -> list:
+    """March the ``count`` control pairs (a, b) that the iterator ``pairs``
+    yields to frame ``steps`` in member-stacked ensembles, and return
+    ``reduce(a, b, s_a, s_b)`` for each pair in order, s_a and s_b being
+    the trajectories of a and b.
 
-    ``fill(i, a, b)`` writes the two controls of pair i, in order, into
-    the arrays ``a`` and ``b``; ``reduce(i, a, b, s_a, s_b)`` gets them back
-    with their trajectories. The pairs go, in order, into the fewest
-    ensembles of near-equal size that each hold at most as many pairs as
-    fit :data:`ENSEMBLE_BYTES` of trajectories and controls, and at least
-    one, in either dimension. An ensemble is dropped before the next one is
-    marched.
+    The pairs go, in order, into the fewest ensembles of near-equal size
+    that each hold at most as many pairs as fit :data:`ENSEMBLE_BYTES` of
+    trajectories and controls, and at least one, in either dimension. Only
+    what ``reduce`` returns outlives an ensemble, which is dropped before
+    the next one is marched.
     """
     grid, tg = params.grid, params.time_grid
     member = ((steps + 1) * 3 + tg.steps + 1) * grid.cell_count * 8
     per_group = max(1, ENSEMBLE_BYTES // (2 * member))
     groups = -(-count // per_group)
+    out = []
     for g in range(groups):
-        group = range(g * count // groups, (g + 1) * count // groups)
-        controls = np.empty((2 * len(group), tg.steps + 1) + grid.shape)
-        for j, i in enumerate(group):
-            fill(i, controls[2 * j], controls[2 * j + 1])
+        size = (g + 1) * count // groups - g * count // groups
+        firsts = range(0, 2 * size, 2)  # the first member of each pair
+        controls = np.empty((2 * size, tg.steps + 1) + grid.shape)
+        for m in firsts:
+            controls[m], controls[m + 1] = next(pairs)
         traj = solve_state(params, init, controls, steps=steps)
-        for j, i in enumerate(group):
-            reduce(i, controls[2 * j], controls[2 * j + 1],
-                   *(Trajectory(grid, tg, traj.data[:, :, m], traj.names)
-                     for m in (2 * j, 2 * j + 1)))
-        # no view of the ensemble outlives it
+        out += [reduce(controls[m], controls[m + 1],
+                       *(Trajectory(grid, tg, traj.data[:, :, i], traj.names)
+                         for i in (m, m + 1)))
+                for m in firsts]
         del controls, traj
+    return out
 
 
 def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
@@ -237,7 +247,6 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     """
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
-    steps = max(k_tau, 1)
     deltas = list(deltas)
     slope_deltas = [d for d in deltas if d >= SLOPE_MIN_DELTA] or deltas
     slope_idx = [deltas.index(d) for d in slope_deltas]
@@ -245,31 +254,20 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     if state is None:
         state = solve_state(params, init, u)
     grad = control_gradient(solve_adjoint(params, state, k_tau, cost), u, cost.b0)
-
-    # pair d * len(deltas) + j is u +- deltas[j] h_d, the directions drawn
-    # in order as the ensembles first need them
     rng = np.random.default_rng(seed)
     analytic = []
-    rel_errors = [[None] * len(deltas) for _ in range(directions)]
-    h = None
 
-    def fill(i, up, dn):
-        nonlocal h
-        d, j = divmod(i, len(deltas))
-        if d == len(analytic):
+    def pairs():
+        for _ in range(directions):
             h = _random_direction(rng, u.shape, grid, tg.dt)
             analytic.append(space_time_inner(grid, tg.dt, grad, h))
-        np.multiply(h, deltas[j], out=up)
-        np.subtract(u, up, out=dn)
-        np.add(u, up, out=up)
+            for delta in deltas:
+                yield u + h * delta, u - h * delta
 
-    def reduce(i, up, dn, s_up, s_dn):
-        d, j = divmod(i, len(deltas))
-        fd = _cost_difference(params, cost, k_tau, up, dn, s_up, s_dn) / (2.0 * deltas[j])
-        pairing = analytic[d]
-        rel_errors[d][j] = abs(fd - pairing) / max(abs(pairing), 1e-300)
-
-    _march_pairs(params, init, steps, directions * len(deltas), fill, reduce)
+    diffs = iter(_march_pairs(params, init, max(k_tau, 1), directions * len(deltas),
+                              pairs(), partial(_cost_difference, params, cost, k_tau)))
+    rel_errors = [[abs(next(diffs) / (2.0 * delta) - pairing) / max(abs(pairing), 1e-300)
+                   for delta in deltas] for pairing in analytic]
     slopes = [_fit_slope([deltas[i] for i in slope_idx], [errs[i] for i in slope_idx])
               for errs in rel_errors]
     return GradientCheckReport(tg.times[k_tau], k_tau, deltas, analytic, rel_errors,
@@ -319,19 +317,12 @@ def duality_check(params: ModelParams, state: Trajectory, k_tau: int,
     hs = np.stack([_random_direction(rng, shape, grid, dt) for _ in range(directions)])
     # one sweep for all directions, up to the last frame the pairing reads
     lin = solve_linearized(params, state, hs, steps=k_tau)
-    lhs_list, rhs_list, mism = [], [], []
-    for i, h in enumerate(hs):
-        theta = lin.component("d_phi")[:, i]
-        rho = lin.component("d_sigma")[:, i]
-
-        lhs = space_time_inner(grid, dt, r, h[: k_tau + 1], weights=wq)
-        rhs = _tracking_pairing(grid, dt, cost, k_tau, state.phi, state.sigma,
-                                theta, rho)
-        scale = max(abs(lhs), abs(rhs), 1e-14)
-        lhs_list.append(lhs)
-        rhs_list.append(rhs)
-        mism.append(abs(lhs - rhs) / scale)
-    return DualityCheckReport(k_tau, mism, lhs_list, rhs_list, seed)
+    theta, rho = lin.component("d_phi"), lin.component("d_sigma")
+    lhs = [space_time_inner(grid, dt, r, h[: k_tau + 1], weights=wq) for h in hs]
+    rhs = [_tracking_pairing(grid, dt, cost, k_tau, state.phi, state.sigma,
+                             theta[:, i], rho[:, i]) for i in range(directions)]
+    mismatches = [abs(a - b) / max(abs(a), abs(b), 1e-14) for a, b in zip(lhs, rhs)]
+    return DualityCheckReport(k_tau, mismatches, lhs, rhs, seed)
 
 
 @dataclass
@@ -378,42 +369,28 @@ def lipschitz_check(params: ModelParams, init: InitialData,
     dt = tg.dt
     magnitudes = list(magnitudes)
     rng = np.random.default_rng(seed)
-    names = ("mu", "phi", "sigma", "combined")
-    space = tuple(range(1, 1 + grid.dim))
-    tables = {name: np.zeros((pairs, len(magnitudes))) for name in names}
-    # pair i * len(magnitudes) + j is base + magnitudes[j] (xi1_i, xi2_i),
-    # the directions drawn in order as the ensembles first need them
-    drawn = {}
+    xis = ([_random_direction(rng, base.shape, grid, dt) for _ in range(2)]
+           for _ in range(pairs))
+    controls = ((base + m * xi1, base + m * xi2) for xi1, xi2 in xis for m in magnitudes)
 
-    def fill(i, u1, u2):
-        p, j = divmod(i, len(magnitudes))
-        if p not in drawn:
-            drawn.clear()
-            drawn[p] = [_random_direction(rng, base.shape, grid, dt) for _ in range(2)]
-        for out, xi in zip((u1, u2), drawn[p]):
-            np.multiply(xi, magnitudes[j], out=out)
-            np.add(base, out, out=out)
-
-    def ratio(name, p, j, d, du):
-        # max over frames of the L2 norm in space
-        sup = np.sqrt(grid.cell_volume * (d * d).sum(axis=space)).max()
-        tables[name][p, j] = sup / du if du > 0 else 0.0
-
-    def reduce(i, u1, u2, s1, s2):
-        p, j = divmod(i, len(magnitudes))
+    def reduce(u1, u2, s1, s2):
         du = space_time_norm(grid, dt, u1 - u2)
         # one difference at a time, alpha dm + df + ds summed as it goes
-        for name in names[:3]:
+        d = s1.mu - s2.mu
+        combined = params.alpha * d
+        sups = [_sup_l2(grid, d)]
+        for name in ("phi", "sigma"):
             d = getattr(s1, name) - getattr(s2, name)
-            ratio(name, p, j, d, du)
-            if name == "mu":
-                combined = params.alpha * d
-            else:
-                combined += d
-        ratio("combined", p, j, combined, du)
+            sups.append(_sup_l2(grid, d))
+            combined += d
+        sups.append(_sup_l2(grid, combined))
+        return [sup / du if du > 0 else 0.0 for sup in sups]
 
-    _march_pairs(params, init, tg.steps, pairs * len(magnitudes), fill, reduce)
-    return LipschitzCheckReport(magnitudes, tables, seed)
+    ratios = np.array(_march_pairs(params, init, tg.steps, pairs * len(magnitudes),
+                                   controls, reduce))
+    tables = ratios.T.reshape(4, pairs, len(magnitudes))
+    return LipschitzCheckReport(magnitudes, dict(zip(("mu", "phi", "sigma", "combined"),
+                                                     tables)), seed)
 
 
 @dataclass
@@ -436,9 +413,13 @@ def mass_balance_check(traj: Trajectory, u: np.ndarray,
                        params: ModelParams) -> MassBalanceReport:
     """Drift of the conserved combination after each step of ``traj``,
     relative to its initial size: steps 1..nframes-1, so a march that
-    stopped early reports the steps it made. Fewer than two frames raise
-    :class:`TimeDomainError`."""
-    grid, dt = params.grid, params.time_grid.dt
+    stopped early reports the steps it made. ``traj`` must lie on the grid
+    and the time grid of ``params`` (else :class:`GridMismatchError`) and
+    ``u`` hold one field per time node (else :class:`ShapeMismatchError`);
+    fewer than two frames raise :class:`TimeDomainError`."""
+    grid, tg = params.grid, params.time_grid
+    check_state_grids(params, traj, "mass balance")
+    check_control_shape(grid, tg, u)
     if traj.nframes < 2:
         raise TimeDomainError("the mass balance needs two forward frames or more")
     mass0 = integrate(grid, params.alpha * traj.mu[0] + traj.phi[0] + traj.sigma[0])
@@ -446,7 +427,7 @@ def mass_balance_check(traj: Trajectory, u: np.ndarray,
     injected = 0.0
     residuals = np.zeros(traj.nframes - 1)
     for k in range(1, traj.nframes):
-        injected += dt * integrate(grid, u[k - 1])
+        injected += tg.dt * integrate(grid, u[k - 1])
         mass_k = integrate(grid, params.alpha * traj.mu[k] + traj.phi[k]
                            + traj.sigma[k])
         residuals[k - 1] = abs(mass_k - mass0 - injected) / scale

@@ -749,6 +749,9 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
     ({"solver": {"newton_tol": -1e-11}}, "solver.newton_tol"),
     ({"solver": {"newton_max_iter": -1}}, "solver.newton_max_iter"),
     ({"solver": {"newton_max_iter": 2.5}}, "solver.newton_max_iter"),
+    ({"optimizer": {"max_outer_iters": -1}}, "optimizer.max_outer_iters"),
+    ({"optimizer": {"grad_tol": 0.0}}, "optimizer.grad_tol"),
+    ({"optimizer": {"grad_tol": -1e-5}}, "optimizer.grad_tol"),
 ], ids=["n-string", "n-number", "n-fraction", "extents-string", "steps-fraction",
         "value-string", "amplitude-string", "width-string", "constant-string",
         "constant-bool", "front-leaves-log-domain", "output-dir-number", "model-list",
@@ -757,7 +760,8 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
         "sigma-omega-nan-snapshot", "tau0-outside", "verification-tau-outside",
         "control-initial-word", "weights-all-zero", "gamma-negative", "eps-zero",
         "newton-tol-zero", "newton-tol-negative", "newton-max-iter-negative",
-        "newton-max-iter-fraction"])
+        "newton-max-iter-fraction", "max-outer-iters-negative", "grad-tol-zero",
+        "grad-tol-negative"])
 def test_malformed_field_is_config_error(tmp_path, capsys, edits, field):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["output_dir"] = str(tmp_path / "out")

@@ -53,6 +53,19 @@ def test_optimize_rejects_crossed_field_bounds(problem):
             ch.optimize(params, init, tracking_cost(params), u0, lower=low, upper=up)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_outer_iters", -1), ("max_outer_iters", 2.5), ("grad_tol", 0.0),
+    ("grad_tol", -1e-5), ("grad_tol", np.nan), ("grad_tol", np.inf),
+])
+def test_optimize_rejects_bad_settings(problem, field, value):
+    # -1 ended in an IndexError, and a NaN tolerance ran to the cap
+    params, init = problem
+    u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
+    with pytest.raises(ch.ConfigError, match=f"^optimizer.{field}: "):
+        ch.optimize(params, init, tracking_cost(params), u0, lower=0.0, upper=1.0,
+                    **{field: value})
+
+
 def test_optimize_rejects_a_start_time_that_is_not_finite(problem):
     params, init = problem
     u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import chcontrol as ch
 from chcontrol.cli import parse_config, preset_initial_data
+from chcontrol.errors import GridMismatchError, ShapeMismatchError
 from chcontrol.verification import (
     SLOPE_FLOOR,
     SLOPE_MIN_DELTA,
@@ -148,6 +150,24 @@ def test_mass_balance_reads_the_frames_it_is_given(problem):
     first = ch.Trajectory(params.grid, params.time_grid, traj.data[:1], traj.names)
     with pytest.raises(ch.errors.TimeDomainError, match="two forward frames"):
         ch.mass_balance_check(first, u, params)
+
+
+@pytest.mark.parametrize("other", [
+    lambda p: dataclasses.replace(p, grid=ch.Grid.line(p.grid.n[0], 2.0)),
+    lambda p: dataclasses.replace(p, time_grid=ch.TimeGrid(0.5, p.time_grid.steps)),
+], ids=["extents", "horizon"])
+def test_state_of_another_problem_is_refused(other):
+    # the same shapes on another grid or time grid: the balance would read
+    # the march with the wrong h or dt
+    params = make_problem(n=16, nt=8, horizon=0.25)
+    init, u = equilibrium_init(params), midpoint_control(params)
+    traj = ch.solve_state(params, init, u)
+    assert ch.mass_balance_check(traj, u, params).residual <= 1e-12
+    with pytest.raises(GridMismatchError, match="^mass balance: "):
+        ch.mass_balance_check(traj, u, other(params))
+    # a control with 3 of its 9 nodes
+    with pytest.raises(ShapeMismatchError, match="^control values shape"):
+        ch.mass_balance_check(traj, u[:3], params)
 
 
 def test_duality_nan_mismatch_fails():
@@ -363,3 +383,42 @@ def test_oracle_reports_do_not_depend_on_grouping(make, monkeypatch):
     monkeypatch.setattr(ch.verification, "ENSEMBLE_BYTES", 1)
     assert reports() == grouped
     assert set(sizes) == {1, 2}
+
+
+def test_pair_oracles_hold_one_ensemble_at_a_time(monkeypatch):
+    # with room for two pairs, 6 pairs march in 3 ensembles; only the
+    # figures of each pair outlive its ensemble, so the traced peak of either
+    # oracle stays below two ensembles' bytes (about 1.46 and 1.52 of one)
+    params = make_problem(n=64, nt=64)
+    grid, tg = params.grid, params.time_grid
+    init, u, cost = equilibrium_init(params), midpoint_control(params), tracking_cost(params)
+    state = ch.solve_state(params, init, u)
+    member = (3 * (tg.steps + 1) + tg.steps + 1) * grid.cell_count * 8
+    monkeypatch.setattr(ch.verification, "ENSEMBLE_BYTES", 2 * 2 * member)
+    sizes = []
+    solve_state = ch.verification.solve_state
+
+    def recording_solve_state(params, init, control, steps=None):
+        sizes.append(len(control))
+        return solve_state(params, init, control, steps)
+
+    monkeypatch.setattr(ch.verification, "solve_state", recording_solve_state)
+    runs = {
+        "lipschitz": lambda: ch.lipschitz_check(params, init, u, pairs=3,
+                                                magnitudes=[1e-1, 1e-2]),
+        # at the horizon the perturbed solves march every step
+        "gradient": lambda: ch.fd_gradient_check(params, init, cost, u, tg.horizon,
+                                                 directions=2, deltas=[0.2, 0.1, 1e-3],
+                                                 state=state),
+    }
+    for name, run in runs.items():
+        run()  # the first call loads what the process keeps for later solves
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [4, 4, 4], name
+        assert peak < 2 * ch.verification.ENSEMBLE_BYTES, (name, peak / (4 * member))
