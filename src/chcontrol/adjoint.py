@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NanDetectedError, TimeDomainError
+from .errors import NanDetectedError
 from .fields import Trajectory
 from .objective import CostSpec, time_weights, window_weights
-from .state import ModelParams, check_state_grids
+from .state import ModelParams, check_state
 from .system import StepSolver, coupling, step_coefficients
 
 ADJOINT_NAMES = ("adj_mu", "adj_phi", "adj_sigma")
@@ -60,18 +60,13 @@ def adjoint_terminal_data(params: ModelParams, state: Trajectory, tau_index: int
 def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
                   cost: CostSpec) -> Trajectory:
     """Solve the adjoint system on nodes 0..tau_index. It reads the
-    forward frames 0..tau_index, so ``state`` may stop there; a state on
-    another grid or time grid than ``params`` raises
-    :class:`GridMismatchError`."""
-    grid, tg = params.grid, params.time_grid
-    nt, dt = tg.steps, tg.dt
-    check_state_grids(params, state, "adjoint")
-    if not 0 <= tau_index <= nt:
-        raise TimeDomainError(f"tau index {tau_index} outside 0..{nt}")
-    if state.nframes <= tau_index:
-        raise TimeDomainError(f"adjoint at node {tau_index} needs forward frames "
-                              f"0..{tau_index}, got {state.nframes}")
-    k_tau = int(tau_index)
+    forward frames 0..tau_index, so ``state`` may stop there.
+    ``check_state`` is its one rule for ``state`` and ``tau_index``:
+    :class:`GridMismatchError` for a state on another grid or time grid
+    than ``params``, :class:`TimeDomainError` for ``tau_index`` not a whole
+    node in 0..nt or past the frames of ``state``."""
+    grid, tg, dt = params.grid, params.time_grid, params.time_grid.dt
+    k_tau = check_state(params, state, "adjoint", tau_index)
 
     data = np.zeros((k_tau + 1, 3) + grid.shape)
     data[k_tau] = adjoint_terminal_data(params, state, k_tau, cost)

@@ -208,17 +208,15 @@ def _conform(value, kind, limit):
         return value if kind == "number or string" else None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         return None
-    if limit is not None and not value >= limit:
-        return None
-    if kind == "integer":
-        return int(value) if isinstance(value, int) or value.is_integer() else None
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         return None
-    if not math.isfinite(number) or (kind == "positive" and not number > 0):
+    if not math.isfinite(number) or (limit is not None and not number >= limit):
         return None
-    return number
+    if kind == "integer":
+        return int(value) if number.is_integer() else None
+    return number if kind != "positive" or number > 0 else None
 
 
 def _expected(kind, limit) -> str:

@@ -38,6 +38,14 @@ _HEADER_FMT = "<6sHII16x"  # magic, dim, n per axis (second 0 in 1D); 32 bytes
 MANIFEST_FORMAT = "chcontrol-trajectory-1"
 
 
+def _whole(value) -> bool:
+    """Whether ``value`` is a whole number in the float range."""
+    try:
+        return math.isfinite(value) and value == int(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered tensor grid on (0, L1) or (0, L1) x (0, L2)."""
@@ -50,7 +58,7 @@ class Grid:
     cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v == int(v) for v in self.n):
+        if not all(map(_whole, self.n)):
             raise GridMismatchError(f"cell counts {tuple(self.n)} must be whole numbers")
         n = tuple(int(v) for v in self.n)
         extents = tuple(float(v) for v in self.extents)
@@ -117,8 +125,7 @@ class TimeGrid:
     times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.steps) and self.steps == int(self.steps)
-                and self.steps >= 1):
+        if not (_whole(self.steps) and self.steps >= 1):
             raise TimeDomainError("need a whole number of time steps, at least one")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise TimeDomainError("time horizon must be finite and positive")

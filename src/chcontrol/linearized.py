@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NanDetectedError, TimeDomainError
+from .errors import NanDetectedError
 from .fields import Trajectory
-from .state import ModelParams, check_control_shape, check_state_grids
+from .state import ModelParams, check_control_shape, check_state
 from .system import StepSolver, coupling, step_coefficients
 
 LINEARIZED_NAMES = ("d_mu", "d_phi", "d_sigma")
@@ -45,22 +45,17 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
     trajectory holds frames 0..steps, of shape (steps+1, 3, [ndir,]
     *grid.shape).
     The sweep reads the forward frames 0..steps, so ``state`` may stop
-    there; with fewer frames it raises :class:`TimeDomainError`, and for a
-    state on another grid or time grid than ``params``
-    :class:`GridMismatchError`.
+    there. ``check_state`` is its one rule for ``state`` and ``steps``:
+    :class:`GridMismatchError` for a state on another grid or time grid
+    than ``params``, :class:`TimeDomainError` for ``steps`` not a whole
+    node in 0..nt or past the frames of ``state``.
     """
     grid, tg = params.grid, params.time_grid
     nt, dt = tg.steps, tg.dt
     hv = np.asarray(h)
     stacked = hv.ndim == grid.dim + 2
     check_control_shape(grid, tg, hv, members=stacked)
-    check_state_grids(params, state, "linearized")
-    steps = nt if steps is None else int(steps)
-    if not 0 <= steps <= nt:
-        raise TimeDomainError(f"linearized steps {steps} outside 0..{nt}")
-    if state.nframes <= steps:
-        raise TimeDomainError(f"linearized steps 1..{steps} need forward frames "
-                              f"0..{steps}, got {state.nframes}")
+    steps = check_state(params, state, "linearized", nt if steps is None else steps)
     # node axis first, so that hv[k] holds node k of every direction
     if stacked:
         hv = np.moveaxis(hv, 0, 1)

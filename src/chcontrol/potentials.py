@@ -51,9 +51,13 @@ class Potential:
 
     @classmethod
     def logarithmic(cls, lam: float = 2.0) -> "Potential":
-        if not (math.isfinite(lam) and lam > 0):
-            raise ValueError("logarithmic potential needs a finite lam > 0")
         return cls("logarithmic", float(lam))
+
+    def __post_init__(self):
+        if self.kind not in ("quartic", "logarithmic"):
+            raise ValueError(f"unknown potential kind {self.kind!r}")
+        if self.singular and not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("logarithmic potential needs a finite lam > 0")
 
     @property
     def domain(self):
@@ -149,13 +153,15 @@ class Proliferation:
 
     @classmethod
     def smooth_ramp(cls, p0: float, width: float = 0.5) -> "Proliferation":
-        if not (math.isfinite(width) and width > 0):
-            raise ValueError("ramp width must be finite and positive")
         return cls("smooth_ramp", float(p0), float(width))
 
     def __post_init__(self):
+        if self.kind not in ("constant", "smooth_ramp"):
+            raise ValueError(f"unknown proliferation kind {self.kind!r}")
         if not (math.isfinite(self.p0) and self.p0 >= 0):
             raise ValueError("proliferation magnitude must be finite and nonnegative")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError("ramp width must be finite and positive")
 
     # the constant kind returns a field shaped like r: the step solver
     # ravels P

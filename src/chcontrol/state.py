@@ -305,13 +305,23 @@ def check_control_shape(grid: Grid, time_grid: TimeGrid, control: np.ndarray,
                                  f"expected {want}")
 
 
-def check_state_grids(params: ModelParams, state: Trajectory, sweep: str) -> None:
-    """Raise :class:`GridMismatchError` unless ``state`` lies on the grid
-    and the time grid of ``params``, whose h and dt the ``sweep`` marches
-    its frames with."""
+def check_state(params: ModelParams, state: Trajectory, reader: str, last: int) -> int:
+    """The one check of a solved ``state`` whose frames 0..``last``
+    ``reader`` reads with the h and dt of ``params``; returns ``last`` as
+    an int. Raises :class:`GridMismatchError` unless ``state`` lies on the
+    grid and the time grid of ``params``, and :class:`TimeDomainError`
+    unless ``last`` is a whole node (``numbers.Integral``) in 0..nt and
+    ``state`` holds frames 0..last; each message is headed by ``reader``."""
     if state.grid != params.grid or state.time_grid != params.time_grid:
-        raise GridMismatchError(f"{sweep}: state on {state.grid}, {state.time_grid}; "
+        raise GridMismatchError(f"{reader}: state on {state.grid}, {state.time_grid}; "
                                 f"model on {params.grid}, {params.time_grid}")
+    nt = params.time_grid.steps
+    if not (isinstance(last, numbers.Integral) and 0 <= last <= nt):
+        raise TimeDomainError(f"{reader}: node {last} is not a whole number in 0..{nt}")
+    if state.nframes <= last:
+        raise TimeDomainError(f"{reader}: node {last} needs forward frames 0..{last}, "
+                              f"got {state.nframes}")
+    return int(last)
 
 
 def solve_state(params: ModelParams, init: InitialData,
@@ -338,8 +348,8 @@ def solve_state(params: ModelParams, init: InitialData,
 
     Raises :class:`ShapeMismatchError` for a control of another shape,
     :class:`ConfigError` for an initial phi outside the window of
-    ``params.potential``, :class:`TimeDomainError` for ``steps`` outside
-    1..nt, and
+    ``params.potential``, :class:`TimeDomainError` for ``steps`` not a
+    whole number in 1..nt, and
     :class:`NewtonDivergenceError`, :class:`SeparationViolationError`,
     :class:`NanDetectedError` or, from a 2D exact step,
     :class:`StepSolveError` on failure.
@@ -349,9 +359,10 @@ def solve_state(params: ModelParams, init: InitialData,
     nt = tg.steps
     stacked = np.ndim(control) == grid.dim + 2
     check_control_shape(grid, tg, control, stacked)
-    steps = nt if steps is None else int(steps)
-    if not 1 <= steps <= nt:
-        raise TimeDomainError(f"state steps {steps} outside 1..{nt}")
+    steps = nt if steps is None else steps
+    if not (isinstance(steps, numbers.Integral) and 1 <= steps <= nt):
+        raise TimeDomainError(f"state steps {steps} not a whole number in 1..{nt}")
+    steps = int(steps)
 
     members = control if stacked else control[None]
     data = np.empty((steps + 1, 3, len(members)) + grid.shape)

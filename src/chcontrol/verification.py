@@ -64,7 +64,6 @@ from functools import partial
 import numpy as np
 
 from .adjoint import solve_adjoint
-from .errors import TimeDomainError
 from .fields import Trajectory, integrate
 from .linearized import solve_linearized
 from .objective import (
@@ -75,7 +74,7 @@ from .objective import (
     time_weights,
     window_weights,
 )
-from .state import (InitialData, ModelParams, check_control_shape, check_state_grids,
+from .state import (InitialData, ModelParams, check_control_shape, check_state,
                     solve_state)
 
 DEFAULT_SEED = 20240808
@@ -413,15 +412,14 @@ def mass_balance_check(traj: Trajectory, u: np.ndarray,
                        params: ModelParams) -> MassBalanceReport:
     """Drift of the conserved combination after each step of ``traj``,
     relative to its initial size: steps 1..nframes-1, so a march that
-    stopped early reports the steps it made. ``traj`` must lie on the grid
-    and the time grid of ``params`` (else :class:`GridMismatchError`) and
-    ``u`` hold one field per time node (else :class:`ShapeMismatchError`);
-    fewer than two frames raise :class:`TimeDomainError`."""
+    stopped early reports the steps it made. ``check_state`` is its one
+    rule for ``traj``, read as frames 0..1 at least: on the grid and the
+    time grid of ``params`` (else :class:`GridMismatchError`), with two
+    frames or more (else :class:`TimeDomainError`). ``u`` must hold one
+    field per time node (else :class:`ShapeMismatchError`)."""
     grid, tg = params.grid, params.time_grid
-    check_state_grids(params, traj, "mass balance")
+    check_state(params, traj, "mass balance", 1)
     check_control_shape(grid, tg, u)
-    if traj.nframes < 2:
-        raise TimeDomainError("the mass balance needs two forward frames or more")
     mass0 = integrate(grid, params.alpha * traj.mu[0] + traj.phi[0] + traj.sigma[0])
     scale = 1.0 + abs(mass0)
     injected = 0.0

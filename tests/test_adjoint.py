@@ -120,6 +120,24 @@ def test_invalid_tau_index(problem):
         ch.solve_adjoint(params, state, params.time_grid.steps + 1, cost)
     with pytest.raises(TimeDomainError):
         ch.solve_adjoint(params, state, -1, cost)
+    with pytest.raises(TimeDomainError):
+        ch.solve_adjoint(params, state, 2.5, cost)
+
+
+def test_node_and_frame_errors_name_the_adjoint(problem):
+    # the node must be a whole number in 0..nt, and the state must hold
+    # frames 0..node; each error is headed by the reader
+    params, _, _, state = problem
+    cost = tracking_cost(params)
+    nt = params.time_grid.steps
+    for node in (-1, 2.5, nt + 1):
+        with pytest.raises(TimeDomainError,
+                           match=f"^adjoint: node {node} is not a whole number in "):
+            ch.solve_adjoint(params, state, node, cost)
+    part = ch.Trajectory(params.grid, params.time_grid, state.data[:3], state.names)
+    with pytest.raises(TimeDomainError,
+                       match=r"^adjoint: node 3 needs forward frames 0\.\.3, got 3$"):
+        ch.solve_adjoint(params, part, 3, cost)
 
 
 @pytest.mark.parametrize("other", [

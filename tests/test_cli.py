@@ -714,6 +714,8 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
     ({"grid.n": [16.5]}, "grid.n"),
     ({"grid.extents": ["a"]}, "grid.extents"),
     ({"time.steps": 2.5}, "time.steps"),
+    ({"time.steps": 10**400}, "time.steps"),
+    ({"grid.n": [10**400]}, "grid.n"),
     ({"initial.value": "x"}, "initial.value"),
     ({"initial": {"preset": "random_interior", "amplitude": "x"}}, "initial.amplitude"),
     ({"initial": {"preset": "tanh_front", "width": "w", "position": 0.5}},
@@ -753,6 +755,7 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
     ({"optimizer": {"grad_tol": 0.0}}, "optimizer.grad_tol"),
     ({"optimizer": {"grad_tol": -1e-5}}, "optimizer.grad_tol"),
 ], ids=["n-string", "n-number", "n-fraction", "extents-string", "steps-fraction",
+        "steps-beyond-float", "n-beyond-float",
         "value-string", "amplitude-string", "width-string", "constant-string",
         "constant-bool", "front-leaves-log-domain", "output-dir-number", "model-list",
         "top-level-list", "b1-nan", "b0-inf", "eps-nan", "constant-nan",

@@ -91,7 +91,7 @@ def _invalid(kind, limit, default):
             out_of_range.append(2.5)
     if entry in ("number", "integer", "positive", "number or string"):
         out_of_range += [math.nan, math.inf, -math.inf]
-    if entry in ("number", "positive", "number or string"):
+    if entry in ("number", "integer", "positive", "number or string"):
         out_of_range.append(10**400)  # an integer literal with no float
     if list_kind:
         values = ["x", [True], []] + [[v] for v in out_of_range]

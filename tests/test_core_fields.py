@@ -269,11 +269,15 @@ def _ragged_manifest(directory):
      "^cost.relaxation.gamma: "),
     (lambda tmp: ch.Relaxation(0.5, np.inf, _G.zeros()), ConfigError,
      "^cost.relaxation.eps: "),
+    # counts beyond the float range
+    (lambda tmp: ch.Grid.line(10**400), GridMismatchError, "must be whole numbers$"),
+    (lambda tmp: ch.TimeGrid(1.0, 10**400), TimeDomainError,
+     "^need a whole number of time steps"),
 ], ids=["grid-zero-extent", "grid-negative-extent", "integrate-shape",
         "trajectory-frames", "trajectory-attribute", "write-snapshot-shape",
         "snapshot-dim-0", "snapshot-dim-3", "manifest-ragged", "space-time-shape",
         "initial-shape", "cost-weight-inf", "cost-b0-inf", "relaxation-gamma-inf",
-        "relaxation-eps-inf"])
+        "relaxation-eps-inf", "grid-count-beyond-float", "time-steps-beyond-float"])
 def test_library_guards_raise_their_errors(call, error, match, tmp_path):
     # the guards of library calls that no pipeline reaches with bad input
     with pytest.raises(error, match=match):

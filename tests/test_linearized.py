@@ -97,6 +97,24 @@ def test_shape_mismatch_raises(problem):
     with pytest.raises(TimeDomainError):
         ch.solve_linearized(params, state, np.zeros(_shape(params)),
                             steps=params.time_grid.steps + 1)
+    with pytest.raises(TimeDomainError):
+        ch.solve_linearized(params, state, np.zeros(_shape(params)), steps=2.5)
+
+
+def test_node_and_frame_errors_name_the_sweep(problem):
+    # the node must be a whole number in 0..nt, and the state must hold
+    # frames 0..node; each error is headed by the reader
+    params, _, _, state = problem
+    nt = params.time_grid.steps
+    h = np.zeros(_shape(params))
+    for steps in (-1, 2.5, nt + 1):
+        with pytest.raises(TimeDomainError,
+                           match=f"^linearized: node {steps} is not a whole number in "):
+            ch.solve_linearized(params, state, h, steps=steps)
+    part = ch.Trajectory(params.grid, params.time_grid, state.data[:3], state.names)
+    with pytest.raises(TimeDomainError,
+                       match=r"^linearized: node 3 needs forward frames 0\.\.3, got 3$"):
+        ch.solve_linearized(params, part, h, steps=3)
 
 
 @pytest.mark.parametrize("other", [

@@ -149,6 +149,16 @@ def test_constructor_value_errors():
         ch.Proliferation.constant(-0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         ch.Proliferation.smooth_ramp(-1.0, 0.5)
+    # built directly, each field is checked as the classmethods check it
+    for lam in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="lam"):
+            ch.Potential("logarithmic", lam)
+    with pytest.raises(ValueError, match="^unknown potential kind 'cubic'$"):
+        ch.Potential("cubic")
+    with pytest.raises(ValueError, match="width"):
+        ch.Proliferation("smooth_ramp", 1.0, 0.0)
+    with pytest.raises(ValueError, match="^unknown proliferation kind 'ramp'$"):
+        ch.Proliferation("ramp", 1.0)
 
 
 def test_logarithmic_derivative_diverges_at_edges():

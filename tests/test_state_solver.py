@@ -228,6 +228,6 @@ def test_prefix_march_2d_chord(cell_solves):
 def test_prefix_march_rejects_steps_outside_grid():
     params = make_problem(n=16, nt=4)
     init, u = equilibrium_init(params), midpoint_control(params)
-    for steps in (0, -1, 5):
+    for steps in (0, -1, 5, 2.5):
         with pytest.raises(TimeDomainError, match="steps"):
             ch.solve_state(params, init, u, steps=steps)
