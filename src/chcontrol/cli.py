@@ -14,7 +14,10 @@ ranges live on the objects that library callers reach too: ModelParams
 Relaxation and optimizer.check_bounds, and each error names its field.
 Physics fields have no defaults, and a key that is no row is an unknown
 field. A bad config raises a ConfigError whose message starts with the
-field's path, and the command exits 2 before any solve starts.
+field's path, and the command exits 2 before any solve starts. So does a
+config whose one trajectory, (steps+1) * 3 * cells * 8 B, exceeds the
+machine's physical memory, refused by ``grid.n`` and ``time.steps`` before
+any grid is built.
 Identical config and seed produce bit-identical artifacts (no timestamps
 are written).
 
@@ -35,6 +38,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -416,6 +420,26 @@ def _array(cfg, path, grid, tg=None):
     return _finite(f"{path}.manifest", values.copy())
 
 
+def _physical_memory() -> int | None:
+    """The machine's physical memory in bytes, None where ``os.sysconf``
+    cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_fits(n, steps) -> None:
+    """A ConfigError naming ``grid.n`` and ``time.steps`` if one trajectory
+    of their fields, (steps+1) * 3 * cells * 8 B, exceeds physical memory:
+    a run that cannot hold it fails before it allocates."""
+    need, memory = (steps + 1) * 3 * math.prod(n) * 8, _physical_memory()
+    if memory is not None and need > memory:
+        raise ConfigError(f"grid.n, time.steps: one trajectory of {steps} steps on "
+                          f"{math.prod(n)} cells takes {need:.3e} B, more than the "
+                          f"{memory:.3e} B of physical memory")
+
+
 def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     """Parse and validate an experiment config: every field by its row of
     :data:`_FIELDS`, then the rules between fields, so a bad file fails
@@ -449,11 +473,13 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     else:
         prolif = Proliferation.smooth_ramp(p0, _field(raw, "model.proliferation.width"))
     n, extents = _field(raw, "grid.n"), _field(raw, "grid.extents")
+    horizon, steps = _field(raw, "time.horizon"), _field(raw, "time.steps")
+    _check_fits(n, steps)
     try:
         grid = Grid(tuple(n), tuple(extents))
     except GridMismatchError as exc:
         raise ConfigError(f"grid: {exc}")
-    tg = TimeGrid(_field(raw, "time.horizon"), _field(raw, "time.steps"))
+    tg = TimeGrid(horizon, steps)
     params = ModelParams(_field(raw, "model.alpha"), _field(raw, "model.beta"),
                          potential, prolif, grid, tg, **_fields(raw, "solver"))
 

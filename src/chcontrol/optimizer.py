@@ -53,6 +53,16 @@ differs: a trial whose march would fail only past t_W is no longer
 rejected, since its cost never reads those frames; should it be
 accepted and end the run, the final march raises the SolverError
 naming the step.
+
+Every march the optimizer makes, the initial one, the trials, the full
+march of an uncertified window and the final one, is a tolerance march
+(``solve_state(..., polish=False)``): each Newton iteration stops at
+``newton_tol`` and starts from the frame extrapolated from the earlier
+ones, with no polishing iteration. The Armijo test and the stationarity
+measures sit far above a residual of ``newton_tol``, so the optimum is the
+polished marches' to rounding (below 1e-12 relative in tau_opt and J on
+``configs/baseline.json``), for about a third of the solves. Simulate,
+verify and the oracles keep the polished march.
 """
 
 from __future__ import annotations
@@ -208,9 +218,9 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     it. The time search starts from ``tau0``, by default T / 2. At most
     ``max_outer_iters`` outer iterations run, and both stationarity
     measures must fall below ``grad_tol`` (see the module docstring;
-    :func:`check_settings` holds their ranges). Every
-    forward solve, trial steps included, runs under the Newton settings of
-    ``params``. A trial whose forward solve raises a SolverError is
+    :func:`check_settings` holds their ranges). Every forward solve,
+    trial steps included, is a tolerance march under the Newton settings
+    of ``params``. A trial whose forward solve raises a SolverError is
     rejected like a failed Armijo test, and the search backtracks; a
     failing solve at the current iterate propagates. Trials march only
     to a window where the cost allows (see the module docstring), and a
@@ -226,7 +236,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     qt_inner = partial(space_time_inner, grid, tg.dt)
     qt_norm = partial(space_time_norm, grid, tg.dt)
 
-    state = solve_state(params, init, u)
+    state = solve_state(params, init, u, polish=False)
     history: list[IterationRecord] = []
     trial = ARMIJO_S0  # the control block's first trial step
     prev = None  # the last accepted (u, grad); neither is written in place
@@ -241,7 +251,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
         candidate = profile.minimize()
         if candidate is None:
             # the window cannot certify the time minimizer: march it all
-            state = solve_state(params, init, u)
+            state = solve_state(params, init, u, polish=False)
             profile = TauProfile(state, u, cost)
             candidate = profile.minimize()
         if profile.value(candidate) < profile.value(tau_ref):
@@ -290,7 +300,8 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
                 if gd >= 0.0:
                     break
                 try:
-                    state_trial = solve_state(params, init, u_trial, steps=steps)
+                    state_trial = solve_state(params, init, u_trial, steps=steps,
+                                              polish=False)
                 except SolverError as exc:
                     # the cost is +inf where the march fails: reject, shrink
                     failed, solver_error = failed + 1, exc
@@ -317,7 +328,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
 
     if state.nframes < tg.steps + 1:
         # the result carries the iterate's whole march
-        state = solve_state(params, init, u)
+        state = solve_state(params, init, u, polish=False)
     # report the continuous minimizer when it improves on the node
     last = history[-1]
     if bd_ref.total <= last.breakdown.total:

@@ -26,7 +26,17 @@ does, after every step.
 
 :class:`ModelParams` carries the discretization and the Newton settings,
 so ``solve_state(params, init, control)`` runs the same iteration for
-simulate, the optimizer and the oracles.
+simulate, the optimizer and the oracles. Two marches share it. The
+polished march, the default, makes one more Newton iteration after the
+residual falls below ``newton_tol``, which takes it to the evaluation
+floor that the finite-difference gradient oracle needs; simulate, verify
+and every oracle march so. The tolerance march (``polish=False``), the
+optimizer's, stops at the tolerance and starts step k+1 for k >= 2 from
+the quadratic extrapolation 3 x_k - 3 x_{k-1} + x_{k-2} of its own earlier
+frames, the predictor of Hairer and Wanner, "Solving Ordinary Differential
+Equations II", sec. IV.8; a step whose start already meets the tolerance
+makes no solve. Its Armijo tests and stationarity measures sit far above
+a residual of ``newton_tol``, and it makes about a third of the solves.
 
 One step is a damped Newton solve on the stacked frame X = (mu, phi,
 sigma), of shape (3, *grid.shape) like ``Trajectory.data[k]``. Each
@@ -43,17 +53,17 @@ leading member axis, (K, nt+1, *grid.shape), from one initial state, as
 the verification oracles do with their perturbed controls. The iterate
 then carries the members along its second axis, (3, K, *grid.shape), and
 so does every frame of the returned trajectory. The members do not
-couple, and each keeps its own damping, line search, polish, clip and
-convergence test, so that each member's frames and iteration counts are
-bitwise those of its march alone; a march of one control is the
+couple, and each keeps its own start, damping, line search, polish, clip
+and convergence test, so that each member's frames and iteration counts
+are bitwise those of its march alone; a march of one control is the
 ensemble of one member. The iteration's arrays hold only the members
-still iterating: a member that leaves (after its polish, or unconverged
-at the iteration budget) is written to its place in the trajectory's
-next frame, and the others go on in compacted arrays. Members leave
-unconverged only when the budget ends, all at once, and the step then
-raises :class:`NewtonDivergenceError` for the first of them in stack
-order. Each stacked iteration checks
-their residuals for non-finite values once, naming the step, and makes
+still iterating: a member that leaves (after its polish, at the tolerance
+in a tolerance march, or unconverged at the iteration budget) is written
+to its place in the trajectory's next frame, and the others go on in
+compacted arrays. Members leave unconverged only when the budget ends,
+all at once, and the step then raises :class:`NewtonDivergenceError` for
+the first of them in stack order. Each stacked iteration checks their
+residuals for non-finite values once, naming the step, and makes
 one ``StepSolver.solve`` call for them, in either dimension: in 1D it
 factors their block-diagonal band with one ``dgbsv``, in 2D it solves
 the members at their grid means together in the DCT basis and the
@@ -119,8 +129,9 @@ class ModelParams:
     proliferation: Proliferation
     grid: Grid
     time_grid: TimeGrid
-    # the inner Newton iteration of every forward solve: max|R| bound and
-    # iteration budget (the polish excluded)
+    # the inner Newton iteration of every forward solve, polished or
+    # tolerance march: max|R| bound and iteration budget (the polish
+    # excluded)
     newton_tol: float = NEWTON_TOL
     newton_max_iter: int = NEWTON_MAX_ITER
 
@@ -157,7 +168,8 @@ class StepDiagnostics:
     """Per-step solver diagnostics collected during a forward run: entry
     k - 1 belongs to step k. ``newton_iters`` counts the
     ``StepSolver.solve`` calls of the step, one per Newton iteration,
-    polish included; in a march of several members that is one call per
+    polish included; a tolerance march's step whose start already met the
+    tolerance reads 0. In a march of several members that is one call per
     stacked iteration, as many as the member that iterated longest made.
     ``delta_sep`` holds the ``Potential.distance`` of the frame the step
     keeps, the least over the members."""
@@ -166,31 +178,33 @@ class StepDiagnostics:
     delta_sep: np.ndarray
 
 
-def _newton_step(solver, params, old, u, out, step):
+def _newton_step(solver, params, old, start, u, out, step, polish):
     """Damped Newton solve of implicit step ``step`` for K members at once.
 
     ``old`` is the old frame of each member, stacked as (mu, phi, sigma)
     along the first axis and the members along the second, (3, K,
     *grid.shape), and ``out``, shaped alike, receives the new frames;
-    ``u`` (the control) is (K, *grid.shape). P(phi_old) and S'(phi_old),
-    the tolerance ``params.newton_tol`` and the budget
+    ``u`` (the control) is (K, *grid.shape). The iteration starts from
+    ``start``, shaped like ``old``. P(phi_old) and S'(phi_old), the
+    tolerance ``params.newton_tol`` and the budget
     ``params.newton_max_iter`` come from ``params``, and every trial phi is
     clipped into the window of ``params.potential``. The members do
     not couple: each runs its own iteration, with its own damping, line
     search, polish and convergence test, as if it were marched alone. The
     arrays of the iteration hold only the members still iterating. A
-    member leaves after its polish, or unconverged after ``max_iter``
-    iterations; its iterate is then written to its place in ``out``, and
-    the arrays of the others are compacted. Each stacked iteration solves
-    for the members still in it with one ``solver.solve`` call, after one
-    check that their residuals are finite (:class:`NanDetectedError`
-    naming ``step`` if not).
+    member leaves after its polish (with ``polish`` False, as soon as its
+    residual is below the tolerance, after no solve if its start is), or
+    unconverged after ``max_iter`` iterations; its iterate is then written
+    to its place in ``out``, and the arrays of the others are compacted.
+    Each stacked iteration solves for the members still in it with one
+    ``solver.solve`` call, after one check that their residuals are finite
+    (:class:`NanDetectedError` naming ``step`` if not).
     In 2D a member's iteration solves with the step matrix at the grid
     means of its P and B''(phi), except after an iteration whose full step
     did not contract its residual by ``CHORD_CONTRACTION``: that one solves
     with their per-cell values. The call passes the choice per member. In
     1D every iteration solves with the per-cell values.
-    Returns the stacked iterations (polish included), each one
+    Returns the stacked iterations (any polish included), each one
     ``solver.solve`` call. Unconverged members leave only when the budget
     ends, all at once; then :class:`NewtonDivergenceError` names the
     residual of the first of them in stack order.
@@ -221,7 +235,7 @@ def _newton_step(solver, params, old, u, out, step):
         r[2] -= u
         return r, np.abs(r).max(axis=axes).tolist()
 
-    x = old
+    x = start
     p, pi = params.proliferation.P(old[1]), pot.dS(old[1])
     r, res = residual(x, old, p, pi, u)
     # the stack position of each member still iterating, whether it had
@@ -237,10 +251,13 @@ def _newton_step(solver, params, old, u, out, step):
     means = [chord] * len(res)
     solves = 0
     while True:
-        # once converged, a member makes one more (polishing) iteration,
-        # which pushes its residual to the evaluation floor that the
-        # finite-difference gradient oracles rely on; so every member still
-        # in has made as many iterations as there were solves
+        # with ``polish``, a member that converged makes one more
+        # (polishing) iteration, which pushes its residual to the evaluation
+        # floor that the finite-difference gradient oracles rely on; without
+        # it, the member leaves at once. Either way every member still in
+        # has made as many iterations as there were solves
+        if not polish:
+            conv = [v < tol for v in res]
         stay = [not was and (v < tol or solves < max_iter)
                 for was, v in zip(conv, res)]
         conv = [v < tol for v in res]
@@ -325,7 +342,8 @@ def check_state(params: ModelParams, state: Trajectory, reader: str, last: int) 
 
 
 def solve_state(params: ModelParams, init: InitialData,
-                control: np.ndarray, steps: int | None = None) -> Trajectory:
+                control: np.ndarray, steps: int | None = None, *,
+                polish: bool = True) -> Trajectory:
     """March the state system over the time grid.
 
     ``control`` holds one field per time node, of shape (nt+1,
@@ -345,6 +363,15 @@ def solve_state(params: ModelParams, init: InitialData,
     march together, one stacked Newton iteration and one step solve per
     step and iteration for all of them. A failing member fails the whole
     march at the earliest failing step.
+
+    With ``polish`` False the march is a tolerance march, the optimizer's:
+    each Newton iteration ends as soon as max|R| < ``params.newton_tol``,
+    without the polishing iteration, and step k+1 for k >= 2 starts from
+    the extrapolated frame 3 x_k - 3 x_{k-1} + x_{k-2}, its phi clipped
+    into the window, instead of from x_k. A member whose start meets the
+    tolerance makes no solve at that step. The start reads only earlier
+    frames of the same member, so members and prefixes keep their bits as
+    above.
 
     Raises :class:`ShapeMismatchError` for a control of another shape,
     :class:`ConfigError` for an initial phi outside the window of
@@ -373,8 +400,12 @@ def solve_state(params: ModelParams, init: InitialData,
     delta_sep = np.empty(steps)
     solver = StepSolver(grid, tg.dt, params.alpha, params.beta)
     for k in range(steps):
-        newton_iters[k] = _newton_step(solver, params, data[k], members[:, k],
-                                       data[k + 1], k + 1)
+        start = data[k]
+        if not polish and k >= 2:
+            start = 3.0 * (data[k] - data[k - 1]) + data[k - 2]
+            pot.clip(start[1])
+        newton_iters[k] = _newton_step(solver, params, data[k], start, members[:, k],
+                                       data[k + 1], k + 1, polish)
         delta_sep[k] = dist = pot.distance(data[k + 1, 1])
         if dist <= 2 * pot.margin:
             raise SeparationViolationError(k + 1, dist)

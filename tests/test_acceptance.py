@@ -19,6 +19,10 @@ from conftest import midpoint_control, tracking_cost
 
 SEED = 20240808
 GRAD_DELTAS = [0.5, 0.2, 0.1, 1e-4]
+# tau_opt and J of the baseline optimum, as optimize reached them when every
+# march it made was polished
+BASELINE_TAU_OPT = 0.2068344623536995
+BASELINE_J_OPT = 0.112835822191356
 
 
 def _report(name, ok, detail):
@@ -102,8 +106,13 @@ def test_a5_time_derivative_formula(baseline_problem, baseline_state):
 @pytest.fixture(scope="module")
 def baseline_optimum(baseline_problem):
     params, init, cost, u = baseline_problem
-    return ch.optimize(params, init, cost, u, tau0=0.5, lower=0.0, upper=2.0,
-                       max_outer_iters=500, grad_tol=1e-4)
+    res = ch.optimize(params, init, cost, u, tau0=0.5, lower=0.0, upper=2.0,
+                      max_outer_iters=500, grad_tol=1e-4)
+    # the optimum that polished marches reach: a change to the optimizer's
+    # marches must not move it
+    assert res.tau_opt == pytest.approx(BASELINE_TAU_OPT, rel=1e-8)
+    assert res.history[-1].breakdown.total == pytest.approx(BASELINE_J_OPT, rel=1e-8)
+    return res
 
 
 def test_a6_kkt_at_convergence(baseline_problem, baseline_optimum):

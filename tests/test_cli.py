@@ -916,6 +916,35 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("grid.n", [10**18]), ("time.steps", 10**18)])
+def test_oversized_counts_exit_2_before_allocating(tmp_path, capsys, field, value):
+    section, key = field.split(".")
+    cfg = {**TINY_CONFIG, section: {**TINY_CONFIG[section], key: value}}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid.n, time.steps: one trajectory of ")
+    assert "physical memory" in err and "Traceback" not in err
+
+
+def test_trajectory_beyond_physical_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # one trajectory of the tiny config: (steps+1) * 3 * cells * 8 B
+    need = ((TINY_CONFIG["time"]["steps"] + 1) * 3
+            * int(np.prod(TINY_CONFIG["grid"]["n"])) * 8)
+    cfg_path = _write(tmp_path, TINY_CONFIG)
+    monkeypatch.setattr(cli_module, "_physical_memory", lambda: need - 1)
+    assert run(cfg_path, out_dir=tmp_path / "small") == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: grid.n, time.steps: one trajectory of "
+                   f"{TINY_CONFIG['time']['steps']} steps on "
+                   f"{int(np.prod(TINY_CONFIG['grid']['n']))} cells takes {need:.3e} B, "
+                   f"more than the {need - 1:.3e} B of physical memory\n")
+    assert not (tmp_path / "small").exists()
+    # a trajectory that just fits runs, as does one where the figure is unknown
+    for memory in (need, None):
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: memory)
+        assert run(cfg_path, out_dir=tmp_path / "fits") == 0
+
+
 def test_cli_main_entry(tmp_path, capsys):
     cfg_path = _write(tmp_path, TINY_CONFIG)
     with pytest.raises(SystemExit) as exc:

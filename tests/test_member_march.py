@@ -13,13 +13,18 @@ from chcontrol.cli import preset_initial_data
 from conftest import equilibrium_init, make_problem
 
 
-def _solo(params, init, controls, steps=None):
-    return [ch.solve_state(params, init, u, steps=steps) for u in controls]
+# both kinds of march: the polished one and the optimizer's tolerance march
+POLISH = pytest.mark.parametrize("polish", [True, False], ids=["polish", "tolerance"])
 
 
-def _assert_members_match(params, init, controls, steps=None):
-    stacked = ch.solve_state(params, init, controls, steps=steps)
-    solo = _solo(params, init, controls, steps)
+def _solo(params, init, controls, steps=None, polish=True):
+    return [ch.solve_state(params, init, u, steps=steps, polish=polish)
+            for u in controls]
+
+
+def _assert_members_match(params, init, controls, steps=None, polish=True):
+    stacked = ch.solve_state(params, init, controls, steps=steps, polish=polish)
+    solo = _solo(params, init, controls, steps, polish)
     assert stacked.data.shape == ((solo[0].nframes, 3, len(controls))
                                   + params.grid.shape)
     for i, traj in enumerate(solo):
@@ -33,15 +38,16 @@ def _assert_members_match(params, init, controls, steps=None):
     return solo
 
 
-def test_quartic_members_match_solo_marches():
+@POLISH
+def test_quartic_members_match_solo_marches(polish):
     params = make_problem(n=32, nt=12)
     shape = (params.time_grid.steps + 1,) + params.grid.shape
     controls = np.random.default_rng(11).uniform(0.0, 2.0, (4,) + shape)
     init = equilibrium_init(params)
     # every member makes as many iterations at each step as the others, so
     # they all leave the stacked iteration together
-    _assert_members_match(params, init, controls)
-    _assert_members_match(params, init, controls[:3], steps=7)
+    _assert_members_match(params, init, controls, polish=polish)
+    _assert_members_match(params, init, controls[:3], steps=7, polish=polish)
 
 
 def _log_problem():
@@ -61,7 +67,8 @@ def _sources(params, values):
                      for v in values])
 
 
-def test_logarithmic_members_with_clamp_and_backtracking(monkeypatch):
+@POLISH
+def test_logarithmic_members_with_clamp_and_backtracking(monkeypatch, polish):
     params, init = _log_problem()
     lo, hi = params.potential.domain
     margin = 1e-6 * (hi - lo)
@@ -75,23 +82,25 @@ def test_logarithmic_members_with_clamp_and_backtracking(monkeypatch):
 
     controls = _sources(params, (20.0, 5.0, 12.0))
     monkeypatch.setattr(ch.state, "laplacian_neumann", recording_stencil)
-    solo = _solo(params, init, controls[:1])
+    solo = _solo(params, init, controls[:1], polish=polish)
     monkeypatch.undo()
     steps, iters = params.time_grid.steps, solo[0].diagnostics.newton_iters.sum()
     # one stencil call per residual: more than one per step and iteration
     # means a backtracked trial
     assert len(seen) > steps + iters
     assert any(clamped for _, clamped in seen)
-    solo = _assert_members_match(params, init, controls)
+    solo = _assert_members_match(params, init, controls, polish=polish)
     # the members leave the stacked iteration at different solves, so that
     # the members still iterating are compacted; in reverse order the
     # slowest member sits last
     iters = np.array([traj.diagnostics.newton_iters for traj in solo])
     assert (iters.min(axis=0) < iters.max(axis=0)).any()
-    _assert_members_match(params, init, controls[::-1])
+    _assert_members_match(params, init, controls[::-1], polish=polish)
 
 
-def test_two_dimensional_members_with_different_exact_steps(cell_solves, monkeypatch):
+@POLISH
+def test_two_dimensional_members_with_different_exact_steps(cell_solves, monkeypatch,
+                                                            polish):
     grid = ch.Grid.rectangle(16, 16, 1.0, 1.0)
     pot = ch.Potential.logarithmic(2.0)
     tg = ch.TimeGrid(0.2, 4)
@@ -102,7 +111,7 @@ def test_two_dimensional_members_with_different_exact_steps(cell_solves, monkeyp
     exact = []
     for u in controls:
         before = len(cell_solves)
-        ch.solve_state(params, init, u)
+        ch.solve_state(params, init, u, polish=polish)
         exact.append(len(cell_solves) - before)
     # the members take the exact step matrix at different iterations
     assert len(set(exact)) > 1
@@ -114,9 +123,22 @@ def test_two_dimensional_members_with_different_exact_steps(cell_solves, monkeyp
         return solve(self, p, w, rhs, transpose, means)
 
     monkeypatch.setattr(ch.system.StepSolver, "solve", recording_solve)
-    _assert_members_match(params, init, controls)
+    _assert_members_match(params, init, controls, polish=polish)
     # so that some stacked iteration solves members both ways in one call
     assert any(len(set(f)) > 1 for f in flags)
+
+
+def test_tolerance_member_converged_at_its_start_makes_no_solve():
+    # from the equilibrium, source 0 starts every step converged: without
+    # the polish it leaves each one after no solve, and the others do not
+    params = make_problem(n=16, nt=6)
+    init = equilibrium_init(params)
+    controls = _sources(params, (0.0, 1e-6, 1.0))
+    solo = _assert_members_match(params, init, controls, polish=False)
+    iters = solo[0].diagnostics.newton_iters
+    assert not iters.any()
+    assert solo[0].data.tobytes() == np.repeat(solo[0].data[:1], 7, axis=0).tobytes()
+    assert all(traj.diagnostics.newton_iters.all() for traj in solo[2:])
 
 
 def test_diverging_member_fails_at_earliest_step():

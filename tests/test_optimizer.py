@@ -111,6 +111,27 @@ def test_zero_projected_step_leaves_the_control(monkeypatch):
     assert res.tau_opt == res.history[-1].tau == pytest.approx(0.3, abs=1e-15)
 
 
+def test_every_optimizer_march_is_a_tolerance_march(monkeypatch):
+    # the initial march, the windowed trials and the final full march: none
+    # polishes
+    params = make_problem(n=32, nt=48)
+    marches = []
+
+    def recording_solve_state(*args, **kwargs):
+        traj = ch.solve_state(*args, **kwargs)
+        marches.append((traj.nframes - 1, kwargs.get("polish", True)))
+        return traj
+
+    monkeypatch.setattr(optimizer_module, "solve_state", recording_solve_state)
+    res = ch.optimize(params, equilibrium_init(params), tracking_cost(params, tau_star=0.3),
+                      midpoint_control(params), tau0=0.3, lower=0.0, upper=2.0,
+                      max_outer_iters=5)
+    steps = {k for k, _ in marches}
+    assert len(steps) > 1 and params.time_grid.steps in steps
+    assert not any(polish for _, polish in marches)
+    assert res.state.nframes == params.time_grid.steps + 1
+
+
 def test_control_energy_only_drives_u_to_zero(problem):
     params, init = problem
     cost = ch.CostSpec(b0=1e-3)

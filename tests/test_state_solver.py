@@ -193,10 +193,10 @@ def test_control_shape_validation():
         ch.solve_state(params, init, bad)
 
 
-def _assert_prefix_march(params, init, u, steps_list):
-    full = ch.solve_state(params, init, u)
+def _assert_prefix_march(params, init, u, steps_list, polish=True):
+    full = ch.solve_state(params, init, u, polish=polish)
     for k in steps_list:
-        part = ch.solve_state(params, init, u, steps=k)
+        part = ch.solve_state(params, init, u, steps=k, polish=polish)
         assert part.nframes == k + 1
         assert part.data.tobytes() == full.data[: k + 1].tobytes(), k
         iters = part.diagnostics.newton_iters
@@ -208,6 +208,25 @@ def test_prefix_march_1d():
     params = make_problem(n=32, nt=24)
     u = np.random.default_rng(5).uniform(0.0, 2.0, (25,) + params.grid.shape)
     _assert_prefix_march(params, equilibrium_init(params), u, (1, 7, 23, 24))
+
+
+def test_prefix_tolerance_march_1d():
+    # the prefixes end before, at and after the first extrapolated start
+    params = make_problem(n=32, nt=24)
+    u = np.random.default_rng(5).uniform(0.0, 2.0, (25,) + params.grid.shape)
+    _assert_prefix_march(params, equilibrium_init(params), u, (1, 2, 3, 7, 23, 24),
+                         polish=False)
+
+
+def test_tolerance_march_on_the_baseline_problem(baseline_problem, baseline_state):
+    # the optimizer's march: no polish and an extrapolated start, at the
+    # acceptance criteria's size (128 cells, 256 steps)
+    params, init, _, u = baseline_problem
+    traj = ch.solve_state(params, init, u, polish=False)
+    assert np.abs(traj.data - baseline_state.data).max() <= 1e-9
+    assert ch.mass_balance_check(traj, u, params).residual <= 1e-10
+    iters = traj.diagnostics.newton_iters.sum()
+    assert iters <= 0.5 * baseline_state.diagnostics.newton_iters.sum()
 
 
 def test_prefix_march_2d_chord(cell_solves):

@@ -36,7 +36,7 @@ def test_traced_names_resolve(tracer):
 
 def test_solve_state_reports_newton_iterations():
     assert list(inspect.signature(ch.solve_state).parameters) == [
-        "params", "init", "control", "steps"]
+        "params", "init", "control", "steps", "polish"]
     params = make_problem(n=16, nt=4)
     traj = ch.solve_state(params, equilibrium_init(params), midpoint_control(params))
     iters = traj.diagnostics.newton_iters
