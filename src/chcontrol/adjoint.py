@@ -8,11 +8,16 @@ marching k = k_tau .. 1,
 
     A_k^T L_k = S_k + C_k^T L_{k+1}       (L_{k_tau + 1} = 0)
 
-where the sources S_k carry the tracking residuals with the same
-trapezoid time weights used by the cost, the terminal phase data
-b2 (phi(tau) - phi_omega) + b4 / 2 at k = k_tau, and, when the relaxed
-functional is active, the windowed nutrient residual weighted so the
-discrete window integral is exact.
+where the sources S_k are the derivative of the discrete cost in the
+state at node k. They are read from the cost's own table,
+:func:`chcontrol.objective.integral_terms`: each row adds its weight
+times its node weight (the trapezoid weights of [0, tau], or
+:func:`~chcontrol.objective.window_weights` for the relaxed window)
+times its misfit at node k to its component's row, and the terminal
+phase data b2 (phi(tau) - phi_omega) + b4 / 2 joins at k = k_tau. This
+module reads no weight or target of the cost itself, and the table's
+shape check is its rule for the targets: a misshapen target raises
+:class:`GridMismatchError` before any solve.
 
 The reported trajectory (adj_mu, adj_phi, adj_sigma) rescales the
 multipliers by the trapezoid node weights, which makes
@@ -32,21 +37,12 @@ import numpy as np
 
 from .errors import NanDetectedError
 from .fields import Trajectory
-from .objective import CostSpec, time_weights, window_weights
+from .objective import (CostSpec, _terminal_phase_source, integral_terms,
+                        time_weights, window_weights)
 from .state import ModelParams, check_state
 from .system import StepSolver, coupling, step_coefficients
 
 ADJOINT_NAMES = ("adj_mu", "adj_phi", "adj_sigma")
-
-
-def _terminal_phase_source(cost: CostSpec, phi_tau, q):
-    """q plus the terminal phase source b2 (phi(tau) - phi_omega) + b4/2."""
-    if cost.b2 > 0:
-        diff = phi_tau if cost.phi_omega is None else phi_tau - cost.phi_omega
-        q = q + cost.b2 * diff
-    if cost.b4 > 0:
-        q = q + 0.5 * cost.b4
-    return q
 
 
 def adjoint_terminal_data(params: ModelParams, state: Trajectory, tau_index: int,
@@ -64,9 +60,12 @@ def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
     ``check_state`` is its one rule for ``state`` and ``tau_index``:
     :class:`GridMismatchError` for a state on another grid or time grid
     than ``params``, :class:`TimeDomainError` for ``tau_index`` not a whole
-    node in 0..nt or past the frames of ``state``."""
+    node in 0..nt or past the frames of ``state``. Misshapen targets in
+    ``cost`` raise :class:`GridMismatchError`
+    (:meth:`CostSpec.check_shapes`, through the cost's table)."""
     grid, tg, dt = params.grid, params.time_grid, params.time_grid.dt
     k_tau = check_state(params, state, "adjoint", tau_index)
+    terms = integral_terms(cost, state, k_tau + 1)
 
     data = np.zeros((k_tau + 1, 3) + grid.shape)
     data[k_tau] = adjoint_terminal_data(params, state, k_tau, cost)
@@ -74,33 +73,25 @@ def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
         return Trajectory(grid, tg, data, ADJOINT_NAMES)
 
     solver = StepSolver(grid, dt, params.alpha, params.beta)
-    phi, sigma = state.phi, state.sigma
     wq = time_weights(k_tau + 1, dt)
-    relax = cost.relaxation
-    win = None
-    if relax is not None and relax.gamma > 0:
-        win = relax.gamma / relax.eps * window_weights(k_tau, dt, relax.eps)
+    # per term: its row of the right-hand side (mu, phi, sigma), weight
+    # times node weights, and its misfit
+    sources = [(state.names.index(t.component),
+                t.weight * (wq if t.window is None else window_weights(k_tau, dt, t.window)),
+                t.misfit) for t in terms]
 
     for k in range(k_tau, 0, -1):
         # A_k^T takes (P, W) of step k-1; C_k^T takes (E, S) of step k,
         # evaluated by the previous iteration
         p, w, ex_prev, spp_prev = step_coefficients(params, state, k - 1)
-        if k < k_tau:
-            rhs_m, rhs_f, rhs_s = coupling(solver, ex, spp, lam, transpose=True)
-        else:
-            rhs_m, rhs_f, rhs_s = np.zeros((3,) + grid.shape)
-        if cost.b1 > 0:
-            diff = phi[k] if cost.phi_q is None else phi[k] - cost.phi_q[k]
-            rhs_f = rhs_f + cost.b1 * wq[k] * diff
+        rhs = list(coupling(solver, ex, spp, lam, transpose=True) if k < k_tau
+                   else np.zeros((3,) + grid.shape))
+        for row, weights, misfit in sources:
+            rhs[row] = rhs[row] + weights[k] * misfit[k]
         if k == k_tau:
-            rhs_f = _terminal_phase_source(cost, phi[k], rhs_f)
-        if cost.b3 > 0:
-            diff = sigma[k] if cost.sigma_q is None else sigma[k] - cost.sigma_q[k]
-            rhs_s = rhs_s + cost.b3 * wq[k] * diff
-        if win is not None:
-            rhs_s = rhs_s + win[k] * (sigma[k] - relax.sigma_omega)
+            rhs[1] = _terminal_phase_source(cost, state.phi[k], rhs[1])  # phi row
 
-        lam = solver.solve(p, w, (rhs_m, rhs_f, rhs_s), transpose=True)
+        lam = solver.solve(p, w, rhs, transpose=True)
         if not np.isfinite(lam).all():
             raise NanDetectedError(f"adjoint frame {k - 1}")
         data[k - 1] = lam / wq[k - 1]

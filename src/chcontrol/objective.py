@@ -18,7 +18,17 @@ and the tau-derivative are read in O(1). :func:`reduced_cost` is its
 breakdown at one tau. A cost that cannot fall past tau_star
 (:meth:`CostSpec.monotone_tail`) may also be read from the first frames
 of the march alone, which is how the optimizer's trial marches stop
-early (see :class:`TauProfile`).
+early (see :class:`TauProfile`); :meth:`CostSpec.trial_window` is the
+frame they stop at.
+
+The three integrals of a state misfit (b1, b3 and the relaxed term) are
+one table, :func:`integral_terms`: per active term its weight, the state
+component it reads, that component's misfit to its target and its time
+window. :class:`TauProfile` integrates the table's rows, and
+:func:`chcontrol.adjoint.solve_adjoint` takes their derivative as its
+sources, so both read the same weights and targets, checked once
+(:meth:`CostSpec.check_shapes`). :func:`_terminal_phase_source` is the
+derivative of the terminal terms (b2, b4) for the adjoint.
 
 Discretization conventions, chosen so that the analytic formulas below
 are exact derivatives of the discrete quantities:
@@ -40,6 +50,7 @@ are exact derivatives of the discrete quantities:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +100,21 @@ class CostSpec:
         relax = self.relaxation
         return (all(w >= 0 for w in self.weights()) and self.b2 == 0
                 and self.b4 == 0 and (relax is None or relax.gamma == 0))
+
+    def trial_window(self, tg: TimeGrid, tau: float) -> int:
+        """The last frame W that an optimizer trial march needs at treatment
+        time ``tau``: nt, unless the cost has a monotone tail with a term
+        that grows in tau; then the node of tau, or of tau_star if b6 > 0
+        and that lies later, plus two. The two margin nodes are the ones
+        :meth:`TauProfile.minimize` asks of a partial march (a node
+        minimizer at W-2 or below), so the time search's bracket and the
+        adjoint's frames stay inside the window."""
+        if not (self.monotone_tail() and (self.b1 or self.b3 or self.b5 or self.b6)):
+            return tg.steps
+        node = tg.nearest_node(tau)[0]
+        if self.b6 > 0:
+            node = max(node, tg.nearest_node(self.tau_star)[0])
+        return min(tg.steps, node + 2)
 
     def validate(self, grid: Grid, time_grid: TimeGrid) -> None:
         ws = self.weights()
@@ -181,9 +207,9 @@ def window_weights(k_tau: int, dt: float, eps: float) -> np.ndarray:
     xi = a / dt - j
     w[j] += dt * (1.0 - xi) ** 2 / 2.0
     w[j + 1] += dt * (1.0 - xi**2) / 2.0
-    for i in range(j + 1, k_tau):
-        w[i] += 0.5 * dt
-        w[i + 1] += 0.5 * dt
+    # the whole cells (t_i, t_{i+1}), i = j+1..k_tau-1: dt/2 at each end
+    w[j + 1:k_tau] += 0.5 * dt
+    w[j + 2:] += 0.5 * dt
     return w
 
 
@@ -217,6 +243,52 @@ def _node_inner(grid: Grid, a: np.ndarray, b) -> np.ndarray:
 # The discrete cost
 # ---------------------------------------------------------------------------
 
+
+class IntegralTerm(NamedTuple):
+    """One integral of a state misfit in the cost: weight/2 times the
+    integral of |misfit|^2 over [0, tau] (``window`` None) or over
+    (tau - window, tau]."""
+
+    name: str               # its CostBreakdown field
+    weight: float           # b1, b3 or gamma / eps
+    component: str          # the state component it reads
+    misfit: np.ndarray      # (frames, *grid.shape): the component minus its target
+    window: float | None
+
+
+def integral_terms(cost: CostSpec, state: Trajectory, frames: int) -> list:
+    """The cost's active integral terms, one :class:`IntegralTerm` each, in
+    the order tracking_q, nutrient_q, relaxed_term, their misfits on
+    frames 0..frames-1 of ``state``. Checks the targets' shapes first
+    (:meth:`CostSpec.check_shapes`)."""
+    cost.check_shapes(state.time_grid.steps + 1, state.grid.shape)
+    terms = [("tracking_q", cost.b1, "phi", cost.phi_q, None),
+             ("nutrient_q", cost.b3, "sigma", cost.sigma_q, None)]
+    relax = cost.relaxation
+    if relax is not None and relax.gamma > 0:
+        # sigma_omega, one field that every node reads
+        terms.append(("relaxed_term", relax.gamma / relax.eps, "sigma",
+                      relax.sigma_omega[None], relax.eps))
+    rows = []
+    for name, weight, component, target, window in terms:
+        if weight > 0:
+            f = state.component(component)[:frames]
+            misfit = f if target is None else f - target[:frames]
+            rows.append(IntegralTerm(name, weight, component, misfit, window))
+    return rows
+
+
+def _terminal_phase_source(cost: CostSpec, phi_tau, q):
+    """q plus the terminal phase source b2 (phi(tau) - phi_omega) + b4/2,
+    the derivative of the terminal terms in phi(tau)."""
+    if cost.b2 > 0:
+        diff = phi_tau if cost.phi_omega is None else phi_tau - cost.phi_omega
+        q = q + cost.b2 * diff
+    if cost.b4 > 0:
+        q = q + 0.5 * cost.b4
+    return q
+
+
 # the share of the tail bound that a partial profile's node minimum must
 # stay below; each term of the cost is a few roundings of nonnegative
 # numbers, so the bound and the values it bounds differ by far less
@@ -234,11 +306,12 @@ class TauProfile:
     continuous minimizer can be located to roundoff with a short
     bisection.
 
-    The two running terms, b1/2 int_0^tau |phi - phi_q|^2 and b3/2
-    int_0^tau |sigma - sigma_q|^2, are one rule and live in one table,
-    ``running``: per active term its :class:`CostBreakdown` field, b/2,
-    the node series of the squared misfit and its cumulative trapezoid
-    integral. :meth:`breakdown`, :meth:`derivative` and
+    The integral terms (:func:`integral_terms`: b1/2 int_0^tau |phi -
+    phi_q|^2, b3/2 int_0^tau |sigma - sigma_q|^2 and the relaxed term)
+    are one rule and live in one table, ``running``: per active term its
+    :class:`CostBreakdown` field, weight/2, the node series of the
+    squared misfit, its cumulative trapezoid integral and its window
+    (None for [0, tau]). :meth:`breakdown`, :meth:`derivative` and
     :meth:`_tail_bound` each read the table in one loop.
 
     A cost with :meth:`CostSpec.monotone_tail` may also be read from a
@@ -262,7 +335,7 @@ class TauProfile:
             raise TimeDomainError("the cost needs the full forward trajectory")
         if frames < 2:
             raise TimeDomainError("the cost needs two forward frames or more")
-        cost.check_shapes(tg.steps + 1, grid.shape)
+        terms = integral_terms(cost, state, frames)
         check_control_shape(grid, tg, u)
         self.tg = tg
         self.dt = tg.dt
@@ -270,20 +343,11 @@ class TauProfile:
         # the nodes whose values this profile knows
         self.times = tg.times[:frames - 1] if self.partial else tg.times
 
-        # the running terms b/2 int_0^tau |f - f_q|^2 (see the class docstring)
+        # the integral terms weight/2 int |misfit|^2 (see the class docstring)
         self.running = []
-        for name, b, f, target in (("tracking_q", cost.b1, state.phi, cost.phi_q),
-                                   ("nutrient_q", cost.b3, state.sigma, cost.sigma_q)):
-            if b > 0:
-                diff = f if target is None else f - target[:frames]
-                g = _node_inner(grid, diff, diff)
-                self.running.append((name, 0.5 * b, g, self._cumtrapz(g)))
-        self.g_relax = None
-        relax = cost.relaxation
-        if relax is not None and relax.gamma > 0:
-            diff = state.sigma - relax.sigma_omega
-            self.g_relax = _node_inner(grid, diff, diff)
-            self.cum_relax = self._cumtrapz(self.g_relax)
+        for t in terms:
+            g = _node_inner(grid, t.misfit, t.misfit)
+            self.running.append((t.name, 0.5 * t.weight, g, self._cumtrapz(g), t.window))
 
         if cost.b2 > 0:
             diff = state.phi if cost.phi_omega is None else state.phi - cost.phi_omega
@@ -334,8 +398,14 @@ class TauProfile:
         out = CostBreakdown(linear_time=c.b5 * tau,
                             quadratic_time=0.5 * c.b6 * (tau - c.tau_star) ** 2,
                             control_energy=self.control_energy)
-        for name, half, g, cum in self.running:
-            setattr(out, name, half * self._quad(g, cum, tau))
+        for name, half, g, cum, eps in self.running:
+            win = self._quad(g, cum, tau)
+            if eps is not None:
+                lo = tau - eps
+                win -= self._quad(g, cum, max(lo, 0.0))
+                if lo < 0:
+                    win += (-lo) * float(g[0])  # sigma frozen at sigma(0)
+            setattr(out, name, half * win)
         if c.b2 > 0:
             # |phi(tau) - phi_omega|^2 of the linear interpolant, expanded in
             # the node products
@@ -346,14 +416,6 @@ class TauProfile:
                                                      + s**2 * self.qn[j + 1]))
         if c.b4 > 0:
             out.tumour_mass = 0.5 * c.b4 * lerp_nodes(self.mass, tau, self.dt)
-        if self.g_relax is not None:
-            relax = c.relaxation
-            lo = tau - relax.eps
-            win = self._quad(self.g_relax, self.cum_relax, tau) \
-                - self._quad(self.g_relax, self.cum_relax, max(lo, 0.0))
-            if lo < 0:
-                win += (-lo) * float(self.g_relax[0])  # sigma frozen at sigma(0)
-            out.relaxed_term = relax.gamma / (2.0 * relax.eps) * win
         return out
 
     def value(self, tau: float) -> float:
@@ -371,20 +433,17 @@ class TauProfile:
         tau = self._clamp(tau)
         c = self.cost
         out = c.b5 + c.b6 * (tau - c.tau_star)
-        for _, half, g, _ in self.running:
-            out += half * lerp_nodes(g, tau, self.dt)
+        for _, half, g, _, eps in self.running:
+            slope = lerp_nodes(g, tau, self.dt)
+            if eps is not None:  # sigma frozen at sigma(0) before t = 0
+                slope -= g[0] if tau <= eps else lerp_nodes(g, tau - eps, self.dt)
+            out += half * slope
         if c.b2 > 0 or c.b4 > 0:
             j_hi, s = self._bracket(tau)
             if c.b2 > 0:
                 out += c.b2 * ((1 - s) * self.p_prev[j_hi - 1] + s * self.p_cur[j_hi - 1])
             if c.b4 > 0:
                 out += 0.5 * c.b4 * (self.mass[j_hi] - self.mass[j_hi - 1]) / self.dt
-        if self.g_relax is not None:
-            relax = c.relaxation
-            lo = tau - relax.eps
-            at_lo = self.g_relax[0] if lo <= 0 else lerp_nodes(self.g_relax, lo, self.dt)
-            out += relax.gamma / (2.0 * relax.eps) * (
-                lerp_nodes(self.g_relax, tau, self.dt) - at_lo)
         return float(out)
 
     def node_values(self) -> np.ndarray:
@@ -404,7 +463,7 @@ class TauProfile:
         bound = CostBreakdown(linear_time=c.b5 * t_w,
                               quadratic_time=0.5 * c.b6 * past**2,
                               control_energy=self.control_energy)
-        for name, half, _, cum in self.running:
+        for name, half, _, cum, _ in self.running:
             setattr(bound, name, half * float(cum[w - 1]))
         return bound.total
 

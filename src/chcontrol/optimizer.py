@@ -40,11 +40,13 @@ Trial marches stop at a window. When the cost cannot fall past tau_star
 (:meth:`CostSpec.monotone_tail`: b2 = b4 = 0, no active relaxed term),
 each Armijo trial marches only frames 0..W, W = min(nt, max(node of
 tau_star if b6 > 0, node of the current tau) + 2), since its cost is read
-at the snapped node alone. The next treatment-time block reads the
-accepted windowed state only where :meth:`TauProfile.minimize` certifies
-that the full profile's first node minimizer lies at node W-2 or below,
-by a lower bound on the cost at every node past the window; otherwise it
-marches that control to the horizon first. The two margin nodes keep the
+at the snapped node alone. The window lives on the cost,
+:meth:`CostSpec.trial_window`, beside the certificate it serves: the
+next treatment-time block reads the accepted windowed state only where
+:meth:`TauProfile.minimize` certifies that the full profile's first node
+minimizer lies at node W-2 or below, by a lower bound on the cost at
+every node past the window; otherwise it marches that control to the
+horizon first. The two margin nodes keep the
 time search's bracket [t_{k-1}, t_{k+1}] and the adjoint's frames inside
 the window. Every decision, and so every reported bit, is the one a full
 march would give. The initial march and, once, the final iterate's run
@@ -194,18 +196,6 @@ def _time_violation(tg, tau, d):
     return (0.0 if excess <= 0.0 else excess), case
 
 
-def _march_window(cost: CostSpec, tg, tau: float) -> int:
-    """The last frame W that a trial march needs at treatment time ``tau``
-    (see the module docstring): nt unless the cost has a monotone tail
-    with a term that grows in tau."""
-    if not (cost.monotone_tail() and (cost.b1 or cost.b3 or cost.b5 or cost.b6)):
-        return tg.steps
-    node = tg.nearest_node(tau)[0]
-    if cost.b6 > 0:
-        node = max(node, tg.nearest_node(cost.tau_star)[0])
-    return min(tg.steps, node + 2)
-
-
 def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndarray,
              tau0: float | None = None, *, lower=-np.inf, upper=np.inf,
              max_outer_iters: int = MAX_OUTER_ITERS,
@@ -292,7 +282,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
                 num, den = qt_inner(dx, dx), qt_inner(dx, dg)
                 trial = num / den if den > 0 and num > 0 else min(trial * 2.0, 1e12)
             s = trial
-            steps = _march_window(cost, tg, tau_ref)
+            steps = cost.trial_window(tg, tau_ref)
             accepted, failed, solver_error = False, 0, None
             for _ in range(ARMIJO_MAX_BACKTRACKS):
                 u_trial = np.clip(u - s * grad, lower, upper)

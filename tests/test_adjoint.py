@@ -152,6 +152,30 @@ def test_state_of_another_problem_is_refused(problem, other):
         ch.solve_adjoint(other(params), state, 4, tracking_cost(params))
 
 
+@pytest.mark.parametrize("target, cells", [("phi_q", 1), ("sigma_q", 7)])
+@pytest.mark.parametrize("oracle", ["solve_adjoint", "duality_check",
+                                    "fd_gradient_check"])
+def test_misshapen_target_is_refused(oracle, target, cells):
+    # a running target on too few cells: the adjoint checks the targets'
+    # shapes as the cost does, where numpy would broadcast a single cell
+    # or fail with its own error
+    params = make_problem(n=16, nt=8)
+    init, u = equilibrium_init(params), midpoint_control(params)
+    state = ch.solve_state(params, init, u)
+    cost = dataclasses.replace(tracking_cost(params),
+                               **{target: np.full((9, cells), 0.1)})
+    run = {
+        "solve_adjoint": lambda: ch.solve_adjoint(params, state, 4, cost),
+        "duality_check": lambda: ch.duality_check(params, state, 4, cost,
+                                                  directions=1),
+        "fd_gradient_check": lambda: ch.fd_gradient_check(
+            params, init, cost, u, 0.5, directions=1, deltas=[1e-3], state=state),
+    }[oracle]
+    with pytest.raises(GridMismatchError,
+                       match=rf"^cost\.{target}: shape \(9, {cells}\), expected \(9, 16\)$"):
+        run()
+
+
 def test_relaxed_window_source(problem):
     # duality still exact with the windowed nutrient source active
     params, _, _, state = problem

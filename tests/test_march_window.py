@@ -2,7 +2,7 @@
 the one that full marches give.
 
 Each run is compared with a run whose window is forced to the horizon
-through ``optimizer._march_window``; the partial cost profile, its
+through ``CostSpec.trial_window``; the partial cost profile, its
 certificate and the adjoint on the first frames are checked on their
 own against the full march.
 """
@@ -53,7 +53,7 @@ def _counted_runs(monkeypatch, params, cost, tau0, force_full, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(optimizer_module, "solve_state", counting_solve_state)
         if force_full:
-            m.setattr(optimizer_module, "_march_window", lambda cost, tg, tau: tg.steps)
+            m.setattr(ch.CostSpec, "trial_window", lambda cost, tg, tau: tg.steps)
         u0 = ch.constant_trajectory(params.grid, params.time_grid, 1.0)
         res = ch.optimize(params, _random_init(params), cost, u0, tau0=tau0,
                           lower=0.0, upper=2.0, **kwargs)
@@ -141,7 +141,7 @@ def test_windowed_time_block_matches_the_full_one(marched, b0, b1, b3, b5, b6,
     tg = params.time_grid
     cost = tracking_cost(params, b0=b0, b1=b1, b3=b3, b5=b5, b6=b6,
                          tau_star=tau_star)
-    w = optimizer_module._march_window(cost, tg, tau_ref)
+    w = cost.trial_window(tg, tau_ref)
     part = ch.Trajectory(params.grid, tg, state.data[:w + 1], state.names)
     windowed = ch.TauProfile(part, u, cost)
     full = ch.TauProfile(state, u, cost)
@@ -156,7 +156,7 @@ def test_windowed_time_block_certifies_the_tracking_cost(marched):
     params, u, state = marched
     tg = params.time_grid
     cost = tracking_cost(params)
-    w = optimizer_module._march_window(cost, tg, 0.5)
+    w = cost.trial_window(tg, 0.5)
     assert w == tg.nearest_node(0.5)[0] + 2 < tg.steps
     part = ch.Trajectory(params.grid, tg, state.data[:w + 1], state.names)
     windowed = ch.TauProfile(part, u, cost)

@@ -136,11 +136,12 @@ def test_linearized_matches_reference(problem, ndir):
     assert np.array_equal(ch.solve_linearized(params, state, h).data, expected)
 
 
-@pytest.mark.parametrize("where", ["interior", "end"])
+@pytest.mark.parametrize("where", ["interior", "end", "early"])
 def test_adjoint_matches_reference(problem, where):
+    # "early": t_2 < eps = 2.5 dt, so the relaxed window reaches before t = 0
     params, state, cost = problem
     nt = params.time_grid.steps
-    k_tau = nt // 2 + 1 if where == "interior" else nt
+    k_tau = {"interior": nt // 2 + 1, "end": nt, "early": 2}[where]
     got = ch.solve_adjoint(params, state, k_tau, cost).data
     assert np.array_equal(got, reference_adjoint(params, state, k_tau, cost))
 
