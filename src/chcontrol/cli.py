@@ -5,19 +5,20 @@ potential and proliferation choice, grid and time resolution, initial
 data (preset or snapshots), cost weights and targets, control bounds,
 the optimizer's iteration cap and tolerance, Newton settings and
 verification toggles. The table ``_FIELDS`` is the whole schema: it
-gives every field's type and default, and ranges each field whose error
-would not otherwise name it, the seven that Grid, TimeGrid, Potential
-and Proliferation also check for library callers among them. The other
-ranges live on the objects that library callers reach too: ModelParams
-(the model constants and ``solver.*``), optimizer.check_settings
-(``optimizer.max_outer_iters`` and ``optimizer.grad_tol``), CostSpec,
-Relaxation and optimizer.check_bounds, and each error names its field.
-Physics fields have no defaults, and a key that is no row is an unknown
-field. A bad config raises a ConfigError whose message starts with the
-field's path, and the command exits 2 before any solve starts. So does a
-config whose one trajectory, (steps+1) * 3 * cells * 8 B, exceeds the
-machine's physical memory, refused by ``grid.n`` and ``time.steps`` before
-any grid is built.
+gives every field's type and default, and ranges only the fields that no
+object checks. The other ranges live on the objects that library callers
+reach too: Grid (``grid.*``), TimeGrid (``time.*``), Potential and
+Proliferation (``model.potential.lam`` and ``model.proliferation.*``),
+ModelParams (the model constants and ``solver.*``),
+optimizer.check_settings (``optimizer.max_outer_iters`` and
+``optimizer.grad_tol``), CostSpec, Relaxation and optimizer.check_bounds,
+and each error names its field. Physics fields have no defaults, and a
+key that is no row is an unknown field. A bad config raises a
+ConfigError whose message starts with the field's path, and the command
+exits 2 before any solve starts. So does a config whose one trajectory,
+(steps+1) * 3 * cells * 8 B, exceeds the machine's physical memory,
+refused by ``grid.n`` and ``time.steps`` after the grid is checked and
+before the time grid allocates its nodes.
 Identical config and seed produce bit-identical artifacts (no timestamps
 are written).
 
@@ -104,8 +105,9 @@ _REQUIRED = object()  # the default of a field that must be given
 # schema: a key of an object field (or the root) that is no row under it is
 # "<path>.<key>: unknown field". Fields are read where the code needs them,
 # so the fields of a branch not taken (the lam of a quartic potential, the
-# arguments of another preset) are not checked. The ranges that ModelParams,
-# CostSpec.validate, Relaxation, optimizer.check_bounds (lower <= upper) and
+# arguments of another preset) are not checked. The ranges that Grid,
+# TimeGrid, Potential, Proliferation, ModelParams, CostSpec.validate,
+# Relaxation, optimizer.check_bounds (lower <= upper) and
 # optimizer.check_settings check stay there; their fields get a type here,
 # and parse_config calls check_bounds and check_settings. The solver and
 # optimizer sections reach ModelParams and optimize as keyword arguments, so
@@ -119,17 +121,17 @@ _FIELDS = {
     "model.beta": ("number", None, _REQUIRED),
     "model.potential": ("object", None, _REQUIRED),
     "model.potential.kind": ("choice", ("quartic", "logarithmic"), _REQUIRED),
-    "model.potential.lam": ("positive", None, _REQUIRED),
+    "model.potential.lam": ("number", None, _REQUIRED),
     "model.proliferation": ("object", None, _REQUIRED),
     "model.proliferation.kind": ("choice", ("constant", "smooth_ramp"), _REQUIRED),
-    "model.proliferation.p0": ("number", 0, _REQUIRED),
-    "model.proliferation.width": ("positive", None, _REQUIRED),
+    "model.proliferation.p0": ("number", None, _REQUIRED),
+    "model.proliferation.width": ("number", None, _REQUIRED),
     "grid": ("object", None, _REQUIRED),
-    "grid.n": ("integer list", 3, _REQUIRED),
-    "grid.extents": ("positive list", None, _REQUIRED),
+    "grid.n": ("integer list", None, _REQUIRED),
+    "grid.extents": ("number list", None, _REQUIRED),
     "time": ("object", None, _REQUIRED),
-    "time.horizon": ("positive", None, _REQUIRED),
-    "time.steps": ("integer", 1, _REQUIRED),
+    "time.horizon": ("number", None, _REQUIRED),
+    "time.steps": ("integer", None, _REQUIRED),
     "initial": ("object", None, _REQUIRED),
     "initial.preset": ("choice", ("equilibrium", "tanh_front", "random_interior"),
                        _REQUIRED),
@@ -429,14 +431,14 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_fits(n, steps) -> None:
+def _check_fits(grid, steps) -> None:
     """A ConfigError naming ``grid.n`` and ``time.steps`` if one trajectory
-    of their fields, (steps+1) * 3 * cells * 8 B, exceeds physical memory:
-    a run that cannot hold it fails before it allocates."""
-    need, memory = (steps + 1) * 3 * math.prod(n) * 8, _physical_memory()
+    of ``steps`` steps on ``grid``, (steps+1) * 3 * cells * 8 B, exceeds
+    physical memory: a run that cannot hold it fails before it allocates."""
+    need, memory = (steps + 1) * 3 * grid.cell_count * 8, _physical_memory()
     if memory is not None and need > memory:
         raise ConfigError(f"grid.n, time.steps: one trajectory of {steps} steps on "
-                          f"{math.prod(n)} cells takes {need:.3e} B, more than the "
+                          f"{grid.cell_count} cells takes {need:.3e} B, more than the "
                           f"{memory:.3e} B of physical memory")
 
 
@@ -472,14 +474,10 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         prolif = Proliferation.constant(p0)
     else:
         prolif = Proliferation.smooth_ramp(p0, _field(raw, "model.proliferation.width"))
-    n, extents = _field(raw, "grid.n"), _field(raw, "grid.extents")
-    horizon, steps = _field(raw, "time.horizon"), _field(raw, "time.steps")
-    _check_fits(n, steps)
-    try:
-        grid = Grid(tuple(n), tuple(extents))
-    except GridMismatchError as exc:
-        raise ConfigError(f"grid: {exc}")
-    tg = TimeGrid(horizon, steps)
+    grid = Grid(tuple(_field(raw, "grid.n")), tuple(_field(raw, "grid.extents")))
+    steps = _field(raw, "time.steps")
+    _check_fits(grid, steps)
+    tg = TimeGrid(_field(raw, "time.horizon"), steps)
     params = ModelParams(_field(raw, "model.alpha"), _field(raw, "model.beta"),
                          potential, prolif, grid, tg, **_fields(raw, "solver"))
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import GridMismatchError, ShapeMismatchError, TimeDomainError
+from .errors import ConfigError, GridMismatchError, ShapeMismatchError, TimeDomainError
 
 _SNAPSHOT_MAGIC = b"CHFLD1"
 _HEADER_FMT = "<6sHII16x"  # magic, dim, n per axis (second 0 in 1D); 32 bytes
@@ -48,7 +48,12 @@ def _whole(value) -> bool:
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell-centered tensor grid on (0, L1) or (0, L1) x (0, L2)."""
+    """Cell-centered tensor grid on (0, L1) or (0, L1) x (0, L2).
+
+    A bad grid raises :class:`ConfigError` headed by the config field it
+    breaks: ``grid.n`` unless it holds 1 or 2 whole counts of at least 3
+    cells, ``grid.extents`` unless it holds one finite positive length per
+    axis whose stencil weight 1/h^2 is a finite positive number."""
 
     n: tuple
     extents: tuple
@@ -58,25 +63,22 @@ class Grid:
     cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(map(_whole, self.n)):
-            raise GridMismatchError(f"cell counts {tuple(self.n)} must be whole numbers")
-        n = tuple(int(v) for v in self.n)
-        extents = tuple(float(v) for v in self.extents)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "extents", extents)
-        if len(n) not in (1, 2) or len(extents) != len(n):
-            raise GridMismatchError("grid must be 1D or 2D with matching extents")
-        if any(v < 3 for v in n):
-            raise GridMismatchError("need at least 3 cells per axis")
-        if any(v <= 0 for v in extents):
-            raise GridMismatchError("extents must be positive")
+        if not (len(self.n) in (1, 2) and all(_whole(v) and v >= 3 for v in self.n)):
+            raise ConfigError(f"grid.n: {list(self.n)} must hold 1 or 2 whole cell "
+                              f"counts, each at least 3")
+        if not (len(self.extents) == len(self.n)
+                and all(math.isfinite(v) and v > 0 for v in self.extents)):
+            raise ConfigError(f"grid.extents: {list(self.extents)} must hold one finite "
+                              f"positive length per axis of grid.n")
+        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        object.__setattr__(self, "extents", tuple(float(v) for v in self.extents))
         try:
             inv_h2 = tuple(1.0 / h**2 for h in self.h)
         except (OverflowError, ZeroDivisionError):  # h**2 overflows or underflows to 0
             inv_h2 = (math.nan,)
         if not all(math.isfinite(w) and w > 0 for w in inv_h2):
-            raise GridMismatchError(f"cell widths {self.h} give a stencil weight 1/h^2 "
-                                    f"that is not a finite positive number")
+            raise ConfigError(f"grid.extents: cell widths {self.h} give a stencil weight "
+                              f"1/h^2 that is not a finite positive number")
         object.__setattr__(self, "inv_h2", inv_h2)
         object.__setattr__(self, "cell_volume", float(np.prod(self.h)))
 
@@ -102,7 +104,7 @@ class Grid:
 
     @property
     def cell_count(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     def axis_centers(self, axis: int = 0) -> np.ndarray:
         h = self.h[axis]
@@ -117,7 +119,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid t_k = k dt on [0, T] with dt = T / nt."""
+    """Uniform time grid t_k = k dt on [0, T] with dt = T / nt.
+
+    A whole ``steps`` below 1 raises :class:`ConfigError` headed
+    ``time.steps``, a horizon not finite and positive one headed
+    ``time.horizon``."""
 
     horizon: float
     steps: int
@@ -126,9 +132,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not (_whole(self.steps) and self.steps >= 1):
-            raise TimeDomainError("need a whole number of time steps, at least one")
+            raise ConfigError(f"time.steps: {self.steps} is not a whole number >= 1")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise TimeDomainError("time horizon must be finite and positive")
+            raise ConfigError(f"time.horizon: {self.horizon} is not finite and positive")
         horizon, steps = float(self.horizon), int(self.steps)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "steps", steps)

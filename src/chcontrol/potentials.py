@@ -42,6 +42,10 @@ from .errors import ConfigError, PotentialDomainError
 
 @dataclass(frozen=True)
 class Potential:
+    """The double well of ``kind``, quartic or logarithmic; a logarithmic
+    ``lam`` not finite and positive raises :class:`ConfigError` headed
+    ``model.potential.lam``."""
+
     kind: str
     lam: float = 0.0
 
@@ -57,7 +61,7 @@ class Potential:
         if self.kind not in ("quartic", "logarithmic"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.singular and not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("logarithmic potential needs a finite lam > 0")
+            raise ConfigError("model.potential.lam: must be a finite positive number")
 
     @property
     def domain(self):
@@ -141,7 +145,10 @@ class Potential:
 
 @dataclass(frozen=True)
 class Proliferation:
-    """Nonnegative bounded exchange-rate nonlinearity P."""
+    """Nonnegative bounded exchange-rate nonlinearity P. A ``p0`` not finite
+    and nonnegative, or a ``width`` not finite and positive, raises
+    :class:`ConfigError` headed ``model.proliferation.p0`` or
+    ``model.proliferation.width``."""
 
     kind: str
     p0: float
@@ -159,9 +166,9 @@ class Proliferation:
         if self.kind not in ("constant", "smooth_ramp"):
             raise ValueError(f"unknown proliferation kind {self.kind!r}")
         if not (math.isfinite(self.p0) and self.p0 >= 0):
-            raise ValueError("proliferation magnitude must be finite and nonnegative")
+            raise ConfigError("model.proliferation.p0: must be finite and nonnegative")
         if not (math.isfinite(self.width) and self.width > 0):
-            raise ValueError("ramp width must be finite and positive")
+            raise ConfigError("model.proliferation.width: must be finite and positive")
 
     # the constant kind returns a field shaped like r: the step solver
     # ravels P

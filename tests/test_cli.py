@@ -886,6 +886,25 @@ def test_manifest_not_an_object_is_config_error(tmp_path, capsys, malformed):
         "config error: cost.targets.phi_q.manifest: cannot read trajectory")
 
 
+@pytest.mark.parametrize("section, key, value", [("grid", "n", [2]),
+                                                  ("time", "steps", 0)])
+def test_manifest_on_a_bad_grid_is_config_error(tmp_path, capsys, section, key, value):
+    # read_trajectory builds the manifest's own grids; their error is the
+    # target field's, not the configured grid's
+    g, tg = ch.Grid.line(32), ch.TimeGrid(0.25, 16)
+    target = ch.Trajectory(g, tg, np.zeros((17, 3, 32)), ("mu", "phi", "sigma"))
+    manifest = ch.write_trajectory(tmp_path / "target", target)
+    doc = json.loads(manifest.read_text())
+    doc[section][key] = value
+    manifest.write_text(json.dumps(doc))
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["cost"]["targets"]["phi_q"] = {"manifest": str(manifest)}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cost.targets.phi_q.manifest: cannot read trajectory "
+        f"({section}.{key}: ")
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
 def test_shipped_configs_parse(path):
     cfg = parse_config(path)
@@ -894,13 +913,13 @@ def test_shipped_configs_parse(path):
 
 @pytest.mark.parametrize("extent", [1e160, 1e-160])
 def test_extent_beyond_the_stencil_weight_is_config_error(tmp_path, capsys, extent):
-    # 1/h^2 overflows (or h^2 underflows to zero): exit 2 on the grid, no
-    # traceback
+    # 1/h^2 overflows (or h^2 underflows to zero): exit 2 on grid.extents,
+    # no traceback
     cfg = json.loads((CONFIGS / "log-separation.json").read_text())
     cfg["grid"]["extents"] = [extent]
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: grid: ") and "1/h^2" in err, err
+    assert err.startswith("config error: grid.extents: ") and "1/h^2" in err, err
 
 
 def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
@@ -924,6 +943,16 @@ def test_oversized_counts_exit_2_before_allocating(tmp_path, capsys, field, valu
     err = capsys.readouterr().err
     assert err.startswith("config error: grid.n, time.steps: one trajectory of ")
     assert "physical memory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, field", [([-3], "grid.n"), ([16], "time.steps")])
+def test_memory_check_reads_a_checked_grid(tmp_path, capsys, n, field):
+    # a negative step count makes the trajectory's size negative: the grid
+    # is refused before the memory check reads it, the steps after it
+    cfg = {**TINY_CONFIG, "grid": {**TINY_CONFIG["grid"], "n": n},
+           "time": {**TINY_CONFIG["time"], "steps": -10**18}}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
 def test_trajectory_beyond_physical_memory_is_config_error(tmp_path, capsys, monkeypatch):

@@ -3,9 +3,11 @@
 Each case takes one of four valid configs, which between them give every
 row of ``chcontrol.cli._FIELDS`` a value that ``parse_config`` reads, and
 changes one row: a value of the wrong type, a bool, null, a value out of
-the row's range, or the key removed. ``parse_config`` must return or raise
-a ``ConfigError`` whose message starts with that row's path, and must
-raise when the row was read. A second fuzz adds a key that is no row to
+the field's range (the row's limit, or ``OUT_OF_RANGE`` for the fields
+that Grid, TimeGrid, Potential and Proliferation range), or the key
+removed. ``parse_config`` must return or raise a ``ConfigError`` whose
+message starts with that row's path, and must raise when the row was
+read. A second fuzz adds a key that is no row to
 every object row and to the root, which must raise a ``ConfigError``
 naming ``<path>.<key>``. The snapshot case mutates the bytes of
 ``initial.snapshots.phi``.
@@ -21,9 +23,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chcontrol as ch
-from chcontrol.cli import _FIELDS, _REQUIRED, parse_config
+from chcontrol.cli import _FIELDS, _REQUIRED, parse_config, run
 from chcontrol.errors import ConfigError
 from test_cli import TINY_CONFIG
+
+# values out of range for the fields whose rows give a type only: the
+# range is Grid's, TimeGrid's, Potential's or Proliferation's
+OUT_OF_RANGE = {
+    "grid.n": [[2], [16, 16, 16]],
+    "grid.extents": [[0.0], [-1.0], [1.0, 1.0]],
+    "time.horizon": [0.0, -1.0],
+    "time.steps": [0, -1],
+    "model.potential.lam": [0.0, -1.0],
+    "model.proliferation.p0": [-1.0],
+    "model.proliferation.width": [0.0, -1.0],
+}
 
 FULL_SECTIONS = {
     "control": {"initial": "midpoint", "tau0": 0.125},
@@ -122,7 +136,8 @@ def _cases(variants):
             if section is None:
                 continue
             rows = cases.setdefault(path, [])
-            rows += [(index, "set", value) for value in _invalid(kind, limit, default)]
+            values = _invalid(kind, limit, default) + OUT_OF_RANGE.get(path, [])
+            rows += [(index, "set", value) for value in values]
             if default is _REQUIRED and key in section:
                 rows.append((index, "delete", None))
     return cases
@@ -173,6 +188,20 @@ def test_mutated_field_is_config_error_naming_it(fuzz_setup, data):
             assert message.startswith(prefixes), message
     top_level = data.draw(st.sampled_from([[], 5, "x", None, True]), label="config")
     assert _parse(root / "top.json", top_level).startswith("config: ")
+
+
+@pytest.mark.parametrize("path, value", [
+    (path, value) for path, values in OUT_OF_RANGE.items() for value in values])
+def test_out_of_range_field_exits_2_naming_it(tmp_path, capsys, path, value):
+    # every value of the table, not the fuzz's sample of it
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["model"]["potential"] = {"kind": "logarithmic", "lam": 2.0}
+    section, key = _locate(cfg, path)
+    section[key] = value
+    with open(tmp_path / "config.json", "w") as fh:
+        json.dump(cfg, fh)
+    assert run(tmp_path / "config.json", out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
 
 
 def _object(cfg, path):

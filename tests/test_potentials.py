@@ -140,22 +140,22 @@ def test_window_clip_and_start_check():
 
 def test_constructor_value_errors():
     for lam in (0.0, -1.0):
-        with pytest.raises(ValueError, match="lam"):
+        with pytest.raises(ConfigError, match="^model.potential.lam: "):
             ch.Potential.logarithmic(lam)
     for width in (0.0, -0.1):
-        with pytest.raises(ValueError, match="width"):
+        with pytest.raises(ConfigError, match="^model.proliferation.width: "):
             ch.Proliferation.smooth_ramp(1.0, width)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ConfigError, match="^model.proliferation.p0: "):
         ch.Proliferation.constant(-0.1)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ConfigError, match="^model.proliferation.p0: "):
         ch.Proliferation.smooth_ramp(-1.0, 0.5)
     # built directly, each field is checked as the classmethods check it
     for lam in (-1.0, np.nan):
-        with pytest.raises(ValueError, match="lam"):
+        with pytest.raises(ConfigError, match="^model.potential.lam: "):
             ch.Potential("logarithmic", lam)
     with pytest.raises(ValueError, match="^unknown potential kind 'cubic'$"):
         ch.Potential("cubic")
-    with pytest.raises(ValueError, match="width"):
+    with pytest.raises(ConfigError, match="^model.proliferation.width: "):
         ch.Proliferation("smooth_ramp", 1.0, 0.0)
     with pytest.raises(ValueError, match="^unknown proliferation kind 'ramp'$"):
         ch.Proliferation("ramp", 1.0)
