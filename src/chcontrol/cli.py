@@ -6,19 +6,22 @@ data (preset or snapshots), cost weights and targets, control bounds,
 the optimizer's iteration cap and tolerance, Newton settings and
 verification toggles. The table ``_FIELDS`` is the whole schema: it
 gives every field's type and default, and ranges only the fields that no
-object checks. The other ranges live on the objects that library callers
+object checks, and the oracles' counts, which the oracles range too but
+parse_config does not reach. The other ranges live on the objects that library callers
 reach too: Grid (``grid.*``), TimeGrid (``time.*``), Potential and
 Proliferation (``model.potential.lam`` and ``model.proliferation.*``),
 ModelParams (the model constants and ``solver.*``),
 optimizer.check_settings (``optimizer.max_outer_iters`` and
 ``optimizer.grad_tol``), CostSpec, Relaxation and optimizer.check_bounds,
-and each error names its field. Physics fields have no defaults, and a
-key that is no row is an unknown field. A bad config raises a
-ConfigError whose message starts with the field's path, and the command
-exits 2 before any solve starts. So does a config whose one trajectory,
-(steps+1) * 3 * cells * 8 B, exceeds the machine's physical memory,
-refused by ``grid.n`` and ``time.steps`` after the grid is checked and
-before the time grid allocates its nodes.
+and each error names its field. Every number, in the table or on an
+object, passes one rule, :func:`chcontrol.errors.check_number`, and a
+bad one reads "<field>: expected <what>, got <value>". Physics fields
+have no defaults, and a key that is no row is an unknown field. A bad
+config raises a ConfigError whose message starts with the field's path,
+and the command exits 2 before any solve starts. So does a config whose
+one trajectory, (steps+1) * 3 * cells * 8 B, exceeds the machine's
+physical memory, refused by ``grid.n`` and ``time.steps`` after the grid
+is checked and before the time grid allocates its nodes.
 Identical config and seed produce bit-identical artifacts (no timestamps
 are written).
 
@@ -53,6 +56,7 @@ from .errors import (
     GridMismatchError,
     ShapeMismatchError,
     SolverError,
+    check_number,
 )
 from .fields import (
     Grid,
@@ -92,8 +96,10 @@ _CHECKS = tuple(CHECKS)
 _REQUIRED = object()  # the default of a field that must be given
 
 # Every config field: dotted path -> (kind, limit, default). Kinds:
-#   "number", "integer"  a finite JSON number, never a bool; an integer has
-#                        no fractional part; the limit is a minimum or None
+#   "number", "integer"  a number by errors.check_number, the rule every
+#                        object applies too: finite, never a bool, an
+#                        integer whole (and read as an int); the limit is a
+#                        minimum or None
 #   "positive"           a number in (0, inf)
 #   "choice"             one of the strings in the limit
 #   "string", "object", "number or string"
@@ -109,7 +115,9 @@ _REQUIRED = object()  # the default of a field that must be given
 # TimeGrid, Potential, Proliferation, ModelParams, CostSpec.validate,
 # Relaxation, optimizer.check_bounds (lower <= upper) and
 # optimizer.check_settings check stay there; their fields get a type here,
-# and parse_config calls check_bounds and check_settings. The solver and
+# and parse_config calls check_bounds and check_settings. The oracles range
+# their counts too, but parse_config calls no oracle, so those three rows
+# keep their minimum: a bad count still exits before any solve. The solver and
 # optimizer sections reach ModelParams and optimize as keyword arguments, so
 # their rows are those keywords.
 _FIELDS = {
@@ -195,48 +203,29 @@ _FIELDS = {
 }
 
 
-def _conform(value, kind, limit):
-    """``value`` converted to ``kind`` (float for numbers, int for
-    integers), or None if it is not of that kind and range."""
+def _conform(path, value, kind, limit):
+    """``value``, config field ``path``, converted to ``kind``: a number by
+    :func:`~chcontrol.errors.check_number` (a float, an int for an
+    integer), a list entry by entry; else a ConfigError naming ``path``."""
     if kind.endswith((" list", " set")):
-        if not isinstance(value, list) or not value:
-            return None
-        items = [_conform(v, kind.rpartition(" ")[0], limit) for v in value]
-        if None in items or (kind.endswith(" set") and len(set(items)) < len(items)):
-            return None
-        return items
-    if kind == "object":
-        return value if isinstance(value, dict) else None
-    if kind in ("string", "choice"):
-        ok = isinstance(value, str) and (kind == "string" or value in limit)
-        return value if ok else None
-    if isinstance(value, str):
-        return value if kind == "number or string" else None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return None
-    if not math.isfinite(number) or (limit is not None and not number >= limit):
-        return None
-    if kind == "integer":
-        return int(value) if number.is_integer() else None
-    return number if kind != "positive" or number > 0 else None
-
-
-def _expected(kind, limit) -> str:
-    if kind.endswith((" list", " set")):
+        if isinstance(value, list) and value:
+            items = [_conform(path, v, kind.rpartition(" ")[0], limit) for v in value]
+            if kind.endswith(" list") or len(set(items)) == len(items):
+                return items
         distinct = " of distinct entries" if kind.endswith(" set") else ""
-        return (f"a non-empty list{distinct}, each entry "
-                + _expected(kind.rpartition(" ")[0], limit))
-    if kind == "choice":
-        return f"one of {limit}"
-    text = {"number": "a finite number", "integer": "an integer",
-            "positive": "a finite positive number", "string": "a string",
-            "object": "an object",
-            "number or string": "a finite number or a string"}[kind]
-    return text if limit is None else f"{text} >= {limit}"
+        expected = f"a non-empty list{distinct}"
+    elif kind in ("number", "integer", "positive", "number or string"):
+        if kind == "number or string" and isinstance(value, str):
+            return value
+        return check_number(path, value, 0 if kind == "positive" else limit,
+                            above=kind == "positive", whole=kind == "integer")
+    elif (isinstance(value, dict if kind == "object" else str)
+          and (kind != "choice" or value in limit)):
+        return value
+    else:
+        expected = {"object": "an object", "string": "a string",
+                    "choice": f"one of {limit}"}[kind]
+    raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
 def _read(section: dict, path: str):
@@ -250,9 +239,7 @@ def _read(section: dict, path: str):
         raise ConfigError(f"{path}: required field is missing")
     if value is None and default is None:
         return None
-    conformed = _conform(value, kind, limit)
-    if conformed is None:
-        raise ConfigError(f"{path}: expected {_expected(kind, limit)}, got {value!r}")
+    conformed = _conform(path, value, kind, limit)
     return _known(conformed, path) if kind == "object" else conformed
 
 
@@ -531,8 +518,8 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
     tau0 = _field(raw, "control.tau0")
     for where, tau in (("control.tau0", tau0),
                        ("verification.tau", verification["tau"])):
-        if tau is not None and not 0 <= tau <= tg.horizon:
-            raise ConfigError(f"{where}: {tau} outside [0, {tg.horizon}]")
+        if tau is not None:
+            check_number(where, tau, 0, tg.horizon)
 
     return ExperimentConfig(
         raw=raw, pipeline=raw["pipeline"], seed=raw["seed"],

@@ -1,8 +1,15 @@
-"""Exception hierarchy for chcontrol.
+"""Exception hierarchy for chcontrol, and the one rule for a config number.
 
 ConfigError maps to CLI exit code 2, SolverError subclasses to exit code 3.
 Verification failures are reported through return values, not exceptions.
+:func:`check_number` is the rule every config number passes, whether the
+config table reads it or a library caller hands it to an object: a bool is
+never a number, a count takes no fraction, and NaN, an infinity or an
+integer beyond the float range is never a number.
 """
+
+import math
+import numbers
 
 
 class ChControlError(Exception):
@@ -12,6 +19,33 @@ class ChControlError(Exception):
 class ConfigError(ChControlError):
     """Invalid or inconsistent experiment configuration. The message is
     anchored to the offending config field (e.g. "model.beta: ...")."""
+
+
+def check_number(field, value, low=None, high=None, *, above=False, whole=False):
+    """``value``, the config number ``field``, as a float, or for a count
+    (``whole``) as an int. It must be a real number that is not a bool,
+    lies in the float range and is finite, is whole if ``whole`` (a whole
+    float counts), and lies in [``low``, ``high``], either end None for
+    open, ``low`` excluded if ``above``. Else a ConfigError
+    "<field>: expected <what>, got <value!r>"."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if (math.isfinite(number) and (not whole or number.is_integer())
+            and (low is None or (number > low if above else number >= low))
+            and (high is None or number <= high)):
+        return int(value) if whole else number
+    what = "an integer" if whole else "a finite number"
+    if above and low == 0 and not whole:
+        what = "a finite positive number"
+    elif high is not None:
+        what += f" in [{low}, {high}]"
+    elif low is not None:
+        what += f" {'>' if above else '>='} {low}"
+    raise ConfigError(f"{field}: expected {what}, got {value!r}")
 
 
 class GridMismatchError(ChControlError):

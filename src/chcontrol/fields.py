@@ -31,19 +31,17 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, GridMismatchError, ShapeMismatchError, TimeDomainError
+from .errors import (
+    ConfigError,
+    GridMismatchError,
+    ShapeMismatchError,
+    TimeDomainError,
+    check_number,
+)
 
 _SNAPSHOT_MAGIC = b"CHFLD1"
 _HEADER_FMT = "<6sHII16x"  # magic, dim, n per axis (second 0 in 1D); 32 bytes
 MANIFEST_FORMAT = "chcontrol-trajectory-1"
-
-
-def _whole(value) -> bool:
-    """Whether ``value`` is a whole number in the float range."""
-    try:
-        return math.isfinite(value) and value == int(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -51,9 +49,12 @@ class Grid:
     """Cell-centered tensor grid on (0, L1) or (0, L1) x (0, L2).
 
     A bad grid raises :class:`ConfigError` headed by the config field it
-    breaks: ``grid.n`` unless it holds 1 or 2 whole counts of at least 3
-    cells, ``grid.extents`` unless it holds one finite positive length per
-    axis whose stencil weight 1/h^2 is a finite positive number."""
+    breaks: ``grid.n`` unless it holds 1 or 2 counts, each an integer >= 3
+    (a whole float counts), ``grid.extents`` unless it holds one length
+    per axis, each a finite positive number, whose stencil weight 1/h^2 is
+    a finite positive number. :func:`~chcontrol.errors.check_number` ranges
+    each count and length, and the grid stores what it returns: ints and
+    floats."""
 
     n: tuple
     extents: tuple
@@ -63,15 +64,16 @@ class Grid:
     cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (len(self.n) in (1, 2) and all(_whole(v) and v >= 3 for v in self.n)):
-            raise ConfigError(f"grid.n: {list(self.n)} must hold 1 or 2 whole cell "
-                              f"counts, each at least 3")
-        if not (len(self.extents) == len(self.n)
-                and all(math.isfinite(v) and v > 0 for v in self.extents)):
-            raise ConfigError(f"grid.extents: {list(self.extents)} must hold one finite "
-                              f"positive length per axis of grid.n")
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "extents", tuple(float(v) for v in self.extents))
+        if len(self.n) not in (1, 2):
+            raise ConfigError(f"grid.n: {list(self.n)} must hold 1 or 2 cell counts")
+        n = tuple(check_number("grid.n", v, 3, whole=True) for v in self.n)
+        if len(self.extents) != len(n):
+            raise ConfigError(f"grid.extents: {list(self.extents)} must hold one length "
+                              f"per axis of grid.n")
+        extents = tuple(check_number("grid.extents", v, 0, above=True)
+                        for v in self.extents)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "extents", extents)
         try:
             inv_h2 = tuple(1.0 / h**2 for h in self.h)
         except (OverflowError, ZeroDivisionError):  # h**2 overflows or underflows to 0
@@ -121,8 +123,10 @@ class Grid:
 class TimeGrid:
     """Uniform time grid t_k = k dt on [0, T] with dt = T / nt.
 
-    A whole ``steps`` below 1 raises :class:`ConfigError` headed
-    ``time.steps``, a horizon not finite and positive one headed
+    :func:`~chcontrol.errors.check_number` ranges both fields, and the
+    grid stores what it returns: ``steps`` must be an integer >= 1 (a whole
+    float counts), else :class:`ConfigError` headed ``time.steps``, and
+    ``horizon`` a finite positive number, else one headed
     ``time.horizon``."""
 
     horizon: float
@@ -131,11 +135,8 @@ class TimeGrid:
     times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (_whole(self.steps) and self.steps >= 1):
-            raise ConfigError(f"time.steps: {self.steps} is not a whole number >= 1")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ConfigError(f"time.horizon: {self.horizon} is not finite and positive")
-        horizon, steps = float(self.horizon), int(self.steps)
+        steps = check_number("time.steps", self.steps, 1, whole=True)
+        horizon = check_number("time.horizon", self.horizon, 0, above=True)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "dt", horizon / steps)

@@ -54,22 +54,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, TimeDomainError
+from .errors import ConfigError, GridMismatchError, TimeDomainError, check_number
 from .fields import Grid, TimeGrid, Trajectory
 from .state import check_control_shape
 
 
 @dataclass(frozen=True)
 class Relaxation:
+    """The relaxed window term of the cost. It stores ``gamma`` and ``eps``
+    as :func:`~chcontrol.errors.check_number` returns them: ``gamma`` a
+    finite number >= 0 and ``eps`` a finite positive number, else a
+    :class:`ConfigError` headed ``cost.relaxation.gamma`` or
+    ``cost.relaxation.eps``."""
+
     gamma: float
     eps: float
     sigma_omega: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ConfigError("cost.relaxation.gamma: must be finite and nonnegative")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError("cost.relaxation.eps: must be finite and positive")
+        object.__setattr__(self, "gamma", check_number("cost.relaxation.gamma",
+                                                       self.gamma, 0))
+        object.__setattr__(self, "eps", check_number("cost.relaxation.eps", self.eps, 0,
+                                                     above=True))
 
 
 @dataclass
@@ -117,14 +123,19 @@ class CostSpec:
         return min(tg.steps, node + 2)
 
     def validate(self, grid: Grid, time_grid: TimeGrid) -> None:
-        ws = self.weights()
-        if not all(np.isfinite(w) and w >= 0 for w in ws):
-            raise ConfigError("cost: weights b0..b6 must be finite and nonnegative")
-        if all(w == 0 for w in ws) and self.relaxation is None:
+        """Store each weight and ``tau_star`` as
+        :func:`~chcontrol.errors.check_number` returns it, or raise its
+        :class:`ConfigError` headed by the field: each of ``cost.b0`` ..
+        ``cost.b6`` a finite number >= 0, ``cost.tau_star`` a finite
+        number in [0, T]. A cost that is identically zero, b0..b6 all 0
+        and no relaxation or one with gamma 0, is a ConfigError headed
+        ``cost``. Then :meth:`check_shapes` for the grids."""
+        for i in range(7):
+            setattr(self, f"b{i}", check_number(f"cost.b{i}", getattr(self, f"b{i}"), 0))
+        if not any(self.weights()) and (self.relaxation is None
+                                        or self.relaxation.gamma == 0):
             raise ConfigError("cost: weights b0..b6 must not all be zero")
-        if not 0.0 <= self.tau_star <= time_grid.horizon:
-            raise ConfigError(f"cost.tau_star: {self.tau_star} outside "
-                              f"[0, {time_grid.horizon}]")
+        self.tau_star = check_number("cost.tau_star", self.tau_star, 0, time_grid.horizon)
         self.check_shapes(time_grid.steps + 1, grid.shape)
 
     def check_shapes(self, nodes: int, grid_shape: tuple) -> None:

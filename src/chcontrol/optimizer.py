@@ -69,15 +69,13 @@ verify and the oracles keep the polished march.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .adjoint import solve_adjoint
-from .errors import ConfigError, LineSearchFailureError, SolverError
+from .errors import ConfigError, LineSearchFailureError, SolverError, check_number
 from .fields import Trajectory
 from .objective import (
     CostBreakdown,
@@ -153,14 +151,14 @@ def check_bounds(lower, upper) -> None:
                           "is NaN, somewhere")
 
 
-def check_settings(max_outer_iters, grad_tol) -> None:
-    """The rules of :func:`optimize`'s two settings: a ConfigError naming
-    ``optimizer.max_outer_iters`` unless it is an integer >= 0, or
-    ``optimizer.grad_tol`` unless it is a finite positive number."""
-    if not (isinstance(max_outer_iters, numbers.Integral) and max_outer_iters >= 0):
-        raise ConfigError("optimizer.max_outer_iters: must be an integer >= 0")
-    if not (math.isfinite(grad_tol) and grad_tol > 0):
-        raise ConfigError("optimizer.grad_tol: must be a finite positive number")
+def check_settings(max_outer_iters, grad_tol) -> tuple:
+    """:func:`optimize`'s two settings as
+    :func:`~chcontrol.errors.check_number` returns them: an int
+    ``max_outer_iters`` >= 0 (a whole float counts) and a finite positive
+    ``grad_tol``, else a ConfigError naming ``optimizer.max_outer_iters`` or
+    ``optimizer.grad_tol``."""
+    return (check_number("optimizer.max_outer_iters", max_outer_iters, 0, whole=True),
+            check_number("optimizer.grad_tol", grad_tol, 0, above=True))
 
 
 def classify_time_optimality(state: Trajectory, u: np.ndarray, tau: float,
@@ -219,7 +217,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
     check_bounds(lower, upper)
-    check_settings(max_outer_iters, grad_tol)
+    max_outer_iters, grad_tol = check_settings(max_outer_iters, grad_tol)
     check_control_shape(grid, tg, u0)
     u = np.clip(u0, lower, upper)
     tau_ref = tg.clamp(tg.horizon / 2 if tau0 is None else tau0)

@@ -31,19 +31,19 @@ any width s > 0, as does a constant. :class:`Proliferation` has ``P``
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PotentialDomainError
+from .errors import ConfigError, PotentialDomainError, check_number
 
 
 @dataclass(frozen=True)
 class Potential:
-    """The double well of ``kind``, quartic or logarithmic; a logarithmic
-    ``lam`` not finite and positive raises :class:`ConfigError` headed
+    """The double well of ``kind``, quartic or logarithmic. The logarithmic
+    one stores ``lam`` as :func:`~chcontrol.errors.check_number` returns
+    it: a finite positive number, else :class:`ConfigError` headed
     ``model.potential.lam``."""
 
     kind: str
@@ -55,13 +55,14 @@ class Potential:
 
     @classmethod
     def logarithmic(cls, lam: float = 2.0) -> "Potential":
-        return cls("logarithmic", float(lam))
+        return cls("logarithmic", lam)
 
     def __post_init__(self):
         if self.kind not in ("quartic", "logarithmic"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.singular and not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError("model.potential.lam: must be a finite positive number")
+        if self.singular:
+            object.__setattr__(self, "lam", check_number("model.potential.lam", self.lam,
+                                                         0, above=True))
 
     @property
     def domain(self):
@@ -145,8 +146,9 @@ class Potential:
 
 @dataclass(frozen=True)
 class Proliferation:
-    """Nonnegative bounded exchange-rate nonlinearity P. A ``p0`` not finite
-    and nonnegative, or a ``width`` not finite and positive, raises
+    """Nonnegative bounded exchange-rate nonlinearity P. It stores ``p0`` and
+    ``width`` as :func:`~chcontrol.errors.check_number` returns them: ``p0``
+    a finite number >= 0 and ``width`` a finite positive number, else
     :class:`ConfigError` headed ``model.proliferation.p0`` or
     ``model.proliferation.width``."""
 
@@ -156,19 +158,18 @@ class Proliferation:
 
     @classmethod
     def constant(cls, p0: float) -> "Proliferation":
-        return cls("constant", float(p0))
+        return cls("constant", p0)
 
     @classmethod
     def smooth_ramp(cls, p0: float, width: float = 0.5) -> "Proliferation":
-        return cls("smooth_ramp", float(p0), float(width))
+        return cls("smooth_ramp", p0, width)
 
     def __post_init__(self):
         if self.kind not in ("constant", "smooth_ramp"):
             raise ValueError(f"unknown proliferation kind {self.kind!r}")
-        if not (math.isfinite(self.p0) and self.p0 >= 0):
-            raise ConfigError("model.proliferation.p0: must be finite and nonnegative")
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise ConfigError("model.proliferation.width: must be finite and positive")
+        object.__setattr__(self, "p0", check_number("model.proliferation.p0", self.p0, 0))
+        object.__setattr__(self, "width", check_number("model.proliferation.width",
+                                                       self.width, 0, above=True))
 
     # the constant kind returns a field shaped like r: the step solver
     # ravels P

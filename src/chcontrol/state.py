@@ -99,13 +99,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     GridMismatchError,
     NanDetectedError,
     NewtonDivergenceError,
     SeparationViolationError,
     ShapeMismatchError,
     TimeDomainError,
+    check_number,
 )
 from .fields import Grid, TimeGrid, Trajectory, laplacian_neumann
 from .potentials import Potential, Proliferation
@@ -123,6 +123,13 @@ CHORD_CONTRACTION = 0.3
 
 @dataclass(frozen=True)
 class ModelParams:
+    """The model constants and the Newton settings of every forward solve.
+    It stores each number as :func:`~chcontrol.errors.check_number` returns
+    it: ``alpha``, ``beta`` and ``newton_tol`` finite positive numbers,
+    ``newton_max_iter`` an integer >= 0 (a whole float counts), else a
+    :class:`ConfigError` headed by the field (``model.alpha``,
+    ``model.beta``, ``solver.newton_tol``, ``solver.newton_max_iter``)."""
+
     alpha: float
     beta: float
     potential: Potential
@@ -136,15 +143,12 @@ class ModelParams:
     newton_max_iter: int = NEWTON_MAX_ITER
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"model.{name}: must be a finite positive number "
-                                  f"(alpha and beta are positive relaxation constants)")
-        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
-            raise ConfigError("solver.newton_tol: must be a finite positive number")
-        if not (isinstance(self.newton_max_iter, numbers.Integral)
-                and self.newton_max_iter >= 0):
-            raise ConfigError("solver.newton_max_iter: must be an integer >= 0")
+        for name, field in (("alpha", "model.alpha"), ("beta", "model.beta"),
+                            ("newton_tol", "solver.newton_tol")):
+            object.__setattr__(self, name, check_number(field, getattr(self, name), 0,
+                                                        above=True))
+        object.__setattr__(self, "newton_max_iter", check_number(
+            "solver.newton_max_iter", self.newton_max_iter, 0, whole=True))
 
 
 @dataclass

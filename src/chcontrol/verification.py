@@ -64,6 +64,7 @@ from functools import partial
 import numpy as np
 
 from .adjoint import solve_adjoint
+from .errors import check_number
 from .fields import Trajectory, integrate
 from .linearized import solve_linearized
 from .objective import (
@@ -242,8 +243,12 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     log-log slope is fit on the deltas >= :data:`SLOPE_MIN_DELTA`, or on
     all of them when none is; the small deltas serve the error tolerance.
     ``state``, if given, is the forward solution for ``u`` under
-    ``params``, and the base solve is skipped.
+    ``params``, and the base solve is skipped. ``directions`` must be an
+    integer >= 1, else a ConfigError headed
+    ``verification.gradient.directions``.
     """
+    directions = check_number("verification.gradient.directions", directions, 1,
+                              whole=True)
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
     deltas = list(deltas)
@@ -304,7 +309,11 @@ def duality_check(params: ModelParams, state: Trajectory, k_tau: int,
                   seed: int = DEFAULT_SEED) -> DualityCheckReport:
     """Exactness of the discrete transpose: for random h, the weighted
     pairing of the nutrient adjoint with h equals the tracking terms
-    evaluated on the linearized solution."""
+    evaluated on the linearized solution. ``directions`` must be an
+    integer >= 1, else a ConfigError headed
+    ``verification.duality.directions``."""
+    directions = check_number("verification.duality.directions", directions, 1,
+                              whole=True)
     grid, tg = params.grid, params.time_grid
     dt = tg.dt
     adjoint = solve_adjoint(params, state, k_tau, cost)
@@ -363,7 +372,10 @@ def lipschitz_check(params: ModelParams, init: InitialData,
                     base: np.ndarray, *, pairs: int, magnitudes,
                     seed: int = DEFAULT_SEED) -> LipschitzCheckReport:
     """Ratio of state differences to control differences for random
-    control pairs at several perturbation magnitudes."""
+    control pairs at several perturbation magnitudes. ``pairs`` must be an
+    integer >= 1, else a ConfigError headed
+    ``verification.lipschitz.pairs``."""
+    pairs = check_number("verification.lipschitz.pairs", pairs, 1, whole=True)
     grid, tg = params.grid, params.time_grid
     dt = tg.dt
     magnitudes = list(magnitudes)

@@ -743,6 +743,9 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
     ({"verification": {"tau": -0.1}}, "verification.tau"),
     ({"control.initial": "lower"}, "control.initial"),
     ({f"cost.b{i}": 0.0 for i in range(7)}, "cost"),
+    ({**{f"cost.b{i}": 0.0 for i in range(7)},
+      "cost.relaxation": {"gamma": 0.0, "eps": 0.05, "sigma_omega": {"constant": 0.5}}},
+     "cost"),
     ({"cost.relaxation": {"gamma": -1.0, "eps": 0.05,
                           "sigma_omega": {"constant": 0.5}}}, "cost.relaxation.gamma"),
     ({"cost.relaxation": {"gamma": 1.0, "eps": 0.0,
@@ -761,7 +764,8 @@ def test_bad_count_or_list_is_config_error(tmp_path, capsys, section, key, value
         "top-level-list", "b1-nan", "b0-inf", "eps-nan", "constant-nan",
         "control-initial-nan", "p0-inf", "lower-nan-snapshot",
         "sigma-omega-nan-snapshot", "tau0-outside", "verification-tau-outside",
-        "control-initial-word", "weights-all-zero", "gamma-negative", "eps-zero",
+        "control-initial-word", "weights-all-zero", "weights-and-gamma-zero",
+        "gamma-negative", "eps-zero",
         "newton-tol-zero", "newton-tol-negative", "newton-max-iter-negative",
         "newton-max-iter-fraction", "max-outer-iters-negative", "grad-tol-zero",
         "grad-tol-negative"])

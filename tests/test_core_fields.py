@@ -1,3 +1,4 @@
+import copy
 import json
 import struct
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
+from chcontrol.cli import parse_config
 from chcontrol.errors import (
     ConfigError,
     GridMismatchError,
@@ -12,7 +14,9 @@ from chcontrol.errors import (
     TimeDomainError,
 )
 from chcontrol.fields import _HEADER_FMT
+from chcontrol.optimizer import check_settings
 from cost_reference import interpolate_in_time
+from test_cli import TINY_CONFIG
 
 
 def test_grid_invariants():
@@ -37,7 +41,7 @@ def test_grid_invariants():
 @pytest.mark.parametrize("n", [24.9, float("nan"), float("inf"), (16, 8.5)])
 def test_grid_rejects_a_cell_count_that_is_not_whole(n):
     # a fractional count is not rounded down, a NaN one is not Python's error
-    with pytest.raises(ConfigError, match="^grid.n: .* whole cell counts"):
+    with pytest.raises(ConfigError, match="^grid.n: expected an integer >= 3, got "):
         if isinstance(n, tuple):
             ch.Grid.rectangle(*n)
         else:
@@ -266,8 +270,8 @@ def _ragged_manifest(directory):
      GridMismatchError, "space-time shapes differ"),
     (lambda tmp: ch.InitialData(np.zeros(5), _G.zeros(), _G.zeros()).validate(
         _G, ch.Potential.quartic()), ShapeMismatchError, "initial.mu0: shape"),
-    (lambda tmp: ch.CostSpec(b1=np.inf).validate(_G, _TG), ConfigError, "^cost: "),
-    (lambda tmp: ch.CostSpec(b0=np.inf).validate(_G, _TG), ConfigError, "^cost: "),
+    (lambda tmp: ch.CostSpec(b1=np.inf).validate(_G, _TG), ConfigError, "^cost.b1: "),
+    (lambda tmp: ch.CostSpec(b0=np.inf).validate(_G, _TG), ConfigError, "^cost.b0: "),
     (lambda tmp: ch.Relaxation(np.inf, 0.1, _G.zeros()), ConfigError,
      "^cost.relaxation.gamma: "),
     (lambda tmp: ch.Relaxation(0.5, np.inf, _G.zeros()), ConfigError,
@@ -284,3 +288,67 @@ def test_library_guards_raise_their_errors(call, error, match, tmp_path):
     # the guards of library calls that no pipeline reaches with bad input
     with pytest.raises(error, match=match):
         call(tmp_path)
+
+
+def _params(**numbers):
+    """ModelParams on _G and _TG with ``numbers`` in place of valid ones."""
+    given = {"alpha": 0.1, "beta": 0.1, "newton_tol": 1e-11, "newton_max_iter": 5,
+             **numbers}
+    return ch.ModelParams(given.pop("alpha"), given.pop("beta"), ch.Potential.quartic(),
+                          ch.Proliferation.constant(1.0), _G, _TG, **given)
+
+
+def _parse(tmp, section, key, value):
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg.setdefault(section, {})[key] = value
+    path = tmp / "config.json"
+    path.write_text(json.dumps(cfg))
+    return parse_config(path)
+
+
+_BELOW_ZERO = np.nextafter(0.0, -1.0)
+# field -> (build with the value, a value just outside its range, a count)
+_NUMBERS = {
+    "grid.n": (lambda tmp, v: ch.Grid((v,), (1.0,)), 2, True),
+    "grid.extents": (lambda tmp, v: ch.Grid((4,), (v,)), 0.0, False),
+    "time.steps": (lambda tmp, v: ch.TimeGrid(1.0, v), 0, True),
+    "time.horizon": (lambda tmp, v: ch.TimeGrid(v, 4), 0.0, False),
+    "model.potential.lam": (lambda tmp, v: ch.Potential.logarithmic(v), 0.0, False),
+    "model.proliferation.p0": (lambda tmp, v: ch.Proliferation.constant(v),
+                               _BELOW_ZERO, False),
+    "model.proliferation.width": (lambda tmp, v: ch.Proliferation.smooth_ramp(1.0, v),
+                                  0.0, False),
+    "model.alpha": (lambda tmp, v: _params(alpha=v), 0.0, False),
+    "model.beta": (lambda tmp, v: _params(beta=v), 0.0, False),
+    "solver.newton_tol": (lambda tmp, v: _params(newton_tol=v), 0.0, False),
+    "solver.newton_max_iter": (lambda tmp, v: _params(newton_max_iter=v), -1, True),
+    "optimizer.max_outer_iters": (lambda tmp, v: check_settings(v, 1e-5), -1, True),
+    "optimizer.grad_tol": (lambda tmp, v: check_settings(5, v), 0.0, False),
+    "cost.relaxation.gamma": (lambda tmp, v: ch.Relaxation(v, 0.1, _G.zeros()),
+                              _BELOW_ZERO, False),
+    "cost.relaxation.eps": (lambda tmp, v: ch.Relaxation(0.5, v, _G.zeros()), 0.0,
+                            False),
+    **{f"cost.b{i}": (lambda tmp, v, i=i: ch.CostSpec(**{f"b{i}": v}).validate(_G, _TG),
+                      _BELOW_ZERO, False) for i in range(7)},
+    "cost.tau_star": (lambda tmp, v: ch.CostSpec(b1=1.0, tau_star=v).validate(_G, _TG),
+                      np.nextafter(_TG.horizon, np.inf), False),
+    "control.tau0": (lambda tmp, v: _parse(tmp, "control", "tau0", v),
+                     np.nextafter(TINY_CONFIG["time"]["horizon"], np.inf), False),
+    "verification.tau": (lambda tmp, v: _parse(tmp, "verification", "tau", v),
+                         np.nextafter(TINY_CONFIG["time"]["horizon"], np.inf), False),
+}
+_BAD = {"bool": True, "beyond-float": 10**400, "string": "1", "nan": np.nan,
+        "inf": np.inf}
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=f"{field}-{name}")
+    for field, (_, outside, count) in _NUMBERS.items()
+    for name, value in {**_BAD, "outside": outside,
+                        **({"fraction": 2.5} if count else {})}.items()])
+def test_every_config_number_passes_one_rule(field, value, tmp_path):
+    # a library caller meets the rule the config table applies: no bool,
+    # no overflow, no string, nothing non-finite or out of range, and no
+    # fraction for a count, each a ConfigError headed by its field
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        _NUMBERS[field][0](tmp_path, value)

@@ -7,7 +7,7 @@ import pytest
 
 import chcontrol as ch
 from chcontrol.cli import parse_config, preset_initial_data
-from chcontrol.errors import GridMismatchError, ShapeMismatchError
+from chcontrol.errors import ConfigError, GridMismatchError, ShapeMismatchError
 from chcontrol.verification import (
     SLOPE_FLOOR,
     SLOPE_MIN_DELTA,
@@ -85,6 +85,28 @@ def test_lipschitz_check(problem):
             bound = (params.alpha * rep.ratios["mu"][i, j]
                      + rep.ratios["phi"][i, j] + rep.ratios["sigma"][i, j])
             assert combined <= bound + 1e-12
+
+
+@pytest.mark.parametrize("value", [0, 2.5, True, 10**400, "1", np.nan, np.inf],
+                         ids=["zero", "fraction", "bool", "beyond-float", "string", "nan",
+                              "inf"])
+@pytest.mark.parametrize("field", ["verification.gradient.directions",
+                                   "verification.duality.directions",
+                                   "verification.lipschitz.pairs"])
+def test_oracles_range_their_counts(field, value):
+    # a library caller's bad count is named, not left to an empty reduction
+    params = make_problem(n=16, nt=4)
+    init, u, cost = equilibrium_init(params), midpoint_control(params), tracking_cost(params)
+    oracle = {
+        "verification.gradient.directions": lambda: ch.fd_gradient_check(
+            params, init, cost, u, 0.5, directions=value, deltas=[0.1]),
+        "verification.duality.directions": lambda: ch.duality_check(
+            params, ch.solve_state(params, init, u), 2, cost, directions=value),
+        "verification.lipschitz.pairs": lambda: ch.lipschitz_check(
+            params, init, u, pairs=value, magnitudes=[0.1]),
+    }[field]
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        oracle()
 
 
 def test_lipschitz_identical_controls(problem):
