@@ -53,7 +53,6 @@ from . import __version__
 from .errors import (
     ChControlError,
     ConfigError,
-    GridMismatchError,
     ShapeMismatchError,
     SolverError,
     check_number,
@@ -376,7 +375,7 @@ def _snapshot(section, path, grid):
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read snapshot {file!r} "
                           f"({exc.strerror or exc})")
-    except (ShapeMismatchError, GridMismatchError) as exc:
+    except ShapeMismatchError as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
@@ -401,7 +400,7 @@ def _array(cfg, path, grid, tg=None):
     try:
         traj = read_trajectory(file)
         values = traj.component(traj.names[0] if component is None else component)
-    except (OSError, ValueError, KeyError, TypeError, ChControlError) as exc:
+    except (OSError, ChControlError) as exc:
         raise ConfigError(f"{path}.manifest: cannot read trajectory ({exc})")
     if traj.grid != grid or traj.time_grid != tg or traj.nframes != tg.steps + 1:
         raise ConfigError(f"{path}.manifest: trajectory does not match the "

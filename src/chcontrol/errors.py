@@ -1,11 +1,15 @@
-"""Exception hierarchy for chcontrol, and the one rule for a config number.
+"""Exception hierarchy for chcontrol, and the one rule each for a config
+number, an array shape and a time node.
 
 ConfigError maps to CLI exit code 2, SolverError subclasses to exit code 3.
 Verification failures are reported through return values, not exceptions.
 :func:`check_number` is the rule every config number passes, whether the
 config table reads it or a library caller hands it to an object: a bool is
 never a number, a count takes no fraction, and NaN, an infinity or an
-integer beyond the float range is never a number.
+integer beyond the float range is never a number. :func:`check_shape` is
+the rule every array of the discrete problem passes (a field, a control,
+a target, a snapshot), and :func:`check_node` the rule for a node index:
+a bool is never a node either.
 """
 
 import math
@@ -48,16 +52,33 @@ def check_number(field, value, low=None, high=None, *, above=False, whole=False)
     raise ConfigError(f"{field}: expected {what}, got {value!r}")
 
 
-class GridMismatchError(ChControlError):
-    """Two fields or trajectories do not live on the same grid."""
-
-
 class ShapeMismatchError(ChControlError):
     """Array shape incompatible with the expected (time, space) layout."""
 
 
+class GridMismatchError(ShapeMismatchError):
+    """An array or a trajectory does not live on the expected grid."""
+
+
 class TimeDomainError(ChControlError):
     """A time argument lies outside [0, T] or an invalid node index was given."""
+
+
+def check_shape(what, shape, expected):
+    """Raise a GridMismatchError "<what>: shape <shape>, expected
+    <expected>" unless the array shape ``shape`` is ``expected``."""
+    if shape != expected:
+        raise GridMismatchError(f"{what}: shape {shape}, expected {expected}")
+
+
+def check_node(what, node, last, first=0):
+    """``node`` as an int if it is a whole number (``numbers.Integral``,
+    numpy integers included) that is not a bool, in ``first``..``last``;
+    else a TimeDomainError headed by ``what``."""
+    if (isinstance(node, numbers.Integral) and not isinstance(node, bool)
+            and first <= node <= last):
+        return int(node)
+    raise TimeDomainError(f"{what}: node {node} is not a whole number in {first}..{last}")
 
 
 class PotentialDomainError(ChControlError):

@@ -33,10 +33,10 @@ import numpy as np
 from . import kernels
 from .errors import (
     ConfigError,
-    GridMismatchError,
     ShapeMismatchError,
     TimeDomainError,
     check_number,
+    check_shape,
 )
 
 _SNAPSHOT_MAGIC = b"CHFLD1"
@@ -165,15 +165,13 @@ def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     (3, *grid.shape) frame of a trajectory; each is treated alike. Each
     grid axis contributes (f[i-1] - 2 f[i] + f[i+1]) / h^2 along it, and
     (f[1] - f[0]) / h^2 and (f[n-2] - f[n-1]) / h^2 at its two walls."""
-    if f.shape[-grid.dim:] != grid.shape:
-        raise GridMismatchError(f"field shape {f.shape} does not match grid {grid.shape}")
+    check_shape("field", f.shape[-grid.dim:], grid.shape)
     return kernels.lap(f, grid.inv_h2)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float:
     """Midpoint-rule integral, cell volume times the (fixed-order) sum."""
-    if f.shape != grid.shape:
-        raise GridMismatchError(f"field shape {f.shape} does not match grid {grid.shape}")
+    check_shape("field", f.shape, grid.shape)
     return grid.cell_volume * float(np.sum(f))
 
 
@@ -219,6 +217,8 @@ class Trajectory:
         return self.time_grid.times[: self.nframes]
 
     def component(self, name: str) -> np.ndarray:
+        if name not in self.names:
+            raise ShapeMismatchError(f"no component {name!r} among {list(self.names)}")
         return self.data[:, self.names.index(name)]
 
     def __getattr__(self, name):
@@ -234,8 +234,7 @@ class Trajectory:
 
 
 def write_snapshot(path, grid: Grid, values: np.ndarray) -> None:
-    if values.shape != grid.shape:
-        raise GridMismatchError("snapshot values do not match the grid")
+    check_shape("snapshot values", values.shape, grid.shape)
     n = grid.n + (0,) * (2 - grid.dim)
     header = struct.pack(_HEADER_FMT, _SNAPSHOT_MAGIC, grid.dim, n[0], n[1])
     data = np.ascontiguousarray(values, dtype="<f8")
@@ -248,7 +247,9 @@ def read_snapshot(path, grid: Grid | None = None) -> np.ndarray:
     """Read one snapshot. Raises ``OSError`` if the file cannot be read,
     :class:`ShapeMismatchError` on a bad header or a payload that does not
     hold exactly the header's number of values, and
-    :class:`GridMismatchError` if ``grid`` is given and differs."""
+    :class:`GridMismatchError` (a ShapeMismatchError, from
+    :func:`~chcontrol.errors.check_shape`) if ``grid`` is given and the
+    snapshot has another shape."""
     with open(path, "rb") as fh:
         raw = fh.read()
     header_size = struct.calcsize(_HEADER_FMT)
@@ -266,12 +267,9 @@ def read_snapshot(path, grid: Grid | None = None) -> np.ndarray:
         raise ShapeMismatchError(
             f"{path}: payload of {payload} bytes, expected {count} float64 values "
             f"for shape {shape}")
-    values = np.frombuffer(raw, dtype="<f8", offset=header_size).reshape(shape).copy()
-    if grid is not None and shape != grid.shape:
-        raise GridMismatchError(
-            f"{path}: snapshot shape {shape} does not match grid {grid.shape}"
-        )
-    return values
+    if grid is not None:
+        check_shape(path, shape, grid.shape)
+    return np.frombuffer(raw, dtype="<f8", offset=header_size).reshape(shape).copy()
 
 
 def write_json(path, obj) -> Path:
@@ -303,21 +301,31 @@ def write_trajectory(directory, traj: Trajectory) -> Path:
 
 
 def read_trajectory(manifest_path) -> Trajectory:
+    """Read the trajectory that :func:`write_trajectory` wrote. Raises
+    ``OSError`` if a file cannot be read, :class:`ShapeMismatchError`
+    "<manifest>: not a chcontrol-trajectory-1 manifest (...)" for a
+    manifest that is not JSON, lacks a key, holds a value of the wrong type
+    or holds bad grids, and the errors of :func:`read_snapshot` and
+    :class:`Trajectory` for its snapshots and their layout."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if not (isinstance(manifest, dict) and manifest.get("format") == MANIFEST_FORMAT
-            and isinstance(manifest.get("components"), dict)):
-        raise ShapeMismatchError(f"{manifest_path}: not a {MANIFEST_FORMAT} manifest")
-    grid = Grid(tuple(manifest["grid"]["n"]), tuple(manifest["grid"]["extents"]))
-    time_grid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["steps"])
-    names = tuple(manifest["components"].keys())
-    nframes = len(manifest["times"])
-    data = np.empty((nframes, len(names)) + grid.shape)
-    for j, name in enumerate(names):
-        paths = manifest["components"][name]
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        if manifest["format"] != MANIFEST_FORMAT:
+            raise ValueError(f"format {manifest['format']!r}")
+        grid = Grid(tuple(manifest["grid"]["n"]), tuple(manifest["grid"]["extents"]))
+        time_grid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["steps"])
+        nframes = len(manifest["times"])
+        files = {name: [manifest_path.parent / rel for rel in paths]
+                 for name, paths in dict(manifest["components"]).items()}
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise ShapeMismatchError(f"{manifest_path}: not a {MANIFEST_FORMAT} manifest "
+                                 f"({detail})")
+    data = np.empty((nframes, len(files)) + grid.shape)
+    for j, (name, paths) in enumerate(files.items()):
         if len(paths) != nframes:
             raise ShapeMismatchError(f"{manifest_path}: ragged component {name}")
-        for k, rel in enumerate(paths):
-            data[k, j] = read_snapshot(manifest_path.parent / rel, grid)
-    return Trajectory(grid, time_grid, data, names)
+        for k, path in enumerate(paths):
+            data[k, j] = read_snapshot(path, grid)
+    return Trajectory(grid, time_grid, data, tuple(files))

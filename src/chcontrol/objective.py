@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, TimeDomainError, check_number
+from .errors import ConfigError, TimeDomainError, check_number, check_shape
 from .fields import Grid, TimeGrid, Trajectory
 from .state import check_control_shape
 
@@ -139,8 +139,10 @@ class CostSpec:
         self.check_shapes(time_grid.steps + 1, grid.shape)
 
     def check_shapes(self, nodes: int, grid_shape: tuple) -> None:
-        """Raise :class:`GridMismatchError` for the first target whose shape
-        does not fit ``nodes`` time nodes on a grid of shape ``grid_shape``."""
+        """Raise :class:`GridMismatchError` (through
+        :func:`~chcontrol.errors.check_shape`, headed by its field) for the
+        first target whose shape does not fit ``nodes`` time nodes on a grid
+        of shape ``grid_shape``."""
         nodes_shape = (nodes,) + grid_shape
         relax = self.relaxation
         for name, arr, expected in (
@@ -150,9 +152,8 @@ class CostSpec:
             ("cost.relaxation.sigma_omega",
              None if relax is None else relax.sigma_omega, grid_shape),
         ):
-            if arr is not None and arr.shape != expected:
-                raise GridMismatchError(f"{name}: shape {arr.shape}, "
-                                        f"expected {expected}")
+            if arr is not None:
+                check_shape(name, arr.shape, expected)
 
 
 def constant_trajectory(grid: Grid, time_grid: TimeGrid, value: float) -> np.ndarray:
@@ -231,9 +232,9 @@ def window_weights(k_tau: int, dt: float, eps: float) -> np.ndarray:
 
 def space_time_inner(grid: Grid, dt: float, a: np.ndarray, b: np.ndarray,
                      weights: np.ndarray | None = None) -> float:
-    """Trapezoid-weighted L2(Q) pairing of node-indexed field arrays."""
-    if a.shape != b.shape:
-        raise GridMismatchError(f"space-time shapes differ: {a.shape} vs {b.shape}")
+    """Trapezoid-weighted L2(Q) pairing of node-indexed field arrays, ``b``
+    of the shape of ``a``."""
+    check_shape("b", b.shape, a.shape)
     if weights is None:
         weights = time_weights(a.shape[0], dt)
     return float(np.dot(weights, _node_inner(grid, a, b)))
@@ -332,10 +333,11 @@ class TauProfile:
     0..W-1, and :meth:`minimize` returns None unless the full profile's
     first node minimizer provably lies among nodes 0..W-2 (see there).
 
-    Misshapen targets raise :class:`GridMismatchError`, a misshapen control
-    :class:`ShapeMismatchError`; a state that is not the full march (for
-    the other costs), or a tau outside [0, T] or past a partial march,
-    raises :class:`TimeDomainError`.
+    Misshapen targets and a misshapen control raise
+    :class:`GridMismatchError`, a ShapeMismatchError, through
+    :func:`~chcontrol.errors.check_shape`; a state that is not the full
+    march (for the other costs), or a tau outside [0, T] or past a partial
+    march, raises :class:`TimeDomainError`.
     """
 
     def __init__(self, state: Trajectory, u: np.ndarray, cost: CostSpec):
@@ -533,6 +535,5 @@ def control_gradient(adjoint: Trajectory, u: np.ndarray, b0: float) -> np.ndarra
     trapezoid-weighted L2(Q) product: zero-extended nutrient adjoint plus
     b0 times the control."""
     adj = adj_sigma_extended(adjoint, adjoint.time_grid)
-    if adj.shape != u.shape:
-        raise GridMismatchError(f"adjoint nodes {adj.shape}, control nodes {u.shape}")
+    check_shape("control", u.shape, adj.shape)
     return b0 * u + adj

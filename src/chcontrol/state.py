@@ -93,7 +93,6 @@ linearized and adjoint sweeps solve each step exactly (see
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +104,9 @@ from .errors import (
     SeparationViolationError,
     ShapeMismatchError,
     TimeDomainError,
+    check_node,
     check_number,
+    check_shape,
 )
 from .fields import Grid, TimeGrid, Trajectory, laplacian_neumann
 from .potentials import Potential, Proliferation
@@ -159,9 +160,7 @@ class InitialData:
 
     def validate(self, grid: Grid, potential: Potential) -> None:
         for name, arr in (("mu0", self.mu0), ("phi0", self.phi0), ("sigma0", self.sigma0)):
-            if arr.shape != grid.shape:
-                raise ShapeMismatchError(f"initial.{name}: shape {arr.shape} does not "
-                                         f"match grid {grid.shape}")
+            check_shape(f"initial.{name}", arr.shape, grid.shape)
             if not np.all(np.isfinite(arr)):
                 raise NanDetectedError(f"initial data {name}")
         potential.check_start(self.phi0, "initial.phi0: the start")
@@ -315,15 +314,16 @@ def _newton_step(solver, params, old, start, u, out, step, polish):
 
 def check_control_shape(grid: Grid, time_grid: TimeGrid, control: np.ndarray,
                         members: bool = False) -> None:
-    """Raise :class:`ShapeMismatchError` unless ``control`` holds one grid
-    field per time node, of shape (nt+1, *grid.shape), or with ``members``
-    a non-empty stack of such controls, (K, nt+1, *grid.shape)."""
+    """Raise :class:`GridMismatchError` (a ShapeMismatchError, through
+    :func:`~chcontrol.errors.check_shape`, headed ``control``) unless
+    ``control`` holds one grid field per time node, of shape (nt+1,
+    *grid.shape), or with ``members`` a stack of such controls, (K, nt+1,
+    *grid.shape); an empty stack is a ShapeMismatchError."""
     expected = (time_grid.steps + 1,) + grid.shape
-    shape = control.shape[1:] if members else control.shape
-    if shape != expected or (members and not control.shape[0]):
-        want = f"(K >= 1, {str(expected)[1:]}" if members else str(expected)
-        raise ShapeMismatchError(f"control values shape {control.shape}, "
-                                 f"expected {want}")
+    if members and not control.shape[0]:
+        raise ShapeMismatchError("control: an empty member stack")
+    check_shape("control", control.shape, control.shape[:1] + expected if members
+                else expected)
 
 
 def check_state(params: ModelParams, state: Trajectory, reader: str, last: int) -> int:
@@ -331,18 +331,17 @@ def check_state(params: ModelParams, state: Trajectory, reader: str, last: int) 
     ``reader`` reads with the h and dt of ``params``; returns ``last`` as
     an int. Raises :class:`GridMismatchError` unless ``state`` lies on the
     grid and the time grid of ``params``, and :class:`TimeDomainError`
-    unless ``last`` is a whole node (``numbers.Integral``) in 0..nt and
-    ``state`` holds frames 0..last; each message is headed by ``reader``."""
+    unless ``last`` passes :func:`~chcontrol.errors.check_node` for 0..nt
+    (a whole number, not a bool) and ``state`` holds frames 0..last; each
+    message is headed by ``reader``."""
     if state.grid != params.grid or state.time_grid != params.time_grid:
         raise GridMismatchError(f"{reader}: state on {state.grid}, {state.time_grid}; "
                                 f"model on {params.grid}, {params.time_grid}")
-    nt = params.time_grid.steps
-    if not (isinstance(last, numbers.Integral) and 0 <= last <= nt):
-        raise TimeDomainError(f"{reader}: node {last} is not a whole number in 0..{nt}")
+    last = check_node(reader, last, params.time_grid.steps)
     if state.nframes <= last:
         raise TimeDomainError(f"{reader}: node {last} needs forward frames 0..{last}, "
                               f"got {state.nframes}")
-    return int(last)
+    return last
 
 
 def solve_state(params: ModelParams, init: InitialData,
@@ -377,10 +376,12 @@ def solve_state(params: ModelParams, init: InitialData,
     frames of the same member, so members and prefixes keep their bits as
     above.
 
-    Raises :class:`ShapeMismatchError` for a control of another shape,
-    :class:`ConfigError` for an initial phi outside the window of
-    ``params.potential``, :class:`TimeDomainError` for ``steps`` not a
-    whole number in 1..nt, and
+    Raises :class:`GridMismatchError` (a ShapeMismatchError, from
+    :func:`~chcontrol.errors.check_shape`) for initial data or a control of
+    another shape, :class:`ConfigError` for an initial phi outside the
+    window of ``params.potential``, :class:`TimeDomainError` headed ``state
+    steps`` unless ``steps`` passes :func:`~chcontrol.errors.check_node`
+    for 1..nt (a whole number, not a bool), and
     :class:`NewtonDivergenceError`, :class:`SeparationViolationError`,
     :class:`NanDetectedError` or, from a 2D exact step,
     :class:`StepSolveError` on failure.
@@ -390,10 +391,7 @@ def solve_state(params: ModelParams, init: InitialData,
     nt = tg.steps
     stacked = np.ndim(control) == grid.dim + 2
     check_control_shape(grid, tg, control, stacked)
-    steps = nt if steps is None else steps
-    if not (isinstance(steps, numbers.Integral) and 1 <= steps <= nt):
-        raise TimeDomainError(f"state steps {steps} not a whole number in 1..{nt}")
-    steps = int(steps)
+    steps = nt if steps is None else check_node("state steps", steps, nt, first=1)
 
     members = control if stacked else control[None]
     data = np.empty((steps + 1, 3, len(members)) + grid.shape)

@@ -64,7 +64,7 @@ from functools import partial
 import numpy as np
 
 from .adjoint import solve_adjoint
-from .errors import check_number
+from .errors import ConfigError, check_number
 from .fields import Trajectory, integrate
 from .linearized import solve_linearized
 from .objective import (
@@ -105,6 +105,17 @@ def _random_direction(rng, shape, grid, dt):
 def _sup_l2(grid, d):
     """The largest L2 norm in space of the frames of ``d``."""
     return np.sqrt(grid.cell_volume * (d * d).sum(axis=tuple(range(1, d.ndim)))).max()
+
+
+def _distinct_positive(field, values) -> list:
+    """``values`` as a list of floats, each a finite positive number by
+    :func:`~chcontrol.errors.check_number`, none repeated and at least
+    one; else a ConfigError headed ``field`` in the config table's words."""
+    items = [check_number(field, v, 0, above=True) for v in values]
+    if not items or len(set(items)) != len(items):
+        raise ConfigError(f"{field}: expected a non-empty list of distinct entries, "
+                          f"got {items!r}")
+    return items
 
 
 def _fit_slope(xs, ys):
@@ -245,13 +256,15 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     ``state``, if given, is the forward solution for ``u`` under
     ``params``, and the base solve is skipped. ``directions`` must be an
     integer >= 1, else a ConfigError headed
-    ``verification.gradient.directions``.
+    ``verification.gradient.directions``, and ``deltas`` a non-empty list
+    of distinct finite positive numbers, else one headed
+    ``verification.gradient.deltas``.
     """
     directions = check_number("verification.gradient.directions", directions, 1,
                               whole=True)
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
-    deltas = list(deltas)
+    deltas = _distinct_positive("verification.gradient.deltas", deltas)
     slope_deltas = [d for d in deltas if d >= SLOPE_MIN_DELTA] or deltas
     slope_idx = [deltas.index(d) for d in slope_deltas]
 
@@ -374,11 +387,13 @@ def lipschitz_check(params: ModelParams, init: InitialData,
     """Ratio of state differences to control differences for random
     control pairs at several perturbation magnitudes. ``pairs`` must be an
     integer >= 1, else a ConfigError headed
-    ``verification.lipschitz.pairs``."""
+    ``verification.lipschitz.pairs``, and ``magnitudes`` a non-empty list
+    of distinct finite positive numbers, else one headed
+    ``verification.lipschitz.magnitudes``."""
     pairs = check_number("verification.lipschitz.pairs", pairs, 1, whole=True)
     grid, tg = params.grid, params.time_grid
     dt = tg.dt
-    magnitudes = list(magnitudes)
+    magnitudes = _distinct_positive("verification.lipschitz.magnitudes", magnitudes)
     rng = np.random.default_rng(seed)
     xis = ([_random_direction(rng, base.shape, grid, dt) for _ in range(2)]
            for _ in range(pairs))
@@ -428,7 +443,8 @@ def mass_balance_check(traj: Trajectory, u: np.ndarray,
     rule for ``traj``, read as frames 0..1 at least: on the grid and the
     time grid of ``params`` (else :class:`GridMismatchError`), with two
     frames or more (else :class:`TimeDomainError`). ``u`` must hold one
-    field per time node (else :class:`ShapeMismatchError`)."""
+    field per time node (else :class:`GridMismatchError`, a
+    ShapeMismatchError, from :func:`~chcontrol.errors.check_shape`)."""
     grid, tg = params.grid, params.time_grid
     check_state(params, traj, "mass balance", 1)
     check_control_shape(grid, tg, u)

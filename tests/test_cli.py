@@ -893,8 +893,9 @@ def test_manifest_not_an_object_is_config_error(tmp_path, capsys, malformed):
 @pytest.mark.parametrize("section, key, value", [("grid", "n", [2]),
                                                   ("time", "steps", 0)])
 def test_manifest_on_a_bad_grid_is_config_error(tmp_path, capsys, section, key, value):
-    # read_trajectory builds the manifest's own grids; their error is the
-    # target field's, not the configured grid's
+    # read_trajectory builds the manifest's own grids; a bad one makes the
+    # manifest malformed, an error of the target field, not of the
+    # configured grid
     g, tg = ch.Grid.line(32), ch.TimeGrid(0.25, 16)
     target = ch.Trajectory(g, tg, np.zeros((17, 3, 32)), ("mu", "phi", "sigma"))
     manifest = ch.write_trajectory(tmp_path / "target", target)
@@ -904,9 +905,10 @@ def test_manifest_on_a_bad_grid_is_config_error(tmp_path, capsys, section, key, 
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["cost"]["targets"]["phi_q"] = {"manifest": str(manifest)}
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
-    assert capsys.readouterr().err.startswith(
-        f"config error: cost.targets.phi_q.manifest: cannot read trajectory "
-        f"({section}.{key}: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cost.targets.phi_q.manifest: cannot read "
+                          "trajectory (")
+    assert f"not a chcontrol-trajectory-1 manifest ({section}.{key}: " in err
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)

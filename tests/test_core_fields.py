@@ -230,6 +230,47 @@ def test_trajectory_manifest_roundtrip(tmp_path):
     assert back.names == traj.names
     assert back.grid == traj.grid
     assert np.array_equal(back.data, traj.data)
+    with pytest.raises(ShapeMismatchError, match="^no component 'nutrient' among "):
+        back.component("nutrient")
+
+
+def _no_grid(doc, text):
+    del doc["grid"]
+
+
+def _times_a_number(doc, text):
+    doc["times"] = 3
+
+
+def _truncated(doc, text):
+    return text[:len(text) // 2]
+
+
+def _bad_grid_count(doc, text):
+    doc["grid"]["n"] = "x"
+
+
+@pytest.mark.parametrize("spoil, detail", [
+    (_no_grid, "no key 'grid'"), (_times_a_number, "object of type 'int' has no len()"),
+    (_truncated, ""), (_bad_grid_count, "grid.n: expected an integer >= 3, got 'x'"),
+], ids=["missing-grid", "times-a-number", "truncated", "bad-grid-count"])
+def test_malformed_manifest_is_one_error(tmp_path, spoil, detail):
+    # a manifest that is not JSON, lacks a key, holds a value of the wrong
+    # type or a bad grid is refused as a manifest, not as a config field
+    traj = ch.Trajectory(ch.Grid.line(4), ch.TimeGrid(1.0, 2), np.zeros((3, 1, 4)), ("u",))
+    manifest = ch.write_trajectory(tmp_path / "traj", traj)
+    text = manifest.read_text()
+    doc = json.loads(text)
+    spoilt = spoil(doc, text)
+    manifest.write_text(json.dumps(doc) if spoilt is None else spoilt)
+    with pytest.raises(ShapeMismatchError) as caught:
+        ch.read_trajectory(manifest)
+    assert str(caught.value).startswith(
+        f"{manifest}: not a chcontrol-trajectory-1 manifest ({detail}")
+    # a file that cannot be read is an OSError, as it was
+    manifest.unlink()
+    with pytest.raises(FileNotFoundError):
+        ch.read_trajectory(manifest)
 
 
 _G, _TG = ch.Grid.line(4), ch.TimeGrid(1.0, 2)
@@ -253,13 +294,13 @@ def _ragged_manifest(directory):
     (lambda tmp: ch.Grid((4,), (0.0,)), ConfigError, "^grid.extents: "),
     (lambda tmp: ch.Grid.rectangle(4, 4, 1.0, -1.0), ConfigError, "^grid.extents: "),
     (lambda tmp: ch.integrate(_G, np.zeros(5)), GridMismatchError,
-     "does not match grid"),
+     r"^field: shape \(5,\), expected \(4,\)$"),
     (lambda tmp: ch.Trajectory(_G, _TG, np.zeros((4, 1) + _G.shape), ("u",)),
      ShapeMismatchError, "4 frames incompatible with 2 steps"),
     (lambda tmp: ch.Trajectory(_G, _TG, np.zeros((3, 1) + _G.shape), ("u",)).v,
      AttributeError, "v"),
     (lambda tmp: ch.write_snapshot(tmp / "f.fld", _G, np.zeros(5)), GridMismatchError,
-     "snapshot values do not match"),
+     r"^snapshot values: shape \(5,\), expected \(4,\)$"),
     (lambda tmp: ch.read_snapshot(_header_of_dimension(tmp / "f.fld", 0)),
      ShapeMismatchError, "snapshot dimension 0"),
     (lambda tmp: ch.read_snapshot(_header_of_dimension(tmp / "f.fld", 3)),
@@ -267,7 +308,7 @@ def _ragged_manifest(directory):
     (lambda tmp: ch.read_trajectory(_ragged_manifest(tmp / "traj")),
      ShapeMismatchError, "ragged component u"),
     (lambda tmp: ch.space_time_inner(_G, 0.5, np.zeros((3, 4)), np.zeros((2, 4))),
-     GridMismatchError, "space-time shapes differ"),
+     GridMismatchError, r"^b: shape \(2, 4\), expected \(3, 4\)$"),
     (lambda tmp: ch.InitialData(np.zeros(5), _G.zeros(), _G.zeros()).validate(
         _G, ch.Potential.quartic()), ShapeMismatchError, "initial.mu0: shape"),
     (lambda tmp: ch.CostSpec(b1=np.inf).validate(_G, _TG), ConfigError, "^cost.b1: "),
@@ -288,6 +329,48 @@ def test_library_guards_raise_their_errors(call, error, match, tmp_path):
     # the guards of library calls that no pipeline reaches with bad input
     with pytest.raises(error, match=match):
         call(tmp_path)
+
+
+def _snapshot_on(path, grid):
+    ch.write_snapshot(path, grid, grid.zeros())
+    return path
+
+
+_START = ch.InitialData(_G.zeros(), _G.zeros(), _G.zeros())
+_ADJOINT = ch.Trajectory(_G, _TG, np.zeros((3, 3) + _G.shape), ("adj_mu", "adj_phi",
+                                                                  "adj_sigma"))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("field", lambda tmp: ch.laplacian_neumann(_G, np.zeros((3, 5)))),
+    ("field", lambda tmp: ch.integrate(_G, np.zeros(5))),
+    ("snapshot values", lambda tmp: ch.write_snapshot(tmp / "f.fld", _G, np.zeros(5))),
+    ("{tmp}/f.fld", lambda tmp: ch.read_snapshot(
+        _snapshot_on(tmp / "f.fld", ch.Grid.line(5)), _G)),
+    ("initial.sigma0", lambda tmp: ch.InitialData(_G.zeros(), _G.zeros(), np.zeros(5))
+     .validate(_G, ch.Potential.quartic())),
+    ("control", lambda tmp: ch.solve_state(_params(), _START, np.zeros((3, 5)))),
+    ("control", lambda tmp: ch.solve_state(_params(), _START, np.zeros((2, 2, 4)))),
+    ("cost.phi_q", lambda tmp: ch.CostSpec(b1=1.0, phi_q=np.zeros((2, 4)))
+     .validate(_G, _TG)),
+    ("cost.sigma_q", lambda tmp: ch.CostSpec(b3=1.0, sigma_q=np.zeros((3, 5)))
+     .validate(_G, _TG)),
+    ("cost.phi_omega", lambda tmp: ch.CostSpec(b2=1.0, phi_omega=np.zeros((1, 4)))
+     .validate(_G, _TG)),
+    ("cost.relaxation.sigma_omega", lambda tmp: ch.CostSpec(
+        b1=1.0, relaxation=ch.Relaxation(0.5, 0.1, np.zeros(5))).validate(_G, _TG)),
+    ("b", lambda tmp: ch.space_time_inner(_G, 0.5, np.zeros((3, 4)), np.zeros((2, 4)))),
+    ("control", lambda tmp: ch.control_gradient(_ADJOINT, np.zeros((2, 4)), 1.0)),
+], ids=["laplacian", "integrate", "write-snapshot", "read-snapshot", "initial-data",
+        "control", "control-stack", "phi-q", "sigma-q", "phi-omega", "sigma-omega",
+        "space-time-inner", "control-gradient"])
+def test_misshapen_arrays_meet_one_shape_rule(name, call, tmp_path):
+    # errors.check_shape: a GridMismatchError, which is a ShapeMismatchError,
+    # headed by the argument's name
+    with pytest.raises(ShapeMismatchError) as caught:
+        call(tmp_path)
+    assert type(caught.value) is GridMismatchError
+    assert str(caught.value).startswith(f"{name.format(tmp=tmp_path)}: shape ")
 
 
 def _params(**numbers):

@@ -212,7 +212,7 @@ def test_misshapen_member_stack_is_shape_mismatch(monkeypatch):
 
     monkeypatch.setattr(ch.state, "check_control_shape", recording_check)
     for shape in ((2, nodes - 1, cells), (2, nodes, cells + 1), (0, nodes, cells)):
-        with pytest.raises(ch.ShapeMismatchError, match=r"expected \(K >= 1, "):
+        with pytest.raises(ch.ShapeMismatchError, match="^control: "):
             ch.solve_state(params, init, np.ones(shape))
     # a stack is told apart from one control by its leading member axis
     assert checked == [True] * 3

@@ -285,7 +285,7 @@ def test_tau_profile_matches_cost(problem):
     # the control has the one shape rule of state.check_control_shape
     short = ch.constant_trajectory(params.grid, ch.TimeGrid(1.0, 20), 1.0)
     with pytest.raises(ch.ShapeMismatchError,
-                       match=r"^control values shape \(21, 48\), expected \(41, 48\)$"):
+                       match=r"^control: shape \(21, 48\), expected \(41, 48\)$"):
         ch.TauProfile(state, short, cost)
 
 

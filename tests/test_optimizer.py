@@ -79,7 +79,7 @@ def test_optimize_rejects_misshapen_start():
     params = make_problem(n=16, nt=4)
     u0 = np.zeros((5, 8))
     with pytest.raises(ch.ShapeMismatchError,
-                       match=r"^control values shape \(5, 8\), expected \(5, 16\)$"):
+                       match=r"^control: shape \(5, 8\), expected \(5, 16\)$"):
         ch.optimize(params, equilibrium_init(params), tracking_cost(params), u0,
                     lower=np.zeros(16), upper=np.ones(16))
 

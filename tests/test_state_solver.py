@@ -255,3 +255,29 @@ def test_prefix_march_rejects_steps_outside_grid():
     for steps in (0, -1, 5, 2.5):
         with pytest.raises(TimeDomainError, match="steps"):
             ch.solve_state(params, init, u, steps=steps)
+
+
+@pytest.mark.parametrize("node", [True, 2.0, -1, 5], ids=["bool", "float", "negative",
+                                                         "past-nt"])
+def test_node_indices_meet_one_node_rule(node):
+    # errors.check_node: a whole number that is not a bool, in range (here
+    # nt = 4); each refusal is headed by its reader
+    params = make_problem(n=16, nt=4)
+    init, u = equilibrium_init(params), midpoint_control(params)
+    nt = params.time_grid.steps
+    state = ch.solve_state(params, init, u)
+    with pytest.raises(TimeDomainError,
+                       match=f"^state steps: node {node} is not a whole number in 1..{nt}$"):
+        ch.solve_state(params, init, u, steps=node)
+    with pytest.raises(TimeDomainError,
+                       match=f"^adjoint: node {node} is not a whole number in 0..{nt}$"):
+        ch.state.check_state(params, state, "adjoint", node)
+
+
+def test_numpy_integer_is_a_node():
+    params = make_problem(n=16, nt=4)
+    init, u = equilibrium_init(params), midpoint_control(params)
+    part = ch.solve_state(params, init, u, steps=np.int64(2))
+    assert part.nframes == 3
+    last = ch.state.check_state(params, part, "adjoint", np.int64(2))
+    assert last == 2 and type(last) is int

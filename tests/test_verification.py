@@ -109,12 +109,40 @@ def test_oracles_range_their_counts(field, value):
         oracle()
 
 
+@pytest.mark.parametrize("value, expected", [
+    ([0.0, 0.1], "a finite positive number, got 0.0"),
+    ([-0.1, 0.2], "a finite positive number, got -0.1"),
+    ([0.1, np.nan], "a finite positive number, got nan"),
+    ([0.1, True], "a finite positive number, got True"),
+    ([0.1, 0.1], "a non-empty list of distinct entries, got [0.1, 0.1]"),
+    ([], "a non-empty list of distinct entries, got []"),
+], ids=["zero", "negative", "nan", "bool", "repeated", "empty"])
+@pytest.mark.parametrize("field", ["verification.gradient.deltas",
+                                   "verification.lipschitz.magnitudes"])
+def test_oracles_range_their_list_options(field, value, expected):
+    # as the config table ranges the two lists: a zero delta divided by zero,
+    # a repeated one made the slope fit singular, a negative one gave a NaN
+    # slope, and a zero magnitude a 0/0 ratio that blew up the pair spread
+    params = make_problem(n=16, nt=8)
+    init, u, cost = equilibrium_init(params), midpoint_control(params), tracking_cost(params)
+    oracle = {
+        "verification.gradient.deltas": lambda: ch.fd_gradient_check(
+            params, init, cost, u, 0.5, directions=1, deltas=value),
+        "verification.lipschitz.magnitudes": lambda: ch.lipschitz_check(
+            params, init, u, pairs=1, magnitudes=value),
+    }[field]
+    with pytest.raises(ConfigError) as caught:
+        oracle()
+    assert str(caught.value) == f"{field}: expected {expected}"
+
+
 def test_lipschitz_identical_controls(problem):
-    # zero perturbation magnitude makes both controls equal: ratio is 0
+    # zero perturbation magnitude makes both controls equal, a ratio 0/0 that
+    # the check would read as 0 and pass on: the magnitude is refused
     params, init, u = problem
-    rep = ch.lipschitz_check(params, init, u, pairs=1, magnitudes=[0.0])
-    for table in rep.ratios.values():
-        assert np.all(table == 0.0)
+    with pytest.raises(ConfigError, match="^verification.lipschitz.magnitudes: expected "
+                                          "a finite positive number, got 0.0$"):
+        ch.lipschitz_check(params, init, u, pairs=1, magnitudes=[0.0])
 
 
 def test_mass_balance_unit_control(problem):
@@ -189,7 +217,7 @@ def test_state_of_another_problem_is_refused(other):
     with pytest.raises(GridMismatchError, match="^mass balance: "):
         ch.mass_balance_check(traj, u, other(params))
     # a control with 3 of its 9 nodes
-    with pytest.raises(ShapeMismatchError, match="^control values shape"):
+    with pytest.raises(ShapeMismatchError, match="^control: shape"):
         ch.mass_balance_check(traj, u[:3], params)
 
 
