@@ -6,17 +6,21 @@ data (preset or snapshots), cost weights and targets, control bounds,
 the optimizer's iteration cap and tolerance, Newton settings and
 verification toggles. The table ``_FIELDS`` is the whole schema: it
 gives every field's type and default, and ranges only the fields that no
-object checks, and the oracles' counts, which the oracles range too but
-parse_config does not reach. The other ranges live on the objects that library callers
-reach too: Grid (``grid.*``), TimeGrid (``time.*``), Potential and
-Proliferation (``model.potential.lam`` and ``model.proliferation.*``),
+object checks. The rows of the verify options are the oracles' own, taken
+from ``verification.CHECKS``. The other ranges live on the objects that
+library callers reach too: Grid (``grid.*``), TimeGrid (``time.*``),
+Potential and Proliferation (``model.potential.lam`` and
+``model.proliferation.*``),
 ModelParams (the model constants and ``solver.*``),
 optimizer.check_settings (``optimizer.max_outer_iters`` and
 ``optimizer.grad_tol``), CostSpec, Relaxation and optimizer.check_bounds,
 and each error names its field. Every number, in the table or on an
 object, passes one rule, :func:`chcontrol.errors.check_number`, and a
-bad one reads "<field>: expected <what>, got <value>". Physics fields
-have no defaults, and a key that is no row is an unknown field. A bad
+bad one reads "<field>: expected <what>, got <value>"; every field passes
+:func:`chcontrol.errors.check_field` by its row. Physics fields have no
+defaults, and a key that is no row is an unknown field, as is a key of a
+union field that its branch does not read ("<path>.<key>: not read with
+<branch>", such as the lam of a quartic potential). A bad
 config raises a ConfigError whose message starts with the field's path,
 and the command exits 2 before any solve starts. So does a config whose
 one trajectory, (steps+1) * 3 * cells * 8 B, exceeds the machine's
@@ -55,6 +59,7 @@ from .errors import (
     ConfigError,
     ShapeMismatchError,
     SolverError,
+    check_field,
     check_number,
 )
 from .fields import (
@@ -94,31 +99,27 @@ _CHECKS = tuple(CHECKS)
 
 _REQUIRED = object()  # the default of a field that must be given
 
-# Every config field: dotted path -> (kind, limit, default). Kinds:
-#   "number", "integer"  a number by errors.check_number, the rule every
-#                        object applies too: finite, never a bool, an
-#                        integer whole (and read as an int); the limit is a
-#                        minimum or None
-#   "positive"           a number in (0, inf)
-#   "choice"             one of the strings in the limit
-#   "string", "object", "number or string"
-#   "<kind> list"        a non-empty list, each entry of that kind and limit
-#   "<kind> set"         a "<kind> list" whose entries all differ
-# A missing field takes its default, and null is accepted where the default
-# is None; parse_config fills in the defaults that depend on other fields.
-# Fields of the root object are named "config.<key>". The table is the whole
-# schema: a key of an object field (or the root) that is no row under it is
-# "<path>.<key>: unknown field". Fields are read where the code needs them,
-# so the fields of a branch not taken (the lam of a quartic potential, the
-# arguments of another preset) are not checked. The ranges that Grid,
+# Every config field: dotted path -> (kind, limit, default), the kinds those
+# of errors.check_field, which reads each field by its row; its numbers pass
+# errors.check_number, the rule every object applies too. A missing field
+# takes its default, and null is accepted where the default is None;
+# parse_config fills in the defaults that depend on other fields. Fields of
+# the root object are named "config.<key>". The table is the whole schema: a
+# key of an object field (or the root) that is no row under it is
+# "<path>.<key>: unknown field". A union field (the potential and the
+# proliferation by their kind, the initial data by its preset or snapshots,
+# a target or sigma_omega by its constant, snapshot or manifest) first reads
+# the key that picks its branch; a key of it that the branch does not read
+# (the lam of a quartic potential, the arguments of another preset) is then
+# "<path>.<key>: not read with <branch>". The ranges that Grid,
 # TimeGrid, Potential, Proliferation, ModelParams, CostSpec.validate,
 # Relaxation, optimizer.check_bounds (lower <= upper) and
 # optimizer.check_settings check stay there; their fields get a type here,
-# and parse_config calls check_bounds and check_settings. The oracles range
-# their counts too, but parse_config calls no oracle, so those three rows
-# keep their minimum: a bad count still exits before any solve. The solver and
+# and parse_config calls check_bounds and check_settings. The solver and
 # optimizer sections reach ModelParams and optimize as keyword arguments, so
-# their rows are those keywords.
+# their rows are those keywords. The rows of each verify check's options are
+# the check's row in verification.CHECKS, which its oracle ranges them by, so
+# a bad count or list still exits before any solve.
 _FIELDS = {
     "config.pipeline": ("choice", _PIPELINES, "simulate"),
     "config.seed": ("integer", 0, DEFAULT_SEED),
@@ -187,44 +188,10 @@ _FIELDS = {
     "verification": ("object", None, {}),
     "verification.checks": ("choice list", _CHECKS, list(_CHECKS)),
     "verification.tau": ("number", None, None),  # None: cost.tau_star
-    "verification.gradient": ("object", None, {}),
-    "verification.gradient.directions": ("integer", 1, 5),
-    "verification.gradient.deltas": ("positive set", None, [0.5, 0.2, 0.1, 1e-4]),
-    "verification.gradient.tol": ("positive", None, 1e-6),
-    "verification.duality": ("object", None, {}),
-    "verification.duality.directions": ("integer", 1, 10),
-    "verification.duality.tol": ("positive", None, 1e-9),
-    "verification.lipschitz": ("object", None, {}),
-    "verification.lipschitz.pairs": ("integer", 1, 5),
-    "verification.lipschitz.magnitudes": ("positive set", None, [1e-1, 1e-2, 1e-3]),
-    "verification.mass": ("object", None, {}),
-    "verification.mass.tol": ("positive", None, 1e-10),
 }
-
-
-def _conform(path, value, kind, limit):
-    """``value``, config field ``path``, converted to ``kind``: a number by
-    :func:`~chcontrol.errors.check_number` (a float, an int for an
-    integer), a list entry by entry; else a ConfigError naming ``path``."""
-    if kind.endswith((" list", " set")):
-        if isinstance(value, list) and value:
-            items = [_conform(path, v, kind.rpartition(" ")[0], limit) for v in value]
-            if kind.endswith(" list") or len(set(items)) == len(items):
-                return items
-        distinct = " of distinct entries" if kind.endswith(" set") else ""
-        expected = f"a non-empty list{distinct}"
-    elif kind in ("number", "integer", "positive", "number or string"):
-        if kind == "number or string" and isinstance(value, str):
-            return value
-        return check_number(path, value, 0 if kind == "positive" else limit,
-                            above=kind == "positive", whole=kind == "integer")
-    elif (isinstance(value, dict if kind == "object" else str)
-          and (kind != "choice" or value in limit)):
-        return value
-    else:
-        expected = {"object": "an object", "string": "a string",
-                    "choice": f"one of {limit}"}[kind]
-    raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+for _check, (_, _, _options) in CHECKS.items():
+    _FIELDS[f"verification.{_check}"] = ("object", None, {})
+    _FIELDS.update({f"verification.{_check}.{o}": row for o, row in _options.items()})
 
 
 def _read(section: dict, path: str):
@@ -238,16 +205,20 @@ def _read(section: dict, path: str):
         raise ConfigError(f"{path}: required field is missing")
     if value is None and default is None:
         return None
-    conformed = _conform(path, value, kind, limit)
+    conformed = check_field(path, value, kind, limit)
     return _known(conformed, path) if kind == "object" else conformed
 
 
-def _known(section: dict, path: str) -> dict:
+def _known(section: dict, path: str, branch=None, reads=()) -> dict:
     """``section``, the object field ``path``, if each of its keys is a row
-    under ``path``; else a ConfigError naming the first key that is not."""
+    under ``path``; else a ConfigError "<path>.<key>: unknown field" naming
+    the first key that is not. Given the ``branch`` a union field takes, each
+    key must be one of ``reads``, the keys that branch reads, else the error
+    reads "<path>.<key>: not read with <branch>"."""
     for key in section:
-        if key not in _KEYS[path]:
-            raise ConfigError(f"{path}.{key}: unknown field")
+        if key not in (reads if branch else _KEYS[path]):
+            raise ConfigError(f"{path}.{key}: "
+                              + (f"not read with {branch}" if branch else "unknown field"))
     return section
 
 
@@ -296,6 +267,9 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
     """
     cfg = {"initial": {**kwargs, "preset": name}}
     name = _field(cfg, "initial.preset")
+    _known(cfg["initial"], "initial", f"preset {name}",
+           {"equilibrium": ("value",), "tanh_front": ("width", "position"),
+            "random_interior": ("amplitude", "seed")}[name] + ("preset",))
     if name == "equilibrium":
         blame, given = "initial.value", _field(cfg, "initial.value")
         phi = grid.full(given)
@@ -389,6 +363,7 @@ def _array(cfg, path, grid, tg=None):
         return None
     if "constant" in d:
         c = _read(d, f"{path}.constant")
+        _known(d, path, "constant", ("constant",))
         return grid.full(c) if tg is None else constant_trajectory(grid, tg, c)
     key = "snapshot" if tg is None else "manifest"
     if key not in d:
@@ -452,11 +427,14 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         raw[key] = _field(raw, f"config.{key}")
 
     if _field(raw, "model.potential.kind") == "quartic":
+        _known(_field(raw, "model.potential"), "model.potential", "kind quartic", ("kind",))
         potential = Potential.quartic()
     else:
         potential = Potential.logarithmic(_field(raw, "model.potential.lam"))
     p0 = _field(raw, "model.proliferation.p0")
     if _field(raw, "model.proliferation.kind") == "constant":
+        _known(_field(raw, "model.proliferation"), "model.proliferation", "kind constant",
+               ("kind", "p0"))
         prolif = Proliferation.constant(p0)
     else:
         prolif = Proliferation.smooth_ramp(p0, _field(raw, "model.proliferation.width"))
@@ -472,6 +450,7 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         init = preset_initial_data(idict["preset"], grid, potential, **idict)
     elif "snapshots" in idict:
         snaps = _read(idict, "initial.snapshots")
+        _known(idict, "initial", "snapshots", ("snapshots",))
         init = InitialData(*(
             _snapshot(snaps, f"initial.snapshots.{name}", grid)
             for name in ("mu", "phi", "sigma")))
@@ -629,7 +608,7 @@ def _run_verify(cfg: ExperimentConfig, out: Path, state) -> dict:
     ver_dir = out / "verify"
     ver_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for name, (report_file, run_check) in CHECKS.items():
+    for name, (report_file, run_check, _) in CHECKS.items():
         if name not in vd["checks"]:
             continue
         rep, ok, figures = run_check(cfg.params, cfg.init, cfg.cost, cfg.u0, vd["tau"],

@@ -1,11 +1,14 @@
 """Exception hierarchy for chcontrol, and the one rule each for a config
-number, an array shape and a time node.
+field, a config number, an array shape and a time node.
 
 ConfigError maps to CLI exit code 2, SolverError subclasses to exit code 3.
 Verification failures are reported through return values, not exceptions.
-:func:`check_number` is the rule every config number passes, whether the
-config table reads it or a library caller hands it to an object: a bool is
-never a number, a count takes no fraction, and NaN, an infinity or an
+:func:`check_field` is the rule every config field passes by the kind and
+limit of its row, whether the config table reads it or an oracle ranges
+its option (the rows of the oracles' options are
+``chcontrol.verification.CHECKS``). :func:`check_number` is the rule every
+config number passes, whether a field's row or an object ranges it: a bool
+is never a number, a count takes no fraction, and NaN, an infinity or an
 integer beyond the float range is never a number. :func:`check_shape` is
 the rule every array of the discrete problem passes (a field, a control,
 a target, a snapshot), and :func:`check_node` the rule for a node index:
@@ -50,6 +53,40 @@ def check_number(field, value, low=None, high=None, *, above=False, whole=False)
     elif low is not None:
         what += f" {'>' if above else '>='} {low}"
     raise ConfigError(f"{field}: expected {what}, got {value!r}")
+
+
+def check_field(field, value, kind, limit=None):
+    """``value``, config field ``field``, converted to ``kind``; else a
+    ConfigError "<field>: expected <what>, got <value!r>". Kinds:
+
+    * "number", "integer": a number by :func:`check_number` (a float, an
+      int for an integer); the limit is a minimum or None
+    * "positive": a number in (0, inf)
+    * "choice": one of the strings in the limit
+    * "string", "object" (a dict), "number or string"
+    * "<kind> list": a non-empty list, tuple or 1-D array, each entry of
+      that kind and limit, returned as a list
+    * "<kind> set": a "<kind> list" whose entries all differ
+    """
+    if kind.endswith((" list", " set")):
+        if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1:
+            items = [check_field(field, v, kind.rpartition(" ")[0], limit) for v in value]
+            if items and (kind.endswith(" list") or len(set(items)) == len(items)):
+                return items
+        distinct = " of distinct entries" if kind.endswith(" set") else ""
+        expected = f"a non-empty list{distinct}"
+    elif kind in ("number", "integer", "positive", "number or string"):
+        if kind == "number or string" and isinstance(value, str):
+            return value
+        return check_number(field, value, 0 if kind == "positive" else limit,
+                            above=kind == "positive", whole=kind == "integer")
+    elif (isinstance(value, dict if kind == "object" else str)
+          and (kind != "choice" or value in limit)):
+        return value
+    else:
+        expected = {"object": "an object", "string": "a string",
+                    "choice": f"one of {limit}"}[kind]
+    raise ConfigError(f"{field}: expected {expected}, got {value!r}")
 
 
 class ShapeMismatchError(ChControlError):

@@ -47,9 +47,13 @@ is dropped before the next one is marched. At the shipped 128 cells and
 end; at 32^2 cells and 32 steps they march 3 ensembles of 8 controls to
 node 16 and 5 of at most 4 controls.
 
-``CHECKS``, the verify pipeline's table, gives each check's report file
-and runner in run order; adding a check is one row there plus its option
-rows in ``cli._FIELDS``.
+``CHECKS``, the verify pipeline's table, gives each check's report file,
+runner and option rows in run order. An option row (kind, limit, default)
+is the one rule for that option: the config table ``cli._FIELDS`` reads
+it as the row of ``verification.<check>.<option>``, and the oracle ranges
+a library caller's count or list by it (:func:`_option`, through
+:func:`~chcontrol.errors.check_field`). Adding a check is one row there
+plus its runner and report.
 
 Directions are drawn from seeded standard normals per cell and node and
 normalized in L2(Q), so rerunning a check with the same seed reproduces
@@ -64,7 +68,7 @@ from functools import partial
 import numpy as np
 
 from .adjoint import solve_adjoint
-from .errors import ConfigError, check_number
+from .errors import check_field
 from .fields import Trajectory, integrate
 from .linearized import solve_linearized
 from .objective import (
@@ -107,15 +111,12 @@ def _sup_l2(grid, d):
     return np.sqrt(grid.cell_volume * (d * d).sum(axis=tuple(range(1, d.ndim)))).max()
 
 
-def _distinct_positive(field, values) -> list:
-    """``values`` as a list of floats, each a finite positive number by
-    :func:`~chcontrol.errors.check_number`, none repeated and at least
-    one; else a ConfigError headed ``field`` in the config table's words."""
-    items = [check_number(field, v, 0, above=True) for v in values]
-    if not items or len(set(items)) != len(items):
-        raise ConfigError(f"{field}: expected a non-empty list of distinct entries, "
-                          f"got {items!r}")
-    return items
+def _option(check, name, value):
+    """``value``, option ``name`` of check ``check``, ranged and converted
+    by its row in :data:`CHECKS`; else a ConfigError headed
+    ``verification.<check>.<name>``."""
+    kind, limit, _ = CHECKS[check][2][name]
+    return check_field(f"verification.{check}.{name}", value, kind, limit)
 
 
 def _fit_slope(xs, ys):
@@ -256,15 +257,14 @@ def fd_gradient_check(params: ModelParams, init: InitialData, cost: CostSpec,
     ``state``, if given, is the forward solution for ``u`` under
     ``params``, and the base solve is skipped. ``directions`` must be an
     integer >= 1, else a ConfigError headed
-    ``verification.gradient.directions``, and ``deltas`` a non-empty list
-    of distinct finite positive numbers, else one headed
+    ``verification.gradient.directions``, and ``deltas`` a non-empty list,
+    tuple or 1-D array of distinct finite positive numbers, else one headed
     ``verification.gradient.deltas``.
     """
-    directions = check_number("verification.gradient.directions", directions, 1,
-                              whole=True)
+    directions = _option("gradient", "directions", directions)
     grid, tg = params.grid, params.time_grid
     k_tau, _ = tg.nearest_node(tau)
-    deltas = _distinct_positive("verification.gradient.deltas", deltas)
+    deltas = _option("gradient", "deltas", deltas)
     slope_deltas = [d for d in deltas if d >= SLOPE_MIN_DELTA] or deltas
     slope_idx = [deltas.index(d) for d in slope_deltas]
 
@@ -325,8 +325,7 @@ def duality_check(params: ModelParams, state: Trajectory, k_tau: int,
     evaluated on the linearized solution. ``directions`` must be an
     integer >= 1, else a ConfigError headed
     ``verification.duality.directions``."""
-    directions = check_number("verification.duality.directions", directions, 1,
-                              whole=True)
+    directions = _option("duality", "directions", directions)
     grid, tg = params.grid, params.time_grid
     dt = tg.dt
     adjoint = solve_adjoint(params, state, k_tau, cost)
@@ -387,13 +386,13 @@ def lipschitz_check(params: ModelParams, init: InitialData,
     """Ratio of state differences to control differences for random
     control pairs at several perturbation magnitudes. ``pairs`` must be an
     integer >= 1, else a ConfigError headed
-    ``verification.lipschitz.pairs``, and ``magnitudes`` a non-empty list
-    of distinct finite positive numbers, else one headed
+    ``verification.lipschitz.pairs``, and ``magnitudes`` a non-empty list,
+    tuple or 1-D array of distinct finite positive numbers, else one headed
     ``verification.lipschitz.magnitudes``."""
-    pairs = check_number("verification.lipschitz.pairs", pairs, 1, whole=True)
+    pairs = _option("lipschitz", "pairs", pairs)
     grid, tg = params.grid, params.time_grid
     dt = tg.dt
-    magnitudes = _distinct_positive("verification.lipschitz.magnitudes", magnitudes)
+    magnitudes = _option("lipschitz", "magnitudes", magnitudes)
     rng = np.random.default_rng(seed)
     xis = ([_random_direction(rng, base.shape, grid, dt) for _ in range(2)]
            for _ in range(pairs))
@@ -495,10 +494,18 @@ def _run_mass(params, init, cost, u, tau, state, seed, opts):
     return rep, rep.passed(opts["tol"]), {"residual": rep.residual}
 
 
-# check name -> (report file, runner), in run order
+# check name -> (report file, runner, options), in run order; options maps
+# each option of ``verification.<name>`` to its (kind, limit, default) row,
+# the kinds those of errors.check_field
 CHECKS = {
-    "gradient": ("gradient_check.txt", _run_gradient),
-    "duality": ("duality_check.txt", _run_duality),
-    "lipschitz": ("lipschitz_check.txt", _run_lipschitz),
-    "mass": ("mass_balance.txt", _run_mass),
+    "gradient": ("gradient_check.txt", _run_gradient,
+                 {"directions": ("integer", 1, 5),
+                  "deltas": ("positive set", None, [0.5, 0.2, 0.1, 1e-4]),
+                  "tol": ("positive", None, 1e-6)}),
+    "duality": ("duality_check.txt", _run_duality,
+                {"directions": ("integer", 1, 10), "tol": ("positive", None, 1e-9)}),
+    "lipschitz": ("lipschitz_check.txt", _run_lipschitz,
+                  {"pairs": ("integer", 1, 5),
+                   "magnitudes": ("positive set", None, [1e-1, 1e-2, 1e-3])}),
+    "mass": ("mass_balance.txt", _run_mass, {"tol": ("positive", None, 1e-10)}),
 }

@@ -81,6 +81,9 @@ def test_preset_equilibrium():
         preset_initial_data("equilibrium", g, pot, value=1e200)
     with pytest.raises(ConfigError, match="^initial.note: unknown field$"):
         preset_initial_data("equilibrium", g, pot, value=0.5, note="x")
+    with pytest.raises(ConfigError, match="^initial.seed: not read with preset "
+                                          "equilibrium$"):
+        preset_initial_data("equilibrium", g, pot, value=0.5, seed=1)
     # the domain is open, and its window ends 2e-6 inside it
     for value in (1.5, 1.0, 1.0 - 1e-6):
         with pytest.raises(ConfigError, match="^initial.value: "):
@@ -243,6 +246,37 @@ def test_unknown_field_is_config_error(tmp_path, capsys, section, key):
     node[key] = 1
     assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
     assert capsys.readouterr().err == f"config error: {section}.{key}: unknown field\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value, branch", [
+    ("model.potential", "lam", -5, "kind quartic"),
+    ("model.proliferation", "width", -1, "kind constant"),
+    ("model.proliferation", "width", 0.5, "kind constant"),
+    ("initial", "amplitude", 0.3, "preset equilibrium"),
+    ("initial", "seed", 4, "preset equilibrium"),
+    ("initial", "width", 0.1, "preset equilibrium"),
+    ("initial", "snapshots", {"mu": "m.fld", "phi": "p.fld", "sigma": "s.fld"},
+     "preset equilibrium"),
+    ("cost.targets.phi_q", "manifest", "target.json", "constant"),
+    ("cost.targets.phi_omega", "snapshot", "omega.fld", "constant"),
+], ids=["quartic-lam", "constant-bad-width", "constant-width", "equilibrium-amplitude",
+        "equilibrium-seed", "equilibrium-width", "preset-snapshots", "constant-manifest",
+        "constant-snapshot"])
+def test_key_of_branch_not_taken_is_config_error(tmp_path, capsys, section, key, value,
+                                                 branch):
+    # a union field's key that its branch does not read is refused, in or
+    # out of its range, after the key that picks the branch is read
+    cfg = json.loads((CONFIGS / "baseline.json").read_text())
+    if section == "model.proliferation":
+        cfg["model"]["proliferation"]["kind"] = "constant"
+    node = cfg
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert (capsys.readouterr().err
+            == f"config error: {section}.{key}: not read with {branch}\n")
     assert not (tmp_path / "out").exists()
 
 

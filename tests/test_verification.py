@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -6,9 +9,10 @@ import numpy as np
 import pytest
 
 import chcontrol as ch
-from chcontrol.cli import parse_config, preset_initial_data
+from chcontrol.cli import _FIELDS, parse_config, preset_initial_data, run
 from chcontrol.errors import ConfigError, GridMismatchError, ShapeMismatchError
 from chcontrol.verification import (
+    CHECKS,
     SLOPE_FLOOR,
     SLOPE_MIN_DELTA,
     _fit_slope,
@@ -16,6 +20,8 @@ from chcontrol.verification import (
     _cost_difference,
 )
 from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
+from test_cli import TINY_CONFIG
+from test_config_fields import _invalid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -144,6 +150,74 @@ def test_lipschitz_identical_controls(problem):
                                           "a finite positive number, got 0.0$"):
         ch.lipschitz_check(params, init, u, pairs=1, magnitudes=[0.0])
 
+
+
+def _oracles():
+    """(check, option) -> a call of that check's oracle on a 16-cell,
+    4-step problem with that option set to its argument: each count and
+    list option an oracle takes."""
+    params = make_problem(n=16, nt=4)
+    init, u, cost = equilibrium_init(params), midpoint_control(params), tracking_cost(params)
+    state = ch.solve_state(params, init, u)
+    return {
+        ("gradient", "directions"): lambda v: ch.fd_gradient_check(
+            params, init, cost, u, 0.5, directions=v, deltas=[0.2, 0.1]),
+        ("gradient", "deltas"): lambda v: ch.fd_gradient_check(
+            params, init, cost, u, 0.5, directions=1, deltas=v),
+        ("duality", "directions"): lambda v: ch.duality_check(
+            params, state, 2, cost, directions=v),
+        ("lipschitz", "pairs"): lambda v: ch.lipschitz_check(
+            params, init, u, pairs=v, magnitudes=[0.1, 0.01]),
+        ("lipschitz", "magnitudes"): lambda v: ch.lipschitz_check(
+            params, init, u, pairs=1, magnitudes=v),
+    }
+
+
+def test_config_table_reads_the_oracles_option_rows():
+    # one row per option: the table holds the row of CHECKS itself
+    for check, (_, _, options) in CHECKS.items():
+        assert _FIELDS[f"verification.{check}"] == ("object", None, {})
+        for option, row in options.items():
+            assert _FIELDS[f"verification.{check}.{option}"] is row
+    # every count and list option is one an oracle takes
+    assert set(_oracles()) == {(c, o) for c, (_, _, opts) in CHECKS.items()
+                               for o, (kind, _, _) in opts.items()
+                               if kind == "integer" or kind.endswith(" set")}
+
+
+@pytest.mark.parametrize("check, option", list(_oracles()))
+def test_oracle_refuses_what_the_config_refuses(tmp_path, capsys, check, option):
+    # the oracle and the config table apply one rule, word for word
+    call = _oracles()[check, option]
+    kind, limit, default = CHECKS[check][2][option]
+    # the table's mutations of the row, and 0, -1, 2.5, NaN, an empty list and
+    # a repeated entry, bare or listed, for either kind
+    values = _invalid(kind, limit, default) + [0, -1, 2.5, math.nan, [], [1, 1]]
+    for value in values:
+        cfg = copy.deepcopy(TINY_CONFIG)
+        cfg["pipeline"] = "verify"
+        cfg["verification"] = {check: {option: value}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(path, out_dir=tmp_path / "out") == 2, value
+        printed = capsys.readouterr().err
+        assert printed.startswith(f"config error: verification.{check}.{option}: ")
+        with pytest.raises(ConfigError) as caught:
+            call(value)
+        assert f"config error: {caught.value}\n" == printed
+
+
+@pytest.mark.parametrize("check, option", [("gradient", "deltas"),
+                                           ("lipschitz", "magnitudes")])
+def test_list_options_take_a_tuple_or_a_1d_array(check, option):
+    call = _oracles()[check, option]
+    expected = call([0.2, 0.1]).to_text()
+    assert call((0.2, 0.1)).to_text() == expected
+    assert call(np.array([0.2, 0.1])).to_text() == expected
+    for value in (0.1, np.float64(0.1), np.array([[0.2, 0.1]]), "0.1"):
+        with pytest.raises(ConfigError, match=f"^verification.{check}.{option}: expected "
+                                              f"a non-empty list of distinct entries, "):
+            call(value)
 
 def test_mass_balance_unit_control(problem):
     # u == 1 injects exactly t * |Omega| of combined mass
