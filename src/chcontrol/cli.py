@@ -18,9 +18,13 @@ and each error names its field. Every number, in the table or on an
 object, passes one rule, :func:`chcontrol.errors.check_number`, and a
 bad one reads "<field>: expected <what>, got <value>"; every field passes
 :func:`chcontrol.errors.check_field` by its row. Physics fields have no
-defaults, and a key that is no row is an unknown field, as is a key of a
-union field that its branch does not read ("<path>.<key>: not read with
-<branch>", such as the lam of a quartic potential). A bad
+defaults, and a key that is no row is an unknown field. The table
+``_UNIONS`` gives the branches of each union field (the potential, the
+proliferation, the initial data, the targets), and a key of a union
+field that its branch does not read is refused too ("<path>.<key>: not
+read with <branch>", such as the lam of a quartic potential). The config
+is read in one pass by that table, every field by its row, before any
+object is built from its section or any file is opened. A bad
 config raises a ConfigError whose message starts with the field's path,
 and the command exits 2 before any solve starts. So does a config whose
 one trajectory, (steps+1) * 3 * cells * 8 B, exceeds the machine's
@@ -99,6 +103,31 @@ _CHECKS = tuple(CHECKS)
 
 _REQUIRED = object()  # the default of a field that must be given
 
+# The branches of each union field, in the order they are tried: (the key
+# that picks the branch, the value that key holds for it or None, the other
+# keys the branch reads). A union takes the first branch whose key it holds,
+# and whose value too where the branch has one; the choices of a "kind" or
+# "preset" row are these values.
+_UNIONS = {
+    "model.potential": (("kind", "quartic", ()), ("kind", "logarithmic", ("lam",))),
+    "model.proliferation": (("kind", "constant", ("p0",)),
+                            ("kind", "smooth_ramp", ("p0", "width"))),
+    "initial": (("preset", "equilibrium", ("value",)),
+                ("preset", "tanh_front", ("width", "position")),
+                ("preset", "random_interior", ("amplitude", "seed")),
+                ("snapshots", None, ())),
+    **dict.fromkeys(("cost.targets.phi_q", "cost.targets.sigma_q"),
+                    (("constant", None, ()), ("manifest", None, ("component",)))),
+    **dict.fromkeys(("cost.targets.phi_omega", "cost.relaxation.sigma_omega"),
+                    (("constant", None, ()), ("snapshot", None, ()))),
+}
+
+
+def _choices(path):
+    """The values that pick the branches of union field ``path``."""
+    return tuple(value for _, value, _ in _UNIONS[path] if value is not None)
+
+
 # Every config field: dotted path -> (kind, limit, default), the kinds those
 # of errors.check_field, which reads each field by its row; its numbers pass
 # errors.check_number, the rule every object applies too. A missing field
@@ -106,11 +135,9 @@ _REQUIRED = object()  # the default of a field that must be given
 # parse_config fills in the defaults that depend on other fields. Fields of
 # the root object are named "config.<key>". The table is the whole schema: a
 # key of an object field (or the root) that is no row under it is
-# "<path>.<key>: unknown field". A union field (the potential and the
-# proliferation by their kind, the initial data by its preset or snapshots,
-# a target or sigma_omega by its constant, snapshot or manifest) first reads
-# the key that picks its branch; a key of it that the branch does not read
-# (the lam of a quartic potential, the arguments of another preset) is then
+# "<path>.<key>: unknown field". A union field (a path of _UNIONS) reads
+# the rows of the branch it takes only; a key of it that the branch does not
+# read (the lam of a quartic potential, the arguments of another preset) is
 # "<path>.<key>: not read with <branch>". The ranges that Grid,
 # TimeGrid, Potential, Proliferation, ModelParams, CostSpec.validate,
 # Relaxation, optimizer.check_bounds (lower <= upper) and
@@ -128,10 +155,10 @@ _FIELDS = {
     "model.alpha": ("number", None, _REQUIRED),
     "model.beta": ("number", None, _REQUIRED),
     "model.potential": ("object", None, _REQUIRED),
-    "model.potential.kind": ("choice", ("quartic", "logarithmic"), _REQUIRED),
+    "model.potential.kind": ("choice", _choices("model.potential"), _REQUIRED),
     "model.potential.lam": ("number", None, _REQUIRED),
     "model.proliferation": ("object", None, _REQUIRED),
-    "model.proliferation.kind": ("choice", ("constant", "smooth_ramp"), _REQUIRED),
+    "model.proliferation.kind": ("choice", _choices("model.proliferation"), _REQUIRED),
     "model.proliferation.p0": ("number", None, _REQUIRED),
     "model.proliferation.width": ("number", None, _REQUIRED),
     "grid": ("object", None, _REQUIRED),
@@ -141,8 +168,7 @@ _FIELDS = {
     "time.horizon": ("number", None, _REQUIRED),
     "time.steps": ("integer", None, _REQUIRED),
     "initial": ("object", None, _REQUIRED),
-    "initial.preset": ("choice", ("equilibrium", "tanh_front", "random_interior"),
-                       _REQUIRED),
+    "initial.preset": ("choice", _choices("initial"), _REQUIRED),
     "initial.value": ("number", None, _REQUIRED),
     "initial.width": ("positive", None, _REQUIRED),
     "initial.position": ("number", None, _REQUIRED),
@@ -205,44 +231,55 @@ def _read(section: dict, path: str):
         raise ConfigError(f"{path}: required field is missing")
     if value is None and default is None:
         return None
-    conformed = check_field(path, value, kind, limit)
-    return _known(conformed, path) if kind == "object" else conformed
+    return check_field(path, value, kind, limit)
 
 
-def _known(section: dict, path: str, branch=None, reads=()) -> dict:
-    """``section``, the object field ``path``, if each of its keys is a row
-    under ``path``; else a ConfigError "<path>.<key>: unknown field" naming
-    the first key that is not. Given the ``branch`` a union field takes, each
-    key must be one of ``reads``, the keys that branch reads, else the error
-    reads "<path>.<key>: not read with <branch>"."""
-    for key in section:
-        if key not in (reads if branch else _KEYS[path]):
-            raise ConfigError(f"{path}.{key}: "
-                              + (f"not read with {branch}" if branch else "unknown field"))
-    return section
-
-
-def _field(cfg: dict, path: str):
-    """Config field ``path`` of the whole config ``cfg``, each object on
-    the way read as a field too."""
-    parent = path.rpartition(".")[0]
-    return _read(cfg if parent in ("", "config") else _field(cfg, parent), path)
-
-
-# the keys of each object field, in table order; the root's are under "config"
-_KEYS: dict = {}
+# the rows under each object field, key -> path in table order; the root's
+# are under "config"
+_ROWS: dict = {}
 for _path in _FIELDS:
     _parent, _, _key = _path.rpartition(".")
-    _KEYS.setdefault(_parent or "config", []).append(_key)
+    _ROWS.setdefault(_parent or "config", {})[_key] = _path
 
 
-def _fields(section: dict, path: str):
-    """Field ``path`` of ``section``; an object field with every row under
-    it read, nested like the config."""
-    node = _read(section, path)
-    if _FIELDS[path][0] != "object":
-        return node
-    return {key: _fields(node, f"{path}.{key}") for key in _KEYS[path]}
+def _branch(node: dict, path: str) -> tuple:
+    """The keys of ``node``, union field ``path``, that the branch it takes
+    reads, the key that picks it first. That key is read by its row before
+    the other keys are looked at. With no branch's key held the error reads
+    "<path>: expected '<key>' or ...", or names the key that every branch
+    has as a missing field; a key that the branch does not read is
+    "<path>.<key>: not read with <branch>"."""
+    keys = list(dict.fromkeys(key for key, _, _ in _UNIONS[path]))
+    key = next((key for key in keys if key in node), keys[0])
+    if key not in node and len(keys) > 1:
+        raise ConfigError(f"{path}: expected {' or '.join(map(repr, keys))}")
+    picked = _read(node, f"{path}.{key}")
+    _, value, reads = next(b for b in _UNIONS[path]
+                           if b[0] == key and b[1] in (None, picked))
+    for other in node:
+        if other != key and other not in reads:
+            raise ConfigError(f"{path}.{other}: not read with "
+                              + (key if value is None else f"{key} {value}"))
+    return (key,) + reads
+
+
+def _fields(node: dict, path: str) -> dict:
+    """The rows under object field ``path`` read from its value ``node``,
+    nested like the config: of a union field, those of the branch it takes
+    (see :func:`_branch`). A key of ``node`` that is no row under ``path``
+    is "<path>.<key>: unknown field"."""
+    rows = _ROWS[path]
+    for key in node:
+        if key not in rows:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    if path in _UNIONS:
+        rows = {key: rows[key] for key in _branch(node, path)}
+    fields = {}
+    for key, row in rows.items():
+        value = _read(node, row)
+        # an object field's value is a dict (None where it is absent)
+        fields[key] = _fields(value, row) if isinstance(value, dict) else value
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -259,29 +296,30 @@ def preset_initial_data(name: str, grid: Grid, potential: Potential,
     random_interior(amplitude, seed): smooth seeded cosine-mode noise with
         max |phi0| = amplitude.
 
-    The arguments are the ``initial.*`` fields of :data:`_FIELDS`. The
+    The arguments are the ``initial.*`` fields of :data:`_FIELDS`, read
+    by :func:`_fields` as the ``initial`` section of a config is. The
     non-equilibrium presets set mu0 = F'(phi0) and sigma0 = mu0, which
     keeps all fields order one and the exchange term initially balanced.
     A phi0 outside the window of ``potential`` (see
     :meth:`Potential.check_start`) is a ConfigError naming the preset's field.
     """
-    cfg = {"initial": {**kwargs, "preset": name}}
-    name = _field(cfg, "initial.preset")
-    _known(cfg["initial"], "initial", f"preset {name}",
-           {"equilibrium": ("value",), "tanh_front": ("width", "position"),
-            "random_interior": ("amplitude", "seed")}[name] + ("preset",))
+    args = _fields({**kwargs, "preset": name}, "initial")
+    name = args["preset"]
     if name == "equilibrium":
-        blame, given = "initial.value", _field(cfg, "initial.value")
+        blame, given = "initial.value", args["value"]
         phi = grid.full(given)
     elif name == "tanh_front":
-        blame, given = "initial.width", _field(cfg, "initial.width")
+        blame, given = "initial.width", args["width"]
         # the profile along the first axis, the same on every line across it
         x = grid.axis_centers(0).reshape(grid.n[:1] + (1,) * (grid.dim - 1))
-        phi = np.broadcast_to(np.tanh((x - _field(cfg, "initial.position")) / given),
-                              grid.shape).copy()
+        # on a subnormal width the quotient overflows to +-inf, where tanh
+        # is +-1 indeed
+        with np.errstate(over="ignore"):
+            front = np.tanh((x - args["position"]) / given)
+        phi = np.broadcast_to(front, grid.shape).copy()
     else:
-        blame, given = "initial.amplitude", _field(cfg, "initial.amplitude")
-        rng = np.random.default_rng(_field(cfg, "initial.seed"))
+        blame, given = "initial.amplitude", args["amplitude"]
+        rng = np.random.default_rng(args["seed"])
         modes = 4
         phi = np.zeros(grid.shape)
         axes = [grid.axis_centers(i) / grid.extents[i] for i in range(grid.dim)]
@@ -337,11 +375,10 @@ def _finite(path, values):
     return values
 
 
-def _snapshot(section, path, grid):
-    """The snapshot that config field ``path`` of ``section`` names (a
-    number it holds instead is returned as it is); any failure, non-finite
-    values included, is a ConfigError naming the field."""
-    file = _read(section, path)
+def _snapshot(path, file, grid):
+    """The snapshot in ``file``, config field ``path`` (a number given
+    instead is returned as it is); any failure, non-finite values included,
+    is a ConfigError naming the field."""
     if isinstance(file, float):
         return file
     try:
@@ -353,30 +390,27 @@ def _snapshot(section, path, grid):
         raise ConfigError(f"{path}: {exc}")
 
 
-def _array(cfg, path, grid, tg=None):
-    """The array that union field ``path`` gives: None if it is absent, a
-    constant from {"constant": c}, or a file: {"manifest": m, "component":
-    name} for a space-time target (``tg`` given), {"snapshot": s} for a
-    spatial field."""
-    d = _field(cfg, path)
-    if d is None:
+def _array(path, union, grid, tg=None):
+    """The array that ``union``, union field ``path`` as read, gives: None
+    if it is absent, a constant from {"constant": c}, or a file: {"manifest":
+    m, "component": name} for a space-time target (``tg`` given),
+    {"snapshot": s} for a spatial field."""
+    if union is None:
         return None
-    if "constant" in d:
-        c = _read(d, f"{path}.constant")
-        _known(d, path, "constant", ("constant",))
+    if "constant" in union:
+        c = union["constant"]
         return grid.full(c) if tg is None else constant_trajectory(grid, tg, c)
-    key = "snapshot" if tg is None else "manifest"
-    if key not in d:
-        raise ConfigError(f"{path}: expected 'constant' or '{key}'")
-    if tg is None:
-        return _snapshot(d, f"{path}.snapshot", grid)
-    file = _read(d, f"{path}.manifest")
-    component = _read(d, f"{path}.component")
+    if "snapshot" in union:
+        return _snapshot(f"{path}.snapshot", union["snapshot"], grid)
     try:
-        traj = read_trajectory(file)
-        values = traj.component(traj.names[0] if component is None else component)
+        traj = read_trajectory(union["manifest"])
     except (OSError, ChControlError) as exc:
         raise ConfigError(f"{path}.manifest: cannot read trajectory ({exc})")
+    try:
+        values = traj.component(traj.names[0] if union["component"] is None
+                                else union["component"])
+    except ShapeMismatchError as exc:
+        raise ConfigError(f"{path}.component: {exc} in {path}.manifest")
     if traj.grid != grid or traj.time_grid != tg or traj.nframes != tg.steps + 1:
         raise ConfigError(f"{path}.manifest: trajectory does not match the "
                           f"configured grids")
@@ -417,69 +451,49 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         raise ConfigError(f"{path}: cannot read config ({exc})")
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected an object, got {type(raw).__name__}")
-    _known(raw, "config")
-
     if seed is not None:
         raw["seed"] = seed
     if out_dir is not None:
         raw["output_dir"] = str(out_dir)
-    for key in ("pipeline", "seed", "output_dir"):
-        raw[key] = _field(raw, f"config.{key}")
+    cfg = _fields(raw, "config")
+    raw.update((key, cfg[key]) for key in ("pipeline", "seed", "output_dir"))
 
-    if _field(raw, "model.potential.kind") == "quartic":
-        _known(_field(raw, "model.potential"), "model.potential", "kind quartic", ("kind",))
-        potential = Potential.quartic()
-    else:
-        potential = Potential.logarithmic(_field(raw, "model.potential.lam"))
-    p0 = _field(raw, "model.proliferation.p0")
-    if _field(raw, "model.proliferation.kind") == "constant":
-        _known(_field(raw, "model.proliferation"), "model.proliferation", "kind constant",
-               ("kind", "p0"))
-        prolif = Proliferation.constant(p0)
-    else:
-        prolif = Proliferation.smooth_ramp(p0, _field(raw, "model.proliferation.width"))
-    grid = Grid(tuple(_field(raw, "grid.n")), tuple(_field(raw, "grid.extents")))
-    steps = _field(raw, "time.steps")
-    _check_fits(grid, steps)
-    tg = TimeGrid(_field(raw, "time.horizon"), steps)
-    params = ModelParams(_field(raw, "model.alpha"), _field(raw, "model.beta"),
-                         potential, prolif, grid, tg, **_fields(raw, "solver"))
+    model = cfg["model"]
+    potential = Potential(**model["potential"])
+    prolif = Proliferation(**model["proliferation"])
+    grid = Grid(**cfg["grid"])
+    _check_fits(grid, cfg["time"]["steps"])
+    tg = TimeGrid(**cfg["time"])
+    params = ModelParams(model["alpha"], model["beta"], potential, prolif, grid, tg,
+                         **cfg["solver"])
 
-    idict = _field(raw, "initial")
-    if "preset" in idict:
-        init = preset_initial_data(idict["preset"], grid, potential, **idict)
-    elif "snapshots" in idict:
-        snaps = _read(idict, "initial.snapshots")
-        _known(idict, "initial", "snapshots", ("snapshots",))
-        init = InitialData(*(
-            _snapshot(snaps, f"initial.snapshots.{name}", grid)
-            for name in ("mu", "phi", "sigma")))
+    initial = cfg["initial"]
+    if "preset" in initial:
+        init = preset_initial_data(initial["preset"], grid, potential, **initial)
+    else:
+        # the snapshots' rows in table order: mu, phi, sigma
+        init = InitialData(*(_snapshot(f"initial.snapshots.{name}", file, grid)
+                             for name, file in initial["snapshots"].items()))
         potential.check_start(init.phi0, "initial.snapshots.phi: the snapshot")
-    else:
-        raise ConfigError("initial: expected 'preset' or 'snapshots'")
 
-    bd = _field(raw, "bounds")
-    lower, upper = (_snapshot(bd, f"bounds.{side}", grid)
-                    for side in ("lower", "upper"))
+    lower, upper = (_snapshot(f"bounds.{side}", file, grid)
+                    for side, file in cfg["bounds"].items())
     check_bounds(lower, upper)
 
-    cd = _field(raw, "cost")
-    relaxation = _read(cd, "cost.relaxation")
+    weights = cfg["cost"]
+    relaxation, targets = weights.pop("relaxation"), weights.pop("targets")
     if relaxation is not None:
-        relaxation = Relaxation(_read(relaxation, "cost.relaxation.gamma"),
-                                _read(relaxation, "cost.relaxation.eps"),
-                                _array(raw, "cost.relaxation.sigma_omega", grid))
+        relaxation = Relaxation(relaxation["gamma"], relaxation["eps"], _array(
+            "cost.relaxation.sigma_omega", relaxation["sigma_omega"], grid))
     cost = CostSpec(
-        **{f"b{i}": _read(cd, f"cost.b{i}") for i in range(7)},
-        phi_q=_array(raw, "cost.targets.phi_q", grid, tg),
-        sigma_q=_array(raw, "cost.targets.sigma_q", grid, tg),
-        phi_omega=_array(raw, "cost.targets.phi_omega", grid),
-        tau_star=_read(cd, "cost.tau_star"),
-        relaxation=relaxation,
+        **weights, relaxation=relaxation,
+        phi_q=_array("cost.targets.phi_q", targets["phi_q"], grid, tg),
+        sigma_q=_array("cost.targets.sigma_q", targets["sigma_q"], grid, tg),
+        phi_omega=_array("cost.targets.phi_omega", targets["phi_omega"], grid),
     )
     cost.validate(grid, tg)
 
-    start = _field(raw, "control.initial")
+    start = cfg["control"]["initial"]
     if isinstance(start, str):
         if start != "midpoint":
             raise ConfigError(f"control.initial: expected 'midpoint' or a number, "
@@ -488,12 +502,12 @@ def parse_config(path, seed=None, out_dir=None) -> ExperimentConfig:
         start = 0.5 * np.asarray(lower) + 0.5 * np.asarray(upper)
     u0 = np.broadcast_to(start, (tg.steps + 1,) + grid.shape).copy()
 
-    optimizer = _fields(raw, "optimizer")
+    optimizer = cfg["optimizer"]
     check_settings(**optimizer)
-    verification = _fields(raw, "verification")
+    verification = cfg["verification"]
     if verification["tau"] is None:
         verification["tau"] = cost.tau_star
-    tau0 = _field(raw, "control.tau0")
+    tau0 = cfg["control"]["tau0"]
     for where, tau in (("control.tau0", tau0),
                        ("verification.tau", verification["tau"])):
         if tau is not None:

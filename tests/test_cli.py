@@ -178,6 +178,15 @@ def test_preset_tanh_front():
         preset_initial_data("no_such", g, ch.Potential.quartic())
 
 
+def test_preset_tanh_front_on_a_subnormal_width():
+    # the positive kind admits a width of 1e-320: (x - position) / width
+    # overflows to +-inf, where tanh is +-1, without a RuntimeWarning
+    g = ch.Grid.line(32)
+    init = preset_initial_data("tanh_front", g, ch.Potential.quartic(),
+                               width=1e-320, position=0.5)
+    assert np.array_equal(init.phi0, np.where(g.axis_centers(0) < 0.5, -1.0, 1.0))
+
+
 def test_config_rejects_nonpositive_beta(tmp_path, capsys):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["model"]["beta"] = 0.0
@@ -882,6 +891,20 @@ def test_target_from_manifest(tmp_path):
         ch.write_trajectory(tmp_path / "nan", nan_target))
     with pytest.raises(ConfigError, match="cost.targets.phi_q.manifest: .*non-finite"):
         parse_config(_write(tmp_path, cfg))
+
+
+def test_missing_component_is_config_error_naming_it(tmp_path, capsys):
+    # a component the trajectory does not hold is the component field's
+    # fault, not the manifest's
+    g, tg = ch.Grid.line(32), ch.TimeGrid(0.25, 16)
+    target = ch.Trajectory(g, tg, np.zeros((17, 3, 32)), ("mu", "phi", "sigma"))
+    manifest = ch.write_trajectory(tmp_path / "target", target)
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["cost"]["targets"]["sigma_q"] = {"manifest": str(manifest), "component": "nope"}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "config error: cost.targets.sigma_q.component: no component 'nope' among "
+        "['mu', 'phi', 'sigma'] in cost.targets.sigma_q.manifest\n")
 
 
 @pytest.mark.parametrize("grids", ["horizon", "box"])

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chcontrol as ch
-from chcontrol.cli import _FIELDS, _REQUIRED, parse_config, run
+from chcontrol.cli import _FIELDS, _REQUIRED, _UNIONS, parse_config, run
 from chcontrol.errors import ConfigError
 from test_cli import TINY_CONFIG
 
@@ -87,6 +87,25 @@ def _variants(root):
     files["cost"]["relaxation"] = {"gamma": 0.5, "eps": 0.1,
                                    "sigma_omega": {"snapshot": snaps["omega"]}}
     return [equilibrium, logarithmic, front, files]
+
+
+def _taken(union, path):
+    """The branch of _UNIONS[path] that the object ``union`` takes."""
+    return next(branch for branch in _UNIONS[path] if branch[0] in union
+                and branch[1] in (None, union[branch[0]]))
+
+
+def test_union_table_matches_the_rows(tmp_path):
+    # each union's branches read exactly the rows under it, and the fuzz's
+    # variants take every branch
+    variants = _variants(tmp_path)
+    for path, branches in _UNIONS.items():
+        rows = {row.rpartition(".")[2] for row in _FIELDS if row.rpartition(".")[0] == path}
+        reads = [{key, *others} for key, _, others in branches]
+        assert set().union(*reads) == rows, path
+        taken = {_taken(_object(cfg, path), path) for cfg in variants
+                 if _object(cfg, path) is not None}
+        assert taken == set(branches), path
 
 
 def _invalid(kind, limit, default):
