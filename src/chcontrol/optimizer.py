@@ -64,7 +64,9 @@ ones, with no polishing iteration. The Armijo test and the stationarity
 measures sit far above a residual of ``newton_tol``, so the optimum is the
 polished marches' to rounding (below 1e-12 relative in tau_opt and J on
 ``configs/baseline.json``), for about a third of the solves. Simulate,
-verify and the oracles keep the polished march.
+verify's base march and the FD gradient oracle keep the polished march;
+the Lipschitz oracle makes the tolerance march too, so its figures rest
+on ``solver.newton_tol``.
 """
 
 from __future__ import annotations

@@ -29,14 +29,17 @@ so ``solve_state(params, init, control)`` runs the same iteration for
 simulate, the optimizer and the oracles. Two marches share it. The
 polished march, the default, makes one more Newton iteration after the
 residual falls below ``newton_tol``, which takes it to the evaluation
-floor that the finite-difference gradient oracle needs; simulate, verify
-and every oracle march so. The tolerance march (``polish=False``), the
-optimizer's, stops at the tolerance and starts step k+1 for k >= 2 from
-the quadratic extrapolation 3 x_k - 3 x_{k-1} + x_{k-2} of its own earlier
-frames, the predictor of Hairer and Wanner, "Solving Ordinary Differential
+floor that the finite-difference gradient oracle needs; simulate, verify's
+base march and the FD gradient oracle march so. The tolerance march
+(``polish=False``), the optimizer's and the Lipschitz oracle's, stops at
+the tolerance and starts step k+1 for k >= 2 from the quadratic
+extrapolation 3 x_k - 3 x_{k-1} + x_{k-2} of its own earlier frames, the
+predictor of Hairer and Wanner, "Solving Ordinary Differential
 Equations II", sec. IV.8; a step whose start already meets the tolerance
-makes no solve. Its Armijo tests and stationarity measures sit far above
-a residual of ``newton_tol``, and it makes about a third of the solves.
+makes no solve. The optimizer's Armijo tests and stationarity measures,
+like the Lipschitz oracle's spreads, sit far above a residual of
+``newton_tol``, and the march makes about a third of the solves. The
+Lipschitz figures therefore rest on ``solver.newton_tol``.
 
 One step is a damped Newton solve on the stacked frame X = (mu, phi,
 sigma), of shape (3, *grid.shape) like ``Trajectory.data[k]``. Each

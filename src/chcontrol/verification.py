@@ -16,8 +16,14 @@ validates and reports the observed mismatch:
   step (the series ``diagnostics.csv`` reports) and at its worst.
 
 Every forward solve a check makes runs under the Newton settings of its
-``params``. Errors, mismatches and drifts are reduced with ``np.max``, so
-a NaN among them fails the check.
+``params``. The gradient check's solves are polished marches (see
+:mod:`chcontrol.state`), as is the verify pipeline's base march, whose
+state the duality and mass balance checks read: the error at the smallest
+delta needs the polish's rounding floor. The Lipschitz check's are
+tolerance marches, the optimizer's: its spreads, gated at factors of 10
+and 3, cannot see a residual of ``newton_tol``, so its figures rest on
+``solver.newton_tol``. Errors, mismatches and drifts are reduced with
+``np.max``, so a NaN among them fails the check.
 
 The gradient check forms J(u + delta h) - J(u - delta h) at the snapped
 node t_{k_tau} in polarized form, never as a difference of two totals,
@@ -210,11 +216,12 @@ def _cost_difference(params: ModelParams, cost: CostSpec, k_tau: int,
 
 
 def _march_pairs(params: ModelParams, init: InitialData, steps: int, count: int,
-                 pairs, reduce) -> list:
+                 pairs, reduce, *, polish: bool = True) -> list:
     """March the ``count`` control pairs (a, b) that the iterator ``pairs``
     yields to frame ``steps`` in member-stacked ensembles, and return
     ``reduce(a, b, s_a, s_b)`` for each pair in order, s_a and s_b being
-    the trajectories of a and b.
+    the trajectories of a and b. ``polish`` is passed to
+    :func:`~chcontrol.state.solve_state`.
 
     The pairs go, in order, into the fewest ensembles of near-equal size
     that each hold at most as many pairs as fit :data:`ENSEMBLE_BYTES` of
@@ -233,7 +240,7 @@ def _march_pairs(params: ModelParams, init: InitialData, steps: int, count: int,
         controls = np.empty((2 * size, tg.steps + 1) + grid.shape)
         for m in firsts:
             controls[m], controls[m + 1] = next(pairs)
-        traj = solve_state(params, init, controls, steps=steps)
+        traj = solve_state(params, init, controls, steps=steps, polish=polish)
         out += [reduce(controls[m], controls[m + 1],
                        *(Trajectory(grid, tg, traj.data[:, :, i], traj.names)
                          for i in (m, m + 1)))
@@ -388,7 +395,9 @@ def lipschitz_check(params: ModelParams, init: InitialData,
     integer >= 1, else a ConfigError headed
     ``verification.lipschitz.pairs``, and ``magnitudes`` a non-empty list,
     tuple or 1-D array of distinct finite positive numbers, else one headed
-    ``verification.lipschitz.magnitudes``."""
+    ``verification.lipschitz.magnitudes``. The perturbed controls make the
+    tolerance march (``polish=False``, see :mod:`chcontrol.state`), so
+    the ratios rest on ``params.newton_tol``."""
     pairs = _option("lipschitz", "pairs", pairs)
     grid, tg = params.grid, params.time_grid
     dt = tg.dt
@@ -412,7 +421,7 @@ def lipschitz_check(params: ModelParams, init: InitialData,
         return [sup / du if du > 0 else 0.0 for sup in sups]
 
     ratios = np.array(_march_pairs(params, init, tg.steps, pairs * len(magnitudes),
-                                   controls, reduce))
+                                   controls, reduce, polish=False))
     tables = ratios.T.reshape(4, pairs, len(magnitudes))
     return LipschitzCheckReport(magnitudes, dict(zip(("mu", "phi", "sigma", "combined"),
                                                      tables)), seed)

@@ -93,6 +93,51 @@ def test_lipschitz_check(problem):
             assert combined <= bound + 1e-12
 
 
+def test_only_the_lipschitz_oracle_marches_to_tolerance(problem, monkeypatch):
+    # the Lipschitz spreads cannot see the polish, so its ensembles make the
+    # tolerance march. The FD gradient oracle's base march and ensembles
+    # polish: without it the error on seed 116 reads 6.89e-7, still under
+    # the 1e-6 gate, so no other test would notice the polish gone
+    params, init, u = problem
+    polish = []
+    solve_state = ch.verification.solve_state
+
+    def recording_solve_state(params, init, control, steps=None, **kw):
+        polish.append(kw.get("polish", True))
+        return solve_state(params, init, control, steps, **kw)
+
+    monkeypatch.setattr(ch.verification, "solve_state", recording_solve_state)
+    ch.lipschitz_check(params, init, u, pairs=2, magnitudes=[1e-2])
+    assert polish and not any(polish)
+    polish.clear()
+    ch.fd_gradient_check(params, init, tracking_cost(params), u, 0.5, directions=1,
+                         deltas=[1e-3])
+    assert len(polish) >= 2 and all(polish)
+
+
+def test_lipschitz_tolerance_march_matches_polished(problem, monkeypatch):
+    # the tolerance march moves every ratio and both spreads by less than
+    # 1e-8 relative from those of polished marches, and no verdict
+    params, init, u = problem
+
+    def check():
+        return ch.lipschitz_check(params, init, u, pairs=3,
+                                  magnitudes=[1e-1, 1e-2, 1e-3])
+
+    marched = check()
+    solve_state = ch.verification.solve_state
+    monkeypatch.setattr(ch.verification, "solve_state",
+                        lambda params, init, control, steps=None, **kw:
+                        solve_state(params, init, control, steps, polish=True))
+    polished = check()
+    for name, table in polished.ratios.items():
+        np.testing.assert_allclose(marched.ratios[name], table, rtol=1e-8, atol=0)
+    for spread in ("spread_across_pairs", "spread_across_magnitudes"):
+        assert getattr(marched, spread)() == pytest.approx(getattr(polished, spread)(),
+                                                           rel=1e-8, abs=0)
+    assert marched.passed() == polished.passed()
+
+
 @pytest.mark.parametrize("value", [0, 2.5, True, 10**400, "1", np.nan, np.inf],
                          ids=["zero", "fraction", "bool", "beyond-float", "string", "nan",
                               "inf"])
@@ -480,9 +525,9 @@ def test_oracle_reports_do_not_depend_on_grouping(make, monkeypatch):
     sizes, flags = [], []
     solve_state, solve = ch.verification.solve_state, ch.system.StepSolver.solve
 
-    def recording_solve_state(params, init, control, steps=None):
+    def recording_solve_state(params, init, control, steps=None, **kw):
         sizes.append(len(control) if control.ndim > params.grid.dim + 1 else 1)
-        return solve_state(params, init, control, steps)
+        return solve_state(params, init, control, steps, **kw)
 
     def recording_solve(self, p, w, rhs, transpose=False, means=False):
         flags.append(len(set(np.atleast_1d(means))))
@@ -523,9 +568,9 @@ def test_pair_oracles_hold_one_ensemble_at_a_time(monkeypatch):
     sizes = []
     solve_state = ch.verification.solve_state
 
-    def recording_solve_state(params, init, control, steps=None):
+    def recording_solve_state(params, init, control, steps=None, **kw):
         sizes.append(len(control))
-        return solve_state(params, init, control, steps)
+        return solve_state(params, init, control, steps, **kw)
 
     monkeypatch.setattr(ch.verification, "solve_state", recording_solve_state)
     runs = {
