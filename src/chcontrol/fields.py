@@ -6,6 +6,11 @@ ghost value equals the adjacent interior value, which makes the discrete
 Laplacian symmetric and exactly conservative (its integral vanishes to
 roundoff). One stencil, :func:`chcontrol.kernels.lap`, serves every
 dimension. Fields are plain float64 numpy arrays of shape ``grid.shape``.
+Integrals over the grid have one rule, the midpoint rule
+:func:`integrate`, the only reader of ``Grid.cell_volume``: it takes one
+field or a stack of them, and keeps each field's bits in a stack, so the
+costs, pairings, norms and masses built on it agree to the bit whichever
+form they take.
 
 Time is a uniform grid on [0, T]. A :class:`Trajectory` stores the same
 named components, one field each, per node; the same container is used
@@ -169,10 +174,20 @@ def laplacian_neumann(grid: Grid, f: np.ndarray) -> np.ndarray:
     return kernels.lap(f, grid.inv_h2)
 
 
-def integrate(grid: Grid, f: np.ndarray) -> float:
-    """Midpoint-rule integral, cell volume times the (fixed-order) sum."""
-    check_shape("field", f.shape, grid.shape)
-    return grid.cell_volume * float(np.sum(f))
+def integrate(grid: Grid, f: np.ndarray) -> float | np.ndarray:
+    """The midpoint rule: the cell volume times the sum of ``f`` over the
+    grid axes, in numpy's reduction order.
+
+    ``f`` is one field, whose integral is returned as a float, or a stack
+    of fields along leading axes, e.g. the (frames, *grid.shape) series of
+    a state component, whose integrals are returned as an array of the
+    leading shape. numpy sums each field of a stack exactly as it sums
+    that field alone, so each entry is bitwise the integral of its field.
+    A trailing shape other than the grid's raises :class:`GridMismatchError`
+    through :func:`~chcontrol.errors.check_shape`, headed ``field``."""
+    check_shape("field", f.shape[-grid.dim:], grid.shape)
+    total = np.sum(f, axis=tuple(range(f.ndim - grid.dim, f.ndim)))
+    return grid.cell_volume * (float(total) if f.ndim == grid.dim else total)
 
 
 class Trajectory:

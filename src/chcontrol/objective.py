@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, TimeDomainError, check_number, check_shape
-from .fields import Grid, TimeGrid, Trajectory
+from .fields import Grid, TimeGrid, Trajectory, integrate
 from .state import check_control_shape
 
 
@@ -232,23 +232,18 @@ def window_weights(k_tau: int, dt: float, eps: float) -> np.ndarray:
 
 def space_time_inner(grid: Grid, dt: float, a: np.ndarray, b: np.ndarray,
                      weights: np.ndarray | None = None) -> float:
-    """Trapezoid-weighted L2(Q) pairing of node-indexed field arrays, ``b``
-    of the shape of ``a``."""
+    """The L2(Q) pairing of node-indexed field arrays, ``b`` of the shape
+    of ``a``: the midpoint rule in space (:func:`~chcontrol.fields.integrate`
+    of a * b, one integral per node) under the time ``weights``, by
+    default the trapezoid weights of :func:`time_weights`."""
     check_shape("b", b.shape, a.shape)
     if weights is None:
         weights = time_weights(a.shape[0], dt)
-    return float(np.dot(weights, _node_inner(grid, a, b)))
+    return float(np.dot(weights, integrate(grid, a * b)))
 
 
 def space_time_norm(grid: Grid, dt: float, a: np.ndarray) -> float:
     return float(np.sqrt(max(space_time_inner(grid, dt, a, a), 0.0)))
-
-
-def _node_inner(grid: Grid, a: np.ndarray, b) -> np.ndarray:
-    """The L2(Omega) pairing of a and b at each time node (the first
-    axis): the midpoint sum over the grid axes times the cell volume."""
-    ab = a * b
-    return ab.sum(axis=tuple(range(1, ab.ndim))) * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +328,18 @@ class TauProfile:
     0..W-1, and :meth:`minimize` returns None unless the full profile's
     first node minimizer provably lies among nodes 0..W-2 (see there).
 
-    Misshapen targets and a misshapen control raise
+    A member-stacked state (see :func:`~chcontrol.state.solve_state`),
+    misshapen targets and a misshapen control raise
     :class:`GridMismatchError`, a ShapeMismatchError, through
-    :func:`~chcontrol.errors.check_shape`; a state that is not the full
+    :func:`~chcontrol.errors.check_shape`, headed ``cost state``, the
+    target's field or ``control``; a state that is not the full
     march (for the other costs), or a tau outside [0, T] or past a partial
     march, raises :class:`TimeDomainError`.
     """
 
     def __init__(self, state: Trajectory, u: np.ndarray, cost: CostSpec):
         grid, tg = state.grid, state.time_grid
+        check_shape("cost state", state.data.shape[2:], grid.shape)
         frames = state.nframes
         self.partial = frames != tg.steps + 1
         if self.partial and not cost.monotone_tail():
@@ -359,18 +357,18 @@ class TauProfile:
         # the integral terms weight/2 int |misfit|^2 (see the class docstring)
         self.running = []
         for t in terms:
-            g = _node_inner(grid, t.misfit, t.misfit)
+            g = integrate(grid, t.misfit * t.misfit)
             self.running.append((t.name, 0.5 * t.weight, g, self._cumtrapz(g), t.window))
 
         if cost.b2 > 0:
             diff = state.phi if cost.phi_omega is None else state.phi - cost.phi_omega
-            self.qn = _node_inner(grid, diff, diff)
-            self.qx = _node_inner(grid, diff[:-1], diff[1:])
+            self.qn = integrate(grid, diff * diff)
+            self.qx = integrate(grid, diff[:-1] * diff[1:])
             dphi = np.diff(state.phi, axis=0) / self.dt
-            self.p_prev = _node_inner(grid, diff[:-1], dphi)
-            self.p_cur = _node_inner(grid, diff[1:], dphi)
+            self.p_prev = integrate(grid, diff[:-1] * dphi)
+            self.p_cur = integrate(grid, diff[1:] * dphi)
         if cost.b4 > 0:
-            self.mass = _node_inner(grid, 1.0 + state.phi, 1.0)
+            self.mass = integrate(grid, 1.0 + state.phi)
         self.control_energy = 0.0
         if cost.b0 > 0:
             self.control_energy = 0.5 * cost.b0 * space_time_inner(

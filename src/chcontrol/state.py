@@ -333,13 +333,17 @@ def check_state(params: ModelParams, state: Trajectory, reader: str, last: int) 
     """The one check of a solved ``state`` whose frames 0..``last``
     ``reader`` reads with the h and dt of ``params``; returns ``last`` as
     an int. Raises :class:`GridMismatchError` unless ``state`` lies on the
-    grid and the time grid of ``params``, and :class:`TimeDomainError`
-    unless ``last`` passes :func:`~chcontrol.errors.check_node` for 0..nt
-    (a whole number, not a bool) and ``state`` holds frames 0..last; each
-    message is headed by ``reader``."""
+    grid and the time grid of ``params`` and holds one field per component
+    and frame, not a member-stacked state of :func:`solve_state` (through
+    :func:`~chcontrol.errors.check_shape`, headed "<reader> state"), and
+    :class:`TimeDomainError` unless ``last`` passes
+    :func:`~chcontrol.errors.check_node` for 0..nt (a whole number, not a
+    bool) and ``state`` holds frames 0..last; each message is headed by
+    ``reader``."""
     if state.grid != params.grid or state.time_grid != params.time_grid:
         raise GridMismatchError(f"{reader}: state on {state.grid}, {state.time_grid}; "
                                 f"model on {params.grid}, {params.time_grid}")
+    check_shape(f"{reader} state", state.data.shape[2:], params.grid.shape)
     last = check_node(reader, last, params.time_grid.steps)
     if state.nframes <= last:
         raise TimeDomainError(f"{reader}: node {last} needs forward frames 0..{last}, "

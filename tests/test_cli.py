@@ -602,6 +602,21 @@ def test_all_pipeline_shares_the_base_solve(tmp_path, monkeypatch):
                 == _hash_tree(tmp_path / pipeline / pipeline)), pipeline
 
 
+def test_absent_targets_are_zero_targets(tmp_path):
+    # an absent target reads as a zero misfit offset, bitwise the constant 0
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["pipeline"] = "all"
+    cfg["cost"].update(b2=1.0, b4=0.5, targets={})
+    cfg["verification"] = TINY_VERIFICATION
+    assert run(_write(tmp_path, cfg, "absent.json"), out_dir=tmp_path / "absent") == 0
+    cfg["cost"]["targets"] = {name: {"constant": 0.0}
+                              for name in ("phi_q", "sigma_q", "phi_omega")}
+    assert run(_write(tmp_path, cfg, "zero.json"), out_dir=tmp_path / "zero") == 0
+    skip = ("run_summary.json",)
+    assert (_hash_tree(tmp_path / "absent", skip)
+            == _hash_tree(tmp_path / "zero", skip))
+
+
 def test_verify_honours_seed_zero(tmp_path):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "verify"
@@ -1035,6 +1050,15 @@ def test_trajectory_beyond_physical_memory_is_config_error(tmp_path, capsys, mon
     for memory in (need, None):
         monkeypatch.setattr(cli_module, "_physical_memory", lambda: memory)
         assert run(cfg_path, out_dir=tmp_path / "fits") == 0
+
+
+def test_unknown_physical_memory_skips_the_memory_check(monkeypatch):
+    def no_sysconf(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(cli_module.os, "sysconf", no_sysconf)
+    assert cli_module._physical_memory() is None
+    assert parse_config(CONFIGS / "baseline.json").pipeline == "optimize"
 
 
 def test_cli_main_entry(tmp_path, capsys):

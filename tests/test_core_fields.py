@@ -93,6 +93,25 @@ def test_integrate_examples():
     assert ch.integrate(g, x) == 0.5  # midpoint rule exact for linears
 
 
+@pytest.mark.parametrize("grid", [ch.Grid.line(257, 2.0), ch.Grid.rectangle(33, 32)],
+                         ids=["1d", "2d"])
+def test_integrate_a_stack_is_each_field_alone(grid):
+    # costs, norms and masses integrate (frames, *grid) stacks; each entry
+    # must keep the bits of its frame's integral
+    stack = np.random.default_rng(3).standard_normal((9,) + grid.shape)
+    got = ch.integrate(grid, stack)
+    assert got.shape == (9,)
+    for k, frame in enumerate(stack):
+        alone = ch.integrate(grid, frame)
+        assert type(alone) is float
+        assert got[k].tobytes() == np.float64(alone).tobytes(), k
+    # a stack of stacks, e.g. the members of an ensemble per frame
+    assert ch.integrate(grid, stack.reshape((3, 3) + grid.shape)).tobytes() \
+        == got.tobytes()
+    with pytest.raises(GridMismatchError, match=r"^field: shape "):
+        ch.integrate(grid, stack[..., :-1])
+
+
 def test_time_grid():
     tg = ch.TimeGrid(2.0, 8)
     assert tg.dt == 0.25
@@ -250,10 +269,15 @@ def _bad_grid_count(doc, text):
     doc["grid"]["n"] = "x"
 
 
+def _other_format(doc, text):
+    doc["format"] = "chcontrol-trajectory-2"
+
+
 @pytest.mark.parametrize("spoil, detail", [
     (_no_grid, "no key 'grid'"), (_times_a_number, "object of type 'int' has no len()"),
     (_truncated, ""), (_bad_grid_count, "grid.n: expected an integer >= 3, got 'x'"),
-], ids=["missing-grid", "times-a-number", "truncated", "bad-grid-count"])
+    (_other_format, "format 'chcontrol-trajectory-2')"),
+], ids=["missing-grid", "times-a-number", "truncated", "bad-grid-count", "other-format"])
 def test_malformed_manifest_is_one_error(tmp_path, spoil, detail):
     # a manifest that is not JSON, lacks a key, holds a value of the wrong
     # type or a bad grid is refused as a manifest, not as a config field

@@ -216,3 +216,32 @@ def test_misshapen_member_stack_is_shape_mismatch(monkeypatch):
             ch.solve_state(params, init, np.ones(shape))
     # a stack is told apart from one control by its leading member axis
     assert checked == [True] * 3
+
+
+_STACK_READERS = {
+    "linearized": ("linearized", lambda p, i, c, u, s: ch.solve_linearized(p, s, u)),
+    "adjoint": ("adjoint", lambda p, i, c, u, s: ch.solve_adjoint(p, s, 4, c)),
+    "duality": ("adjoint", lambda p, i, c, u, s: ch.duality_check(p, s, 4, c,
+                                                                  directions=1)),
+    "gradient": ("adjoint", lambda p, i, c, u, s: ch.fd_gradient_check(
+        p, i, c, u, 0.5, directions=1, deltas=[0.1], state=s)),
+    "tau-profile": ("cost", lambda p, i, c, u, s: ch.TauProfile(s, u, c)),
+    "reduced-cost": ("cost", lambda p, i, c, u, s: ch.reduced_cost(s, u, 0.5, c)),
+    "mass-balance": ("mass balance", lambda p, i, c, u, s: ch.mass_balance_check(
+        s, u, p)),
+}
+
+
+@pytest.mark.parametrize("name", list(_STACK_READERS))
+def test_readers_of_one_state_refuse_a_member_stack(name):
+    # a stacked state lies on the model's grids; its members would otherwise
+    # broadcast against one field, or add up into one cost with no error
+    params = make_problem(n=16, nt=8)
+    init = equilibrium_init(params)
+    u = _sources(params, (1.0,))[0]
+    state = ch.solve_state(params, init, np.stack([u, 0.5 * u]))
+    cost = ch.CostSpec(b0=1e-3, b1=1.0, b3=1.0, b5=0.01, b6=1.0, tau_star=0.5)
+    reader, call = _STACK_READERS[name]
+    with pytest.raises(ch.GridMismatchError,
+                       match=rf"^{reader} state: shape \(2, 16\), expected \(16,\)$"):
+        call(params, init, cost, u, state)
