@@ -49,12 +49,22 @@ every node past the window; otherwise it marches that control to the
 horizon first. The two margin nodes keep the
 time search's bracket [t_{k-1}, t_{k+1}] and the adjoint's frames inside
 the window. Every decision, and so every reported bit, is the one a full
-march would give. The initial march and, once, the final iterate's run
-to the horizon (for ``OptResult.state``) are full. One corner case
-differs: a trial whose march would fail only past t_W is no longer
-rejected, since its cost never reads those frames; should it be
+march would give. The initial march is full, and once, the final
+iterate is marched on to the horizon (for ``OptResult.state``). One
+corner case differs: a trial whose march would fail only past t_W is no
+longer rejected, since its cost never reads those frames; should it be
 accepted and end the run, the final march raises the SolverError
 naming the step.
+
+No frame is marched twice where it need not be. Each trial resumes from
+the iterate's march (``solve_state(..., prior=(state, u))``): the frames
+before the first control node that the step changes are copied, which
+the box often makes many. Under a monotone tail a trial marches first
+only to frame k_idx + 1, all the Armijo test reads at the snapped node
+k_idx, and only a trial that passes resumes to W; a SolverError on the
+way rejects it as a failed solve, as if its march to W had failed. The
+march of an uncertified window and the final march resume from the
+iterate's windowed state.
 
 Every march the optimizer makes, the initial one, the trials, the full
 march of an uncertified window and the final one, is a tolerance march
@@ -241,7 +251,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
         candidate = profile.minimize()
         if candidate is None:
             # the window cannot certify the time minimizer: march it all
-            state = solve_state(params, init, u, polish=False)
+            state = solve_state(params, init, u, polish=False, prior=(state, u))
             profile = TauProfile(state, u, cost)
             candidate = profile.minimize()
         if profile.value(candidate) < profile.value(tau_ref):
@@ -283,6 +293,9 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
                 trial = num / den if den > 0 and num > 0 else min(trial * 2.0, 1e12)
             s = trial
             steps = cost.trial_window(tg, tau_ref)
+            # the Armijo test reads the cost at the snapped node, which a
+            # partial profile answers from frames 0..k_idx + 1
+            probe = min(steps, k_idx + 1) if cost.monotone_tail() else steps
             accepted, failed, solver_error = False, 0, None
             for _ in range(ARMIJO_MAX_BACKTRACKS):
                 u_trial = np.clip(u - s * grad, lower, upper)
@@ -290,16 +303,20 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
                 if gd >= 0.0:
                     break
                 try:
-                    state_trial = solve_state(params, init, u_trial, steps=steps,
-                                              polish=False)
+                    state_trial = solve_state(params, init, u_trial, steps=probe,
+                                              polish=False, prior=(state, u))
+                    j_trial = reduced_cost(state_trial, u_trial, tau_node, cost).total
+                    if j_trial <= j_node + ARMIJO_C1 * gd:
+                        if probe < steps:
+                            # only a passing trial marches on to the window
+                            state_trial = solve_state(
+                                params, init, u_trial, steps=steps, polish=False,
+                                prior=(state_trial, u_trial))
+                        accepted = True
+                        break
                 except SolverError as exc:
                     # the cost is +inf where the march fails: reject, shrink
                     failed, solver_error = failed + 1, exc
-                else:
-                    j_trial = reduced_cost(state_trial, u_trial, tau_node, cost).total
-                    if j_trial <= j_node + ARMIJO_C1 * gd:
-                        accepted = True
-                        break
                 s *= ARMIJO_BACKTRACK
             if accepted:
                 prev = (u, grad)
@@ -318,7 +335,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
 
     if state.nframes < tg.steps + 1:
         # the result carries the iterate's whole march
-        state = solve_state(params, init, u, polish=False)
+        state = solve_state(params, init, u, polish=False, prior=(state, u))
     # report the continuous minimizer when it improves on the node
     last = history[-1]
     if bd_ref.total <= last.breakdown.total:

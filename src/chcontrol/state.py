@@ -41,6 +41,13 @@ like the Lipschitz oracle's spreads, sit far above a residual of
 ``newton_tol``, and the march makes about a third of the solves. The
 Lipschitz figures therefore rest on ``solver.newton_tol``.
 
+A march may resume an earlier one of the same params, init and kind,
+``prior=(state, ctrl)``: frame k+1 reads only control nodes 0..k and
+frames k-2..k, so the frames up to the first node where the two controls
+differ are copied, and the march starts after them, bitwise as if fresh.
+Its diagnostics cover only the steps it marched, which is what a count of
+forward work reads; the optimizer's trials resume from the iterate.
+
 One step is a damped Newton solve on the stacked frame X = (mu, phi,
 sigma), of shape (3, *grid.shape) like ``Trajectory.data[k]``. Each
 residual evaluation applies the stencil once to the whole frame, and
@@ -171,8 +178,10 @@ class InitialData:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step solver diagnostics collected during a forward run: entry
-    k - 1 belongs to step k. ``newton_iters`` counts the
+    """Per-step solver diagnostics of the steps a forward run marched:
+    entry i belongs to step ``first`` + i + 1, where ``first`` is the last
+    frame copied from a prior march (0 for a fresh one, whose entry k - 1
+    is step k). ``newton_iters`` counts the
     ``StepSolver.solve`` calls of the step, one per Newton iteration,
     polish included; a tolerance march's step whose start already met the
     tolerance reads 0. In a march of several members that is one call per
@@ -182,6 +191,7 @@ class StepDiagnostics:
 
     newton_iters: np.ndarray
     delta_sep: np.ndarray
+    first: int = 0
 
 
 def _newton_step(solver, params, old, start, u, out, step, polish):
@@ -353,7 +363,7 @@ def check_state(params: ModelParams, state: Trajectory, reader: str, last: int) 
 
 def solve_state(params: ModelParams, init: InitialData,
                 control: np.ndarray, steps: int | None = None, *,
-                polish: bool = True) -> Trajectory:
+                polish: bool = True, prior: tuple | None = None) -> Trajectory:
     """March the state system over the time grid.
 
     ``control`` holds one field per time node, of shape (nt+1,
@@ -383,9 +393,20 @@ def solve_state(params: ModelParams, init: InitialData,
     frames of the same member, so members and prefixes keep their bits as
     above.
 
+    ``prior`` = (state, ctrl) resumes an earlier march: ``state``, frames
+    0..m of the unstacked march of ``ctrl`` under the same params, init
+    and ``polish``. Frame k+1 reads only control nodes 0..k and frames
+    k-2..k, so frames 0..j, j the first node where the bits of ``control``
+    and ``ctrl`` differ, capped at m and at ``steps``, are copied from
+    ``state``, and only steps j+1..steps are marched: the trajectory is
+    bitwise the fresh march's, and its diagnostics cover the marched steps
+    alone, with ``first`` = j.
+
     Raises :class:`GridMismatchError` (a ShapeMismatchError, from
     :func:`~chcontrol.errors.check_shape`) for initial data or a control of
-    another shape, :class:`ConfigError` for an initial phi outside the
+    another shape, a stacked ``control`` with a ``prior``, or a ``prior``
+    that :func:`check_state` or :func:`check_control_shape` refuses,
+    :class:`ConfigError` for an initial phi outside the
     window of ``params.potential``, :class:`TimeDomainError` headed ``state
     steps`` unless ``steps`` passes :func:`~chcontrol.errors.check_node`
     for 1..nt (a whole number, not a bool), and
@@ -397,7 +418,7 @@ def solve_state(params: ModelParams, init: InitialData,
     init.validate(grid, pot)
     nt = tg.steps
     stacked = np.ndim(control) == grid.dim + 2
-    check_control_shape(grid, tg, control, stacked)
+    check_control_shape(grid, tg, control, stacked and prior is None)
     steps = nt if steps is None else check_node("state steps", steps, nt, first=1)
 
     members = control if stacked else control[None]
@@ -405,20 +426,31 @@ def solve_state(params: ModelParams, init: InitialData,
     data[0, 0] = init.mu0
     data[0, 1] = init.phi0
     data[0, 2] = init.sigma0
-    newton_iters = np.zeros(steps, dtype=int)
-    delta_sep = np.empty(steps)
+    first = 0
+    if prior is not None:
+        state, ctrl = prior
+        check_control_shape(grid, tg, ctrl)
+        last = check_state(params, state, "prior", min(state.nframes - 1, steps))
+        # frame k+1 reads control nodes 0..k, so the first node whose bits
+        # differ (-0.0 from 0.0 too) is the last frame the marches share
+        differ = (control != ctrl) | (np.signbit(control) != np.signbit(ctrl))
+        differ = differ.reshape(nt + 1, -1).any(axis=1)
+        first = min(int(differ.argmax()) if differ.any() else nt, last)
+        data[1:first + 1, :, 0] = state.data[1:first + 1]
+    newton_iters = np.zeros(steps - first, dtype=int)
+    delta_sep = np.empty(steps - first)
     solver = StepSolver(grid, tg.dt, params.alpha, params.beta)
-    for k in range(steps):
+    for k in range(first, steps):
         start = data[k]
         if not polish and k >= 2:
             start = 3.0 * (data[k] - data[k - 1]) + data[k - 2]
             pot.clip(start[1])
-        newton_iters[k] = _newton_step(solver, params, data[k], start, members[:, k],
-                                       data[k + 1], k + 1, polish)
-        delta_sep[k] = dist = pot.distance(data[k + 1, 1])
+        newton_iters[k - first] = _newton_step(solver, params, data[k], start,
+                                               members[:, k], data[k + 1], k + 1, polish)
+        delta_sep[k - first] = dist = pot.distance(data[k + 1, 1])
         if dist <= 2 * pot.margin:
             raise SeparationViolationError(k + 1, dist)
 
-    diag = StepDiagnostics(newton_iters, delta_sep)
+    diag = StepDiagnostics(newton_iters, delta_sep, first)
     return Trajectory(grid, tg, data if stacked else data[:, :, 0], STATE_NAMES,
                       diagnostics=diag)

@@ -1,10 +1,11 @@
-"""The optimizer's trial marches stop at a window: every reported bit is
-the one that full marches give.
+"""The optimizer's trial marches stop at a window, and resume from the
+iterate's frames: every reported bit is the one that full marches give.
 
-Each run is compared with a run whose window is forced to the horizon
-through ``CostSpec.trial_window``; the partial cost profile, its
-certificate and the adjoint on the first frames are checked on their
-own against the full march.
+Each run is compared with a run whose every march is fresh and reaches
+the horizon, and with one whose trials march fresh to the window
+``CostSpec.trial_window``, as they did before they resumed; the partial
+cost profile, its certificate and the adjoint on the first frames are
+checked on their own against the full march.
 """
 
 import dataclasses
@@ -40,24 +41,42 @@ def _problem_2d():
     return params, tracking_cost(params, tau_star=0.15), 0.15
 
 
-def _counted_runs(monkeypatch, params, cost, tau0, force_full, **kwargs):
-    """One optimize run from u = 1, and the steps of each of its forward
-    marches; ``force_full`` makes every march reach the horizon."""
-    steps = []
+def _counted_runs(monkeypatch, params, cost, tau0, march, **kwargs):
+    """One optimize run from u = 1, and (first frame, marched steps, last
+    frame) of each of its forward marches. ``march`` "resumed" runs
+    optimize as it is. "fresh" drops every ``prior`` and marches each trial
+    to its window; "full" forces the window to the horizon and marches
+    every call fresh to it. In either, a passing trial has nothing left to
+    march, as before trials resumed."""
+    marches, windows = [], []
+    trial_window = ch.CostSpec.trial_window
 
-    def counting_solve_state(*args, **kw):
-        traj = ch.solve_state(*args, **kw)
-        steps.append(traj.nframes - 1)
+    def recording_window(cost, tg, tau):
+        windows.append(tg.steps if march == "full" else trial_window(cost, tg, tau))
+        return windows[-1]
+
+    def counting_solve_state(*args, steps=None, prior=None, **kw):
+        if march != "resumed":
+            if steps is not None and prior is not None and prior[1] is args[2]:
+                # a passing trial's continuation: its march reached the window
+                return prior[0]
+            steps, prior = steps and windows[-1], None
+        traj = ch.solve_state(*args, steps=steps, prior=prior, **kw)
+        diag = traj.diagnostics
+        marches.append((diag.first, len(diag.newton_iters), traj.nframes - 1))
         return traj
 
     with monkeypatch.context() as m:
         m.setattr(optimizer_module, "solve_state", counting_solve_state)
-        if force_full:
-            m.setattr(ch.CostSpec, "trial_window", lambda cost, tg, tau: tg.steps)
+        m.setattr(ch.CostSpec, "trial_window", recording_window)
         u0 = ch.constant_trajectory(params.grid, params.time_grid, 1.0)
         res = ch.optimize(params, _random_init(params), cost, u0, tau0=tau0,
                           lower=0.0, upper=2.0, **kwargs)
-    return res, steps
+    return res, marches
+
+
+def _marched(marches):
+    return sum(steps for _, steps, _ in marches)
 
 
 def _assert_same_result(a, b):
@@ -79,14 +98,16 @@ def test_windowed_optimize_is_bitwise_the_full_one(monkeypatch, make):
     params, cost, tau0 = make()
     nt = params.time_grid.steps
     kwargs = dict(max_outer_iters=8, grad_tol=1e-300)
-    windowed, w_steps = _counted_runs(monkeypatch, params, cost, tau0, False, **kwargs)
-    full, f_steps = _counted_runs(monkeypatch, params, cost, tau0, True, **kwargs)
+    windowed, w = _counted_runs(monkeypatch, params, cost, tau0, "resumed", **kwargs)
+    full, f = _counted_runs(monkeypatch, params, cost, tau0, "full", **kwargs)
     _assert_same_result(windowed, full)
-    assert set(f_steps) == {nt}
-    # the trials stopped short; the first and the last march are full, and
-    # every windowed state was certified, so no other march is
-    assert w_steps[0] == w_steps[-1] == nt and max(w_steps[1:-1]) < nt
-    assert len(w_steps) == len(f_steps) + 1
+    assert set(f) == {(0, nt, nt)}
+    # the trials stopped short; the first march is fresh and full, the last
+    # resumes the optimum to the horizon, and every windowed state was
+    # certified, so no other march reaches it
+    assert w[0] == (0, nt, nt) and 0 < w[-1][0] < w[-1][2] == nt
+    assert max(last for _, _, last in w[1:-1]) < nt
+    assert _marched(w) < _marched(f)
     assert windowed.state.nframes == nt + 1
 
 
@@ -97,15 +118,70 @@ def test_uncertified_window_marches_to_the_horizon(monkeypatch):
     params, _, tau0 = _problem_1d()
     cost = tracking_cost(params, b1=1e-20, b3=0.0, b5=0.0, b6=0.0, tau_star=0.3)
     kwargs = dict(max_outer_iters=4, grad_tol=1e-300)
-    windowed, w_steps = _counted_runs(monkeypatch, params, cost, tau0, False, **kwargs)
-    full, f_steps = _counted_runs(monkeypatch, params, cost, tau0, True, **kwargs)
+    windowed, w = _counted_runs(monkeypatch, params, cost, tau0, "resumed", **kwargs)
+    full, f = _counted_runs(monkeypatch, params, cost, tau0, "full", **kwargs)
     _assert_same_result(windowed, full)
-    # each search here accepts its first trial, so every windowed march is
-    # followed by the march of the same control to the horizon
+    # each search here accepts its first trial: its march stops after the
+    # snapped node, resumes to the window, and the next outer iteration
+    # resumes it again to the horizon
     nt = params.time_grid.steps
-    pairs = [(a, b) for a, b in zip(w_steps, w_steps[1:]) if a < nt]
-    assert pairs and all(b == nt for _, b in pairs)
-    assert len(w_steps) == len(f_steps) + len(pairs)
+    trials = len(f) - 1
+    assert trials and len(w) == 1 + 3 * trials
+    for probe, window, horizon in zip(w[1::3], w[2::3], w[3::3]):
+        assert probe[2] == window[0] < window[2] == horizon[0] < horizon[2] == nt
+
+
+@pytest.mark.parametrize("make", [_problem_1d, _problem_2d], ids=["1d", "2d"])
+def test_resumed_trials_are_bitwise_the_fresh_ones(monkeypatch, make):
+    # every trial marched fresh to its window gives the same bits as the
+    # trials that resume from the iterate and stop after the snapped node
+    params, cost, tau0 = make()
+    kwargs = dict(max_outer_iters=8, grad_tol=1e-300)
+    resumed, r = _counted_runs(monkeypatch, params, cost, tau0, "resumed", **kwargs)
+    fresh, f = _counted_runs(monkeypatch, params, cost, tau0, "fresh", **kwargs)
+    _assert_same_result(resumed, fresh)
+    assert all(first == 0 for first, _, _ in f)
+    assert _marched(r) < _marched(f)
+
+
+def test_trials_stop_after_the_snapped_node_and_copy_the_clipped_prefix(monkeypatch):
+    # an interior treatment time, so each trial first marches to the frame
+    # after its snapped node, short of the window; once the box holds the
+    # first nodes of the control, a trial copies the iterate's frames there
+    params = make_problem(n=32, nt=64)
+    cost = tracking_cost(params)
+    kwargs = dict(max_outer_iters=12, grad_tol=1e-300)
+    resumed, r = _counted_runs(monkeypatch, params, cost, None, "resumed", **kwargs)
+    fresh, f = _counted_runs(monkeypatch, params, cost, None, "fresh", **kwargs)
+    _assert_same_result(resumed, fresh)
+    nodes = {rec.tau_index for rec in resumed.history}
+    probes = [m for m in r[1:-1] if m[2] <= max(nodes) + 1]
+    assert min(nodes) > 0 and {last - 1 for _, _, last in probes} <= nodes
+    assert any(first > 0 for first, _, _ in probes)
+    assert _marched(r) < _marched(f)
+
+
+def test_failed_continuation_rejects_the_trial(monkeypatch):
+    # a trial that passes the Armijo test on its frames up to the snapped
+    # node but fails on its way to the window is a failed trial solve: the
+    # search backtracks, and its failure names every such trial
+    params, cost, tau0 = _problem_1d()
+    continued = []
+
+    def failing_continuation(*args, steps=None, prior=None, **kw):
+        if steps is not None and prior is not None and prior[1] is args[2]:
+            continued.append(steps)
+            raise ch.NewtonDivergenceError(steps, 1.0, 3)
+        return ch.solve_state(*args, steps=steps, prior=prior, **kw)
+
+    monkeypatch.setattr(optimizer_module, "solve_state", failing_continuation)
+    u0 = ch.constant_trajectory(params.grid, params.time_grid, 1.0)
+    with pytest.raises(ch.LineSearchFailureError) as info:
+        ch.optimize(params, _random_init(params), cost, u0, tau0=tau0,
+                    lower=0.0, upper=2.0, max_outer_iters=8, grad_tol=1e-300)
+    assert info.value.iteration == 0 and len(continued) > 1
+    assert (f"{len(continued)} trial solves failed, the last with: Newton did not "
+            f"converge at step {continued[-1]}") in str(info.value)
 
 
 @pytest.fixture(scope="module")

@@ -36,7 +36,7 @@ def test_traced_names_resolve(tracer):
 
 def test_solve_state_reports_newton_iterations():
     assert list(inspect.signature(ch.solve_state).parameters) == [
-        "params", "init", "control", "steps", "polish"]
+        "params", "init", "control", "steps", "polish", "prior"]
     params = make_problem(n=16, nt=4)
     traj = ch.solve_state(params, equilibrium_init(params), midpoint_control(params))
     iters = traj.diagnostics.newton_iters
@@ -60,20 +60,30 @@ print(json.dumps({"code": code, "metrics": metrics,
 """
 
 
-def _traced_verify(tmp_path, cfg):
-    """Run the verify pipeline on ``cfg`` under the tracer and return the
-    exit code, the metrics and the reconcile message. install() rebinds
-    module attributes and cannot be undone, so the traced run gets a
-    process of its own."""
+def _traced_run(tmp_path, cfg, pipeline="verify"):
+    """Run ``pipeline`` on ``cfg`` under the tracer and return the exit
+    code, the metrics and the reconcile message. install() rebinds module
+    attributes and cannot be undone, so the traced run gets a process of
+    its own."""
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({**cfg, "pipeline": "verify"}))
+    cfg_path.write_text(json.dumps({**cfg, "pipeline": pipeline}))
     return run_fresh(_TRACED_RUN, _TRACER, cfg_path, tmp_path / "out")
+
+
+def test_traced_optimize_reconciles(tmp_path):
+    # the trials resume from the iterate's frames, and a passing one
+    # continues to the window in a second call; solve_state's diagnostics
+    # cover the steps each call marched, so every step solve is counted once
+    result = _traced_run(tmp_path, TINY_CONFIG, "optimize")
+    assert result["code"] == 0
+    assert result["metrics"]["optimizer.accepted_steps"] > 0
+    assert result["reconcile"] is None
 
 
 def test_traced_verify_sees_every_oracle(tmp_path):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["verification"] = TINY_VERIFICATION
-    result = _traced_verify(tmp_path, cfg)
+    result = _traced_run(tmp_path, cfg)
     assert result["code"] == 0
     metrics = result["metrics"]
     for name in ("gradient", "duality", "lipschitz", "mass"):
@@ -115,7 +125,7 @@ def test_traced_2d_verify_stacks_and_reconciles(tmp_path):
     cfg["grid"] = {"n": [8, 8], "extents": [1.0, 1.0]}
     cfg["time"]["steps"] = 8
     cfg["verification"] = {**TINY_VERIFICATION, "checks": ["gradient", "lipschitz"]}
-    result = _traced_verify(tmp_path, cfg)
+    result = _traced_run(tmp_path, cfg)
     assert result["code"] == 0
     metrics = result["metrics"]
     grad, lip = TINY_VERIFICATION["gradient"], TINY_VERIFICATION["lipschitz"]
