@@ -18,11 +18,13 @@ for the state (mu, phi, sigma), for sensitivities (d_mu, d_phi, d_sigma),
 for adjoint multipliers (adj_mu, adj_phi, adj_sigma) and for the control
 (u), with component names bound at construction.
 
-Snapshots use a fixed 32-byte header (magic ``CHFLD1``, dimension, cells
-per axis) followed by little-endian float64 values in row-major order.
-A trajectory manifest is a JSON index of the grids, the node times and
-each component's snapshot paths; the state and the optimal control are
-both written in this one format.
+A snapshot holds one field or a stack of frames: a fixed 32-byte header
+(magic ``CHFLD1``, dimension, cells per axis, frame count, 0 for one
+field) followed by little-endian float64 values in row-major order. A
+trajectory is written as one stacked snapshot per component, all its
+frames, beside a JSON manifest of the grids, the node times and each
+component's file; the state and the optimal control are both written in
+this one format.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ from .errors import (
 )
 
 _SNAPSHOT_MAGIC = b"CHFLD1"
-_HEADER_FMT = "<6sHII16x"  # magic, dim, n per axis (second 0 in 1D); 32 bytes
-MANIFEST_FORMAT = "chcontrol-trajectory-1"
+# magic, dim, n per axis (second 0 in 1D), frames (0: one field), zero
+# padding; 32 bytes
+_HEADER_FMT = "<6sHIII12s"
+MANIFEST_FORMAT = "chcontrol-trajectory-2"
 
 
 @dataclass(frozen=True)
@@ -249,34 +253,44 @@ class Trajectory:
 
 
 def write_snapshot(path, grid: Grid, values: np.ndarray) -> None:
-    check_shape("snapshot values", values.shape, grid.shape)
+    """Write ``values``, one field of ``grid.shape`` or a stack of frames of
+    shape (frames, *grid.shape), frames >= 1, as one snapshot, from one
+    contiguous little-endian copy at most."""
+    frames = values.shape[0] if values.ndim == grid.dim + 1 else 0
+    check_shape("snapshot values", values.shape[1:] if frames else values.shape,
+                grid.shape)
     n = grid.n + (0,) * (2 - grid.dim)
-    header = struct.pack(_HEADER_FMT, _SNAPSHOT_MAGIC, grid.dim, n[0], n[1])
-    data = np.ascontiguousarray(values, dtype="<f8")
+    header = struct.pack(_HEADER_FMT, _SNAPSHOT_MAGIC, grid.dim, *n, frames, b"")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes(order="C"))
+        fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def read_snapshot(path, grid: Grid | None = None) -> np.ndarray:
-    """Read one snapshot. Raises ``OSError`` if the file cannot be read,
-    :class:`ShapeMismatchError` on a bad header or a payload that does not
-    hold exactly the header's number of values, and
-    :class:`GridMismatchError` (a ShapeMismatchError, from
-    :func:`~chcontrol.errors.check_shape`) if ``grid`` is given and the
-    snapshot has another shape."""
+    """Read one snapshot: the field, or the (frames, *shape) stack, that its
+    header declares. Raises ``OSError`` if the file cannot be read,
+    :class:`ShapeMismatchError` on a header that :func:`write_snapshot`
+    cannot have written (bad magic, a dimension other than 1 or 2, a second
+    cell count in 1D, nonzero padding) or a payload that does not hold
+    exactly the header's number of values, and :class:`GridMismatchError`
+    (a ShapeMismatchError, from :func:`~chcontrol.errors.check_shape`) if
+    ``grid`` is given and the snapshot is not one field of its shape, a
+    stack included."""
     with open(path, "rb") as fh:
         raw = fh.read()
     header_size = struct.calcsize(_HEADER_FMT)
     if len(raw) < header_size:
         raise ShapeMismatchError(f"{path}: {len(raw)} bytes, shorter than the "
                                  f"{header_size}-byte snapshot header")
-    magic, dim, n0, n1 = struct.unpack(_HEADER_FMT, raw[:header_size])
+    magic, dim, n0, n1, frames, pad = struct.unpack(_HEADER_FMT, raw[:header_size])
     if magic != _SNAPSHOT_MAGIC:
         raise ShapeMismatchError(f"{path}: not a field snapshot (bad magic)")
     if dim not in (1, 2):
         raise ShapeMismatchError(f"{path}: snapshot dimension {dim}, expected 1 or 2")
-    shape = (n0, n1)[:dim]
+    if any(pad) or (dim == 1 and n1):
+        raise ShapeMismatchError(f"{path}: snapshot header with nonzero bytes where "
+                                 f"the writer leaves 0")
+    shape = ((frames,) if frames else ()) + (n0, n1)[:dim]
     payload, count = len(raw) - header_size, math.prod(shape)
     if payload != 8 * count:
         raise ShapeMismatchError(
@@ -296,21 +310,18 @@ def write_json(path, obj) -> Path:
 
 
 def write_trajectory(directory, traj: Trajectory) -> Path:
-    """Write one snapshot per node per component plus a JSON manifest."""
+    """Write each component as one stacked snapshot, ``<name>.fld``, plus a
+    JSON manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = {name: [] for name in traj.names}
-    for k in range(traj.nframes):
-        for j, name in enumerate(traj.names):
-            fname = f"{name}_{k:05d}.fld"
-            write_snapshot(directory / fname, traj.grid, traj.data[k, j])
-            entries[name].append(fname)
+    for j, name in enumerate(traj.names):
+        write_snapshot(directory / f"{name}.fld", traj.grid, traj.data[:, j])
     manifest = {
         "format": MANIFEST_FORMAT,
         "grid": {"n": list(traj.grid.n), "extents": list(traj.grid.extents)},
         "time": {"horizon": traj.time_grid.horizon, "steps": traj.time_grid.steps},
         "times": [float(t) for t in traj.times],
-        "components": entries,
+        "components": {name: f"{name}.fld" for name in traj.names},
     }
     return write_json(directory / "manifest.json", manifest)
 
@@ -318,10 +329,12 @@ def write_trajectory(directory, traj: Trajectory) -> Path:
 def read_trajectory(manifest_path) -> Trajectory:
     """Read the trajectory that :func:`write_trajectory` wrote. Raises
     ``OSError`` if a file cannot be read, :class:`ShapeMismatchError`
-    "<manifest>: not a chcontrol-trajectory-1 manifest (...)" for a
+    "<manifest>: not a chcontrol-trajectory-2 manifest (...)" for a
     manifest that is not JSON, lacks a key, holds a value of the wrong type
-    or holds bad grids, and the errors of :func:`read_snapshot` and
-    :class:`Trajectory` for its snapshots and their layout."""
+    or holds bad grids, the errors of :func:`read_snapshot` for a component
+    file, a :class:`GridMismatchError` naming the file for one that does
+    not hold a stack of one frame per manifest time on the manifest's grid,
+    and the errors of :class:`Trajectory`."""
     manifest_path = Path(manifest_path)
     try:
         with open(manifest_path) as fh:
@@ -331,16 +344,15 @@ def read_trajectory(manifest_path) -> Trajectory:
         grid = Grid(tuple(manifest["grid"]["n"]), tuple(manifest["grid"]["extents"]))
         time_grid = TimeGrid(manifest["time"]["horizon"], manifest["time"]["steps"])
         nframes = len(manifest["times"])
-        files = {name: [manifest_path.parent / rel for rel in paths]
-                 for name, paths in dict(manifest["components"]).items()}
+        files = {name: manifest_path.parent / rel
+                 for name, rel in dict(manifest["components"]).items()}
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
         raise ShapeMismatchError(f"{manifest_path}: not a {MANIFEST_FORMAT} manifest "
                                  f"({detail})")
     data = np.empty((nframes, len(files)) + grid.shape)
-    for j, (name, paths) in enumerate(files.items()):
-        if len(paths) != nframes:
-            raise ShapeMismatchError(f"{manifest_path}: ragged component {name}")
-        for k, path in enumerate(paths):
-            data[k, j] = read_snapshot(path, grid)
+    for j, path in enumerate(files.values()):
+        values = read_snapshot(path)
+        check_shape(path, values.shape, data[:, j].shape)
+        data[:, j] = values
     return Trajectory(grid, time_grid, data, tuple(files))

@@ -15,11 +15,12 @@ length eps.
 The discrete cost has one implementation, :class:`TauProfile`: per-node
 series of the state march, cached once, from which each term's value
 and the tau-derivative are read in O(1). :func:`reduced_cost` is its
-breakdown at one tau. A cost that cannot fall past tau_star
-(:meth:`CostSpec.monotone_tail`) may also be read from the first frames
-of the march alone, which is how the optimizer's trial marches stop
-early (see :class:`TauProfile`); :meth:`CostSpec.trial_window` is the
-frame they stop at.
+breakdown at one tau. Every cost may also be read from the first
+frames of the march alone, which is how the optimizer's trial marches
+stop early (see :class:`TauProfile`); a cost that cannot fall past
+tau_star (:meth:`CostSpec.monotone_tail`) may also certify its time
+minimizer from them, and :meth:`CostSpec.trial_window` is the frame its
+trials stop at.
 
 The three integrals of a state misfit (b1, b3 and the relaxed term) are
 one table, :func:`integral_terms`: per active term its weight, the state
@@ -321,20 +322,20 @@ class TauProfile:
     (None for [0, tau]). :meth:`breakdown`, :meth:`derivative` and
     :meth:`_tail_bound` each read the table in one loop.
 
-    A cost with :meth:`CostSpec.monotone_tail` may also be read from a
-    partial march, frames 0..W (W >= 1) of the full one. Such a profile
-    answers every tau with tau / dt < W, bitwise as the full profile
-    would: there each formula reads frames 0..W only. Its nodes are
-    0..W-1, and :meth:`minimize` returns None unless the full profile's
-    first node minimizer provably lies among nodes 0..W-2 (see there).
+    Every cost may also be read from a partial march, frames 0..W (W >= 1)
+    of the full one. Such a profile answers every tau with tau / dt < W,
+    bitwise as the full profile would: there each formula reads frames
+    0..W only. Its nodes are 0..W-1, and :meth:`minimize` returns None
+    unless the cost has :meth:`CostSpec.monotone_tail` and the full
+    profile's first node minimizer provably lies among nodes 0..W-2 (see
+    there).
 
     A member-stacked state (see :func:`~chcontrol.state.solve_state`),
     misshapen targets and a misshapen control raise
     :class:`GridMismatchError`, a ShapeMismatchError, through
     :func:`~chcontrol.errors.check_shape`, headed ``cost state``, the
-    target's field or ``control``; a state that is not the full
-    march (for the other costs), or a tau outside [0, T] or past a partial
-    march, raises :class:`TimeDomainError`.
+    target's field or ``control``; a state of one frame, or a tau outside
+    [0, T] or past a partial march, raises :class:`TimeDomainError`.
     """
 
     def __init__(self, state: Trajectory, u: np.ndarray, cost: CostSpec):
@@ -342,8 +343,6 @@ class TauProfile:
         check_shape("cost state", state.data.shape[2:], grid.shape)
         frames = state.nframes
         self.partial = frames != tg.steps + 1
-        if self.partial and not cost.monotone_tail():
-            raise TimeDomainError("the cost needs the full forward trajectory")
         if frames < 2:
             raise TimeDomainError("the cost needs two forward frames or more")
         terms = integral_terms(cost, state, frames)
@@ -351,8 +350,9 @@ class TauProfile:
         self.tg = tg
         self.dt = tg.dt
         self.cost = cost
-        # the nodes whose values this profile knows
+        # the nodes whose values this profile knows, and the frames' times
         self.times = tg.times[:frames - 1] if self.partial else tg.times
+        self.frame_times = tg.times[:frames]
 
         # the integral terms weight/2 int |misfit|^2 (see the class docstring)
         self.running = []
@@ -391,9 +391,9 @@ class TauProfile:
 
     def _bracket(self, tau):
         """Interval index for the backward-difference convention."""
-        j_hi = int(np.searchsorted(self.times, tau, side="left"))
-        j_hi = min(max(j_hi, 1), len(self.times) - 1)
-        return j_hi, (tau - self.times[j_hi - 1]) / self.dt
+        j_hi = int(np.searchsorted(self.frame_times, tau, side="left"))
+        j_hi = min(max(j_hi, 1), len(self.frame_times) - 1)
+        return j_hi, (tau - self.frame_times[j_hi - 1]) / self.dt
 
     def _clamp(self, tau):
         tau = self.tg.clamp(tau)
@@ -482,15 +482,16 @@ class TauProfile:
         """Continuous minimizer of J(u, .) over [0, T], near the best node.
 
         A partial profile finds the same minimizer from its own nodes when
-        their first minimizer k is at most W-2 and J(t_k) lies below
-        :meth:`_tail_bound` by ``TAIL_SLACK`` of it: the full profile's
-        first node minimizer is then k as well, and the search reads
-        [t_{k-1}, t_{k+1}] only. Otherwise it returns None.
+        the cost has :meth:`CostSpec.monotone_tail`, their first minimizer k
+        is at most W-2 and J(t_k) lies below :meth:`_tail_bound` by
+        ``TAIL_SLACK`` of it: the full profile's first node minimizer is
+        then k as well, and the search reads [t_{k-1}, t_{k+1}] only.
+        Otherwise it returns None.
         """
         node_j = self.node_values()
         k = int(np.argmin(node_j))
-        if self.partial and not (k < len(node_j) - 1 and node_j[k]
-                                 < (1.0 - TAIL_SLACK) * self._tail_bound()):
+        if self.partial and not (self.cost.monotone_tail() and k < len(node_j) - 1
+                                 and node_j[k] < (1.0 - TAIL_SLACK) * self._tail_bound()):
             return None
         horizon = self.tg.horizon
         lo = max(self.times[k] - self.dt, 0.0)

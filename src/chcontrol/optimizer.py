@@ -59,12 +59,12 @@ naming the step.
 No frame is marched twice where it need not be. Each trial resumes from
 the iterate's march (``solve_state(..., prior=(state, u))``): the frames
 before the first control node that the step changes are copied, which
-the box often makes many. Under a monotone tail a trial marches first
-only to frame k_idx + 1, all the Armijo test reads at the snapped node
-k_idx, and only a trial that passes resumes to W; a SolverError on the
-way rejects it as a failed solve, as if its march to W had failed. The
-march of an uncertified window and the final march resume from the
-iterate's windowed state.
+the box often makes many. Whatever the cost, a trial marches first only
+to frame k_idx + 1, all the Armijo test reads at the snapped node k_idx
+(a partial :class:`TauProfile` answers it), and only a trial that passes
+resumes to W; a SolverError on the way rejects it as a failed solve, as
+if its march to W had failed. The march of an uncertified window and the
+final march resume from the iterate's windowed state.
 
 Every march the optimizer makes, the initial one, the trials, the full
 march of an uncertified window and the final one, is a tolerance march
@@ -295,7 +295,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
             steps = cost.trial_window(tg, tau_ref)
             # the Armijo test reads the cost at the snapped node, which a
             # partial profile answers from frames 0..k_idx + 1
-            probe = min(steps, k_idx + 1) if cost.monotone_tail() else steps
+            probe = min(steps, k_idx + 1)
             accepted, failed, solver_error = False, 0, None
             for _ in range(ARMIJO_MAX_BACKTRACKS):
                 u_trial = np.clip(u - s * grad, lower, upper)

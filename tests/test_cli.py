@@ -540,8 +540,8 @@ def test_optimize_pipeline_artifacts(tmp_path, trial_failures, monkeypatch):
     control = ch.read_trajectory(out / "optimize" / "control" / "manifest.json")
     assert control.names == ("u",)
     assert control.u.tobytes() == results[0].u_opt.tobytes()
-    assert sorted(p.name for p in (out / "optimize" / "control").iterdir()) == (
-        ["manifest.json"] + [f"u_{k:05d}.fld" for k in range(control.nframes)])
+    assert sorted(p.name for p in (out / "optimize" / "control").iterdir()) == [
+        "manifest.json", "u.fld"]
     # the artifacts do not depend on the output path, but for its echo
     out2 = tmp_path / "a longer output path"
     assert run(_write(tmp_path, cfg), out_dir=out2) == 0
@@ -725,6 +725,33 @@ def test_bad_snapshot_is_config_error(tmp_path, capsys, defect):
     assert err.startswith("config error: initial.snapshots.phi: ")
 
 
+@pytest.mark.parametrize("field", [
+    "initial.snapshots.phi", "bounds.lower", "cost.targets.phi_omega.snapshot",
+    "cost.relaxation.sigma_omega.snapshot"])
+def test_stacked_snapshot_is_config_error(tmp_path, capsys, field):
+    # a written trajectory's component file holds all its frames; a field
+    # that names one spatial field refuses it, naming itself
+    assert run(_write(tmp_path, TINY_CONFIG), out_dir=tmp_path / "sim") == 0
+    stack = tmp_path / "sim" / "simulate" / "state" / "phi.fld"
+    g = ch.Grid.line(32)
+    cfg = copy.deepcopy(TINY_CONFIG)
+    if field == "initial.snapshots.phi":
+        cfg["initial"] = {"snapshots": {"phi": str(stack)}}
+        for name in ("mu", "sigma"):
+            ch.write_snapshot(tmp_path / f"{name}.fld", g, g.full(0.1))
+            cfg["initial"]["snapshots"][name] = str(tmp_path / f"{name}.fld")
+    elif field == "bounds.lower":
+        cfg["bounds"]["lower"] = str(stack)
+    elif field == "cost.targets.phi_omega.snapshot":
+        cfg["cost"]["targets"]["phi_omega"] = {"snapshot": str(stack)}
+    else:
+        cfg["cost"]["relaxation"] = {"gamma": 1.0, "eps": 0.05,
+                                     "sigma_omega": {"snapshot": str(stack)}}
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 2
+    assert capsys.readouterr().err == (f"config error: {field}: {stack}: shape "
+                                       f"(17, 32), expected (32,)\n")
+
+
 def test_newton_settings_reach_optimize(tmp_path, capsys):
     cfg = copy.deepcopy(TINY_CONFIG)
     cfg["pipeline"] = "optimize"
@@ -892,7 +919,7 @@ def test_target_from_manifest(tmp_path):
     with pytest.raises(ConfigError, match="cost.targets.phi_q.manifest"):
         parse_config(_write(tmp_path, cfg))
     cfg["cost"]["targets"]["phi_q"]["component"] = "phi"
-    snap = tmp_path / "target" / "phi_00003.fld"
+    snap = tmp_path / "target" / "phi.fld"
     snap.write_bytes(snap.read_bytes()[:-8])
     with pytest.raises(ConfigError, match="cost.targets.phi_q.manifest"):
         parse_config(_write(tmp_path, cfg))
@@ -980,7 +1007,7 @@ def test_manifest_on_a_bad_grid_is_config_error(tmp_path, capsys, section, key, 
     err = capsys.readouterr().err
     assert err.startswith("config error: cost.targets.phi_q.manifest: cannot read "
                           "trajectory (")
-    assert f"not a chcontrol-trajectory-1 manifest ({section}.{key}: " in err
+    assert f"not a {ch.fields.MANIFEST_FORMAT} manifest ({section}.{key}: " in err
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)

@@ -13,7 +13,6 @@ from chcontrol.errors import (
     ShapeMismatchError,
     TimeDomainError,
 )
-from chcontrol.fields import _HEADER_FMT
 from chcontrol.optimizer import check_settings
 from cost_reference import interpolate_in_time
 from test_cli import TINY_CONFIG
@@ -200,6 +199,62 @@ def test_snapshot_roundtrip(tmp_path):
         assert len(raw) == 32 + 8 * g.cell_count
 
 
+def test_single_field_snapshot_keeps_its_bytes(tmp_path):
+    # the 32-byte header (magic, dimension, cells per axis, a zero frame
+    # count, zero padding) and the row-major little-endian payload of one
+    # field, byte for byte as the trajectory-1 layout wrote them, so older
+    # initial, bounds and target snapshots still read
+    for g, header in ((ch.Grid.line(4), b"\x01\x00\x04\x00\x00\x00" + bytes(4)),
+                      (ch.Grid.rectangle(3, 4), b"\x02\x00\x03\x00\x00\x00"
+                       b"\x04\x00\x00\x00")):
+        f = np.arange(g.cell_count).reshape(g.shape) * 0.5 - 1.0
+        path = tmp_path / f"f{g.dim}.fld"
+        ch.write_snapshot(path, g, f)
+        golden = b"CHFLD1" + header + bytes(16) + struct.pack(
+            f"<{g.cell_count}d", *f.ravel())
+        assert path.read_bytes() == golden
+        assert ch.read_snapshot(path, g).tobytes() == f.tobytes()
+
+
+@pytest.mark.parametrize("g", [ch.Grid.line(16), ch.Grid.rectangle(5, 7)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("frames", [1, 4])
+def test_stacked_snapshot_roundtrip(tmp_path, g, frames):
+    # a (frames, *grid.shape) stack is one file whose header counts the
+    # frames; it reads back bitwise, and never as one field
+    stack = np.random.default_rng(5).standard_normal((frames,) + g.shape)
+    path = tmp_path / "stack.fld"
+    ch.write_snapshot(path, g, stack[:, ::-1])  # written from a strided view
+    raw = path.read_bytes()
+    assert len(raw) == 32 + 8 * frames * g.cell_count
+    assert struct.unpack("<I", raw[16:20]) == (frames,) and raw[20:32] == bytes(12)
+    back = ch.read_snapshot(path)
+    assert back.shape == stack.shape
+    assert back.tobytes() == np.ascontiguousarray(stack[:, ::-1]).tobytes()
+    with pytest.raises(GridMismatchError, match=f"^{path}: shape "):
+        ch.read_snapshot(path, g)
+    # an empty stack has no frame count to write
+    with pytest.raises(GridMismatchError, match="^snapshot values: shape "):
+        ch.write_snapshot(path, g, stack[:0])
+
+
+@pytest.mark.parametrize("g", [ch.Grid.line(16), ch.Grid.rectangle(5, 7)],
+                         ids=["1d", "2d"])
+def test_header_the_writer_cannot_write_is_refused(tmp_path, g):
+    # a nonzero padding byte, or a second cell count in 1D, is not read as
+    # a frame count or a shape
+    path = tmp_path / "f.fld"
+    ch.write_snapshot(path, g, g.full(1.0))
+    good = path.read_bytes()
+    spoilt = [20, 25, 31] + ([12, 15] if g.dim == 1 else [])
+    for at in spoilt:
+        bad = tmp_path / f"bad{at}.fld"
+        bad.write_bytes(good[:at] + b"\x01" + good[at + 1:])
+        with pytest.raises(ShapeMismatchError, match=f"^{bad}: snapshot header with "
+                                                     f"nonzero bytes"):
+            ch.read_snapshot(bad)
+
+
 def test_snapshot_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.fld"
     path.write_bytes(b"NOTFLD" + b"\0" * 100)
@@ -239,16 +294,27 @@ def test_trajectory_direction_axis():
 
 
 def test_trajectory_manifest_roundtrip(tmp_path):
-    g = ch.Grid.line(12)
     tg = ch.TimeGrid(0.5, 4)
     rng = np.random.default_rng(4)
-    data = rng.standard_normal((5, 3) + g.shape)
-    traj = ch.Trajectory(g, tg, data, ("mu", "phi", "sigma"))
-    manifest = ch.write_trajectory(tmp_path / "traj", traj)
-    back = ch.read_trajectory(manifest)
-    assert back.names == traj.names
-    assert back.grid == traj.grid
-    assert np.array_equal(back.data, traj.data)
+    # 1D, a partial march, 2D
+    for g, frames in ((ch.Grid.line(12), 5), (ch.Grid.line(12), 3),
+                      (ch.Grid.rectangle(4, 6), 5)):
+        data = rng.standard_normal((frames, 3) + g.shape)
+        traj = ch.Trajectory(g, tg, data, ("mu", "phi", "sigma"))
+        manifest = ch.write_trajectory(tmp_path / f"traj{g.dim}-{frames}", traj)
+        # one stacked snapshot per component beside the manifest
+        assert sorted(p.name for p in manifest.parent.iterdir()) == [
+            "manifest.json", "mu.fld", "phi.fld", "sigma.fld"]
+        doc = json.loads(manifest.read_text())
+        assert doc["format"] == ch.fields.MANIFEST_FORMAT
+        assert doc["components"] == {"mu": "mu.fld", "phi": "phi.fld",
+                                     "sigma": "sigma.fld"}
+        assert ch.read_snapshot(manifest.parent / "phi.fld").tobytes() == \
+            np.ascontiguousarray(data[:, 1]).tobytes()
+        back = ch.read_trajectory(manifest)
+        assert back.names == traj.names
+        assert back.grid == traj.grid
+        assert back.data.tobytes() == traj.data.tobytes()
     with pytest.raises(ShapeMismatchError, match="^no component 'nutrient' among "):
         back.component("nutrient")
 
@@ -270,13 +336,13 @@ def _bad_grid_count(doc, text):
 
 
 def _other_format(doc, text):
-    doc["format"] = "chcontrol-trajectory-2"
+    doc["format"] = "chcontrol-trajectory-1"
 
 
 @pytest.mark.parametrize("spoil, detail", [
     (_no_grid, "no key 'grid'"), (_times_a_number, "object of type 'int' has no len()"),
     (_truncated, ""), (_bad_grid_count, "grid.n: expected an integer >= 3, got 'x'"),
-    (_other_format, "format 'chcontrol-trajectory-2')"),
+    (_other_format, "format 'chcontrol-trajectory-1')"),
 ], ids=["missing-grid", "times-a-number", "truncated", "bad-grid-count", "other-format"])
 def test_malformed_manifest_is_one_error(tmp_path, spoil, detail):
     # a manifest that is not JSON, lacks a key, holds a value of the wrong
@@ -290,7 +356,7 @@ def test_malformed_manifest_is_one_error(tmp_path, spoil, detail):
     with pytest.raises(ShapeMismatchError) as caught:
         ch.read_trajectory(manifest)
     assert str(caught.value).startswith(
-        f"{manifest}: not a chcontrol-trajectory-1 manifest ({detail}")
+        f"{manifest}: not a {ch.fields.MANIFEST_FORMAT} manifest ({detail}")
     # a file that cannot be read is an OSError, as it was
     manifest.unlink()
     with pytest.raises(FileNotFoundError):
@@ -301,16 +367,17 @@ _G, _TG = ch.Grid.line(4), ch.TimeGrid(1.0, 2)
 
 
 def _header_of_dimension(path, dim):
-    path.write_bytes(struct.pack(_HEADER_FMT, b"CHFLD1", dim, 4, 4) + bytes(128))
+    path.write_bytes(struct.pack("<6sHII", b"CHFLD1", dim, 4, 4) + bytes(16 + 128))
     return path
 
 
-def _ragged_manifest(directory):
-    traj = ch.Trajectory(_G, _TG, np.zeros((3, 1) + _G.shape), ("u",))
-    manifest = ch.write_trajectory(directory, traj)
-    index = json.loads(manifest.read_text())
-    index["components"]["u"].pop()
-    manifest.write_text(json.dumps(index))
+def _manifest_with_frames(directory, frames):
+    # a three-frame trajectory whose component file holds ``frames`` frames
+    # (None: one field)
+    manifest = ch.write_trajectory(directory, ch.Trajectory(
+        _G, _TG, np.zeros((3, 1) + _G.shape), ("u",)))
+    shape = _G.shape if frames is None else (frames,) + _G.shape
+    ch.write_snapshot(directory / "u.fld", _G, np.zeros(shape))
     return manifest
 
 
@@ -329,8 +396,12 @@ def _ragged_manifest(directory):
      ShapeMismatchError, "snapshot dimension 0"),
     (lambda tmp: ch.read_snapshot(_header_of_dimension(tmp / "f.fld", 3)),
      ShapeMismatchError, "snapshot dimension 3"),
-    (lambda tmp: ch.read_trajectory(_ragged_manifest(tmp / "traj")),
-     ShapeMismatchError, "ragged component u"),
+    (lambda tmp: ch.read_trajectory(_manifest_with_frames(tmp / "traj", 2)),
+     GridMismatchError, r"/traj/u.fld: shape \(2, 4\), expected \(3, 4\)$"),
+    (lambda tmp: ch.read_trajectory(_manifest_with_frames(tmp / "traj", 4)),
+     GridMismatchError, r"/traj/u.fld: shape \(4, 4\), expected \(3, 4\)$"),
+    (lambda tmp: ch.read_trajectory(_manifest_with_frames(tmp / "traj", None)),
+     GridMismatchError, r"/traj/u.fld: shape \(4,\), expected \(3, 4\)$"),
     (lambda tmp: ch.space_time_inner(_G, 0.5, np.zeros((3, 4)), np.zeros((2, 4))),
      GridMismatchError, r"^b: shape \(2, 4\), expected \(3, 4\)$"),
     (lambda tmp: ch.InitialData(np.zeros(5), _G.zeros(), _G.zeros()).validate(
@@ -346,7 +417,8 @@ def _ragged_manifest(directory):
     (lambda tmp: ch.TimeGrid(1.0, 10**400), ConfigError, "^time.steps: "),
 ], ids=["grid-zero-extent", "grid-negative-extent", "integrate-shape",
         "trajectory-frames", "trajectory-attribute", "write-snapshot-shape",
-        "snapshot-dim-0", "snapshot-dim-3", "manifest-ragged", "space-time-shape",
+        "snapshot-dim-0", "snapshot-dim-3", "component-fewer-frames",
+        "component-more-frames", "component-one-field", "space-time-shape",
         "initial-shape", "cost-weight-inf", "cost-b0-inf", "relaxation-gamma-inf",
         "relaxation-eps-inf", "grid-count-beyond-float", "time-steps-beyond-float"])
 def test_library_guards_raise_their_errors(call, error, match, tmp_path):

@@ -33,6 +33,16 @@ def _problem_1d():
     return params, tracking_cost(params, tau_star=0.3), 0.3
 
 
+def _problem_terminal(**terminal):
+    # a terminal term (b2 or b4) lets the cost fall past tau_star: the
+    # window is the horizon, and each trial's probe stops short of it
+    def make():
+        params = make_problem(n=32, nt=48)
+        return params, tracking_cost(params, b1=0.2, b3=0.2, b6=5.0, tau_star=0.3,
+                                     **terminal), 0.3
+    return make
+
+
 def _problem_2d():
     grid = ch.Grid.rectangle(8, 6, 1.0, 0.75)
     tg = ch.TimeGrid(0.5, 24)
@@ -44,10 +54,11 @@ def _problem_2d():
 def _counted_runs(monkeypatch, params, cost, tau0, march, **kwargs):
     """One optimize run from u = 1, and (first frame, marched steps, last
     frame) of each of its forward marches. ``march`` "resumed" runs
-    optimize as it is. "fresh" drops every ``prior`` and marches each trial
-    to its window; "full" forces the window to the horizon and marches
-    every call fresh to it. In either, a passing trial has nothing left to
-    march, as before trials resumed."""
+    optimize as it is. "window" resumes each trial but marches it straight
+    to its window, as before a trial first stopped after its snapped node;
+    "fresh" also drops every ``prior``; "full" forces the window to the
+    horizon and marches every call fresh to it. In these three, a passing
+    trial has nothing left to march."""
     marches, windows = [], []
     trial_window = ch.CostSpec.trial_window
 
@@ -60,7 +71,8 @@ def _counted_runs(monkeypatch, params, cost, tau0, march, **kwargs):
             if steps is not None and prior is not None and prior[1] is args[2]:
                 # a passing trial's continuation: its march reached the window
                 return prior[0]
-            steps, prior = steps and windows[-1], None
+            steps = steps and windows[-1]
+            prior = prior if march == "window" else None
         traj = ch.solve_state(*args, steps=steps, prior=prior, **kw)
         diag = traj.diagnostics
         marches.append((diag.first, len(diag.newton_iters), traj.nframes - 1))
@@ -93,15 +105,28 @@ def _assert_same_result(a, b):
     assert a.gradient.tobytes() == b.gradient.tobytes()
 
 
-@pytest.mark.parametrize("make", [_problem_1d, _problem_2d], ids=["1d", "2d"])
+@pytest.mark.parametrize("make", [_problem_1d, _problem_2d, _problem_terminal(b2=0.05),
+                                  _problem_terminal(b4=0.02)],
+                         ids=["1d", "2d", "1d-b2", "1d-b4"])
 def test_windowed_optimize_is_bitwise_the_full_one(monkeypatch, make):
     params, cost, tau0 = make()
     nt = params.time_grid.steps
-    kwargs = dict(max_outer_iters=8, grad_tol=1e-300)
+    # the terminal costs reject their first trials past iteration 8
+    kwargs = dict(max_outer_iters=8 if cost.monotone_tail() else 16, grad_tol=1e-300)
     windowed, w = _counted_runs(monkeypatch, params, cost, tau0, "resumed", **kwargs)
     full, f = _counted_runs(monkeypatch, params, cost, tau0, "full", **kwargs)
     _assert_same_result(windowed, full)
     assert set(f) == {(0, nt, nt)}
+    if not cost.monotone_tail():
+        # every state is full, but a trial's probe stops after its snapped
+        # node, so rejected trials march fewer steps than trials marched
+        # straight to the horizon, as they were before the probe
+        unprobed, p = _counted_runs(monkeypatch, params, cost, tau0, "window", **kwargs)
+        _assert_same_result(windowed, unprobed)
+        assert w[0] == (0, nt, nt) and min(last for _, _, last in w) < nt
+        assert windowed.state.nframes == nt + 1
+        assert _marched(w) < _marched(p) < _marched(f)
+        return
     # the trials stopped short; the first march is fresh and full, the last
     # resumes the optimum to the horizon, and every windowed state was
     # certified, so no other march reaches it

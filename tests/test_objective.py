@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -289,14 +291,28 @@ def test_tau_profile_matches_cost(problem):
         ch.TauProfile(state, short, cost)
 
 
-def test_profile_rejects_a_partial_trajectory(problem):
-    # the cost reads the full march, as the adjoint does
+@pytest.mark.parametrize("terms", [
+    lambda g: dict(b2=0.3, b4=0.2), lambda g: dict(b2=0.3), lambda g: dict(b4=0.2),
+    lambda g: dict(relaxation=ch.Relaxation(0.5, 0.1, g.full(0.3)))],
+    ids=["b2-b4", "b2", "b4", "relaxed"])
+def test_partial_profile_is_the_full_one_on_its_frames(problem, terms):
+    # a cost that can fall past tau_star reads frames 0..W as the full
+    # profile does on [0, t_W), last interval included, but cannot certify
+    # its time minimizer from them
     params, _, u, state = problem
-    cost = tracking_cost(params, b2=0.3, b4=0.2)
-    for frames in (1, 11, state.nframes - 1):
-        part = ch.Trajectory(params.grid, params.time_grid, state.data[:frames],
-                             state.names)
-        with pytest.raises(ch.TimeDomainError, match="full forward trajectory"):
-            ch.TauProfile(part, u, cost)
-        with pytest.raises(ch.TimeDomainError, match="full forward trajectory"):
-            ch.reduced_cost(part, u, 0.0, cost)
+    tg = params.time_grid
+    cost = tracking_cost(params, **terms(params.grid))
+    assert not cost.monotone_tail()
+    full = ch.TauProfile(state, u, cost)
+    for w in (1, 2, 12, tg.steps - 1):
+        part = ch.Trajectory(params.grid, tg, state.data[:w + 1], state.names)
+        profile = ch.TauProfile(part, u, cost)
+        taus = [tg.times[j] + s * tg.dt for j in range(w) for s in (0.0, 0.008, 0.5,
+                                                                     0.992)]
+        for tau in taus:
+            assert repr((dataclasses.astuple(profile.breakdown(tau)),
+                         profile.derivative(tau))) == repr(
+                (dataclasses.astuple(full.breakdown(tau)), full.derivative(tau))), tau
+        assert profile.minimize() is None
+        with pytest.raises(ch.TimeDomainError, match="past the first"):
+            profile.derivative(tg.times[w])
