@@ -74,27 +74,28 @@ def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
 
     solver = StepSolver(grid, dt, params.alpha, params.beta)
     wq = time_weights(k_tau + 1, dt)
-    # per term: its row of the right-hand side (mu, phi, sigma), weight
-    # times node weights, and its misfit
-    sources = [(state.names.index(t.component),
-                t.weight * (wq if t.window is None else window_weights(k_tau, dt, t.window)),
-                t.misfit) for t in terms]
+    # per term: its row of the right-hand side (mu, phi, sigma) and its
+    # source at every node, weight times node weight times misfit
+    sources = []
+    for t in terms:
+        weights = t.weight * (wq if t.window is None
+                              else window_weights(k_tau, dt, t.window))
+        sources.append((state.names.index(t.component),
+                        weights.reshape((-1,) + (1,) * grid.dim) * t.misfit))
+    # A_k^T takes (P, W) of step k-1 and C_k^T takes (E, S) of step k
+    p, w, ex, spp = step_coefficients(params, state, 0, k_tau)
 
     for k in range(k_tau, 0, -1):
-        # A_k^T takes (P, W) of step k-1; C_k^T takes (E, S) of step k,
-        # evaluated by the previous iteration
-        p, w, ex_prev, spp_prev = step_coefficients(params, state, k - 1)
-        rhs = list(coupling(solver, ex, spp, lam, transpose=True) if k < k_tau
+        rhs = list(coupling(solver, ex[k], spp[k], lam, transpose=True) if k < k_tau
                    else np.zeros((3,) + grid.shape))
-        for row, weights, misfit in sources:
-            rhs[row] = rhs[row] + weights[k] * misfit[k]
+        for row, source in sources:
+            rhs[row] = rhs[row] + source[k]
         if k == k_tau:
             rhs[1] = _terminal_phase_source(cost, state.phi[k], rhs[1])  # phi row
 
-        lam = solver.solve(p, w, rhs, transpose=True)
+        lam = solver.solve(p[k - 1], w[k - 1], rhs, transpose=True)
         if not np.isfinite(lam).all():
             raise NanDetectedError(f"adjoint frame {k - 1}")
         data[k - 1] = lam / wq[k - 1]
-        ex, spp = ex_prev, spp_prev
 
     return Trajectory(grid, tg, data, ADJOINT_NAMES)

@@ -60,12 +60,15 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
     if stacked:
         hv = np.moveaxis(hv, 0, 1)
 
-    solver = StepSolver(grid, dt, params.alpha, params.beta)
     data = np.zeros((steps + 1, 3) + hv.shape[1:])
+    if steps == 0:
+        return Trajectory(grid, tg, data, LINEARIZED_NAMES)
+
+    solver = StepSolver(grid, dt, params.alpha, params.beta)
+    p, w, ex, spp = step_coefficients(params, state, 0, steps)
     for k in range(steps):
-        p, w, ex, spp = step_coefficients(params, state, k)
-        rm, rf, rs = coupling(solver, ex, spp, data[k])
-        x = solver.solve(p, w, (rm, rf, rs + hv[k]))
+        rm, rf, rs = coupling(solver, ex[k], spp[k], data[k])
+        x = solver.solve(p[k], w[k], (rm, rf, rs + hv[k]))
         if not np.isfinite(x).all():
             raise NanDetectedError(f"linearized frame {k + 1}")
         data[k + 1] = x

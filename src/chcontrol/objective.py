@@ -19,8 +19,9 @@ breakdown at one tau. Every cost may also be read from the first
 frames of the march alone, which is how the optimizer's trial marches
 stop early (see :class:`TauProfile`); a cost that cannot fall past
 tau_star (:meth:`CostSpec.monotone_tail`) may also certify its time
-minimizer from them, and :meth:`CostSpec.trial_window` is the frame its
-trials stop at.
+minimizer from them. :meth:`CostSpec.trial_window` is the frame the
+optimizer's first march stops at, and :meth:`TauProfile.least_window`
+the least frame that certifies an iterate, near which its trials stop.
 
 The three integrals of a state misfit (b1, b3 and the relaxed term) are
 one table, :func:`integral_terms`: per active term its weight, the state
@@ -109,13 +110,18 @@ class CostSpec:
                 and self.b4 == 0 and (relax is None or relax.gamma == 0))
 
     def trial_window(self, tg: TimeGrid, tau: float) -> int:
-        """The last frame W that an optimizer trial march needs at treatment
-        time ``tau``: nt, unless the cost has a monotone tail with a term
-        that grows in tau; then the node of tau, or of tau_star if b6 > 0
-        and that lies later, plus two. The two margin nodes are the ones
-        :meth:`TauProfile.minimize` asks of a partial march (a node
-        minimizer at W-2 or below), so the time search's bracket and the
-        adjoint's frames stay inside the window."""
+        """The first window of an optimizer run at treatment time ``tau``,
+        the last frame W its initial march needs, and whether windows
+        apply at all. W is nt, and no march stops short, unless the cost
+        has a monotone tail with a term that grows in tau (without one no
+        partial march certifies, and every
+        :meth:`TauProfile.least_window` is nt too); then W is the node of
+        tau, or of tau_star if b6 > 0 and that lies later, plus two. The
+        two margin nodes are the ones :meth:`TauProfile.minimize` asks of
+        a partial march (a node minimizer at W-2 or below), so the time
+        search's bracket and the adjoint's frames stay inside the window.
+        The later windows follow each iterate's
+        :meth:`TauProfile.least_window`."""
         if not (self.monotone_tail() and (self.b1 or self.b3 or self.b5 or self.b6)):
             return tg.steps
         node = tg.nearest_node(tau)[0]
@@ -328,7 +334,9 @@ class TauProfile:
     0..W only. Its nodes are 0..W-1, and :meth:`minimize` returns None
     unless the cost has :meth:`CostSpec.monotone_tail` and the full
     profile's first node minimizer provably lies among nodes 0..W-2 (see
-    there).
+    there). :meth:`least_window` is the least such W for the profile's
+    own first node minimizer, the frame that the optimizer's next trial
+    marches stop near; both read one scan of the nodes.
 
     A member-stacked state (see :func:`~chcontrol.state.solve_state`),
     misshapen targets and a misshapen control raise
@@ -373,6 +381,7 @@ class TauProfile:
         if cost.b0 > 0:
             self.control_energy = 0.5 * cost.b0 * space_time_inner(
                 grid, self.dt, u, u)
+        self._minimum = None
 
     def _cumtrapz(self, g):
         out = np.zeros(len(g))
@@ -460,14 +469,23 @@ class TauProfile:
     def node_values(self) -> np.ndarray:
         return np.array([self.value(t) for t in self.times])
 
-    def _tail_bound(self) -> float:
-        """A lower bound on J(u, t_j) at every node j >= W past a partial
-        march of frames 0..W: the running terms as far as t_{W-1}, which
-        every such node's integrals reach, and the time terms at t_W.
+    def _node_minimum(self):
+        """The first node minimizer k and J(t_k), from one scan of the
+        nodes per profile, which :meth:`minimize` and
+        :meth:`least_window` share."""
+        if self._minimum is None:
+            node_j = self.node_values()
+            k = int(np.argmin(node_j))
+            self._minimum = k, node_j[k]
+        return self._minimum
+
+    def _tail_bound(self, w: int) -> float:
+        """A lower bound on J(u, t_j) at every node j >= w, from frames
+        0..w of the march: the running terms as far as t_{w-1}, which
+        every such node's integrals reach, and the time terms at t_w.
         Past tau_star every term grows with tau
         (:meth:`CostSpec.monotone_tail`), and before it the quadratic term
-        is bounded by 0."""
-        w = len(self.times)
+        is bounded by 0. The bound does not fall as w grows."""
         c = self.cost
         t_w = self.tg.times[w]
         past = max(t_w - c.tau_star, 0.0)
@@ -478,20 +496,41 @@ class TauProfile:
             setattr(bound, name, half * float(cum[w - 1]))
         return bound.total
 
+    def _certifies(self, w: int) -> bool:
+        """Whether frames 0..w certify the first node minimizer k, for a
+        cost with :meth:`CostSpec.monotone_tail`: k <= w-2 and J(t_k) below
+        :meth:`_tail_bound` (w) by ``TAIL_SLACK`` of it."""
+        k, j_min = self._node_minimum()
+        return k <= w - 2 and j_min < (1.0 - TAIL_SLACK) * self._tail_bound(w)
+
+    def least_window(self) -> int:
+        """The least frame W whose partial march would certify this
+        profile's first node minimizer k, as :meth:`minimize` asks: the
+        smallest W >= k+2 among the frames it holds that
+        :meth:`_certifies`; nt if none does or the cost has no monotone
+        tail. It reads the node values that :meth:`minimize` reads,
+        scanned once per profile."""
+        if self.cost.monotone_tail():
+            k, _ = self._node_minimum()
+            for w in range(k + 2, len(self.frame_times)):
+                if self._certifies(w):
+                    return w
+        return self.tg.steps
+
     def minimize(self) -> float | None:
         """Continuous minimizer of J(u, .) over [0, T], near the best node.
 
-        A partial profile finds the same minimizer from its own nodes when
-        the cost has :meth:`CostSpec.monotone_tail`, their first minimizer k
-        is at most W-2 and J(t_k) lies below :meth:`_tail_bound` by
-        ``TAIL_SLACK`` of it: the full profile's first node minimizer is
+        A partial profile of frames 0..W finds the same minimizer from its
+        own nodes when the cost has :meth:`CostSpec.monotone_tail` and
+        they certify their first minimizer k (:meth:`_certifies`): k is at
+        most W-2 and J(t_k) lies below :meth:`_tail_bound` (W) by
+        ``TAIL_SLACK`` of it. The full profile's first node minimizer is
         then k as well, and the search reads [t_{k-1}, t_{k+1}] only.
         Otherwise it returns None.
         """
-        node_j = self.node_values()
-        k = int(np.argmin(node_j))
-        if self.partial and not (self.cost.monotone_tail() and k < len(node_j) - 1
-                                 and node_j[k] < (1.0 - TAIL_SLACK) * self._tail_bound()):
+        k, _ = self._node_minimum()
+        if self.partial and not (self.cost.monotone_tail()
+                                 and self._certifies(len(self.times))):
             return None
         horizon = self.tg.horizon
         lo = max(self.times[k] - self.dt, 0.0)

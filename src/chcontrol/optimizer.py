@@ -36,25 +36,33 @@ carries the measures verified on itself. The history has one row per
 outer iteration, at the snapped node, and one more that repeats the last
 iteration at the continuous minimizer when it costs no more.
 
-Trial marches stop at a window. When the cost cannot fall past tau_star
-(:meth:`CostSpec.monotone_tail`: b2 = b4 = 0, no active relaxed term),
-each Armijo trial marches only frames 0..W, W = min(nt, max(node of
-tau_star if b6 > 0, node of the current tau) + 2), since its cost is read
-at the snapped node alone. The window lives on the cost,
-:meth:`CostSpec.trial_window`, beside the certificate it serves: the
-next treatment-time block reads the accepted windowed state only where
-:meth:`TauProfile.minimize` certifies that the full profile's first node
-minimizer lies at node W-2 or below, by a lower bound on the cost at
-every node past the window; otherwise it marches that control to the
-horizon first. The two margin nodes keep the
-time search's bracket [t_{k-1}, t_{k+1}] and the adjoint's frames inside
-the window. Every decision, and so every reported bit, is the one a full
-march would give. The initial march is full, and once, the final
-iterate is marched on to the horizon (for ``OptResult.state``). One
-corner case differs: a trial whose march would fail only past t_W is no
-longer rejected, since its cost never reads those frames; should it be
-accepted and end the run, the final march raises the SolverError
-naming the step.
+Marches stop at a window. When the cost cannot fall past tau_star
+(:meth:`CostSpec.monotone_tail`: b2 = b4 = 0, no active relaxed term)
+and has a term that grows in tau, the initial march stops at the first
+window, :meth:`CostSpec.trial_window`: W = min(nt, max(node of tau_star
+if b6 > 0, node of tau0) + 2). Each accepted trial marches on only to W
+= min(nt, max(L + ``WINDOW_MARGIN``, k_idx + 2)), L the iterate's
+:meth:`TauProfile.least_window`, the least frame whose march certifies
+the iterate's own time minimizer, and k_idx its snapped node; a trial's
+cost is read at the snapped node alone. Any other cost marches to the
+horizon, since L is nt. The next treatment-time block reads the accepted
+windowed state only where :meth:`TauProfile.minimize` certifies that the
+full profile's first node minimizer lies at node W-2 or below, by a
+lower bound on the cost at every node past the window; otherwise it
+marches that control to the horizon first, the one fallback. The margin
+lets a trial's minimizer lie a little later than the iterate's and keep
+its certificate: at margin 1 or 2 no window of ``optimize-1d`` seeds 1,
+2, 7 and 21 or of ``configs/baseline.json`` falls back, at 0 one to
+three per run do. The two nodes past k_idx keep the time search's
+bracket [t_{k-1}, t_{k+1}] and the adjoint's frames inside the window.
+Every decision, and so every reported bit, is the one a full march
+would give. Once, the final iterate is marched on to the horizon (for
+``OptResult.state``). One corner case differs: a march failure past t_W
+surfaces only in a march that needs those frames. A trial whose march
+would fail only there is not rejected, since its cost never reads them,
+and a start whose march would fails after the search rather than
+before it, in the march of a failed certificate or in the final march,
+with the SolverError naming the step.
 
 No frame is marched twice where it need not be. Each trial resumes from
 the iterate's march (``solve_state(..., prior=(state, u))``): the frames
@@ -112,6 +120,9 @@ ARMIJO_C1 = 1e-4
 ARMIJO_BACKTRACK = 0.5
 ARMIJO_S0 = 1.0
 ARMIJO_MAX_BACKTRACKS = 30
+# the frames a trial marches past the iterate's least certifying window,
+# room for the trial's own time minimizer to lie later
+WINDOW_MARGIN = 2
 # the defaults of optimize's two settings
 MAX_OUTER_ITERS = 1000
 GRAD_TOL = 1e-5
@@ -222,9 +233,10 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     trial steps included, is a tolerance march under the Newton settings
     of ``params``. A trial whose forward solve raises a SolverError is
     rejected like a failed Armijo test, and the search backtracks; a
-    failing solve at the current iterate propagates. Trials march only
-    to a window where the cost allows (see the module docstring), and a
-    failure past it surfaces in the final march of the iterate, if ever.
+    failing solve at the current iterate propagates. Marches stop at a
+    window where the cost allows (see the module docstring), and a
+    failure past it surfaces in the march that needs those frames (a
+    failed certificate or the final march), if ever.
     """
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
@@ -236,7 +248,8 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     qt_inner = partial(space_time_inner, grid, tg.dt)
     qt_norm = partial(space_time_norm, grid, tg.dt)
 
-    state = solve_state(params, init, u, polish=False)
+    state = solve_state(params, init, u, steps=cost.trial_window(tg, tau_ref),
+                        polish=False)
     history: list[IterationRecord] = []
     trial = ARMIJO_S0  # the control block's first trial step
     prev = None  # the last accepted (u, grad); neither is written in place
@@ -292,7 +305,7 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
                 num, den = qt_inner(dx, dx), qt_inner(dx, dg)
                 trial = num / den if den > 0 and num > 0 else min(trial * 2.0, 1e12)
             s = trial
-            steps = cost.trial_window(tg, tau_ref)
+            steps = min(tg.steps, max(profile.least_window() + WINDOW_MARGIN, k_idx + 2))
             # the Armijo test reads the cost at the snapped node, which a
             # partial profile answers from frames 0..k_idx + 1
             probe = min(steps, k_idx + 1)

@@ -194,14 +194,48 @@ class StepDiagnostics:
     first: int = 0
 
 
-def _newton_step(solver, params, old, start, u, out, step, polish):
+def _step_residual(solver, pot):
+    """The residual of a step of ``solver``'s equations under the potential
+    ``pot``, built once per march: ``residual(x, old, p, pi, u)`` is the
+    stencil form of the step equations at the iterate x of the members
+    with old frame old, P(phi_old) p, S'(phi_old) pi and control u, each
+    row summing its terms left to right as in the module docstring; the
+    step matrix is only ever solved with, never multiplied. It returns R
+    and its max|R| per member, as a list of floats. The Laplacian is
+    :func:`~chcontrol.fields.laplacian_neumann`, read from this module at
+    every call."""
+    a, b, c = solver.a, solver.b, solver.c
+    grid = solver.grid
+    coef = np.array((a, b, c)).reshape((3, 1) + (1,) * grid.dim)
+    # the component axis and the grid axes: max|R| is taken per member
+    axes = (0,) + tuple(range(2, 2 + grid.dim))
+
+    def residual(x, old, p, pi, u):
+        d = x - old
+        r = coef * d
+        r[0] += c * d[1]
+        r -= laplacian_neumann(grid, x)
+        exchange = p * (x[2] - x[0])
+        r[0] -= exchange
+        r[1] += pot.dB(x[1])
+        r[1] += pi
+        r[1] -= x[0]
+        r[2] += exchange
+        r[2] -= u
+        return r, np.abs(r).max(axis=axes).tolist()
+
+    return residual
+
+
+def _newton_step(solver, params, residual, old, start, u, out, step, polish):
     """Damped Newton solve of implicit step ``step`` for K members at once.
 
     ``old`` is the old frame of each member, stacked as (mu, phi, sigma)
     along the first axis and the members along the second, (3, K,
     *grid.shape), and ``out``, shaped alike, receives the new frames;
     ``u`` (the control) is (K, *grid.shape). The iteration starts from
-    ``start``, shaped like ``old``. P(phi_old) and S'(phi_old), the
+    ``start``, shaped like ``old``, and evaluates the march's
+    ``residual`` (:func:`_step_residual`). P(phi_old) and S'(phi_old), the
     tolerance ``params.newton_tol`` and the budget
     ``params.newton_max_iter`` come from ``params``, and every trial phi is
     clipped into the window of ``params.potential``. The members do
@@ -225,32 +259,8 @@ def _newton_step(solver, params, old, start, u, out, step, polish):
     ends, all at once; then :class:`NewtonDivergenceError` names the
     residual of the first of them in stack order.
     """
-    a, b, c = solver.a, solver.b, solver.c
-    grid, pot = solver.grid, params.potential
+    pot = params.potential
     tol, max_iter = params.newton_tol, params.newton_max_iter
-    coef = np.array((a, b, c)).reshape((3, 1) + (1,) * grid.dim)
-    # the component axis and the grid axes: max|R| is taken per member
-    axes = (0,) + tuple(range(2, 2 + grid.dim))
-
-    def residual(x, old, p, pi, u):
-        # the stencil form of the step equations at the iterate x of the
-        # members with old frame old, each row summing its terms left to
-        # right as in the module docstring; the step matrix is only ever
-        # solved with, never multiplied. Returns R and its max|R| per
-        # member, as a list of floats
-        d = x - old
-        r = coef * d
-        r[0] += c * d[1]
-        r -= laplacian_neumann(grid, x)
-        exchange = p * (x[2] - x[0])
-        r[0] -= exchange
-        r[1] += pot.dB(x[1])
-        r[1] += pi
-        r[1] -= x[0]
-        r[2] += exchange
-        r[2] -= u
-        return r, np.abs(r).max(axis=axes).tolist()
-
     x = start
     p, pi = params.proliferation.P(old[1]), pot.dS(old[1])
     r, res = residual(x, old, p, pi, u)
@@ -261,7 +271,7 @@ def _newton_step(solver, params, old, start, u, out, step, polish):
     # The per-member flags and residuals are Python lists: with few
     # members, list work costs less than numpy calls on arrays of a few
     # entries
-    chord = grid.dim == 2
+    chord = solver.grid.dim == 2
     pos = list(range(len(res)))
     conv = [False] * len(res)
     means = [chord] * len(res)
@@ -440,12 +450,13 @@ def solve_state(params: ModelParams, init: InitialData,
     newton_iters = np.zeros(steps - first, dtype=int)
     delta_sep = np.empty(steps - first)
     solver = StepSolver(grid, tg.dt, params.alpha, params.beta)
+    residual = _step_residual(solver, pot)
     for k in range(first, steps):
         start = data[k]
         if not polish and k >= 2:
             start = 3.0 * (data[k] - data[k - 1]) + data[k - 2]
             pot.clip(start[1])
-        newton_iters[k - first] = _newton_step(solver, params, data[k], start,
+        newton_iters[k - first] = _newton_step(solver, params, residual, data[k], start,
                                                members[:, k], data[k + 1], k + 1, polish)
         delta_sep[k - first] = dist = pot.distance(data[k + 1, 1])
         if dist <= 2 * pot.margin:

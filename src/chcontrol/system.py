@@ -24,7 +24,8 @@ A_{j+1} being the matrix above at P = P(phi_j) and W = B''(phi_{j+1}), and
 
 with E = P'(phi_j)(sigma_{j+1} - mu_{j+1}) and S = S''(phi_j) the explicit
 smooth potential part. :func:`step_coefficients` gives (P, W, E, S) of
-step j and :func:`coupling` applies C_j or C_j^T.
+step j, or of a range of steps at once, and :func:`coupling` applies C_j
+or C_j^T.
 
 The dimensions differ only in how they solve. In 1D the matrix is held
 cell by cell, the three unknowns (m, f, s) of a cell adjacent, so that it
@@ -450,17 +451,21 @@ class StepSolver:
         ab[main - 2, 2::3] = ab[main + 2, 0::3] = -p
         np.copyto(buf, np.asarray(rhs).reshape(3, cols, len(p)).transpose(1, 2, 0))
         kernels.solve_block_tridiag(ab, b, bound)
-        return buf.copy().transpose(2, 0, 1).reshape(shape)
+        return buf.transpose(2, 0, 1).reshape(shape).copy()
 
 
-def step_coefficients(params, state, j: int):
+def step_coefficients(params, state, j: int, stop: int | None = None):
     """(P, W, E, S) of step j -> j+1 at a solved trajectory, as defined in
-    the module docstring: A_{j+1} takes (P, W) and C_j takes (E, S)."""
+    the module docstring: A_{j+1} takes (P, W) and C_j takes (E, S). With
+    ``stop``, those of steps j..stop-1 in one evaluation, each stacked
+    along a leading step axis, bitwise the per-step ones: a sweep sets
+    them up once and reads a slice per step."""
     prolif, pot, phi = params.proliferation, params.potential, state.phi
-    p = prolif.P(phi[j])
-    w = pot.d2B(phi[j + 1])
-    ex = prolif.dP(phi[j]) * (state.sigma[j + 1] - state.mu[j + 1])
-    spp = pot.d2S(phi[j])
+    old, new = (j, j + 1) if stop is None else (slice(j, stop), slice(j + 1, stop + 1))
+    p = prolif.P(phi[old])
+    w = pot.d2B(phi[new])
+    ex = prolif.dP(phi[old]) * (state.sigma[new] - state.mu[new])
+    spp = pot.d2S(phi[old])
     return p, w, ex, spp
 
 

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -468,6 +469,35 @@ def _failing_trial_config(monkeypatch, **constants):
     cfg["cost"]["targets"]["phi_omega"] = {"constant": 0.9}
     cfg["optimizer"] = {"max_outer_iters": 3}
     return cfg
+
+
+def test_start_failing_past_the_first_window_exits_3(tmp_path, capsys, monkeypatch):
+    # a control of 20 on log-separation.json (32 cells, 64 steps) stalls
+    # Newton past step 40, far past the first window, the node of tau_star
+    # = 0.1 plus two. The initial march stops at that window, b0 = 0 leaves
+    # the control past the snapped node as it is, and the search runs
+    # until the final march to the horizon fails, naming the step
+    cfg = json.loads((CONFIGS / "log-separation.json").read_text())
+    cfg["pipeline"] = "optimize"
+    cfg["grid"]["n"] = [32]
+    cfg["time"]["steps"] = 64
+    cfg["control"] = {"initial": 20.0, "tau0": 0.1}
+    cfg["bounds"]["upper"] = 100
+    cfg["cost"].update(b0=0.0, b6=100.0, tau_star=0.1)
+    cfg["optimizer"] = {"max_outer_iters": 3}
+    steps = []
+    solve = ch.solve_state
+
+    def recording_solve_state(*args, **kwargs):
+        steps.append(kwargs.get("steps"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer_module, "solve_state", recording_solve_state)
+    assert run(_write(tmp_path, cfg), out_dir=tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    failed = re.match(r"solver error: Newton did not converge at step (\d+): ", err)
+    assert failed and int(failed[1]) > 40
+    assert steps[0] == 8 and len(steps) > 2 and steps[-1] is None
 
 
 @pytest.fixture

@@ -2,10 +2,12 @@
 iterate's frames: every reported bit is the one that full marches give.
 
 Each run is compared with a run whose every march is fresh and reaches
-the horizon, and with one whose trials march fresh to the window
-``CostSpec.trial_window``, as they did before they resumed; the partial
-cost profile, its certificate and the adjoint on the first frames are
-checked on their own against the full march.
+the horizon, with one whose trials march fresh to the first window
+``CostSpec.trial_window``, as they did before they resumed, and with one
+whose windows do not follow the iterate's least certifying window
+``TauProfile.least_window``; the partial cost profile, its certificate
+and the adjoint on the first frames are checked on their own against
+the full march.
 """
 
 import dataclasses
@@ -54,11 +56,14 @@ def _problem_2d():
 def _counted_runs(monkeypatch, params, cost, tau0, march, **kwargs):
     """One optimize run from u = 1, and (first frame, marched steps, last
     frame) of each of its forward marches. ``march`` "resumed" runs
-    optimize as it is. "window" resumes each trial but marches it straight
-    to its window, as before a trial first stopped after its snapped node;
-    "fresh" also drops every ``prior``; "full" forces the window to the
-    horizon and marches every call fresh to it. In these three, a passing
-    trial has nothing left to march."""
+    optimize as it is. "fixed" keeps the windows that do not follow the
+    iterate: the first march is full, and a passing trial marches on to
+    :meth:`CostSpec.trial_window` at the current tau. "window" resumes
+    each trial but marches it straight to the first window, as before a
+    trial first stopped after its snapped node; "fresh" also drops every
+    ``prior``; "full" forces the first window to the horizon and marches
+    every call fresh to it. In these three, a passing trial has nothing
+    left to march."""
     marches, windows = [], []
     trial_window = ch.CostSpec.trial_window
 
@@ -67,7 +72,9 @@ def _counted_runs(monkeypatch, params, cost, tau0, march, **kwargs):
         return windows[-1]
 
     def counting_solve_state(*args, steps=None, prior=None, **kw):
-        if march != "resumed":
+        if march == "fixed" and not marches:
+            steps = None
+        elif march not in ("resumed", "fixed"):
             if steps is not None and prior is not None and prior[1] is args[2]:
                 # a passing trial's continuation: its march reached the window
                 return prior[0]
@@ -78,9 +85,17 @@ def _counted_runs(monkeypatch, params, cost, tau0, march, **kwargs):
         marches.append((diag.first, len(diag.newton_iters), traj.nframes - 1))
         return traj
 
+    def fixed_window(profile):
+        # less the margin, so that a trial snapped at node k_idx marches on
+        # to min(nt, max(node of tau_star if b6 > 0, k_idx) + 2), the
+        # window trial_window gives at its tau
+        return trial_window(profile.cost, profile.tg, 0.0) - optimizer_module.WINDOW_MARGIN
+
     with monkeypatch.context() as m:
         m.setattr(optimizer_module, "solve_state", counting_solve_state)
         m.setattr(ch.CostSpec, "trial_window", recording_window)
+        if march == "fixed":
+            m.setattr(ch.TauProfile, "least_window", fixed_window)
         u0 = ch.constant_trajectory(params.grid, params.time_grid, 1.0)
         res = ch.optimize(params, _random_init(params), cost, u0, tau0=tau0,
                           lower=0.0, upper=2.0, **kwargs)
@@ -127,10 +142,12 @@ def test_windowed_optimize_is_bitwise_the_full_one(monkeypatch, make):
         assert windowed.state.nframes == nt + 1
         assert _marched(w) < _marched(p) < _marched(f)
         return
-    # the trials stopped short; the first march is fresh and full, the last
-    # resumes the optimum to the horizon, and every windowed state was
-    # certified, so no other march reaches it
-    assert w[0] == (0, nt, nt) and 0 < w[-1][0] < w[-1][2] == nt
+    # the trials stopped short; the first march is fresh and stops at the
+    # first window, the last resumes the optimum to the horizon, and every
+    # windowed state was certified, so no other march reaches it
+    first = cost.trial_window(params.time_grid, tau0)
+    assert w[0] == (0, first, first) and first < nt
+    assert 0 < w[-1][0] < w[-1][2] == nt
     assert max(last for _, _, last in w[1:-1]) < nt
     assert _marched(w) < _marched(f)
     assert windowed.state.nframes == nt + 1
@@ -138,22 +155,61 @@ def test_windowed_optimize_is_bitwise_the_full_one(monkeypatch, make):
 
 def test_uncertified_window_marches_to_the_horizon(monkeypatch):
     # a tracking weight far below the certificate's slack leaves the cost
-    # flat in tau to rounding, so no windowed state can be certified and
-    # each outer iteration marches its control to the horizon again
+    # flat in tau to rounding, so no windowed state can be certified: the
+    # first window is marched on to the horizon, and a profile whose
+    # frames certify nothing has the horizon as its least window
     params, _, tau0 = _problem_1d()
     cost = tracking_cost(params, b1=1e-20, b3=0.0, b5=0.0, b6=0.0, tau_star=0.3)
     kwargs = dict(max_outer_iters=4, grad_tol=1e-300)
     windowed, w = _counted_runs(monkeypatch, params, cost, tau0, "resumed", **kwargs)
     full, f = _counted_runs(monkeypatch, params, cost, tau0, "full", **kwargs)
     _assert_same_result(windowed, full)
-    # each search here accepts its first trial: its march stops after the
-    # snapped node, resumes to the window, and the next outer iteration
-    # resumes it again to the horizon
+    # the first march stops at the first window and resumes to the horizon;
+    # each search here accepts its first trial, whose march stops after the
+    # snapped node and resumes to the horizon
     nt = params.time_grid.steps
     trials = len(f) - 1
-    assert trials and len(w) == 1 + 3 * trials
-    for probe, window, horizon in zip(w[1::3], w[2::3], w[3::3]):
-        assert probe[2] == window[0] < window[2] == horizon[0] < horizon[2] == nt
+    assert trials and len(w) == 2 + 2 * trials
+    assert w[0][2] == w[1][0] < w[1][2] == nt
+    for probe, horizon in zip(w[2::2], w[3::2]):
+        assert probe[2] == horizon[0] < horizon[2] == nt
+
+
+def _problem_late_star():
+    # tau_star = 0.6 lies past the time minimizer, near node 14 of 48, so the
+    # window at the node of tau_star holds frames that no certificate reads
+    params = make_problem(n=32, nt=48)
+    return params, tracking_cost(params, tau_star=0.6), 0.3
+
+
+def test_least_window_is_bitwise_the_fixed_one(monkeypatch):
+    # each passing trial marches on only to the iterate's least certifying
+    # window and the margin, and the first march stops at the first window:
+    # the same bits as the fixed windows give, for fewer steps
+    params, cost, tau0 = _problem_late_star()
+    nt = params.time_grid.steps
+    kwargs = dict(max_outer_iters=8, grad_tol=1e-300)
+    least, w = _counted_runs(monkeypatch, params, cost, tau0, "resumed", **kwargs)
+    fixed, f = _counted_runs(monkeypatch, params, cost, tau0, "fixed", **kwargs)
+    _assert_same_result(least, fixed)
+    # march for march, none goes further than the fixed one, every passing
+    # trial's continuation stops short of it, and no window falls back to
+    # the horizon
+    assert len(w) == len(f) and w[0][2] < f[0][2] == nt
+    assert all(a[2] <= b[2] for a, b in zip(w, f))
+    resumes = [i for i in range(1, len(w) - 1) if w[i][0] == w[i - 1][2]]
+    assert resumes and all(w[i][2] < f[i][2] for i in resumes)
+    assert max(last for _, _, last in w[:-1]) < nt
+    assert _marched(w) < _marched(f)
+    # a least window patched to k+2, k the iterate's first node minimizer,
+    # leaves the accepted trials' marches too short to certify their own
+    # minimizers: they fall back to the horizon, with the same bits
+    with monkeypatch.context() as m:
+        m.setattr(ch.TauProfile, "least_window",
+                  lambda profile: int(np.argmin(profile.node_values())) + 2)
+        short, s = _counted_runs(monkeypatch, params, cost, tau0, "resumed", **kwargs)
+    _assert_same_result(least, short)
+    assert sum(last == nt for _, _, last in s) > sum(last == nt for _, _, last in w)
 
 
 @pytest.mark.parametrize("make", [_problem_1d, _problem_2d], ids=["1d", "2d"])
@@ -250,6 +306,31 @@ def test_windowed_time_block_matches_the_full_one(marched, b0, b1, b3, b5, b6,
     if got is not None:
         assert got == _profile_answers(full, tau_ref)
         assert int(np.argmin(full.node_values())) <= w - 2 or w == tg.steps
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(b0=weight, b1=weight, b3=weight, b5=weight, b6=weight,
+       tau_star=st.floats(0.0, 1.0))
+def test_least_window_is_the_least_that_certifies(marched, b0, b1, b3, b5, b6,
+                                                  tau_star):
+    # the march of frames 0..W, W the full profile's least window, certifies
+    # its time minimizer, answers as the full profile does and has the same
+    # least window; one frame fewer certifies nothing
+    params, u, state = marched
+    nt = params.time_grid.steps
+    cost = tracking_cost(params, b0=b0, b1=b1, b3=b3, b5=b5, b6=b6, tau_star=tau_star)
+
+    def prefix(w):
+        return ch.TauProfile(ch.Trajectory(params.grid, params.time_grid,
+                                           state.data[:w + 1], state.names), u, cost)
+
+    full = ch.TauProfile(state, u, cost)
+    w = full.least_window()
+    if w < nt:
+        part = prefix(w)
+        assert part.least_window() == w
+        assert _profile_answers(part, 0.0) == _profile_answers(full, 0.0) is not None
+    assert prefix(w - 1).minimize() is None
 
 
 def test_windowed_time_block_certifies_the_tracking_cost(marched):

@@ -88,21 +88,24 @@ def test_zero_projected_step_leaves_the_control(monkeypatch):
     # the control enters the cost through b0 alone, so at u0 = lower = 0 the
     # gradient is 0 and the projected step is zero; the time block's
     # bisection leaves stat_tau at roundoff, above the tiny grad_tol, so the
-    # loop keeps coming back to the control block without one trial solve
+    # loop keeps coming back to the control block without one trial solve:
+    # only the initial march to the first window and the final march, which
+    # resumes it to the horizon
     params = make_problem(n=16, nt=16)
     init = equilibrium_init(params)
     u0 = ch.constant_trajectory(params.grid, params.time_grid, 0.0)
     solves = []
 
     def counting_solve_state(*args, **kwargs):
-        solves.append(args)
+        solves.append((kwargs.get("steps"), kwargs.get("prior") is not None))
         return ch.solve_state(*args, **kwargs)
 
     cost = ch.CostSpec(b0=1e-3, b6=1.0, tau_star=0.3)
     monkeypatch.setattr(optimizer_module, "solve_state", counting_solve_state)
     res = ch.optimize(params, init, cost, u0, lower=0.0, upper=1.0,
                       max_outer_iters=3, grad_tol=1e-300)
-    assert len(solves) == 1
+    first = cost.trial_window(params.time_grid, 0.5)
+    assert first < params.time_grid.steps and solves == [(first, False), (None, True)]
     assert not res.converged and res.iterations == 4
     assert np.array_equal(res.u_opt, u0) and np.array_equal(res.gradient, 0 * u0)
     assert res.stat_u == 0.0 and 0.0 < res.stat_tau <= 1e-15

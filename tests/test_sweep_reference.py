@@ -4,8 +4,10 @@
 and S'' and write the explicit coupling C_k (or C_k^T) inline, each on
 its own, as both sweeps did before they read the step derivative from
 :mod:`chcontrol.system`. The production sweeps must reproduce them bit
-for bit. The step-level test checks that ``system.coupling`` with
-``transpose=True`` is the exact transpose of the forward coupling.
+for bit. The step-level tests check that ``system.coupling`` with
+``transpose=True`` is the exact transpose of the forward coupling, and
+that ``system.step_coefficients`` of a range of steps stacks the
+per-step ones bitwise.
 """
 
 import numpy as np
@@ -159,3 +161,29 @@ def test_coupling_transpose_is_exact(problem, stacked):
     lhs, rhs = np.sum(cy * l), np.sum(y * ctl)
     scale = max(np.abs(cy * l).sum(), np.abs(y * ctl).sum())
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("grid", [ch.Grid.line(24), ch.Grid.rectangle(8, 6, 1.0, 0.75)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("potential", [ch.Potential.quartic(),
+                                       ch.Potential.logarithmic(2.0)],
+                         ids=["quartic", "log"])
+@pytest.mark.parametrize("proliferation", [ch.Proliferation.constant(0.7),
+                                           ch.Proliferation.smooth_ramp(1.0, 0.3)],
+                         ids=["constant", "ramp"])
+def test_step_coefficients_of_a_range_are_the_per_step_ones(grid, potential,
+                                                            proliferation):
+    # the sweeps evaluate the coefficients of all their steps at once and
+    # read one slice per step: each slice is bitwise the step's own call
+    tg = ch.TimeGrid(0.5, 12)
+    params = ch.ModelParams(0.1, 0.1, potential, proliferation, grid, tg)
+    rng = np.random.default_rng(5)
+    data = rng.uniform(-0.9, 0.9, (tg.steps + 1, 3) + grid.shape)
+    state = ch.Trajectory(grid, tg, data, ("mu", "phi", "sigma"))
+    for start, stop in ((0, tg.steps), (3, 9), (tg.steps - 1, tg.steps)):
+        stacked = step_coefficients(params, state, start, stop)
+        assert all(c.shape == (stop - start,) + grid.shape for c in stacked)
+        for j in range(start, stop):
+            single = step_coefficients(params, state, j)
+            assert [c[j - start].tobytes() for c in stacked] == \
+                [c.tobytes() for c in single]
