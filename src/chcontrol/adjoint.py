@@ -69,9 +69,6 @@ def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
 
     data = np.zeros((k_tau + 1, 3) + grid.shape)
     data[k_tau] = adjoint_terminal_data(params, state, k_tau, cost)
-    if k_tau == 0:
-        return Trajectory(grid, tg, data, ADJOINT_NAMES)
-
     solver = StepSolver(grid, dt, params.alpha, params.beta)
     wq = time_weights(k_tau + 1, dt)
     # per term: its row of the right-hand side (mu, phi, sigma) and its
@@ -83,7 +80,7 @@ def solve_adjoint(params: ModelParams, state: Trajectory, tau_index: int,
         sources.append((state.names.index(t.component),
                         weights.reshape((-1,) + (1,) * grid.dim) * t.misfit))
     # A_k^T takes (P, W) of step k-1 and C_k^T takes (E, S) of step k
-    p, w, ex, spp = step_coefficients(params, state, 0, k_tau)
+    p, w, ex, spp = step_coefficients(params, state, k_tau)
 
     for k in range(k_tau, 0, -1):
         rhs = list(coupling(solver, ex[k], spp[k], lam, transpose=True) if k < k_tau

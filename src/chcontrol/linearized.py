@@ -61,11 +61,8 @@ def solve_linearized(params: ModelParams, state: Trajectory, h: np.ndarray,
         hv = np.moveaxis(hv, 0, 1)
 
     data = np.zeros((steps + 1, 3) + hv.shape[1:])
-    if steps == 0:
-        return Trajectory(grid, tg, data, LINEARIZED_NAMES)
-
     solver = StepSolver(grid, dt, params.alpha, params.beta)
-    p, w, ex, spp = step_coefficients(params, state, 0, steps)
+    p, w, ex, spp = step_coefficients(params, state, steps)
     for k in range(steps):
         rm, rf, rs = coupling(solver, ex[k], spp[k], data[k])
         x = solver.solve(p[k], w[k], (rm, rf, rs + hv[k]))

@@ -19,9 +19,8 @@ breakdown at one tau. Every cost may also be read from the first
 frames of the march alone, which is how the optimizer's trial marches
 stop early (see :class:`TauProfile`); a cost that cannot fall past
 tau_star (:meth:`CostSpec.monotone_tail`) may also certify its time
-minimizer from them. :meth:`CostSpec.trial_window` is the frame the
-optimizer's first march stops at, and :meth:`TauProfile.least_window`
-the least frame that certifies an iterate, near which its trials stop.
+minimizer from them. :meth:`TauProfile.least_window` is the least frame
+that certifies an iterate, near which its trials stop.
 
 The three integrals of a state misfit (b1, b3 and the relaxed term) are
 one table, :func:`integral_terms`: per active term its weight, the state
@@ -108,26 +107,6 @@ class CostSpec:
         relax = self.relaxation
         return (all(w >= 0 for w in self.weights()) and self.b2 == 0
                 and self.b4 == 0 and (relax is None or relax.gamma == 0))
-
-    def trial_window(self, tg: TimeGrid, tau: float) -> int:
-        """The first window of an optimizer run at treatment time ``tau``,
-        the last frame W its initial march needs, and whether windows
-        apply at all. W is nt, and no march stops short, unless the cost
-        has a monotone tail with a term that grows in tau (without one no
-        partial march certifies, and every
-        :meth:`TauProfile.least_window` is nt too); then W is the node of
-        tau, or of tau_star if b6 > 0 and that lies later, plus two. The
-        two margin nodes are the ones :meth:`TauProfile.minimize` asks of
-        a partial march (a node minimizer at W-2 or below), so the time
-        search's bracket and the adjoint's frames stay inside the window.
-        The later windows follow each iterate's
-        :meth:`TauProfile.least_window`."""
-        if not (self.monotone_tail() and (self.b1 or self.b3 or self.b5 or self.b6)):
-            return tg.steps
-        node = tg.nearest_node(tau)[0]
-        if self.b6 > 0:
-            node = max(node, tg.nearest_node(self.tau_star)[0])
-        return min(tg.steps, node + 2)
 
     def validate(self, grid: Grid, time_grid: TimeGrid) -> None:
         """Store each weight and ``tau_star`` as
@@ -220,7 +199,7 @@ def window_weights(k_tau: int, dt: float, eps: float) -> np.ndarray:
     w = np.zeros(k_tau + 1)
     t_hi = k_tau * dt
     a = max(0.0, t_hi - eps)
-    if k_tau == 0 or a >= t_hi:
+    if a >= t_hi:
         return w
     j = min(int(a / dt), k_tau - 1)
     xi = a / dt - j
@@ -332,11 +311,15 @@ class TauProfile:
     of the full one. Such a profile answers every tau with tau / dt < W,
     bitwise as the full profile would: there each formula reads frames
     0..W only. Its nodes are 0..W-1, and :meth:`minimize` returns None
-    unless the cost has :meth:`CostSpec.monotone_tail` and the full
-    profile's first node minimizer provably lies among nodes 0..W-2 (see
-    there). :meth:`least_window` is the least such W for the profile's
-    own first node minimizer, the frame that the optimizer's next trial
-    marches stop near; both read one scan of the nodes.
+    unless frames 0..W certify that the full profile's first node
+    minimizer lies among nodes 0..W-2. :meth:`_certifies` is the one rule
+    of that certificate, for every cost, and the only reader of
+    :meth:`CostSpec.monotone_tail`: a cost without one, or with no term
+    that grows in tau, is certified by no W short of the horizon.
+    :meth:`least_window` is the least W that certifies the profile's own
+    first node minimizer, the frame that the optimizer's next trial
+    marches stop near, nt where none does; both read one scan of the
+    nodes.
 
     A member-stacked state (see :func:`~chcontrol.state.solve_state`),
     misshapen targets and a misshapen control raise
@@ -497,40 +480,41 @@ class TauProfile:
         return bound.total
 
     def _certifies(self, w: int) -> bool:
-        """Whether frames 0..w certify the first node minimizer k, for a
-        cost with :meth:`CostSpec.monotone_tail`: k <= w-2 and J(t_k) below
-        :meth:`_tail_bound` (w) by ``TAIL_SLACK`` of it."""
+        """Whether frames 0..w certify the first node minimizer k: the cost
+        has :meth:`CostSpec.monotone_tail`, k <= w-2 and J(t_k) lies below
+        :meth:`_tail_bound` (w) by ``TAIL_SLACK`` of it. This is the one
+        rule of every partial march's certificate. A cost with no term
+        that grows in tau fails it, since its bound is J(t_k) itself."""
         k, j_min = self._node_minimum()
-        return k <= w - 2 and j_min < (1.0 - TAIL_SLACK) * self._tail_bound(w)
+        return (self.cost.monotone_tail() and k <= w - 2
+                and j_min < (1.0 - TAIL_SLACK) * self._tail_bound(w))
 
     def least_window(self) -> int:
         """The least frame W whose partial march would certify this
         profile's first node minimizer k, as :meth:`minimize` asks: the
         smallest W >= k+2 among the frames it holds that
-        :meth:`_certifies`; nt if none does or the cost has no monotone
-        tail. It reads the node values that :meth:`minimize` reads,
-        scanned once per profile."""
-        if self.cost.monotone_tail():
-            k, _ = self._node_minimum()
-            for w in range(k + 2, len(self.frame_times)):
-                if self._certifies(w):
-                    return w
+        :meth:`_certifies`, for every cost; nt if none does. It reads the
+        node minimum that :meth:`minimize` caches, scanned once per
+        profile."""
+        k, _ = self._node_minimum()
+        for w in range(k + 2, len(self.frame_times)):
+            if self._certifies(w):
+                return w
         return self.tg.steps
 
     def minimize(self) -> float | None:
         """Continuous minimizer of J(u, .) over [0, T], near the best node.
 
         A partial profile of frames 0..W finds the same minimizer from its
-        own nodes when the cost has :meth:`CostSpec.monotone_tail` and
-        they certify their first minimizer k (:meth:`_certifies`): k is at
-        most W-2 and J(t_k) lies below :meth:`_tail_bound` (W) by
-        ``TAIL_SLACK`` of it. The full profile's first node minimizer is
-        then k as well, and the search reads [t_{k-1}, t_{k+1}] only.
-        Otherwise it returns None.
+        own nodes when they certify their first minimizer k
+        (:meth:`_certifies` (W): the cost has a monotone tail, k is at most
+        W-2 and J(t_k) lies below :meth:`_tail_bound` (W) by ``TAIL_SLACK``
+        of it). The full profile's first node minimizer is then k as well,
+        and the search reads [t_{k-1}, t_{k+1}] only. Otherwise it returns
+        None.
         """
         k, _ = self._node_minimum()
-        if self.partial and not (self.cost.monotone_tail()
-                                 and self._certifies(len(self.times))):
+        if self.partial and not self._certifies(len(self.times)):
             return None
         horizon = self.tg.horizon
         lo = max(self.times[k] - self.dt, 0.0)

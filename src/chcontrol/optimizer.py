@@ -36,32 +36,35 @@ carries the measures verified on itself. The history has one row per
 outer iteration, at the snapped node, and one more that repeats the last
 iteration at the continuous minimizer when it costs no more.
 
-Marches stop at a window. When the cost cannot fall past tau_star
-(:meth:`CostSpec.monotone_tail`: b2 = b4 = 0, no active relaxed term)
-and has a term that grows in tau, the initial march stops at the first
-window, :meth:`CostSpec.trial_window`: W = min(nt, max(node of tau_star
-if b6 > 0, node of tau0) + 2). Each accepted trial marches on only to W
-= min(nt, max(L + ``WINDOW_MARGIN``, k_idx + 2)), L the iterate's
+Marches stop at a window, by one rule for every cost. The initial march
+stops at the first window W = min(nt, max(node of tau0, node of tau_star
+if b6 > 0) + 2). Each accepted trial marches on only to W = min(nt,
+max(L + ``WINDOW_MARGIN``, k_idx + 2)), L the iterate's
 :meth:`TauProfile.least_window`, the least frame whose march certifies
 the iterate's own time minimizer, and k_idx its snapped node; a trial's
-cost is read at the snapped node alone. Any other cost marches to the
-horizon, since L is nt. The next treatment-time block reads the accepted
-windowed state only where :meth:`TauProfile.minimize` certifies that the
-full profile's first node minimizer lies at node W-2 or below, by a
-lower bound on the cost at every node past the window; otherwise it
-marches that control to the horizon first, the one fallback. The margin
-lets a trial's minimizer lie a little later than the iterate's and keep
-its certificate: at margin 1 or 2 no window of ``optimize-1d`` seeds 1,
-2, 7 and 21 or of ``configs/baseline.json`` falls back, at 0 one to
-three per run do. The two nodes past k_idx keep the time search's
-bracket [t_{k-1}, t_{k+1}] and the adjoint's frames inside the window.
-Every decision, and so every reported bit, is the one a full march
-would give. Once, the final iterate is marched on to the horizon (for
-``OptResult.state``). One corner case differs: a march failure past t_W
-surfaces only in a march that needs those frames. A trial whose march
-would fail only there is not rejected, since its cost never reads them,
-and a start whose march would fails after the search rather than
-before it, in the march of a failed certificate or in the final march,
+cost is read at the snapped node alone. The next treatment-time block
+reads the accepted windowed state only where :meth:`TauProfile.minimize`
+certifies that the full profile's first node minimizer lies at node W-2
+or below, by a lower bound on the cost at every node past the window;
+otherwise it marches that control to the horizon first, the one
+fallback. That fallback is the path of every cost the certificate
+cannot certify (:meth:`TauProfile._certifies`: one that can fall past
+tau_star, with b2, b4 or an active relaxed term, or one with no term
+that grows in tau): its first window fails at iteration 0 and is
+resumed to the horizon, the frames and steps of a first march to the
+horizon in one more call, and its L is nt, so its trials march to the
+horizon too. The margin lets a trial's minimizer lie a little later
+than the iterate's and keep its certificate: at margin 1 or 2 no window
+of ``optimize-1d`` seeds 1, 2, 7 and 21 or of ``configs/baseline.json``
+falls back, at 0 one to three per run do. The two nodes past k_idx keep
+the time search's bracket [t_{k-1}, t_{k+1}] and the adjoint's frames
+inside the window. Every decision, and so every reported bit, is the one
+a full march would give. Once, the final iterate is marched on to the
+horizon (for ``OptResult.state``). One corner case differs: a march
+failure past t_W surfaces only in a march that needs those frames. A
+trial whose march would fail only there is not rejected, since its cost
+never reads them, and a start whose march would fail there fails in the
+march of a failed certificate, or after the search in the final march,
 with the SolverError naming the step.
 
 No frame is marched twice where it need not be. Each trial resumes from
@@ -234,9 +237,9 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     of ``params``. A trial whose forward solve raises a SolverError is
     rejected like a failed Armijo test, and the search backtracks; a
     failing solve at the current iterate propagates. Marches stop at a
-    window where the cost allows (see the module docstring), and a
-    failure past it surfaces in the march that needs those frames (a
-    failed certificate or the final march), if ever.
+    window (see the module docstring), and a failure past it surfaces in
+    the march that needs those frames (a failed certificate or the final
+    march), if ever.
     """
     grid, tg = params.grid, params.time_grid
     cost.validate(grid, tg)
@@ -248,8 +251,10 @@ def optimize(params: ModelParams, init: InitialData, cost: CostSpec, u0: np.ndar
     qt_inner = partial(space_time_inner, grid, tg.dt)
     qt_norm = partial(space_time_norm, grid, tg.dt)
 
-    state = solve_state(params, init, u, steps=cost.trial_window(tg, tau_ref),
-                        polish=False)
+    # the first window: two nodes past the later of tau0's node and, if b6 > 0,
+    # tau_star's; snapping is monotone, so that is the later time's node
+    first = tg.nearest_node(max(tau_ref, cost.tau_star if cost.b6 > 0 else 0.0))[0] + 2
+    state = solve_state(params, init, u, steps=min(tg.steps, first), polish=False)
     history: list[IterationRecord] = []
     trial = ARMIJO_S0  # the control block's first trial step
     prev = None  # the last accepted (u, grad); neither is written in place

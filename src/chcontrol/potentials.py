@@ -76,12 +76,13 @@ class Potential:
 
     def distance(self, r) -> float:
         """Least distance of the values ``r`` to the boundary of the
-        domain: positive inside, NaN if ``r`` holds a NaN."""
+        domain: positive inside, NaN if ``r`` holds a NaN, inf if ``r`` is
+        empty (so an empty field has empty derivatives)."""
         if not self.singular:
             return np.inf
         lo, hi = self.domain
         r = np.asarray(r)
-        return float(min((r - lo).min(), (hi - r).min()))
+        return float(min((r - lo).min(initial=np.inf), (hi - r).min(initial=np.inf)))
 
     @property
     def margin(self) -> float:

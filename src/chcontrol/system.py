@@ -24,8 +24,9 @@ A_{j+1} being the matrix above at P = P(phi_j) and W = B''(phi_{j+1}), and
 
 with E = P'(phi_j)(sigma_{j+1} - mu_{j+1}) and S = S''(phi_j) the explicit
 smooth potential part. :func:`step_coefficients` gives (P, W, E, S) of
-step j, or of a range of steps at once, and :func:`coupling` applies C_j
-or C_j^T.
+steps 0..steps-1 at once, stacked, and :func:`coupling` applies C_j or
+C_j^T. Each sweep evaluates them once and reads step j's slice; a sweep
+of no steps gets empty stacks and runs its loop zero times.
 
 The dimensions differ only in how they solve. In 1D the matrix is held
 cell by cell, the three unknowns (m, f, s) of a cell adjacent, so that it
@@ -454,14 +455,14 @@ class StepSolver:
         return buf.transpose(2, 0, 1).reshape(shape).copy()
 
 
-def step_coefficients(params, state, j: int, stop: int | None = None):
-    """(P, W, E, S) of step j -> j+1 at a solved trajectory, as defined in
-    the module docstring: A_{j+1} takes (P, W) and C_j takes (E, S). With
-    ``stop``, those of steps j..stop-1 in one evaluation, each stacked
-    along a leading step axis, bitwise the per-step ones: a sweep sets
-    them up once and reads a slice per step."""
+def step_coefficients(params, state, steps: int):
+    """(P, W, E, S) of steps 0..steps-1 at a solved trajectory, as defined
+    in the module docstring, each stacked along a leading step axis: slice
+    j is step j -> j+1, whose A_{j+1} takes (P, W) and C_j takes (E, S). A
+    sweep sets them up once and reads a slice per step; at ``steps`` = 0
+    the stacks are empty."""
     prolif, pot, phi = params.proliferation, params.potential, state.phi
-    old, new = (j, j + 1) if stop is None else (slice(j, stop), slice(j + 1, stop + 1))
+    old, new = slice(0, steps), slice(1, steps + 1)
     p = prolif.P(phi[old])
     w = pot.d2B(phi[new])
     ex = prolif.dP(phi[old]) * (state.sigma[new] - state.mu[new])

@@ -55,6 +55,16 @@ def tracking_cost(params, b0=1e-3, b1=1.0, b2=0.0, b3=1.0, b4=0.0, b5=0.01,
     )
 
 
+def first_window(tg, cost, tau0):
+    """The frame that ``optimize``'s first march stops at, for every cost:
+    two nodes past the node of tau0, or past that of tau_star if b6 > 0 and
+    it lies later, capped at nt."""
+    node = tg.nearest_node(tau0)[0]
+    if cost.b6 > 0:
+        node = max(node, tg.nearest_node(cost.tau_star)[0])
+    return min(tg.steps, node + 2)
+
+
 def midpoint_control(params, lower=0.0, upper=2.0):
     return ch.constant_trajectory(params.grid, params.time_grid,
                                   0.5 * (lower + upper))

@@ -26,14 +26,34 @@ def test_zero_cost_gives_zero_adjoint(problem):
     assert np.all(adj.data == 0.0)
 
 
-def test_degenerate_tau_zero(problem):
-    params, _, _, state = problem
-    cost = tracking_cost(params, b2=0.5, b4=0.2)
+@pytest.fixture(scope="module")
+def problem_2d_log():
+    # an interface on 2D with the logarithmic potential, whose B'' refused
+    # the empty field of a sweep of no steps
+    grid = ch.Grid.rectangle(8, 6, 1.5, 0.8)
+    params = ch.ModelParams(0.1, 0.1, ch.Potential.logarithmic(2.0),
+                            ch.Proliferation.smooth_ramp(1.0, 0.5), grid,
+                            ch.TimeGrid(0.25, 10))
+    u = midpoint_control(params)
+    return params, None, u, ch.solve_state(params, equilibrium_init(params), u)
+
+
+@pytest.mark.parametrize("which", ["1d", "2d-log"])
+def test_degenerate_tau_zero(which, problem, problem_2d_log):
+    # the sweeps of no steps: the adjoint's one frame is the terminal data,
+    # with the relaxed window empty, and the linearized one is zero
+    params, _, _, state = problem if which == "1d" else problem_2d_log
+    relax = ch.Relaxation(0.5, 0.1, params.grid.full(0.3))
+    cost = tracking_cost(params, b2=0.5, b4=0.2, relaxation=relax)
     adj = ch.solve_adjoint(params, state, 0, cost)
     assert adj.nframes == 1
     p, q, r = adjoint_terminal_data(params, state, 0, cost)
     assert np.array_equal(adj.adj_phi[0], q)
     assert np.all(adj.adj_mu[0] == 0.0) and np.all(adj.adj_sigma[0] == 0.0)
+    assert adj.data.tobytes() == np.stack([p, q, r])[None].tobytes()
+    h = np.ones((params.time_grid.steps + 1,) + params.grid.shape)
+    lin = ch.solve_linearized(params, state, h, steps=0)
+    assert lin.data.tobytes() == np.zeros((1, 3) + params.grid.shape).tobytes()
 
 
 def test_terminal_frame_equals_terminal_data(problem):

@@ -3,11 +3,13 @@ iterate's frames: every reported bit is the one that full marches give.
 
 Each run is compared with a run whose every march is fresh and reaches
 the horizon, with one whose trials march fresh to the first window
-``CostSpec.trial_window``, as they did before they resumed, and with one
-whose windows do not follow the iterate's least certifying window
-``TauProfile.least_window``; the partial cost profile, its certificate
-and the adjoint on the first frames are checked on their own against
-the full march.
+(``conftest.first_window``, the frame the first march stops at), as they
+did before they resumed, with one whose windows do not follow the
+iterate's least certifying window ``TauProfile.least_window``, and, for
+costs the certificate cannot certify, with one whose first march
+reaches the horizon; the partial cost profile, its certificate and the
+adjoint on the first frames are checked on their own against the full
+march.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import chcontrol as ch
 import chcontrol.optimizer as optimizer_module
-from conftest import make_problem, tracking_cost
+from conftest import first_window, make_problem, tracking_cost
 
 
 def _random_init(params, seed=4):
@@ -55,30 +57,30 @@ def _problem_2d():
 
 def _counted_runs(monkeypatch, params, cost, tau0, march, **kwargs):
     """One optimize run from u = 1, and (first frame, marched steps, last
-    frame) of each of its forward marches. ``march`` "resumed" runs
-    optimize as it is. "fixed" keeps the windows that do not follow the
-    iterate: the first march is full, and a passing trial marches on to
-    :meth:`CostSpec.trial_window` at the current tau. "window" resumes
-    each trial but marches it straight to the first window, as before a
-    trial first stopped after its snapped node; "fresh" also drops every
-    ``prior``; "full" forces the first window to the horizon and marches
-    every call fresh to it. In these three, a passing trial has nothing
-    left to march."""
+    frame) of each of its forward marches; the first march's last frame
+    is the first window. ``march`` "resumed" runs optimize as it is.
+    "horizon" marches the first call to the horizon, as optimize did for
+    a cost whose marches never stop short. "fixed" keeps the windows that
+    do not follow the iterate: the first march is full, and a passing
+    trial marches on to the first window at the current tau. "window"
+    resumes each trial but marches it straight to the last window, as
+    before a trial first stopped after its snapped node: the first window,
+    or the horizon once a march has been made to it; "fresh" also drops
+    every ``prior``; "full" marches every call fresh to the horizon. In
+    these three, a passing trial has nothing left to march."""
     marches, windows = [], []
-    trial_window = ch.CostSpec.trial_window
-
-    def recording_window(cost, tg, tau):
-        windows.append(tg.steps if march == "full" else trial_window(cost, tg, tau))
-        return windows[-1]
+    nt = params.time_grid.steps
 
     def counting_solve_state(*args, steps=None, prior=None, **kw):
-        if march == "fixed" and not marches:
+        if march in ("fixed", "horizon") and not marches:
             steps = None
-        elif march not in ("resumed", "fixed"):
+        elif march not in ("resumed", "fixed", "horizon"):
             if steps is not None and prior is not None and prior[1] is args[2]:
                 # a passing trial's continuation: its march reached the window
                 return prior[0]
-            steps = steps and windows[-1]
+            if not marches or steps is None:
+                windows.append(nt if march == "full" or steps is None else steps)
+            steps = windows[-1]
             prior = prior if march == "window" else None
         traj = ch.solve_state(*args, steps=steps, prior=prior, **kw)
         diag = traj.diagnostics
@@ -88,12 +90,11 @@ def _counted_runs(monkeypatch, params, cost, tau0, march, **kwargs):
     def fixed_window(profile):
         # less the margin, so that a trial snapped at node k_idx marches on
         # to min(nt, max(node of tau_star if b6 > 0, k_idx) + 2), the
-        # window trial_window gives at its tau
-        return trial_window(profile.cost, profile.tg, 0.0) - optimizer_module.WINDOW_MARGIN
+        # first window at its tau
+        return first_window(profile.tg, profile.cost, 0.0) - optimizer_module.WINDOW_MARGIN
 
     with monkeypatch.context() as m:
         m.setattr(optimizer_module, "solve_state", counting_solve_state)
-        m.setattr(ch.CostSpec, "trial_window", recording_window)
         if march == "fixed":
             m.setattr(ch.TauProfile, "least_window", fixed_window)
         u0 = ch.constant_trajectory(params.grid, params.time_grid, 1.0)
@@ -132,21 +133,23 @@ def test_windowed_optimize_is_bitwise_the_full_one(monkeypatch, make):
     full, f = _counted_runs(monkeypatch, params, cost, tau0, "full", **kwargs)
     _assert_same_result(windowed, full)
     assert set(f) == {(0, nt, nt)}
+    # the first march is fresh and stops at the first window
+    first = first_window(params.time_grid, cost, tau0)
+    assert w[0] == (0, first, first) and first < nt
     if not cost.monotone_tail():
-        # every state is full, but a trial's probe stops after its snapped
-        # node, so rejected trials march fewer steps than trials marched
+        # the first window is uncertified and resumed to the horizon. Every
+        # state is full, but a trial's probe stops after its snapped node,
+        # so rejected trials march fewer steps than trials marched
         # straight to the horizon, as they were before the probe
         unprobed, p = _counted_runs(monkeypatch, params, cost, tau0, "window", **kwargs)
         _assert_same_result(windowed, unprobed)
-        assert w[0] == (0, nt, nt) and min(last for _, _, last in w) < nt
+        assert w[1] == (first, nt - first, nt) and min(last for _, _, last in w) < nt
         assert windowed.state.nframes == nt + 1
         assert _marched(w) < _marched(p) < _marched(f)
         return
-    # the trials stopped short; the first march is fresh and stops at the
-    # first window, the last resumes the optimum to the horizon, and every
-    # windowed state was certified, so no other march reaches it
-    first = cost.trial_window(params.time_grid, tau0)
-    assert w[0] == (0, first, first) and first < nt
+    # the trials stopped short; the last march resumes the optimum to the
+    # horizon, and every windowed state was certified, so no other march
+    # reaches it
     assert 0 < w[-1][0] < w[-1][2] == nt
     assert max(last for _, _, last in w[1:-1]) < nt
     assert _marched(w) < _marched(f)
@@ -170,9 +173,45 @@ def test_uncertified_window_marches_to_the_horizon(monkeypatch):
     nt = params.time_grid.steps
     trials = len(f) - 1
     assert trials and len(w) == 2 + 2 * trials
-    assert w[0][2] == w[1][0] < w[1][2] == nt
+    assert first_window(params.time_grid, cost, tau0) == w[0][2] == w[1][0] < w[1][2] == nt
     for probe, horizon in zip(w[2::2], w[3::2]):
         assert probe[2] == horizon[0] < horizon[2] == nt
+
+
+def _problem_relaxed():
+    # the relaxed window term lets the cost fall past tau_star too
+    params = make_problem(n=32, nt=48)
+    relax = ch.Relaxation(0.5, 0.1, params.grid.full(0.3))
+    return params, tracking_cost(params, b1=0.2, b3=0.2, b6=5.0, tau_star=0.3,
+                                 relaxation=relax), 0.3
+
+
+def _problem_control_only():
+    # the control energy alone: the cost cannot fall past tau_star, but no
+    # term grows in tau, so no partial march bounds the nodes past it; at
+    # b6 = 0 the late tau_star leaves the first window at tau0's node + 2
+    return make_problem(n=32, nt=48), ch.CostSpec(b0=1e-3, tau_star=0.8), 0.3
+
+
+@pytest.mark.parametrize("make", [_problem_terminal(b2=0.05), _problem_terminal(b4=0.02),
+                                  _problem_relaxed, _problem_control_only],
+                         ids=["b2", "b4", "relaxed", "b0"])
+def test_uncertifiable_first_window_is_resumed_to_the_horizon(monkeypatch, make):
+    # a cost that the certificate cannot certify fails it at iteration 0,
+    # and the first window is resumed to the horizon: the bits and the
+    # steps of a first march made straight to the horizon, in one more call
+    params, cost, tau0 = make()
+    nt = params.time_grid.steps
+    kwargs = dict(max_outer_iters=6, grad_tol=1e-300)
+    windowed, w = _counted_runs(monkeypatch, params, cost, tau0, "resumed", **kwargs)
+    horizon, h = _counted_runs(monkeypatch, params, cost, tau0, "horizon", **kwargs)
+    _assert_same_result(windowed, horizon)
+    first = first_window(params.time_grid, cost, tau0)
+    assert w[0] == (0, first, first) and first < nt and w[1] == (first, nt - first, nt)
+    assert h[0] == (0, nt, nt) and w[2:] == h[1:] and len(h) > 1
+    assert _marched(w) == _marched(h) and len(w) == len(h) + 1
+    # and no state of such a cost has a window short of the horizon
+    assert ch.TauProfile(windowed.state, windowed.u_opt, cost).least_window() == nt
 
 
 def _problem_late_star():
@@ -298,7 +337,7 @@ def test_windowed_time_block_matches_the_full_one(marched, b0, b1, b3, b5, b6,
     tg = params.time_grid
     cost = tracking_cost(params, b0=b0, b1=b1, b3=b3, b5=b5, b6=b6,
                          tau_star=tau_star)
-    w = cost.trial_window(tg, tau_ref)
+    w = first_window(tg, cost, tau_ref)
     part = ch.Trajectory(params.grid, tg, state.data[:w + 1], state.names)
     windowed = ch.TauProfile(part, u, cost)
     full = ch.TauProfile(state, u, cost)
@@ -338,7 +377,7 @@ def test_windowed_time_block_certifies_the_tracking_cost(marched):
     params, u, state = marched
     tg = params.time_grid
     cost = tracking_cost(params)
-    w = cost.trial_window(tg, 0.5)
+    w = first_window(tg, cost, 0.5)
     assert w == tg.nearest_node(0.5)[0] + 2 < tg.steps
     part = ch.Trajectory(params.grid, tg, state.data[:w + 1], state.names)
     windowed = ch.TauProfile(part, u, cost)

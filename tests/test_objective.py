@@ -298,12 +298,13 @@ def test_tau_profile_matches_cost(problem):
 def test_partial_profile_is_the_full_one_on_its_frames(problem, terms):
     # a cost that can fall past tau_star reads frames 0..W as the full
     # profile does on [0, t_W), last interval included, but cannot certify
-    # its time minimizer from them
+    # its time minimizer from them: no window short of the horizon does
     params, _, u, state = problem
     tg = params.time_grid
     cost = tracking_cost(params, **terms(params.grid))
     assert not cost.monotone_tail()
     full = ch.TauProfile(state, u, cost)
+    assert full.least_window() == tg.steps
     for w in (1, 2, 12, tg.steps - 1):
         part = ch.Trajectory(params.grid, tg, state.data[:w + 1], state.names)
         profile = ch.TauProfile(part, u, cost)
@@ -313,6 +314,6 @@ def test_partial_profile_is_the_full_one_on_its_frames(problem, terms):
             assert repr((dataclasses.astuple(profile.breakdown(tau)),
                          profile.derivative(tau))) == repr(
                 (dataclasses.astuple(full.breakdown(tau)), full.derivative(tau))), tau
-        assert profile.minimize() is None
+        assert profile.minimize() is None and profile.least_window() == tg.steps
         with pytest.raises(ch.TimeDomainError, match="past the first"):
             profile.derivative(tg.times[w])

@@ -4,7 +4,8 @@ import pytest
 import chcontrol as ch
 import chcontrol.optimizer as optimizer_module
 from chcontrol.optimizer import _time_violation
-from conftest import equilibrium_init, make_problem, midpoint_control, tracking_cost
+from conftest import (equilibrium_init, first_window, make_problem, midpoint_control,
+                      tracking_cost)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,7 @@ def test_zero_projected_step_leaves_the_control(monkeypatch):
     monkeypatch.setattr(optimizer_module, "solve_state", counting_solve_state)
     res = ch.optimize(params, init, cost, u0, lower=0.0, upper=1.0,
                       max_outer_iters=3, grad_tol=1e-300)
-    first = cost.trial_window(params.time_grid, 0.5)
+    first = first_window(params.time_grid, cost, 0.5)
     assert first < params.time_grid.steps and solves == [(first, False), (None, True)]
     assert not res.converged and res.iterations == 4
     assert np.array_equal(res.u_opt, u0) and np.array_equal(res.gradient, 0 * u0)

@@ -107,6 +107,24 @@ def test_nan_passes_the_domain_guard():
         assert np.isfinite(out[0]) and np.isnan(out[1])
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 4, 3)], ids=["field", "stack"])
+def test_empty_field_has_empty_derivatives(shape):
+    # an empty field lies at distance inf from the boundary, and each
+    # derivative of it is empty: the coefficients of a sweep of no steps
+    r = np.empty(shape)
+    assert LOG.distance(r) == QUARTIC.distance(r) == np.inf
+    for pot in (QUARTIC, LOG):
+        for method in (pot.dB, pot.d2B, pot.dS, pot.d2S, pot.dF):
+            assert method(r).shape == shape
+    grid, tg = ch.Grid.rectangle(4, 3, 1.0, 0.75), ch.TimeGrid(0.5, 6)
+    params = ch.ModelParams(0.1, 0.1, LOG, ch.Proliferation.smooth_ramp(1.0, 0.5),
+                            grid, tg)
+    data = np.random.default_rng(3).uniform(-0.9, 0.9, (tg.steps + 1, 3) + grid.shape)
+    state = ch.Trajectory(grid, tg, data, ("mu", "phi", "sigma"))
+    coefficients = ch.system.step_coefficients(params, state, 0)
+    assert [c.shape for c in coefficients] == [(0, 4, 3)] * 4
+
+
 def test_distance_matches_separation_formula():
     lo, hi = LOG.domain
     phi = np.random.default_rng(7).uniform(-0.99, 0.99, (6, 12, 9))

@@ -6,8 +6,8 @@ its own, as both sweeps did before they read the step derivative from
 :mod:`chcontrol.system`. The production sweeps must reproduce them bit
 for bit. The step-level tests check that ``system.coupling`` with
 ``transpose=True`` is the exact transpose of the forward coupling, and
-that ``system.step_coefficients`` of a range of steps stacks the
-per-step ones bitwise.
+that each step's slice of ``system.step_coefficients`` is bitwise that
+step's fields evaluated on their own.
 """
 
 import numpy as np
@@ -152,7 +152,8 @@ def test_adjoint_matches_reference(problem, where):
 def test_coupling_transpose_is_exact(problem, stacked):
     params, state, _ = problem
     solver = StepSolver(params.grid, params.time_grid.dt, params.alpha, params.beta)
-    _, _, ex, spp = step_coefficients(params, state, params.time_grid.steps // 2)
+    j = params.time_grid.steps // 2
+    _, _, ex, spp = (c[j] for c in step_coefficients(params, state, params.time_grid.steps))
     shape = (3,) + ((3,) if stacked else ()) + params.grid.shape
     rng = np.random.default_rng(7)
     y, l = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -174,16 +175,19 @@ def test_coupling_transpose_is_exact(problem, stacked):
 def test_step_coefficients_of_a_range_are_the_per_step_ones(grid, potential,
                                                             proliferation):
     # the sweeps evaluate the coefficients of all their steps at once and
-    # read one slice per step: each slice is bitwise the step's own call
+    # read one slice per step: each slice is bitwise the step's fields
+    # evaluated on their own, and a sweep of no steps gets empty stacks
     tg = ch.TimeGrid(0.5, 12)
     params = ch.ModelParams(0.1, 0.1, potential, proliferation, grid, tg)
     rng = np.random.default_rng(5)
     data = rng.uniform(-0.9, 0.9, (tg.steps + 1, 3) + grid.shape)
     state = ch.Trajectory(grid, tg, data, ("mu", "phi", "sigma"))
-    for start, stop in ((0, tg.steps), (3, 9), (tg.steps - 1, tg.steps)):
-        stacked = step_coefficients(params, state, start, stop)
-        assert all(c.shape == (stop - start,) + grid.shape for c in stacked)
-        for j in range(start, stop):
-            single = step_coefficients(params, state, j)
-            assert [c[j - start].tobytes() for c in stacked] == \
-                [c.tobytes() for c in single]
+    mu, phi, sigma = state.mu, state.phi, state.sigma
+    for steps in (0, 1, 7, tg.steps):
+        stacked = step_coefficients(params, state, steps)
+        assert all(c.shape == (steps,) + grid.shape for c in stacked)
+        for j in range(steps):
+            single = (proliferation.P(phi[j]), potential.d2B(phi[j + 1]),
+                      proliferation.dP(phi[j]) * (sigma[j + 1] - mu[j + 1]),
+                      potential.d2S(phi[j]))
+            assert [c[j].tobytes() for c in stacked] == [c.tobytes() for c in single]
